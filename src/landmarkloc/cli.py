@@ -147,6 +147,9 @@ def build_parser() -> _Parser:
 
 def _apply_config(argv: list) -> list:
     """Inject config-file values as defaults: flags on argv win."""
+    # `--flag=value` is the same explicit flag as `--flag value`.
+    argv = [tok for arg in argv
+            for tok in (arg.split("=", 1) if arg.startswith("--") else (arg,))]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")

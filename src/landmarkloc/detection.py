@@ -266,9 +266,11 @@ def load_detections(path) -> dict:
                 raise MalformedFileError(path, row_no, "expected 5 columns")
             try:
                 iid = int(row[0])
-                det = Detection(int(row[1]), np.array([float(row[2]), float(row[3])]),
-                                float(row[4]))
+                uv = np.array([float(row[2]), float(row[3])])
+                det = Detection(int(row[1]), uv, float(row[4]))
             except ValueError as exc:
                 raise MalformedFileError(path, row_no, str(exc)) from None
+            if not np.isfinite(uv).all():
+                raise MalformedFileError(path, row_no, "non-finite pixel coordinate")
             per_image.setdefault(iid, []).append(det)
     return {iid: DetectionSet(iid, dets) for iid, dets in per_image.items()}

@@ -156,7 +156,21 @@ def load_mesh(path) -> TriangleMesh:
         mesh = _load_obj(path)
     else:
         raise MalformedFileError(path, 0, f"unsupported mesh format {suffix!r}")
-    return mesh.drop_degenerate()
+    mesh = mesh.drop_degenerate()
+    if len(mesh) == 0:
+        raise MalformedFileError(path, 0, "no non-degenerate triangle")
+    return mesh
+
+
+def _vertex(tokens, path, line_no) -> list:
+    """Three finite coordinates parsed from tokens, or a path:line error."""
+    try:
+        xyz = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise MalformedFileError(path, line_no, f"expected number: {exc}") from None
+    if len(xyz) != 3 or not np.isfinite(xyz).all():
+        raise MalformedFileError(path, line_no, "vertex needs 3 finite coordinates")
+    return xyz
 
 
 def _load_ply(path) -> TriangleMesh:
@@ -193,20 +207,23 @@ def _load_ply(path) -> TriangleMesh:
     except ValueError:
         raise MalformedFileError(path, body_start, "vertex element lacks x/y/z") from None
 
-    body = [l for l in lines[body_start:] if l.strip()]
+    body = [(no, l) for no, l in enumerate(lines[body_start:], start=body_start + 1)
+            if l.strip()]
     if len(body) < n_vertex + n_face:
         raise MalformedFileError(path, len(lines), "truncated PLY body")
     vertices = np.empty((n_vertex, 3))
     for r in range(n_vertex):
-        tokens = body[r].split()
-        vertices[r] = [float(tokens[ix]), float(tokens[iy]), float(tokens[iz])]
+        line_no, line = body[r]
+        tokens = line.split()
+        vertices[r] = _vertex([tokens[k] for k in (ix, iy, iz) if k < len(tokens)],
+                              path, line_no)
     triangles = np.empty((n_face, 3), dtype=np.int64)
     for r in range(n_face):
-        tokens = body[n_vertex + r].split()
+        line_no, line = body[n_vertex + r]
+        tokens = line.split()
         cnt = int(tokens[0])
         if cnt != 3:
-            raise MalformedFileError(path, body_start + n_vertex + r + 1,
-                                     f"non-triangular face ({cnt} vertices)")
+            raise MalformedFileError(path, line_no, f"non-triangular face ({cnt} vertices)")
         triangles[r] = [int(t) for t in tokens[1:4]]
     return TriangleMesh(vertices, triangles)
 
@@ -220,7 +237,7 @@ def _load_obj(path) -> TriangleMesh:
             if not tokens or tokens[0].startswith("#"):
                 continue
             if tokens[0] == "v":
-                vertices.append([float(t) for t in tokens[1:4]])
+                vertices.append(_vertex(tokens[1:4], path, line_no))
             elif tokens[0] == "f":
                 refs = tokens[1:]
                 if len(refs) != 3:

@@ -19,8 +19,8 @@ from .scene_model import (
     Pose,
     axis_angle_to_matrix,
     bearing,
+    project_many,
     qvec2rotmat,
-    skew,
 )
 
 STATUS_OK = "ok"
@@ -250,16 +250,17 @@ def p3p_solve(corrs, K: Intrinsics) -> list:
     return poses
 
 
+def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
+    """Projection minus observation, (N,2); NaN rows for points behind the camera."""
+    projected, _ = project_many(K, pose, xyz)
+    return projected - uv
+
+
 def reprojection_errors(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
     """Pixel reprojection errors; points behind the camera get +inf."""
-    cam = xyz @ pose.R.T + pose.t
-    z = cam[:, 2]
-    err = np.full(len(xyz), np.inf)
-    front = z > 0
-    if front.any():
-        u = K.fx * cam[front, 0] / z[front] + K.cx
-        v = K.fy * cam[front, 1] / z[front] + K.cy
-        err[front] = np.hypot(u - uv[front, 0], v - uv[front, 1])
+    res = _residuals(pose, uv, xyz, K)
+    err = np.hypot(res[:, 0], res[:, 1])
+    err[np.isnan(err)] = np.inf
     return err
 
 
@@ -364,29 +365,23 @@ def pose_residuals_jacobian(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
                             K: Intrinsics, weights: np.ndarray | None = None):
     """Stacked reprojection residuals and their analytic Jacobian.
 
-    Residuals are (projection - observation), stacked (2N,). The Jacobian is
-    with respect to a left-multiplicative increment [rotation omega,
-    translation dt] applied at the current pose. Rows are scaled by sqrt(w).
+    Residuals are (projection - observation), stacked (2N,), and NaN for
+    points behind the camera. The Jacobian is with respect to a
+    left-multiplicative increment [rotation omega, translation dt] applied at
+    the current pose. Rows are scaled by sqrt(w).
     """
-    n = len(xyz)
-    cam = xyz @ pose.R.T + pose.t
-    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
-    res = np.empty(2 * n)
-    res[0::2] = K.fx * x / z + K.cx - uv[:, 0]
-    res[1::2] = K.fy * y / z + K.cy - uv[:, 1]
-
-    J = np.zeros((2 * n, 6))
-    # d(uv)/d(cam): rows [fx/z, 0, -fx x/z^2] and [0, fy/z, -fy y/z^2]
-    # d(cam)/d(omega) = -[cam]_x, d(cam)/d(dt) = I
-    for i in range(n):
-        Jp = np.array(
-            [
-                [K.fx / z[i], 0.0, -K.fx * x[i] / z[i] ** 2],
-                [0.0, K.fy / z[i], -K.fy * y[i] / z[i] ** 2],
-            ]
-        )
-        Jc = np.hstack([-skew(cam[i]), np.eye(3)])
-        J[2 * i : 2 * i + 2] = Jp @ Jc
+    res = _residuals(pose, uv, xyz, K).reshape(-1)
+    x, y, z = (xyz @ pose.R.T + pose.t).T
+    # d(uv)/d(cam) has rows [a, 0, b] and [0, c, d]; d(cam)/d(omega) = -[cam]_x
+    # and d(cam)/d(dt) = I.
+    a, b = K.fx / z, -K.fx * x / z**2
+    c, d = K.fy / z, -K.fy * y / z**2
+    J = np.empty((len(res), 6))
+    Ju, Jv = J[0::2], J[1::2]
+    Ju[:, 0], Ju[:, 1], Ju[:, 2] = b * y, a * z - b * x, -a * y
+    Ju[:, 3], Ju[:, 4], Ju[:, 5] = a, 0.0, b
+    Jv[:, 0], Jv[:, 1], Jv[:, 2] = d * y - c * z, -d * x, c * x
+    Jv[:, 3], Jv[:, 4], Jv[:, 5] = 0.0, c, d
     if weights is not None:
         s = np.sqrt(np.repeat(weights, 2))
         res = res * s
@@ -399,16 +394,6 @@ def _apply_increment(pose: Pose, step: np.ndarray) -> Pose:
     return Pose(dR @ pose.R, dR @ pose.t + step[3:])
 
 
-def _weighted_cost(pose: Pose, uv, xyz, w, K):
-    cam = xyz @ pose.R.T + pose.t
-    z = cam[:, 2]
-    if (z <= 0).any():
-        return np.inf
-    du = K.fx * cam[:, 0] / z + K.cx - uv[:, 0]
-    dv = K.fy * cam[:, 1] / z + K.cy - uv[:, 1]
-    return float((w * (du * du + dv * dv)).sum())
-
-
 def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
                 K: Intrinsics, max_iter: int = 100) -> RefineResult:
     """Levenberg-Marquardt minimization of the weighted reprojection cost.
@@ -417,8 +402,13 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
     are rejected (damping increases); the accepted-cost trace is therefore
     non-increasing. Converges on step norm < 1e-10 or cost decrease < 1e-12.
     """
+    def weighted_cost(p: Pose) -> float:
+        du, dv = _residuals(p, uv, xyz, K).T
+        cost = float((w * (du * du + dv * dv)).sum())
+        return np.inf if math.isnan(cost) else cost  # NaN: a point behind the camera
+
     pose = initial
-    cost = _weighted_cost(pose, uv, xyz, w, K)
+    cost = weighted_cost(pose)
     trace = [cost]
     lam = 1e-6
     converged = False
@@ -440,7 +430,7 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
                 converged = True
                 break
             trial = _apply_increment(pose, step)
-            trial_cost = _weighted_cost(trial, uv, xyz, w, K)
+            trial_cost = weighted_cost(trial)
             if trial_cost < cost:
                 decrease = cost - trial_cost
                 pose, cost = trial, trial_cost

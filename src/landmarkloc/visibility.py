@@ -279,6 +279,29 @@ def filter_registration(
     return retained_images, retained_points
 
 
+def _visible(K: Intrinsics, T: Pose, dm: DepthMap, xyz: np.ndarray,
+             ref_normals: np.ndarray, cfg: VisibilityConfig, candidates=True) -> np.ndarray:
+    """The occlusion test of world points (N,3) against one image's depth map.
+
+    A point passes when it is a candidate, projects into view, its depth
+    matches the map within tolerance, and its unit reference normal (world
+    frame) makes an angle of at most cfg.tol_normal_deg with the rendered
+    normal.
+    """
+    uv, valid = project_many(K, T, xyz)
+    valid &= candidates
+    out = np.zeros(len(xyz), dtype=bool)
+    if not valid.any():
+        return out
+    z = (xyz @ T.R.T + T.t)[valid, 2]
+    d, n_pix = dm.lookup(uv[valid])
+    tol = np.maximum(cfg.tol_depth, cfg.rel_frac * z)
+    ok_depth = np.isfinite(d) & (np.abs(d - z) <= tol)
+    cosang = np.einsum("ij,ij->i", n_pix, ref_normals[valid] @ T.R.T)
+    out[valid] = ok_depth & (cosang >= math.cos(math.radians(cfg.tol_normal_deg)))
+    return out
+
+
 def is_visible(
     p: np.ndarray,
     K: Intrinsics,
@@ -290,20 +313,12 @@ def is_visible(
     """Occlusion test for a single landmark against a rasterized depth map.
 
     ref_normal is the landmark's world-frame reference surface normal,
-    assigned at table-build time from the mesh.
+    assigned at table-build time from the mesh; it need not be unit length.
     """
-    uv, valid = project_many(K, T, np.asarray(p, dtype=np.float64)[None, :])
-    if not valid[0]:
-        return False
-    z = float(T.apply(np.asarray(p, dtype=np.float64))[2])
-    d, n_pix = dm.lookup(uv)
-    tol = max(cfg.tol_depth, cfg.rel_frac * z)
-    if not np.isfinite(d[0]) or abs(d[0] - z) > tol:
-        return False
-    ref_cam = T.R @ np.asarray(ref_normal, dtype=np.float64)
-    cosang = float(np.dot(n_pix[0], ref_cam))
-    cosang /= max(np.linalg.norm(n_pix[0]) * np.linalg.norm(ref_cam), 1e-12)
-    return cosang >= math.cos(math.radians(cfg.tol_normal_deg))
+    n = np.asarray(ref_normal, dtype=np.float64)
+    n = n / max(np.linalg.norm(n), 1e-12)
+    p = np.asarray(p, dtype=np.float64).reshape(1, 3)
+    return bool(_visible(K, T, dm, p, n[None], cfg)[0])
 
 
 def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: float):
@@ -346,26 +361,12 @@ def compute_visibility(
     ref_normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
     active = np.array([lm.id not in excluded for lm in ls])
     xyz = ls.xyz
-    cos_tol = math.cos(math.radians(cfg.tol_normal_deg))
 
     for j, iid in enumerate(image_ids):
         img = model.images[iid]
         K = model.intrinsics[img.camera_id]
-        T = img.pose
-        dm = rasterize_depth(mesh, K, T, cfg.decimation)
-        uv, valid = project_many(K, T, xyz)
-        valid = valid & active
-        if not valid.any():
-            continue
-        z = (xyz @ T.R.T + T.t)[:, 2]
-        d, n_pix = dm.lookup(uv[valid])
-        zv = z[valid]
-        tol = np.maximum(cfg.tol_depth, cfg.rel_frac * zv)
-        ok_depth = np.isfinite(d) & (np.abs(d - zv) <= tol)
-        ref_cam = ref_normals[valid] @ T.R.T
-        cosang = np.einsum("ij,ij->i", n_pix, ref_cam)
-        ok_normal = cosang >= cos_tol
-        mask[np.flatnonzero(valid), j] = ok_depth & ok_normal
+        dm = rasterize_depth(mesh, K, img.pose, cfg.decimation)
+        mask[:, j] = _visible(K, img.pose, dm, xyz, ref_normals, cfg, active)
     return VisibilityTable(landmark_ids, image_ids, mask, cfg.as_dict(), excluded)
 
 
@@ -389,7 +390,14 @@ def load_visibility(path) -> VisibilityTable:
     image_ids = None
     tolerances = {}
     excluded = []
-    rows = []
+    rows = []  # (line number, landmark id, visible image ids)
+
+    def ids(tokens, line_no):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError as exc:
+            raise MalformedFileError(path, line_no, f"expected integer id: {exc}") from None
+
     with open(path, "r") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -400,7 +408,7 @@ def load_visibility(path) -> VisibilityTable:
                 if not tokens:
                     continue
                 if tokens[0] == "image_ids":
-                    image_ids = [int(t) for t in tokens[1:]]
+                    image_ids = ids(tokens[1:], line_no)
                 elif tokens[0] == "tolerances":
                     for tok in tokens[1:]:
                         k, _, v = tok.partition("=")
@@ -409,18 +417,18 @@ def load_visibility(path) -> VisibilityTable:
                         except ValueError:
                             tolerances[k] = v
                 elif tokens[0] == "excluded":
-                    excluded = [int(t) for t in tokens[1:]]
+                    excluded = ids(tokens[1:], line_no)
                 continue
-            tokens = line.split()
-            rows.append((int(tokens[0]), [int(t) for t in tokens[1:]]))
+            lid, *vis = ids(line.split(), line_no)
+            rows.append((line_no, lid, vis))
     if image_ids is None:
         raise MalformedFileError(path, 1, "missing image_ids header")
-    landmark_ids = [lid for lid, _ in rows]
+    landmark_ids = [lid for _, lid, _ in rows]
     col = {iid: j for j, iid in enumerate(image_ids)}
     mask = np.zeros((len(rows), len(image_ids)), dtype=bool)
-    for i, (_, vis) in enumerate(rows):
+    for i, (line_no, _, vis) in enumerate(rows):
         for iid in vis:
             if iid not in col:
-                raise MalformedFileError(path, 0, f"unknown image id {iid} in row {i}")
+                raise MalformedFileError(path, line_no, f"unknown image id {iid}")
             mask[i, col[iid]] = True
     return VisibilityTable(landmark_ids, image_ids, mask, tolerances, excluded)

@@ -1,6 +1,6 @@
 import pytest
 
-from landmarkloc.cli import main
+from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
 from landmarkloc.landmarks import load_landmarks
@@ -295,6 +295,24 @@ class TestConfigFile:
         assert rc == 0
         assert load_partition(out).g == 2
 
+    def test_flag_equals_form_wins_over_config(self, scene_dir, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("partition:\n  groups: 4\n  seed: 13\n"
+                       "localize:\n  refinement: none\n")
+        out = tmp_path / "part.txt"
+        rc = main(
+            ["partition", "--landmarks", str(scene_dir / "landmarks.txt"),
+             f"--config={cfg}", "--groups=2", "--criterion=default",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        assert load_partition(out).g == 2
+        args = build_parser().parse_args(_apply_config(
+            ["localize", "--scene", "s", "--landmarks", "l", "--detections", "d",
+             "--out", "o", "--refinement=weighted", "--config", str(cfg)]
+        ))
+        assert args.refinement == "weighted"
+
     def test_missing_config_is_data_error(self, scene_dir, tmp_path):
         rc = main(
             ["partition", "--landmarks", str(scene_dir / "landmarks.txt"),
@@ -338,6 +356,23 @@ class TestLocalizeErrors:
              "--out", str(tmp_path / "x.txt")]
         )
         assert rc == 2
+
+    def test_non_finite_detection_is_data_error(self, scene_dir, pipeline, tmp_path,
+                                                capsys):
+        _, dets, _ = pipeline
+        bad = tmp_path / "bad.csv"
+        lines = dets.read_text().splitlines()
+        iid, lid, _, v, conf = lines[3].split(",")
+        lines[3] = ",".join([iid, lid, "nan", v, conf])
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["localize", "--scene", str(scene_dir / "scene"),
+             "--landmarks", str(scene_dir / "landmarks.txt"),
+             "--detections", str(bad), "--seed", "0",
+             "--out", str(tmp_path / "x.txt")]
+        )
+        assert rc == 2
+        assert "bad.csv:4: non-finite pixel coordinate" in capsys.readouterr().err
 
     def test_localize_requires_seed(self, scene_dir, pipeline, tmp_path):
         _, dets, _ = pipeline

@@ -169,6 +169,31 @@ class TestMeshIO:
         with pytest.raises(MalformedFileError):
             load_mesh(path)
 
+    @pytest.mark.parametrize("bad", ["nan 0 0", "1 0"])
+    def test_bad_ply_vertex_reports_line(self, tmp_path, bad):
+        mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        path = tmp_path / "tri.ply"
+        save_mesh_ply(mesh, path)
+        lines = path.read_text().splitlines()
+        vertex_line = lines.index("end_header") + 3  # 1-based number of vertex 1
+        lines[vertex_line - 1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFileError, match=rf"tri\.ply:{vertex_line}:"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("bad", ["v 1 inf 0", "v 1 abc 0", "v 1 0"])
+    def test_bad_obj_vertex_reports_line(self, tmp_path, bad):
+        path = tmp_path / "tri.obj"
+        path.write_text(f"v 0 0 0\n{bad}\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(MalformedFileError, match=r"tri\.obj:2:"):
+            load_mesh(path)
+
+    def test_only_degenerate_faces_rejected(self, tmp_path):
+        path = tmp_path / "flat.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        with pytest.raises(MalformedFileError, match="no non-degenerate triangle"):
+            load_mesh(path)
+
     def test_binary_ply_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")

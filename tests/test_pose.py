@@ -16,11 +16,12 @@ from landmarkloc.pose import (
     p3p_solve,
     pose_residuals_jacobian,
     prosac_estimate,
+    refine_pose,
     refine_weighted,
     reprojection_errors,
     save_poses,
 )
-from landmarkloc.scene_model import Intrinsics, Pose, project
+from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
 
 from conftest import random_rotation
 
@@ -237,6 +238,16 @@ class TestProsac:
         assert np.array_equal(a.pose.R, b.pose.R)
 
 
+class TestReprojectionErrors:
+    def test_behind_camera_is_inf(self):
+        T = Pose(np.eye(3), np.zeros(3))
+        xyz = np.array([[0.1, 0.0, 2.0], [0.1, 0.0, 0.0], [0.1, 0.0, -2.0]])
+        uv = np.full((3, 2), 300.0)
+        err = reprojection_errors(T, uv, xyz, K)
+        assert np.isfinite(err[0])
+        assert np.isinf(err[1:]).all() and (err[1:] > 0).all()
+
+
 class TestRefine:
     def test_fixed_point_at_truth(self):
         rng = np.random.default_rng(68)
@@ -282,6 +293,24 @@ class TestRefine:
             rel = np.abs(J - J_fd).max() / max(np.abs(J_fd).max(), 1.0)
             assert rel < 1e-5
 
+    def test_jacobian_matches_per_point_product(self):
+        # Reference: per point, d(uv)/d(cam) @ [-[cam]_x, I].
+        from landmarkloc.scene_model import skew
+
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            T, corrs, _ = pnp_scene(rng, n=12, noise=2.0)
+            uv = np.array([c.uv for c in corrs])
+            xyz = np.array([c.xyz for c in corrs])
+            w = rng.uniform(0.1, 1.0, len(corrs))
+            _, J = pose_residuals_jacobian(T, uv, xyz, K, weights=w)
+            for i, (x, y, z) in enumerate(T.apply(xyz)):
+                Jp = np.array([[K.fx / z, 0.0, -K.fx * x / z**2],
+                               [0.0, K.fy / z, -K.fy * y / z**2]])
+                Jc = np.hstack([-skew(np.array([x, y, z])), np.eye(3)])
+                ref = math.sqrt(w[i]) * (Jp @ Jc)
+                assert np.abs(J[2 * i:2 * i + 2] - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_cost_trace_monotone(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
@@ -290,6 +319,36 @@ class TestRefine:
             rr = refine_weighted(start, corrs, K)
             trace = np.array(rr.cost_trace)
             assert (np.diff(trace) <= 0).all()
+
+    def test_rejects_step_behind_camera(self):
+        from landmarkloc.pose import _apply_increment
+
+        # Far points are observed from the identity pose; refinement starts
+        # 0.1 m behind it. A near point with negligible weight sits in front
+        # of the start but behind the identity pose, so the Gauss-Newton step
+        # toward the far points' optimum would cross it over.
+        rng = np.random.default_rng(5)
+        n = 20
+        z = rng.uniform(2.0, 6.0, n)
+        far = np.column_stack(
+            [rng.uniform(-0.6, 0.6, n) * z, rng.uniform(-0.45, 0.45, n) * z, z]
+        )
+        near = np.array([[0.05, 0.0, -0.05]])
+        start = Pose(np.eye(3), np.array([0.0, 0.0, 0.1]))
+        xyz = np.vstack([far, near])
+        uv = np.vstack([project_many(K, Pose(np.eye(3), np.zeros(3)), far)[0],
+                        project_many(K, start, near)[0]])
+        w = np.append(np.ones(n), 1e-12)
+
+        res, J = pose_residuals_jacobian(start, uv, xyz, K, weights=w)
+        gauss_newton = _apply_increment(start, np.linalg.solve(J.T @ J, -J.T @ res))
+        assert gauss_newton.apply(near[0])[2] < 0
+
+        rr = refine_pose(start, uv, xyz, w, K)
+        assert rr.pose.apply(near[0])[2] > 0
+        trace = np.array(rr.cost_trace)
+        assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
+        assert trace[-1] < trace[0]
 
     def test_too_few_inliers(self):
         rng = np.random.default_rng(72)

@@ -121,11 +121,13 @@ class TestProject:
         uv, valid = project_many(K, T, pts)
         for i, p in enumerate(pts):
             single = project(K, T, p)
+            one_row, one_valid = project_many(K, T, p[None])
             if single is None:
-                assert not valid[i]
+                assert not valid[i] and not one_valid[0]
             else:
-                assert valid[i]
+                assert valid[i] and one_valid[0]
                 assert np.abs(uv[i] - single).max() < 1e-12
+                assert np.array_equal(one_row[0], single)  # the same bits
 
 
 class TestBearing:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landmarkloc.errors import DegeneracyError, EmptyResultError
+from landmarkloc.errors import DegeneracyError, EmptyResultError, MalformedFileError
 from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.mesh import TriangleMesh, box_mesh, ray_cast
 from landmarkloc.scene_model import (
@@ -242,6 +242,24 @@ class TestIsVisible:
         sideways = np.array([1.0, 0.0, 0.0])
         assert not is_visible(np.array([0, 0, 2.0]), self.K, self.T, dm, sideways)
 
+    def test_reference_normal_need_not_be_unit(self):
+        dm = rasterize_depth(self.wall, self.K, self.T)
+        p = np.array([0.1, -0.2, 2.0])
+        assert is_visible(p, self.K, self.T, dm, 5.0 * self.normal)
+        assert is_visible(p, self.K, self.T, dm, 0.2 * self.normal)
+
+    def test_agrees_with_compute_visibility(self):
+        model, mesh, ls = room_scene(n_landmarks=25, n_images=5,
+                                     occluders=[([2.5, 1.5, 0.5], [3.5, 2.5, 2.0])])
+        vt = compute_visibility(model, mesh, ls)
+        normals, _ = landmark_reference_normals(mesh, ls, 0.2)
+        for j, iid in enumerate(vt.image_ids):
+            img = model.images[iid]
+            K = model.intrinsics[img.camera_id]
+            dm = rasterize_depth(mesh, K, img.pose)
+            for i, lm in enumerate(ls):
+                assert is_visible(lm.xyz, K, img.pose, dm, normals[i]) == vt.mask[i, j]
+
 
 def room_scene(n_landmarks=40, n_images=8, occluders=(), seed=40):
     """Room box with wall landmarks and cameras looking at the walls."""
@@ -354,6 +372,18 @@ class TestVisibilityIO:
         save_visibility(vt, path)
         head = path.read_text().splitlines()[0]
         assert "landmarks=3" in head and "images=2" in head
+
+    def test_non_integer_id_reports_line(self, tmp_path):
+        path = tmp_path / "vis.txt"
+        path.write_text("# image_ids 1 2\n0 1\n1 2.5\n")
+        with pytest.raises(MalformedFileError, match=r"vis\.txt:3:"):
+            load_visibility(path)
+
+    def test_unknown_image_reports_line(self, tmp_path):
+        path = tmp_path / "vis.txt"
+        path.write_text("# image_ids 1 2\n\n0 1 2\n1 7\n")
+        with pytest.raises(MalformedFileError, match=r"vis\.txt:4: unknown image id 7"):
+            load_visibility(path)
 
 
 class TestDecimation:
