@@ -5,7 +5,8 @@ Modules:
   landmarks     greedy salient landmark selection
   partitioning  equal-sized landmark groups for detector ensembles
   mesh          triangle meshes, PLY/OBJ IO, ray casting
-  visibility    depth rasterization and occlusion-based visibility tables
+  visibility    occlusion-based visibility tables by first-hit ray casting;
+                depth rasterization
   detection     heatmap rendering/extraction, detector simulation, merging
   pose          PROSAC + P3P + weighted refinement pose estimation
   evaluation    rotation/position errors, recall, report tables

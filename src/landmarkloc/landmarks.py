@@ -181,14 +181,11 @@ def load_landmarks(path) -> LandmarkSet:
             if len(tokens) != 6:
                 raise MalformedFileError(path, line_no, "expected 6 fields per landmark")
             try:
-                landmarks.append(
-                    Landmark(
-                        int(tokens[0]),
-                        int(tokens[1]),
-                        np.array([float(t) for t in tokens[2:5]]),
-                        float(tokens[5]),
-                    )
-                )
+                lid, source = int(tokens[0]), int(tokens[1])
+                vals = [float(t) for t in tokens[2:6]]
             except ValueError as exc:
                 raise MalformedFileError(path, line_no, str(exc)) from None
+            if not all(map(math.isfinite, vals)):
+                raise MalformedFileError(path, line_no, "non-finite coordinate or saliency")
+            landmarks.append(Landmark(lid, source, np.array(vals[:3]), vals[3]))
     return LandmarkSet(landmarks, provenance)

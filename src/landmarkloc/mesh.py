@@ -11,6 +11,8 @@ from .errors import MalformedFileError
 
 _DEGENERATE_AREA = 1e-12
 _RAY_EPS = 1e-12
+# Triangles per ray_cast step: its temporaries are O(rays x block).
+_RAY_BLOCK = 64
 
 
 @dataclass
@@ -50,11 +52,12 @@ class TriangleMesh:
 
 
 def ray_cast(mesh: TriangleMesh, origins: np.ndarray, dirs: np.ndarray):
-    """First-hit ray casting (Moller-Trumbore), batched over rays.
+    """First-hit ray casting (Moller-Trumbore), batched over rays and triangles.
 
     origins/dirs are (N, 3); dirs need not be unit length. Returns
     (t_hit, tri_index): parametric distances along dirs (inf for no hit) and
-    the index of the winning triangle (-1 for no hit).
+    the index of the winning triangle (-1 for no hit). On equal distances the
+    lowest triangle index wins.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -62,28 +65,31 @@ def ray_cast(mesh: TriangleMesh, origins: np.ndarray, dirs: np.ndarray):
     t_best = np.full(n, np.inf)
     idx_best = np.full(n, -1, dtype=np.int64)
     v0, v1, v2 = mesh.corners
-    for k in range(len(mesh)):
-        e1 = v1[k] - v0[k]
-        e2 = v2[k] - v0[k]
+    for start in range(0, len(mesh), _RAY_BLOCK):
+        blk = slice(start, start + _RAY_BLOCK)
+        # Every array below is (B, N) or (B, N, 3): one row per triangle of
+        # the block. det and t are stacked (N, 3) @ (3, 1) products, which
+        # numpy hands to the BLAS matrix-vector kernel once per triangle, so
+        # they round as a single triangle's (N, 3) @ (3,) product does; an
+        # einsum would round differently where BLAS fuses multiply and add.
+        e1 = (v1[blk] - v0[blk])[:, None]
+        e2 = (v2[blk] - v0[blk])[:, None]
         pvec = np.cross(dirs, e2)
-        det = pvec @ e1
+        det = (pvec @ e1.transpose(0, 2, 1))[..., 0]
         ok = np.abs(det) > _RAY_EPS
         inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = origins - v0[k]
-        u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+        tvec = origins - v0[blk][:, None]
+        u = np.einsum("bij,bij->bi", tvec, pvec) * inv_det
         qvec = np.cross(tvec, e1)
-        v = np.einsum("ij,ij->i", dirs, qvec) * inv_det
-        t = (qvec @ e2) * inv_det
-        hit = (
-            ok
-            & (u >= -1e-12)
-            & (v >= -1e-12)
-            & (u + v <= 1.0 + 1e-12)
-            & (t > 1e-9)
-            & (t < t_best)
-        )
-        t_best[hit] = t[hit]
-        idx_best[hit] = k
+        v = np.einsum("bij,bij->bi", np.broadcast_to(dirs, qvec.shape), qvec) * inv_det
+        t = (qvec @ e2.transpose(0, 2, 1))[..., 0] * inv_det
+        hit = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > 1e-9)
+        t = np.where(hit, t, np.inf)
+        k = np.argmin(t, axis=0)  # first occurrence: the lowest index wins a tie
+        t_k = t.min(axis=0)
+        win = t_k < t_best
+        t_best[win] = t_k[win]
+        idx_best[win] = start + k[win]
     return t_best, idx_best
 
 

@@ -273,9 +273,19 @@ def bearing(K: Intrinsics, uv: np.ndarray) -> np.ndarray:
 
 def _parse_floats(tokens, path, line_no):
     try:
-        return [float(t) for t in tokens]
+        vals = [float(t) for t in tokens]
     except ValueError as exc:
         raise MalformedFileError(path, line_no, f"expected number: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise MalformedFileError(path, line_no, "expected finite numbers")
+    return vals
+
+
+def _parse_ints(tokens, path, line_no):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise MalformedFileError(path, line_no, f"expected integer: {exc}") from None
 
 
 def _content_lines(path):
@@ -305,9 +315,8 @@ def load_scene(path) -> SceneModel:
         tokens = line.split()
         if len(tokens) < 4:
             raise MalformedFileError(cam_path, line_no, "camera line too short")
-        cam_id = int(tokens[0])
+        cam_id, width, height = _parse_ints([tokens[0], *tokens[2:4]], cam_path, line_no)
         model = tokens[1]
-        width, height = int(tokens[2]), int(tokens[3])
         params = _parse_floats(tokens[4:], cam_path, line_no)
         if model == "PINHOLE":
             if len(params) != 4:
@@ -322,7 +331,10 @@ def load_scene(path) -> SceneModel:
             raise UnsupportedCameraModelError(
                 f"{cam_path}:{line_no}: unsupported camera model {model!r}"
             )
-        intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
+        try:
+            intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
+        except ValueError as exc:
+            raise MalformedFileError(cam_path, line_no, str(exc)) from None
 
     images = {}
     image_obs = {}  # image_id -> list of (u, v, point3d_id)
@@ -341,10 +353,9 @@ def load_scene(path) -> SceneModel:
             else:
                 # The observations line may legitimately be empty.
                 tokens, hdr_no = pending
-                image_id = int(tokens[0])
+                image_id, camera_id = _parse_ints([tokens[0], tokens[8]], img_path, hdr_no)
                 vals = _parse_floats(tokens[1:8], img_path, hdr_no)
                 qvec, tvec = vals[:4], vals[4:7]
-                camera_id = int(tokens[8])
                 name = " ".join(tokens[9:])
                 if camera_id not in intrinsics:
                     raise DanglingReferenceError(
@@ -353,11 +364,11 @@ def load_scene(path) -> SceneModel:
                 obs_tokens = line.split()
                 if len(obs_tokens) % 3 != 0:
                     raise MalformedFileError(img_path, line_no, "observations not in (x y id) triples")
-                vals = _parse_floats(obs_tokens, img_path, line_no)
-                obs = [
-                    (vals[i], vals[i + 1], int(obs_tokens[i + 2]))
-                    for i in range(0, len(obs_tokens), 3)
-                ]
+                obs = list(zip(
+                    _parse_floats(obs_tokens[0::3], img_path, line_no),
+                    _parse_floats(obs_tokens[1::3], img_path, line_no),
+                    _parse_ints(obs_tokens[2::3], img_path, line_no),
+                ))
                 images[image_id] = ImageRecord(
                     image_id, Pose(qvec2rotmat(qvec), tvec), camera_id, name
                 )
@@ -372,13 +383,11 @@ def load_scene(path) -> SceneModel:
         tokens = line.split()
         if len(tokens) < 8 or (len(tokens) - 8) % 2 != 0:
             raise MalformedFileError(pts_path, line_no, "point line has wrong token count")
-        pt_id = int(tokens[0])
+        pt_id, *rgb = _parse_ints([tokens[0], *tokens[4:7]], pts_path, line_no)
         xyz = _parse_floats(tokens[1:4], pts_path, line_no)
-        rgb = tuple(int(t) for t in tokens[4:7])
+        track = _parse_ints(tokens[8:], pts_path, line_no)
         observations = []
-        for i in range(8, len(tokens), 2):
-            image_id = int(tokens[i])
-            p2d_idx = int(tokens[i + 1])
+        for image_id, p2d_idx in zip(track[0::2], track[1::2]):
             if image_id not in images:
                 raise DanglingReferenceError(
                     f"{pts_path}:{line_no}: point {pt_id} references unknown image {image_id}"
@@ -396,7 +405,7 @@ def load_scene(path) -> SceneModel:
                     f"belongs to point {back_ref}, not {pt_id}"
                 )
             observations.append((image_id, np.array([u, v])))
-        points[pt_id] = TrackPoint(pt_id, xyz, observations, rgb)
+        points[pt_id] = TrackPoint(pt_id, xyz, observations, tuple(rgb))
 
     return SceneModel(intrinsics, images, points)
 

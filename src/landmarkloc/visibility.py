@@ -1,11 +1,15 @@
-"""Mesh-based landmark visibility: depth rasterization, robust affine
-registration of dense geometry to the SfM frame, and the per-(landmark,
-image) occlusion test.
+"""Mesh-based landmark visibility: the per-(landmark, image) occlusion test,
+depth rasterization, and robust affine registration of dense geometry to the
+SfM frame.
 
 A landmark is visible in an image when (a) it is in front of the camera and
-projects inside the extent, (b) its camera-frame depth matches the rasterized
-mesh depth at that pixel within tolerance, and (c) its reference surface
-normal agrees with the mesh normal rendered at that pixel.
+projects inside the extent, (b) its camera-frame depth matches the mesh depth
+at its pixel within tolerance, and (c) its reference surface normal agrees
+with the mesh normal seen at that pixel. Its pixel is the nearest pixel
+centre of the image grid at 1/decimation resolution. compute_visibility reads
+the mesh there with one first-hit ray per landmark; rasterize_depth renders
+the same depth and normal for every pixel of an image, and is_visible tests a
+landmark against such a map.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import DegeneracyError, EmptyResultError, MalformedFileError, RobustFitError
 from .landmarks import LandmarkSet
-from .mesh import TriangleMesh, nearest_surface_point
+from .mesh import TriangleMesh, nearest_surface_point, ray_cast
 from .scene_model import Intrinsics, Pose, SceneModel, project_many
 
 
@@ -50,10 +54,47 @@ class DepthMap:
 
     def lookup(self, uv: np.ndarray):
         """Nearest-pixel depth and normal for full-resolution pixels (N, 2)."""
-        uv = np.atleast_2d(uv)
-        px = np.clip(np.rint(uv[:, 0] / self.decimation).astype(int), 0, self.width - 1)
-        py = np.clip(np.rint(uv[:, 1] / self.decimation).astype(int), 0, self.height - 1)
+        px, py = _snap(np.atleast_2d(uv), self.decimation, self.width, self.height)
         return self.depth[py, px], self.normal[py, px]
+
+
+def _decimated(K: Intrinsics, decimation: int) -> Intrinsics:
+    """The pixel grid at 1/decimation resolution: ceil(W/d) x ceil(H/d)
+    pixels, with focal lengths and principal point divided by d."""
+    d = decimation
+    return Intrinsics(K.fx / d, K.fy / d, K.cx / d, K.cy / d,
+                      -(-K.width // d), -(-K.height // d))
+
+
+def _snap(uv: np.ndarray, decimation: int, width: int, height: int):
+    """The pixel (px, py) of a width x height grid at 1/decimation resolution
+    whose centre is nearest each full-resolution point of uv (N, 2), clipped
+    to the grid."""
+    px = np.clip(np.rint(uv[:, 0] / decimation).astype(int), 0, width - 1)
+    py = np.clip(np.rint(uv[:, 1] / decimation).astype(int), 0, height - 1)
+    return px, py
+
+
+def _first_hits(mesh: TriangleMesh, face_normals: np.ndarray, K: Intrinsics,
+                T: Pose, decimation: int):
+    """DepthMap.lookup for the map rasterize_depth would render, without
+    rendering it: the returned sampler casts one ray per point through the
+    centre of the same pixel. It gives the camera-frame depth of the first hit
+    (inf on a miss) and the camera-frame unit normal of the triangle hit (0 on
+    a miss)."""
+    G = _decimated(K, decimation)
+
+    def sample(uv):
+        px, py = _snap(uv, decimation, G.width, G.height)
+        # Unit camera-frame z, so the hit distance along the ray is the depth.
+        rays = np.column_stack([(px - G.cx) / G.fx, (py - G.cy) / G.fy, np.ones(len(px))])
+        depth, tri = ray_cast(mesh, np.broadcast_to(T.center, rays.shape), rays @ T.R)
+        normal = np.zeros((len(tri), 3))
+        hit = tri >= 0
+        normal[hit] = face_normals[tri[hit]] @ T.R.T
+        return depth, normal
+
+    return sample
 
 
 @dataclass(frozen=True)
@@ -130,13 +171,9 @@ def rasterize_depth(
     interpolates 1/z linearly as perspective requires. The per-pixel normal is
     the winning triangle's unit plane normal rotated into the camera frame.
     """
-    W = -(-K.width // decimation)
-    H = -(-K.height // decimation)
-    fx, fy = K.fx / decimation, K.fy / decimation
-    cx, cy = K.cx / decimation, K.cy / decimation
-
-    depth = np.full((H, W), np.inf)
-    normal = np.zeros((H, W, 3))
+    G = _decimated(K, decimation)
+    depth = np.full((G.height, G.width), np.inf)
+    normal = np.zeros((G.height, G.width, 3))
 
     cam_verts = T.apply(mesh.vertices)
     world_normals = mesh.face_normals()
@@ -150,9 +187,9 @@ def rasterize_depth(
         n_cam = T.R @ world_normals[k]
         for j in range(1, len(poly) - 1):
             _raster_triangle(
-                poly[0], poly[j], poly[j + 1], fx, fy, cx, cy, depth, normal, n_cam
+                poly[0], poly[j], poly[j + 1], G.fx, G.fy, G.cx, G.cy, depth, normal, n_cam
             )
-    return DepthMap(W, H, depth, normal, decimation)
+    return DepthMap(G.width, G.height, depth, normal, decimation)
 
 
 def _raster_triangle(c0, c1, c2, fx, fy, cx, cy, depth, normal, n_cam):
@@ -279,14 +316,15 @@ def filter_registration(
     return retained_images, retained_points
 
 
-def _visible(K: Intrinsics, T: Pose, dm: DepthMap, xyz: np.ndarray,
+def _visible(K: Intrinsics, T: Pose, sample, xyz: np.ndarray,
              ref_normals: np.ndarray, cfg: VisibilityConfig, candidates=True) -> np.ndarray:
-    """The occlusion test of world points (N,3) against one image's depth map.
+    """The occlusion test of world points (N,3) in one image.
 
-    A point passes when it is a candidate, projects into view, its depth
-    matches the map within tolerance, and its unit reference normal (world
-    frame) makes an angle of at most cfg.tol_normal_deg with the rendered
-    normal.
+    sample maps full-resolution pixels (M,2) to the mesh's camera-frame depth
+    (M,) and unit normal (M,3) there, as DepthMap.lookup does. A point passes
+    when it is a candidate, projects into view, its depth matches the sampled
+    depth within tolerance, and its unit reference normal (world frame) makes
+    an angle of at most cfg.tol_normal_deg with the sampled normal.
     """
     uv, valid = project_many(K, T, xyz)
     valid &= candidates
@@ -294,7 +332,7 @@ def _visible(K: Intrinsics, T: Pose, dm: DepthMap, xyz: np.ndarray,
     if not valid.any():
         return out
     z = (xyz @ T.R.T + T.t)[valid, 2]
-    d, n_pix = dm.lookup(uv[valid])
+    d, n_pix = sample(uv[valid])
     tol = np.maximum(cfg.tol_depth, cfg.rel_frac * z)
     ok_depth = np.isfinite(d) & (np.abs(d - z) <= tol)
     cosang = np.einsum("ij,ij->i", n_pix, ref_normals[valid] @ T.R.T)
@@ -318,7 +356,7 @@ def is_visible(
     n = np.asarray(ref_normal, dtype=np.float64)
     n = n / max(np.linalg.norm(n), 1e-12)
     p = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    return bool(_visible(K, T, dm, p, n[None], cfg)[0])
+    return bool(_visible(K, T, dm.lookup, p, n[None], cfg)[0])
 
 
 def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: float):
@@ -347,9 +385,10 @@ def compute_visibility(
 ) -> VisibilityTable:
     """Visibility of every landmark in every image of the model.
 
-    Each image is rasterized once; all landmarks are then tested against the
-    depth map in a vectorized pass. Landmarks farther than
-    cfg.max_surface_dist from the mesh are excluded (all-false row) and
+    Per image, one batched ray cast reads the mesh depth and normal at the
+    pixels the landmarks in view fall on (see _first_hits), and the occlusion
+    test runs over all landmarks in one vectorized pass. Landmarks farther
+    than cfg.max_surface_dist from the mesh are excluded (all-false row) and
     reported in the table's diagnostics.
     """
     landmark_ids = [lm.id for lm in ls]
@@ -361,12 +400,13 @@ def compute_visibility(
     ref_normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
     active = np.array([lm.id not in excluded for lm in ls])
     xyz = ls.xyz
+    face_normals = mesh.face_normals()
 
     for j, iid in enumerate(image_ids):
         img = model.images[iid]
         K = model.intrinsics[img.camera_id]
-        dm = rasterize_depth(mesh, K, img.pose, cfg.decimation)
-        mask[:, j] = _visible(K, img.pose, dm, xyz, ref_normals, cfg, active)
+        sample = _first_hits(mesh, face_normals, K, img.pose, cfg.decimation)
+        mask[:, j] = _visible(K, img.pose, sample, xyz, ref_normals, cfg, active)
     return VisibilityTable(landmark_ids, image_ids, mask, cfg.as_dict(), excluded)
 
 

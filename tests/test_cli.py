@@ -130,6 +130,21 @@ class TestVisibilityCommand:
         agreement = (got.mask == gt.mask).mean()
         assert agreement >= 0.99
 
+    def test_non_finite_landmark_is_data_error(self, scene_dir, tmp_path, capsys):
+        bad = tmp_path / "sel.txt"
+        lines = (scene_dir / "landmarks.txt").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lid, source, _, y, z, saliency = lines[row].split()
+        lines[row] = " ".join([lid, source, "nan", y, z, saliency])
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["visibility", "--scene", str(scene_dir / "scene"),
+             "--mesh", str(scene_dir / "mesh.ply"), "--landmarks", str(bad),
+             "--out", str(tmp_path / "v.txt")]
+        )
+        assert rc == 2
+        assert f"sel.txt:{row + 1}: non-finite" in capsys.readouterr().err
+
     def test_tolerances_recorded_in_header(self, scene_dir, tmp_path):
         out = tmp_path / "vis2.txt"
         rc = main(

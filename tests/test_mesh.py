@@ -3,6 +3,7 @@ import pytest
 
 from landmarkloc.errors import MalformedFileError
 from landmarkloc.mesh import (
+    _RAY_BLOCK,
     TriangleMesh,
     box_mesh,
     closest_point_on_triangles,
@@ -34,6 +35,40 @@ def ray_cast_oracle(mesh, origin, direction):
         if w0 >= -1e-10 and w1 >= -1e-10 and w2 >= -1e-10:
             best = t
     return best
+
+
+def ray_cast_per_triangle(mesh, origins, dirs):
+    """ray_cast one triangle at a time: the same Moller-Trumbore arithmetic,
+    with the running best distance replaced only by a strictly nearer hit."""
+    origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    n = len(origins)
+    t_best = np.full(n, np.inf)
+    idx_best = np.full(n, -1, dtype=np.int64)
+    v0, v1, v2 = mesh.corners
+    for k in range(len(mesh)):
+        e1 = v1[k] - v0[k]
+        e2 = v2[k] - v0[k]
+        pvec = np.cross(dirs, e2)
+        det = pvec @ e1
+        ok = np.abs(det) > 1e-12
+        inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        tvec = origins - v0[k]
+        u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+        qvec = np.cross(tvec, e1)
+        v = np.einsum("ij,ij->i", dirs, qvec) * inv_det
+        t = (qvec @ e2) * inv_det
+        hit = (
+            ok
+            & (u >= -1e-12)
+            & (v >= -1e-12)
+            & (u + v <= 1.0 + 1e-12)
+            & (t > 1e-9)
+            & (t < t_best)
+        )
+        t_best[hit] = t[hit]
+        idx_best[hit] = k
+    return t_best, idx_best
 
 
 class TestTriangleMesh:
@@ -95,6 +130,58 @@ class TestRayCast:
                 assert np.isinf(t[i])
             else:
                 assert abs(t[i] - expected) < 1e-9
+
+
+class TestRayCastPerTriangle:
+    """ray_cast works on blocks of triangles at once; it must give the bits of
+    the one-triangle-at-a-time loop, including its tie-break."""
+
+    def assert_same(self, mesh, origins, dirs):
+        t, idx = ray_cast(mesh, origins, dirs)
+        t_ref, idx_ref = ray_cast_per_triangle(mesh, origins, dirs)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(idx, idx_ref)
+        return t, idx
+
+    @pytest.mark.parametrize("n_tri, n_rays", [(1, 1), (7, 1), (_RAY_BLOCK, 40),
+                                               (3 * _RAY_BLOCK + 5, 300)])
+    def test_random_meshes(self, n_tri, n_rays):
+        rng = np.random.default_rng(21 + n_tri)
+        verts = rng.uniform(-2, 2, size=(n_tri + 2, 3))
+        tris = np.column_stack([np.arange(n_tri), np.arange(n_tri) + 1, np.arange(n_tri) + 2])
+        mesh = TriangleMesh(verts, rng.permuted(tris, axis=1))
+        origins = rng.uniform(-3, 3, size=(n_rays, 3))
+        dirs = rng.normal(size=(n_rays, 3)) * rng.uniform(0.1, 10, size=(n_rays, 1))
+        t, idx = self.assert_same(mesh, origins, dirs)
+        if n_tri > _RAY_BLOCK:
+            assert (idx >= _RAY_BLOCK).any() and (idx < 0).any()
+        for i in range(min(n_rays, 20)):  # one ray at a time gives the same bits
+            self.assert_same(mesh, origins[i], dirs[i])
+
+    def test_duplicated_triangle_lowest_index_wins(self):
+        tri = np.array([[-1, -1, 2], [1, -1, 2], [0, 1, 2]], dtype=float)
+        rng = np.random.default_rng(22)
+        others = rng.uniform(5, 6, size=(3 * _RAY_BLOCK, 3))  # behind the triangle
+        verts = np.vstack([tri, others])
+        tris = [[0, 1, 2], [0, 1, 2]]
+        tris += [[3 + i, 3 + (i + 1) % len(others), 3 + (i + 2) % len(others)]
+                 for i in range(_RAY_BLOCK)]
+        tris += [[0, 1, 2]]  # a third copy in the next block
+        mesh = TriangleMesh(verts, np.array(tris))
+        origins = np.column_stack([rng.uniform(-0.3, 0.3, size=(50, 2)), np.zeros(50)])
+        t, idx = self.assert_same(mesh, origins, np.tile([0, 0, 1.0], (50, 1)))
+        assert (t == 2.0).all() and (idx == 0).all()
+
+    def test_rays_parallel_to_a_face(self):
+        square = TriangleMesh(
+            np.array([[-1, -1, 2], [1, -1, 2], [1, 1, 2], [-1, 1, 2]], dtype=float),
+            np.array([[0, 2, 1], [0, 3, 2]]),
+        )
+        origins = np.array([[0, 0, 2.0], [-5, 0.5, 2.0], [0, 0, 1.0], [0, 0, 0]])
+        dirs = np.array([[1, 0, 0.0], [1, 0, 0.0], [0, 1, 0.0], [0.1, 0.2, 1]])
+        t, idx = self.assert_same(square, origins, dirs)
+        assert np.isinf(t[:3]).all() and (idx[:3] == -1).all()
+        assert t[3] == 2.0 and idx[3] >= 0
 
 
 class TestClosestPoint:

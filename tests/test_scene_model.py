@@ -225,6 +225,51 @@ class TestSceneIO:
         assert "cameras.txt" in str(err.value)
         assert str(len(lines)) in str(err.value)
 
+    @pytest.mark.parametrize("line", [
+        "x PINHOLE 100 100 100 100 50 50",    # camera id
+        "1 PINHOLE 100.5 100 100 100 50 50",  # width
+        "1 PINHOLE 100 1e2 100 100 50 50",    # height
+        "1 PINHOLE 100 100 inf 100 50 50",    # non-finite focal length
+        "1 PINHOLE 100 100 100 100 nan 50",   # non-finite principal point
+        "1 PINHOLE 100 100 100 100 150 50",   # principal point off the image
+        "1 PINHOLE 100 100 -100 100 50 50",   # negative focal length
+    ])
+    def test_bad_camera_line_reports_location(self, tmp_path, line):
+        save_scene(make_minimal_model(), tmp_path)
+        (tmp_path / "cameras.txt").write_text("# cameras\n" + line + "\n")
+        with pytest.raises(MalformedFileError, match=r"cameras\.txt:2: "):
+            load_scene(tmp_path)
+
+    @pytest.mark.parametrize("line_no, line", [
+        (3, "1.5 1 0 0 0 0 0 0 1 img0.png"),  # image id
+        (3, "1 1 0 0 0 0 0 0 one img0.png"),  # camera reference
+        (3, "1 nan 0 0 0 0 0 0 1 img0.png"),  # non-finite quaternion
+        (3, "1 1 0 0 0 0 inf 0 1 img0.png"),  # non-finite translation
+        (4, "50 50 7.5"),                     # observed point id
+        (4, "nan 50 7"),                      # non-finite observation
+    ])
+    def test_bad_image_line_reports_location(self, tmp_path, line_no, line):
+        save_scene(make_minimal_model(), tmp_path)
+        path = tmp_path / "images.txt"
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFileError, match=rf"images\.txt:{line_no}: "):
+            load_scene(tmp_path)
+
+    @pytest.mark.parametrize("line", [
+        "7.0 0 0 2 128 128 128 0 1 0 2 0",   # point id
+        "7 0 0 2 128 x 128 0 1 0 2 0",       # rgb
+        "7 0 0 2 128 128 128 0 1.0 0 2 0",   # track image id
+        "7 0 0 2 128 128 128 0 1 0 2 zero",  # track observation index
+        "7 0 nan 2 128 128 128 0 1 0 2 0",   # non-finite position
+    ])
+    def test_bad_point_line_reports_location(self, tmp_path, line):
+        save_scene(make_minimal_model(), tmp_path)
+        (tmp_path / "points3D.txt").write_text("# points\n" + line + "\n")
+        with pytest.raises(MalformedFileError, match=r"points3D\.txt:2: "):
+            load_scene(tmp_path)
+
     def test_unsupported_camera_model(self, tmp_path):
         save_scene(make_minimal_model(), tmp_path)
         cam = tmp_path / "cameras.txt"

@@ -12,9 +12,12 @@ from landmarkloc.scene_model import (
     TrackPoint,
     look_at_pose,
     project,
+    project_many,
 )
 from landmarkloc.visibility import (
     VisibilityConfig,
+    _first_hits,
+    _visible,
     compute_visibility,
     estimate_affine_alignment,
     filter_registration,
@@ -351,6 +354,75 @@ class TestComputeVisibility:
         normals, excluded = landmark_reference_normals(mesh, ls, 0.2)
         assert excluded == []
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
+
+
+def with_edge_landmarks(model, mesh, ls):
+    """ls plus, per image, landmarks on the mesh surface seen at pixels of the
+    last column and row, where the snapped pixel of a decimated grid is
+    clipped."""
+    landmarks = list(ls)
+    for iid in sorted(model.images):
+        img = model.images[iid]
+        K = model.intrinsics[img.camera_id]
+        for u, v in [(K.width - 0.3, K.height / 2), (K.width / 2, K.height - 0.3),
+                     (K.width - 0.3, K.height - 0.3), (K.width - 1.2, K.height - 1.2)]:
+            direction = img.pose.R.T @ np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
+            t, _ = ray_cast(mesh, img.pose.center, direction)
+            n = len(landmarks)
+            landmarks.append(Landmark(n, 1000 + n, img.pose.center + t[0] * direction, 1.0))
+    return LandmarkSet(landmarks)
+
+
+class TestRayCastSampling:
+    """compute_visibility reads the mesh with one ray per landmark; the
+    rasterized depth map, read at the same pixels, must give the same table."""
+
+    def scene(self):
+        occ = [([2.5, 1.5, 0.5], [3.5, 2.5, 2.0])]
+        model, mesh, ls = room_scene(n_landmarks=40, n_images=8, occluders=occ)
+        return model, mesh, with_edge_landmarks(model, mesh, ls)
+
+    @pytest.mark.parametrize("decimation", [1, 2, 3])
+    def test_mask_equals_rasterized_path(self, decimation):
+        model, mesh, ls = self.scene()
+        cfg = VisibilityConfig(decimation=decimation)
+        vt = compute_visibility(model, mesh, ls, cfg)
+        normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
+        active = np.array([lm.id not in excluded for lm in ls])
+        clipped = 0
+        for j, iid in enumerate(vt.image_ids):
+            img = model.images[iid]
+            K = model.intrinsics[img.camera_id]
+            dm = rasterize_depth(mesh, K, img.pose, decimation)
+            expected = _visible(K, img.pose, dm.lookup, ls.xyz, normals, cfg, active)
+            assert np.array_equal(vt.mask[:, j], expected)
+            uv, valid = project_many(K, img.pose, ls.xyz)
+            snapped = np.rint(uv[valid & expected] / decimation)
+            clipped += ((snapped[:, 0] >= dm.width) | (snapped[:, 1] >= dm.height)).sum()
+        assert clipped > 0
+        assert 0 < vt.mask.sum() < vt.mask.size
+
+    @pytest.mark.parametrize("decimation", [1, 2, 3])
+    def test_samples_equal_depth_map(self, decimation):
+        model, mesh, ls = self.scene()
+        face_normals = mesh.face_normals()
+        for img in model.images.values():
+            K = model.intrinsics[img.camera_id]
+            uv, valid = project_many(K, img.pose, ls.xyz)
+            depth, normal = _first_hits(mesh, face_normals, K, img.pose, decimation)(uv[valid])
+            d_ref, n_ref = rasterize_depth(mesh, K, img.pose, decimation).lookup(uv[valid])
+            assert np.isfinite(depth).all() and np.isfinite(d_ref).all()
+            assert np.abs(depth - d_ref).max() <= 1e-9 * depth.max()
+            assert np.abs(normal - n_ref).max() <= 1e-12
+
+    def test_miss_gives_inf_depth_and_zero_normal(self):
+        K = make_intrinsics()
+        T = Pose(np.eye(3), np.zeros(3))
+        wall = facing_square(z=2.0, half=0.5)
+        sample = _first_hits(wall, wall.face_normals(), K, T, 1)
+        depth, normal = sample(np.array([[K.cx, K.cy], [0.0, 0.0]]))
+        assert abs(depth[0] - 2.0) < 1e-12 and np.array_equal(normal[0], [0, 0, -1.0])
+        assert np.isinf(depth[1]) and not normal[1].any()
 
 
 class TestVisibilityIO:
