@@ -165,6 +165,7 @@ def save_landmarks(ls: LandmarkSet, path) -> None:
 def load_landmarks(path) -> LandmarkSet:
     path = Path(path)
     landmarks = []
+    sources = set()
     provenance = {}
     with open(path, "r") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -187,5 +188,12 @@ def load_landmarks(path) -> LandmarkSet:
                 raise MalformedFileError(path, line_no, str(exc)) from None
             if not all(map(math.isfinite, vals)):
                 raise MalformedFileError(path, line_no, "non-finite coordinate or saliency")
+            if lid != len(landmarks):
+                raise MalformedFileError(
+                    path, line_no, f"landmark id {lid} where {len(landmarks)} was expected"
+                )
+            if source in sources:
+                raise MalformedFileError(path, line_no, f"source point {source} repeated")
+            sources.add(source)
             landmarks.append(Landmark(lid, source, np.array(vals[:3]), vals[3]))
     return LandmarkSet(landmarks, provenance)

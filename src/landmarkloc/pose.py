@@ -1,7 +1,7 @@
 """Confidence-weighted robust camera pose estimation from 2D-3D landmark
-correspondences: detection confidences become weights w = v^e, PROSAC draws
-3-point samples in weight order, P3P generates hypotheses, and the consensus
-pose is polished by weighted nonlinear least squares on reprojection error.
+correspondences: detection confidences become weights w = v^e, PROSAC draws 3-point
+samples in weight order, Lambda Twist P3P gives hypotheses scored in one stacked
+projection, and weighted nonlinear least squares on reprojection error polishes the pose.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .landmarks import LandmarkSet
 from .scene_model import (
     Intrinsics,
     Pose,
+    _parse_ints,
+    _pixel,
     axis_angle_to_matrix,
     bearing,
     project_many,
@@ -106,64 +108,105 @@ def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> list:
     return corrs
 
 
-def _polish_quartic(coeffs: np.ndarray, x: float, steps: int = 5) -> float:
-    deriv = np.polyder(coeffs)
-    for _ in range(steps):
-        d = np.polyval(deriv, x)
-        if abs(d) < 1e-300:
+def _cubic_root(b: float, c: float, d: float) -> float:
+    """The real root of x^3 + b x^2 + c x + d that Lambda Twist's `cubick` picks
+    (of three, the smallest): Newton's method from beside the stationary point
+    where the cubic changes sign."""
+    x = -b / 3.0
+    if b * b > 3.0 * c:  # a local maximum at x - v, a local minimum at x + v
+        v = math.sqrt(b * b - 3.0 * c) / 3.0
+        k = ((x - v + b) * (x - v) + c) * (x - v) + d
+        if k > 0.0:
+            x -= v + math.sqrt(k / (3.0 * v))
+        else:
+            k = ((x + v + b) * (x + v) + c) * (x + v) + d
+            x += v + math.sqrt(-k / (3.0 * v))
+    elif abs((3.0 * x + 2.0 * b) * x + c) < 1e-4:
+        x += 1.0
+    for i in range(50):
+        f = ((x + b) * x + c) * x + d
+        if i >= 7 and abs(f) <= 2.220446049250313e-16:
             break
-        x = x - np.polyval(coeffs, x) / d
+        x -= f / ((3.0 * x + 2.0 * b) * x + c)
     return x
 
 
-def _polish_distances(s: np.ndarray, p: float, q: float, r: float,
-                      a2: float, b2: float, c2: float, steps: int = 6) -> np.ndarray:
-    """Newton-polish ray distances on the original law-of-cosines system."""
-    s = s.copy()
-    for _ in range(steps):
-        s1, s2, s3 = s
-        F = np.array(
-            [
-                s2 * s2 + s3 * s3 - p * s2 * s3 - a2,
-                s1 * s1 + s3 * s3 - q * s1 * s3 - b2,
-                s1 * s1 + s2 * s2 - r * s1 * s2 - c2,
-            ]
-        )
-        if np.abs(F).max() < 1e-14 * max(a2, b2, c2):
-            break
-        J = np.array(
-            [
-                [0.0, 2 * s2 - p * s3, 2 * s3 - p * s2],
-                [2 * s1 - q * s3, 0.0, 2 * s3 - q * s1],
-                [2 * s1 - r * s2, 2 * s2 - r * s1, 0.0],
-            ]
-        )
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        s = s + delta
-    return s
+def _quadratic_roots(b: float, c: float) -> tuple:
+    """The real roots of x^2 + b x + c; none when they are complex."""
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        return ()
+    r = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (r, c / r) if r else (0.0, 0.0)
 
 
-def _kabsch(world: np.ndarray, cam: np.ndarray):
-    """Rigid transform (R, t) with cam ~= R @ world + t."""
-    wc = world.mean(axis=0)
-    cc = cam.mean(axis=0)
-    H = (world - wc).T @ (cam - cc)
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    return R, cc - R @ wc
+def _cross(a, b) -> tuple:
+    """a x b for 3-sequences, or column by column for (3, N) arrays."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _ray_distances(a, c) -> list:
+    """Lambda Twist's roots l of l_i^2 + l_j^2 - 2 c_ij l_i l_j = a_ij, ij in (12,
+    13, 23), unpolished and not all positive. With l^T M_ij l = a_ij, l^T A l = 0
+    for A = h D1 - g D2, D1 = a23 M12 - a12 M23, D2 = a23 M13 - a13 M23; A is
+    singular at a root g of the cubic det(A) with h = 1, or at h = 0 if det(D2) = 0."""
+    (a12, a13, a23), (c12, c13, c23) = a, c
+    s12, s13, s23 = 1.0 - c12 * c12, 1.0 - c13 * c13, 1.0 - c23 * c23
+    m = c12 * c23 * c13 - 1.0
+    p3 = a13 * (a23 * s13 - a13 * s23)
+    p2 = 2.0 * m * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
+    p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (m * a23 + a13 * s23)
+    p0 = a12 * (a12 * s23 - a23 * s12)
+    g, h = (_cubic_root(p2 / p3, p1 / p3, p0 / p3), 1.0) if p3 else (1.0, 0.0)
+    A00, A01, A02 = a23 * (h - g), -h * a23 * c12, g * a23 * c13
+    A11, A12 = h * (a23 - a12) + g * a13, c23 * (h * a12 - g * a13)
+    A22 = g * (a13 - a23) - h * a12
+    # A = e1 u u^T / |u|^2 + e2 v v^T / |v|^2, |e1| >= |e2|, u and v cross products of
+    # two rows of A - e I; so l lies on a plane u.l = +-s v.l, s = sqrt(-e2/e1) |u|/|v|.
+    tr = A00 + A11 + A22
+    minors = A00 * A11 - A01 * A01 + A00 * A22 - A02 * A02 + A11 * A22 - A12 * A12
+    e1, e2 = sorted(_quadratic_roots(-tr, minors) or (0.5 * tr,) * 2, key=abs, reverse=True)
+    (u1, u2, u3), (v1, v2, v3) = (_cross((A00 - e, A01, A02), (A01, A11 - e, A12)) for e in (e1, e2))
+    s = math.sqrt(max(0.0, -e2 / e1) * (u1 * u1 + u2 * u2 + u3 * u3) / (v1 * v1 + v2 * v2 + v3 * v3))
+    lams = []
+    for sv in (s, -s):
+        # On the plane l1 = w0 l2 + w1 l3, a13 (eq 12) - a12 (eq 13) is a
+        # quadratic in tau = l3 / l2, and eq 23 gives l2.
+        w0, w1 = (u2 - sv * v2) / (sv * v1 - u1), (u3 - sv * v3) / (sv * v1 - u1)
+        q2 = (a13 - a12) * w1 * w1 + 2.0 * a12 * c13 * w1 - a12
+        q1 = 2.0 * (a12 * c13 * w0 - a13 * c12 * w1 + w0 * w1 * (a13 - a12))
+        q0 = (a13 - a12) * w0 * w0 - 2.0 * a13 * c12 * w0 + a13
+        for tau in _quadratic_roots(q1 / q2, q0 / q2):
+            l2 = a23 / (tau * (tau - 2.0 * c23) + 1.0)
+            if tau > 0.0 and l2 > 0.0:
+                lams.append(((w0 + w1 * tau) * math.sqrt(l2), math.sqrt(l2), tau * math.sqrt(l2)))
+    return lams
+
+
+def _polish_distances(lam, rays, a, c) -> list:
+    """One Gauss-Newton step (none at a singular Jacobian) on |l_i y_i - l_j y_j|^2 = a_ij:
+    _ray_distances' system in a form that cancels less, which sets the accuracy."""
+    p = [[l * x for x in y] for l, y in zip(lam, rays)]
+    r = [(p[i][0] - p[j][0]) ** 2 + (p[i][1] - p[j][1]) ** 2 + (p[i][2] - p[j][2]) ** 2 - aij
+         for (i, j), aij in zip(((0, 1), (0, 2), (1, 2)), a)]
+    (l1, l2, l3), (c12, c13, c23) = lam, c
+    J = ((l1 - c12 * l2, l2 - c12 * l1, 0.0),  # half the Jacobian
+         (l1 - c13 * l3, 0.0, l3 - c13 * l1),
+         (0.0, l2 - c23 * l3, l3 - c23 * l2))
+    C = (_cross(J[1], J[2]), _cross(J[2], J[0]), _cross(J[0], J[1]))  # det(J) J^-1 by columns
+    det = 2.0 * (J[0][0] * C[0][0] + J[0][1] * C[0][1] + J[0][2] * C[0][2]) or math.inf
+    return [l - (C[0][k] * r[0] + C[1][k] * r[1] + C[2][k] * r[2]) / det for k, l in enumerate(lam)]
 
 
 def p3p_solve(corrs, K: Intrinsics) -> list:
     """All camera poses consistent with three 2D-3D correspondences.
 
-    Distance ratios along the three bearings satisfy a quartic; each positive
-    real root yields camera-frame point positions whose rigid alignment to
-    the world points gives one pose candidate. Candidates are kept only if
-    they reproject all three points to within 1e-6 px.
+    Lambda Twist (Persson & Nordberg, "Lambda Twist: An Accurate Fast Robust
+    Perspective Three Point (P3P) Solver", ECCV 2018) finds the distances l_i along
+    the bearings y_i from one cubic root, the eigen-decomposition of a singular 3x3
+    matrix and two quadratics, then polishes them. R = Y X^-1 maps the triad (x1 - x2,
+    x1 - x3, their cross product) of the world points onto that of the points l_i y_i,
+    and t = l1 y1 - R x1. Candidates must reproject all three points within 1e-6 px.
     """
     if len(corrs) != 3:
         raise ValueError("p3p needs exactly 3 correspondences")
@@ -171,7 +214,6 @@ def p3p_solve(corrs, K: Intrinsics) -> list:
     rays = np.array([bearing(K, c.uv) for c in corrs])
 
     side = np.linalg.norm(P[1] - P[2]), np.linalg.norm(P[0] - P[2]), np.linalg.norm(P[0] - P[1])
-    a2, b2, c2 = side[0] ** 2, side[1] ** 2, side[2] ** 2
     scale = max(side)
     if scale < 1e-12 or np.linalg.norm(np.cross(P[1] - P[0], P[2] - P[0])) < 1e-12 * scale ** 2:
         raise DegeneracyError("3D points are collinear or coincident")
@@ -181,85 +223,44 @@ def p3p_solve(corrs, K: Intrinsics) -> list:
     if max(abs(cos_a), abs(cos_b), abs(cos_g)) > 1.0 - 1e-12:
         raise DegeneracyError("bearings are coincident")
 
-    A = a2 / b2
-    B = c2 / b2
-    p, q, r = 2 * cos_a, 2 * cos_b, 2 * cos_g
-    # u = N(v) / D(v); substituting into the remaining constraint gives a
-    # quartic in v assembled here by polynomial arithmetic.
-    N = np.array([A - B - 1.0, -(A - B) * q, 1.0 + A - B])
-    D = np.array([-p, r])
-    E = np.array([-B, B * q, 1.0 - B])
-    quartic = np.polyadd(
-        np.polysub(np.polymul(N, N), r * np.polymul(N, D)),
-        np.polymul(np.polymul(D, D), E),
-    )
-
-    quartic = quartic / np.abs(quartic).max()
-    roots = np.roots(quartic)
-    vs = []
-    for root in roots:
-        # Near-double roots acquire spurious imaginary parts; keep loosely and
-        # let the distance polish plus the reprojection gate decide.
-        if abs(root.imag) > 1e-4 * max(1.0, abs(root.real)):
-            continue
-        v = _polish_quartic(quartic, float(root.real))
-        if v > 0:
-            vs.append(v)
-
-    triples = []
-    b_len = math.sqrt(b2)
-    for v in vs:
-        denom = 1.0 + v * v - q * v
-        if denom <= 0:
-            continue
-        s1 = b_len / math.sqrt(denom)
-        Dv = float(np.polyval(D, v))
-        if abs(Dv) > 1e-9:
-            u = float(np.polyval(N, v)) / Dv
-        else:
-            # Fall back to the second constraint's quadratic in u.
-            cc = 1.0 - B * denom
-            disc = r * r - 4.0 * cc
-            if disc < 0:
-                continue
-            u_opts = [(r + math.sqrt(disc)) / 2.0, (r - math.sqrt(disc)) / 2.0]
-            u = min(
-                u_opts,
-                key=lambda cand: abs(cand * cand + v * v - p * cand * v - A * denom),
-            )
-        if u <= 0:
-            continue
-        s = _polish_distances(np.array([s1, u * s1, v * s1]), p, q, r, a2, b2, c2)
-        if (s <= 0).any():
-            continue
-        if any(np.abs(s - prev).max() < 1e-9 * max(1.0, float(s.max())) for prev in triples):
-            continue
-        triples.append(s)
-
+    a, cosines = [float(d) ** 2 for d in side[::-1]], (cos_g, cos_b, cos_a)
+    lams = []
+    try:
+        for lam in _ray_distances(a, cosines):
+            lam = _polish_distances(lam, rays.tolist(), a, cosines)
+            if min(lam) > 0 and all(max(abs(l - p) for l, p in zip(lam, prev))
+                                    >= 1e-9 * max(1.0, *lam) for prev in lams):
+                lams.append(lam)
+    except ZeroDivisionError:  # an exactly singular step of a symmetric configuration
+        pass
+    cam = np.array(lams).reshape(-1, 3, 1) * rays  # (candidate, point, xyz)
+    e12, e13 = (cam[:, 0] - cam[:, 1]).T, (cam[:, 0] - cam[:, 2]).T  # (xyz, candidate)
+    d12, d13 = P[0] - P[1], P[0] - P[2]
+    Rs = np.transpose([e12, e13, _cross(e12, e13)]) @ np.linalg.inv(
+        np.transpose([d12, d13, _cross(d12, d13)]))
     poses = []
-    uv_all = np.array([c.uv for c in corrs])
-    for s in triples:
-        cam_pts = rays * s[:, None]
-        R, t = _kabsch(P, cam_pts)
+    for R, t in zip(Rs, cam[:, 0] - Rs @ P[0]):
         try:
-            pose = Pose(R, t)
+            poses.append(Pose(R, t))
         except ValueError:
-            continue
-        if reprojection_errors(pose, uv_all, P, K).max() < 1e-6:
-            poses.append(pose)
-    return poses
-
-
-def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
-    """Projection minus observation, (N,2); NaN rows for points behind the camera."""
-    projected, _ = project_many(K, pose, xyz)
-    return projected - uv
+            pass
+    errors = _stacked_errors(poses, np.array([c.uv for c in corrs]), P, K)
+    return [pose for pose, err in zip(poses, errors) if err.max() < 1e-6]
 
 
 def reprojection_errors(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
     """Pixel reprojection errors; points behind the camera get +inf."""
-    res = _residuals(pose, uv, xyz, K)
-    err = np.hypot(res[:, 0], res[:, 1])
+    return _stacked_errors([pose], uv, xyz, K)[0]
+
+
+def _stacked_errors(poses: list, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
+    """Reprojection errors of each pose, (len(poses), N), from one stacked
+    camera-frame product; a row has the same bits whatever the stack."""
+    R = np.array([p.R for p in poses]).reshape(-1, 3, 3)
+    cam = xyz @ R.transpose(0, 2, 1) + np.array([p.t for p in poses]).reshape(-1, 1, 3)
+    x, y, z = cam.transpose(2, 0, 1)
+    u, v, _ = _pixel(K, x, y, np.where(z > 0, z, np.nan))
+    err = np.hypot(u - uv[:, 0], v - uv[:, 1])
     err[np.isnan(err)] = np.inf
     return err
 
@@ -320,8 +321,7 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
         except DegeneracyError:
             saw_degenerate = True
             continue
-        for pose in hypotheses:
-            err = reprojection_errors(pose, uv, xyz, K)
+        for pose, err in zip(hypotheses, _stacked_errors(hypotheses, uv, xyz, K)):
             mask = err <= cfg.threshold_px
             count = int(mask.sum())
             if count == 0:
@@ -370,7 +370,7 @@ def pose_residuals_jacobian(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
     left-multiplicative increment [rotation omega, translation dt] applied at
     the current pose. Rows are scaled by sqrt(w).
     """
-    res = _residuals(pose, uv, xyz, K).reshape(-1)
+    res = (project_many(K, pose, xyz)[0] - uv).reshape(-1)
     x, y, z = (xyz @ pose.R.T + pose.t).T
     # d(uv)/d(cam) has rows [a, 0, b] and [0, c, d]; d(cam)/d(omega) = -[cam]_x
     # and d(cam)/d(dt) = I.
@@ -403,7 +403,7 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
     non-increasing. Converges on step norm < 1e-10 or cost decrease < 1e-12.
     """
     def weighted_cost(p: Pose) -> float:
-        du, dv = _residuals(p, uv, xyz, K).T
+        du, dv = (project_many(K, p, xyz)[0] - uv).T
         cost = float((w * (du * du + dv * dv)).sum())
         return np.inf if math.isnan(cost) else cost  # NaN: a point behind the camera
 
@@ -522,18 +522,17 @@ def load_poses(path):
             tokens = line.split()
             if len(tokens) != 11:
                 raise MalformedFileError(path, line_no, "expected 11 fields")
-            iid = int(tokens[0])
+            iid, num_inliers = _parse_ints([tokens[0], tokens[9]], path, line_no)
+            if iid in estimates:
+                raise MalformedFileError(path, line_no, f"duplicate image id {iid}")
             status = tokens[8]
             if status not in STATUSES:
                 raise MalformedFileError(path, line_no, f"unknown status {status!r}")
-            vals = [float(tok) for tok in tokens[1:8]]
-            if status == STATUS_OK and not any(math.isnan(v) for v in vals):
-                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7])
-            else:
-                pose = None
-                status = status if status != STATUS_OK else STATUS_NO_CONSENSUS
-            meta["num_inliers"][iid] = int(tokens[9])
-            estimates[iid] = PoseEstimate(
-                pose, frozenset(), 0, float(tokens[10]), status
-            )
+            try:  # save_poses writes nan in place of a missing pose
+                vals = [float(tok) for tok in tokens[1:8] + tokens[10:]]
+                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7]) if status == STATUS_OK else None
+            except ValueError as exc:
+                raise MalformedFileError(path, line_no, str(exc)) from None
+            meta["num_inliers"][iid] = num_inliers
+            estimates[iid] = PoseEstimate(pose, frozenset(), 0, vals[7], status)
     return estimates, meta

@@ -30,7 +30,10 @@ _ORTHO_TOL = 1e-9
 
 def qvec2rotmat(qvec: np.ndarray) -> np.ndarray:
     """Quaternion (qw, qx, qy, qz) to 3x3 rotation matrix."""
-    w, x, y, z = np.asarray(qvec, dtype=np.float64) / np.linalg.norm(qvec)
+    norm = np.linalg.norm(qvec)
+    if not norm > 0:
+        raise ValueError("quaternion must be finite and non-zero")
+    w, x, y, z = np.asarray(qvec, dtype=np.float64) / norm
     return np.array(
         [
             [1 - 2 * y * y - 2 * z * z, 2 * x * y - 2 * w * z, 2 * x * z + 2 * w * y],
@@ -142,6 +145,9 @@ class Pose:
     def __init__(self, R: np.ndarray, t: np.ndarray):
         R = np.array(R, dtype=np.float64)
         t = np.array(t, dtype=np.float64).reshape(3)
+        # The tolerance tests below are False for NaN, so check finiteness first.
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError("R and t must be finite")
         if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_TOL:
             raise ValueError("R is not orthogonal within 1e-9")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
@@ -369,9 +375,11 @@ def load_scene(path) -> SceneModel:
                     _parse_floats(obs_tokens[1::3], img_path, line_no),
                     _parse_ints(obs_tokens[2::3], img_path, line_no),
                 ))
-                images[image_id] = ImageRecord(
-                    image_id, Pose(qvec2rotmat(qvec), tvec), camera_id, name
-                )
+                try:
+                    pose = Pose(qvec2rotmat(qvec), tvec)
+                except ValueError as exc:
+                    raise MalformedFileError(img_path, hdr_no, str(exc)) from None
+                images[image_id] = ImageRecord(image_id, pose, camera_id, name)
                 image_obs[image_id] = obs
                 pending = None
     if pending is not None:

@@ -223,3 +223,15 @@ class TestMalformedFiles:
         path.write_text("0 100 1.0 x 3.0 2.5\n")
         with pytest.raises(MalformedFileError):
             load_landmarks(path)
+
+    @pytest.mark.parametrize("second", [
+        "2 101 1.0 2.0 3.0 2.5",   # id 2 after id 0
+        "1 100 1.0 2.0 3.0 2.5",   # source point 100 again
+    ])
+    def test_set_invariants_report_location(self, tmp_path, second):
+        from landmarkloc.errors import MalformedFileError
+
+        path = tmp_path / "bad.txt"
+        path.write_text("# id source_point_id x y z saliency\n0 100 0.0 0.0 0.0 3.0\n" + second + "\n")
+        with pytest.raises(MalformedFileError, match=r"bad\.txt:3: "):
+            load_landmarks(path)

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from landmarkloc.detection import Detection, DetectionSet
-from landmarkloc.errors import DanglingReferenceError, DegeneracyError
+import landmarkloc.pose as pose_module
+from landmarkloc.errors import DanglingReferenceError, DegeneracyError, MalformedFileError
 from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.pose import (
     Correspondence,
@@ -24,6 +26,7 @@ from landmarkloc.pose import (
 from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
 
 from conftest import random_rotation
+from quartic_p3p import quartic_p3p_solve
 
 K = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -168,6 +171,108 @@ class TestP3P:
         corrs = [Correspondence(i, project(K, T, p), p, 1.0, 1.0) for i, p in enumerate(pts)]
         with pytest.raises(DegeneracyError):
             p3p_solve(corrs, K)
+
+
+def pose_key(T):
+    return np.concatenate([T.R.ravel(), T.t])
+
+
+def nearest(T, poses):
+    """Largest element difference between T and the nearest of poses."""
+    return min((np.abs(pose_key(T) - pose_key(p)).max() for p in poses), default=np.inf)
+
+
+class TestLambdaTwist:
+    """p3p_solve (Lambda Twist) against the quartic solver it replaced."""
+
+    def test_matches_quartic_oracle(self):
+        # The oracle referees a triple only where it is accurate itself: its
+        # solution nearest the true pose lies within 1e-10 of it, and no two
+        # of its solutions lie within 1e-3 (near a double root two float64
+        # solvers may differ by more than 1e-9). That leaves out about 1 in
+        # 1000 triples; on some of those the oracle is 1e-9 to 0.5 off the
+        # true pose or misses it. On every triple p3p_solve must find it.
+        rng = np.random.default_rng(90)
+        refereed = trials = 0
+        while trials < 10_000:
+            T = Pose(random_rotation(rng), rng.normal(size=3))
+            corrs = TestP3P().sample_corrs(rng, T)
+            if corrs is None:
+                continue
+            try:
+                old = quartic_p3p_solve(corrs, K)
+            except DegeneracyError:
+                with pytest.raises(DegeneracyError):
+                    p3p_solve(corrs, K)
+                continue
+            new = p3p_solve(corrs, K)
+            trials += 1
+            assert nearest(T, new) < 1e-9
+            if nearest(T, old) >= 1e-10 or any(
+                nearest(p, old[i + 1:]) < 1e-3 for i, p in enumerate(old)
+            ):
+                continue
+            refereed += 1
+            assert all(nearest(p, new) < 1e-9 for p in old)
+            assert all(nearest(p, old) < 1e-9 for p in new)
+        assert refereed >= 9_950
+
+    def test_prosac_same_as_with_quartic_oracle(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        scenes = [pnp_scene(rng, n=40, noise=1.0, outlier_frac=0.3)[1] for _ in range(20)]
+        runs = [prosac_estimate(corrs, K, SolverConfig(min_inliers=10), seed=i)
+                for i, corrs in enumerate(scenes)]
+        monkeypatch.setattr(pose_module, "p3p_solve", quartic_p3p_solve)
+        for i, (corrs, new) in enumerate(zip(scenes, runs)):
+            old = prosac_estimate(corrs, K, SolverConfig(min_inliers=10), seed=i)
+            assert new.status == old.status == "ok"
+            assert new.inliers == old.inliers
+            assert new.num_iterations == old.num_iterations
+            assert np.abs(pose_key(new.pose) - pose_key(old.pose)).max() < 1e-8
+
+    @pytest.mark.parametrize("coeffs, root", [
+        ((0.0, -1.0, 0.0), -1.0),             # (x + 1) x (x - 1): the smallest of three
+        ((-6.0, 11.0, -6.0), 1.0),            # (x - 1)(x - 2)(x - 3)
+        ((0.0, -3.0, 2.0), -2.0),             # (x - 1)^2 (x + 2)
+        ((0.0, 1.0, 1.0), -0.6823278038280193),  # one real root
+    ])
+    def test_cubic_root_is_cubicks_pick(self, coeffs, root):
+        # Lambda Twist's cubick starts Newton beside the local maximum when
+        # the cubic is positive there, so with three real roots it lands on
+        # the smallest one, not the largest.
+        assert pose_module._cubic_root(*coeffs) == pytest.approx(root, abs=1e-6)
+
+    def test_symmetric_triple_in_every_order(self):
+        # The equilateral triple seen head-on makes det(D2) exactly 0 for
+        # some orders, which puts the cubic's root at infinity.
+        s = 2.0
+        pts = np.array(
+            [[0.0, s / math.sqrt(3), 5.0],
+             [-s / 2, -s / (2 * math.sqrt(3)), 5.0],
+             [s / 2, -s / (2 * math.sqrt(3)), 5.0]]
+        )
+        T = Pose(np.eye(3), np.zeros(3))
+        for order in itertools.permutations(range(3)):
+            corrs = [Correspondence(i, project(K, T, pts[i]), pts[i], 1.0, 1.0)
+                     for i in order]
+            assert nearest(T, p3p_solve(corrs, K)) < 1e-9
+
+    def test_stacked_errors_match_reprojection_errors_bit_for_bit(self):
+        rng = np.random.default_rng(92)
+        for _ in range(50):
+            poses = [Pose(random_rotation(rng), rng.normal(size=3))
+                     for _ in range(int(rng.integers(1, 5)))]
+            behind = poses[0].inverse().apply(np.array([0.1, 0.2, -1.0]))
+            xyz = np.vstack([rng.normal(size=(int(rng.integers(1, 300)), 3)) * 5.0, behind])
+            uv = rng.uniform(0.0, 640.0, size=(len(xyz), 2))
+            stacked = pose_module._stacked_errors(poses, uv, xyz, K)
+            for pose, row in zip(poses, stacked):
+                assert np.array_equal(row, reprojection_errors(pose, uv, xyz, K))
+                res = project_many(K, pose, xyz)[0] - uv
+                ref = np.hypot(res[:, 0], res[:, 1])
+                ref[np.isnan(ref)] = np.inf
+                assert np.array_equal(row, ref)
+            assert np.isinf(stacked[0, -1])
 
 
 class TestProsac:
@@ -428,3 +533,17 @@ class TestPoseIO:
         save_poses({0: est}, a)
         save_poses({0: est}, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("line", [
+        "x 1 0 0 0 0 0 1 ok 12 0.5",             # image id
+        "1 1 0 0 0 0 0 1 ok 12.5 0.5",           # num_inliers
+        "0 1 0 0 0 0 0 1 ok 12 0.5",             # image id 0 again
+        "1 1 0 0 0 0 0 inf ok 12 0.5",           # non-finite translation
+        "1 0 0 0 0 0 0 1 ok 12 0.5",             # zero quaternion
+        "1 1 0 0 0 0 0 1 ok 12 x",               # mean_reproj_px
+    ])
+    def test_bad_line_reports_location(self, tmp_path, line):
+        path = tmp_path / "poses.txt"
+        path.write_text("# header\n0 1 0 0 0 0 0 1 ok 12 0.5\n" + line + "\n")
+        with pytest.raises(MalformedFileError, match=r"poses\.txt:3: "):
+            load_poses(path)

@@ -46,6 +46,13 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det -1
 
+    def test_rejects_non_finite(self):
+        # The tolerance tests alone pass NaN, since comparisons with NaN are False.
+        with pytest.raises(ValueError):
+            Pose(np.full((3, 3), np.nan), np.zeros(3))
+        with pytest.raises(ValueError):
+            Pose(np.eye(3), np.array([0.0, 0.0, np.inf]))
+
     def test_compose_inverse_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -245,6 +252,7 @@ class TestSceneIO:
         (3, "1 1 0 0 0 0 0 0 one img0.png"),  # camera reference
         (3, "1 nan 0 0 0 0 0 0 1 img0.png"),  # non-finite quaternion
         (3, "1 1 0 0 0 0 inf 0 1 img0.png"),  # non-finite translation
+        (3, "1 0 0 0 0 0 0 0 1 img0.png"),    # zero quaternion
         (4, "50 50 7.5"),                     # observed point id
         (4, "nan 50 7"),                      # non-finite observation
     ])
