@@ -12,6 +12,7 @@ Modules:
   evaluation    rotation/position errors, recall, report tables
   synth         deterministic synthetic scenes with exact ground truth
   cli           command-line pipeline driver
+  _io           the line reader and float format of every text loader and writer
 """
 
 from .detection import (

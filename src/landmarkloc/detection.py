@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateLandmarkError, MalformedFileError
+from . import _io
+from .errors import DuplicateLandmarkError
 from .landmarks import LandmarkSet
 from .scene_model import Intrinsics, SceneModel, project
 from .visibility import VisibilityTable
@@ -240,37 +240,20 @@ def save_detections(detections: dict, path) -> None:
         writer.writerow(CSV_HEADER)
         for iid in sorted(detections):
             for det in sorted(detections[iid], key=lambda d: d.landmark_id):
-                writer.writerow(
-                    [
-                        iid,
-                        det.landmark_id,
-                        format(det.uv[0], ".17g"),
-                        format(det.uv[1], ".17g"),
-                        format(det.confidence, ".17g"),
-                    ]
-                )
+                writer.writerow([iid, det.landmark_id, _io.fmt(det.uv[0]), _io.fmt(det.uv[1]),
+                                 _io.fmt(det.confidence)])
 
 
 def load_detections(path) -> dict:
-    path = Path(path)
     per_image = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise MalformedFileError(path, 1, f"expected header {','.join(CSV_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with _io.lines(path, ",") as src:
+        rows = iter(src)
+        if next(rows, None) != CSV_HEADER:
+            raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+        for row in rows:
             if len(row) != 5:
-                raise MalformedFileError(path, row_no, "expected 5 columns")
-            try:
-                iid = int(row[0])
-                uv = np.array([float(row[2]), float(row[3])])
-                det = Detection(int(row[1]), uv, float(row[4]))
-            except ValueError as exc:
-                raise MalformedFileError(path, row_no, str(exc)) from None
-            if not np.isfinite(uv).all():
-                raise MalformedFileError(path, row_no, "non-finite pixel coordinate")
-            per_image.setdefault(iid, []).append(det)
+                raise ValueError("expected 5 columns")
+            u, v = _io.finite("pixel coordinate", float(row[2]), float(row[3]))
+            det = Detection(int(row[1]), np.array([u, v]), float(row[4]))
+            per_image.setdefault(int(row[0]), []).append(det)
     return {iid: DetectionSet(iid, dets) for iid, dets in per_image.items()}

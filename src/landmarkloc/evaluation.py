@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _io
 from .errors import InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK
@@ -201,26 +202,11 @@ _CSV_COLUMNS = [
 
 
 def report_to_csv(report: EvalReport) -> str:
-    f = lambda x: format(float(x), ".17g")
-    lines = [
-        f"# thresholds rot_deg={f(report.rot_thresh_deg)} pos_m={f(report.pos_thresh_m)}",
-        ",".join(_CSV_COLUMNS),
-    ]
+    rot, pos = _io.fmt(report.rot_thresh_deg), _io.fmt(report.pos_thresh_m)
+    lines = [f"# thresholds rot_deg={rot} pos_m={pos}", ",".join(_CSV_COLUMNS)]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.label,
-                    str(r.n_images),
-                    str(r.n_ok),
-                    f(r.recall),
-                    f(r.median_rot_deg),
-                    f(r.median_pos_m),
-                    f(r.median_angular_deg),
-                    f(r.sec_per_image),
-                ]
-            )
-        )
+        vals = (r.recall, r.median_rot_deg, r.median_pos_m, r.median_angular_deg, r.sec_per_image)
+        lines.append(",".join([r.label, str(r.n_images), str(r.n_ok), *map(_io.fmt, vals)]))
     return "\n".join(lines) + "\n"
 
 
@@ -275,7 +261,6 @@ def report_to_text(report: EvalReport) -> str:
 def per_image_csv(estimates: dict, gt_model: SceneModel) -> str:
     """Machine-readable per-image `image_id,rot_err_deg,pos_err_m,status` rows."""
     errs = per_image_errors(estimates, gt_model)
-    f = lambda x: format(float(x), ".17g")
     lines = ["image_id,rot_err_deg,pos_err_m,status"]
     for iid in sorted(errs):
         e = errs[iid]
@@ -283,5 +268,5 @@ def per_image_csv(estimates: dict, gt_model: SceneModel) -> str:
         if e is None:
             lines.append(f"{iid},nan,nan,{status}")
         else:
-            lines.append(f"{iid},{f(e.rot_deg)},{f(e.pos_m)},{status}")
+            lines.append(f"{iid},{_io.fmt(e.rot_deg)},{_io.fmt(e.pos_m)},{status}")
     return "\n".join(lines) + "\n"

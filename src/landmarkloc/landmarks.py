@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientCandidatesError, MalformedFileError
+from . import _io
+from .errors import InsufficientCandidatesError
 from .scene_model import SceneModel, TrackPoint
 
 DEFAULT_MIN_TRACK = 10
@@ -149,7 +149,6 @@ def select_landmarks(
 
 def save_landmarks(ls: LandmarkSet, path) -> None:
     """Write one `id source_point_id x y z saliency` line per landmark."""
-    f = lambda x: format(float(x), ".17g")
     with open(path, "w") as fh:
         if ls.provenance:
             prov = " ".join(f"{k}={v}" for k, v in sorted(ls.provenance.items()))
@@ -157,43 +156,30 @@ def save_landmarks(ls: LandmarkSet, path) -> None:
         fh.write("# id source_point_id x y z saliency\n")
         for lm in ls.landmarks:
             fh.write(
-                f"{lm.id} {lm.source_point_id} "
-                f"{f(lm.xyz[0])} {f(lm.xyz[1])} {f(lm.xyz[2])} {f(lm.saliency)}\n"
+                f"{lm.id} {lm.source_point_id} {_io.fmt(lm.xyz[0])} {_io.fmt(lm.xyz[1])} "
+                f"{_io.fmt(lm.xyz[2])} {_io.fmt(lm.saliency)}\n"
             )
 
 
 def load_landmarks(path) -> LandmarkSet:
-    path = Path(path)
     landmarks = []
     sources = set()
     provenance = {}
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    with _io.lines(path) as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                if tokens[1:2] == ["provenance"]:
+                    provenance.update(tok.partition("=")[::2] for tok in tokens[2:])
                 continue
-            if line.startswith("#"):
-                if line.startswith("# provenance "):
-                    for tok in line[len("# provenance "):].split():
-                        k, _, v = tok.partition("=")
-                        provenance[k] = v
-                continue
-            tokens = line.split()
             if len(tokens) != 6:
-                raise MalformedFileError(path, line_no, "expected 6 fields per landmark")
-            try:
-                lid, source = int(tokens[0]), int(tokens[1])
-                vals = [float(t) for t in tokens[2:6]]
-            except ValueError as exc:
-                raise MalformedFileError(path, line_no, str(exc)) from None
-            if not all(map(math.isfinite, vals)):
-                raise MalformedFileError(path, line_no, "non-finite coordinate or saliency")
+                raise ValueError("expected 6 fields per landmark")
+            lid, source = int(tokens[0]), int(tokens[1])
+            x, y, z, saliency = _io.finite("coordinate or saliency",
+                                           *map(float, tokens[2:]))
             if lid != len(landmarks):
-                raise MalformedFileError(
-                    path, line_no, f"landmark id {lid} where {len(landmarks)} was expected"
-                )
+                raise ValueError(f"landmark id {lid} where {len(landmarks)} was expected")
             if source in sources:
-                raise MalformedFileError(path, line_no, f"source point {source} repeated")
+                raise ValueError(f"source point {source} repeated")
             sources.add(source)
-            landmarks.append(Landmark(lid, source, np.array(vals[:3]), vals[3]))
+            landmarks.append(Landmark(lid, source, np.array([x, y, z]), saliency))
     return LandmarkSet(landmarks, provenance)

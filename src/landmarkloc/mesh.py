@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _io
 from .errors import MalformedFileError
 
 _DEGENERATE_AREA = 1e-12
@@ -168,101 +169,75 @@ def load_mesh(path) -> TriangleMesh:
     return mesh
 
 
-def _vertex(tokens, path, line_no) -> list:
-    """Three finite coordinates parsed from tokens, or a path:line error."""
-    try:
-        xyz = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedFileError(path, line_no, f"expected number: {exc}") from None
-    if len(xyz) != 3 or not np.isfinite(xyz).all():
-        raise MalformedFileError(path, line_no, "vertex needs 3 finite coordinates")
-    return xyz
-
-
 def _load_ply(path) -> TriangleMesh:
-    with open(path, "r", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise MalformedFileError(path, 1, "not a PLY file")
-    n_vertex = n_face = 0
-    prop_names = []
-    current = None
-    body_start = None
-    for i, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "format":
-            if tokens[1] != "ascii":
-                raise MalformedFileError(path, i, "binary PLY not supported")
-        elif tokens[0] == "element":
-            current = tokens[1]
-            if current == "vertex":
-                n_vertex = int(tokens[2])
-            elif current == "face":
-                n_face = int(tokens[2])
-        elif tokens[0] == "property" and current == "vertex" and tokens[1] != "list":
-            prop_names.append(tokens[-1])
-        elif tokens[0] == "end_header":
-            body_start = i
-            break
-    if body_start is None:
-        raise MalformedFileError(path, len(lines), "missing end_header")
-    try:
-        ix, iy, iz = prop_names.index("x"), prop_names.index("y"), prop_names.index("z")
-    except ValueError:
-        raise MalformedFileError(path, body_start, "vertex element lacks x/y/z") from None
-
-    body = [(no, l) for no, l in enumerate(lines[body_start:], start=body_start + 1)
-            if l.strip()]
-    if len(body) < n_vertex + n_face:
-        raise MalformedFileError(path, len(lines), "truncated PLY body")
-    vertices = np.empty((n_vertex, 3))
-    for r in range(n_vertex):
-        line_no, line = body[r]
-        tokens = line.split()
-        vertices[r] = _vertex([tokens[k] for k in (ix, iy, iz) if k < len(tokens)],
-                              path, line_no)
-    triangles = np.empty((n_face, 3), dtype=np.int64)
-    for r in range(n_face):
-        line_no, line = body[n_vertex + r]
-        tokens = line.split()
-        cnt = int(tokens[0])
-        if cnt != 3:
-            raise MalformedFileError(path, line_no, f"non-triangular face ({cnt} vertices)")
-        triangles[r] = [int(t) for t in tokens[1:4]]
+    counts = {}  # element name -> count
+    props = []   # vertex property names, in column order
+    element = None
+    vertices, triangles = [], []
+    with _io.lines(path, errors="replace") as src:
+        rows = iter(src)
+        if next(rows, None) != ["ply"]:
+            raise ValueError("not a PLY file")
+        for tokens in rows:
+            key = tokens[0]
+            if key == "format" and tokens[1:] != ["ascii", "1.0"]:
+                raise ValueError("only `format ascii 1.0` is supported")
+            elif key == "element":
+                if len(tokens) != 3:
+                    raise ValueError("expected `element NAME COUNT`")
+                element = tokens[1]
+                counts[element] = int(tokens[2])
+            elif key == "property" and element == "vertex" and tokens[1:2] != ["list"]:
+                props.append(tokens[-1])
+            elif key == "end_header":
+                break
+        else:
+            raise ValueError("missing end_header")
+        if not {"x", "y", "z"} <= set(props):
+            raise ValueError("vertex element lacks x/y/z")
+        ixyz = [props.index(k) for k in "xyz"]
+        n_vertex, n_face = counts.get("vertex", 0), counts.get("face", 0)
+        for tokens in rows:
+            if len(vertices) < n_vertex:
+                x, y, z = _io.finite("vertex",
+                                     *(float(tokens[k]) for k in ixyz if k < len(tokens)))
+                vertices.append((x, y, z))
+            elif len(triangles) < n_face:
+                cnt, idx = int(tokens[0]), [int(t) for t in tokens[1:4]]
+                if cnt != 3 or len(idx) != 3:
+                    raise ValueError("expected a triangle, `3 i j k`")
+                if not all(0 <= i < n_vertex for i in idx):
+                    raise ValueError("face index out of range")
+                triangles.append(idx)
+            else:
+                break
+        if len(vertices) < n_vertex or len(triangles) < n_face:
+            raise ValueError("truncated PLY body")
     return TriangleMesh(vertices, triangles)
 
 
 def _load_obj(path) -> TriangleMesh:
-    vertices = []
-    triangles = []
-    with open(path, "r", errors="replace") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
+    vertices, triangles = [], []
+    with _io.lines(path, errors="replace") as src:
+        for tokens in src:
             if tokens[0] == "v":
-                vertices.append(_vertex(tokens[1:4], path, line_no))
+                x, y, z = _io.finite("vertex", *map(float, tokens[1:4]))
+                vertices.append((x, y, z))
             elif tokens[0] == "f":
-                refs = tokens[1:]
-                if len(refs) != 3:
-                    raise MalformedFileError(path, line_no,
-                                             f"non-triangular face ({len(refs)} vertices)")
-                idx = []
-                for ref in refs:
-                    v_idx = int(ref.split("/")[0])
-                    if v_idx < 0:
-                        v_idx = len(vertices) + 1 + v_idx
-                    idx.append(v_idx - 1)
+                if len(tokens) != 4:
+                    raise ValueError(f"non-triangular face ({len(tokens) - 1} vertices)")
+                # 1-based; a negative index counts back from the last vertex read.
+                idx = [int(ref.split("/")[0]) for ref in tokens[1:]]
+                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
+                if not all(0 <= i < len(vertices) for i in idx):
+                    raise ValueError("face index out of range")
                 triangles.append(idx)
     if not vertices:
         raise MalformedFileError(path, 0, "OBJ file has no vertices")
-    return TriangleMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+    return TriangleMesh(vertices, triangles)
 
 
 def save_mesh_ply(mesh: TriangleMesh, path) -> None:
-    f = lambda x: format(float(x), ".17g")
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(mesh.vertices)}\n")
@@ -270,7 +245,7 @@ def save_mesh_ply(mesh: TriangleMesh, path) -> None:
         fh.write(f"element face {len(mesh.triangles)}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
         for v in mesh.vertices:
-            fh.write(f"{f(v[0])} {f(v[1])} {f(v[2])}\n")
+            fh.write(f"{_io.fmt(v[0])} {_io.fmt(v[1])} {_io.fmt(v[2])}\n")
         for t in mesh.triangles:
             fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
 

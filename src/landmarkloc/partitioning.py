@@ -10,11 +10,11 @@ extra element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidPartitionError, MalformedFileError
+from . import _io
+from .errors import InvalidPartitionError
 from .landmarks import LandmarkSet
 
 CRITERIA = ("default", "random", "kmeans", "fps")
@@ -30,6 +30,9 @@ class PartitionAssignment:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
+        groups = self.group_of.values()
+        if groups and (min(groups) < 0 or max(groups) >= self.g):
+            raise ValueError(f"group index outside [0, {self.g})")
         sizes = self.group_sizes()
         if len(self.group_of) and max(sizes) - min(sizes) > 1:
             raise ValueError("group sizes differ by more than 1")
@@ -244,17 +247,13 @@ def save_partition(pa: PartitionAssignment, path) -> None:
 
 
 def load_partition(path) -> PartitionAssignment:
-    path = Path(path)
     group_of = {}
-    criterion, g, seed = None, None, None
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    k, _, v = tok.partition("=")
+    criterion = g = seed = None
+    with _io.lines(path) as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                for tok in tokens:
+                    k, _, v = tok.lstrip("#").partition("=")
                     if k == "criterion":
                         criterion = v
                     elif k == "groups":
@@ -262,10 +261,16 @@ def load_partition(path) -> PartitionAssignment:
                     elif k == "seed":
                         seed = None if v == "none" else int(v)
                 continue
-            tokens = line.split()
             if len(tokens) != 2:
-                raise MalformedFileError(path, line_no, "expected `landmark_id group`")
-            group_of[int(tokens[0])] = int(tokens[1])
-    if criterion is None or g is None:
-        raise MalformedFileError(path, 1, "missing partition header")
-    return PartitionAssignment(group_of, g, criterion, seed=seed)
+                raise ValueError("expected `landmark_id group`")
+            lid, grp = int(tokens[0]), int(tokens[1])
+            if g is None:
+                raise ValueError("landmark line before the partition header")
+            if not 0 <= grp < g:
+                raise ValueError(f"group {grp} outside [0, {g})")
+            if lid in group_of:
+                raise ValueError(f"landmark {lid} repeated")
+            group_of[lid] = grp
+        if criterion is None or g is None:
+            raise ValueError("missing partition header")
+        return PartitionAssignment(group_of, g, criterion, seed=seed)

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DanglingReferenceError, DegeneracyError, MalformedFileError
+from . import _io
+from .errors import DanglingReferenceError, DegeneracyError
 from .landmarks import LandmarkSet
 from .scene_model import (
     Intrinsics,
     Pose,
-    _parse_ints,
     _pixel,
     axis_angle_to_matrix,
     bearing,
@@ -482,11 +481,10 @@ def localize(dets, ls: LandmarkSet, K: Intrinsics,
 def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> None:
     """One `image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px`
     line per image, ordered by image id."""
-    f = lambda x: format(float(x), ".17g")
     with open(path, "w") as fh:
         fh.write("# image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px\n")
         if sec_per_image is not None:
-            fh.write(f"# sec_per_image={f(sec_per_image)}\n")
+            fh.write(f"# sec_per_image={_io.fmt(sec_per_image)}\n")
         for iid in sorted(estimates):
             est = estimates[iid]
             if est.pose is None:
@@ -494,10 +492,11 @@ def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> Non
             else:
                 q = est.pose.qvec
                 t = est.pose.t
-                qt = [f(q[0]), f(q[1]), f(q[2]), f(q[3]), f(t[0]), f(t[1]), f(t[2])]
+                qt = [_io.fmt(q[0]), _io.fmt(q[1]), _io.fmt(q[2]), _io.fmt(q[3]),
+                      _io.fmt(t[0]), _io.fmt(t[1]), _io.fmt(t[2])]
             fh.write(
                 f"{iid} {' '.join(qt)} {est.status} {len(est.inliers)} "
-                f"{f(est.mean_reproj_px)}\n"
+                f"{_io.fmt(est.mean_reproj_px)}\n"
             )
 
 
@@ -507,32 +506,29 @@ def load_poses(path):
     Inlier identities are not serialized, so loaded estimates carry an empty
     inlier set; per-image counts live in metadata["num_inliers"].
     """
-    path = Path(path)
     estimates = {}
     meta = {"num_inliers": {}}
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    with _io.lines(path) as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                for tok in tokens:
+                    k, _, v = tok.lstrip("#").partition("=")
+                    if k == "sec_per_image":
+                        meta["sec_per_image"] = _io.finite("sec_per_image", float(v))[0]
                 continue
-            if line.startswith("#"):
-                if "sec_per_image=" in line:
-                    meta["sec_per_image"] = float(line.split("sec_per_image=")[1])
-                continue
-            tokens = line.split()
             if len(tokens) != 11:
-                raise MalformedFileError(path, line_no, "expected 11 fields")
-            iid, num_inliers = _parse_ints([tokens[0], tokens[9]], path, line_no)
+                raise ValueError("expected 11 fields")
+            iid, status, num_inliers = int(tokens[0]), tokens[8], int(tokens[9])
             if iid in estimates:
-                raise MalformedFileError(path, line_no, f"duplicate image id {iid}")
-            status = tokens[8]
+                raise ValueError(f"duplicate image id {iid}")
             if status not in STATUSES:
-                raise MalformedFileError(path, line_no, f"unknown status {status!r}")
-            try:  # save_poses writes nan in place of a missing pose
-                vals = [float(tok) for tok in tokens[1:8] + tokens[10:]]
-                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7]) if status == STATUS_OK else None
-            except ValueError as exc:
-                raise MalformedFileError(path, line_no, str(exc)) from None
+                raise ValueError(f"unknown status {status!r}")
+            # save_poses writes nan in place of a missing pose.
+            vals = [float(tok) for tok in tokens[1:8] + tokens[10:]]
+            pose = None
+            if status == STATUS_OK:
+                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7])
+                _io.finite("reprojection error", vals[7])
             meta["num_inliers"][iid] = num_inliers
             estimates[iid] = PoseEstimate(pose, frozenset(), 0, vals[7], status)
     return estimates, meta

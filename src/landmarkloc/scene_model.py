@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _io
 from .errors import (
     DanglingReferenceError,
-    MalformedFileError,
     UnsupportedCameraModelError,
 )
 
@@ -277,32 +277,6 @@ def bearing(K: Intrinsics, uv: np.ndarray) -> np.ndarray:
     return d / np.linalg.norm(d)
 
 
-def _parse_floats(tokens, path, line_no):
-    try:
-        vals = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedFileError(path, line_no, f"expected number: {exc}") from None
-    if not all(map(math.isfinite, vals)):
-        raise MalformedFileError(path, line_no, "expected finite numbers")
-    return vals
-
-
-def _parse_ints(tokens, path, line_no):
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedFileError(path, line_no, f"expected integer: {exc}") from None
-
-
-def _content_lines(path):
-    """Yield (line_no, stripped_line) skipping blanks and # comments."""
-    with open(path, "r") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield i, line
-
-
 def load_scene(path) -> SceneModel:
     """Load a COLMAP-style text reconstruction from a directory.
 
@@ -316,104 +290,94 @@ def load_scene(path) -> SceneModel:
             raise FileNotFoundError(f"missing reconstruction file: {path / name}")
 
     intrinsics = {}
-    cam_path = path / "cameras.txt"
-    for line_no, line in _content_lines(cam_path):
-        tokens = line.split()
-        if len(tokens) < 4:
-            raise MalformedFileError(cam_path, line_no, "camera line too short")
-        cam_id, width, height = _parse_ints([tokens[0], *tokens[2:4]], cam_path, line_no)
-        model = tokens[1]
-        params = _parse_floats(tokens[4:], cam_path, line_no)
-        if model == "PINHOLE":
-            if len(params) != 4:
-                raise MalformedFileError(cam_path, line_no, "PINHOLE needs 4 params")
-            fx, fy, cx, cy = params
-        elif model == "SIMPLE_PINHOLE":
-            if len(params) != 3:
-                raise MalformedFileError(cam_path, line_no, "SIMPLE_PINHOLE needs 3 params")
-            fx, cx, cy = params
-            fy = fx
-        else:
-            raise UnsupportedCameraModelError(
-                f"{cam_path}:{line_no}: unsupported camera model {model!r}"
-            )
-        try:
+    with _io.lines(path / "cameras.txt") as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                continue
+            if len(tokens) < 4:
+                raise ValueError("camera line too short")
+            cam_id, width, height = int(tokens[0]), int(tokens[2]), int(tokens[3])
+            model = tokens[1]
+            params = _io.finite("camera parameter", *map(float, tokens[4:]))
+            if model == "PINHOLE":
+                if len(params) != 4:
+                    raise ValueError("PINHOLE needs 4 params")
+                fx, fy, cx, cy = params
+            elif model == "SIMPLE_PINHOLE":
+                if len(params) != 3:
+                    raise ValueError("SIMPLE_PINHOLE needs 3 params")
+                fx, cx, cy = params
+                fy = fx
+            else:
+                raise UnsupportedCameraModelError(
+                    f"{src.path}:{src.no}: unsupported camera model {model!r}"
+                )
             intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
-        except ValueError as exc:
-            raise MalformedFileError(cam_path, line_no, str(exc)) from None
 
     images = {}
     image_obs = {}  # image_id -> list of (u, v, point3d_id)
-    img_path = path / "images.txt"
-    pending = None  # header tokens awaiting their observations line
-    with open(img_path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if pending is None:
-                if not line or line.startswith("#"):
-                    continue
-                tokens = line.split()
+    with _io.lines(path / "images.txt") as src:
+        # Each header line is followed by its observations line, which may be
+        # blank; the reader skips a blank line, so it shows as a gap in src.no.
+        obs = hdr_no = None
+        for tokens in src:
+            if obs is not None and src.no == hdr_no + 1:
+                if len(tokens) % 3 != 0:
+                    raise ValueError("observations not in (x y id) triples")
+                obs.extend(zip(
+                    _io.finite("observation", *map(float, tokens[0::3])),
+                    _io.finite("observation", *map(float, tokens[1::3])),
+                    map(int, tokens[2::3]),
+                ))
+                obs = None
+            elif tokens[0][0] != "#":
                 if len(tokens) < 10:
-                    raise MalformedFileError(img_path, line_no, "image header line too short")
-                pending = (tokens, line_no)
-            else:
-                # The observations line may legitimately be empty.
-                tokens, hdr_no = pending
-                image_id, camera_id = _parse_ints([tokens[0], tokens[8]], img_path, hdr_no)
-                vals = _parse_floats(tokens[1:8], img_path, hdr_no)
-                qvec, tvec = vals[:4], vals[4:7]
-                name = " ".join(tokens[9:])
+                    raise ValueError("image header line too short")
+                image_id, camera_id = int(tokens[0]), int(tokens[8])
+                vals = [float(t) for t in tokens[1:8]]
+                _io.finite("pose", *vals)
                 if camera_id not in intrinsics:
                     raise DanglingReferenceError(
-                        f"{img_path}:{hdr_no}: image {image_id} references unknown camera {camera_id}"
+                        f"{src.path}:{src.no}: image {image_id} references unknown "
+                        f"camera {camera_id}"
                     )
-                obs_tokens = line.split()
-                if len(obs_tokens) % 3 != 0:
-                    raise MalformedFileError(img_path, line_no, "observations not in (x y id) triples")
-                obs = list(zip(
-                    _parse_floats(obs_tokens[0::3], img_path, line_no),
-                    _parse_floats(obs_tokens[1::3], img_path, line_no),
-                    _parse_ints(obs_tokens[2::3], img_path, line_no),
-                ))
-                try:
-                    pose = Pose(qvec2rotmat(qvec), tvec)
-                except ValueError as exc:
-                    raise MalformedFileError(img_path, hdr_no, str(exc)) from None
-                images[image_id] = ImageRecord(image_id, pose, camera_id, name)
-                image_obs[image_id] = obs
-                pending = None
-    if pending is not None:
-        raise MalformedFileError(img_path, pending[1], "image header without observations line")
+                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7])
+                images[image_id] = ImageRecord(image_id, pose, camera_id, " ".join(tokens[9:]))
+                obs = image_obs[image_id] = []
+                hdr_no = src.no
+        if obs is not None and src.no == hdr_no:
+            raise ValueError("image header without observations line")
 
     points = {}
-    pts_path = path / "points3D.txt"
-    for line_no, line in _content_lines(pts_path):
-        tokens = line.split()
-        if len(tokens) < 8 or (len(tokens) - 8) % 2 != 0:
-            raise MalformedFileError(pts_path, line_no, "point line has wrong token count")
-        pt_id, *rgb = _parse_ints([tokens[0], *tokens[4:7]], pts_path, line_no)
-        xyz = _parse_floats(tokens[1:4], pts_path, line_no)
-        track = _parse_ints(tokens[8:], pts_path, line_no)
-        observations = []
-        for image_id, p2d_idx in zip(track[0::2], track[1::2]):
-            if image_id not in images:
-                raise DanglingReferenceError(
-                    f"{pts_path}:{line_no}: point {pt_id} references unknown image {image_id}"
-                )
-            obs = image_obs[image_id]
-            if not (0 <= p2d_idx < len(obs)):
-                raise DanglingReferenceError(
-                    f"{pts_path}:{line_no}: point {pt_id} references observation "
-                    f"{p2d_idx} out of range for image {image_id}"
-                )
-            u, v, back_ref = obs[p2d_idx]
-            if back_ref != -1 and back_ref != pt_id:
-                raise DanglingReferenceError(
-                    f"{pts_path}:{line_no}: observation {p2d_idx} of image {image_id} "
-                    f"belongs to point {back_ref}, not {pt_id}"
-                )
-            observations.append((image_id, np.array([u, v])))
-        points[pt_id] = TrackPoint(pt_id, xyz, observations, tuple(rgb))
+    with _io.lines(path / "points3D.txt") as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                continue
+            if len(tokens) < 8 or len(tokens) % 2 != 0:
+                raise ValueError("point line has wrong token count")
+            pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
+            *xyz, _error = _io.finite("position or error", *map(float, tokens[1:4] + tokens[7:8]))
+            track = list(map(int, tokens[8:]))
+            observations = []
+            for image_id, p2d_idx in zip(track[0::2], track[1::2]):
+                if image_id not in images:
+                    raise DanglingReferenceError(
+                        f"{src.path}:{src.no}: point {pt_id} references unknown image {image_id}"
+                    )
+                obs = image_obs[image_id]
+                if not (0 <= p2d_idx < len(obs)):
+                    raise DanglingReferenceError(
+                        f"{src.path}:{src.no}: point {pt_id} references observation "
+                        f"{p2d_idx} out of range for image {image_id}"
+                    )
+                u, v, back_ref = obs[p2d_idx]
+                if back_ref != -1 and back_ref != pt_id:
+                    raise DanglingReferenceError(
+                        f"{src.path}:{src.no}: observation {p2d_idx} of image {image_id} "
+                        f"belongs to point {back_ref}, not {pt_id}"
+                    )
+                observations.append((image_id, np.array([u, v])))
+            points[pt_id] = TrackPoint(pt_id, xyz, observations, tuple(rgb))
 
     return SceneModel(intrinsics, images, points)
 
@@ -422,7 +386,6 @@ def save_scene(model: SceneModel, path) -> None:
     """Write a SceneModel as COLMAP-style text files (load_scene inverse)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    f = lambda x: format(float(x), ".17g")
 
     with open(path / "cameras.txt", "w") as fh:
         fh.write("# CAMERA_ID MODEL WIDTH HEIGHT PARAMS[]\n")
@@ -430,7 +393,7 @@ def save_scene(model: SceneModel, path) -> None:
             K = model.intrinsics[cam_id]
             fh.write(
                 f"{cam_id} PINHOLE {K.width} {K.height} "
-                f"{f(K.fx)} {f(K.fy)} {f(K.cx)} {f(K.cy)}\n"
+                f"{_io.fmt(K.fx)} {_io.fmt(K.fy)} {_io.fmt(K.cx)} {_io.fmt(K.cy)}\n"
             )
 
     # Per-image 2D observation lists are rebuilt from the tracks.
@@ -449,11 +412,12 @@ def save_scene(model: SceneModel, path) -> None:
             q = img.pose.qvec
             t = img.pose.t
             fh.write(
-                f"{iid} {f(q[0])} {f(q[1])} {f(q[2])} {f(q[3])} "
-                f"{f(t[0])} {f(t[1])} {f(t[2])} {img.camera_id} {img.name}\n"
+                f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
+                f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
             )
             fh.write(
-                " ".join(f"{f(u)} {f(v)} {pid}" for u, v, pid in per_image[iid]) + "\n"
+                " ".join(f"{_io.fmt(u)} {_io.fmt(v)} {pid}" for u, v, pid in per_image[iid])
+                + "\n"
             )
 
     with open(path / "points3D.txt", "w") as fh:
@@ -466,6 +430,6 @@ def save_scene(model: SceneModel, path) -> None:
                 for slot, (iid, _) in enumerate(pt.observations)
             )
             fh.write(
-                f"{pt_id} {f(pt.xyz[0])} {f(pt.xyz[1])} {f(pt.xyz[2])} "
+                f"{pt_id} {_io.fmt(pt.xyz[0])} {_io.fmt(pt.xyz[1])} {_io.fmt(pt.xyz[2])} "
                 f"{rgb[0]} {rgb[1]} {rgb[2]} 0 {track}\n"
             )

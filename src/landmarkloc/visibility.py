@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneracyError, EmptyResultError, MalformedFileError, RobustFitError
+from . import _io
+from .errors import DegeneracyError, EmptyResultError, RobustFitError
 from .landmarks import LandmarkSet
 from .mesh import TriangleMesh, nearest_surface_point, ray_cast
 from .scene_model import Intrinsics, Pose, SceneModel, project_many
@@ -426,49 +426,39 @@ def save_visibility(vt: VisibilityTable, path) -> None:
 
 
 def load_visibility(path) -> VisibilityTable:
-    path = Path(path)
-    image_ids = None
+    image_ids = col = None
     tolerances = {}
     excluded = []
-    rows = []  # (line number, landmark id, visible image ids)
-
-    def ids(tokens, line_no):
-        try:
-            return [int(t) for t in tokens]
-        except ValueError as exc:
-            raise MalformedFileError(path, line_no, f"expected integer id: {exc}") from None
-
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                tokens = line[1:].split()
-                if not tokens:
-                    continue
-                if tokens[0] == "image_ids":
-                    image_ids = ids(tokens[1:], line_no)
-                elif tokens[0] == "tolerances":
-                    for tok in tokens[1:]:
+    rows = {}  # landmark id -> columns of its visible images, in file order
+    with _io.lines(path) as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                key = tokens[1:2]
+                if key == ["image_ids"]:
+                    image_ids = list(map(int, tokens[2:]))
+                    col = {iid: j for j, iid in enumerate(image_ids)}
+                elif key == ["tolerances"]:
+                    for tok in tokens[2:]:
                         k, _, v = tok.partition("=")
                         try:
                             tolerances[k] = float(v)
                         except ValueError:
                             tolerances[k] = v
-                elif tokens[0] == "excluded":
-                    excluded = ids(tokens[1:], line_no)
+                elif key == ["excluded"]:
+                    excluded = list(map(int, tokens[2:]))
                 continue
-            lid, *vis = ids(line.split(), line_no)
-            rows.append((line_no, lid, vis))
-    if image_ids is None:
-        raise MalformedFileError(path, 1, "missing image_ids header")
-    landmark_ids = [lid for _, lid, _ in rows]
-    col = {iid: j for j, iid in enumerate(image_ids)}
+            lid, *vis = map(int, tokens)
+            if col is None:
+                raise ValueError("landmark line before the image_ids header")
+            if lid in rows:
+                raise ValueError(f"landmark {lid} listed twice")
+            for iid in vis:
+                if iid not in col:
+                    raise ValueError(f"unknown image id {iid}")
+            rows[lid] = [col[iid] for iid in vis]
+        if image_ids is None:
+            raise ValueError("missing image_ids header")
     mask = np.zeros((len(rows), len(image_ids)), dtype=bool)
-    for i, (line_no, _, vis) in enumerate(rows):
-        for iid in vis:
-            if iid not in col:
-                raise MalformedFileError(path, line_no, f"unknown image id {iid}")
-            mask[i, col[iid]] = True
-    return VisibilityTable(landmark_ids, image_ids, mask, tolerances, excluded)
+    for i, cols in enumerate(rows.values()):
+        mask[i, cols] = True
+    return VisibilityTable(list(rows), image_ids, mask, tolerances, excluded)

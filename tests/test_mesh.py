@@ -268,7 +268,7 @@ class TestMeshIO:
         with pytest.raises(MalformedFileError, match=rf"tri\.ply:{vertex_line}:"):
             load_mesh(path)
 
-    @pytest.mark.parametrize("bad", ["v 1 inf 0", "v 1 abc 0", "v 1 0"])
+    @pytest.mark.parametrize("bad", ["v 1 inf 0", "v 1 abc 0", "v 1 0", "f 1 1 x", "f 1 1 9"])
     def test_bad_obj_vertex_reports_line(self, tmp_path, bad):
         path = tmp_path / "tri.obj"
         path.write_text(f"v 0 0 0\n{bad}\nv 0 1 0\nf 1 2 3\n")

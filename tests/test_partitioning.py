@@ -4,6 +4,7 @@ import pytest
 from landmarkloc.errors import InvalidPartitionError
 from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.partitioning import (
+    PartitionAssignment,
     load_partition,
     lloyd_kmeans,
     make_partition,
@@ -198,6 +199,12 @@ def test_invariants_all_criteria(criterion, g, n):
     pa = make_partition(ls, criterion, g, seed=42)
     check_invariants(pa, ls)
     assert pa.criterion == criterion
+
+
+@pytest.mark.parametrize("group", [-1, 2])
+def test_group_outside_range_rejected(group):
+    with pytest.raises(ValueError, match="outside"):
+        PartitionAssignment({0: 0, 1: group}, 2, "default")
 
 
 def test_make_partition_requires_seed():

@@ -541,6 +541,7 @@ class TestPoseIO:
         "1 1 0 0 0 0 0 inf ok 12 0.5",           # non-finite translation
         "1 0 0 0 0 0 0 1 ok 12 0.5",             # zero quaternion
         "1 1 0 0 0 0 0 1 ok 12 x",               # mean_reproj_px
+        "# sec_per_image=abc",                   # header
     ])
     def test_bad_line_reports_location(self, tmp_path, line):
         path = tmp_path / "poses.txt"
