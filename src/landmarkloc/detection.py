@@ -16,7 +16,7 @@ import numpy as np
 from . import _io
 from .errors import DuplicateLandmarkError
 from .landmarks import LandmarkSet
-from .scene_model import Intrinsics, SceneModel, project
+from .scene_model import Intrinsics, SceneModel, _camera_frame, _pixel
 from .visibility import VisibilityTable
 
 DOWNSAMPLE = 8
@@ -119,34 +119,23 @@ def extract_detection(hm: Heatmap):
     return Detection(hm.landmark_id, uv, v)
 
 
-def default_confidence(rng, is_outlier: bool, noise_norm: float, sigma: float) -> float:
-    """Confidence coupled to noise magnitude.
-
-    Inliers: v = clamp(1 - |noise| / (4 sigma), 0.31, 1); exactly 1 when the
-    simulator runs noiseless. Outliers draw v ~ Uniform(0.31, 0.7).
-    """
-    if is_outlier:
-        return float(rng.uniform(0.31, 0.7))
-    if sigma <= 0:
-        return 1.0
-    return float(np.clip(1.0 - noise_norm / (4.0 * sigma), 0.31, 1.0))
-
-
 def simulate_detections_labeled(
     model: SceneModel,
     ls: LandmarkSet,
     vt: VisibilityTable,
     noise_sigma_px: float = 1.0,
     outlier_rate: float = 0.0,
-    confidence_model=None,
     seed: int = 0,
 ):
     """Stand-in detector: noisy projections of visible landmarks.
 
     For each visible (landmark, image) pair an outlier is emitted with
     probability outlier_rate at a uniform random in-image location; otherwise
-    the true projection plus isotropic Gaussian noise. Per-image rng streams
-    are derived as seed XOR image id so scheduling cannot change results.
+    the true projection plus isotropic Gaussian noise, clipped to the image.
+    Per-image rng streams are derived as seed XOR image id so scheduling
+    cannot change results. An inlier's confidence is
+    v = clamp(1 - |noise| / (4 sigma), 0.31, 1), exactly 1 when the simulator
+    runs noiseless; an outlier's is v ~ Uniform(0.31, 0.7).
 
     Returns (detections, outlier_ids): a dict image id -> DetectionSet and a
     dict image id -> set of landmark ids planted as outliers.
@@ -155,37 +144,35 @@ def simulate_detections_labeled(
         raise ValueError("outlier_rate must be in [0, 1]")
     if noise_sigma_px < 0:
         raise ValueError("noise_sigma_px must be >= 0")
-    conf = confidence_model or default_confidence
 
-    detections = {}
-    outlier_ids = {}
+    # Landmark ids are positions in ls; mask holds their visibility rows.
+    xyz = ls.xyz.reshape(-1, 3)
+    mask = vt.mask[[vt._lrow[lm.id] for lm in ls]]
+    detections, outlier_ids = {}, {}
     for iid in sorted(model.images):
         img = model.images[iid]
         K = model.intrinsics[img.camera_id]
         rng = np.random.default_rng(seed ^ iid)
-        dets = []
-        planted = set()
-        for lm in ls:
-            if not vt.visible(lm.id, iid):
-                continue
-            truth = project(K, img.pose, lm.xyz)
-            if truth is None:
-                continue
+        ids = np.flatnonzero(mask[:, vt._icol[iid]])
+        u, v, valid = _pixel(K, *_camera_frame(img.pose, xyz[ids]).T)
+        ids, truth = ids[valid], np.column_stack([u, v])[valid]
+        # The rng draws, in landmark order: an outlier's pixel and confidence,
+        # or an inlier's noise.
+        outlier = np.zeros(len(ids), dtype=bool)
+        draws = np.zeros((len(ids), 3))
+        for k in range(len(ids)):
             if rng.random() < outlier_rate:
-                uv = np.array(
-                    [rng.uniform(0, K.width), rng.uniform(0, K.height)]
-                )
-                v = conf(rng, True, np.nan, noise_sigma_px)
-                planted.add(lm.id)
-            else:
-                noise = rng.normal(0.0, noise_sigma_px, size=2) if noise_sigma_px > 0 else np.zeros(2)
-                uv = truth + noise
-                uv[0] = np.clip(uv[0], 0.0, np.nextafter(float(K.width), 0.0))
-                uv[1] = np.clip(uv[1], 0.0, np.nextafter(float(K.height), 0.0))
-                v = conf(rng, False, float(np.linalg.norm(noise)), noise_sigma_px)
-            dets.append(Detection(lm.id, uv, v))
-        detections[iid] = DetectionSet(iid, dets)
-        outlier_ids[iid] = planted
+                outlier[k] = True
+                draws[k] = rng.uniform(0, K.width), rng.uniform(0, K.height), rng.uniform(0.31, 0.7)
+            elif noise_sigma_px > 0:
+                draws[k, :2] = rng.normal(0.0, noise_sigma_px, size=2)
+        noise = draws[:, :2]
+        uv = np.clip(truth + noise, 0.0, np.nextafter([float(K.width), float(K.height)], 0.0))
+        conf = np.ones(len(ids)) if noise_sigma_px == 0 else np.clip(
+            1.0 - np.sqrt(np.vecdot(noise, noise)) / (4.0 * noise_sigma_px), 0.31, 1.0)
+        uv[outlier], conf[outlier] = draws[outlier, :2], draws[outlier, 2]
+        detections[iid] = DetectionSet(iid, list(map(Detection, ids.tolist(), uv, conf.tolist())))
+        outlier_ids[iid] = set(ids[outlier].tolist())
     return detections, outlier_ids
 
 
@@ -195,12 +182,11 @@ def simulate_detections(
     vt: VisibilityTable,
     noise_sigma_px: float = 1.0,
     outlier_rate: float = 0.0,
-    confidence_model=None,
     seed: int = 0,
 ) -> dict:
     """simulate_detections_labeled without the outlier bookkeeping."""
     detections, _ = simulate_detections_labeled(
-        model, ls, vt, noise_sigma_px, outlier_rate, confidence_model, seed
+        model, ls, vt, noise_sigma_px, outlier_rate, seed
     )
     return detections
 
@@ -253,7 +239,10 @@ def load_detections(path) -> dict:
         for row in rows:
             if len(row) != 5:
                 raise ValueError("expected 5 columns")
+            iid, lid = int(row[0]), int(row[1])
             u, v = _io.finite("pixel coordinate", float(row[2]), float(row[3]))
-            det = Detection(int(row[1]), np.array([u, v]), float(row[4]))
-            per_image.setdefault(int(row[0]), []).append(det)
-    return {iid: DetectionSet(iid, dets) for iid, dets in per_image.items()}
+            dets = per_image.setdefault(iid, {})
+            if lid in dets:
+                raise ValueError(f"image {iid} lists landmark {lid} twice")
+            dets[lid] = Detection(lid, np.array([u, v]), float(row[4]))
+    return {iid: DetectionSet(iid, list(dets.values())) for iid, dets in per_image.items()}

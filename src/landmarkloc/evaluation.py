@@ -14,7 +14,7 @@ from . import _io
 from .errors import InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK
-from .scene_model import Intrinsics, Pose, SceneModel, bearing
+from .scene_model import Intrinsics, Pose, SceneModel, _camera_frame
 
 DEFAULT_ROT_THRESH_DEG = 5.0
 DEFAULT_POS_THRESH_M = 0.05
@@ -78,16 +78,30 @@ def recall_at(
     return hits / len(errors)
 
 
+def _angular_errors(uv: np.ndarray, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -> list:
+    """detection_angular_error of each row of pixels uv (N,2) and landmarks
+    xyz (N,3) whose landmark lies in front of the camera; rows at or behind
+    it are left out. The angle comes from math.atan2, because np.arctan2
+    differs in the last bit on some rows."""
+    cam = _camera_frame(gt_pose, xyz)
+    front = cam[:, 2] > 0
+    cam, uv = cam[front], uv[front]
+    cam = cam / np.sqrt(np.vecdot(cam, cam))[:, None]
+    b = np.column_stack([(uv[:, 0] - K.cx) / K.fx, (uv[:, 1] - K.cy) / K.fy, np.ones(len(uv))])
+    b = b / np.sqrt(np.vecdot(b, b))[:, None]
+    c = np.cross(b, cam)
+    sines, cosines = np.sqrt(np.vecdot(c, c)).tolist(), np.vecdot(b, cam).tolist()
+    return [math.degrees(math.atan2(s, co)) for s, co in zip(sines, cosines)]
+
+
 def detection_angular_error(det, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -> float:
     """Angle (degrees) between the detection's bearing and the landmark's
-    true camera-frame direction under the ground-truth pose."""
-    cam = gt_pose.apply(np.asarray(xyz, dtype=np.float64))
-    if cam[2] <= 0:
+    true camera-frame direction under the ground-truth pose: the one-row
+    case of _angular_errors."""
+    angles = _angular_errors(np.reshape(det.uv, (1, 2)), gt_pose, K, np.reshape(xyz, (1, 3)))
+    if not angles:
         raise ValueError("landmark behind the ground-truth camera")
-    cam = cam / np.linalg.norm(cam)
-    b = bearing(K, det.uv)
-    ang = math.atan2(float(np.linalg.norm(np.cross(b, cam))), float(np.dot(b, cam)))
-    return math.degrees(ang)
+    return angles[0]
 
 
 @dataclass
@@ -157,18 +171,14 @@ def build_report(
         recall = recall_at(err_list, rot_thresh_deg, pos_thresh_m)
         ang = float("nan")
         if run.detections is not None and run.landmarks is not None:
+            xyz = run.landmarks.xyz
             angles = []
             for iid, ds in run.detections.items():
                 img = run.gt_model.images[iid]
-                K = run.gt_model.intrinsics[img.camera_id]
-                for det in ds:
-                    lm = run.landmarks.by_id(det.landmark_id)
-                    try:
-                        angles.append(
-                            detection_angular_error(det, img.pose, K, lm.xyz)
-                        )
-                    except ValueError:
-                        continue
+                ids = [det.landmark_id for det in ds]
+                uv = np.array([det.uv for det in ds]).reshape(-1, 2)
+                angles += _angular_errors(uv, img.pose, run.gt_model.intrinsics[img.camera_id],
+                                          xyz[ids].reshape(-1, 3))
             ang = _median_or_nan(angles)
         rows.append(
             ReportRow(

@@ -66,27 +66,37 @@ class LandmarkSet:
         return self.landmarks[landmark_id]
 
 
+def _saliencies(points: list, model: SceneModel) -> list:
+    """score_saliency of each track point, with each camera centre computed once."""
+    centers = {iid: img.pose.center for iid, img in model.images.items()}
+    pairs = {}  # track length -> its upper-triangle indices
+    scores = []
+    for point in points:
+        image_ids = sorted({iid for iid, _ in point.observations})
+        n = len(image_ids)
+        if n == 0:
+            raise ValueError("point has no observations")
+        if n == 1:
+            scores.append(1.0)
+            continue
+        d = point.xyz - np.array([centers[iid] for iid in image_ids])
+        dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
+        cosines = np.clip(dirs @ dirs.T, -1.0, 1.0)
+        if n not in pairs:
+            pairs[n] = np.triu_indices(n, k=1)
+        spread = min(float(np.mean(np.arccos(cosines[pairs[n]]))), math.pi / 2)
+        scores.append(n * (1.0 + spread))
+    return scores
+
+
 def score_saliency(point: TrackPoint, model: SceneModel) -> float:
     """Saliency of a track point: track length x (1 + angular spread).
 
     Angular spread is the mean pairwise angle (radians) between the viewing
     directions from the observing camera centers to the point, capped at
-    pi/2. A single-view point has zero spread.
+    pi/2. A single-view point has zero spread. The one-point case of _saliencies.
     """
-    image_ids = sorted({iid for iid, _ in point.observations})
-    n = len(image_ids)
-    if n == 0:
-        raise ValueError("point has no observations")
-    if n == 1:
-        return float(n)
-    dirs = np.empty((n, 3))
-    for i, iid in enumerate(image_ids):
-        d = point.xyz - model.images[iid].pose.center
-        dirs[i] = d / np.linalg.norm(d)
-    cosines = np.clip(dirs @ dirs.T, -1.0, 1.0)
-    iu = np.triu_indices(n, k=1)
-    spread = min(float(np.mean(np.arccos(cosines[iu]))), math.pi / 2)
-    return n * (1.0 + spread)
+    return _saliencies([point], model)[0]
 
 
 def select_landmarks(
@@ -111,7 +121,7 @@ def select_landmarks(
     if len(eligible) < count:
         raise InsufficientCandidatesError(count, len(eligible))
 
-    scores = {p.id: score_saliency(p, model) for p in eligible}
+    scores = dict(zip([p.id for p in eligible], _saliencies(eligible, model)))
     # Saliency descending, point id ascending; greedy scans this order.
     order = sorted(eligible, key=lambda p: (-scores[p.id], p.id))
     xyz = np.array([p.xyz for p in order])
@@ -122,16 +132,13 @@ def select_landmarks(
     min_dist = np.full(n, np.inf)  # distance to nearest selected landmark
     r = float(r_init)
     while len(selected) < count:
-        candidate = None
-        for i in range(n):
-            if available[i] and min_dist[i] > r:
-                candidate = i
-                break
-        if candidate is None:
+        candidates = np.flatnonzero(available & (min_dist > r))
+        if len(candidates) == 0:
             if r == 0.0:
                 raise InsufficientCandidatesError(count, len(selected))
             r = r / 2.0 if r / 2.0 >= _R_FLOOR else 0.0
             continue
+        candidate = int(candidates[0])
         p = order[candidate]
         selected.append(Landmark(len(selected), p.id, p.xyz, scores[p.id]))
         available[candidate] = False

@@ -52,7 +52,6 @@ class SolverConfig:
     confidence: float = 0.999      # adaptive termination confidence
     min_inliers: int = 12
     refinement: str = "weighted"   # none | unweighted | weighted
-    weighted_scoring: bool = False # score hypotheses by summed weights
     sampler: str = "prosac"        # prosac | ransac (uniform baseline)
 
     def __post_init__(self):
@@ -257,8 +256,7 @@ def _stacked_errors(poses: list, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics)
     camera-frame product; a row has the same bits whatever the stack."""
     R = np.array([p.R for p in poses]).reshape(-1, 3, 3)
     cam = xyz @ R.transpose(0, 2, 1) + np.array([p.t for p in poses]).reshape(-1, 1, 3)
-    x, y, z = cam.transpose(2, 0, 1)
-    u, v, _ = _pixel(K, x, y, np.where(z > 0, z, np.nan))
+    u, v, _ = _pixel(K, *cam.transpose(2, 0, 1))
     err = np.hypot(u - uv[:, 0], v - uv[:, 1])
     err[np.isnan(err)] = np.inf
     return err
@@ -271,8 +269,7 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     Correspondences are ranked by weight (descending, ties by landmark id);
     samples are drawn from a progressively growing top-ranked subset per the
     PROSAC growth function. Hypotheses are scored by inlier count (ties by
-    lower weighted mean error; summed weights instead when
-    cfg.weighted_scoring). Terminates adaptively at cfg.confidence.
+    lower weighted mean error). Terminates adaptively at cfg.confidence.
     """
     n = len(corrs)
     if n < 4:
@@ -294,7 +291,7 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     T_prime = 1.0
     n_cur = m
 
-    best_score = (-1.0, np.inf)  # (inlier score, weighted mean error)
+    best_score = (-1, np.inf)  # (inlier count, weighted mean error)
     best_pose = None
     best_mask = None
     required = np.inf
@@ -325,10 +322,9 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
             count = int(mask.sum())
             if count == 0:
                 continue
-            score = float(weights[mask].sum()) if cfg.weighted_scoring else float(count)
             werr = float((weights[mask] * err[mask]).sum() / weights[mask].sum())
-            if score > best_score[0] or (score == best_score[0] and werr < best_score[1]):
-                best_score = (score, werr)
+            if count > best_score[0] or (count == best_score[0] and werr < best_score[1]):
+                best_score = (count, werr)
                 best_pose = pose
                 best_mask = mask
                 ratio = count / n

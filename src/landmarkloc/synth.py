@@ -12,15 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .landmarks import Landmark, LandmarkSet, save_landmarks, score_saliency
+# score_saliency is not called here; perfbench's tracer wraps synth.score_saliency by name.
+from .landmarks import Landmark, LandmarkSet, _saliencies, save_landmarks, score_saliency  # noqa: F401
 from .mesh import TriangleMesh, box_mesh, ray_cast, save_mesh_ply
 from .scene_model import (
     ImageRecord,
     Intrinsics,
     SceneModel,
     TrackPoint,
+    _camera_frame,
+    _pixel,
     look_at_pose,
-    project,
     project_many,
     save_scene,
 )
@@ -179,13 +181,16 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
             raise ValueError("min_target_dist leaves no reachable wall points")
         images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1, f"synth{iid:05d}.png")
 
-    # Exact projections filtered by exact ray-cast occlusion.
+    # Exact projections filtered by exact ray-cast occlusion. Observations
+    # come from _camera_frame rows, so each has the bits project() gives it.
     n_sites = len(sites)
     image_ids = sorted(images)
     vis = np.zeros((n_sites, len(image_ids)), dtype=bool)
+    uv = np.empty((n_sites, len(image_ids), 2))
     for j, iid in enumerate(image_ids):
         img = images[iid]
         _, valid = project_many(K, img.pose, sites)
+        uv[:, j, 0], uv[:, j, 1], _ = _pixel(K, *_camera_frame(img.pose, sites).T)
         origin = img.pose.center
         dirs = sites - origin
         dists = np.linalg.norm(dirs, axis=1)
@@ -193,34 +198,23 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
         unoccluded = np.abs(t_hit - dists) < 1e-6
         vis[:, j] = valid & unoccluded
 
-    observed = vis.any(axis=1)
+    observed = np.flatnonzero(vis.any(axis=1))
     points = {}
-    for i in np.flatnonzero(observed):
-        # Store observations via the scalar projection path so they are
-        # bit-identical with what project() later computes for consumers.
-        obs = []
-        for j, iid in enumerate(image_ids):
-            if vis[i, j]:
-                uv = project(K, images[iid].pose, sites[i])
-                obs.append((iid, uv))
+    for i in observed:
+        obs = [(image_ids[j], uv[i, j]) for j in np.flatnonzero(vis[i])]
         points[int(i)] = TrackPoint(int(i), sites[i], obs)
     model = SceneModel({1: K}, images, points)
 
-    landmarks = []
-    rows = []
-    for lm_id, i in enumerate(np.flatnonzero(observed)):
-        pt = points[int(i)]
-        landmarks.append(
-            Landmark(lm_id, int(i), sites[i], score_saliency(pt, model))
-        )
-        rows.append(vis[i])
+    saliency = _saliencies([points[int(i)] for i in observed], model)
+    landmarks = [Landmark(lm_id, int(i), sites[i], s)
+                 for lm_id, (i, s) in enumerate(zip(observed, saliency))]
     gt_landmarks = LandmarkSet(
         landmarks, {"generator": "synth", "seed": cfg.seed, "sites": n_sites}
     )
     gt_visibility = VisibilityTable(
         [lm.id for lm in landmarks],
         image_ids,
-        np.array(rows) if rows else np.zeros((0, len(image_ids)), dtype=bool),
+        vis[observed],
         {"method": "raycast"},
     )
     return SynthScene(mesh, model, gt_landmarks, gt_visibility, cfg, occluders)

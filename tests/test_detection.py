@@ -16,7 +16,7 @@ from landmarkloc.detection import (
     simulate_detections,
     simulate_detections_labeled,
 )
-from landmarkloc.errors import DuplicateLandmarkError
+from landmarkloc.errors import DuplicateLandmarkError, MalformedFileError
 from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
@@ -224,4 +224,12 @@ class TestDetectionIO:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(Exception):
+            load_detections(path)
+
+    def test_repeated_pair_reports_location(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        path.write_text("image_id,landmark_id,u,v_coord,confidence\n"
+                        "1,4,10.5,20.5,0.9\n"
+                        "1,4,11.5,21.5,0.8\n")
+        with pytest.raises(MalformedFileError, match=r"dets\.csv:3: .*landmark 4 twice"):
             load_detections(path)
