@@ -14,7 +14,7 @@ from . import _io
 from .errors import InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK
-from .scene_model import Intrinsics, Pose, SceneModel, _camera_frame
+from .scene_model import Intrinsics, Pose, SceneModel, _camera_frame, bearing
 
 DEFAULT_ROT_THRESH_DEG = 5.0
 DEFAULT_POS_THRESH_M = 0.05
@@ -87,8 +87,7 @@ def _angular_errors(uv: np.ndarray, gt_pose: Pose, K: Intrinsics, xyz: np.ndarra
     front = cam[:, 2] > 0
     cam, uv = cam[front], uv[front]
     cam = cam / np.sqrt(np.vecdot(cam, cam))[:, None]
-    b = np.column_stack([(uv[:, 0] - K.cx) / K.fx, (uv[:, 1] - K.cy) / K.fy, np.ones(len(uv))])
-    b = b / np.sqrt(np.vecdot(b, b))[:, None]
+    b = bearing(K, uv)
     c = np.cross(b, cam)
     sines, cosines = np.sqrt(np.vecdot(c, c)).tolist(), np.vecdot(b, cam).tolist()
     return [math.degrees(math.atan2(s, co)) for s, co in zip(sines, cosines)]

@@ -274,10 +274,12 @@ def project_many(K: Intrinsics, T: Pose, pts: np.ndarray):
 
 
 def bearing(K: Intrinsics, uv: np.ndarray) -> np.ndarray:
-    """Unit camera-frame ray through pixel (u, v)."""
-    u, v = np.asarray(uv, dtype=np.float64)
-    d = np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
-    return d / np.linalg.norm(d)
+    """Unit camera-frame rays through pixels uv, (2,) or (N, 2); a row of a
+    batch has the bits of its one-pixel call."""
+    uv = np.asarray(uv, dtype=np.float64)
+    d = np.stack([(uv[..., 0] - K.cx) / K.fx, (uv[..., 1] - K.cy) / K.fy,
+                  np.ones(uv.shape[:-1])], axis=-1)
+    return d / np.sqrt(np.vecdot(d, d))[..., None]
 
 
 def load_scene(path) -> SceneModel:

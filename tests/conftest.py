@@ -39,3 +39,20 @@ def make_minimal_model():
 @pytest.fixture
 def minimal_model():
     return make_minimal_model()
+
+
+def p3p_in_blocks(samples, K, size=64):
+    """pose._p3p_block's answer for each list of three correspondences, in
+    blocks of `size`: None for a degenerate sample, else its poses in order."""
+    from landmarkloc.pose import _p3p_block
+    from landmarkloc.scene_model import bearing
+
+    out = []
+    for s in range(0, len(samples), size):
+        block = samples[s:s + size]
+        uv = np.array([[c.uv for c in sample] for sample in block])
+        P = np.array([[c.xyz for c in sample] for sample in block])
+        degenerate, R, t, owner = _p3p_block(P, bearing(K, uv), uv, K)
+        out += [None if degenerate[j] else [Pose(R[h], t[h]) for h in np.flatnonzero(owner == j)]
+                for j in range(len(block))]
+    return out

@@ -1,27 +1,34 @@
 """The batched kernels give the bits of the one-row computations they replace.
 
 Every comparison here is ==, never a tolerance: fixed-seed outputs
-(dets.csv, sel.txt, report.csv, the synthetic scene) must stay byte for byte
-what the point-by-point code wrote. The *_ref functions are that code, one
-row at a time.
+(dets.csv, sel.txt, poses.txt, report.csv, the synthetic scene) must stay
+byte for byte what the point-by-point code wrote. The *_ref functions are
+that code, one row at a time; the one-sample P3P solver and PROSAC loop are
+in scalar_lambda_twist.py.
 """
 
 import hashlib
 import io
+import itertools
 import math
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+import landmarkloc.pose as pose_module
 from landmarkloc.cli import main
 from landmarkloc.detection import Detection, simulate_detections_labeled
+from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import _angular_errors, detection_angular_error
 from landmarkloc.landmarks import _saliencies, score_saliency
+from landmarkloc.pose import Correspondence, SolverConfig, localize, p3p_solve, prosac_estimate
 from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, project
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import random_rotation
+from conftest import p3p_in_blocks, random_rotation
+from scalar_lambda_twist import p3p_solve_ref, prosac_ref
+from test_pose import pnp_scene
 
 
 def project_ref(K, T, p):
@@ -191,3 +198,118 @@ def test_cli_outputs_pinned(tmp_path):
                      "--out", str(d / "report.txt"), "--csv", str(d / "report.csv")]) == 0
     got = {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in PINNED}
     assert got == PINNED
+
+
+def p3p_samples(rng, K, n):
+    """n random triples: a third seen exactly from a random pose, a third the
+    same with 2 px of pixel noise (no pose fits them exactly), a third random
+    points and random pixels."""
+    samples = []
+    for k in range(n):
+        if k % 3 == 2:
+            world = rng.normal(size=(3, 3)) * 3.0
+            uv = rng.uniform([0.0, 0.0], [K.width, K.height], size=(3, 2))
+        else:
+            R, t = random_rotation(rng), rng.normal(size=3)
+            x, y, z = rng.uniform([-0.6, -0.45, 1.0], [0.6, 0.45, 8.0], size=(3, 3)).T
+            cam = np.column_stack([x * z, y * z, z])  # inside the image
+            world = (cam - t) @ R
+            uv = np.column_stack([K.fx * x + K.cx, K.fy * y + K.cy])
+            uv += rng.normal(0.0, 2.0, size=(3, 2)) if k % 3 else 0.0
+        samples.append([Correspondence(i, uv[i], world[i], 1.0, 1.0) for i in range(3)])
+    return samples
+
+
+def special_samples(K):
+    """Seen head-on from the identity pose, in all six orders: an equilateral
+    triple (det(D2) = 0 in some orders) and a right angle at the principal
+    point (a division by zero when that corner comes first). Then a collinear
+    triple and two points on one bearing, both degenerate."""
+    eye = Pose(np.eye(3), np.zeros(3))
+    tri = np.array([[0.0, 2.0 / math.sqrt(3), 5.0], [-1.0, -1.0 / math.sqrt(3), 5.0],
+                    [1.0, -1.0 / math.sqrt(3), 5.0]])
+    corner = np.array([[0.0, 0.0, 4.0], [-0.5, 0.0, 4.0], [0.0, 0.5, 4.0]])
+    line = np.array([[0.0, 0.0, 5.0], [0.5, 0.0, 5.0], [1.0, 0.0, 5.0]])
+    ray = np.array([[0.2, 0.1, 4.0], [0.4, 0.2, 8.0], [-1.0, 0.5, 6.0]])
+    orders = [list(itertools.permutations(range(3)))] * 2 + [[(0, 1, 2)]] * 2
+    return [[Correspondence(i, project(K, eye, pts[i]), pts[i], 1.0, 1.0) for i in order]
+            for pts, pts_orders in zip((tri, corner, line, ray), orders)
+            for order in pts_orders]
+
+
+def same_poses(ref, got):
+    return len(ref) == len(got) and all(
+        (p.R == q.R).all() and (p.t == q.t).all() for p, q in zip(ref, got))
+
+
+def test_p3p_block_matches_one_sample_solver():
+    K = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    special = special_samples(K)
+    samples = special + p3p_samples(np.random.default_rng(12), K, 10_000)
+    ref = []
+    for sample in samples:
+        try:
+            ref.append(p3p_solve_ref(sample, K))
+        except DegeneracyError:
+            ref.append(None)
+    got = p3p_in_blocks(samples, K)
+    assert [r is None for r in ref] == [g is None for g in got]
+    assert all(r is None or same_poses(r, g) for r, g in zip(ref, got))
+    for sample, r in zip(samples[:200], ref[:200]):
+        if r is None:
+            with pytest.raises(DegeneracyError):
+                p3p_solve(sample, K)
+        else:
+            assert same_poses(r, p3p_solve(sample, K))
+    # Every outcome occurs: degenerate, no pose, one pose, several.
+    outcomes = [-1 if r is None else min(len(r), 2) for r in ref]
+    assert all(outcomes.count(k) >= 2 for k in (-1, 0, 1, 2))
+    assert [-1 if r is None else len(r) > 0 for r in ref[:len(special)]] == (
+        [True] * 6 + [False] * 2 + [True] * 4 + [-1] * 2)
+
+
+def same_estimate(a, b):
+    assert a.status == b.status
+    assert a.inliers == b.inliers
+    assert a.num_iterations == b.num_iterations
+    if b.pose is None:
+        assert a.pose is None and math.isnan(a.mean_reproj_px) and math.isnan(b.mean_reproj_px)
+    else:
+        assert (a.pose.R == b.pose.R).all() and (a.pose.t == b.pose.t).all()
+        assert a.mean_reproj_px == b.mean_reproj_px
+
+
+@pytest.mark.parametrize("sampler", ["prosac", "ransac"])
+def test_prosac_matches_one_sample_loop(sampler):
+    # Budgets of 1 and 7 end inside the first block of 8; 2000 is no sum of
+    # the block sizes 8, 16, 32, 64, 64, ...
+    rng = np.random.default_rng(91)
+    scenes = [pnp_scene(rng, n=40, noise=1.0, outlier_frac=0.3)[1] for _ in range(20)]
+    K = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    stops = set()
+    for budget in (1, 7, 2000):
+        cfg = SolverConfig(min_inliers=10, max_iterations=budget, sampler=sampler)
+        for i, corrs in enumerate(scenes):
+            est = prosac_estimate(corrs, K, cfg, seed=i)
+            same_estimate(est, prosac_ref(corrs, K, cfg, seed=i))
+            stops.add((budget, est.num_iterations == budget, est.status))
+    assert {(1, True, "ok"), (7, True, "ok"), (2000, False, "ok")} <= stops
+
+
+@pytest.mark.parametrize("refinement", ["none", "unweighted", "weighted"])
+def test_localize_matches_one_sample_loop(scene, monkeypatch, refinement):
+    # A 30%-outlier draw on the synth scene, each image localized with both
+    # samplers, then again with PROSAC one sample at a time.
+    dets, _ = simulate_detections_labeled(
+        scene.model, scene.gt_landmarks, scene.gt_visibility, 1.0, 0.3, seed=8)
+    K = scene.model.intrinsics[1]
+    cfgs = [SolverConfig(refinement=refinement, sampler=s) for s in ("prosac", "ransac")]
+    runs = [localize(dets[iid], scene.gt_landmarks, K, cfg, seed=iid)
+            for cfg in cfgs for iid in sorted(dets)]
+    monkeypatch.setattr(pose_module, "prosac_estimate", prosac_ref)
+    refs = [localize(dets[iid], scene.gt_landmarks, K, cfg, seed=iid)
+            for cfg in cfgs for iid in sorted(dets)]
+    for est, ref in zip(runs, refs):
+        same_estimate(est, ref)
+        assert (est.refine is None) == (ref.refine is None)
+    assert sum(est.status == "ok" for est in runs) >= len(runs) - 2

@@ -389,6 +389,26 @@ class TestLocalizeErrors:
         assert rc == 2
         assert "bad.csv:4: non-finite pixel coordinate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iters", "0", "max iterations must be at least 1"),
+        ("--max-iters", "-5", "max iterations must be at least 1"),
+        ("--min-inliers", "3", "min inliers must be at least 4"),
+        ("--confidence", "0", "confidence must lie in (0, 1]"),
+        ("--confidence", "1.5", "confidence must lie in (0, 1]"),
+    ])
+    def test_solver_flag_out_of_range(self, scene_dir, pipeline, tmp_path, capsys,
+                                      flag, value, message):
+        _, dets, _ = pipeline
+        out = tmp_path / "x.txt"
+        rc = main(
+            ["localize", "--scene", str(scene_dir / "scene"),
+             "--landmarks", str(scene_dir / "landmarks.txt"),
+             "--detections", str(dets), "--seed", "0", flag, value, "--out", str(out)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_localize_requires_seed(self, scene_dir, pipeline, tmp_path):
         _, dets, _ = pipeline
         rc = main(

@@ -25,8 +25,9 @@ from landmarkloc.pose import (
 )
 from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
 
-from conftest import random_rotation
+from conftest import p3p_in_blocks, random_rotation
 from quartic_p3p import quartic_p3p_solve
+from scalar_lambda_twist import _cubic_root as scalar_cubic_root, prosac_ref
 
 K = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -75,6 +76,31 @@ def pnp_scene(rng, n=30, noise=0.0, outlier_frac=0.0):
             v = 1.0
         corrs.append(Correspondence(i, uv, world[i], v, v ** 2))
     return T, corrs, outliers
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iterations": 0}, {"max_iterations": -5}, {"min_inliers": 3},
+        {"confidence": 0.0}, {"confidence": -0.5}, {"confidence": 1.5},
+        {"threshold_px": 0.0},
+    ])
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    def test_accepts_bounds(self):
+        SolverConfig(max_iterations=1, min_inliers=4, confidence=1.0)
+
+    def test_four_inliers_refine(self):
+        # The smallest consensus min_inliers admits is one refine_weighted accepts.
+        rng = np.random.default_rng(79)
+        T, corrs, _ = pnp_scene(rng, n=4)
+        ls = LandmarkSet([Landmark(c.landmark_id, 100 + c.landmark_id, c.xyz, 1.0)
+                          for c in corrs])
+        dets = DetectionSet(0, [Detection(c.landmark_id, c.uv, c.v) for c in corrs])
+        est = localize(dets, ls, K, SolverConfig(min_inliers=4), seed=0)
+        assert est.status == "ok" and len(est.inliers) == 4
+        assert est.refine is not None
 
 
 class TestComputeWeights:
@@ -192,21 +218,22 @@ class TestLambdaTwist:
         # solvers may differ by more than 1e-9). That leaves out about 1 in
         # 1000 triples; on some of those the oracle is 1e-9 to 0.5 off the
         # true pose or misses it. On every triple p3p_solve must find it.
+        # Lambda Twist's side runs in blocks of 64, as PROSAC runs it.
         rng = np.random.default_rng(90)
-        refereed = trials = 0
-        while trials < 10_000:
+        degenerate, triples = [], []  # (true pose, correspondences, oracle's poses)
+        while len(triples) < 10_000:
             T = Pose(random_rotation(rng), rng.normal(size=3))
             corrs = TestP3P().sample_corrs(rng, T)
             if corrs is None:
                 continue
             try:
-                old = quartic_p3p_solve(corrs, K)
+                triples.append((T, corrs, quartic_p3p_solve(corrs, K)))
             except DegeneracyError:
-                with pytest.raises(DegeneracyError):
-                    p3p_solve(corrs, K)
-                continue
-            new = p3p_solve(corrs, K)
-            trials += 1
+                degenerate.append(corrs)
+        assert all(new is None for new in p3p_in_blocks(degenerate, K))
+        refereed = 0
+        for (T, _, old), new in zip(triples, p3p_in_blocks([c for _, c, _ in triples], K)):
+            assert new is not None
             assert nearest(T, new) < 1e-9
             if nearest(T, old) >= 1e-10 or any(
                 nearest(p, old[i + 1:]) < 1e-3 for i, p in enumerate(old)
@@ -217,18 +244,26 @@ class TestLambdaTwist:
             assert all(nearest(p, old) < 1e-9 for p in new)
         assert refereed >= 9_950
 
-    def test_prosac_same_as_with_quartic_oracle(self, monkeypatch):
+    def test_prosac_same_as_with_quartic_oracle(self):
+        # The quartic solver runs through the one-sample PROSAC loop that the
+        # block kernel replaced.
         rng = np.random.default_rng(91)
         scenes = [pnp_scene(rng, n=40, noise=1.0, outlier_frac=0.3)[1] for _ in range(20)]
         runs = [prosac_estimate(corrs, K, SolverConfig(min_inliers=10), seed=i)
                 for i, corrs in enumerate(scenes)]
-        monkeypatch.setattr(pose_module, "p3p_solve", quartic_p3p_solve)
+        calls = []
+
+        def quartic(sample, K):
+            calls.append(sample)
+            return quartic_p3p_solve(sample, K)
+
         for i, (corrs, new) in enumerate(zip(scenes, runs)):
-            old = prosac_estimate(corrs, K, SolverConfig(min_inliers=10), seed=i)
+            old = prosac_ref(corrs, K, SolverConfig(min_inliers=10), seed=i, solve=quartic)
             assert new.status == old.status == "ok"
             assert new.inliers == old.inliers
             assert new.num_iterations == old.num_iterations
             assert np.abs(pose_key(new.pose) - pose_key(old.pose)).max() < 1e-8
+        assert len(calls) == sum(run.num_iterations for run in runs)
 
     @pytest.mark.parametrize("coeffs, root", [
         ((0.0, -1.0, 0.0), -1.0),             # (x + 1) x (x - 1): the smallest of three
@@ -240,7 +275,9 @@ class TestLambdaTwist:
         # Lambda Twist's cubick starts Newton beside the local maximum when
         # the cubic is positive there, so with three real roots it lands on
         # the smallest one, not the largest.
-        assert pose_module._cubic_root(*coeffs) == pytest.approx(root, abs=1e-6)
+        assert scalar_cubic_root(*coeffs) == pytest.approx(root, abs=1e-6)
+        got, zero_div = pose_module._cubic_roots(*np.array(coeffs)[:, None])
+        assert got.tolist() == [scalar_cubic_root(*coeffs)] and not zero_div.any()
 
     def test_symmetric_triple_in_every_order(self):
         # The equilateral triple seen head-on makes det(D2) exactly 0 for
@@ -265,7 +302,8 @@ class TestLambdaTwist:
             behind = poses[0].inverse().apply(np.array([0.1, 0.2, -1.0]))
             xyz = np.vstack([rng.normal(size=(int(rng.integers(1, 300)), 3)) * 5.0, behind])
             uv = rng.uniform(0.0, 640.0, size=(len(xyz), 2))
-            stacked = pose_module._stacked_errors(poses, uv, xyz, K)
+            stacked = pose_module._stacked_errors(np.array([p.R for p in poses]),
+                                                  np.array([p.t for p in poses]), uv, xyz, K)
             for pose, row in zip(poses, stacked):
                 assert np.array_equal(row, reprojection_errors(pose, uv, xyz, K))
                 res = project_many(K, pose, xyz)[0] - uv
