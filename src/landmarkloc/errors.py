@@ -47,9 +47,5 @@ class RobustFitError(Exception):
     """Robust estimation failed to find an acceptable consensus."""
 
 
-class EmptyResultError(DataError):
-    """An operation pruned away everything it was given."""
-
-
 class InvalidRotationError(DataError):
     """Matrix fails the orthogonality / determinant test for a rotation."""

@@ -62,9 +62,6 @@ class LandmarkSet:
     def saliencies(self) -> np.ndarray:
         return np.array([lm.saliency for lm in self.landmarks])
 
-    def by_id(self, landmark_id: int) -> Landmark:
-        return self.landmarks[landmark_id]
-
 
 def _saliencies(points: list, model: SceneModel) -> list:
     """score_saliency of each track point, with each camera centre computed once."""

@@ -99,19 +99,15 @@ class PoseEstimate:
 
 
 def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> list:
-    """Join detections to landmark 3D positions and attach weights v^e."""
+    """Join detections to landmark 3D positions and attach weights v^e.
+    A landmark's id is its position in ls."""
     corrs = []
-    known = {lm.id: lm for lm in ls}
     for det in dets:
-        lm = known.get(det.landmark_id)
-        if lm is None:
-            raise DanglingReferenceError(
-                f"detection references unknown landmark {det.landmark_id}"
-            )
-        corrs.append(
-            Correspondence(det.landmark_id, det.uv, lm.xyz, det.confidence,
-                           det.confidence ** e)
-        )
+        lid = det.landmark_id
+        if not 0 <= lid < len(ls):
+            raise DanglingReferenceError(f"detection references unknown landmark {lid}")
+        corrs.append(Correspondence(lid, det.uv, ls[lid].xyz, det.confidence,
+                                    det.confidence ** e))
     return corrs
 
 

@@ -233,9 +233,6 @@ class SceneModel:
                         f"point {pt.id} references unknown image {iid}"
                     )
 
-    def camera_of(self, image_id: int) -> Intrinsics:
-        return self.intrinsics[self.images[image_id].camera_id]
-
 
 def _pixel(K: Intrinsics, x, y, z):
     """The pinhole model on arrays of camera-frame coordinates: the pixel
@@ -302,6 +299,8 @@ def load_scene(path) -> SceneModel:
             if len(tokens) < 4:
                 raise ValueError("camera line too short")
             cam_id, width, height = int(tokens[0]), int(tokens[2]), int(tokens[3])
+            if cam_id in intrinsics:
+                raise ValueError(f"repeated camera id {cam_id}")
             model = tokens[1]
             params = _io.finite("camera parameter", *map(float, tokens[4:]))
             if model == "PINHOLE":
@@ -339,6 +338,8 @@ def load_scene(path) -> SceneModel:
                 if len(tokens) < 10:
                     raise ValueError("image header line too short")
                 image_id, camera_id = int(tokens[0]), int(tokens[8])
+                if image_id in images:
+                    raise ValueError(f"repeated image id {image_id}")
                 vals = [float(t) for t in tokens[1:8]]
                 _io.finite("pose", *vals)
                 if camera_id not in intrinsics:
@@ -361,6 +362,8 @@ def load_scene(path) -> SceneModel:
             if len(tokens) < 8 or len(tokens) % 2 != 0:
                 raise ValueError("point line has wrong token count")
             pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
+            if pt_id in points:
+                raise ValueError(f"repeated point id {pt_id}")
             *xyz, _error = _io.finite("position or error", *map(float, tokens[1:4] + tokens[7:8]))
             track = list(map(int, tokens[8:]))
             observations = []

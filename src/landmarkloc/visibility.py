@@ -15,12 +15,12 @@ landmark against such a map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _io
-from .errors import DegeneracyError, EmptyResultError, RobustFitError
+from .errors import DegeneracyError, RobustFitError
 from .landmarks import LandmarkSet
 from .mesh import TriangleMesh, nearest_surface_point, ray_cast
 from .scene_model import Intrinsics, Pose, SceneModel, project_many
@@ -33,15 +33,6 @@ class VisibilityConfig:
     tol_normal_deg: float = 30.0
     max_surface_dist: float = 0.2  # landmarks farther from the mesh are excluded
     decimation: int = 1            # depth-map downsampling factor
-
-    def as_dict(self):
-        return {
-            "tol_depth": self.tol_depth,
-            "rel_frac": self.rel_frac,
-            "tol_normal_deg": self.tol_normal_deg,
-            "max_surface_dist": self.max_surface_dist,
-            "decimation": self.decimation,
-        }
 
 
 @dataclass
@@ -132,14 +123,6 @@ class VisibilityTable:
 
     def visible(self, landmark_id: int, image_id: int) -> bool:
         return bool(self.mask[self._lrow[landmark_id], self._icol[image_id]])
-
-    def visible_images(self, landmark_id: int) -> list:
-        row = self.mask[self._lrow[landmark_id]]
-        return [iid for j, iid in enumerate(self.image_ids) if row[j]]
-
-    def visible_landmarks(self, image_id: int) -> list:
-        col = self.mask[:, self._icol[image_id]]
-        return [lid for i, lid in enumerate(self.landmark_ids) if col[i]]
 
 
 def _clip_near(poly: np.ndarray, znear: float) -> np.ndarray:
@@ -288,34 +271,6 @@ def _coplanar(pts: np.ndarray, tol: float = 1e-9) -> bool:
     return s[-1] / scale < tol
 
 
-def filter_registration(
-    model: SceneModel,
-    residuals: dict,
-    min_obs: int = 50,
-    max_residual: float = 0.05,
-):
-    """Prune unstable points and badly registered images.
-
-    residuals maps image id -> {point id: depth residual in meters}. Points
-    observed in fewer than min_obs images are dropped first; an image is then
-    dropped when its mean residual over the surviving points exceeds
-    max_residual. Returns (retained image ids, retained point ids) as sets.
-    """
-    retained_points = {
-        pid for pid, pt in model.points.items() if pt.track_length >= min_obs
-    }
-    retained_images = set()
-    for iid in model.images:
-        per_point = residuals.get(iid, {})
-        vals = [r for pid, r in per_point.items() if pid in retained_points]
-        if vals and float(np.mean(vals)) > max_residual:
-            continue
-        retained_images.add(iid)
-    if not retained_images:
-        raise EmptyResultError("registration filtering pruned every image")
-    return retained_images, retained_points
-
-
 def _visible(K: Intrinsics, T: Pose, sample, xyz: np.ndarray,
              ref_normals: np.ndarray, cfg: VisibilityConfig, candidates=True) -> np.ndarray:
     """The occlusion test of world points (N,3) in one image.
@@ -395,7 +350,7 @@ def compute_visibility(
     image_ids = sorted(model.images)
     mask = np.zeros((len(ls), len(image_ids)), dtype=bool)
     if len(ls) == 0:
-        return VisibilityTable(landmark_ids, image_ids, mask, cfg.as_dict(), [])
+        return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), [])
 
     ref_normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
     active = np.array([lm.id not in excluded for lm in ls])
@@ -407,7 +362,7 @@ def compute_visibility(
         K = model.intrinsics[img.camera_id]
         sample = _first_hits(mesh, face_normals, K, img.pose, cfg.decimation)
         mask[:, j] = _visible(K, img.pose, sample, xyz, ref_normals, cfg, active)
-    return VisibilityTable(landmark_ids, image_ids, mask, cfg.as_dict(), excluded)
+    return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), excluded)
 
 
 def save_visibility(vt: VisibilityTable, path) -> None:
@@ -436,7 +391,10 @@ def load_visibility(path) -> VisibilityTable:
                 key = tokens[1:2]
                 if key == ["image_ids"]:
                     image_ids = list(map(int, tokens[2:]))
-                    col = {iid: j for j, iid in enumerate(image_ids)}
+                    col = {}
+                    for j, iid in enumerate(image_ids):
+                        if col.setdefault(iid, j) != j:
+                            raise ValueError(f"repeated image id {iid}")
                 elif key == ["tolerances"]:
                     for tok in tokens[2:]:
                         k, _, v = tok.partition("=")

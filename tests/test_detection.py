@@ -118,7 +118,7 @@ class TestSimulate:
             img = model.images[iid]
             K = model.intrinsics[img.camera_id]
             for det in ds:
-                truth = project(K, img.pose, ls.by_id(det.landmark_id).xyz)
+                truth = project(K, img.pose, ls[det.landmark_id].xyz)
                 assert np.abs(det.uv - truth).max() < 1e-12
                 assert det.confidence == 1.0
 
@@ -156,7 +156,7 @@ class TestSimulate:
             K = model.intrinsics[img.camera_id]
             assert outliers[iid] == {d.landmark_id for d in ds}
             for det in ds:
-                truth = project(K, img.pose, ls.by_id(det.landmark_id).xyz)
+                truth = project(K, img.pose, ls[det.landmark_id].xyz)
                 n_total += 1
                 if np.linalg.norm(det.uv - truth) < 3.0:
                     n_close += 1

@@ -1,0 +1,71 @@
+"""What code outside the package relies on: the README's library example, and
+the names the benchmark in perfbench/ looks up and wraps."""
+
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from landmarkloc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    block, = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    demo = tmp_path / "demo"
+    for argv in (
+        ["synth", "--out", str(demo), "--seed", "7", "--sites", "120", "--cameras", "8",
+         "--width", "320", "--height", "240", "--focal", "200", "--margin", "1.4",
+         "--min-target-dist", "3.0"],
+        ["select", "--scene", str(demo / "scene"), "--count", "40", "--min-track", "2",
+         "--out", str(demo / "sel.txt")],
+        ["visibility", "--scene", str(demo / "scene"), "--mesh", str(demo / "mesh.ply"),
+         "--landmarks", str(demo / "sel.txt"), "--out", str(demo / "vis.txt")],
+        ["simulate", "--scene", str(demo / "scene"), "--landmarks", str(demo / "sel.txt"),
+         "--visibility", str(demo / "vis.txt"), "--noise-sigma", "1", "--seed", "3",
+         "--out", str(demo / "dets.csv")],
+    ):
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    detected = {line.split(",")[0] for line in (demo / "dets.csv").read_text().splitlines()[1:]}
+    assert sorted(row[0] for row in rows) == sorted(detected)
+    assert any(row[1] == "ok" for row in rows)
+
+
+@pytest.fixture
+def bench():
+    """perfbench's worker and tracer modules, imported as the worker imports
+    them (it puts the checkout's src/ and perfbench/ first on sys.path);
+    sys.path is restored afterwards."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                      ROOT / "perfbench" / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        return worker, worker.tracing
+    finally:
+        sys.path[:] = saved
+
+
+def test_every_name_the_bench_looks_up_resolves(bench):
+    worker, tracer = bench
+
+    def resolves(target):
+        # As tracer.Tracer.wrap finds it: package.module, then attributes.
+        package, module, *path = target.split(".")
+        owner = importlib.import_module(f"{package}.{module}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        return callable(owner)
+
+    targets = [target for target, _, _ in tracer.LAYERS] + ["landmarkloc.cli.localize"]
+    targets += [f"{module.__name__}.{name}" for module, name in worker.PER_IMAGE.values()]
+    assert [t for t in targets if not resolves(t)] == []

@@ -127,6 +127,13 @@ class TestComputeWeights:
         with pytest.raises(DanglingReferenceError):
             compute_weights(dets, ls)
 
+    def test_negative_landmark_id(self):
+        # Ids index the set, and -1 must not wrap round to its last landmark.
+        ls, _ = self.make(1.0)
+        dets = DetectionSet(0, [Detection(-1, np.array([1.0, 1.0]), 0.9)])
+        with pytest.raises(DanglingReferenceError):
+            compute_weights(dets, ls)
+
 
 class TestP3P:
     def sample_corrs(self, rng, T):

@@ -255,6 +255,7 @@ class TestSceneIO:
         (3, "1 0 0 0 0 0 0 0 1 img0.png"),    # zero quaternion
         (4, "50 50 7.5"),                     # observed point id
         (4, "nan 50 7"),                      # non-finite observation
+        (5, "1 1 0 0 0 0 0 0 1 img1.png"),    # image id repeated
     ])
     def test_bad_image_line_reports_location(self, tmp_path, line_no, line):
         save_scene(make_minimal_model(), tmp_path)
@@ -276,6 +277,17 @@ class TestSceneIO:
         save_scene(make_minimal_model(), tmp_path)
         (tmp_path / "points3D.txt").write_text("# points\n" + line + "\n")
         with pytest.raises(MalformedFileError, match=r"points3D\.txt:2: "):
+            load_scene(tmp_path)
+
+    @pytest.mark.parametrize("name, line", [
+        ("cameras.txt", "1 PINHOLE 100 100 500 500 50 50"),
+        ("points3D.txt", "7 0 0 2 128 128 128 0 1 0 2 0"),
+    ])
+    def test_repeated_id_reports_location(self, tmp_path, name, line):
+        save_scene(make_minimal_model(), tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(MalformedFileError, match=rf"{name}:3: repeated"):
             load_scene(tmp_path)
 
     def test_unsupported_camera_model(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landmarkloc.errors import DegeneracyError, EmptyResultError, MalformedFileError
+from landmarkloc.errors import DegeneracyError, MalformedFileError
 from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.mesh import TriangleMesh, box_mesh, ray_cast
 from landmarkloc.scene_model import (
@@ -9,7 +9,6 @@ from landmarkloc.scene_model import (
     Intrinsics,
     Pose,
     SceneModel,
-    TrackPoint,
     look_at_pose,
     project,
     project_many,
@@ -20,7 +19,6 @@ from landmarkloc.visibility import (
     _visible,
     compute_visibility,
     estimate_affine_alignment,
-    filter_registration,
     is_visible,
     landmark_reference_normals,
     load_visibility,
@@ -169,48 +167,6 @@ class TestAffineAlignment:
     def test_too_few_matches(self):
         with pytest.raises(DegeneracyError):
             estimate_affine_alignment(np.zeros((3, 3)), np.zeros((3, 3)), 0.05)
-
-
-class TestFilterRegistration:
-    def make_model(self, track_lengths):
-        K = make_intrinsics()
-        n_images = max(track_lengths) + 2
-        images = {
-            i: ImageRecord(i, Pose(np.eye(3), np.array([0.0, 0.0, float(i)])), 1, f"i{i}.png")
-            for i in range(n_images)
-        }
-        points = {}
-        for pid, tl in enumerate(track_lengths):
-            obs = [(i, np.array([1.0, 1.0])) for i in range(tl)]
-            points[pid] = TrackPoint(pid, np.array([0.0, 0.0, 1.0]), obs)
-        return SceneModel({1: K}, images, points)
-
-    def test_nothing_pruned_when_clean(self):
-        model = self.make_model([60, 70])
-        residuals = {iid: {0: 0.0, 1: 0.0} for iid in model.images}
-        imgs, pts = filter_registration(model, residuals)
-        assert imgs == set(model.images)
-        assert pts == {0, 1}
-
-    def test_bad_image_pruned(self):
-        model = self.make_model([60, 70])
-        residuals = {iid: {0: 0.0, 1: 0.0} for iid in model.images}
-        residuals[0] = {0: 0.10, 1: 0.10}
-        imgs, _ = filter_registration(model, residuals, max_residual=0.05)
-        assert 0 not in imgs
-        assert len(imgs) == len(model.images) - 1
-
-    def test_short_track_pruned_strictly_below_50(self):
-        model = self.make_model([30, 50, 80])
-        residuals = {iid: {} for iid in model.images}
-        _, pts = filter_registration(model, residuals, min_obs=50)
-        assert pts == {1, 2}
-
-    def test_all_pruned_raises(self):
-        model = self.make_model([60])
-        residuals = {iid: {0: 1.0} for iid in model.images}
-        with pytest.raises(EmptyResultError):
-            filter_registration(model, residuals, max_residual=0.05)
 
 
 class TestIsVisible:
