@@ -8,8 +8,7 @@ reported in full-resolution pixel coordinates with a confidence in (0, 1].
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +47,40 @@ class Detection:
             raise ValueError("confidence must be in (0, 1]")
 
 
-@dataclass
 class DetectionSet:
-    image_id: int
-    detections: list = field(default_factory=list)
+    """One image's detections as three columns in landmark-id order:
+    landmark_ids (N,), uv (N, 2) in full-resolution pixels and confidence (N,).
+    DetectionSet(image_id, [Detection, ...]) builds them from rows, and
+    iterating yields the rows back; from_columns takes the columns, in any
+    order. A landmark may appear once."""
 
-    def __post_init__(self):
-        ids = [d.landmark_id for d in self.detections]
-        if len(set(ids)) != len(ids):
+    def __init__(self, image_id: int, detections=()):
+        rows = list(detections)
+        self._set(image_id, [d.landmark_id for d in rows], [d.uv for d in rows],
+                  [d.confidence for d in rows])
+
+    @classmethod
+    def from_columns(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
+        ds = cls.__new__(cls)
+        ds._set(image_id, landmark_ids, uv, confidence)
+        return ds
+
+    def _set(self, image_id, landmark_ids, uv, confidence):
+        ids = np.asarray(landmark_ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        self.image_id, self.landmark_ids = image_id, ids[order]
+        self.uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)[order]
+        self.confidence = np.asarray(confidence, dtype=np.float64).reshape(-1)[order]
+        repeated = self.landmark_ids[1:][np.diff(self.landmark_ids) == 0]
+        if len(repeated):
             raise DuplicateLandmarkError(
-                f"image {self.image_id} has duplicate landmark detections"
-            )
+                f"landmark {repeated[0]} appears more than once in image {image_id}")
 
     def __len__(self):
-        return len(self.detections)
+        return len(self.landmark_ids)
 
     def __iter__(self):
-        return iter(self.detections)
+        return map(Detection, self.landmark_ids.tolist(), self.uv, self.confidence.tolist())
 
 
 def grid_shape(extent) -> tuple:
@@ -146,7 +162,6 @@ def simulate_detections_labeled(
         raise ValueError("noise_sigma_px must be >= 0")
 
     # Landmark ids are positions in ls; mask holds their visibility rows.
-    xyz = ls.xyz.reshape(-1, 3)
     mask = vt.mask[[vt._lrow[lm.id] for lm in ls]]
     detections, outlier_ids = {}, {}
     for iid in sorted(model.images):
@@ -154,7 +169,7 @@ def simulate_detections_labeled(
         K = model.intrinsics[img.camera_id]
         rng = np.random.default_rng(seed ^ iid)
         ids = np.flatnonzero(mask[:, vt._icol[iid]])
-        u, v, valid = _pixel(K, *_camera_frame(img.pose, xyz[ids]).T)
+        u, v, valid = _pixel(K, *_camera_frame(img.pose, ls.xyz[ids]).T)
         ids, truth = ids[valid], np.column_stack([u, v])[valid]
         # The rng draws, in landmark order: an outlier's pixel and confidence,
         # or an inlier's noise.
@@ -171,7 +186,7 @@ def simulate_detections_labeled(
         conf = np.ones(len(ids)) if noise_sigma_px == 0 else np.clip(
             1.0 - np.sqrt(np.vecdot(noise, noise)) / (4.0 * noise_sigma_px), 0.31, 1.0)
         uv[outlier], conf[outlier] = draws[outlier, :2], draws[outlier, 2]
-        detections[iid] = DetectionSet(iid, list(map(Detection, ids.tolist(), uv, conf.tolist())))
+        detections[iid] = DetectionSet.from_columns(iid, ids, uv, conf)
         outlier_ids[iid] = set(ids[outlier].tolist())
     return detections, outlier_ids
 
@@ -201,37 +216,31 @@ def merge_ensemble(sets: list, image_id: int | None = None) -> DetectionSet:
         raise ValueError("nothing to merge")
     if image_id is None:
         image_id = sets[0].image_id
-    merged = {}
     for ds in sets:
         if ds.image_id != image_id:
-            raise ValueError(
-                f"cannot merge image {ds.image_id} into image {image_id}"
-            )
-        for det in ds:
-            if det.landmark_id in merged:
-                raise DuplicateLandmarkError(
-                    f"landmark {det.landmark_id} appears in multiple partitions"
-                )
-            merged[det.landmark_id] = det
-    return DetectionSet(image_id, [merged[k] for k in sorted(merged)])
+            raise ValueError(f"cannot merge image {ds.image_id} into image {image_id}")
+    return DetectionSet.from_columns(image_id, *(
+        np.concatenate([getattr(ds, col) for ds in sets])
+        for col in ("landmark_ids", "uv", "confidence")))
 
 
 CSV_HEADER = ["image_id", "landmark_id", "u", "v_coord", "confidence"]
 
 
 def save_detections(detections: dict, path) -> None:
-    """CSV of all detections, ordered by image id then landmark id."""
+    """CSV of all detections, ordered by image id then landmark id, as
+    csv.writer writes it: CRLF line ends, and each float as _io.fmt gives it."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
         for iid in sorted(detections):
-            for det in sorted(detections[iid], key=lambda d: d.landmark_id):
-                writer.writerow([iid, det.landmark_id, _io.fmt(det.uv[0]), _io.fmt(det.uv[1]),
-                                 _io.fmt(det.confidence)])
+            ds = detections[iid]
+            for lid, (u, v), c in zip(ds.landmark_ids.tolist(), ds.uv.tolist(),
+                                      ds.confidence.tolist()):
+                fh.write(f"{iid},{lid},{u:.17g},{v:.17g},{c:.17g}\r\n")
 
 
 def load_detections(path) -> dict:
-    per_image = {}
+    per_image = {}  # image id -> {landmark id: (u, v, confidence)}, in file order
     with _io.lines(path, ",") as src:
         rows = iter(src)
         if next(rows, None) != CSV_HEADER:
@@ -244,5 +253,10 @@ def load_detections(path) -> dict:
             dets = per_image.setdefault(iid, {})
             if lid in dets:
                 raise ValueError(f"image {iid} lists landmark {lid} twice")
-            dets[lid] = Detection(lid, np.array([u, v]), float(row[4]))
-    return {iid: DetectionSet(iid, list(dets.values())) for iid, dets in per_image.items()}
+            conf = float(row[4])
+            if not 0 < conf <= 1:
+                raise ValueError("confidence must be in (0, 1]")
+            dets[lid] = (u, v, conf)
+    return {iid: DetectionSet.from_columns(
+                iid, list(dets), *np.hsplit(np.array(list(dets.values())), [2]))
+            for iid, dets in per_image.items()}

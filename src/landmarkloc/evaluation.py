@@ -6,7 +6,7 @@ ablation rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -170,14 +170,11 @@ def build_report(
         recall = recall_at(err_list, rot_thresh_deg, pos_thresh_m)
         ang = float("nan")
         if run.detections is not None and run.landmarks is not None:
-            xyz = run.landmarks.xyz
             angles = []
             for iid, ds in run.detections.items():
                 img = run.gt_model.images[iid]
-                ids = [det.landmark_id for det in ds]
-                uv = np.array([det.uv for det in ds]).reshape(-1, 2)
-                angles += _angular_errors(uv, img.pose, run.gt_model.intrinsics[img.camera_id],
-                                          xyz[ids].reshape(-1, 3))
+                angles += _angular_errors(ds.uv, img.pose, run.gt_model.intrinsics[img.camera_id],
+                                          run.landmarks.xyz[ds.landmark_ids])
             ang = _median_or_nan(angles)
         rows.append(
             ReportRow(
@@ -198,24 +195,15 @@ def build_report(
     return EvalReport(rows, rot_thresh_deg, pos_thresh_m)
 
 
-_CSV_COLUMNS = [
-    "label",
-    "n_images",
-    "n_ok",
-    "recall",
-    "median_rot_deg",
-    "median_pos_m",
-    "median_angular_deg",
-    "sec_per_image",
-]
+_CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def report_to_csv(report: EvalReport) -> str:
     rot, pos = _io.fmt(report.rot_thresh_deg), _io.fmt(report.pos_thresh_m)
     lines = [f"# thresholds rot_deg={rot} pos_m={pos}", ",".join(_CSV_COLUMNS)]
     for r in report.rows:
-        vals = (r.recall, r.median_rot_deg, r.median_pos_m, r.median_angular_deg, r.sec_per_image)
-        lines.append(",".join([r.label, str(r.n_images), str(r.n_ok), *map(_io.fmt, vals)]))
+        floats = map(_io.fmt, astuple(r)[3:])
+        lines.append(",".join([r.label, str(r.n_images), str(r.n_ok), *floats]))
     return "\n".join(lines) + "\n"
 
 
@@ -235,18 +223,7 @@ def report_from_csv(text: str) -> EvalReport:
         if line.startswith("label,"):
             continue
         parts = line.split(",")
-        rows.append(
-            ReportRow(
-                parts[0],
-                int(parts[1]),
-                int(parts[2]),
-                float(parts[3]),
-                float(parts[4]),
-                float(parts[5]),
-                float(parts[6]),
-                float(parts[7]),
-            )
-        )
+        rows.append(ReportRow(parts[0], int(parts[1]), int(parts[2]), *map(float, parts[3:8])))
     return EvalReport(rows, rot, pos)
 
 
@@ -273,9 +250,6 @@ def per_image_csv(estimates: dict, gt_model: SceneModel) -> str:
     lines = ["image_id,rot_err_deg,pos_err_m,status"]
     for iid in sorted(errs):
         e = errs[iid]
-        status = estimates[iid].status
-        if e is None:
-            lines.append(f"{iid},nan,nan,{status}")
-        else:
-            lines.append(f"{iid},{_io.fmt(e.rot_deg)},{_io.fmt(e.pos_m)},{status}")
+        rot, pos = (math.nan, math.nan) if e is None else (e.rot_deg, e.pos_m)
+        lines.append(f"{iid},{_io.fmt(rot)},{_io.fmt(pos)},{estimates[iid].status}")
     return "\n".join(lines) + "\n"

@@ -44,6 +44,9 @@ class LandmarkSet:
         for i, lm in enumerate(self.landmarks):
             if lm.id != i:
                 raise ValueError("landmark ids must be contiguous in selection order")
+        # (N, 3), built once and read-only: localize indexes it for every image.
+        self.xyz = np.array([lm.xyz for lm in self.landmarks]).reshape(-1, 3)
+        self.xyz.flags.writeable = False
 
     def __len__(self):
         return len(self.landmarks)
@@ -53,10 +56,6 @@ class LandmarkSet:
 
     def __getitem__(self, i):
         return self.landmarks[i]
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return np.array([lm.xyz for lm in self.landmarks])
 
     @property
     def saliencies(self) -> np.ndarray:

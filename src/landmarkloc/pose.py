@@ -46,6 +46,32 @@ class Correspondence:
         object.__setattr__(self, "xyz", np.asarray(self.xyz, dtype=np.float64).reshape(3))
 
 
+@dataclass(frozen=True)
+class Correspondences:
+    """Correspondences as columns: landmark_ids (N,), uv (N, 2), xyz (N, 3),
+    confidences v (N,) and weights w (N,). Indexing with an int, or iterating,
+    gives Correspondence rows; indexing with an array, the subset's columns."""
+    landmark_ids: np.ndarray
+    uv: np.ndarray
+    xyz: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, corrs) -> Correspondences:
+        """corrs if it is columns already, else its (non-empty) rows stacked."""
+        if isinstance(corrs, cls):
+            return corrs
+        return cls(*map(np.array, zip(*(vars(c).values() for c in corrs))))
+
+    def __len__(self):
+        return len(self.landmark_ids)
+
+    def __getitem__(self, k):
+        cols = [col[k] for col in vars(self).values()]
+        return Correspondences(*cols) if np.ndim(k) else Correspondence(*cols)
+
+
 @dataclass
 class SolverConfig:
     e: float = 2.0                 # weight exponent
@@ -98,17 +124,16 @@ class PoseEstimate:
             raise ValueError("ok estimate requires a pose")
 
 
-def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> list:
-    """Join detections to landmark 3D positions and attach weights v^e.
-    A landmark's id is its position in ls."""
-    corrs = []
-    for det in dets:
-        lid = det.landmark_id
-        if not 0 <= lid < len(ls):
-            raise DanglingReferenceError(f"detection references unknown landmark {lid}")
-        corrs.append(Correspondence(lid, det.uv, ls[lid].xyz, det.confidence,
-                                    det.confidence ** e))
-    return corrs
+def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
+    """Join detections to landmark 3D positions and attach weights v^e, as
+    columns in the detections' order. A landmark's id is its position in ls."""
+    ids = dets.landmark_ids
+    unknown = ids[(ids < 0) | (ids >= len(ls))]
+    if len(unknown):
+        raise DanglingReferenceError(f"detection references unknown landmark {unknown[0]}")
+    # In Python floats: numpy's power differs from libm pow in the last bit (see _squares).
+    w = np.array([v ** e for v in dets.confidence.tolist()])
+    return Correspondences(ids, dets.uv, ls.xyz[ids], dets.confidence, w)
 
 
 # PROSAC samples per Lambda Twist block: 8, doubling to 64. Most images stop within
@@ -333,9 +358,8 @@ def p3p_solve(corrs, K: Intrinsics) -> list:
     """
     if len(corrs) != 3:
         raise ValueError("p3p needs exactly 3 correspondences")
-    uv = np.array([c.uv for c in corrs])
-    P = np.array([c.xyz for c in corrs])
-    degenerate, R, t, _ = _p3p_block(P[None], bearing(K, uv)[None], uv[None], K)
+    c = Correspondences.of(corrs)
+    degenerate, R, t, _ = _p3p_block(c.xyz[None], bearing(K, c.uv)[None], c.uv[None], K)
     if degenerate[0]:
         raise DegeneracyError("3D points are collinear or coincident, or bearings are coincident")
     return [Pose(Ri, ti) for Ri, ti in zip(R, t)]
@@ -404,11 +428,9 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     if n < 4:
         return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
 
-    ranked = sorted(corrs, key=lambda c: (-c.w, c.landmark_id))
-    uv = np.array([c.uv for c in ranked])
-    xyz = np.array([c.xyz for c in ranked])
-    weights = np.array([c.w for c in ranked])
-    ids = [c.landmark_id for c in ranked]
+    corrs = Correspondences.of(corrs)
+    ranked = corrs[np.lexsort((corrs.landmark_ids, -corrs.w))]
+    uv, xyz, weights = ranked.uv, ranked.xyz, ranked.w
     rays = bearing(K, uv)
 
     samples = _prosac_samples(n, cfg, np.random.default_rng(seed))
@@ -461,7 +483,7 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
                         np.ones(best_count), K)
     pose = refit.pose if np.isfinite(refit.cost_trace[-1]) else best_pose
     err = reprojection_errors(pose, uv, xyz, K)
-    inliers = frozenset(ids[i] for i in np.flatnonzero(best_mask))
+    inliers = frozenset(ranked.landmark_ids[best_mask].tolist())
     return PoseEstimate(
         pose, inliers, t, float(err[best_mask].mean()), STATUS_OK
     )
@@ -559,13 +581,9 @@ def refine_weighted(initial: Pose, corrs, K: Intrinsics,
     """Refine a pose on inlier correspondences per cfg.refinement."""
     if len(corrs) < 4:
         raise ValueError("refinement needs at least 4 correspondences")
-    uv = np.array([c.uv for c in corrs])
-    xyz = np.array([c.xyz for c in corrs])
-    if cfg.refinement == "weighted":
-        w = np.array([c.w for c in corrs])
-    else:
-        w = np.ones(len(corrs))
-    return refine_pose(initial, uv, xyz, w, K)
+    corrs = Correspondences.of(corrs)
+    w = corrs.w if cfg.refinement == "weighted" else np.ones(len(corrs))
+    return refine_pose(initial, corrs.uv, corrs.xyz, w, K)
 
 
 def localize(dets, ls: LandmarkSet, K: Intrinsics,
@@ -575,11 +593,9 @@ def localize(dets, ls: LandmarkSet, K: Intrinsics,
     est = prosac_estimate(corrs, K, cfg, seed)
     if est.status != STATUS_OK or cfg.refinement == "none":
         return est
-    inlier_corrs = [c for c in corrs if c.landmark_id in est.inliers]
-    rr = refine_weighted(est.pose, inlier_corrs, K, cfg)
-    uv = np.array([c.uv for c in inlier_corrs])
-    xyz = np.array([c.xyz for c in inlier_corrs])
-    err = reprojection_errors(rr.pose, uv, xyz, K)
+    inliers = corrs[np.isin(corrs.landmark_ids, list(est.inliers))]  # in landmark-id order
+    rr = refine_weighted(est.pose, inliers, K, cfg)
+    err = reprojection_errors(rr.pose, inliers.uv, inliers.xyz, K)
     return PoseEstimate(
         rr.pose, est.inliers, est.num_iterations, float(err.mean()), STATUS_OK, rr
     )
@@ -594,17 +610,9 @@ def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> Non
             fh.write(f"# sec_per_image={_io.fmt(sec_per_image)}\n")
         for iid in sorted(estimates):
             est = estimates[iid]
-            if est.pose is None:
-                qt = ["nan"] * 7
-            else:
-                q = est.pose.qvec
-                t = est.pose.t
-                qt = [_io.fmt(q[0]), _io.fmt(q[1]), _io.fmt(q[2]), _io.fmt(q[3]),
-                      _io.fmt(t[0]), _io.fmt(t[1]), _io.fmt(t[2])]
-            fh.write(
-                f"{iid} {' '.join(qt)} {est.status} {len(est.inliers)} "
-                f"{_io.fmt(est.mean_reproj_px)}\n"
-            )
+            qt = [math.nan] * 7 if est.pose is None else [*est.pose.qvec, *est.pose.t]
+            fh.write(f"{iid} {' '.join(map(_io.fmt, qt))} {est.status} {len(est.inliers)} "
+                     f"{_io.fmt(est.mean_reproj_px)}\n")
 
 
 def load_poses(path):

@@ -390,6 +390,8 @@ def load_visibility(path) -> VisibilityTable:
             if tokens[0][0] == "#":
                 key = tokens[1:2]
                 if key == ["image_ids"]:
+                    if image_ids is not None:
+                        raise ValueError("second image_ids header")
                     image_ids = list(map(int, tokens[2:]))
                     col = {}
                     for j, iid in enumerate(image_ids):

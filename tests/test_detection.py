@@ -1,9 +1,12 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from landmarkloc import _io
 from landmarkloc.detection import (
+    CSV_HEADER,
     Detection,
     DetectionSet,
     Heatmap,
@@ -18,6 +21,7 @@ from landmarkloc.detection import (
 )
 from landmarkloc.errors import DuplicateLandmarkError, MalformedFileError
 from landmarkloc.landmarks import Landmark, LandmarkSet
+from landmarkloc.pose import localize
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
@@ -233,3 +237,106 @@ class TestDetectionIO:
                         "1,4,11.5,21.5,0.8\n")
         with pytest.raises(MalformedFileError, match=r"dets\.csv:3: .*landmark 4 twice"):
             load_detections(path)
+
+
+def save_detections_ref(detections, path):
+    """The writer save_detections replaced: csv.writer over Detection rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for iid in sorted(detections):
+            for det in sorted(detections[iid], key=lambda d: d.landmark_id):
+                writer.writerow([iid, det.landmark_id, _io.fmt(det.uv[0]), _io.fmt(det.uv[1]),
+                                 _io.fmt(det.confidence)])
+
+
+def same_columns(a, b):
+    assert a.image_id == b.image_id
+    assert a.landmark_ids.dtype == b.landmark_ids.dtype
+    for col in ("landmark_ids", "uv", "confidence"):
+        assert np.array_equal(getattr(a, col), getattr(b, col))
+
+
+class TestWriterBytes:
+    EDGES = [0.1, 1 / 3, 1e-300, 5e-324, float(np.nextafter(640.0, 0.0)), 1.0]
+
+    def test_edge_values_match_csv_writer(self, tmp_path):
+        confs = [x for x in self.EDGES if 0 < x <= 1]
+        rows = [Detection(lid, [u, v], confs[lid % len(confs)])
+                for lid, (u, v) in enumerate(zip(self.EDGES, self.EDGES[::-1]))]
+        dets = {7: DetectionSet(7, rows[::-1]), 2: DetectionSet(2, rows[1::2])}
+        save_detections(dets, tmp_path / "got.csv")
+        save_detections_ref(dets, tmp_path / "ref.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + len(rows) + len(rows[1::2])
+        loaded = load_detections(tmp_path / "got.csv")
+        for iid, ds in dets.items():
+            same_columns(loaded[iid], ds)
+
+    def test_simulated_detections_match_csv_writer(self, tmp_path):
+        model, ls, vt = tiny_scene(n_landmarks=50, n_images=10)
+        dets = simulate_detections(model, ls, vt, 1.0, 0.3, seed=12)
+        save_detections(dets, tmp_path / "got.csv")
+        save_detections_ref(dets, tmp_path / "ref.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestRowOrder:
+    """A DetectionSet is its columns in landmark-id order, whatever order its
+    rows come in: from a file, from the groups of an ensemble, or as rows."""
+
+    def scene(self):
+        model, ls, vt = tiny_scene(n_landmarks=40)
+        return model, ls, simulate_detections(model, ls, vt, 1.0, 0.2, seed=4)
+
+    def same_estimate(self, a, b):
+        assert a.status == b.status == "ok"
+        assert a.inliers == b.inliers and a.num_iterations == b.num_iterations
+        assert (a.pose.R == b.pose.R).all() and (a.pose.t == b.pose.t).all()
+        assert a.mean_reproj_px == b.mean_reproj_px
+
+    def test_shuffled_file_loads_and_localizes_the_same(self, tmp_path):
+        model, ls, dets = self.scene()
+        save_detections(dets, tmp_path / "sorted.csv")
+        header, *rows = (tmp_path / "sorted.csv").read_bytes().split(b"\r\n")[:-1]
+        rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        (tmp_path / "shuffled.csv").write_bytes(b"\r\n".join([header, *rows, b""]))
+        ordered, shuffled = (load_detections(tmp_path / name)
+                             for name in ("sorted.csv", "shuffled.csv"))
+        assert set(ordered) == set(shuffled) == set(dets)
+        for iid in dets:
+            same_columns(shuffled[iid], ordered[iid])
+            assert (np.diff(shuffled[iid].landmark_ids) > 0).all()
+            K = model.intrinsics[model.images[iid].camera_id]
+            self.same_estimate(localize(shuffled[iid], ls, K, seed=iid),
+                               localize(ordered[iid], ls, K, seed=iid))
+
+    def test_merge_of_unsorted_groups_is_the_single_set(self):
+        model, ls, dets = self.scene()
+        rng = np.random.default_rng(5)
+        for iid, ds in dets.items():
+            groups = []
+            for g in rng.permutation(3):  # groups interleave in landmark id
+                keep = np.flatnonzero(ds.landmark_ids % 3 == g)[::-1]
+                groups.append(DetectionSet.from_columns(
+                    iid, ds.landmark_ids[keep], ds.uv[keep], ds.confidence[keep]))
+            merged = merge_ensemble(groups, iid)
+            same_columns(merged, ds)
+            K = model.intrinsics[model.images[iid].camera_id]
+            self.same_estimate(localize(merged, ls, K, seed=iid), localize(ds, ls, K, seed=iid))
+
+    def test_landmark_in_two_groups_is_named(self):
+        _, _, dets = self.scene()
+        ds = dets[0]
+        lid = int(ds.landmark_ids[5])
+        a = DetectionSet.from_columns(0, ds.landmark_ids[:8], ds.uv[:8], ds.confidence[:8])
+        b = DetectionSet.from_columns(0, ds.landmark_ids[5:], ds.uv[5:], ds.confidence[5:])
+        with pytest.raises(DuplicateLandmarkError, match=rf"landmark {lid}\b"):
+            merge_ensemble([b, a])
+
+    def test_rows_in_any_order(self):
+        _, _, dets = self.scene()
+        ds = dets[1]
+        same_columns(DetectionSet(1, list(ds)[::-1]), ds)
+        assert [d.landmark_id for d in ds] == ds.landmark_ids.tolist()

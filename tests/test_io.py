@@ -122,6 +122,8 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     ("partition", "part.txt", 3, "0 1"),                                       # id repeated
     ("visibility", "vis.txt", 6, "0 2"),                                       # id repeated
     ("visibility", "vis.txt", 3, "# image_ids 1 1"),                           # image repeated
+    ("visibility", "vis.txt", 6, "# image_ids 2 1"),                           # second header
+    ("visibility", "vis.txt", 6, "# image_ids 1"),                             # second header
     ("ply", "tri.ply", 3, "element vertex"),                                   # no count
     ("ply", "tri.ply", 7, "element face 1.5"),                                 # count
     ("ply", "tri.ply", 13, "3 0 1"),                                           # short face

@@ -14,8 +14,8 @@ from landmarkloc.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
-    block, = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+def demo_files(tmp_path) -> Path:
+    """The README walkthrough on a small scene, synth to simulate."""
     demo = tmp_path / "demo"
     for argv in (
         ["synth", "--out", str(demo), "--seed", "7", "--sites", "120", "--cameras", "8",
@@ -30,6 +30,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
          "--out", str(demo / "dets.csv")],
     ):
         assert main(argv) == 0, argv[0]
+    return demo
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    block, = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    demo = demo_files(tmp_path)
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
@@ -69,3 +75,33 @@ def test_every_name_the_bench_looks_up_resolves(bench):
     targets = [target for target, _, _ in tracer.LAYERS] + ["landmarkloc.cli.localize"]
     targets += [f"{module.__name__}.{name}" for module, name in worker.PER_IMAGE.values()]
     assert [t for t in targets if not resolves(t)] == []
+
+
+def test_traced_layers_record_spans(bench, tmp_path, capsys):
+    # The bench's tracer wraps each layer under the name its caller looks up.
+    # A traced two-CSV localize and an evaluate must reach these layers through
+    # those names; pose.p3p_solve reads 0 since PROSAC stopped calling it.
+    _, tracing = bench
+    demo = demo_files(tmp_path)
+    header, *rows = (demo / "dets.csv").read_text().splitlines()
+    parts = [demo / "dets_even.csv", demo / "dets_odd.csv"]
+    for k, part in enumerate(parts):
+        part.write_text("\n".join([header] + [r for r in rows if int(r.split(",")[1]) % 2 == k]))
+    scene, sel, poses = str(demo / "scene"), str(demo / "sel.txt"), str(demo / "poses.txt")
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert main(["localize", "--scene", scene, "--landmarks", sel, "--detections",
+                     *map(str, parts), "--seed", "0", "--out", poses]) == 0
+        assert main(["evaluate", "--scene", scene, "--estimates", poses, "--detections",
+                     str(demo / "dets.csv"), "--landmarks", sel,
+                     "--out", str(demo / "report.txt")]) == 0
+    finally:
+        tracer.unwrap_all()
+    capsys.readouterr()
+    counts = tracing.call_counts(tracer)
+    layers = ("pose.prosac_estimate", "detection.merge_ensemble",
+              "detection.load_detections", "evaluation.build_report")
+    assert [name for name in layers if not counts.get(name)] == []
+    assert counts["detection.load_detections"] == 3
+    assert tracing.layer_metrics(tracer)["pose.prosac_estimate.iterations"][0] > 0
