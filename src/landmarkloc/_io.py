@@ -1,8 +1,8 @@
 """Line reading and number writing shared by every text file of the pipeline.
 
 Each loader walks its file through lines(), which numbers the lines and
-turns a ValueError raised while one is handled (by int(), float(), finite()
-or a constructor's own check) into a MalformedFileError at path:line.
+turns a ValueError raised while one is handled (by int(), float(), finite(),
+int64() or a constructor's own check) into a MalformedFileError at path:line.
 Each writer writes its floats with fmt(), which reads back bit for bit.
 """
 
@@ -57,6 +57,14 @@ def finite(what, *vals):
     """vals, or a ValueError `non-finite <what>` when one is NaN or infinite."""
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"non-finite {what}")
+    return vals
+
+
+def int64(what, *vals):
+    """vals, or a ValueError `<what> out of the int64 range` when one does not
+    fit in the int64 columns it is read into."""
+    if vals and not (-(1 << 63) <= min(vals) and max(vals) < 1 << 63):
+        raise ValueError(f"{what} out of the int64 range")
     return vals
 
 

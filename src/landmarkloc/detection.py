@@ -65,6 +65,14 @@ class DetectionSet:
         ds._set(image_id, landmark_ids, uv, confidence)
         return ds
 
+    @classmethod
+    def _in_order(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
+        """from_columns for int64 and float64 columns already in increasing
+        landmark-id order, taken as they are."""
+        ds = cls.__new__(cls)
+        ds.image_id, ds.landmark_ids, ds.uv, ds.confidence = image_id, landmark_ids, uv, confidence
+        return ds
+
     def _set(self, image_id, landmark_ids, uv, confidence):
         ids = np.asarray(landmark_ids, dtype=np.int64)
         order = np.argsort(ids, kind="stable")
@@ -240,7 +248,8 @@ def save_detections(detections: dict, path) -> None:
 
 
 def load_detections(path) -> dict:
-    per_image = {}  # image id -> {landmark id: (u, v, confidence)}, in file order
+    seen = {}  # image id -> its landmark ids so far; images in order of first row
+    image, landmark, us, vs, confs = [], [], [], [], []  # one entry per row
     with _io.lines(path, ",") as src:
         rows = iter(src)
         if next(rows, None) != CSV_HEADER:
@@ -250,13 +259,26 @@ def load_detections(path) -> dict:
                 raise ValueError("expected 5 columns")
             iid, lid = int(row[0]), int(row[1])
             u, v = _io.finite("pixel coordinate", float(row[2]), float(row[3]))
-            dets = per_image.setdefault(iid, {})
-            if lid in dets:
+            lids = seen.get(iid)
+            if lids is None:
+                lids = seen[iid] = set()
+            elif lid in lids:
                 raise ValueError(f"image {iid} lists landmark {lid} twice")
             conf = float(row[4])
             if not 0 < conf <= 1:
                 raise ValueError("confidence must be in (0, 1]")
-            dets[lid] = (u, v, conf)
-    return {iid: DetectionSet.from_columns(
-                iid, list(dets), *np.hsplit(np.array(list(dets.values())), [2]))
-            for iid, dets in per_image.items()}
+            lids.add(lid)
+            image.append(iid)
+            landmark.append(lid)
+            us.append(u)
+            vs.append(v)
+            confs.append(conf)
+    # One sort by (image, landmark id); each image's rows are then one slice.
+    place = {iid: k for k, iid in enumerate(seen)}
+    group = np.fromiter(map(place.__getitem__, image), np.int64, len(image))
+    ids = np.array(landmark, dtype=np.int64)
+    order = np.lexsort((ids, group))
+    ids, uv, conf = ids[order], np.column_stack((us, vs))[order], np.array(confs)[order]
+    bounds = np.searchsorted(group[order], np.arange(len(seen) + 1)).tolist()
+    return {iid: DetectionSet._in_order(iid, ids[lo:hi], uv[lo:hi], conf[lo:hi])
+            for iid, lo, hi in zip(seen, bounds, bounds[1:])}

@@ -68,7 +68,7 @@ def _saliencies(points: list, model: SceneModel) -> list:
     pairs = {}  # track length -> its upper-triangle indices
     scores = []
     for point in points:
-        image_ids = sorted({iid for iid, _ in point.observations})
+        image_ids = sorted(set(point.image_ids.tolist()))
         n = len(image_ids)
         if n == 0:
             raise ValueError("point has no observations")

@@ -95,7 +95,8 @@ def ray_cast(mesh: TriangleMesh, origins: np.ndarray, dirs: np.ndarray):
 
 
 def closest_point_on_triangles(p: np.ndarray, v0, v1, v2) -> np.ndarray:
-    """Closest point to p on each of T triangles; vectorized over triangles."""
+    """Closest point to p on each of T triangles; vectorized over triangles.
+    p is one point (3,) or one point per triangle (T, 3)."""
     p = np.asarray(p, dtype=np.float64)
     ab = v1 - v0
     ac = v2 - v0

@@ -184,24 +184,39 @@ class Pose:
         return f"Pose(center={np.round(self.center, 4)})"
 
 
-@dataclass
 class TrackPoint:
-    """A reconstructed 3D point with its 2D observation track."""
+    """A reconstructed 3D point with its 2D observation track, held as two
+    columns in track order: image_ids (n,) int64 and uv (n, 2) pixels.
+    TrackPoint(id, xyz, [(image_id, uv), ...]) builds them from pairs, and
+    observations gives the pairs back; from_columns takes the columns."""
 
-    id: int
-    xyz: np.ndarray
-    observations: list  # [(image_id, np.ndarray uv)], non-empty
-    rgb: tuple | None = None
+    def __init__(self, id: int, xyz, observations, rgb: tuple | None = None):
+        obs = list(observations)
+        self._set(id, xyz, [iid for iid, _ in obs], [uv for _, uv in obs], rgb)
 
-    def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(3)
-        if len(self.observations) == 0:
-            raise ValueError(f"track point {self.id} has no observations")
+    @classmethod
+    def from_columns(cls, id: int, xyz, image_ids, uv, rgb: tuple | None = None) -> TrackPoint:
+        pt = cls.__new__(cls)
+        pt._set(id, xyz, image_ids, uv, rgb)
+        return pt
+
+    def _set(self, id, xyz, image_ids, uv, rgb):
+        self.id, self.rgb = id, rgb
+        self.xyz = np.asarray(xyz, dtype=np.float64).reshape(3)
+        self.image_ids = np.asarray(image_ids, dtype=np.int64).reshape(-1)
+        self.uv = np.asarray(uv, dtype=np.float64).reshape(len(self.image_ids), 2)
+        if len(self.image_ids) == 0:
+            raise ValueError(f"track point {id} has no observations")
+
+    @property
+    def observations(self) -> list:
+        """The track as (image id, uv (2,)) pairs."""
+        return list(zip(self.image_ids.tolist(), self.uv))
 
     @property
     def track_length(self) -> int:
         """Number of distinct observing images."""
-        return len({iid for iid, _ in self.observations})
+        return len(set(self.image_ids.tolist()))
 
 
 @dataclass
@@ -226,12 +241,15 @@ class SceneModel:
                 raise DanglingReferenceError(
                     f"image {img.id} references unknown camera {img.camera_id}"
                 )
-        for pt in self.points.values():
-            for iid, _ in pt.observations:
-                if iid not in self.images:
-                    raise DanglingReferenceError(
-                        f"point {pt.id} references unknown image {iid}"
-                    )
+        points = list(self.points.values())
+        image_ids = np.concatenate([np.empty(0, np.int64), *(pt.image_ids for pt in points)])
+        unknown = ~np.isin(image_ids, np.fromiter(self.images, np.int64, len(self.images)))
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            owner = np.repeat(np.arange(len(points)), [len(pt.image_ids) for pt in points])
+            raise DanglingReferenceError(
+                f"point {points[owner[k]].id} references unknown image {image_ids[k]}"
+            )
 
 
 def _pixel(K: Intrinsics, x, y, z):
@@ -284,7 +302,10 @@ def load_scene(path) -> SceneModel:
 
     Expects cameras.txt, images.txt and points3D.txt. Only PINHOLE and
     SIMPLE_PINHOLE camera models are supported. Quaternions are stored as
-    (qw qx qy qz) and converted to rotation matrices.
+    (qw qx qy qz) and converted to rotation matrices. A track entry that
+    names an unknown image, an observation out of range or another point's
+    observation raises a DanglingReferenceError at points3D.txt:line: the
+    first such entry in the file, unless a malformed line comes before it.
     """
     path = Path(path)
     for name in ("cameras.txt", "images.txt", "points3D.txt"):
@@ -319,27 +340,30 @@ def load_scene(path) -> SceneModel:
             intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
 
     images = {}
-    image_obs = {}  # image_id -> list of (u, v, point3d_id)
+    # Every observation of images.txt, in file order; an image's rows run
+    # from its first row to the next image's.
+    obs_u, obs_v, obs_point, first_row = [], [], [], {}
     with _io.lines(path / "images.txt") as src:
         # Each header line is followed by its observations line, which may be
         # blank; the reader skips a blank line, so it shows as a gap in src.no.
-        obs = hdr_no = None
+        hdr_no = None
         for tokens in src:
-            if obs is not None and src.no == hdr_no + 1:
+            if hdr_no is not None and src.no == hdr_no + 1:
                 if len(tokens) % 3 != 0:
                     raise ValueError("observations not in (x y id) triples")
-                obs.extend(zip(
-                    _io.finite("observation", *map(float, tokens[0::3])),
-                    _io.finite("observation", *map(float, tokens[1::3])),
-                    map(int, tokens[2::3]),
-                ))
-                obs = None
+                u = _io.finite("observation", *map(float, tokens[0::3]))
+                v = _io.finite("observation", *map(float, tokens[1::3]))
+                obs_point += _io.int64("observed point id", *map(int, tokens[2::3]))
+                obs_u += u
+                obs_v += v
+                hdr_no = None
             elif tokens[0][0] != "#":
                 if len(tokens) < 10:
                     raise ValueError("image header line too short")
                 image_id, camera_id = int(tokens[0]), int(tokens[8])
                 if image_id in images:
                     raise ValueError(f"repeated image id {image_id}")
+                _io.int64("image id", image_id)
                 vals = [float(t) for t in tokens[1:8]]
                 _io.finite("pose", *vals)
                 if camera_id not in intrinsics:
@@ -349,44 +373,90 @@ def load_scene(path) -> SceneModel:
                     )
                 pose = Pose(qvec2rotmat(vals[:4]), vals[4:7])
                 images[image_id] = ImageRecord(image_id, pose, camera_id, " ".join(tokens[9:]))
-                obs = image_obs[image_id] = []
+                first_row[image_id] = len(obs_point)
                 hdr_no = src.no
-        if obs is not None and src.no == hdr_no:
+        if hdr_no is not None and src.no == hdr_no:
             raise ValueError("image header without observations line")
 
-    points = {}
-    with _io.lines(path / "points3D.txt") as src:
-        for tokens in src:
-            if tokens[0][0] == "#":
-                continue
-            if len(tokens) < 8 or len(tokens) % 2 != 0:
-                raise ValueError("point line has wrong token count")
-            pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
-            if pt_id in points:
-                raise ValueError(f"repeated point id {pt_id}")
-            *xyz, _error = _io.finite("position or error", *map(float, tokens[1:4] + tokens[7:8]))
-            track = list(map(int, tokens[8:]))
-            observations = []
-            for image_id, p2d_idx in zip(track[0::2], track[1::2]):
-                if image_id not in images:
-                    raise DanglingReferenceError(
-                        f"{src.path}:{src.no}: point {pt_id} references unknown image {image_id}"
-                    )
-                obs = image_obs[image_id]
-                if not (0 <= p2d_idx < len(obs)):
-                    raise DanglingReferenceError(
-                        f"{src.path}:{src.no}: point {pt_id} references observation "
-                        f"{p2d_idx} out of range for image {image_id}"
-                    )
-                u, v, back_ref = obs[p2d_idx]
-                if back_ref != -1 and back_ref != pt_id:
-                    raise DanglingReferenceError(
-                        f"{src.path}:{src.no}: observation {p2d_idx} of image {image_id} "
-                        f"belongs to point {back_ref}, not {pt_id}"
-                    )
-                observations.append((image_id, np.array([u, v])))
-            points[pt_id] = TrackPoint(pt_id, xyz, observations, tuple(rgb))
+    # Each image's first row and row count, by image id. An unknown image gets
+    # the extra last entry, of count 0, and its entries read the -1 that ends
+    # obs_point.
+    keys = np.fromiter(first_row, np.int64, len(first_row))
+    bounds = np.append(np.fromiter(first_row.values(), np.int64, len(first_row)), len(obs_point))
+    by_id = np.argsort(keys)
+    keys, start = keys[by_id], np.append(bounds[:-1][by_id], 0)
+    count = np.append(np.diff(bounds)[by_id], 0)
+    obs_point = np.append(np.array(obs_point, dtype=np.int64), -1)
 
+    points_path = path / "points3D.txt"
+    point_line = {}  # point id -> its line
+    point_xyz, point_rgb, track_len, track_image, track_index = [], [], [], [], []
+
+    def track_rows():
+        """The observation row of each track entry read so far, or a
+        DanglingReferenceError for the first entry in file order that names an
+        unknown image, an observation out of range or one of another point."""
+        image = np.array(track_image, dtype=np.int64)
+        index = np.array(track_index, dtype=np.int64)
+        owner = np.repeat(np.arange(len(track_len)), track_len)
+        owner_id = np.array(list(point_line), dtype=np.int64)[owner]
+        known = np.isin(image, keys)
+        at = np.where(known, np.searchsorted(keys, image), len(keys))
+        in_range = (index >= 0) & (index < count[at])
+        row = np.where(in_range, start[at] + index, -1)
+        back_ref = obs_point[row]
+        foreign = (back_ref != -1) & (back_ref != owner_id)
+        bad = ~in_range | foreign
+        if not bad.any():
+            return image, row
+        k = int(np.argmax(bad))
+        pt_id, image_id, p2d_idx = owner_id[k], image[k], index[k]
+        where = f"{points_path}:{list(point_line.values())[owner[k]]}"
+        if not known[k]:
+            raise DanglingReferenceError(
+                f"{where}: point {pt_id} references unknown image {image_id}")
+        if not in_range[k]:
+            raise DanglingReferenceError(
+                f"{where}: point {pt_id} references observation {p2d_idx} out of range "
+                f"for image {image_id}")
+        raise DanglingReferenceError(
+            f"{where}: observation {p2d_idx} of image {image_id} belongs to point "
+            f"{back_ref[k]}, not {pt_id}")
+
+    with _io.lines(points_path) as src:
+        try:
+            for tokens in src:
+                if tokens[0][0] == "#":
+                    continue
+                if len(tokens) < 8 or len(tokens) % 2 != 0:
+                    raise ValueError("point line has wrong token count")
+                pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
+                if pt_id in point_line:
+                    raise ValueError(f"repeated point id {pt_id}")
+                *xyz, _error = _io.finite("position or error",
+                                          *map(float, tokens[1:4] + tokens[7:8]))
+                track = list(map(int, tokens[8:]))
+                if not track:
+                    raise ValueError(f"track point {pt_id} has no observations")
+                _io.int64("point id or track entry", pt_id, *track)
+                point_line[pt_id] = src.no
+                point_xyz.append(xyz)
+                point_rgb.append(tuple(rgb))
+                track_len.append(len(track) // 2)
+                track_image += track[0::2]
+                track_index += track[1::2]
+        except ValueError:
+            track_rows()  # a dangling reference on an earlier line is reported first
+            raise
+
+    image, row = track_rows()
+    uv = np.column_stack((obs_u, obs_v))[row]
+    xyz = np.array(point_xyz).reshape(-1, 3)
+    bounds = [0, *np.cumsum(track_len).tolist()]
+    points = {
+        pt_id: TrackPoint.from_columns(pt_id, p, image[lo:hi], uv[lo:hi], rgb)
+        for pt_id, p, rgb, lo, hi in zip(point_line, xyz, point_rgb, bounds, bounds[1:])
+    }
     return SceneModel(intrinsics, images, points)
 
 
@@ -404,18 +474,27 @@ def save_scene(model: SceneModel, path) -> None:
                 f"{_io.fmt(K.fx)} {_io.fmt(K.fy)} {_io.fmt(K.cx)} {_io.fmt(K.cy)}\n"
             )
 
-    # Per-image 2D observation lists are rebuilt from the tracks.
-    per_image = {iid: [] for iid in model.images}
-    obs_index = {}  # (point_id, image_id, slot in track) -> index in image list
-    for pt_id in sorted(model.points):
-        for slot, (iid, uv) in enumerate(model.points[pt_id].observations):
-            obs_index[(pt_id, iid, slot)] = len(per_image[iid])
-            per_image[iid].append((uv[0], uv[1], pt_id))
+    # Every observation is a row, in (point id, track slot) order. Each image
+    # lists its rows in that order, and a track entry names the row's place there.
+    point_ids = sorted(model.points)
+    points = [model.points[pid] for pid in point_ids]
+    lens = [len(pt.image_ids) for pt in points]
+    image = np.concatenate([np.empty(0, np.int64), *(pt.image_ids for pt in points)])
+    uv = np.concatenate([np.empty((0, 2)), *(pt.uv for pt in points)])
+    order = np.argsort(image, kind="stable")
+    by_image = image[order]
+    place = np.empty(len(image), dtype=np.int64)
+    place[order] = np.arange(len(image)) - np.searchsorted(by_image, by_image)
 
+    image_ids = sorted(model.images)
+    lo = np.searchsorted(by_image, image_ids).tolist()
+    hi = np.searchsorted(by_image, image_ids, side="right").tolist()
+    u, v = uv[order].T.tolist()
+    owner = np.repeat(np.array(point_ids, dtype=np.int64), lens)[order].tolist()
     with open(path / "images.txt", "w") as fh:
         fh.write("# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n")
         fh.write("# POINTS2D[] as (X Y POINT3D_ID)\n")
-        for iid in sorted(model.images):
+        for iid, first, last in zip(image_ids, lo, hi):
             img = model.images[iid]
             q = img.pose.qvec
             t = img.pose.t
@@ -423,21 +502,15 @@ def save_scene(model: SceneModel, path) -> None:
                 f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
                 f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
             )
-            fh.write(
-                " ".join(f"{_io.fmt(u)} {_io.fmt(v)} {pid}" for u, v, pid in per_image[iid])
-                + "\n"
-            )
+            rows = zip(u[first:last], v[first:last], owner[first:last])
+            fh.write(" ".join(f"{x:.17g} {y:.17g} {pid}" for x, y, pid in rows) + "\n")
 
+    entries = list(zip(image.tolist(), place.tolist()))
+    bounds = [0, *np.cumsum(lens).tolist()]
     with open(path / "points3D.txt", "w") as fh:
         fh.write("# POINT3D_ID X Y Z R G B ERROR TRACK[] as (IMAGE_ID POINT2D_IDX)\n")
-        for pt_id in sorted(model.points):
-            pt = model.points[pt_id]
-            rgb = pt.rgb if pt.rgb is not None else (128, 128, 128)
-            track = " ".join(
-                f"{iid} {obs_index[(pt_id, iid, slot)]}"
-                for slot, (iid, _) in enumerate(pt.observations)
-            )
-            fh.write(
-                f"{pt_id} {_io.fmt(pt.xyz[0])} {_io.fmt(pt.xyz[1])} {_io.fmt(pt.xyz[2])} "
-                f"{rgb[0]} {rgb[1]} {rgb[2]} 0 {track}\n"
-            )
+        for pt_id, pt, lo, hi in zip(point_ids, points, bounds, bounds[1:]):
+            x, y, z = pt.xyz.tolist()
+            r, g, b = pt.rgb if pt.rgb is not None else (128, 128, 128)
+            track = " ".join(f"{iid} {k}" for iid, k in entries[lo:hi])
+            fh.write(f"{pt_id} {x:.17g} {y:.17g} {z:.17g} {r} {g} {b} 0 {track}\n")

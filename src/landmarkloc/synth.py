@@ -199,13 +199,13 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
         vis[:, j] = valid & unoccluded
 
     observed = np.flatnonzero(vis.any(axis=1))
+    columns = np.array(image_ids)
     points = {}
-    for i in observed:
-        obs = [(image_ids[j], uv[i, j]) for j in np.flatnonzero(vis[i])]
-        points[int(i)] = TrackPoint(int(i), sites[i], obs)
+    for i in observed.tolist():
+        points[i] = TrackPoint.from_columns(i, sites[i], columns[vis[i]], uv[i, vis[i]])
     model = SceneModel({1: K}, images, points)
 
-    saliency = _saliencies([points[int(i)] for i in observed], model)
+    saliency = _saliencies(list(points.values()), model)
     landmarks = [Landmark(lm_id, int(i), sites[i], s)
                  for lm_id, (i, s) in enumerate(zip(observed, saliency))]
     gt_landmarks = LandmarkSet(

@@ -22,8 +22,14 @@ import numpy as np
 from . import _io
 from .errors import DegeneracyError, RobustFitError
 from .landmarks import LandmarkSet
-from .mesh import TriangleMesh, nearest_surface_point, ray_cast
+# nearest_surface_point is not called here; perfbench's tracer wraps
+# visibility.nearest_surface_point by name.
+from .mesh import TriangleMesh, closest_point_on_triangles, nearest_surface_point, ray_cast  # noqa: F401
 from .scene_model import Intrinsics, Pose, SceneModel, project_many
+
+# (landmark x triangle) rows per step of landmark_reference_normals: its
+# temporaries are O(rows).
+_NEAREST_ROWS = 4096
 
 
 @dataclass
@@ -318,18 +324,25 @@ def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: fl
     """World-frame mesh normal at each landmark's nearest surface point.
 
     Returns (normals (L,3), excluded landmark ids) where excluded landmarks
-    sit farther than max_dist from the surface.
+    sit farther than max_dist from the surface. The closest points are taken
+    over (landmark x triangle) rows, _NEAREST_ROWS at a time; each landmark
+    gets the distance and triangle nearest_surface_point gives it.
     """
-    face_normals = mesh.face_normals()
-    normals = np.zeros((len(ls), 3))
-    excluded = []
-    for i, lm in enumerate(ls):
-        dist, _, tri = nearest_surface_point(mesh, lm.xyz)
-        if dist > max_dist:
-            excluded.append(lm.id)
-        else:
-            normals[i] = face_normals[tri]
-    return normals, excluded
+    v0, v1, v2 = mesh.corners
+    n_tri = len(v0)
+    step = max(1, _NEAREST_ROWS // max(n_tri, 1))
+    dist, tri = np.empty(len(ls)), np.empty(len(ls), dtype=np.int64)
+    for start in range(0, len(ls), step):
+        block = ls.xyz[start:start + step]
+        k = len(block)
+        p = np.repeat(block, n_tri, axis=0)
+        near = closest_point_on_triangles(p, *(np.tile(v, (k, 1)) for v in (v0, v1, v2)))
+        d = np.linalg.norm(near - p, axis=1).reshape(k, n_tri)
+        tri[start:start + k] = np.argmin(d, axis=1)
+        dist[start:start + k] = d[np.arange(k), tri[start:start + k]]
+    far = dist > max_dist
+    normals = np.where(far[:, None], 0.0, mesh.face_normals()[tri])
+    return normals, [lm.id for lm, out in zip(ls, far.tolist()) if out]
 
 
 def compute_visibility(

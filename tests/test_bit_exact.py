@@ -21,10 +21,12 @@ from landmarkloc.cli import main
 from landmarkloc.detection import Detection, simulate_detections_labeled
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import _angular_errors, detection_angular_error
-from landmarkloc.landmarks import _saliencies, score_saliency
+from landmarkloc.landmarks import Landmark, LandmarkSet, _saliencies, score_saliency
+from landmarkloc.mesh import nearest_surface_point
 from landmarkloc.pose import Correspondence, SolverConfig, localize, p3p_solve, prosac_estimate
 from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, project
 from landmarkloc.synth import SynthConfig, generate_scene
+from landmarkloc.visibility import landmark_reference_normals
 
 from conftest import p3p_in_blocks, random_rotation
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref
@@ -146,6 +148,32 @@ def test_synth_observations_match_project(scene):
             assert tuple(uv) == project_ref(K, model.images[iid].pose, pt.xyz)
 
 
+def reference_normals_ref(mesh, ls, max_dist):
+    normals, excluded = np.zeros((len(ls), 3)), []
+    for i, lm in enumerate(ls):
+        dist, _, tri = nearest_surface_point(mesh, lm.xyz)
+        if dist > max_dist:
+            excluded.append(lm.id)
+        else:
+            normals[i] = mesh.face_normals()[tri]
+    return normals, excluded
+
+
+def test_reference_normals_match_one_landmark():
+    # 84 triangles, sites on the walls and occluders, and points off the mesh;
+    # 4096 rows per step is 48 landmarks, so the last step is a partial one.
+    scene = generate_scene(SynthConfig(num_landmark_sites=200, num_occluders=6, seed=3))
+    rng = np.random.default_rng(2)
+    xyz = np.vstack([scene.gt_landmarks.xyz, rng.uniform([0, 0, 0], [6, 4, 3], size=(100, 3))])
+    ls = LandmarkSet([Landmark(i, i, p, 1.0) for i, p in enumerate(xyz)])
+    for max_dist in (0.2, 0.05, 0.0):
+        normals, excluded = landmark_reference_normals(scene.mesh, ls, max_dist)
+        ref_normals, ref_excluded = reference_normals_ref(scene.mesh, ls, max_dist)
+        assert (normals == ref_normals).all()
+        assert excluded == ref_excluded
+        assert 0 < len(excluded) < len(ls)
+
+
 @pytest.mark.parametrize("sigma, outlier_rate", [(1.0, 0.3), (0.0, 0.0)])
 def test_simulate_matches_one_row(scene, sigma, outlier_rate):
     dets, outliers = simulate_detections_labeled(
@@ -163,7 +191,9 @@ def test_simulate_matches_one_row(scene, sigma, outlier_rate):
 # after the wall-time line of poses.txt is set to a constant.
 PINNED = {
     "synth/landmarks.txt": "b99f1a00f8f836c5aa78283486553f490f74126671ff1d3ab96f8d64c07925ec",
+    "synth/scene/cameras.txt": "e01f204013c99352da1a37ece8efe77cda27a2a53697c5e756d8c7afa28338b7",
     "synth/scene/images.txt": "0edbbb2b0118eda4d8f25ad8ee2ac489faaa7706ffe32e5d1d2f9777bc030860",
+    "synth/scene/points3D.txt": "5e68baf41b273f8dd2757abf38f2db2b2502b322130990d68c2c51d491842838",
     "sel.txt": "0e08b70dd5feccf6b8630dffabf776b739e563f10b2ec53e147e0137e1f34816",
     "dets.csv": "c3943d3bca9ea8cc2082789c5e2551e1f944250d39042890f3f128908af0229a",
     "report.csv": "807870a85b090bbcbde74df20c68fd8acbc6097811e21392b2eb8df543a3b400",

@@ -238,6 +238,33 @@ class TestDetectionIO:
         with pytest.raises(MalformedFileError, match=r"dets\.csv:3: .*landmark 4 twice"):
             load_detections(path)
 
+    def test_repeated_pair_comes_before_later_checks(self, tmp_path):
+        # The repeat is found on its own line, ahead of that line's confidence
+        # and of any later line, with other images' rows in between.
+        path = tmp_path / "dets.csv"
+        path.write_text("image_id,landmark_id,u,v_coord,confidence\n"
+                        "1,4,10.5,20.5,0.9\n"
+                        "2,4,10.5,20.5,0.9\n"
+                        "1,4,11.5,21.5,7\n"
+                        "1,5,11.5,21.5,x\n")
+        with pytest.raises(MalformedFileError, match=r"dets\.csv:4: .*image 1 lists landmark 4 twice"):
+            load_detections(path)
+
+    def test_columns_in_landmark_order_per_image(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        path.write_text("image_id,landmark_id,u,v_coord,confidence\n"
+                        "5,9,1,2,0.5\n"
+                        "2,3,3,4,0.25\n"
+                        "5,1,5,6,1\n"
+                        "2,0,7,8,0.75\n")
+        loaded = load_detections(path)
+        assert list(loaded) == [5, 2]  # images in order of first appearance
+        assert loaded[5].landmark_ids.tolist() == [1, 9]
+        assert loaded[5].uv.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+        assert loaded[2].confidence.tolist() == [0.75, 0.25]
+        assert all(ds.uv.flags.c_contiguous and ds.confidence.flags.c_contiguous
+                   for ds in loaded.values())
+
 
 def save_detections_ref(detections, path):
     """The writer save_detections replaced: csv.writer over Detection rows."""

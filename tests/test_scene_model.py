@@ -185,9 +185,39 @@ class TestSceneModel:
         with pytest.raises(DanglingReferenceError):
             SceneModel({1: K}, images, {0: pt})
 
+    def test_dangling_image_reference_names_point_and_image(self):
+        K = make_intrinsics()
+        images = {1: ImageRecord(1, Pose(np.eye(3), np.zeros(3)), 1, "a.png")}
+        good = TrackPoint(0, [0, 0, 2], [(1, np.array([1.0, 1.0]))])
+        bad = TrackPoint(5, [0, 0, 2], [(1, np.array([1.0, 1.0])), (98, np.array([2.0, 1.0])),
+                                        (99, np.array([3.0, 1.0]))])
+        with pytest.raises(DanglingReferenceError) as err:
+            SceneModel({1: K}, images, {0: good, 5: bad})
+        assert str(err.value) == "point 5 references unknown image 98"
+
     def test_empty_track_rejected(self):
         with pytest.raises(ValueError):
             TrackPoint(0, [0, 0, 2], [])
+        with pytest.raises(ValueError):
+            TrackPoint.from_columns(0, [0, 0, 2], [], np.empty((0, 2)))
+
+
+class TestTrackPoint:
+    def test_pairs_and_columns_agree(self):
+        pairs = [(3, np.array([1.5, 2.5])), (1, np.array([0.25, 7.0])), (3, np.array([4.0, 5.0]))]
+        pt = TrackPoint(9, [1, 2, 3], pairs, (1, 2, 3))
+        cols = TrackPoint.from_columns(9, [1, 2, 3], [3, 1, 3], [[1.5, 2.5], [0.25, 7.0], [4.0, 5.0]])
+        for p in (pt, cols):
+            assert p.image_ids.dtype == np.int64 and p.uv.shape == (3, 2)
+            assert p.image_ids.tolist() == [3, 1, 3]  # track order is kept
+            assert [(i, tuple(uv)) for i, uv in p.observations] == [
+                (i, tuple(uv)) for i, uv in pairs]
+            assert p.track_length == 2
+        assert pt.rgb == (1, 2, 3) and cols.rgb is None
+
+    def test_columns_must_pair_up(self):
+        with pytest.raises(ValueError):
+            TrackPoint.from_columns(0, [0, 0, 2], [1, 2], [[1.0, 1.0]])
 
 
 class TestSceneIO:
@@ -304,6 +334,58 @@ class TestSceneIO:
         text = pts.read_text() + "8 0 0 1 0 0 0 0 42 0\n"
         pts.write_text(text)
         with pytest.raises(DanglingReferenceError):
+            load_scene(tmp_path)
+
+    @pytest.mark.parametrize("lines, error, message", [
+        (["8 0 0 1 0 0 0 0 42 0"], DanglingReferenceError,
+         "3: point 8 references unknown image 42"),
+        (["8 0 0 1 0 0 0 0 1 5"], DanglingReferenceError,
+         "3: point 8 references observation 5 out of range for image 1"),
+        (["8 0 0 1 0 0 0 0 1 -1"], DanglingReferenceError,
+         "3: point 8 references observation -1 out of range for image 1"),
+        (["8 0 0 1 0 0 0 0 1 0"], DanglingReferenceError,
+         "3: observation 0 of image 1 belongs to point 7, not 8"),
+        # The first failing entry of a line, then the first failing line.
+        (["8 0 0 1 0 0 0 0 1 3 42 0"], DanglingReferenceError,
+         "3: point 8 references observation 3 out of range for image 1"),
+        (["8 0 0 1 0 0 0 0 2 0 42 0", "9 0 0 1 0 0 0 0 1 0"], DanglingReferenceError,
+         "3: observation 0 of image 2 belongs to point 7, not 8"),
+        # A dangling line before a malformed one is reported, and after it is not.
+        (["8 0 0 1 0 0 0 0 42 0", "9 0 0 1"], DanglingReferenceError,
+         "3: point 8 references unknown image 42"),
+        (["9 0 0 1", "8 0 0 1 0 0 0 0 42 0"], MalformedFileError,
+         "3: point line has wrong token count"),
+        (["8 0 0 1 0 0 0 0 42 0", "9 0 0 1 0 0 0 0"], DanglingReferenceError,
+         "3: point 8 references unknown image 42"),
+        (["9 0 0 1 0 0 0 0", "8 0 0 1 0 0 0 0 42 0"], MalformedFileError,
+         "3: track point 9 has no observations"),
+        (["8 0 0 1 0 0 0 0 42 0", "9 0 0 1 0 0 0 0 1 x"], DanglingReferenceError,
+         "3: point 8 references unknown image 42"),
+    ], ids=["unknown-image", "index-out-of-range", "negative-index", "back-reference",
+            "first-entry-of-line", "first-line", "dangling-then-short", "short-then-dangling",
+            "dangling-then-empty", "empty-then-dangling", "dangling-then-bad-int"])
+    def test_bad_track_reports_first_failing_line(self, tmp_path, lines, error, message):
+        save_scene(make_minimal_model(), tmp_path)
+        path = tmp_path / "points3D.txt"
+        path.write_text(path.read_text() + "".join(line + "\n" for line in lines))
+        with pytest.raises(error) as err:
+            load_scene(tmp_path)
+        assert str(err.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("name, line_no, line", [
+        ("images.txt", 3, "9223372036854775808 1 0 0 0 0 0 0 1 img0.png"),
+        ("images.txt", 4, "50 50 9223372036854775807 50 50 -9223372036854775809"),
+        ("points3D.txt", 2, "9223372036854775808 0 0 2 128 128 128 0 1 0 2 0"),
+        ("points3D.txt", 2, "7 0 0 2 128 128 128 0 1 0 2 18446744073709551616"),
+    ])
+    def test_id_outside_int64_reports_location(self, tmp_path, name, line_no, line):
+        # Ids and track entries are read into int64 columns.
+        save_scene(make_minimal_model(), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFileError, match=rf"{name}:{line_no}: .* out of the int64"):
             load_scene(tmp_path)
 
     def test_simple_pinhole_supported(self, tmp_path):
