@@ -8,6 +8,7 @@ reported in full-resolution pixel coordinates with a confidence in (0, 1].
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,7 +249,81 @@ def save_detections(detections: dict, path) -> None:
 
 
 def load_detections(path) -> dict:
-    seen = {}  # image id -> its landmark ids so far; images in order of first row
+    """Read a detections CSV: a `image_id,landmark_id,u,v_coord,confidence`
+    header line, then one line per detection with an int64 image id and
+    landmark id, finite pixel coordinates u and v, and a confidence in (0, 1].
+    An image may list a landmark once. Returns image id -> DetectionSet, the
+    images in order of their first line.
+
+    The file is parsed in one np.loadtxt pass when it is in the plain form
+    save_detections writes: ASCII, the header as its first line, and plain
+    numbers. Any other file, and any file that fails a check, is read again
+    by the row loop, which accepts what Python's int() and float() accept and
+    raises MalformedFileError at the first bad line. Both give the same sets.
+    """
+    cols = _bulk_columns(path)
+    sets = None if cols is None else _by_image(*cols)
+    return _by_image(*_row_columns(path)) if sets is None else sets
+
+
+def _by_image(image, ids, uv, conf):
+    """Columns of rows in any order as image id -> DetectionSet, the images in
+    order of their first row; None when an image lists a landmark twice."""
+    # One sort by (image, landmark id); each image's rows are then one slice.
+    order = np.lexsort((ids, image))
+    image, ids, uv, conf = image[order], ids[order], uv[order], conf[order]
+    if ((image[1:] == image[:-1]) & (ids[1:] == ids[:-1])).any():
+        return None
+    images, start = np.unique(image, return_index=True)
+    bounds = start.tolist() + [len(image)]
+    sets = [DetectionSet._in_order(iid, ids[lo:hi], uv[lo:hi], conf[lo:hi])
+            for iid, lo, hi in zip(images.tolist(), bounds, bounds[1:])]
+    first_rows = np.minimum.reduceat(order, start)
+    return {sets[k].image_id: sets[k] for k in np.argsort(first_rows).tolist()}
+
+
+_CSV_DTYPE = np.dtype([(name, np.int64 if name.endswith("id") else np.float64)
+                       for name in CSV_HEADER])
+# np.loadtxt strips these from a number as blanks, where int() and float()
+# refuse it. It also reads some non-ASCII letters in an integer as digits, so
+# it is given ASCII text only.
+_NOT_BLANK = "\x1c\x1d\x1e\x1f"
+
+
+def _checked_lines(fh):
+    """The lines of fh, read 64 KiB at a time; a ValueError at a block with a
+    character of _NOT_BLANK."""
+    for block in iter(lambda: fh.readlines(1 << 16), []):
+        text = "".join(block)
+        if any(c in text for c in _NOT_BLANK):
+            raise ValueError("information separator in the text")
+        yield from block
+
+
+def _bulk_columns(path):
+    """The columns (image, landmark id, uv, confidence) of a detections CSV
+    from one np.loadtxt pass, or None when loadtxt does not take the file or
+    a row fails a check on its own. loadtxt takes no token that int() and
+    float() refuse, and reads each one it takes to the same value."""
+    try:
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            if fh.readline() != ",".join(CSV_HEADER) + "\n":
+                return None
+            rows = np.loadtxt(_checked_lines(fh), dtype=_CSV_DTYPE, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    image, ids, conf = rows["image_id"], rows["landmark_id"], rows["confidence"]
+    uv = np.column_stack((rows["u"], rows["v_coord"]))
+    if not (np.isfinite(uv).all() and ((conf > 0) & (conf <= 1)).all()):
+        return None
+    return image, ids, uv, conf
+
+
+def _row_columns(path):
+    """_bulk_columns by a loop over the rows, which names the first bad line."""
+    pairs = set()
     image, landmark, us, vs, confs = [], [], [], [], []  # one entry per row
     with _io.lines(path, ",") as src:
         rows = iter(src)
@@ -257,28 +332,18 @@ def load_detections(path) -> dict:
         for row in rows:
             if len(row) != 5:
                 raise ValueError("expected 5 columns")
-            iid, lid = int(row[0]), int(row[1])
+            iid, lid = _io.int64("image or landmark id", int(row[0]), int(row[1]))
             u, v = _io.finite("pixel coordinate", float(row[2]), float(row[3]))
-            lids = seen.get(iid)
-            if lids is None:
-                lids = seen[iid] = set()
-            elif lid in lids:
+            if (iid, lid) in pairs:
                 raise ValueError(f"image {iid} lists landmark {lid} twice")
             conf = float(row[4])
             if not 0 < conf <= 1:
                 raise ValueError("confidence must be in (0, 1]")
-            lids.add(lid)
+            pairs.add((iid, lid))
             image.append(iid)
             landmark.append(lid)
             us.append(u)
             vs.append(v)
             confs.append(conf)
-    # One sort by (image, landmark id); each image's rows are then one slice.
-    place = {iid: k for k, iid in enumerate(seen)}
-    group = np.fromiter(map(place.__getitem__, image), np.int64, len(image))
-    ids = np.array(landmark, dtype=np.int64)
-    order = np.lexsort((ids, group))
-    ids, uv, conf = ids[order], np.column_stack((us, vs))[order], np.array(confs)[order]
-    bounds = np.searchsorted(group[order], np.arange(len(seen) + 1)).tolist()
-    return {iid: DetectionSet._in_order(iid, ids[lo:hi], uv[lo:hi], conf[lo:hi])
-            for iid, lo, hi in zip(seen, bounds, bounds[1:])}
+    return (np.array(image, dtype=np.int64), np.array(landmark, dtype=np.int64),
+            np.column_stack((us, vs)), np.array(confs))

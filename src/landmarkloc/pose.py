@@ -22,7 +22,6 @@ from .scene_model import (
     _pixel,
     axis_angle_to_matrix,
     bearing,
-    project_many,
     qvec2rotmat,
 )
 
@@ -489,6 +488,36 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     )
 
 
+def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
+    """The camera frame (N, 3) of the points xyz (N, 3) under pose, as the gemm
+    that project_many makes, and their reprojection residuals (N, 2),
+    projection - observation, NaN for points at or behind the camera."""
+    cam = xyz @ pose.R.T + pose.t
+    proj = np.empty((len(cam), 2))
+    proj[:, 0], proj[:, 1], _ = _pixel(K, *cam.T)
+    return cam, proj - uv
+
+
+def _stacked_system(cam: np.ndarray, res: np.ndarray, K: Intrinsics, scale):
+    """res stacked (2N,) and its analytic Jacobian (2N, 6) at the camera-frame
+    points cam, both rows multiplied by scale (2N,) unless it is None."""
+    x, y, z = cam.T
+    # d(uv)/d(cam) has rows [a, 0, b] and [0, c, d]; d(cam)/d(omega) = -[cam]_x
+    # and d(cam)/d(dt) = I.
+    a, b = K.fx / z, -K.fx * x / z**2
+    c, d = K.fy / z, -K.fy * y / z**2
+    res = res.reshape(-1)
+    J = np.empty((len(res), 6))
+    Ju, Jv = J[0::2], J[1::2]
+    Ju[:, 0], Ju[:, 1], Ju[:, 2] = b * y, a * z - b * x, -a * y
+    Ju[:, 3], Ju[:, 4], Ju[:, 5] = a, 0.0, b
+    Jv[:, 0], Jv[:, 1], Jv[:, 2] = d * y - c * z, -d * x, c * x
+    Jv[:, 3], Jv[:, 4], Jv[:, 5] = 0.0, c, d
+    if scale is None:
+        return res, J
+    return res * scale, J * scale[:, None]
+
+
 def pose_residuals_jacobian(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
                             K: Intrinsics, weights: np.ndarray | None = None):
     """Stacked reprojection residuals and their analytic Jacobian.
@@ -498,23 +527,8 @@ def pose_residuals_jacobian(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
     left-multiplicative increment [rotation omega, translation dt] applied at
     the current pose. Rows are scaled by sqrt(w).
     """
-    res = (project_many(K, pose, xyz)[0] - uv).reshape(-1)
-    x, y, z = (xyz @ pose.R.T + pose.t).T
-    # d(uv)/d(cam) has rows [a, 0, b] and [0, c, d]; d(cam)/d(omega) = -[cam]_x
-    # and d(cam)/d(dt) = I.
-    a, b = K.fx / z, -K.fx * x / z**2
-    c, d = K.fy / z, -K.fy * y / z**2
-    J = np.empty((len(res), 6))
-    Ju, Jv = J[0::2], J[1::2]
-    Ju[:, 0], Ju[:, 1], Ju[:, 2] = b * y, a * z - b * x, -a * y
-    Ju[:, 3], Ju[:, 4], Ju[:, 5] = a, 0.0, b
-    Jv[:, 0], Jv[:, 1], Jv[:, 2] = d * y - c * z, -d * x, c * x
-    Jv[:, 3], Jv[:, 4], Jv[:, 5] = 0.0, c, d
-    if weights is not None:
-        s = np.sqrt(np.repeat(weights, 2))
-        res = res * s
-        J = J * s[:, None]
-    return res, J
+    scale = None if weights is None else np.sqrt(np.repeat(weights, 2))
+    return _stacked_system(*_residuals(pose, uv, xyz, K), K, scale)
 
 
 def _apply_increment(pose: Pose, step: np.ndarray) -> Pose:
@@ -529,28 +543,32 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
     Steps that fail to decrease the cost or push a point behind the camera
     are rejected (damping increases); the accepted-cost trace is therefore
     non-increasing. Converges on step norm < 1e-10 or cost decrease < 1e-12.
+    Each pose is projected once: the accepted trial's camera frame and
+    residuals give the next Jacobian.
     """
-    def weighted_cost(p: Pose) -> float:
-        du, dv = (project_many(K, p, xyz)[0] - uv).T
+    def weighted_cost(res: np.ndarray) -> float:
+        du, dv = res.T
         cost = float((w * (du * du + dv * dv)).sum())
         return np.inf if math.isnan(cost) else cost  # NaN: a point behind the camera
 
     pose = initial
-    cost = weighted_cost(pose)
+    cam, res = _residuals(pose, uv, xyz, K)
+    cost = weighted_cost(res)
     trace = [cost]
     lam = 1e-6
+    scale, eye = np.sqrt(np.repeat(w, 2)), np.eye(6)
     converged = False
     iterations = 0
     if not np.isfinite(cost):
         return RefineResult(pose, False, 0, trace)
     for iterations in range(1, max_iter + 1):
-        res, J = pose_residuals_jacobian(pose, uv, xyz, K, weights=w)
-        g = J.T @ res
+        r, J = _stacked_system(cam, res, K, scale)
+        g = J.T @ r
         H = J.T @ J
         accepted = False
         for _ in range(25):
             try:
-                step = np.linalg.solve(H + lam * np.eye(6), -g)
+                step = np.linalg.solve(H + lam * eye, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -558,10 +576,11 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
                 converged = True
                 break
             trial = _apply_increment(pose, step)
-            trial_cost = weighted_cost(trial)
+            trial_cam, trial_res = _residuals(trial, uv, xyz, K)
+            trial_cost = weighted_cost(trial_res)
             if trial_cost < cost:
                 decrease = cost - trial_cost
-                pose, cost = trial, trial_cost
+                pose, cam, res, cost = trial, trial_cam, trial_res, trial_cost
                 trace.append(cost)
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True

@@ -1,10 +1,11 @@
 """Core geometric types, SfM-model text ingestion, and projection operators.
 
-project_many is the pinhole projection of arrays of points: the pose
-solver's residuals and Jacobian and the visibility test call it. project is
-the one-point case of _pixel on _camera_frame rows, which the detection
-simulator and the synthetic scene generator project. All of them apply
-_pixel, the one place the model is written.
+project_many is the pinhole projection of arrays of points, which the
+visibility test and the synthetic scene generator call; the pose solver's
+residuals and Jacobian (pose._residuals) apply _pixel to the same camera-frame
+product. project is the one-point case of _pixel on _camera_frame rows, which
+the detection simulator and the synthetic scene generator project. All of
+them apply _pixel, the one place the model is written.
 
 Conventions used by every module in this package:
   - poses are world-to-camera: p_cam = R @ p_world + t, camera center = -R^T t

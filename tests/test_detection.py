@@ -10,6 +10,9 @@ from landmarkloc.detection import (
     Detection,
     DetectionSet,
     Heatmap,
+    _bulk_columns,
+    _by_image,
+    _row_columns,
     extract_detection,
     grid_shape,
     load_detections,
@@ -367,3 +370,103 @@ class TestRowOrder:
         ds = dets[1]
         same_columns(DetectionSet(1, list(ds)[::-1]), ds)
         assert [d.landmark_id for d in ds] == ds.landmark_ids.tolist()
+
+
+def same_bits(a: dict, b: dict):
+    """Two loaded files: the same images in the same order, and columns with
+    the same dtypes and bytes (so -0.0 and 0.0 differ)."""
+    assert list(a) == list(b) and all(type(k) is int for k in a)
+    for iid in a:
+        assert a[iid].image_id == b[iid].image_id == iid
+        for col in ("landmark_ids", "uv", "confidence"):
+            x, y = getattr(a[iid], col), getattr(b[iid], col)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+class TestLoaderPaths:
+    """load_detections parses a plain file in one np.loadtxt pass and any
+    other through the row loop; both must give the same sets, bit for bit."""
+
+    HEADER = ",".join(CSV_HEADER)
+    ROWS = ["3,7,10.5,20.25,0.875", "1,2,1,2,1", "3,1,630.125,0.5,0.5", "1,0,4,5,0.25"]
+
+    def load_both(self, path):
+        bulk = _bulk_columns(path)
+        loop = _by_image(*_row_columns(path))
+        loaded = load_detections(path)
+        same_bits(loaded, loop)
+        if bulk is not None:
+            same_bits(_by_image(*bulk), loop)
+        return bulk is not None, loaded
+
+    @pytest.mark.parametrize("body, bulk", [
+        ("\r\n".join(ROWS) + "\r\n", True),                         # CRLF
+        ("\n".join(ROWS), True),                                     # no final line end
+        ("\n\n".join(ROWS) + "\n\n", True),                          # blank lines
+        ("\n  \n".join(ROWS) + "\n", False),                         # whitespace-only lines
+        ("\n".join(" , ".join(r.split(",")) for r in ROWS), True),  # padded fields
+        ("+3,+7,+10.5,+20.25,+0.875\n" + "\n".join(ROWS[1:]), True),
+        ("3,7,1.05e1,2025e-2,.875\n" + "\n".join(ROWS[1:]), True),  # exponents, no leading 0
+        ("3,7,1_0.5,20.25,0.875\n" + "\n".join(ROWS[1:]), False),   # underscore: int()/float() only
+        ("\r".join(ROWS), True),                                     # CR line ends
+        ("\u0663,7,10.5,20.25,0.875\n" + "\n".join(ROWS[1:]), False),    # non-ASCII digit
+        ("\n".join(ROWS[::-1]), True),                               # shuffled rows
+        ("", False),                                                 # header only
+    ])
+    def test_variants_give_the_same_sets(self, tmp_path, body, bulk):
+        path = tmp_path / "dets.csv"
+        path.write_bytes((self.HEADER + "\n" + body).encode())
+        took_bulk, loaded = self.load_both(path)
+        assert took_bulk == bulk
+        # Images in order of first row; each set as from the plain file.
+        assert list(loaded) == list(dict.fromkeys(
+            int(line.split(",")[0]) for line in body.splitlines() if line.strip()))
+        plain = tmp_path / "plain.csv"
+        plain.write_text(self.HEADER + "\n" + "\n".join(self.ROWS) + "\n")
+        if body and "1_0.5" not in body:
+            same_bits({iid: loaded[iid] for iid in (3, 1)}, load_detections(plain))
+
+    TOKENS = ["1", "+1", "-1", " 1", "1 ", "\t1", "1\xa0", "\x0c1", "1\x1c", "1\x85", "1\u2028",
+              "1.0", "1.", ".5", "5e-1", "5E-1", "1e+0", "-0", "-0.0", "0x10", "1_0", "\u0661",
+              "\uff11", "nan", "inf", "-inf", "Infinity", "1e400", "1e-400", "", '"1"', "'1'",
+              "1 2", "1d0", "0b1", "nan(1)", "+-1", "--1", "1.5.2", "1j", "\x001", "1\x00",
+              "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+              "-9223372036854775809", "99999999999999999999", "4.9406564584124654e-324",
+              "0.99999999999999994", "1.0000000000000001", "1\u01fe", "\u04ff1", "1\u0663"]
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_bulk_takes_no_token_the_loop_refuses(self, tmp_path, field):
+        # Whenever the one-pass parse takes a token, the row loop takes it too
+        # and reads it to the same bits.
+        path = tmp_path / "dets.csv"
+        taken = 0
+        for token in self.TOKENS:
+            row = ["2", "5", "3.5", "4.5", "0.5"]
+            row[field] = token
+            path.write_text(f"{self.HEADER}\n1,1,1,1,1\n{','.join(row)}\n")
+            if _bulk_columns(path) is None:
+                continue
+            taken += 1
+            self.load_both(path)
+        assert taken >= 10
+
+    def test_random_doubles_read_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 3000
+        bits = rng.integers(0, 0x7FF0000000000000, size=(n, 2), dtype=np.int64)  # finite, >= 0
+        uv = bits.view(np.float64) * np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0)
+        conf = rng.random(n)
+        conf = np.where(conf == 0.0, 1.0, conf)
+        conf[:3] = [1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
+        path = tmp_path / "dets.csv"
+        for form in ("{:.17g}".format, repr):
+            lines = [self.HEADER] + [f"{k % 7},{k},{form(u)},{form(v)},{form(c)}" for k, (u, v), c
+                                     in zip(range(n), uv.tolist(), conf.tolist())]
+            path.write_text("\n".join(lines) + "\n")
+            took_bulk, loaded = self.load_both(path)
+            assert took_bulk
+            for iid, ds in loaded.items():
+                rows = ds.landmark_ids
+                assert (ds.uv.view(np.int64) == uv[rows].view(np.int64)).all()
+                assert (ds.confidence.view(np.int64) == conf[rows].view(np.int64)).all()

@@ -120,6 +120,8 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     ("partition", "part.txt", 3, "1 5"),                                       # group >= g
     ("partition", "part.txt", 3, "1 -1"),                                      # group < 0
     ("partition", "part.txt", 3, "0 1"),                                       # id repeated
+    ("detections", "dets.csv", 3, "1,99999999999999999999,3,4,0.5"),          # id > int64
+    ("detections", "dets.csv", 3, "-9223372036854775809,7,3,4,0.5"),          # id < int64
     ("visibility", "vis.txt", 6, "0 2"),                                       # id repeated
     ("visibility", "vis.txt", 3, "# image_ids 1 1"),                           # image repeated
     ("visibility", "vis.txt", 6, "# image_ids 2 1"),                           # second header

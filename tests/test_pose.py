@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from landmarkloc.detection import Detection, DetectionSet
+from landmarkloc.detection import Detection, DetectionSet, simulate_detections_labeled
 import landmarkloc.pose as pose_module
 from landmarkloc.errors import DanglingReferenceError, DegeneracyError, MalformedFileError
 from landmarkloc.landmarks import Landmark, LandmarkSet
@@ -12,6 +12,7 @@ from landmarkloc.pose import (
     Correspondence,
     PoseEstimate,
     SolverConfig,
+    _apply_increment,
     compute_weights,
     load_poses,
     localize,
@@ -24,8 +25,10 @@ from landmarkloc.pose import (
     save_poses,
 )
 from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
+from landmarkloc.synth import SynthConfig, generate_scene
 
 from conftest import p3p_in_blocks, random_rotation
+from lm_reference import pose_residuals_jacobian_ref, refine_pose_ref
 from quartic_p3p import quartic_p3p_solve
 from scalar_lambda_twist import _cubic_root as scalar_cubic_root, prosac_ref
 
@@ -499,6 +502,62 @@ class TestRefine:
         trace = np.array(rr.cost_trace)
         assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
         assert trace[-1] < trace[0]
+
+    def test_matches_reference_call_for_call(self, monkeypatch):
+        # Every LM call of fixed-seed localize runs (the PROSAC refit and the
+        # final pass, weighted and unweighted), a start with a point behind the
+        # camera and a step that would cross one, against the code that
+        # projected each accepted pose twice.
+        scene = generate_scene(SynthConfig(num_landmark_sites=150, num_cameras=20,
+                                           camera_margin=1.4, min_target_dist=3.0, seed=4))
+        dets, _ = simulate_detections_labeled(
+            scene.model, scene.gt_landmarks, scene.gt_visibility, 1.0, 0.3, seed=8)
+        Ks = scene.model.intrinsics[1]
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return refine_pose(*args)
+
+        monkeypatch.setattr(pose_module, "refine_pose", recording)
+        for refinement in ("unweighted", "weighted"):
+            cfg = SolverConfig(refinement=refinement)
+            for iid in sorted(dets):
+                localize(dets[iid], scene.gt_landmarks, Ks, cfg, seed=iid)
+        assert len(calls) >= 60
+        # The scene of test_rejects_step_behind_camera, from its start and
+        # from the identity pose, where the near point is behind the camera.
+        rng = np.random.default_rng(5)
+        z = rng.uniform(2.0, 6.0, 20)
+        xyz = np.vstack([np.column_stack([rng.uniform(-0.6, 0.6, 20) * z,
+                                          rng.uniform(-0.45, 0.45, 20) * z, z]),
+                         [[0.05, 0.0, -0.05]]])
+        uv = project_many(K, Pose(np.eye(3), np.zeros(3)), xyz)[0]
+        uv[-1] = project_many(K, Pose(np.eye(3), [0.0, 0.0, 0.1]), xyz[-1:])[0]
+        w = np.append(np.ones(20), 1e-12)
+        for tz in (0.1, 0.0):
+            calls.append((Pose(np.eye(3), [0.0, 0.0, tz]), uv, xyz, w, K))
+
+        rejected = behind = 0
+        for args in calls:
+            trials = []
+
+            def counting(pose, step):
+                trials.append(step)
+                return _apply_increment(pose, step)
+
+            got, ref = refine_pose(*args), refine_pose_ref(*args, trial=counting)
+            assert (got.pose.R == ref.pose.R).all() and (got.pose.t == ref.pose.t).all()
+            assert got.cost_trace == ref.cost_trace
+            assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+            for a, b in zip(pose_residuals_jacobian(*args[:3], args[4], args[3]),
+                            pose_residuals_jacobian_ref(*args[:3], args[4], args[3])):
+                assert np.array_equal(a, b, equal_nan=True)
+            rejected += len(trials) > len(ref.cost_trace) - 1
+            behind += ref.cost_trace == [np.inf]
+        unweighted = sum(bool((args[3] == 1.0).all()) for args in calls)
+        assert 0 < unweighted < len(calls)
+        assert rejected >= 2 and behind == 1
 
     def test_too_few_inliers(self):
         rng = np.random.default_rng(72)
