@@ -167,8 +167,8 @@ def simulate_detections_labeled(
     """
     if not (0 <= outlier_rate <= 1):
         raise ValueError("outlier_rate must be in [0, 1]")
-    if noise_sigma_px < 0:
-        raise ValueError("noise_sigma_px must be >= 0")
+    if not 0 <= noise_sigma_px < np.inf:
+        raise ValueError("noise_sigma_px must be finite and >= 0")
 
     # Landmark ids are positions in ls; mask holds their visibility rows.
     mask = vt.mask[[vt._lrow[lm.id] for lm in ls]]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,9 +82,9 @@ class SolverConfig:
     sampler: str = "prosac"        # prosac | ransac (uniform baseline)
 
     def __post_init__(self):
-        if self.e < 0:
+        if not 0 <= self.e < math.inf:
             raise ValueError("weight exponent must be >= 0")
-        if self.threshold_px <= 0:
+        if not 0 < self.threshold_px < math.inf:
             raise ValueError("inlier threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max iterations must be at least 1")
@@ -409,23 +409,11 @@ def _prosac_samples(n: int, cfg: SolverConfig, rng):
             yield np.append(rng.choice(n_cur - 1, size=m - 1, replace=False), n_cur - 1)
 
 
-def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
-                    seed: int = 0) -> PoseEstimate:
-    """PROSAC robust pose estimation over 3-point P3P samples.
-
-    Correspondences are ranked by weight (descending, ties by landmark id);
-    samples are drawn from a progressively growing top-ranked subset per the
-    PROSAC growth function. Hypotheses are scored by inlier count (ties by
-    lower weighted mean error). Terminates adaptively at cfg.confidence.
-
-    Samples are drawn ahead in blocks (8, doubling to 64), each solved by one
-    _p3p_block call and scored in one stacked product; the selection then
-    replays them in order, so it stops at the same sample as a loop that
-    solves one sample at a time, and picks the same winner.
-    """
+def _consensus(corrs, K: Intrinsics, cfg: SolverConfig, seed: int):
+    """prosac_estimate before its refit: (P3P winner's estimate, ranked corrs, inlier mask)."""
     n = len(corrs)
     if n < 4:
-        return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
+        return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT), None, None
 
     corrs = Correspondences.of(corrs)
     ranked = corrs[np.lexsort((corrs.landmark_ids, -corrs.w))]
@@ -470,22 +458,34 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
                             else np.inf
                         )
 
-    if best is None:
-        status = STATUS_DEGENERATE if saw_degenerate else STATUS_NO_CONSENSUS
-        return PoseEstimate(None, frozenset(), t, float("nan"), status)
-    if best_count < cfg.min_inliers:
-        return PoseEstimate(None, frozenset(), t, float("nan"), STATUS_NO_CONSENSUS)
-    best_pose, best_mask = Pose(best[0], best[1]), best[2]
-    # Standard consensus refit: unweighted least squares on the winning
-    # hypothesis's inlier set (the set itself stays fixed).
-    refit = refine_pose(best_pose, uv[best_mask], xyz[best_mask],
-                        np.ones(best_count), K)
-    pose = refit.pose if np.isfinite(refit.cost_trace[-1]) else best_pose
-    err = reprojection_errors(pose, uv, xyz, K)
-    inliers = frozenset(ranked.landmark_ids[best_mask].tolist())
-    return PoseEstimate(
-        pose, inliers, t, float(err[best_mask].mean()), STATUS_OK
-    )
+    if best is None or best_count < cfg.min_inliers:
+        status = STATUS_DEGENERATE if best is None and saw_degenerate else STATUS_NO_CONSENSUS
+        return PoseEstimate(None, frozenset(), t, float("nan"), status), None, None
+    R, T, mask = best
+    inliers = frozenset(ranked.landmark_ids[mask].tolist())
+    return PoseEstimate(Pose(R, T), inliers, t, float("nan"), STATUS_OK), ranked, mask
+
+
+def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
+                    seed: int = 0) -> PoseEstimate:
+    """PROSAC over 3-point P3P samples, then an unweighted LM refit on the winner's inliers.
+
+    Correspondences are ranked by weight (descending, ties by landmark id);
+    samples are drawn from a progressively growing top-ranked subset per the
+    PROSAC growth function. Hypotheses are scored by inlier count (ties by
+    lower weighted mean error). Terminates adaptively at cfg.confidence.
+
+    Samples are drawn ahead in blocks (8, doubling to 64), each solved by one
+    _p3p_block call and scored in one stacked product; the selection then
+    replays them in order, so it stops at the same sample as a loop that
+    solves one sample at a time, and picks the same winner.
+    """
+    est, ranked, mask = _consensus(corrs, K, cfg, seed)
+    if est.status != STATUS_OK:
+        return est
+    pose = refine_pose(est.pose, ranked.uv[mask], ranked.xyz[mask], np.ones(mask.sum()), K).pose
+    err = reprojection_errors(pose, ranked.uv, ranked.xyz, K)
+    return replace(est, pose=pose, mean_reproj_px=float(err[mask].mean()))
 
 
 def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
@@ -607,17 +607,17 @@ def refine_weighted(initial: Pose, corrs, K: Intrinsics,
 
 def localize(dets, ls: LandmarkSet, K: Intrinsics,
              cfg: SolverConfig = SolverConfig(), seed: int = 0) -> PoseEstimate:
-    """Full per-image pipeline: weights -> PROSAC -> weighted refinement."""
+    """Weights -> PROSAC -> one LM: prosac_estimate's refit for "none", else refine_weighted."""
     corrs = compute_weights(dets, ls, cfg.e)
-    est = prosac_estimate(corrs, K, cfg, seed)
-    if est.status != STATUS_OK or cfg.refinement == "none":
+    if cfg.refinement == "none":
+        return prosac_estimate(corrs, K, cfg, seed)
+    est, ranked, mask = _consensus(corrs, K, cfg, seed)
+    if est.status != STATUS_OK:
         return est
-    inliers = corrs[np.isin(corrs.landmark_ids, list(est.inliers))]  # in landmark-id order
+    inliers = ranked[mask]
     rr = refine_weighted(est.pose, inliers, K, cfg)
     err = reprojection_errors(rr.pose, inliers.uv, inliers.xyz, K)
-    return PoseEstimate(
-        rr.pose, est.inliers, est.num_iterations, float(err.mean()), STATUS_OK, rr
-    )
+    return replace(est, pose=rr.pose, mean_reproj_px=float(err.mean()), refine=rr)
 
 
 def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> None:

@@ -40,6 +40,15 @@ class VisibilityConfig:
     max_surface_dist: float = 0.2  # landmarks farther from the mesh are excluded
     decimation: int = 1            # depth-map downsampling factor
 
+    def __post_init__(self):
+        if self.decimation < 1:
+            raise ValueError("decimation must be at least 1")
+        for name in ("tol_depth", "rel_frac", "max_surface_dist"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 <= self.tol_normal_deg <= 180:
+            raise ValueError("tol_normal_deg must lie in [0, 180]")
+
 
 @dataclass
 class DepthMap:

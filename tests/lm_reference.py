@@ -1,18 +1,33 @@
 """Levenberg-Marquardt pose refinement as it was before each pose kept one
-state, kept as the bit-exact reference of pose.refine_pose.
+state, kept as the bit-exact reference of pose.refine_pose; and localize as it
+was when it ran LM twice per image.
 
 This code projects every trial pose once for its cost, then projects the
 accepted one again, and computes its camera frame a second time, for the
 next Jacobian. pose.refine_pose reuses the accepted trial's camera frame and
 residuals instead; it must give the same pose, cost trace, iteration count
 and convergence flag, compared with ==.
+
+localize_two_pass refined PROSAC's unweighted refit a second time.
+pose.localize runs one LM from the P3P winner instead; it must give the same
+statuses and inlier sets, and poses within a tolerance.
 """
 
 import math
 
 import numpy as np
 
-from landmarkloc.pose import RefineResult, _apply_increment
+from landmarkloc.pose import (
+    STATUS_OK,
+    PoseEstimate,
+    RefineResult,
+    SolverConfig,
+    _apply_increment,
+    compute_weights,
+    prosac_estimate,
+    refine_weighted,
+    reprojection_errors,
+)
 from landmarkloc.scene_model import Intrinsics, Pose, project_many
 
 
@@ -83,3 +98,20 @@ def refine_pose_ref(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarra
         if converged or not accepted:
             break
     return RefineResult(pose, converged, iterations, trace)
+
+
+def localize_two_pass(dets, ls, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
+                      seed: int = 0) -> PoseEstimate:
+    """Weights -> PROSAC with its unweighted refit -> for "weighted" and
+    "unweighted", a second LM from the refit pose on the inliers, in the
+    detections' order."""
+    corrs = compute_weights(dets, ls, cfg.e)
+    est = prosac_estimate(corrs, K, cfg, seed)
+    if est.status != STATUS_OK or cfg.refinement == "none":
+        return est
+    inliers = corrs[np.isin(corrs.landmark_ids, list(est.inliers))]
+    rr = refine_weighted(est.pose, inliers, K, cfg)
+    err = reprojection_errors(rr.pose, inliers.uv, inliers.xyz, K)
+    return PoseEstimate(
+        rr.pose, est.inliers, est.num_iterations, float(err.mean()), STATUS_OK, rr
+    )

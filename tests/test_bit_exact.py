@@ -29,7 +29,7 @@ from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
 from conftest import p3p_in_blocks, random_rotation
-from scalar_lambda_twist import p3p_solve_ref, prosac_ref
+from scalar_lambda_twist import consensus_ref, p3p_solve_ref, prosac_ref
 from test_pose import pnp_scene
 
 
@@ -196,7 +196,7 @@ PINNED = {
     "synth/scene/points3D.txt": "5e68baf41b273f8dd2757abf38f2db2b2502b322130990d68c2c51d491842838",
     "sel.txt": "0e08b70dd5feccf6b8630dffabf776b739e563f10b2ec53e147e0137e1f34816",
     "dets.csv": "c3943d3bca9ea8cc2082789c5e2551e1f944250d39042890f3f128908af0229a",
-    "report.csv": "807870a85b090bbcbde74df20c68fd8acbc6097811e21392b2eb8df543a3b400",
+    "report.csv": "dd3e8413c34b9b070e22afe66f978214f27399e27c1f58b5033a258417bea20b",
 }
 
 
@@ -337,6 +337,7 @@ def test_localize_matches_one_sample_loop(scene, monkeypatch, refinement):
     runs = [localize(dets[iid], scene.gt_landmarks, K, cfg, seed=iid)
             for cfg in cfgs for iid in sorted(dets)]
     monkeypatch.setattr(pose_module, "prosac_estimate", prosac_ref)
+    monkeypatch.setattr(pose_module, "_consensus", consensus_ref)
     refs = [localize(dets[iid], scene.gt_landmarks, K, cfg, seed=iid)
             for cfg in cfgs for iid in sorted(dets)]
     for est, ref in zip(runs, refs):

@@ -145,6 +145,26 @@ class TestVisibilityCommand:
         assert rc == 2
         assert f"sel.txt:{row + 1}: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--decimation", "0", "decimation must be at least 1"),
+        ("--decimation", "-2", "decimation must be at least 1"),
+        ("--tol-depth", "nan", "tol_depth must be finite and >= 0"),
+        ("--rel-frac", "-0.1", "rel_frac must be finite and >= 0"),
+        ("--max-surface-dist", "inf", "max_surface_dist must be finite and >= 0"),
+        ("--tol-normal", "181", "tol_normal_deg must lie in [0, 180]"),
+        ("--tol-normal", "nan", "tol_normal_deg must lie in [0, 180]"),
+    ])
+    def test_flag_out_of_range(self, scene_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "v.txt"
+        rc = main(
+            ["visibility", "--scene", str(scene_dir / "scene"),
+             "--mesh", str(scene_dir / "mesh.ply"),
+             "--landmarks", str(scene_dir / "landmarks.txt"), flag, value, "--out", str(out)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tolerances_recorded_in_header(self, scene_dir, tmp_path):
         out = tmp_path / "vis2.txt"
         rc = main(
@@ -191,6 +211,17 @@ class TestPipelineCommands:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_simulate_noise_out_of_range(self, scene_dir, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--scene", str(scene_dir / "scene"),
+                   "--landmarks", str(scene_dir / "landmarks.txt"),
+                   "--visibility", str(scene_dir / "visibility.txt"),
+                   "--noise-sigma", sigma, "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "noise_sigma_px must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_requires_seed(self, scene_dir, tmp_path):
         args = ["simulate", "--scene", str(scene_dir / "scene"),
@@ -395,6 +426,10 @@ class TestLocalizeErrors:
         ("--min-inliers", "3", "min inliers must be at least 4"),
         ("--confidence", "0", "confidence must lie in (0, 1]"),
         ("--confidence", "1.5", "confidence must lie in (0, 1]"),
+        ("--weight-exp", "nan", "weight exponent must be >= 0"),
+        ("--weight-exp", "inf", "weight exponent must be >= 0"),
+        ("--threshold", "nan", "inlier threshold must be positive"),
+        ("--threshold", "inf", "inlier threshold must be positive"),
     ])
     def test_solver_flag_out_of_range(self, scene_dir, pipeline, tmp_path, capsys,
                                       flag, value, message):

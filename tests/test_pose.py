@@ -28,7 +28,7 @@ from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
 from landmarkloc.synth import SynthConfig, generate_scene
 
 from conftest import p3p_in_blocks, random_rotation
-from lm_reference import pose_residuals_jacobian_ref, refine_pose_ref
+from lm_reference import localize_two_pass, pose_residuals_jacobian_ref, refine_pose_ref
 from quartic_p3p import quartic_p3p_solve
 from scalar_lambda_twist import _cubic_root as scalar_cubic_root, prosac_ref
 
@@ -79,6 +79,17 @@ def pnp_scene(rng, n=30, noise=0.0, outlier_frac=0.0):
             v = 1.0
         corrs.append(Correspondence(i, uv, world[i], v, v ** 2))
     return T, corrs, outliers
+
+
+@pytest.fixture(scope="module")
+def outlier_draws():
+    """A synth room and two detection draws on it, 1 px noise and 30%
+    outliers: (scene, [draw 8, draw 9])."""
+    scene = generate_scene(SynthConfig(num_landmark_sites=150, num_cameras=20,
+                                       camera_margin=1.4, min_target_dist=3.0, seed=4))
+    return scene, [simulate_detections_labeled(scene.model, scene.gt_landmarks,
+                                               scene.gt_visibility, 1.0, 0.3, seed=draw)[0]
+                   for draw in (8, 9)]
 
 
 class TestSolverConfig:
@@ -503,15 +514,13 @@ class TestRefine:
         assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
         assert trace[-1] < trace[0]
 
-    def test_matches_reference_call_for_call(self, monkeypatch):
-        # Every LM call of fixed-seed localize runs (the PROSAC refit and the
-        # final pass, weighted and unweighted), a start with a point behind the
-        # camera and a step that would cross one, against the code that
-        # projected each accepted pose twice.
-        scene = generate_scene(SynthConfig(num_landmark_sites=150, num_cameras=20,
-                                           camera_margin=1.4, min_target_dist=3.0, seed=4))
-        dets, _ = simulate_detections_labeled(
-            scene.model, scene.gt_landmarks, scene.gt_visibility, 1.0, 0.3, seed=8)
+    def test_matches_reference_call_for_call(self, monkeypatch, outlier_draws):
+        # Every LM call of fixed-seed localize runs on two detection draws (the
+        # PROSAC refit of refinement "none", and the one pass of "unweighted"
+        # and "weighted"), a start with a point behind the camera and a step
+        # that would cross one, against the code that projected each accepted
+        # pose twice.
+        scene, draws = outlier_draws
         Ks = scene.model.intrinsics[1]
         calls = []
 
@@ -520,10 +529,11 @@ class TestRefine:
             return refine_pose(*args)
 
         monkeypatch.setattr(pose_module, "refine_pose", recording)
-        for refinement in ("unweighted", "weighted"):
-            cfg = SolverConfig(refinement=refinement)
-            for iid in sorted(dets):
-                localize(dets[iid], scene.gt_landmarks, Ks, cfg, seed=iid)
+        for dets in draws:
+            for refinement in ("none", "unweighted", "weighted"):
+                cfg = SolverConfig(refinement=refinement)
+                for iid in sorted(dets):
+                    localize(dets[iid], scene.gt_landmarks, Ks, cfg, seed=iid)
         assert len(calls) >= 60
         # The scene of test_rejects_step_behind_camera, from its start and
         # from the identity pose, where the near point is behind the camera.
@@ -604,6 +614,64 @@ class TestLocalize:
                 dt_u.append(center_dist(eu.pose, T))
         assert len(dt_w) > 100
         assert np.median(dt_w) <= np.median(dt_u)
+
+    @pytest.mark.parametrize("refinement", ["none", "unweighted", "weighted"])
+    def test_one_lm_per_localized_image(self, monkeypatch, outlier_draws, refinement):
+        # One refine_pose call per ok image, none for a failed one: PROSAC's
+        # unweighted refit for "none", else one pass from the P3P winner with
+        # the mode's weights.
+        scene, draws = outlier_draws
+        ls, Ks = scene.gt_landmarks, scene.model.intrinsics[1]
+        cfg = SolverConfig(refinement=refinement)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return refine_pose(*args)
+
+        monkeypatch.setattr(pose_module, "refine_pose", counting)
+        statuses = []
+        for dets in draws:
+            for iid in sorted(dets):
+                before = len(calls)
+                est = localize(dets[iid], ls, Ks, cfg, seed=iid)
+                statuses.append(est.status)
+                assert len(calls) - before == (est.status == "ok")
+                if est.status != "ok":
+                    continue
+                start, _, _, w, _ = calls[-1]
+                winner = pose_module._consensus(compute_weights(dets[iid], ls, cfg.e),
+                                                Ks, cfg, iid)[0].pose
+                assert (start.R == winner.R).all() and (start.t == winner.t).all()
+                assert (w == 1.0).all() == (refinement != "weighted")
+                assert len(w) == len(est.inliers)
+        assert statuses.count("ok") == len(calls) >= 30 and "no_consensus" in statuses
+
+    def test_matches_two_pass_localize(self, outlier_draws):
+        # Against localize as it was when it refined PROSAC's refit again:
+        # the same statuses, inlier sets and PROSAC iterations; "none" keeps
+        # its bits, and the one-pass poses lie within 1e-8 m and 1e-5 deg.
+        scene, draws = outlier_draws
+        ls, Ks = scene.gt_landmarks, scene.model.intrinsics[1]
+        ok = 0
+        for refinement in ("none", "unweighted", "weighted"):
+            cfg = SolverConfig(refinement=refinement)
+            for dets in draws:
+                for iid in sorted(dets):
+                    est = localize(dets[iid], ls, Ks, cfg, seed=iid)
+                    ref = localize_two_pass(dets[iid], ls, Ks, cfg, seed=iid)
+                    assert (est.status, est.inliers, est.num_iterations) == (
+                        ref.status, ref.inliers, ref.num_iterations)
+                    assert (est.refine is None) == (ref.refine is None)
+                    if est.pose is None:
+                        continue
+                    ok += 1
+                    if refinement == "none":
+                        assert (est.pose.R == ref.pose.R).all() and (est.pose.t == ref.pose.t).all()
+                        assert est.mean_reproj_px == ref.mean_reproj_px
+                    assert center_dist(est.pose, ref.pose) < 1e-8
+                    assert rot_angle_deg(est.pose.R, ref.pose.R) < 1e-5
+        assert ok >= 100
 
     def test_refinement_none_returns_prosac_pose(self):
         rng = np.random.default_rng(76)
