@@ -29,7 +29,7 @@ class lines:
         self.no = 0
 
     def __enter__(self):
-        self._fh = open(self.path, errors=self.errors)
+        self._fh = open(self.path, encoding="utf-8", errors=self.errors)
         return self
 
     def __iter__(self):

@@ -158,7 +158,7 @@ def _apply_config(argv: list) -> list:
     path = Path(argv[idx + 1])
     if not path.exists():
         raise DataError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise DataError("config file must be a mapping")
@@ -328,16 +328,16 @@ def cmd_evaluate(args) -> int:
         )
     report = build_report(runs, args.rot_thresh, args.pos_thresh)
     text = report_to_text(report)
-    Path(args.out).write_text(text)
+    Path(args.out).write_text(text, encoding="utf-8")
     if args.csv:
-        Path(args.csv).write_text(report_to_csv(report))
+        Path(args.csv).write_text(report_to_csv(report), encoding="utf-8")
     if args.per_image:
         base = Path(args.per_image)
         for run in runs:
             path = base if len(runs) == 1 else base.with_name(
                 f"{base.stem}_{run.label}{base.suffix}"
             )
-            path.write_text(per_image_csv(run.estimates, model))
+            path.write_text(per_image_csv(run.estimates, model), encoding="utf-8")
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -239,7 +239,7 @@ CSV_HEADER = ["image_id", "landmark_id", "u", "v_coord", "confidence"]
 def save_detections(detections: dict, path) -> None:
     """CSV of all detections, ordered by image id then landmark id, as
     csv.writer writes it: CRLF line ends, and each float as _io.fmt gives it."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for iid in sorted(detections):
             ds = detections[iid]

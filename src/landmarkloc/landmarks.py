@@ -152,7 +152,7 @@ def select_landmarks(
 
 def save_landmarks(ls: LandmarkSet, path) -> None:
     """Write one `id source_point_id x y z saliency` line per landmark."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if ls.provenance:
             prov = " ".join(f"{k}={v}" for k, v in sorted(ls.provenance.items()))
             fh.write(f"# provenance {prov}\n")

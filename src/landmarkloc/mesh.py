@@ -239,7 +239,7 @@ def _load_obj(path) -> TriangleMesh:
 
 
 def save_mesh_ply(mesh: TriangleMesh, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(mesh.vertices)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")

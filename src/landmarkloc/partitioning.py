@@ -239,7 +239,7 @@ def make_partition(
 
 
 def save_partition(pa: PartitionAssignment, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         seed = "none" if pa.seed is None else pa.seed
         fh.write(f"# criterion={pa.criterion} groups={pa.g} seed={seed}\n")
         for lid in sorted(pa.group_of):

@@ -623,7 +623,7 @@ def localize(dets, ls: LandmarkSet, K: Intrinsics,
 def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> None:
     """One `image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px`
     line per image, ordered by image id."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px\n")
         if sec_per_image is not None:
             fh.write(f"# sec_per_image={_io.fmt(sec_per_image)}\n")

@@ -15,7 +15,9 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -298,21 +300,162 @@ def bearing(K: Intrinsics, uv: np.ndarray) -> np.ndarray:
     return d / np.sqrt(np.vecdot(d, d))[..., None]
 
 
+_SCENE_FILES = ("cameras.txt", "images.txt", "points3D.txt")
+_CACHE_NAME = ".landmarkloc-scene.npz"
+# The kept columns: dtype, and the shape of one row.
+_COLUMNS = {
+    "key": (np.uint8, ()),
+    "camera_id": (np.int64, ()), "camera_fxfycxcy": (np.float64, (4,)),
+    "camera_size": (np.int64, (2,)),
+    "image_id": (np.int64, ()), "image_camera": (np.int64, ()),
+    "image_R": (np.float64, (3, 3)), "image_t": (np.float64, (3,)),
+    "image_names": (np.uint8, ()), "image_name_len": (np.int64, ()),
+    "point_id": (np.int64, ()), "point_xyz": (np.float64, (3,)),
+    "point_rgb": (np.int64, (3,)),
+    "track_len": (np.int64, ()), "track_image": (np.int64, ()), "track_uv": (np.float64, (2,)),
+}
+
+
 def load_scene(path) -> SceneModel:
     """Load a COLMAP-style text reconstruction from a directory.
 
     Expects cameras.txt, images.txt and points3D.txt. Only PINHOLE and
     SIMPLE_PINHOLE camera models are supported. Quaternions are stored as
-    (qw qx qy qz) and converted to rotation matrices. A track entry that
-    names an unknown image, an observation out of range or another point's
-    observation raises a DanglingReferenceError at points3D.txt:line: the
-    first such entry in the file, unless a malformed line comes before it.
+    (qw qx qy qz) and converted to rotation matrices. Ids, widths, heights
+    and track entries must fit in int64. A track entry that names an unknown
+    image, an observation out of range or another point's observation raises
+    a DanglingReferenceError at points3D.txt:line: the first such entry in the
+    file, unless a malformed line comes before it.
+
+    The first load of a given set of file bytes parses them with every check,
+    then keeps the model's columns in <path>/.landmarkloc-scene.npz under a
+    SHA-256 key over those bytes, the loader's source and the numpy version.
+    A later load of the same bytes rebuilds the model from that copy, through
+    the same constructors, to the same values, types and order. A failed load
+    writes nothing. A copy that is missing, stale, unreadable or malformed, or
+    a directory that cannot be written, only means the files are parsed.
     """
     path = Path(path)
-    for name in ("cameras.txt", "images.txt", "points3D.txt"):
+    for name in _SCENE_FILES:
         if not (path / name).exists():
             raise FileNotFoundError(f"missing reconstruction file: {path / name}")
+    try:
+        key = _scene_key(path)
+    except OSError:
+        return _parse_scene(path)  # which reports what it cannot read
+    cache = path / _CACHE_NAME
+    try:
+        return _model_from_cache(cache, key)
+    except Exception:
+        # No copy, or one that is stale, truncated or malformed, whatever the
+        # exception says: the parse below is the authority either way.
+        pass
+    model = _parse_scene(path)
+    try:
+        if _scene_key(path) == key:  # no file changed while it was parsed
+            _store_columns(model, cache, key)
+    except (OSError, OverflowError, TypeError, ValueError):
+        pass  # a directory that cannot be written, or a value beyond its column
+    return model
 
+
+def _scene_key(path: Path) -> bytes:
+    """SHA-256 over what the model is a function of: the numpy version, the
+    loader's source (so that an edit to it leaves every kept copy stale) and
+    the three files. Each file goes in after its length, so that bytes moved
+    from one file to the next change the key."""
+    h = hashlib.sha256(np.__version__.encode())
+    for file in (Path(__file__), Path(_io.__file__), *(path / name for name in _SCENE_FILES)):
+        data = file.read_bytes()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.digest()
+
+
+def _store_columns(model: SceneModel, cache: Path, key: bytes) -> None:
+    """Keep the model's columns in cache under key: a temp file, then an
+    atomic rename. An OverflowError, TypeError or ValueError (a value that
+    does not fit its column exactly) or an OSError leaves no file behind."""
+    cams, images, points = (list(d.values()) for d in (
+        model.intrinsics, model.images, model.points))
+    names = [img.name for img in images]
+    columns = {
+        "key": np.frombuffer(key, np.uint8),
+        "camera_id": np.array(list(model.intrinsics), np.int64),
+        "camera_fxfycxcy": np.array([(K.fx, K.fy, K.cx, K.cy) for K in cams],
+                                    np.float64).reshape(-1, 4),
+        "camera_size": np.array([(K.width, K.height) for K in cams],
+                                np.int64).reshape(-1, 2),
+        "image_id": np.array([img.id for img in images], np.int64),
+        "image_camera": np.array([img.camera_id for img in images], np.int64),
+        "image_R": np.array([img.pose.R for img in images]).reshape(-1, 3, 3),
+        "image_t": np.array([img.pose.t for img in images]).reshape(-1, 3),
+        # One UTF-8 run and each name's length: a numpy str array would
+        # drop a name's trailing NULs.
+        "image_names": np.frombuffer("".join(names).encode(), np.uint8),
+        "image_name_len": np.array([len(n) for n in names], np.int64),
+        "point_id": np.array([pt.id for pt in points], np.int64),
+        "point_xyz": np.array([pt.xyz for pt in points]).reshape(-1, 3),
+        "point_rgb": np.array([pt.rgb for pt in points], np.int64).reshape(-1, 3),
+        "track_len": np.array([len(pt.image_ids) for pt in points], np.int64),
+        "track_image": np.concatenate([np.empty(0, np.int64),
+                                       *(pt.image_ids for pt in points)]),
+        "track_uv": np.concatenate([np.empty((0, 2)), *(pt.uv for pt in points)]),
+    }
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            np.savez(fh, **columns)
+        os.replace(tmp, cache)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _model_from_cache(cache: Path, key: bytes) -> SceneModel:
+    """The model kept in cache under key, through the constructors the parse
+    uses; an exception when the file is missing, stale or malformed."""
+    with np.load(cache, allow_pickle=False) as z:
+        if z["key"].tobytes() != key or set(z.files) != _COLUMNS.keys():
+            raise ValueError("stale or foreign scene cache")
+        c = {name: z[name] for name in _COLUMNS}
+    if any(c[name].dtype != dtype or c[name].shape[1:] != row or c[name].ndim != 1 + len(row)
+           for name, (dtype, row) in _COLUMNS.items()):
+        raise ValueError("malformed scene cache")
+    intrinsics = {
+        cam_id: Intrinsics(*k, *size) for cam_id, k, size in zip(
+            c["camera_id"].tolist(), c["camera_fxfycxcy"].tolist(),
+            c["camera_size"].tolist(), strict=True)
+    }
+    text = c["image_names"].tobytes().decode()
+    ends = [0, *np.cumsum(c["image_name_len"]).tolist()]
+    if ends[-1] != len(text):
+        raise ValueError("malformed scene cache")
+    images = {
+        iid: ImageRecord(iid, Pose(R, t), cam_id, text[lo:hi])
+        for iid, cam_id, R, t, lo, hi in zip(
+            c["image_id"].tolist(), c["image_camera"].tolist(), c["image_R"],
+            c["image_t"], ends[:-1], ends[1:], strict=True)
+    }
+    bounds = [0, *np.cumsum(c["track_len"]).tolist()]
+    image, uv = c["track_image"], c["track_uv"]
+    if not bounds[-1] == len(image) == len(uv):
+        raise ValueError("malformed scene cache")
+    points = {
+        pt_id: TrackPoint.from_columns(pt_id, p, image[lo:hi], uv[lo:hi], tuple(rgb))
+        for pt_id, p, rgb, lo, hi in zip(
+            c["point_id"].tolist(), c["point_xyz"], c["point_rgb"].tolist(),
+            bounds[:-1], bounds[1:], strict=True)
+    }
+    if (len(intrinsics), len(images), len(points)) != (
+            len(c["camera_id"]), len(c["image_id"]), len(c["point_id"])):
+        raise ValueError("malformed scene cache")  # a repeated id
+    return SceneModel(intrinsics, images, points)
+
+
+def _parse_scene(path: Path) -> SceneModel:
+    """load_scene's parse of the three text files, with every check."""
     intrinsics = {}
     with _io.lines(path / "cameras.txt") as src:
         for tokens in src:
@@ -323,6 +466,8 @@ def load_scene(path) -> SceneModel:
             cam_id, width, height = int(tokens[0]), int(tokens[2]), int(tokens[3])
             if cam_id in intrinsics:
                 raise ValueError(f"repeated camera id {cam_id}")
+            _io.int64("camera id", cam_id)
+            _io.int64("image width or height", width, height)
             model = tokens[1]
             params = _io.finite("camera parameter", *map(float, tokens[4:]))
             if model == "PINHOLE":
@@ -365,6 +510,7 @@ def load_scene(path) -> SceneModel:
                 if image_id in images:
                     raise ValueError(f"repeated image id {image_id}")
                 _io.int64("image id", image_id)
+                _io.int64("camera id", camera_id)
                 vals = [float(t) for t in tokens[1:8]]
                 _io.finite("pose", *vals)
                 if camera_id not in intrinsics:
@@ -466,7 +612,7 @@ def save_scene(model: SceneModel, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    with open(path / "cameras.txt", "w") as fh:
+    with open(path / "cameras.txt", "w", encoding="utf-8") as fh:
         fh.write("# CAMERA_ID MODEL WIDTH HEIGHT PARAMS[]\n")
         for cam_id in sorted(model.intrinsics):
             K = model.intrinsics[cam_id]
@@ -492,7 +638,7 @@ def save_scene(model: SceneModel, path) -> None:
     hi = np.searchsorted(by_image, image_ids, side="right").tolist()
     u, v = uv[order].T.tolist()
     owner = np.repeat(np.array(point_ids, dtype=np.int64), lens)[order].tolist()
-    with open(path / "images.txt", "w") as fh:
+    with open(path / "images.txt", "w", encoding="utf-8") as fh:
         fh.write("# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n")
         fh.write("# POINTS2D[] as (X Y POINT3D_ID)\n")
         for iid, first, last in zip(image_ids, lo, hi):
@@ -508,7 +654,7 @@ def save_scene(model: SceneModel, path) -> None:
 
     entries = list(zip(image.tolist(), place.tolist()))
     bounds = [0, *np.cumsum(lens).tolist()]
-    with open(path / "points3D.txt", "w") as fh:
+    with open(path / "points3D.txt", "w", encoding="utf-8") as fh:
         fh.write("# POINT3D_ID X Y Z R G B ERROR TRACK[] as (IMAGE_ID POINT2D_IDX)\n")
         for pt_id, pt, lo, hi in zip(point_ids, points, bounds, bounds[1:]):
             x, y, z = pt.xyz.tolist()

@@ -390,7 +390,7 @@ def compute_visibility(
 def save_visibility(vt: VisibilityTable, path) -> None:
     """Header (dimensions, tolerances) + one line per landmark with its
     visible image ids."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# visibility landmarks={len(vt.landmark_ids)} images={len(vt.image_ids)}\n")
         tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
         fh.write(f"# tolerances {tol}\n")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import landmarkloc
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
@@ -52,6 +58,29 @@ class TestSelectCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reads_utf8_under_an_ascii_locale(self, scene_dir, tmp_path):
+        # Text files are UTF-8 whatever the locale: an image name outside
+        # ASCII loads the same under the C locale with UTF-8 mode off.
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        for name in ("cameras.txt", "images.txt", "points3D.txt"):
+            data = (scene_dir / "scene" / name).read_text(encoding="utf-8")
+            if name == "images.txt":
+                header = data.splitlines()[2].split()
+                data = data.replace(" ".join(header), " ".join(header[:9] + ["café.png"]), 1)
+            (scene / name).write_text(data, encoding="utf-8")
+        src = str(Path(landmarkloc.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "landmarkloc.cli", "select", "--scene", str(scene),
+             "--count", "10", "--min-track", "2", "--out", str(tmp_path / "sel.txt")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["select", "--scene", str(scene_dir / "scene"), "--count", "10",
+                     "--min-track", "2", "--out", str(tmp_path / "ref.txt")]) == 0
+        assert (tmp_path / "sel.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
     def test_count_too_large_is_data_error(self, scene_dir, tmp_path, capsys):
         rc = main(

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from landmarkloc import scene_model
 from landmarkloc.errors import (
     DanglingReferenceError,
     MalformedFileError,
@@ -12,6 +15,7 @@ from landmarkloc.scene_model import (
     Pose,
     SceneModel,
     TrackPoint,
+    _parse_scene,
     bearing,
     load_scene,
     project,
@@ -20,8 +24,55 @@ from landmarkloc.scene_model import (
     rotmat2qvec,
     save_scene,
 )
+from landmarkloc.synth import SynthConfig, generate_scene
 
 from conftest import make_intrinsics, make_minimal_model, random_rotation
+
+CACHE = ".landmarkloc-scene.npz"
+
+
+def cold_and_warm(rows, ids=None):
+    """Each parameter row as it is, then again with warm=True under the id
+    warm-<id>. A warm test loads the good scene once before it damages a
+    file, so that a cached copy of the good files exists."""
+    ids = ids or ["-".join(map(str, row)) for row in rows]
+    return ([pytest.param(*row, False, id=i) for row, i in zip(rows, ids)]
+            + [pytest.param(*row, True, id=f"warm-{i}") for row, i in zip(rows, ids)])
+
+
+def good_scene(path, warm):
+    """The minimal model saved to path; loaded once too when warm."""
+    save_scene(make_minimal_model(), path)
+    if warm:
+        load_scene(path)
+        assert (path / CACHE).exists()
+
+
+def assert_same_model(a, b):
+    """Every field, Python type, dtype and dict order of two scene models."""
+    assert list(a.intrinsics) == list(b.intrinsics)
+    for cam_id, K in a.intrinsics.items():
+        assert type(cam_id) is int
+        assert [(type(v), v) for v in vars(K).values()] == [
+            (type(v), v) for v in vars(b.intrinsics[cam_id]).values()]
+    assert list(a.images) == list(b.images)
+    for iid, img in a.images.items():
+        other = b.images[iid]
+        assert type(iid) is type(img.id) is type(img.camera_id) is int
+        assert (img.id, img.camera_id, img.name) == (other.id, other.camera_id, other.name)
+        assert type(img.name) is str and type(img.pose) is Pose
+        for x, y in ((img.pose.R, other.pose.R), (img.pose.t, other.pose.t)):
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+            assert not x.flags.writeable
+    assert list(a.points) == list(b.points)
+    for pid, pt in a.points.items():
+        other = b.points[pid]
+        assert type(pid) is type(pt.id) is int and pt.id == other.id
+        assert type(pt.rgb) is tuple and all(type(c) is int for c in pt.rgb)
+        assert pt.rgb == other.rgb
+        for name in ("xyz", "image_ids", "uv"):
+            x, y = getattr(pt, name), getattr(other, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
 
 
 def project_oracle(K, R, t, p):
@@ -251,8 +302,9 @@ class TestSceneIO:
         with pytest.raises(FileNotFoundError):
             load_scene(tmp_path)
 
-    def test_malformed_line_reports_location(self, tmp_path):
-        save_scene(make_minimal_model(), tmp_path)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_malformed_line_reports_location(self, tmp_path, warm):
+        good_scene(tmp_path, warm)
         cam = tmp_path / "cameras.txt"
         lines = cam.read_text().splitlines()
         lines.append("2 PINHOLE 100 100 oops 100 50 50")
@@ -262,22 +314,22 @@ class TestSceneIO:
         assert "cameras.txt" in str(err.value)
         assert str(len(lines)) in str(err.value)
 
-    @pytest.mark.parametrize("line", [
-        "x PINHOLE 100 100 100 100 50 50",    # camera id
-        "1 PINHOLE 100.5 100 100 100 50 50",  # width
-        "1 PINHOLE 100 1e2 100 100 50 50",    # height
-        "1 PINHOLE 100 100 inf 100 50 50",    # non-finite focal length
-        "1 PINHOLE 100 100 100 100 nan 50",   # non-finite principal point
-        "1 PINHOLE 100 100 100 100 150 50",   # principal point off the image
-        "1 PINHOLE 100 100 -100 100 50 50",   # negative focal length
-    ])
-    def test_bad_camera_line_reports_location(self, tmp_path, line):
-        save_scene(make_minimal_model(), tmp_path)
+    @pytest.mark.parametrize("line, warm", cold_and_warm([
+        ("x PINHOLE 100 100 100 100 50 50",),    # camera id
+        ("1 PINHOLE 100.5 100 100 100 50 50",),  # width
+        ("1 PINHOLE 100 1e2 100 100 50 50",),    # height
+        ("1 PINHOLE 100 100 inf 100 50 50",),    # non-finite focal length
+        ("1 PINHOLE 100 100 100 100 nan 50",),   # non-finite principal point
+        ("1 PINHOLE 100 100 100 100 150 50",),   # principal point off the image
+        ("1 PINHOLE 100 100 -100 100 50 50",),   # negative focal length
+    ]))
+    def test_bad_camera_line_reports_location(self, tmp_path, line, warm):
+        good_scene(tmp_path, warm)
         (tmp_path / "cameras.txt").write_text("# cameras\n" + line + "\n")
         with pytest.raises(MalformedFileError, match=r"cameras\.txt:2: "):
             load_scene(tmp_path)
 
-    @pytest.mark.parametrize("line_no, line", [
+    @pytest.mark.parametrize("line_no, line, warm", cold_and_warm([
         (3, "1.5 1 0 0 0 0 0 0 1 img0.png"),  # image id
         (3, "1 1 0 0 0 0 0 0 one img0.png"),  # camera reference
         (3, "1 nan 0 0 0 0 0 0 1 img0.png"),  # non-finite quaternion
@@ -286,9 +338,9 @@ class TestSceneIO:
         (4, "50 50 7.5"),                     # observed point id
         (4, "nan 50 7"),                      # non-finite observation
         (5, "1 1 0 0 0 0 0 0 1 img1.png"),    # image id repeated
-    ])
-    def test_bad_image_line_reports_location(self, tmp_path, line_no, line):
-        save_scene(make_minimal_model(), tmp_path)
+    ]))
+    def test_bad_image_line_reports_location(self, tmp_path, line_no, line, warm):
+        good_scene(tmp_path, warm)
         path = tmp_path / "images.txt"
         lines = path.read_text().splitlines()
         lines[line_no - 1] = line
@@ -296,47 +348,49 @@ class TestSceneIO:
         with pytest.raises(MalformedFileError, match=rf"images\.txt:{line_no}: "):
             load_scene(tmp_path)
 
-    @pytest.mark.parametrize("line", [
-        "7.0 0 0 2 128 128 128 0 1 0 2 0",   # point id
-        "7 0 0 2 128 x 128 0 1 0 2 0",       # rgb
-        "7 0 0 2 128 128 128 0 1.0 0 2 0",   # track image id
-        "7 0 0 2 128 128 128 0 1 0 2 zero",  # track observation index
-        "7 0 nan 2 128 128 128 0 1 0 2 0",   # non-finite position
-    ])
-    def test_bad_point_line_reports_location(self, tmp_path, line):
-        save_scene(make_minimal_model(), tmp_path)
+    @pytest.mark.parametrize("line, warm", cold_and_warm([
+        ("7.0 0 0 2 128 128 128 0 1 0 2 0",),   # point id
+        ("7 0 0 2 128 x 128 0 1 0 2 0",),       # rgb
+        ("7 0 0 2 128 128 128 0 1.0 0 2 0",),   # track image id
+        ("7 0 0 2 128 128 128 0 1 0 2 zero",),  # track observation index
+        ("7 0 nan 2 128 128 128 0 1 0 2 0",),   # non-finite position
+    ]))
+    def test_bad_point_line_reports_location(self, tmp_path, line, warm):
+        good_scene(tmp_path, warm)
         (tmp_path / "points3D.txt").write_text("# points\n" + line + "\n")
         with pytest.raises(MalformedFileError, match=r"points3D\.txt:2: "):
             load_scene(tmp_path)
 
-    @pytest.mark.parametrize("name, line", [
+    @pytest.mark.parametrize("name, line, warm", cold_and_warm([
         ("cameras.txt", "1 PINHOLE 100 100 500 500 50 50"),
         ("points3D.txt", "7 0 0 2 128 128 128 0 1 0 2 0"),
-    ])
-    def test_repeated_id_reports_location(self, tmp_path, name, line):
-        save_scene(make_minimal_model(), tmp_path)
+    ]))
+    def test_repeated_id_reports_location(self, tmp_path, name, line, warm):
+        good_scene(tmp_path, warm)
         path = tmp_path / name
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(MalformedFileError, match=rf"{name}:3: repeated"):
             load_scene(tmp_path)
 
-    def test_unsupported_camera_model(self, tmp_path):
-        save_scene(make_minimal_model(), tmp_path)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_unsupported_camera_model(self, tmp_path, warm):
+        good_scene(tmp_path, warm)
         cam = tmp_path / "cameras.txt"
         text = cam.read_text().replace("PINHOLE", "OPENCV")
         cam.write_text(text)
         with pytest.raises(UnsupportedCameraModelError):
             load_scene(tmp_path)
 
-    def test_dangling_point_reference(self, tmp_path):
-        save_scene(make_minimal_model(), tmp_path)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_dangling_point_reference(self, tmp_path, warm):
+        good_scene(tmp_path, warm)
         pts = tmp_path / "points3D.txt"
         text = pts.read_text() + "8 0 0 1 0 0 0 0 42 0\n"
         pts.write_text(text)
         with pytest.raises(DanglingReferenceError):
             load_scene(tmp_path)
 
-    @pytest.mark.parametrize("lines, error, message", [
+    @pytest.mark.parametrize("lines, error, message, warm", cold_and_warm([
         (["8 0 0 1 0 0 0 0 42 0"], DanglingReferenceError,
          "3: point 8 references unknown image 42"),
         (["8 0 0 1 0 0 0 0 1 5"], DanglingReferenceError,
@@ -363,24 +417,28 @@ class TestSceneIO:
          "3: point 8 references unknown image 42"),
     ], ids=["unknown-image", "index-out-of-range", "negative-index", "back-reference",
             "first-entry-of-line", "first-line", "dangling-then-short", "short-then-dangling",
-            "dangling-then-empty", "empty-then-dangling", "dangling-then-bad-int"])
-    def test_bad_track_reports_first_failing_line(self, tmp_path, lines, error, message):
-        save_scene(make_minimal_model(), tmp_path)
+            "dangling-then-empty", "empty-then-dangling", "dangling-then-bad-int"]))
+    def test_bad_track_reports_first_failing_line(self, tmp_path, lines, error, message, warm):
+        good_scene(tmp_path, warm)
         path = tmp_path / "points3D.txt"
         path.write_text(path.read_text() + "".join(line + "\n" for line in lines))
         with pytest.raises(error) as err:
             load_scene(tmp_path)
         assert str(err.value) == f"{path}:{message}"
 
-    @pytest.mark.parametrize("name, line_no, line", [
+    @pytest.mark.parametrize("name, line_no, line, warm", cold_and_warm([
         ("images.txt", 3, "9223372036854775808 1 0 0 0 0 0 0 1 img0.png"),
         ("images.txt", 4, "50 50 9223372036854775807 50 50 -9223372036854775809"),
         ("points3D.txt", 2, "9223372036854775808 0 0 2 128 128 128 0 1 0 2 0"),
         ("points3D.txt", 2, "7 0 0 2 128 128 128 0 1 0 2 18446744073709551616"),
-    ])
-    def test_id_outside_int64_reports_location(self, tmp_path, name, line_no, line):
-        # Ids and track entries are read into int64 columns.
-        save_scene(make_minimal_model(), tmp_path)
+        ("cameras.txt", 2, "1180591620717411303424 PINHOLE 100 100 100 100 50 50"),
+        ("cameras.txt", 2, "1 PINHOLE 9223372036854775808 100 100 100 50 50"),
+        ("cameras.txt", 2, "1 PINHOLE 100 -9223372036854775809 100 100 50 50"),
+        ("images.txt", 3, "1 1 0 0 0 0 0 0 1180591620717411303424 img0.png"),
+    ]))
+    def test_id_outside_int64_reports_location(self, tmp_path, name, line_no, line, warm):
+        # Ids, image sizes and track entries are read into int64 columns.
+        good_scene(tmp_path, warm)
         path = tmp_path / name
         lines = path.read_text().splitlines()
         lines[line_no - 1] = line
@@ -395,3 +453,187 @@ class TestSceneIO:
         model = load_scene(tmp_path)
         K = model.intrinsics[1]
         assert K.fx == K.fy == 100.0
+
+
+def count_parses(monkeypatch):
+    """A list that gets one entry per call of the text parse."""
+    calls = []
+
+    def parse(path):
+        calls.append(path)
+        return _parse_scene(path)
+
+    monkeypatch.setattr(scene_model, "_parse_scene", parse)
+    return calls
+
+
+def read_only_open(file, mode="r", *args, **kwargs):
+    """open, refusing to create a file as a read-only directory would."""
+    if "x" in mode or "w" in mode:
+        raise PermissionError(13, "Permission denied", str(file))
+    return open(file, mode, *args, **kwargs)
+
+
+def bench_sized_model():
+    """The scene of the ensemble1000 bench workload: 100 cameras at 640 x 480
+    and 1400 landmark sites in the README room, synth seed 7."""
+    return generate_scene(SynthConfig(
+        num_landmark_sites=1400, num_cameras=100, camera_margin=1.4, min_target_dist=3.0,
+        intrinsics=Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480), seed=7)).model
+
+
+class TestSceneCache:
+    @pytest.mark.parametrize("make", [make_minimal_model, bench_sized_model],
+                             ids=["minimal", "bench-sized"])
+    def test_hit_equals_parse(self, tmp_path, monkeypatch, make):
+        model = make()
+        first, second, *_ = model.images.values()
+        first.name = "a name with inner spaces.png"
+        second.name = "ends in a NUL\x00"  # a numpy str array would drop it
+        save_scene(model, tmp_path)
+        pts = tmp_path / "points3D.txt"
+        comment, *lines = pts.read_text().splitlines(keepends=True)
+        pts.write_text(comment + "".join(reversed(lines)))  # ids no longer in order
+        parses = count_parses(monkeypatch)
+        miss = load_scene(tmp_path)
+        assert len(parses) == 1 and (tmp_path / CACHE).exists()
+        hit = load_scene(tmp_path)
+        assert len(parses) == 1
+        fresh = _parse_scene(tmp_path)
+        assert_same_model(hit, fresh)
+        assert_same_model(miss, fresh)
+        assert hit.images[second.id].name == "ends in a NUL\x00"
+
+    @pytest.mark.parametrize("damage", [
+        lambda data, foreign: data[:len(data) // 2],                 # truncated
+        lambda data, foreign: data[:500] + bytes(200) + data[700:],  # corrupt
+        lambda data, foreign: b"",                                   # empty
+        lambda data, foreign: b"not a zip file\n",                   # foreign format
+        lambda data, foreign: foreign,                               # another scene's key
+    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key"])
+    def test_bad_cache_gives_the_parse(self, tmp_path, monkeypatch, damage):
+        other = tmp_path / "other"
+        save_scene(make_minimal_model(), other)
+        (other / "cameras.txt").write_text("1 PINHOLE 100 100 90 90 50 50\n")
+        load_scene(other)
+        scene = tmp_path / "scene"
+        good_scene(scene, warm=True)
+        cache = scene / CACHE
+        cache.write_bytes(damage(cache.read_bytes(), (other / CACHE).read_bytes()))
+        parses = count_parses(monkeypatch)
+        assert_same_model(load_scene(scene), _parse_scene(scene))
+        assert len(parses) == 1
+        load_scene(scene)  # the parse wrote a good copy again
+        assert len(parses) == 1
+
+    def test_unreadable_cache_gives_the_parse(self, tmp_path):
+        good_scene(tmp_path, warm=False)
+        (tmp_path / CACHE).mkdir()  # neither read nor replaced
+        for _ in range(2):
+            assert_same_model(load_scene(tmp_path), _parse_scene(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [CACHE, "cameras.txt", "images.txt",
+                                                "points3D.txt"]
+
+    @pytest.mark.parametrize("column, value", [
+        ("image_R", np.zeros((2, 9))),               # a row of the wrong shape
+        ("point_id", np.array([7.0])),               # the wrong dtype
+        ("track_len", np.array([3])),                # tracks longer than the columns
+        ("image_name_len", np.array([8, 9])),        # names longer than the text
+        ("camera_id", np.array([1, 2])),             # more ids than cameras
+        ("image_id", np.array([1, 1])),              # a repeated id
+        ("image_camera", np.array([1, 5])),          # an unknown camera
+        ("track_image", np.array([1, 3])),           # an unknown image
+        ("image_t", np.array([[0, 0, 0], [np.nan, 0, 0]])),  # what Pose rejects
+        ("extra", np.zeros(1)),                      # a column the loader does not know
+    ])
+    def test_malformed_cache_gives_the_parse(self, tmp_path, monkeypatch, column, value):
+        # A copy under the right key whose columns do not make a model.
+        good_scene(tmp_path, warm=True)
+        cache = tmp_path / CACHE
+        with np.load(cache) as z:
+            columns = dict(z)
+        columns[column] = value
+        np.savez(cache, **columns)
+        parses = count_parses(monkeypatch)
+        assert_same_model(load_scene(tmp_path), _parse_scene(tmp_path))
+        assert len(parses) == 1
+
+    def test_read_only_directory(self, tmp_path, monkeypatch):
+        scene = tmp_path / "scene"
+        save_scene(make_minimal_model(), scene)
+        files = sorted(os.listdir(scene))
+        scene.chmod(0o555)
+        try:
+            if os.access(scene, os.W_OK):  # permission bits do not bind root
+                monkeypatch.setattr(scene_model, "open", read_only_open, raising=False)
+            parses = count_parses(monkeypatch)
+            for _ in range(2):
+                assert_same_model(load_scene(scene), _parse_scene(scene))
+            assert len(parses) == 2
+            assert sorted(os.listdir(scene)) == files
+        finally:
+            scene.chmod(0o755)
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("cameras.txt", b" 50 50\n", b" 50 51\n"),
+        ("images.txt", b"img1.png", b"img1.pnh"),
+        ("points3D.txt", b" 128 128 128 ", b" 128 128 129 "),
+    ])
+    def test_one_byte_edit_forces_a_parse(self, tmp_path, monkeypatch, name, old, new):
+        good_scene(tmp_path, warm=True)
+        path = tmp_path / name
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        parses = count_parses(monkeypatch)
+        edited = load_scene(tmp_path)
+        assert len(parses) == 1
+        assert_same_model(edited, _parse_scene(tmp_path))
+        assert_same_model(load_scene(tmp_path), edited)
+        assert len(parses) == 1  # the edited files have their own copy now
+
+    def test_bytes_moved_between_files_force_a_parse(self, tmp_path):
+        # The camera line moved from the end of cameras.txt to the start of
+        # images.txt: the files read in a row give the same bytes as before.
+        good_scene(tmp_path, warm=True)
+        cam, img = tmp_path / "cameras.txt", tmp_path / "images.txt"
+        header, camera = cam.read_bytes().splitlines(keepends=True)
+        cam.write_bytes(header)
+        img.write_bytes(camera + img.read_bytes())
+        with pytest.raises(MalformedFileError, match=r"images\.txt:1: image header line too short"):
+            load_scene(tmp_path)
+
+    def test_loader_edit_forces_a_parse(self, tmp_path, monkeypatch):
+        good_scene(tmp_path, warm=True)
+        edited = tmp_path / "scene_model.py"
+        edited.write_bytes(open(scene_model.__file__, "rb").read() + b"\n")
+        monkeypatch.setattr(scene_model, "__file__", str(edited))
+        parses = count_parses(monkeypatch)
+        load_scene(tmp_path)
+        assert len(parses) == 1
+
+    def test_errors_are_never_cached(self, tmp_path, monkeypatch):
+        good_scene(tmp_path, warm=True)
+        kept = (tmp_path / CACHE).read_bytes()
+        cam = tmp_path / "cameras.txt"
+        good = cam.read_bytes()
+        cam.write_bytes(good.replace(b"PINHOLE", b"OPENCV"))
+        for _ in range(2):
+            with pytest.raises(UnsupportedCameraModelError):
+                load_scene(tmp_path)
+        assert (tmp_path / CACHE).read_bytes() == kept
+        assert sorted(os.listdir(tmp_path)) == [CACHE, "cameras.txt", "images.txt",
+                                                "points3D.txt"]
+        cam.write_bytes(good)
+        parses = count_parses(monkeypatch)
+        load_scene(tmp_path)
+        assert parses == []
+
+    def test_value_beyond_its_column_is_not_kept(self, tmp_path):
+        # rgb has no range check, and an int beyond int64 has no exact column.
+        good_scene(tmp_path, warm=False)
+        pts = tmp_path / "points3D.txt"
+        pts.write_text(pts.read_text().replace(" 128 128 128 ", f" 128 {2**64} 128 "))
+        model = load_scene(tmp_path)
+        assert model.points[7].rgb == (128, 2**64, 128)
+        assert not (tmp_path / CACHE).exists()
