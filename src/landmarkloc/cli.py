@@ -212,8 +212,11 @@ def cmd_select(args) -> int:
     model = load_scene(args.scene)
     radius = args.radius
     if radius is None:
-        xyz = np.array([p.xyz for p in model.points.values()])
-        radius = float(np.linalg.norm(xyz.max(axis=0) - xyz.min(axis=0))) / 4.0
+        # A quarter of the cloud's extent. A cloud without points has none, and
+        # select_landmarks reports that it has no candidates.
+        xyz = model.points.xyz
+        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
+        radius = float(np.linalg.norm(extent)) / 4.0
     ls = select_landmarks(model, args.count, radius, args.min_track)
     save_landmarks(ls, args.out)
     print(f"selected {len(ls)} landmarks -> {args.out}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _io
 from .errors import InsufficientCandidatesError
-from .scene_model import SceneModel, TrackPoint
+from .scene_model import PointSet, SceneModel
 
 DEFAULT_MIN_TRACK = 10
 
@@ -62,22 +62,32 @@ class LandmarkSet:
         return np.array([lm.saliency for lm in self.landmarks])
 
 
-def _saliencies(points: list, model: SceneModel) -> list:
-    """score_saliency of each track point, with each camera centre computed once."""
-    centers = {iid: img.pose.center for iid, img in model.images.items()}
+def _distinct_images(points: PointSet):
+    """Each point's distinct image ids, ascending, back to back, and their counts."""
+    owner = points.owner
+    order = np.lexsort((points.image_ids, owner))
+    owner, image = owner[order], points.image_ids[order]
+    first = np.ones(len(image), dtype=bool)
+    first[1:] = (owner[1:] != owner[:-1]) | (image[1:] != image[:-1])
+    return image[first], np.bincount(owner[first], minlength=len(points))
+
+
+def _saliencies(xyz: np.ndarray, image_ids: np.ndarray, counts, model: SceneModel) -> list:
+    """score_saliency of each point k at xyz[k] seen from the counts[k] distinct
+    images that follow in image_ids, with each centre and direction computed once."""
+    images, at = np.unique(image_ids, return_inverse=True)
+    centers = np.array([model.images[iid].pose.center for iid in images.tolist()])
+    d = np.repeat(xyz, counts, axis=0) - centers.reshape(-1, 3)[at]
+    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
     pairs = {}  # track length -> its upper-triangle indices
     scores = []
-    for point in points:
-        image_ids = sorted(set(point.image_ids.tolist()))
-        n = len(image_ids)
+    for end, n in zip(np.cumsum(counts).tolist(), np.asarray(counts).tolist()):
         if n == 0:
             raise ValueError("point has no observations")
         if n == 1:
             scores.append(1.0)
             continue
-        d = point.xyz - np.array([centers[iid] for iid in image_ids])
-        dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
-        cosines = np.clip(dirs @ dirs.T, -1.0, 1.0)
+        cosines = np.clip(dirs[end - n:end] @ dirs[end - n:end].T, -1.0, 1.0)
         if n not in pairs:
             pairs[n] = np.triu_indices(n, k=1)
         spread = min(float(np.mean(np.arccos(cosines[pairs[n]]))), math.pi / 2)
@@ -85,14 +95,16 @@ def _saliencies(points: list, model: SceneModel) -> list:
     return scores
 
 
-def score_saliency(point: TrackPoint, model: SceneModel) -> float:
-    """Saliency of a track point: track length x (1 + angular spread).
+def score_saliency(xyz, image_ids, model: SceneModel) -> float:
+    """Saliency of a point at xyz observed in image_ids: track length (distinct
+    images) x (1 + angular spread).
 
     Angular spread is the mean pairwise angle (radians) between the viewing
     directions from the observing camera centers to the point, capped at
     pi/2. A single-view point has zero spread. The one-point case of _saliencies.
     """
-    return _saliencies([point], model)[0]
+    images = np.unique(image_ids)
+    return _saliencies(np.reshape(xyz, (1, 3)), images, [len(images)], model)[0]
 
 
 def select_landmarks(
@@ -106,21 +118,24 @@ def select_landmarks(
     At each step the highest-saliency unselected point (ties broken by lowest
     point id) farther than the current radius from every selected landmark is
     accepted. When no candidate remains the radius is halved; at radius zero
-    only exact duplicates are excluded.
+    only exact duplicates are excluded. r_init must be finite and positive.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if r_init <= 0:
-        raise ValueError("r_init must be positive")
+    points = model.points
+    image_ids, track_len = _distinct_images(points)
+    eligible = track_len >= min_track
+    if eligible.sum() < count:
+        raise InsufficientCandidatesError(count, int(eligible.sum()))
+    if not (math.isfinite(r_init) and r_init > 0):
+        raise ValueError("r_init must be finite and positive")
 
-    eligible = [p for p in model.points.values() if p.track_length >= min_track]
-    if len(eligible) < count:
-        raise InsufficientCandidatesError(count, len(eligible))
-
-    scores = dict(zip([p.id for p in eligible], _saliencies(eligible, model)))
+    ids, xyz = points.ids[eligible], points.xyz[eligible]
+    scores = np.array(_saliencies(xyz, image_ids[np.repeat(eligible, track_len)],
+                                  track_len[eligible], model))
     # Saliency descending, point id ascending; greedy scans this order.
-    order = sorted(eligible, key=lambda p: (-scores[p.id], p.id))
-    xyz = np.array([p.xyz for p in order])
+    order = np.lexsort((ids, -scores))
+    ids, xyz, scores = ids[order].tolist(), xyz[order], scores[order].tolist()
     n = len(order)
 
     selected: list[Landmark] = []
@@ -135,8 +150,8 @@ def select_landmarks(
             r = r / 2.0 if r / 2.0 >= _R_FLOOR else 0.0
             continue
         candidate = int(candidates[0])
-        p = order[candidate]
-        selected.append(Landmark(len(selected), p.id, p.xyz, scores[p.id]))
+        selected.append(Landmark(len(selected), ids[candidate], xyz[candidate],
+                                 scores[candidate]))
         available[candidate] = False
         d = np.linalg.norm(xyz - xyz[candidate], axis=1)
         np.minimum(min_dist, d, out=min_dist)

@@ -187,39 +187,38 @@ class Pose:
         return f"Pose(center={np.round(self.center, 4)})"
 
 
-class TrackPoint:
-    """A reconstructed 3D point with its 2D observation track, held as two
-    columns in track order: image_ids (n,) int64 and uv (n, 2) pixels.
-    TrackPoint(id, xyz, [(image_id, uv), ...]) builds them from pairs, and
-    observations gives the pairs back; from_columns takes the columns."""
+class PointSet:
+    """3D points as columns in file order: ids (P,) int64, xyz (P, 3), rgb
+    (P, 3) int64, and the tracks back to back, image_ids (M,) int64 and uv
+    (M, 2) pixels, point k's at offsets[k]:offsets[k + 1] in track order.
+    The constructor takes track lengths and checks that the columns pair up,
+    that no track is empty and that no id repeats."""
 
-    def __init__(self, id: int, xyz, observations, rgb: tuple | None = None):
-        obs = list(observations)
-        self._set(id, xyz, [iid for iid, _ in obs], [uv for _, uv in obs], rgb)
-
-    @classmethod
-    def from_columns(cls, id: int, xyz, image_ids, uv, rgb: tuple | None = None) -> TrackPoint:
-        pt = cls.__new__(cls)
-        pt._set(id, xyz, image_ids, uv, rgb)
-        return pt
-
-    def _set(self, id, xyz, image_ids, uv, rgb):
-        self.id, self.rgb = id, rgb
-        self.xyz = np.asarray(xyz, dtype=np.float64).reshape(3)
+    def __init__(self, ids, xyz, rgb, track_len, image_ids, uv):
+        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        n = len(self.ids)
+        self.xyz = np.asarray(xyz, dtype=np.float64).reshape(n, 3)
+        self.rgb = np.asarray(rgb, dtype=np.int64).reshape(n, 3)
+        track_len = np.asarray(track_len, dtype=np.int64).reshape(n)
         self.image_ids = np.asarray(image_ids, dtype=np.int64).reshape(-1)
         self.uv = np.asarray(uv, dtype=np.float64).reshape(len(self.image_ids), 2)
-        if len(self.image_ids) == 0:
-            raise ValueError(f"track point {id} has no observations")
+        self.offsets = np.concatenate(([0], np.cumsum(track_len)))
+        if self.offsets[-1] != len(self.image_ids):
+            raise ValueError("track lengths do not add up to the track columns")
+        if (track_len <= 0).any():
+            raise ValueError(
+                f"track point {self.ids[np.argmax(track_len <= 0)]} has no observations")
+        sorted_ids, count = np.unique(self.ids, return_counts=True)
+        if (count > 1).any():
+            raise ValueError(f"repeated point id {sorted_ids[np.argmax(count > 1)]}")
+
+    def __len__(self):
+        return len(self.ids)
 
     @property
-    def observations(self) -> list:
-        """The track as (image id, uv (2,)) pairs."""
-        return list(zip(self.image_ids.tolist(), self.uv))
-
-    @property
-    def track_length(self) -> int:
-        """Number of distinct observing images."""
-        return len(set(self.image_ids.tolist()))
+    def owner(self) -> np.ndarray:
+        """(M,) the index of the point that each track entry belongs to."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
 
 @dataclass
@@ -232,11 +231,12 @@ class ImageRecord:
 
 @dataclass
 class SceneModel:
-    """Immutable SfM reconstruction: cameras, posed images, and tracks."""
+    """SfM reconstruction: cameras, posed images, and points with tracks.
+    Construction checks that every camera and image they name exists."""
 
     intrinsics: dict  # camera_id -> Intrinsics
     images: dict      # image_id -> ImageRecord
-    points: dict      # point_id -> TrackPoint
+    points: PointSet
 
     def __post_init__(self):
         for img in self.images.values():
@@ -244,14 +244,12 @@ class SceneModel:
                 raise DanglingReferenceError(
                     f"image {img.id} references unknown camera {img.camera_id}"
                 )
-        points = list(self.points.values())
-        image_ids = np.concatenate([np.empty(0, np.int64), *(pt.image_ids for pt in points)])
-        unknown = ~np.isin(image_ids, np.fromiter(self.images, np.int64, len(self.images)))
+        pts = self.points
+        unknown = ~np.isin(pts.image_ids, np.fromiter(self.images, np.int64, len(self.images)))
         if unknown.any():
             k = int(np.argmax(unknown))
-            owner = np.repeat(np.arange(len(points)), [len(pt.image_ids) for pt in points])
             raise DanglingReferenceError(
-                f"point {points[owner[k]].id} references unknown image {image_ids[k]}"
+                f"point {pts.ids[pts.owner[k]]} references unknown image {pts.image_ids[k]}"
             )
 
 
@@ -321,10 +319,11 @@ def load_scene(path) -> SceneModel:
 
     Expects cameras.txt, images.txt and points3D.txt. Only PINHOLE and
     SIMPLE_PINHOLE camera models are supported. Quaternions are stored as
-    (qw qx qy qz) and converted to rotation matrices. Ids, widths, heights
-    and track entries must fit in int64. A track entry that names an unknown
-    image, an observation out of range or another point's observation raises
-    a DanglingReferenceError at points3D.txt:line: the first such entry in the
+    (qw qx qy qz) and converted to rotation matrices. Ids, widths, heights,
+    colours and track entries must fit in int64; the points come as one
+    PointSet in file order. A track entry that names an unknown image, an
+    observation out of range or another point's observation raises a
+    DanglingReferenceError at points3D.txt:line: the first such entry in the
     file, unless a malformed line comes before it.
 
     The first load of a given set of file bytes parses them with every check,
@@ -354,8 +353,8 @@ def load_scene(path) -> SceneModel:
     try:
         if _scene_key(path) == key:  # no file changed while it was parsed
             _store_columns(model, cache, key)
-    except (OSError, OverflowError, TypeError, ValueError):
-        pass  # a directory that cannot be written, or a value beyond its column
+    except OSError:
+        pass  # a directory that cannot be written
     return model
 
 
@@ -374,10 +373,9 @@ def _scene_key(path: Path) -> bytes:
 
 def _store_columns(model: SceneModel, cache: Path, key: bytes) -> None:
     """Keep the model's columns in cache under key: a temp file, then an
-    atomic rename. An OverflowError, TypeError or ValueError (a value that
-    does not fit its column exactly) or an OSError leaves no file behind."""
-    cams, images, points = (list(d.values()) for d in (
-        model.intrinsics, model.images, model.points))
+    atomic rename. An OSError leaves no file behind."""
+    cams, images = (list(d.values()) for d in (model.intrinsics, model.images))
+    points = model.points
     names = [img.name for img in images]
     columns = {
         "key": np.frombuffer(key, np.uint8),
@@ -394,13 +392,9 @@ def _store_columns(model: SceneModel, cache: Path, key: bytes) -> None:
         # drop a name's trailing NULs.
         "image_names": np.frombuffer("".join(names).encode(), np.uint8),
         "image_name_len": np.array([len(n) for n in names], np.int64),
-        "point_id": np.array([pt.id for pt in points], np.int64),
-        "point_xyz": np.array([pt.xyz for pt in points]).reshape(-1, 3),
-        "point_rgb": np.array([pt.rgb for pt in points], np.int64).reshape(-1, 3),
-        "track_len": np.array([len(pt.image_ids) for pt in points], np.int64),
-        "track_image": np.concatenate([np.empty(0, np.int64),
-                                       *(pt.image_ids for pt in points)]),
-        "track_uv": np.concatenate([np.empty((0, 2)), *(pt.uv for pt in points)]),
+        "point_id": points.ids, "point_xyz": points.xyz, "point_rgb": points.rgb,
+        "track_len": np.diff(points.offsets),
+        "track_image": points.image_ids, "track_uv": points.uv,
     }
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
@@ -438,20 +432,11 @@ def _model_from_cache(cache: Path, key: bytes) -> SceneModel:
             c["image_id"].tolist(), c["image_camera"].tolist(), c["image_R"],
             c["image_t"], ends[:-1], ends[1:], strict=True)
     }
-    bounds = [0, *np.cumsum(c["track_len"]).tolist()]
-    image, uv = c["track_image"], c["track_uv"]
-    if not bounds[-1] == len(image) == len(uv):
-        raise ValueError("malformed scene cache")
-    points = {
-        pt_id: TrackPoint.from_columns(pt_id, p, image[lo:hi], uv[lo:hi], tuple(rgb))
-        for pt_id, p, rgb, lo, hi in zip(
-            c["point_id"].tolist(), c["point_xyz"], c["point_rgb"].tolist(),
-            bounds[:-1], bounds[1:], strict=True)
-    }
-    if (len(intrinsics), len(images), len(points)) != (
-            len(c["camera_id"]), len(c["image_id"]), len(c["point_id"])):
+    if (len(intrinsics), len(images)) != (len(c["camera_id"]), len(c["image_id"])):
         raise ValueError("malformed scene cache")  # a repeated id
-    return SceneModel(intrinsics, images, points)
+    return SceneModel(intrinsics, images, PointSet(
+        c["point_id"], c["point_xyz"], c["point_rgb"], c["track_len"], c["track_image"],
+        c["track_uv"]))
 
 
 def _parse_scene(path: Path) -> SceneModel:
@@ -585,10 +570,10 @@ def _parse_scene(path: Path) -> SceneModel:
                 track = list(map(int, tokens[8:]))
                 if not track:
                     raise ValueError(f"track point {pt_id} has no observations")
-                _io.int64("point id or track entry", pt_id, *track)
+                _io.int64("point id, colour or track entry", pt_id, *rgb, *track)
                 point_line[pt_id] = src.no
                 point_xyz.append(xyz)
-                point_rgb.append(tuple(rgb))
+                point_rgb.append(rgb)
                 track_len.append(len(track) // 2)
                 track_image += track[0::2]
                 track_index += track[1::2]
@@ -597,14 +582,9 @@ def _parse_scene(path: Path) -> SceneModel:
             raise
 
     image, row = track_rows()
-    uv = np.column_stack((obs_u, obs_v))[row]
-    xyz = np.array(point_xyz).reshape(-1, 3)
-    bounds = [0, *np.cumsum(track_len).tolist()]
-    points = {
-        pt_id: TrackPoint.from_columns(pt_id, p, image[lo:hi], uv[lo:hi], rgb)
-        for pt_id, p, rgb, lo, hi in zip(point_line, xyz, point_rgb, bounds, bounds[1:])
-    }
-    return SceneModel(intrinsics, images, points)
+    return SceneModel(intrinsics, images, PointSet(
+        list(point_line), point_xyz, point_rgb, track_len, image,
+        np.column_stack((obs_u, obs_v))[row]))
 
 
 def save_scene(model: SceneModel, path) -> None:
@@ -623,11 +603,11 @@ def save_scene(model: SceneModel, path) -> None:
 
     # Every observation is a row, in (point id, track slot) order. Each image
     # lists its rows in that order, and a track entry names the row's place there.
-    point_ids = sorted(model.points)
-    points = [model.points[pid] for pid in point_ids]
-    lens = [len(pt.image_ids) for pt in points]
-    image = np.concatenate([np.empty(0, np.int64), *(pt.image_ids for pt in points)])
-    uv = np.concatenate([np.empty((0, 2)), *(pt.uv for pt in points)])
+    pts = model.points
+    by_id = np.argsort(pts.ids)
+    rows = np.argsort(pts.ids[pts.owner], kind="stable")
+    point_ids, lens = pts.ids[by_id], np.diff(pts.offsets)[by_id]
+    image, uv = pts.image_ids[rows], pts.uv[rows]
     order = np.argsort(image, kind="stable")
     by_image = image[order]
     place = np.empty(len(image), dtype=np.int64)
@@ -637,7 +617,7 @@ def save_scene(model: SceneModel, path) -> None:
     lo = np.searchsorted(by_image, image_ids).tolist()
     hi = np.searchsorted(by_image, image_ids, side="right").tolist()
     u, v = uv[order].T.tolist()
-    owner = np.repeat(np.array(point_ids, dtype=np.int64), lens)[order].tolist()
+    owner = np.repeat(point_ids, lens)[order].tolist()
     with open(path / "images.txt", "w", encoding="utf-8") as fh:
         fh.write("# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n")
         fh.write("# POINTS2D[] as (X Y POINT3D_ID)\n")
@@ -656,8 +636,8 @@ def save_scene(model: SceneModel, path) -> None:
     bounds = [0, *np.cumsum(lens).tolist()]
     with open(path / "points3D.txt", "w", encoding="utf-8") as fh:
         fh.write("# POINT3D_ID X Y Z R G B ERROR TRACK[] as (IMAGE_ID POINT2D_IDX)\n")
-        for pt_id, pt, lo, hi in zip(point_ids, points, bounds, bounds[1:]):
-            x, y, z = pt.xyz.tolist()
-            r, g, b = pt.rgb if pt.rgb is not None else (128, 128, 128)
+        for pt_id, (x, y, z), (r, g, b), lo, hi in zip(
+                point_ids.tolist(), pts.xyz[by_id].tolist(), pts.rgb[by_id].tolist(),
+                bounds, bounds[1:]):
             track = " ".join(f"{iid} {k}" for iid, k in entries[lo:hi])
             fh.write(f"{pt_id} {x:.17g} {y:.17g} {z:.17g} {r} {g} {b} 0 {track}\n")

@@ -18,8 +18,8 @@ from .mesh import TriangleMesh, box_mesh, ray_cast, save_mesh_ply
 from .scene_model import (
     ImageRecord,
     Intrinsics,
+    PointSet,
     SceneModel,
-    TrackPoint,
     _camera_frame,
     _pixel,
     look_at_pose,
@@ -199,13 +199,14 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
         vis[:, j] = valid & unoccluded
 
     observed = np.flatnonzero(vis.any(axis=1))
-    columns = np.array(image_ids)
-    points = {}
-    for i in observed.tolist():
-        points[i] = TrackPoint.from_columns(i, sites[i], columns[vis[i]], uv[i, vis[i]])
+    owner, column = np.nonzero(vis[observed])
+    track_len = np.bincount(owner, minlength=len(observed))
+    track_image = np.array(image_ids, dtype=np.int64)[column]
+    points = PointSet(observed, sites[observed], np.full((len(observed), 3), 128), track_len,
+                      track_image, uv[observed[owner], column])
     model = SceneModel({1: K}, images, points)
 
-    saliency = _saliencies(list(points.values()), model)
+    saliency = _saliencies(points.xyz, track_image, track_len, model)
     landmarks = [Landmark(lm_id, int(i), sites[i], s)
                  for lm_id, (i, s) in enumerate(zip(observed, saliency))]
     gt_landmarks = LandmarkSet(

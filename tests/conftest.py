@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, TrackPoint
+from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, PointSet, SceneModel
 
 
 def random_rotation(rng):
@@ -22,6 +22,22 @@ def make_intrinsics(f=100.0, c=50.0, size=100):
     return Intrinsics(fx=f, fy=f, cx=c, cy=c, width=size, height=size)
 
 
+def points_from_pairs(points):
+    """A PointSet from {point id: (xyz, [(image id, uv), ...])}, in dict
+    order, every colour 128."""
+    tracks = [obs for _, obs in points.values()]
+    return PointSet(list(points), [xyz for xyz, _ in points.values()],
+                    np.full((len(points), 3), 128), [len(obs) for obs in tracks],
+                    [iid for obs in tracks for iid, _ in obs],
+                    [uv for obs in tracks for _, uv in obs])
+
+
+def track(points, k):
+    """Point k's track: its (image_ids, uv) slices."""
+    lo, hi = points.offsets[k], points.offsets[k + 1]
+    return points.image_ids[lo:hi], points.uv[lo:hi]
+
+
 def make_minimal_model():
     """1 camera, 2 images, 1 point observed twice."""
     K = make_intrinsics()
@@ -31,9 +47,9 @@ def make_minimal_model():
         1: ImageRecord(1, pose0, 1, "img0.png"),
         2: ImageRecord(2, pose1, 1, "img1.png"),
     }
-    pt = TrackPoint(7, np.array([0.0, 0.0, 2.0]),
-                    [(1, np.array([50.0, 50.0])), (2, np.array([45.0, 50.0]))])
-    return SceneModel({1: K}, images, {7: pt})
+    points = points_from_pairs({7: (np.array([0.0, 0.0, 2.0]), [
+        (1, np.array([50.0, 50.0])), (2, np.array([45.0, 50.0]))])})
+    return SceneModel({1: K}, images, points)
 
 
 @pytest.fixture

@@ -21,14 +21,20 @@ from landmarkloc.cli import main
 from landmarkloc.detection import Detection, simulate_detections_labeled
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import _angular_errors, detection_angular_error
-from landmarkloc.landmarks import Landmark, LandmarkSet, _saliencies, score_saliency
+from landmarkloc.landmarks import (
+    Landmark,
+    LandmarkSet,
+    _distinct_images,
+    _saliencies,
+    score_saliency,
+)
 from landmarkloc.mesh import nearest_surface_point
 from landmarkloc.pose import Correspondence, SolverConfig, localize, p3p_solve, prosac_estimate
 from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, project
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
-from conftest import p3p_in_blocks, random_rotation
+from conftest import p3p_in_blocks, random_rotation, track
 from scalar_lambda_twist import consensus_ref, p3p_solve_ref, prosac_ref
 from test_pose import pnp_scene
 
@@ -49,14 +55,14 @@ def angular_ref(uv, T, K, xyz):
                                    float(np.dot(b, cam))))
 
 
-def saliency_ref(point, model):
-    image_ids = sorted({iid for iid, _ in point.observations})
+def saliency_ref(xyz, track_images, model):
+    image_ids = sorted(set(track_images.tolist()))
     n = len(image_ids)
     if n == 1:
         return 1.0
     dirs = np.empty((n, 3))
     for i, iid in enumerate(image_ids):
-        d = point.xyz - model.images[iid].pose.center
+        d = xyz - model.images[iid].pose.center
         dirs[i] = d / np.linalg.norm(d)
     cosines = np.clip(dirs @ dirs.T, -1.0, 1.0)
     spread = min(float(np.mean(np.arccos(cosines[np.triu_indices(n, k=1)]))), math.pi / 2)
@@ -133,19 +139,20 @@ def test_angular_errors_match_one_row(scene):
 
 def test_saliencies_match_one_point(scene):
     model = scene.model
-    points = list(model.points.values())
-    ref = [saliency_ref(p, model) for p in points]
-    assert _saliencies(points, model) == ref
-    assert [score_saliency(p, model) for p in points] == ref
+    points = model.points
+    tracks = [track(points, k)[0] for k in range(len(points))]
+    ref = [saliency_ref(xyz, images, model) for xyz, images in zip(points.xyz, tracks)]
+    assert _saliencies(points.xyz, *_distinct_images(points), model) == ref
+    assert [score_saliency(xyz, images, model) for xyz, images in zip(points.xyz, tracks)] == ref
     assert [lm.saliency for lm in scene.gt_landmarks] == ref
 
 
 def test_synth_observations_match_project(scene):
     model = scene.model
     K = model.intrinsics[1]
-    for pt in model.points.values():
-        for iid, uv in pt.observations:
-            assert tuple(uv) == project_ref(K, model.images[iid].pose, pt.xyz)
+    points = model.points
+    for xyz, iid, uv in zip(points.xyz[points.owner], points.image_ids.tolist(), points.uv):
+        assert tuple(uv) == project_ref(K, model.images[iid].pose, xyz)
 
 
 def reference_normals_ref(mesh, ls, max_dist):

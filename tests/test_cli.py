@@ -11,7 +11,10 @@ from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
 from landmarkloc.landmarks import load_landmarks
 from landmarkloc.partitioning import load_partition
+from landmarkloc.scene_model import SceneModel, save_scene
 from landmarkloc.visibility import load_visibility
+
+from conftest import make_minimal_model, points_from_pairs
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,25 @@ class TestSelectCommand:
         )
         assert rc == 2
         assert "achievable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    def test_radius_must_be_finite_and_positive(self, scene_dir, tmp_path, capsys, radius):
+        # In-process: without the check, --radius inf halves inf forever.
+        rc = main(["select", "--scene", str(scene_dir / "scene"), "--count", "10",
+                   "--min-track", "2", "--radius", radius, "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert "r_init must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("radius", [[], ["--radius", "1"]], ids=["default", "given"])
+    def test_scene_without_points_has_no_candidates(self, tmp_path, capsys, radius):
+        model = make_minimal_model()
+        save_scene(SceneModel(model.intrinsics, model.images, points_from_pairs({})),
+                   tmp_path / "scene")
+        rc = main(["select", "--scene", str(tmp_path / "scene"), "--count", "3", *radius,
+                   "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert "requested 3 landmarks but only 0 are achievable" in capsys.readouterr().err
 
 
 class TestPartitionCommand:

@@ -28,6 +28,8 @@ from landmarkloc.pose import localize
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
+from conftest import points_from_pairs
+
 EXTENT = (640, 480)  # grid 80 x 60
 
 
@@ -105,7 +107,7 @@ def tiny_scene(n_landmarks=20, n_images=4, width=640, height=480):
         iid: ImageRecord(iid, Pose(np.eye(3), np.zeros(3)), 1, f"i{iid}.png")
         for iid in range(n_images)
     }
-    model = SceneModel({1: K}, images, {})
+    model = SceneModel({1: K}, images, points_from_pairs({}))
     pts = []
     for i in range(n_landmarks):
         x = rng.uniform(-0.5, 0.5)

@@ -24,7 +24,7 @@ from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.pose import PoseEstimate
 from landmarkloc.scene_model import ImageRecord, Pose, SceneModel, project
 
-from conftest import make_intrinsics, random_rotation
+from conftest import make_intrinsics, points_from_pairs, random_rotation
 
 
 def axis_rotation(axis, deg):
@@ -218,7 +218,7 @@ def small_gt_model(n_images=4):
         i: ImageRecord(i, Pose(random_rotation(rng), rng.normal(size=3)), 1, f"{i}.png")
         for i in range(n_images)
     }
-    return SceneModel({1: K}, images, {})
+    return SceneModel({1: K}, images, points_from_pairs({}))
 
 
 class TestReport:

@@ -12,9 +12,9 @@ from landmarkloc.landmarks import (
     score_saliency,
     select_landmarks,
 )
-from landmarkloc.scene_model import ImageRecord, Pose, SceneModel, TrackPoint
+from landmarkloc.scene_model import ImageRecord, Pose, SceneModel
 
-from conftest import make_intrinsics, random_rotation
+from conftest import make_intrinsics, points_from_pairs, random_rotation, track
 
 
 def make_cloud_model(rng, n_points=100, n_images=12, track_range=(3, 12)):
@@ -30,8 +30,8 @@ def make_cloud_model(rng, n_points=100, n_images=12, track_range=(3, 12)):
         n_obs = int(rng.integers(track_range[0], track_range[1] + 1))
         obs_ids = rng.choice(n_images, size=n_obs, replace=False)
         obs = [(int(i), rng.uniform(0, 100, size=2)) for i in sorted(obs_ids)]
-        points[pid] = TrackPoint(pid, rng.uniform(-10, 10, size=3), obs)
-    return SceneModel({1: K}, images, points)
+        points[pid] = (rng.uniform(-10, 10, size=3), obs)
+    return SceneModel({1: K}, images, points_from_pairs(points))
 
 
 def make_two_camera_model(centers, point_xyz):
@@ -41,20 +41,29 @@ def make_two_camera_model(centers, point_xyz):
         c = np.asarray(c, dtype=float)
         images[iid] = ImageRecord(iid, Pose(np.eye(3), -c), 1, f"im{iid}.png")
     obs = [(iid, np.array([50.0, 50.0])) for iid in images]
-    pt = TrackPoint(0, point_xyz, obs)
-    return SceneModel({1: K}, images, {0: pt})
+    return SceneModel({1: K}, images, points_from_pairs({0: (point_xyz, obs)}))
 
 
-def saliency_oracle(point, model):
+def saliency(model, k):
+    """score_saliency of the model's point k."""
+    return score_saliency(model.points.xyz[k], track(model.points, k)[0], model)
+
+
+def track_length(model, k):
+    return len(set(track(model.points, k)[0].tolist()))
+
+
+def saliency_oracle(model, k):
     """Brute-force re-implementation of the saliency formula."""
-    iids = sorted({i for i, _ in point.observations})
+    xyz = model.points.xyz[k]
+    iids = sorted(set(track(model.points, k)[0].tolist()))
     if len(iids) == 1:
         return 1.0
     angles = []
     for a in range(len(iids)):
         for b in range(a + 1, len(iids)):
-            da = point.xyz - model.images[iids[a]].pose.center
-            db = point.xyz - model.images[iids[b]].pose.center
+            da = xyz - model.images[iids[a]].pose.center
+            db = xyz - model.images[iids[b]].pose.center
             da, db = da / np.linalg.norm(da), db / np.linalg.norm(db)
             angles.append(math.acos(max(-1.0, min(1.0, float(np.dot(da, db))))))
     spread = min(sum(angles) / len(angles), math.pi / 2)
@@ -64,25 +73,25 @@ def saliency_oracle(point, model):
 class TestSaliency:
     def test_single_view(self):
         model = make_two_camera_model([[1, 0, 0]], np.zeros(3))
-        assert score_saliency(model.points[0], model) == 1.0
+        assert saliency(model, 0) == 1.0
 
     def test_two_views_90_degrees(self):
         model = make_two_camera_model([[1, 0, 0], [0, 1, 0]], np.zeros(3))
         expected = 2 * (1 + math.pi / 2)
-        assert abs(score_saliency(model.points[0], model) - expected) < 1e-12
+        assert abs(saliency(model, 0) - expected) < 1e-12
 
     def test_spread_capped_at_right_angle(self):
         # Nearly opposite viewing directions: the mean pairwise angle is far
         # beyond pi/2 and must be capped there.
         model = make_two_camera_model([[1, 0, 0], [-1, 0.01, 0]], np.zeros(3))
         expected = 2 * (1 + math.pi / 2)
-        assert abs(score_saliency(model.points[0], model) - expected) < 1e-12
+        assert abs(saliency(model, 0) - expected) < 1e-12
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
         model = make_cloud_model(rng, n_points=40)
-        for pt in model.points.values():
-            assert abs(score_saliency(pt, model) - saliency_oracle(pt, model)) < 1e-12
+        for k in range(len(model.points)):
+            assert abs(saliency(model, k) - saliency_oracle(model, k)) < 1e-12
 
 
 class TestSelection:
@@ -90,7 +99,7 @@ class TestSelection:
         rng = np.random.default_rng(11)
         model = make_cloud_model(rng)
         ls = select_landmarks(model, 1, r_init=1.0, min_track=3)
-        scores = {pid: score_saliency(p, model) for pid, p in model.points.items()}
+        scores = {pid: saliency(model, k) for k, pid in enumerate(model.points.ids.tolist())}
         best = min(scores, key=lambda pid: (-scores[pid], pid))
         assert ls[0].source_point_id == best
 
@@ -105,14 +114,15 @@ class TestSelection:
     def test_greedy_replay(self):
         rng = np.random.default_rng(13)
         model = make_cloud_model(rng, n_points=100)
-        xyz_all = np.array([p.xyz for p in model.points.values()])
+        xyz_all = model.points.xyz
         diameter = np.linalg.norm(xyz_all.max(0) - xyz_all.min(0))
         r_init = diameter / 4
         ls = select_landmarks(model, 10, r_init=r_init, min_track=3)
 
         # Independent replay of the greedy schedule.
-        scores = {pid: score_saliency(p, model) for pid, p in model.points.items()}
-        eligible = {pid for pid, p in model.points.items() if p.track_length >= 3}
+        # Point ids are the indices 0..99 in this model.
+        scores = {pid: saliency(model, pid) for pid in range(100)}
+        eligible = {pid for pid in range(100) if track_length(model, pid) >= 3}
         chosen = []
         r = r_init
         while len(chosen) < 10:
@@ -121,7 +131,7 @@ class TestSelection:
                 if pid in (c for c, _ in chosen):
                     continue
                 dmin = min(
-                    (np.linalg.norm(model.points[pid].xyz - model.points[c].xyz)
+                    (np.linalg.norm(xyz_all[pid] - xyz_all[c])
                      for c, _ in chosen),
                     default=np.inf,
                 )
@@ -136,7 +146,7 @@ class TestSelection:
         # Pairwise separation under the radius in force at acceptance time.
         for k, (pid, r_k) in enumerate(chosen):
             for j in range(k):
-                d = np.linalg.norm(model.points[pid].xyz - model.points[chosen[j][0]].xyz)
+                d = np.linalg.norm(xyz_all[pid] - xyz_all[chosen[j][0]])
                 assert d > r_k
 
     def test_prefix_property(self):
@@ -164,12 +174,24 @@ class TestSelection:
             select_landmarks(model, 10, r_init=1.0, min_track=3)
         assert err.value.achievable == 5
 
+    def test_repeated_image_counts_once(self):
+        # Point 5 is seen twice in image 0: its track length is 2, not 3.
+        model = make_two_camera_model([[1, 0, 0], [0, 1, 0]], np.zeros(3))
+        uv = np.array([50.0, 50.0])
+        model = SceneModel(model.intrinsics, model.images, points_from_pairs(
+            {5: (np.zeros(3), [(0, uv), (1, uv), (0, uv)])}))
+        with pytest.raises(InsufficientCandidatesError):
+            select_landmarks(model, 1, r_init=1.0, min_track=3)
+        ls = select_landmarks(model, 1, r_init=1.0, min_track=2)
+        assert ls[0].saliency == saliency(model, 0)
+        assert abs(ls[0].saliency - 2 * (1 + math.pi / 2)) < 1e-12
+
     def test_min_track_filters(self):
         rng = np.random.default_rng(17)
         model = make_cloud_model(rng, n_points=50, track_range=(3, 12))
         ls = select_landmarks(model, 5, r_init=0.5, min_track=8)
         for lm in ls:
-            assert model.points[lm.source_point_id].track_length >= 8
+            assert track_length(model, lm.source_point_id) >= 8  # ids are indices here
 
 
 class TestLandmarkSet:

@@ -12,9 +12,9 @@ from landmarkloc.errors import (
 from landmarkloc.scene_model import (
     ImageRecord,
     Intrinsics,
+    PointSet,
     Pose,
     SceneModel,
-    TrackPoint,
     _parse_scene,
     bearing,
     load_scene,
@@ -26,7 +26,7 @@ from landmarkloc.scene_model import (
 )
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import make_intrinsics, make_minimal_model, random_rotation
+from conftest import make_intrinsics, make_minimal_model, points_from_pairs, random_rotation
 
 CACHE = ".landmarkloc-scene.npz"
 
@@ -49,7 +49,7 @@ def good_scene(path, warm):
 
 
 def assert_same_model(a, b):
-    """Every field, Python type, dtype and dict order of two scene models."""
+    """Every field, Python type, dtype, shape and order of two scene models."""
     assert list(a.intrinsics) == list(b.intrinsics)
     for cam_id, K in a.intrinsics.items():
         assert type(cam_id) is int
@@ -64,15 +64,10 @@ def assert_same_model(a, b):
         for x, y in ((img.pose.R, other.pose.R), (img.pose.t, other.pose.t)):
             assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
             assert not x.flags.writeable
-    assert list(a.points) == list(b.points)
-    for pid, pt in a.points.items():
-        other = b.points[pid]
-        assert type(pid) is type(pt.id) is int and pt.id == other.id
-        assert type(pt.rgb) is tuple and all(type(c) is int for c in pt.rgb)
-        assert pt.rgb == other.rgb
-        for name in ("xyz", "image_ids", "uv"):
-            x, y = getattr(pt, name), getattr(other, name)
-            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    assert type(a.points) is type(b.points) is PointSet
+    for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
+        x, y = getattr(a.points, name), getattr(b.points, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
 
 
 def project_oracle(K, R, t, p):
@@ -227,48 +222,77 @@ class TestSceneModel:
     def test_minimal_model(self, minimal_model):
         assert len(minimal_model.images) == 2
         assert len(minimal_model.points) == 1
-        assert minimal_model.points[7].track_length == 2
+        assert minimal_model.points.ids.tolist() == [7]
+        assert minimal_model.points.image_ids.tolist() == [1, 2]
 
     def test_dangling_image_reference(self):
         K = make_intrinsics()
         images = {1: ImageRecord(1, Pose(np.eye(3), np.zeros(3)), 1, "a.png")}
-        pt = TrackPoint(0, [0, 0, 2], [(99, np.array([1.0, 1.0]))])
+        points = points_from_pairs({0: ([0, 0, 2], [(99, np.array([1.0, 1.0]))])})
         with pytest.raises(DanglingReferenceError):
-            SceneModel({1: K}, images, {0: pt})
+            SceneModel({1: K}, images, points)
 
     def test_dangling_image_reference_names_point_and_image(self):
         K = make_intrinsics()
         images = {1: ImageRecord(1, Pose(np.eye(3), np.zeros(3)), 1, "a.png")}
-        good = TrackPoint(0, [0, 0, 2], [(1, np.array([1.0, 1.0]))])
-        bad = TrackPoint(5, [0, 0, 2], [(1, np.array([1.0, 1.0])), (98, np.array([2.0, 1.0])),
-                                        (99, np.array([3.0, 1.0]))])
+        points = points_from_pairs({
+            0: ([0, 0, 2], [(1, np.array([1.0, 1.0]))]),
+            5: ([0, 0, 2], [(1, np.array([1.0, 1.0])), (98, np.array([2.0, 1.0])),
+                            (99, np.array([3.0, 1.0]))]),
+        })
         with pytest.raises(DanglingReferenceError) as err:
-            SceneModel({1: K}, images, {0: good, 5: bad})
+            SceneModel({1: K}, images, points)
         assert str(err.value) == "point 5 references unknown image 98"
 
+
+def two_points(**change):
+    """PointSet columns for points 4 and 9, with tracks [3, 1, 3] and [2],
+    as keyword arguments; change replaces some of them."""
+    columns = dict(ids=[4, 9], xyz=[[1, 2, 3], [4, 5, 6]], rgb=[[1, 2, 3], [128, 128, 128]],
+                   track_len=[3, 1], image_ids=[3, 1, 3, 2],
+                   uv=[[1.5, 2.5], [0.25, 7.0], [4.0, 5.0], [6.0, 1.0]])
+    return {**columns, **change}
+
+
+class TestPointSet:
+    def test_columns_in_track_order(self):
+        points = PointSet(**two_points())
+        assert len(points) == 2
+        for name, dtype, shape in [("ids", np.int64, (2,)), ("xyz", np.float64, (2, 3)),
+                                   ("rgb", np.int64, (2, 3)), ("offsets", np.int64, (3,)),
+                                   ("image_ids", np.int64, (4,)), ("uv", np.float64, (4, 2))]:
+            column = getattr(points, name)
+            assert column.dtype == dtype and column.shape == shape
+        assert points.offsets.tolist() == [0, 3, 4]
+        assert points.image_ids.tolist() == [3, 1, 3, 2]  # track order is kept
+        assert points.owner.tolist() == [0, 0, 0, 1]
+
+    def test_empty_set(self):
+        points = PointSet([], [], [], [], [], [])
+        assert len(points) == 0 and points.offsets.tolist() == [0]
+        assert points.xyz.shape == (0, 3) and points.uv.shape == (0, 2)
+
+    @pytest.mark.parametrize("change", [
+        dict(xyz=[[1, 2, 3]]),                  # one position for two points
+        dict(rgb=[[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        dict(track_len=[3]),                    # one length for two points
+        dict(track_len=[2, 1]),                 # tracks shorter than the columns
+        dict(track_len=[3, 2]),                 # tracks longer than the columns
+        dict(uv=[[1.5, 2.5]]),                  # one pixel for four entries
+    ], ids=["xyz", "rgb", "track-len", "tracks-short", "tracks-long", "uv"])
+    def test_columns_must_pair_up(self, change):
+        with pytest.raises(ValueError):
+            PointSet(**two_points(**change))
+
     def test_empty_track_rejected(self):
-        with pytest.raises(ValueError):
-            TrackPoint(0, [0, 0, 2], [])
-        with pytest.raises(ValueError):
-            TrackPoint.from_columns(0, [0, 0, 2], [], np.empty((0, 2)))
+        with pytest.raises(ValueError, match="track point 9 has no observations"):
+            PointSet(**two_points(track_len=[4, 0]))
+        with pytest.raises(ValueError, match="track point 4 has no observations"):
+            PointSet(**two_points(track_len=[-1, 5]))
 
-
-class TestTrackPoint:
-    def test_pairs_and_columns_agree(self):
-        pairs = [(3, np.array([1.5, 2.5])), (1, np.array([0.25, 7.0])), (3, np.array([4.0, 5.0]))]
-        pt = TrackPoint(9, [1, 2, 3], pairs, (1, 2, 3))
-        cols = TrackPoint.from_columns(9, [1, 2, 3], [3, 1, 3], [[1.5, 2.5], [0.25, 7.0], [4.0, 5.0]])
-        for p in (pt, cols):
-            assert p.image_ids.dtype == np.int64 and p.uv.shape == (3, 2)
-            assert p.image_ids.tolist() == [3, 1, 3]  # track order is kept
-            assert [(i, tuple(uv)) for i, uv in p.observations] == [
-                (i, tuple(uv)) for i, uv in pairs]
-            assert p.track_length == 2
-        assert pt.rgb == (1, 2, 3) and cols.rgb is None
-
-    def test_columns_must_pair_up(self):
-        with pytest.raises(ValueError):
-            TrackPoint.from_columns(0, [0, 0, 2], [1, 2], [[1.0, 1.0]])
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="repeated point id 4"):
+            PointSet(**two_points(ids=[4, 4]))
 
 
 class TestSceneIO:
@@ -277,25 +301,35 @@ class TestSceneIO:
         save_scene(model, tmp_path)
         loaded = load_scene(tmp_path)
         assert set(loaded.images) == set(model.images)
-        assert set(loaded.points) == set(model.points)
         for iid, img in model.images.items():
             got = loaded.images[iid]
             assert got.name == img.name and got.camera_id == img.camera_id
             assert np.abs(got.pose.R - img.pose.R).max() < 1e-12
             assert np.abs(got.pose.t - img.pose.t).max() < 1e-15
-        for pid, pt in model.points.items():
-            got = loaded.points[pid]
-            assert np.array_equal(got.xyz, pt.xyz)
-            assert [i for i, _ in got.observations] == [i for i, _ in pt.observations]
-            for (_, a), (_, b) in zip(got.observations, pt.observations):
-                assert np.array_equal(a, b)
+        for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
+            assert np.array_equal(getattr(loaded.points, name), getattr(model.points, name))
+
+    def test_save_writes_points_in_id_order(self, tmp_path):
+        # The same points in another order, each track in its own order,
+        # give the same files.
+        model = generate_scene(SynthConfig(num_landmark_sites=40, num_cameras=8,
+                                           camera_margin=1.4, min_target_dist=3.0, seed=3)).model
+        pts = model.points
+        perm = np.random.default_rng(0).permutation(len(pts))
+        rows = np.concatenate([np.arange(pts.offsets[k], pts.offsets[k + 1]) for k in perm])
+        shuffled = PointSet(pts.ids[perm], pts.xyz[perm], pts.rgb[perm],
+                            np.diff(pts.offsets)[perm], pts.image_ids[rows], pts.uv[rows])
+        save_scene(model, tmp_path / "a")
+        save_scene(SceneModel(model.intrinsics, model.images, shuffled), tmp_path / "b")
+        for name in ("cameras.txt", "images.txt", "points3D.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_load_is_pure_function_of_bytes(self, tmp_path):
         save_scene(make_minimal_model(), tmp_path)
         a = load_scene(tmp_path)
         b = load_scene(tmp_path)
         assert np.array_equal(a.images[1].pose.R, b.images[1].pose.R)
-        assert np.array_equal(a.points[7].xyz, b.points[7].xyz)
+        assert np.array_equal(a.points.xyz, b.points.xyz)
         assert a.images[1].name == b.images[1].name
 
     def test_missing_file(self, tmp_path):
@@ -431,13 +465,14 @@ class TestSceneIO:
         ("images.txt", 4, "50 50 9223372036854775807 50 50 -9223372036854775809"),
         ("points3D.txt", 2, "9223372036854775808 0 0 2 128 128 128 0 1 0 2 0"),
         ("points3D.txt", 2, "7 0 0 2 128 128 128 0 1 0 2 18446744073709551616"),
+        ("points3D.txt", 2, "7 0 0 2 128 18446744073709551616 128 0 1 0 2 0"),
         ("cameras.txt", 2, "1180591620717411303424 PINHOLE 100 100 100 100 50 50"),
         ("cameras.txt", 2, "1 PINHOLE 9223372036854775808 100 100 100 50 50"),
         ("cameras.txt", 2, "1 PINHOLE 100 -9223372036854775809 100 100 50 50"),
         ("images.txt", 3, "1 1 0 0 0 0 0 0 1180591620717411303424 img0.png"),
     ]))
     def test_id_outside_int64_reports_location(self, tmp_path, name, line_no, line, warm):
-        # Ids, image sizes and track entries are read into int64 columns.
+        # Ids, image sizes, colours and track entries are read into int64 columns.
         good_scene(tmp_path, warm)
         path = tmp_path / name
         lines = path.read_text().splitlines()
@@ -628,12 +663,3 @@ class TestSceneCache:
         parses = count_parses(monkeypatch)
         load_scene(tmp_path)
         assert parses == []
-
-    def test_value_beyond_its_column_is_not_kept(self, tmp_path):
-        # rgb has no range check, and an int beyond int64 has no exact column.
-        good_scene(tmp_path, warm=False)
-        pts = tmp_path / "points3D.txt"
-        pts.write_text(pts.read_text().replace(" 128 128 128 ", f" 128 {2**64} 128 "))
-        model = load_scene(tmp_path)
-        assert model.points[7].rgb == (128, 2**64, 128)
-        assert not (tmp_path / CACHE).exists()

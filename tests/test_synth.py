@@ -55,13 +55,13 @@ class TestGenerate:
 
     def test_observations_are_exact_projections(self):
         scene = generate_scene(small_cfg())
-        for pt in scene.model.points.values():
-            for iid, uv in pt.observations:
-                img = scene.model.images[iid]
-                K = scene.model.intrinsics[img.camera_id]
-                truth = project(K, img.pose, pt.xyz)
-                assert truth is not None
-                assert np.array_equal(uv, truth)
+        points = scene.model.points
+        for xyz, iid, uv in zip(points.xyz[points.owner], points.image_ids.tolist(), points.uv):
+            img = scene.model.images[iid]
+            K = scene.model.intrinsics[img.camera_id]
+            truth = project(K, img.pose, xyz)
+            assert truth is not None
+            assert np.array_equal(uv, truth)
 
     def test_cameras_inside_room(self):
         scene = generate_scene(small_cfg(num_cameras=25))
@@ -149,18 +149,13 @@ class TestWriteScene:
         write_scene(scene, tmp_path)
         model = load_scene(tmp_path / "scene")
         assert set(model.images) == set(scene.model.images)
-        assert set(model.points) == set(scene.model.points)
         for iid, img in scene.model.images.items():
             got = model.images[iid]
             assert np.abs(got.pose.R - img.pose.R).max() < 1e-12
             assert np.abs(got.pose.t - img.pose.t).max() < 1e-15
             assert got.name == img.name
-        for pid, pt in scene.model.points.items():
-            got = model.points[pid]
-            assert np.array_equal(got.xyz, pt.xyz)
-            for (ia, uva), (ib, uvb) in zip(got.observations, pt.observations):
-                assert ia == ib
-                assert np.array_equal(uva, uvb)
+        for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
+            assert np.array_equal(getattr(model.points, name), getattr(scene.model.points, name))
 
         mesh = load_mesh(tmp_path / "mesh.ply")
         assert np.array_equal(mesh.vertices, scene.mesh.vertices)

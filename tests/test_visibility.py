@@ -26,7 +26,7 @@ from landmarkloc.visibility import (
     save_visibility,
 )
 
-from conftest import make_intrinsics
+from conftest import make_intrinsics, points_from_pairs
 
 
 def facing_square(z=2.0, half=10.0):
@@ -258,7 +258,7 @@ def room_scene(n_landmarks=40, n_images=8, occluders=(), seed=40):
         eye = np.array([rng.uniform(2, 4), rng.uniform(1.5, 2.5), rng.uniform(1, 2)])
         target = walls[int(rng.integers(0, len(walls)))]
         images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1, f"r{iid}.png")
-    model = SceneModel({1: K}, images, {})
+    model = SceneModel({1: K}, images, points_from_pairs({}))
     return model, mesh, landmarks
 
 
