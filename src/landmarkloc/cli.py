@@ -212,11 +212,12 @@ def cmd_select(args) -> int:
     model = load_scene(args.scene)
     radius = args.radius
     if radius is None:
-        # A quarter of the cloud's extent. A cloud without points has none, and
-        # select_landmarks reports that it has no candidates.
+        # A quarter of the cloud's extent. Where that is 0 (no points, or all at
+        # one place) any positive radius selects the same points, so 1; a cloud
+        # without points has no candidates, and select_landmarks says so.
         xyz = model.points.xyz
         extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
-        radius = float(np.linalg.norm(extent)) / 4.0
+        radius = float(np.linalg.norm(extent)) / 4.0 or 1.0
     ls = select_landmarks(model, args.count, radius, args.min_track)
     save_landmarks(ls, args.out)
     print(f"selected {len(ls)} landmarks -> {args.out}")

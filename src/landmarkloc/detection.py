@@ -238,14 +238,16 @@ CSV_HEADER = ["image_id", "landmark_id", "u", "v_coord", "confidence"]
 
 def save_detections(detections: dict, path) -> None:
     """CSV of all detections, ordered by image id then landmark id, as
-    csv.writer writes it: CRLF line ends, and each float as _io.fmt gives it."""
+    csv.writer writes it: CRLF line ends, and each float as _io.fmt gives it.
+    Each image's rows are one % format and one write."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for iid in sorted(detections):
             ds = detections[iid]
-            for lid, (u, v), c in zip(ds.landmark_ids.tolist(), ds.uv.tolist(),
-                                      ds.confidence.tolist()):
-                fh.write(f"{iid},{lid},{u:.17g},{v:.17g},{c:.17g}\r\n")
+            fields = [None] * (4 * len(ds))
+            fields[0::4], fields[1::4] = ds.landmark_ids.tolist(), ds.uv[:, 0].tolist()
+            fields[2::4], fields[3::4] = ds.uv[:, 1].tolist(), ds.confidence.tolist()
+            fh.write(f"{iid},%d,%.17g,%.17g,%.17g\r\n" * len(ds) % tuple(fields))
 
 
 def load_detections(path) -> dict:

@@ -19,7 +19,7 @@ from .scene_model import (
     _ORTHO_TOL,
     Intrinsics,
     Pose,
-    _pixel,
+    _uv,
     axis_angle_to_matrix,
     bearing,
     qvec2rotmat,
@@ -130,8 +130,7 @@ def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
     unknown = ids[(ids < 0) | (ids >= len(ls))]
     if len(unknown):
         raise DanglingReferenceError(f"detection references unknown landmark {unknown[0]}")
-    # In Python floats: numpy's power differs from libm pow in the last bit (see _squares).
-    w = np.array([v ** e for v in dets.confidence.tolist()])
+    w = np.float_power(dets.confidence, e)  # libm pow, as Python's v ** e (see _squares)
     return Correspondences(ids, dets.uv, ls.xyz[ids], dets.confidence, w)
 
 
@@ -151,39 +150,46 @@ def _running(op, *cols):
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 through Python floats. Their ** calls libm pow, which differs from
-    x * x (and from np.power) in the last bit on about 1 value in 1000; the
-    squares of the one-sample solver were taken this way, and its poses are
-    kept bit for bit."""
-    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+    """x ** 2 as Python's float ** gives it: np.float_power calls libm pow,
+    as ** does, while x * x and np.power (SIMD code on some hosts) differ in
+    the last bit on about 1 value in 1000. The squares of the one-sample
+    solver were taken with **, and its poses are kept bit for bit. Unlike **,
+    a square that overflows is inf, not an OverflowError."""
+    return np.float_power(x, 2.0)
 
 
-@np.errstate(all="ignore")  # every lane is computed, then masked
+# Rows -1 and +1: x + _SIGNS * y is x - y, then x + y, with the same bits.
+_SIGNS = np.array([[-1.0], [1.0]])
+
+
 def _cubic_roots(b, c, d):
     """The real root of x^3 + b x^2 + c x + d that Lambda Twist's `cubick` picks
     (of three, the smallest), element by element: Newton's method from beside
     the stationary point where the cubic changes sign, 7 to 50 steps, stopping
-    once |f| <= eps. Also returns where a step divided by zero."""
+    once |f| <= eps. Also returns where a step divided by zero. Lanes that the
+    caller masks may divide by zero; _p3p_block turns those warnings off."""
     x = -b / 3.0
-    q = b * b > 3.0 * c  # a local maximum at x - v, a local minimum at x + v
-    v = np.sqrt(b * b - 3.0 * c) / 3.0
-    lo, hi = x - v, x + v
-    k_lo = ((lo + b) * lo + c) * lo + d
-    k_hi = ((hi + b) * hi + c) * hi + d
-    x = np.where(q & (k_lo > 0.0), x - (v + np.sqrt(k_lo / (3.0 * v))),
-                 np.where(q, x + (v + np.sqrt(-k_hi / (3.0 * v))),
-                          np.where(np.abs((3.0 * x + 2.0 * b) * x + c) < 1e-4, x + 1.0, x)))
-    zero_div = np.zeros(x.shape, bool)
+    b2, bb, c3 = 2.0 * b, b * b, 3.0 * c
+    q = bb > c3  # a local maximum at x - v, a local minimum at x + v
+    v = np.sqrt(bb - c3) / 3.0
+    lo_hi = x + _SIGNS * v
+    k = ((lo_hi + b) * lo_hi + c) * lo_hi + d  # the cubic at x - v and at x + v
+    # x - (v + sqrt(k_lo / 3v)) and x + (v + sqrt(-k_hi / 3v))
+    lo, hi = x + _SIGNS * (v + np.sqrt(-_SIGNS * k / (3.0 * v)))
+    x = np.where(q & (k[0] > 0.0), lo,
+                 np.where(q, hi, np.where(np.abs((3.0 * x + b2) * x + c) < 1e-4, x + 1.0, x)))
+    dfs = []
     for _ in range(7):
-        df = (3.0 * x + 2.0 * b) * x + c
-        zero_div |= df == 0.0
-        x = x - (((x + b) * x + c) * x + d) / df
+        dfs.append((3.0 * x + b2) * x + c)
+        x = x - (((x + b) * x + c) * x + d) / dfs[-1]
+    zero_div = (np.array(dfs) == 0.0).any(0)
     eps = 2.220446049250313e-16
     f = ((x + b) * x + c) * x + d
     # Roots not within eps after 7 steps (about a third) finish one by one.
     for i in np.flatnonzero(~(np.abs(f) <= eps) & ~zero_div).tolist():
         xi, bi, ci, di = float(x[i]), float(b[i]), float(c[i]), float(d[i])
-        for _ in range(7, 50):
+        prev = None
+        for k in range(7, 50):
             fi = ((xi + bi) * xi + ci) * xi + di
             if abs(fi) <= eps:
                 break
@@ -191,20 +197,22 @@ def _cubic_roots(b, c, d):
             if df == 0.0:
                 zero_div[i] = True
                 break
-            xi, prev = xi - fi / df, xi
+            xi, prev, before = xi - fi / df, xi, prev
             if xi == prev:  # a fixed point: the remaining steps would repeat this one
+                break
+            if xi == before:  # a 2-cycle, both points tested here: the rest alternate
+                xi = xi if (49 - k) % 2 == 0 else prev
                 break
         x[i] = xi
     return x, zero_div
 
 
 def _quadratic_roots(b, c):
-    """Where x^2 + b x + c has real roots, and the two roots, element by
-    element; (0, 0) where the one larger in magnitude is 0."""
+    """Where x^2 + b x + c has real roots, and the two roots stacked on a new
+    axis 0, element by element; (0, 0) where the one larger in magnitude is 0."""
     disc = b * b - 4.0 * c
     r = -0.5 * (b + np.copysign(np.sqrt(disc), b))
-    nonzero = r != 0.0
-    return ~(disc < 0.0), np.where(nonzero, r, 0.0), np.where(nonzero, c / r, 0.0)
+    return ~(disc < 0.0), np.where(r != 0.0, [r, c / r], 0.0)
 
 
 def _cross(a, b) -> tuple:
@@ -212,7 +220,6 @@ def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-@np.errstate(all="ignore")
 def _ray_distances(a, c):
     """Lambda Twist's roots l of l_i^2 + l_j^2 - 2 c_ij l_i l_j = a_ij, ij in (12,
     13, 23), per sample: a and c are (3, B) columns. Returns the candidates
@@ -223,80 +230,94 @@ def _ray_distances(a, c):
     D2 = a23 M13 - a13 M23; A is singular at a root g of the cubic det(A) with
     h = 1, or at h = 0 if det(D2) = 0."""
     (a12, a13, a23), (c12, c13, c23) = a, c
-    s12, s13, s23 = 1.0 - c12 * c12, 1.0 - c13 * c13, 1.0 - c23 * c23
+    s12, s13, s23 = 1.0 - c * c
     m = c12 * c23 * c13 - 1.0
-    p3 = a13 * (a23 * s13 - a13 * s23)
-    p2 = 2.0 * m * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
-    p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (m * a23 + a13 * s23)
+    a13s23, a23_12, a13_23, a13_12 = a13 * s23, a23 - a12, a13 - a23, a13 - a12
+    p3 = a13 * (a23 * s13 - a13s23)
+    p2 = 2.0 * m * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * a23_12 * s13
+    p1 = a23 * a13_23 * s12 - a12 * a12 * s23 - 2.0 * a12 * (m * a23 + a13s23)
     p0 = a12 * (a12 * s23 - a23 * s12)
     cubic = p3 != 0.0
     p3 = np.where(cubic, p3, 1.0)
     g, zero_div = _cubic_roots(p2 / p3, p1 / p3, p0 / p3)
     g, h, zero_div = np.where(cubic, g, 1.0), np.where(cubic, 1.0, 0.0), zero_div & cubic
+    ga13, ha12 = g * a13, h * a12
     A00, A01, A02 = a23 * (h - g), -h * a23 * c12, g * a23 * c13
-    A11, A12 = h * (a23 - a12) + g * a13, c23 * (h * a12 - g * a13)
-    A22 = g * (a13 - a23) - h * a12
+    A11, A12 = h * a23_12 + ga13, c23 * (ha12 - ga13)
+    A22 = g * a13_23 - ha12
     # A = e1 u u^T / |u|^2 + e2 v v^T / |v|^2, |e1| >= |e2|, u and v cross products of
     # two rows of A - e I; so l lies on a plane u.l = +-s v.l, s = sqrt(-e2/e1) |u|/|v|.
+    # Axis 0 of e and of each component of uv is (e1, u), then (e2, v).
     tr = A00 + A11 + A22
     minors = A00 * A11 - A01 * A01 + A00 * A22 - A02 * A02 + A11 * A22 - A12 * A12
-    real, e1, e2 = _quadratic_roots(-tr, minors)
-    e1, e2 = np.where(real, e1, 0.5 * tr), np.where(real, e2, 0.5 * tr)
-    swap = np.abs(e1) < np.abs(e2)
-    e1, e2 = np.where(swap, e2, e1), np.where(swap, e1, e2)
-    (u1, u2, u3), (v1, v2, v3) = (_cross((A00 - e, A01, A02), (A01, A11 - e, A12)) for e in (e1, e2))
-    vv = v1 * v1 + v2 * v2 + v3 * v3
-    ratio = -e2 / e1
-    s = np.sqrt(np.where(ratio > 0.0, ratio, 0.0) * (u1 * u1 + u2 * u2 + u3 * u3) / vv)
-    zero_div |= (e1 == 0.0) | (vv == 0.0)
+    real, e = _quadratic_roots(-tr, minors)
+    e = np.where(real, e, 0.5 * tr)
+    e = np.where(np.abs(e[0]) < np.abs(e[1]), e[::-1], e)
+    uv1, uv2, uv3 = _cross((A00 - e, A01, A02), (A01, A11 - e, A12))
+    (u1, v1), (u2, v2), (u3, v3) = uv1, uv2, uv3
+    uu, vv = uv1 * uv1 + uv2 * uv2 + uv3 * uv3
+    ratio = -e[1] / e[0]
+    s = np.sqrt(np.where(ratio > 0.0, ratio, 0.0) * uu / vv)
+    zero_div |= (e[0] == 0.0) | (vv == 0.0)
     # On the plane l1 = w0 l2 + w1 l3, a13 (eq 12) - a12 (eq 13) is a quadratic in
-    # tau = l3 / l2, and eq 23 gives l2. Axis 0 is the plane's sign.
-    sv = np.stack([s, -s])
+    # tau = l3 / l2, and eq 23 gives l2. Axes: (root,) plane's sign, sample.
+    sv = np.array([s, -s])
     den = sv * v1 - u1
     w0, w1 = (u2 - sv * v2) / den, (u3 - sv * v3) / den
-    q2 = (a13 - a12) * w1 * w1 + 2.0 * a12 * c13 * w1 - a12
-    q1 = 2.0 * (a12 * c13 * w0 - a13 * c12 * w1 + w0 * w1 * (a13 - a12))
-    q0 = (a13 - a12) * w0 * w0 - 2.0 * a13 * c12 * w0 + a13
+    q2 = a13_12 * w1 * w1 + 2.0 * a12 * c13 * w1 - a12
+    q1 = 2.0 * (a12 * c13 * w0 - a13 * c12 * w1 + w0 * w1 * a13_12)
+    q0 = a13_12 * w0 * w0 - 2.0 * a13 * c12 * w0 + a13
     zero_div |= ((den == 0.0) | (q2 == 0.0)).any(0)
-    real, tau1, tau2 = _quadratic_roots(q1 / q2, q0 / q2)
-    tau, real = np.stack([tau1, tau2], -1), real[..., None]  # (sign, B, root)
-    den = tau * (tau - 2.0 * c23[:, None]) + 1.0
-    zero_div |= (real & (den == 0.0)).any((0, 2))
-    l2 = a23[:, None] / den
+    real, tau = _quadratic_roots(q1 / q2, q0 / q2)
+    den = tau * (tau - 2.0 * c23) + 1.0
+    zero_div |= (real & (den == 0.0)).any((0, 1))
+    l2 = a23 / den
     r = np.sqrt(l2)
-    lam = np.stack([(w0[..., None] + w1[..., None] * tau) * r, r, tau * r], -1)
-    ok = real & (tau > 0.0) & (l2 > 0.0) & ~zero_div[:, None]
-    return lam.transpose(1, 0, 2, 3).reshape(-1, 4, 3), ok.transpose(1, 0, 2).reshape(-1, 4)
+    lam = np.array([(w0 + w1 * tau) * r, r, tau * r])  # (l, root, sign, B)
+    ok = real & (tau > 0.0) & (l2 > 0.0) & ~zero_div
+    return lam.transpose(3, 2, 1, 0).reshape(-1, 4, 3), ok.transpose(2, 1, 0).reshape(-1, 4)
 
 
-@np.errstate(all="ignore")
 def _polish_distances(lam, rays, a, c):
     """One Gauss-Newton step (none at a singular Jacobian) on |l_i y_i - l_j y_j|^2 = a_ij,
     per row of lam (M, 3) with bearings rays (M, 3, 3) and (3, M) columns a and c:
     _ray_distances' system in a form that cancels less, which sets the accuracy."""
+    i, j = _PAIRS
     p = lam[:, :, None] * rays
-    sq = _squares(np.stack([p[:, 0] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]]))
-    r = sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2] - a
-    (l1, l2, l3), (c12, c13, c23), zero = lam.T, c, np.zeros(len(lam))
-    J = ((l1 - c12 * l2, l2 - c12 * l1, zero),  # half the Jacobian
-         (l1 - c13 * l3, zero, l3 - c13 * l1),
-         (zero, l2 - c23 * l3, l3 - c23 * l2))
-    C = (_cross(J[1], J[2]), _cross(J[2], J[0]), _cross(J[0], J[1]))  # det(J) J^-1 by columns
-    det = 2.0 * (J[0][0] * C[0][0] + J[0][1] * C[0][1] + J[0][2] * C[0][2])
+    sq = _squares(p[:, i] - p[:, j])  # (M, pair, xyz)
+    r = (sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2]).T - a
+    li, lj, zero = lam.T[i], lam.T[j], np.zeros(len(lam))
+    Ji, Jj = li - c * lj, lj - c * li  # row ij of half the Jacobian: l_i - c_ij l_j at i, ...
+    J = ((Ji[0], Jj[0], zero), (Ji[1], zero, Jj[1]), (zero, Ji[2], Jj[2]))
+    C = np.array((_cross(J[1], J[2]), _cross(J[2], J[0]), _cross(J[0], J[1])))  # det(J) J^-1 by columns
+    det = 2.0 * (J[0][0] * C[0, 0] + J[0][1] * C[0, 1] + J[0][2] * C[0, 2])
     det = np.where(det == 0.0, np.inf, det)
-    return np.stack([l - (C[0][k] * r[0] + C[1][k] * r[1] + C[2][k] * r[2]) / det
-                     for k, l in enumerate(lam.T)], -1)
+    return (lam.T - (C[0] * r[0] + C[1] * r[1] + C[2] * r[2]) / det).T
 
 
 def _valid_poses(R, t):
     """Which stacked (R, t) Pose accepts: finite, R orthogonal with det +1."""
     ok = np.isfinite(R).all((1, 2)) & np.isfinite(t).all(1)
-    R = R[ok]
     ortho = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max((1, 2))
-    ok[ok] = ~(ortho > _ORTHO_TOL) & ~(np.abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL)
-    return ok
+    # fmax, as `not a > tol and not b > tol`, lets a NaN of one side pass.
+    return ok & ~(np.fmax(ortho, np.abs(np.linalg.det(R) - 1.0)) > _ORTHO_TOL)
 
 
+# The point pairs 12, 13, 23 of a sample, and the pairs (later, earlier) of its
+# four candidate slots in the order the near-duplicate test visits them.
+_PAIRS = np.array([0, 0, 1]), np.array([1, 2, 2])
+_SLOT_PAIRS = [1, 2, 2, 3, 3, 3], [0, 0, 1, 0, 1, 2]
+
+
+def _columns(*cols):
+    """np.stack(cols, -1) for (N, 3) arrays cols, in less time."""
+    out = np.empty((len(cols[0]), 3, len(cols)))
+    for k, col in enumerate(cols):
+        out[:, :, k] = col
+    return out
+
+
+@np.errstate(all="ignore")  # every lane is computed, then masked
 def _p3p_block(P, rays, uv, K: Intrinsics):
     """Lambda Twist over a block of B samples: world points P (B, 3, 3), their
     bearings rays (B, 3, 3) and pixels uv (B, 3, 2).
@@ -306,17 +327,16 @@ def _p3p_block(P, rays, uv, K: Intrinsics):
     p3p_solve gives them. Every step is element-wise over the block, in the
     order of operations of the one-sample solver, so each pose has its bits.
     """
-    d12, d13, d23 = P[:, 0] - P[:, 1], P[:, 0] - P[:, 2], P[:, 1] - P[:, 2]
-    sides = np.stack([d23, d13, d12])
-    side = np.sqrt(np.vecdot(sides, sides))
-    scale = _running(np.greater, *side)
-    normal = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
-    c = np.stack([np.vecdot(rays[:, 0], rays[:, 1]), np.vecdot(rays[:, 0], rays[:, 2]),
-                  np.vecdot(rays[:, 1], rays[:, 2])])
+    d = P[:, _PAIRS[0]] - P[:, _PAIRS[1]]  # (B, pair, xyz): x1 - x2, x1 - x3, x2 - x3
+    side = np.sqrt(np.vecdot(d, d)).T
+    scale = _running(np.greater, *side[::-1])
+    # (x1 - x2) x (x1 - x3) has the bits of (x2 - x1) x (x3 - x1): IEEE negation is exact.
+    normal = np.array(_cross(d[:, 0].T, d[:, 1].T)).T.copy()  # (B, xyz)
+    c = np.vecdot(rays[:, _PAIRS[0]], rays[:, _PAIRS[1]]).T  # c12, c13, c23
     degenerate = ((scale < 1e-12) | (np.sqrt(np.vecdot(normal, normal)) < 1e-12 * _squares(scale))
                   | (_running(np.greater, *np.abs(c[::-1])) > 1.0 - 1e-12))
     live = np.flatnonzero(~degenerate)
-    a = _squares(side[::-1, live])  # a12, a13, a23
+    a = _squares(side[:, live])  # a12, a13, a23
     lam, ok = _ray_distances(a, c[:, live])
     slot = np.flatnonzero(ok)
     pol = np.full(lam.shape, np.nan)
@@ -324,17 +344,20 @@ def _p3p_block(P, rays, uv, K: Intrinsics):
         lam.reshape(-1, 3)[slot], rays[live[slot // 4]], a[:, slot // 4], c[:, live[slot // 4]])
     # Keep a candidate with min(l) > 0 unless a kept one of its sample lies within 1e-9.
     keep = ok & (_running(np.less, *pol.transpose(2, 0, 1)) > 0)
-    for j in range(1, 4):
-        tol = 1e-9 * _running(np.greater, 1.0, *pol[:, j].T)
-        for i in range(j):
-            far = _running(np.greater, *np.abs(pol[:, j] - pol[:, i]).T) >= tol
-            keep[:, j] &= ~keep[:, i] | far
+    later, earlier = _SLOT_PAIRS
+    tol = 1e-9 * _running(np.greater, 1.0, *pol[:, later].transpose(2, 0, 1))
+    far = _running(np.greater, *np.abs(pol[:, later] - pol[:, earlier]).transpose(2, 0, 1)) >= tol
+    # Slot by slot, in pair order; a pair that no sample keeps both of near each other
+    # changes nothing, whatever the pairs before it dropped.
+    near = keep[:, later] & keep[:, earlier] & ~far
+    for k in np.flatnonzero(near.any(0)).tolist():
+        keep[:, later[k]] &= ~keep[:, earlier[k]] | far[:, k]
     slot = np.flatnonzero(keep)
     owner = live[slot // 4]
     cam = pol.reshape(-1, 3)[slot][:, :, None] * rays[owner]  # (candidate, point, xyz)
     e12, e13 = cam[:, 0] - cam[:, 1], cam[:, 0] - cam[:, 2]
-    Y = np.stack([e12, e13, np.stack(_cross(e12.T, e13.T), -1)], -1)
-    X = np.stack([d12[owner], d13[owner], np.stack(_cross(d12[owner].T, d13[owner].T), -1)], -1)
+    Y = _columns(e12, e13, np.array(_cross(e12.T, e13.T)).T)
+    X = _columns(d[owner, 0], d[owner, 1], normal[owner])
     R = np.matmul(Y, np.linalg.inv(X))
     t = cam[:, 0] - np.matmul(R, P[owner, 0, :, None])[:, :, 0]
     valid = _valid_poses(R, t)
@@ -375,7 +398,7 @@ def _stacked_errors(R: np.ndarray, t: np.ndarray, uv: np.ndarray, xyz: np.ndarra
     stacked camera-frame product; a row has the same bits whatever the stack.
     uv and xyz are (N, 2) and (N, 3), or (H, N, 2) and (H, N, 3) per pose."""
     cam = xyz @ R.transpose(0, 2, 1) + t[:, None, :]
-    u, v, _ = _pixel(K, *cam.transpose(2, 0, 1))
+    u, v = _uv(K, *cam.transpose(2, 0, 1))
     err = np.hypot(u - uv[..., 0], v - uv[..., 1])
     err[np.isnan(err)] = np.inf
     return err
@@ -402,11 +425,11 @@ def _prosac_samples(n: int, cfg: SolverConfig, rng):
             T_n = T_next
             n_cur += 1
         if cfg.sampler == "ransac":
-            yield rng.choice(n, size=m, replace=False)
+            yield rng.choice(n, size=m, replace=False).tolist()
         elif t >= T_prime:
-            yield rng.choice(n_cur, size=m, replace=False)
+            yield rng.choice(n_cur, size=m, replace=False).tolist()
         else:
-            yield np.append(rng.choice(n_cur - 1, size=m - 1, replace=False), n_cur - 1)
+            yield rng.choice(n_cur - 1, size=m - 1, replace=False).tolist() + [n_cur - 1]
 
 
 def _consensus(corrs, K: Intrinsics, cfg: SolverConfig, seed: int):
@@ -494,7 +517,7 @@ def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
     projection - observation, NaN for points at or behind the camera."""
     cam = xyz @ pose.R.T + pose.t
     proj = np.empty((len(cam), 2))
-    proj[:, 0], proj[:, 1], _ = _pixel(K, *cam.T)
+    proj[:, 0], proj[:, 1] = _uv(K, *cam.T)
     return cam, proj - uv
 
 

@@ -1,11 +1,13 @@
 """Core geometric types, SfM-model text ingestion, and projection operators.
 
-project_many is the pinhole projection of arrays of points, which the
-visibility test and the synthetic scene generator call; the pose solver's
-residuals and Jacobian (pose._residuals) apply _pixel to the same camera-frame
-product. project is the one-point case of _pixel on _camera_frame rows, which
-the detection simulator and the synthetic scene generator project. All of
-them apply _pixel, the one place the model is written.
+_uv is the one place the pinhole model is written; _pixel adds the in-image
+mask. project_many is the pinhole projection of arrays of points, which the
+visibility test and the synthetic scene generator call. project is the
+one-point case of _pixel on _camera_frame rows, which the detection simulator
+and the synthetic scene generator project. The pose solver, which discards the
+mask, applies _uv: to the same camera-frame product as project_many in its
+residuals and Jacobian (pose._residuals), and to stacked poses when it scores
+P3P hypotheses (pose._stacked_errors).
 
 Conventions used by every module in this package:
   - poses are world-to-camera: p_cam = R @ p_world + t, camera center = -R^T t
@@ -253,13 +255,16 @@ class SceneModel:
             )
 
 
-def _pixel(K: Intrinsics, x, y, z):
+def _uv(K: Intrinsics, x, y, z):
     """The pinhole model on arrays of camera-frame coordinates: the pixel
-    (u, v), NaN at or behind the camera (depth <= 0), and whether it falls
-    inside [0, width) x [0, height)."""
+    (u, v), NaN at or behind the camera (depth <= 0)."""
     z = np.where(z > 0, z, np.nan)
-    u = K.fx * x / z + K.cx
-    v = K.fy * y / z + K.cy
+    return K.fx * x / z + K.cx, K.fy * y / z + K.cy
+
+
+def _pixel(K: Intrinsics, x, y, z):
+    """_uv, and whether the pixel falls inside [0, width) x [0, height)."""
+    u, v = _uv(K, x, y, z)
     return u, v, (u >= 0.0) & (u < K.width) & (v >= 0.0) & (v < K.height)
 
 

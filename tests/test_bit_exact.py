@@ -19,6 +19,7 @@ import pytest
 import landmarkloc.pose as pose_module
 from landmarkloc.cli import main
 from landmarkloc.detection import Detection, simulate_detections_labeled
+from landmarkloc.detection import DetectionSet
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import _angular_errors, detection_angular_error
 from landmarkloc.landmarks import (
@@ -30,6 +31,7 @@ from landmarkloc.landmarks import (
 )
 from landmarkloc.mesh import nearest_surface_point
 from landmarkloc.pose import Correspondence, SolverConfig, localize, p3p_solve, prosac_estimate
+from landmarkloc.pose import _squares, compute_weights
 from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, project
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
@@ -292,6 +294,10 @@ def test_p3p_block_matches_one_sample_solver():
     got = p3p_in_blocks(samples, K)
     assert [r is None for r in ref] == [g is None for g in got]
     assert all(r is None or same_poses(r, g) for r, g in zip(ref, got))
+    # Blocks of 8, the size localize starts with, on the first 1000 samples.
+    got8 = p3p_in_blocks(samples[:1000], K, size=8)
+    assert [r is None for r in ref[:1000]] == [g is None for g in got8]
+    assert all(r is None or same_poses(r, g) for r, g in zip(ref, got8))
     for sample, r in zip(samples[:200], ref[:200]):
         if r is None:
             with pytest.raises(DegeneracyError):
@@ -351,3 +357,36 @@ def test_localize_matches_one_sample_loop(scene, monkeypatch, refinement):
         same_estimate(est, ref)
         assert (est.refine is None) == (ref.refine is None)
     assert sum(est.status == "ok" for est in runs) >= len(runs) - 2
+
+
+def test_squares_match_python_pow():
+    # Positive and negative values from 1e-300 to 1e153, whose squares are
+    # finite, and the values where the last bit is most often at stake.
+    rng = np.random.default_rng(15)
+    mags = 10.0 ** rng.uniform(-300.0, 153.0, 60_000)
+    x = np.concatenate([mags, -mags[:20_000], rng.normal(size=20_000),
+                        [0.0, -0.0, 1.0, -1.0, 5e-324, 1.3e154]])
+    ref = [v ** 2 for v in x.tolist()]
+    assert _squares(x).tolist() == ref
+    assert _squares(x.reshape(2, -1)).tolist() == np.array(ref).reshape(2, -1).tolist()
+
+
+def test_square_that_overflows_is_inf():
+    # The one departure from **: a finite value whose square overflows.
+    with pytest.raises(OverflowError):
+        1e200 ** 2
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert _squares(np.array([1e200, -1e200])).tolist() == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 2.0, 3, 3.7, 10.0])
+def test_weights_match_python_pow(e):
+    # 20,000 confidences in (0, 1], from 1e-300 to 1, per exponent.
+    rng = np.random.default_rng(16)
+    n = 20_000
+    conf = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n - 2000),
+                           rng.uniform(0.0, 1.0, 1999), [1.0]])
+    ls = LandmarkSet([Landmark(i, i, (0.0, 0.0, float(i)), 1.0) for i in range(n)])
+    dets = DetectionSet.from_columns(1, np.arange(n), np.zeros((n, 2)), conf)
+    w = compute_weights(dets, ls, e).w
+    assert w.tolist() == [v ** e for v in dets.confidence.tolist()]

@@ -112,6 +112,20 @@ class TestSelectCommand:
         assert rc == 2
         assert "requested 3 landmarks but only 0 are achievable" in capsys.readouterr().err
 
+    def test_default_radius_on_coincident_points(self, tmp_path):
+        # One point: the cloud's extent is 0, and any positive radius selects
+        # the same landmarks as --radius 1.
+        save_scene(make_minimal_model(), tmp_path / "scene")
+        runs = {}
+        for name, radius in (("default", []), ("given", ["--radius", "1"])):
+            out = tmp_path / f"{name}.txt"
+            assert main(["select", "--scene", str(tmp_path / "scene"), "--count", "1",
+                         "--min-track", "2", *radius, "--out", str(out)]) == 0
+            runs[name] = [line for line in out.read_text().splitlines()
+                          if not line.startswith("#")]
+        assert len(runs["default"]) == 1
+        assert runs["default"] == runs["given"]
+
 
 class TestPartitionCommand:
     def test_default_groups(self, scene_dir, tmp_path):
