@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .detection import load_detections, merge_ensemble, save_detections, simulate_detections
-from .errors import DataError, DegeneracyError, RobustFitError
+from .errors import DanglingReferenceError, DataError, DegeneracyError, RobustFitError
 from .evaluation import (
     RunRecord,
     build_report,
@@ -263,10 +263,11 @@ def cmd_simulate(args) -> int:
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
     vt = load_visibility(args.visibility)
-    dets = simulate_detections(
-        model, ls, vt, noise_sigma_px=args.noise_sigma,
-        outlier_rate=args.outlier_rate, seed=args.seed,
-    )
+    try:
+        dets = simulate_detections(model, ls, vt, noise_sigma_px=args.noise_sigma,
+                                   outlier_rate=args.outlier_rate, seed=args.seed)
+    except DanglingReferenceError as exc:
+        raise DanglingReferenceError(f"{args.visibility}: {exc}") from None
     save_detections(dets, args.out)
     total = sum(len(ds) for ds in dets.values())
     print(f"simulated {total} detections over {len(dets)} images -> {args.out}")
@@ -320,6 +321,8 @@ def cmd_evaluate(args) -> int:
     runs = []
     for label, path in zip(labels, args.estimates):
         estimates, meta = load_poses(path)
+        if not estimates:
+            raise DataError(f"{path}: no pose lines to evaluate")
         runs.append(
             RunRecord(
                 label,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _io
-from .errors import DuplicateLandmarkError
+from .errors import DanglingReferenceError, DuplicateLandmarkError
 from .landmarks import LandmarkSet
 from .scene_model import Intrinsics, SceneModel, _camera_frame, _pixel
 from .visibility import VisibilityTable
@@ -171,7 +171,11 @@ def simulate_detections_labeled(
         raise ValueError("noise_sigma_px must be finite and >= 0")
 
     # Landmark ids are positions in ls; mask holds their visibility rows.
-    mask = vt.mask[[vt._lrow[lm.id] for lm in ls]]
+    lost = ([f"landmark {i}" for i in range(len(ls)) if i not in vt._lrow]
+            + [f"image {i}" for i in sorted(model.images) if i not in vt._icol])
+    if lost:
+        raise DanglingReferenceError(f"visibility table lacks {lost[0]}")
+    mask = vt.mask[[vt._lrow[i] for i in range(len(ls))]]
     detections, outlier_ids = {}, {}
     for iid in sorted(model.images):
         img = model.images[iid]

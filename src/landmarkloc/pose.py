@@ -1,14 +1,16 @@
 """Confidence-weighted robust camera pose estimation from 2D-3D landmark
 correspondences: detection confidences become weights w = v^e, PROSAC draws 3-point
 samples in weight order, Lambda Twist P3P gives hypotheses scored in one stacked
-projection, and weighted nonlinear least squares on reprojection error polishes the pose.
+projection, and one nonlinear least-squares pass on reprojection error, weighted by w
+or unweighted, polishes the winning pose unless refinement is "none". prosac_estimate
+is that whole solver; localize adds the weights.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +80,7 @@ class SolverConfig:
     max_iterations: int = 2000
     confidence: float = 0.999      # adaptive termination confidence
     min_inliers: int = 12
-    refinement: str = "weighted"   # none | unweighted | weighted
+    refinement: str = "weighted"   # LM with weights w | LM with ones ("unweighted") | none
     sampler: str = "prosac"        # prosac | ransac (uniform baseline)
 
     def __post_init__(self):
@@ -91,7 +93,7 @@ class SolverConfig:
         if not 0 < self.confidence <= 1:
             raise ValueError("confidence must lie in (0, 1]")
         if self.min_inliers < 4:
-            # refine_weighted, which localize runs on the inliers, needs 4.
+            # refine_weighted, which prosac_estimate runs on the inliers, needs 4.
             raise ValueError("min inliers must be at least 4")
         if self.refinement not in ("none", "unweighted", "weighted"):
             raise ValueError(f"unknown refinement mode {self.refinement!r}")
@@ -432,11 +434,27 @@ def _prosac_samples(n: int, cfg: SolverConfig, rng):
             yield rng.choice(n_cur - 1, size=m - 1, replace=False).tolist() + [n_cur - 1]
 
 
-def _consensus(corrs, K: Intrinsics, cfg: SolverConfig, seed: int):
-    """prosac_estimate before its refit: (P3P winner's estimate, ranked corrs, inlier mask)."""
+def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
+                    seed: int = 0) -> PoseEstimate:
+    """PROSAC over 3-point P3P samples, then at most one LM from the winner.
+
+    Correspondences are ranked by weight (descending, ties by landmark id);
+    samples are drawn from a progressively growing top-ranked subset per the
+    PROSAC growth function. Hypotheses are scored by inlier count (ties by
+    lower weighted mean error). Terminates adaptively at cfg.confidence.
+
+    Samples are drawn ahead in blocks (8, doubling to 64), each solved by one
+    _p3p_block call and scored in one stacked product; the selection then
+    replays them in order, so it stops at the same sample as a loop that
+    solves one sample at a time, and picks the same winner.
+
+    The winning P3P pose is refined on its inliers, in ranked order, per
+    cfg.refinement: by refine_weighted for "weighted" and "unweighted", not at
+    all for "none". The mean reprojection error is over those inliers.
+    """
     n = len(corrs)
     if n < 4:
-        return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT), None, None
+        return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
 
     corrs = Correspondences.of(corrs)
     ranked = corrs[np.lexsort((corrs.landmark_ids, -corrs.w))]
@@ -483,32 +501,15 @@ def _consensus(corrs, K: Intrinsics, cfg: SolverConfig, seed: int):
 
     if best is None or best_count < cfg.min_inliers:
         status = STATUS_DEGENERATE if best is None and saw_degenerate else STATUS_NO_CONSENSUS
-        return PoseEstimate(None, frozenset(), t, float("nan"), status), None, None
+        return PoseEstimate(None, frozenset(), t, float("nan"), status)
     R, T, mask = best
-    inliers = frozenset(ranked.landmark_ids[mask].tolist())
-    return PoseEstimate(Pose(R, T), inliers, t, float("nan"), STATUS_OK), ranked, mask
-
-
-def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
-                    seed: int = 0) -> PoseEstimate:
-    """PROSAC over 3-point P3P samples, then an unweighted LM refit on the winner's inliers.
-
-    Correspondences are ranked by weight (descending, ties by landmark id);
-    samples are drawn from a progressively growing top-ranked subset per the
-    PROSAC growth function. Hypotheses are scored by inlier count (ties by
-    lower weighted mean error). Terminates adaptively at cfg.confidence.
-
-    Samples are drawn ahead in blocks (8, doubling to 64), each solved by one
-    _p3p_block call and scored in one stacked product; the selection then
-    replays them in order, so it stops at the same sample as a loop that
-    solves one sample at a time, and picks the same winner.
-    """
-    est, ranked, mask = _consensus(corrs, K, cfg, seed)
-    if est.status != STATUS_OK:
-        return est
-    pose = refine_pose(est.pose, ranked.uv[mask], ranked.xyz[mask], np.ones(mask.sum()), K).pose
-    err = reprojection_errors(pose, ranked.uv, ranked.xyz, K)
-    return replace(est, pose=pose, mean_reproj_px=float(err[mask].mean()))
+    inliers, pose, rr = ranked[mask], Pose(R, T), None
+    if cfg.refinement != "none":
+        rr = refine_weighted(pose, inliers, K, cfg)
+        pose = rr.pose
+    err = reprojection_errors(pose, inliers.uv, inliers.xyz, K)
+    return PoseEstimate(pose, frozenset(inliers.landmark_ids.tolist()), t, float(err.mean()),
+                        STATUS_OK, rr)
 
 
 def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
@@ -630,17 +631,8 @@ def refine_weighted(initial: Pose, corrs, K: Intrinsics,
 
 def localize(dets, ls: LandmarkSet, K: Intrinsics,
              cfg: SolverConfig = SolverConfig(), seed: int = 0) -> PoseEstimate:
-    """Weights -> PROSAC -> one LM: prosac_estimate's refit for "none", else refine_weighted."""
-    corrs = compute_weights(dets, ls, cfg.e)
-    if cfg.refinement == "none":
-        return prosac_estimate(corrs, K, cfg, seed)
-    est, ranked, mask = _consensus(corrs, K, cfg, seed)
-    if est.status != STATUS_OK:
-        return est
-    inliers = ranked[mask]
-    rr = refine_weighted(est.pose, inliers, K, cfg)
-    err = reprojection_errors(rr.pose, inliers.uv, inliers.xyz, K)
-    return replace(est, pose=rr.pose, mean_reproj_px=float(err.mean()), refine=rr)
+    """Weights v^e, then PROSAC and at most one LM: prosac_estimate."""
+    return prosac_estimate(compute_weights(dets, ls, cfg.e), K, cfg, seed)
 
 
 def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> None:

@@ -10,10 +10,13 @@ and convergence flag, compared with ==.
 
 localize_two_pass refined PROSAC's unweighted refit a second time.
 pose.localize runs one LM from the P3P winner instead; it must give the same
-statuses and inlier sets, and poses within a tolerance.
+statuses and inlier sets, and poses within a tolerance. For refinement
+"none" it is the one-sample PROSAC of scalar_lambda_twist, whose unrefined
+P3P winner localize must give bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +32,8 @@ from landmarkloc.pose import (
     reprojection_errors,
 )
 from landmarkloc.scene_model import Intrinsics, Pose, project_many
+
+from scalar_lambda_twist import prosac_ref
 
 
 def pose_residuals_jacobian_ref(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
@@ -102,12 +107,14 @@ def refine_pose_ref(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarra
 
 def localize_two_pass(dets, ls, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
                       seed: int = 0) -> PoseEstimate:
-    """Weights -> PROSAC with its unweighted refit -> for "weighted" and
-    "unweighted", a second LM from the refit pose on the inliers, in the
-    detections' order."""
+    """Weights -> PROSAC with an unweighted LM refit of its winner -> a second
+    LM from the refit pose on the inliers, in the detections' order, with the
+    weights of cfg.refinement. For "none", prosac_ref's unrefined winner."""
     corrs = compute_weights(dets, ls, cfg.e)
-    est = prosac_estimate(corrs, K, cfg, seed)
-    if est.status != STATUS_OK or cfg.refinement == "none":
+    if cfg.refinement == "none":
+        return prosac_ref(corrs, K, cfg, seed)
+    est = prosac_estimate(corrs, K, replace(cfg, refinement="unweighted"), seed)
+    if est.status != STATUS_OK:
         return est
     inliers = corrs[np.isin(corrs.landmark_ids, list(est.inliers))]
     rr = refine_weighted(est.pose, inliers, K, cfg)

@@ -1,5 +1,5 @@
 """Lambda Twist P3P and PROSAC one sample at a time, kept as the bit-exact
-reference of pose._p3p_block, pose._consensus and pose.prosac_estimate.
+reference of pose._p3p_block and pose.prosac_estimate.
 
 This is the scalar code the block kernel replaced, in Python floats: one
 cubic root, the eigen-decomposition of a singular 3x3 matrix, two
@@ -19,7 +19,6 @@ from landmarkloc.pose import (
     STATUS_INSUFFICIENT,
     STATUS_NO_CONSENSUS,
     STATUS_OK,
-    Correspondences,
     PoseEstimate,
     SolverConfig,
     _cross,
@@ -165,15 +164,15 @@ def p3p_solve_ref(corrs, K: Intrinsics) -> list:
     return [pose for pose, err in zip(poses, errors) if err.max() < 1e-6]
 
 
-def consensus_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: int = 0,
-                  solve=p3p_solve_ref):
+def prosac_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: int = 0,
+               solve=p3p_solve_ref) -> PoseEstimate:
     """PROSAC one sample at a time: draw a sample, solve it with `solve`,
-    score each hypothesis, update the adaptive stopping bound, repeat.
-    Returns what pose._consensus does: (estimate with the winning P3P pose
-    and a NaN mean error, correspondences in ranked order, inlier mask)."""
+    score each hypothesis, update the adaptive stopping bound, repeat. Then
+    the winner's LM on its inliers in ranked order, with the weights w or
+    ones per cfg.refinement, or none; the mean error is over the inliers."""
     n = len(corrs)
     if n < 4:
-        return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT), None, None
+        return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
 
     ranked = sorted(corrs, key=lambda c: (-c.w, c.landmark_id))
     uv = np.array([c.uv for c in ranked])
@@ -239,23 +238,15 @@ def consensus_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed
 
     if best_pose is None:
         status = STATUS_DEGENERATE if saw_degenerate else STATUS_NO_CONSENSUS
-        return PoseEstimate(None, frozenset(), t, float("nan"), status), None, None
+        return PoseEstimate(None, frozenset(), t, float("nan"), status)
     count = int(best_mask.sum())
     if count < cfg.min_inliers:
-        return PoseEstimate(None, frozenset(), t, float("nan"), STATUS_NO_CONSENSUS), None, None
+        return PoseEstimate(None, frozenset(), t, float("nan"), STATUS_NO_CONSENSUS)
     inliers = frozenset(ids[i] for i in np.flatnonzero(best_mask))
-    return (PoseEstimate(best_pose, inliers, t, float("nan"), STATUS_OK),
-            Correspondences.of(ranked), best_mask)
-
-
-def prosac_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: int = 0,
-               solve=p3p_solve_ref) -> PoseEstimate:
-    """consensus_ref, then the unweighted LM refit of the winner on its inliers."""
-    est, ranked, mask = consensus_ref(corrs, K, cfg, seed, solve)
-    if est.status != STATUS_OK:
-        return est
-    uv, xyz = ranked.uv, ranked.xyz
-    refit = refine_pose(est.pose, uv[mask], xyz[mask], np.ones(int(mask.sum())), K)
-    pose = refit.pose if np.isfinite(refit.cost_trace[-1]) else est.pose
+    uv, xyz, pose, refit = uv[best_mask], xyz[best_mask], best_pose, None
+    if cfg.refinement != "none":
+        w = weights[best_mask] if cfg.refinement == "weighted" else np.ones(count)
+        refit = refine_pose(pose, uv, xyz, w, K)
+        pose = refit.pose
     err = reprojection_errors(pose, uv, xyz, K)
-    return PoseEstimate(pose, est.inliers, est.num_iterations, float(err[mask].mean()), STATUS_OK)
+    return PoseEstimate(pose, inliers, t, float(err.mean()), STATUS_OK, refit)

@@ -37,7 +37,7 @@ from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
 from conftest import p3p_in_blocks, random_rotation, track
-from scalar_lambda_twist import consensus_ref, p3p_solve_ref, prosac_ref
+from scalar_lambda_twist import p3p_solve_ref, prosac_ref
 from test_pose import pnp_scene
 
 
@@ -350,7 +350,6 @@ def test_localize_matches_one_sample_loop(scene, monkeypatch, refinement):
     runs = [localize(dets[iid], scene.gt_landmarks, K, cfg, seed=iid)
             for cfg in cfgs for iid in sorted(dets)]
     monkeypatch.setattr(pose_module, "prosac_estimate", prosac_ref)
-    monkeypatch.setattr(pose_module, "_consensus", consensus_ref)
     refs = [localize(dets[iid], scene.gt_landmarks, K, cfg, seed=iid)
             for cfg in cfgs for iid in sorted(dets)]
     for est, ref in zip(runs, refs):

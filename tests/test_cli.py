@@ -295,6 +295,30 @@ class TestPipelineCommands:
                 "--out", str(tmp_path / "x.csv")]
         assert main(args) == 1
 
+    @pytest.mark.parametrize("lost", ["landmark 1", "image 19"])
+    def test_simulate_visibility_gap_is_data_error(self, scene_dir, tmp_path, capsys, lost):
+        # Landmark 1's line deleted, or image 19 taken out of `# image_ids` and
+        # out of every landmark line.
+        what, wanted = lost.split()
+        lines = []
+        for line in (scene_dir / "visibility.txt").read_text().splitlines():
+            lid, *rest = line.split()
+            if what == "landmark" and lid == wanted:
+                continue
+            if what == "image" and (lid != "#" or rest[0] == "image_ids"):
+                line = " ".join([lid] + [tok for tok in rest if tok != wanted])
+            lines.append(line)
+        vis = tmp_path / "vis.txt"
+        vis.write_text("\n".join(lines) + "\n")
+        assert load_visibility(vis)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--scene", str(scene_dir / "scene"),
+                   "--landmarks", str(scene_dir / "landmarks.txt"),
+                   "--visibility", str(vis), "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"{vis}: visibility table lacks {lost}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noiseless_end_to_end_full_recall(self, scene_dir, pipeline, tmp_path, capsys):
         work, dets, poses = pipeline
         report = tmp_path / "report.txt"
@@ -350,6 +374,38 @@ class TestPipelineCommands:
         by_label = {r.label: r for r in parsed.rows}
         assert set(by_label) == {"e0", "e2"}
         assert by_label["e2"].recall >= by_label["e0"].recall
+
+    def test_evaluate_without_pose_lines_names_the_file(self, scene_dir, tmp_path, capsys):
+        poses = tmp_path / "empty_poses.txt"
+        poses.write_text("# image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px\n")
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses),
+                   "--out", str(tmp_path / "report.txt")])
+        assert rc == 2
+        assert f"{poses}: no pose lines" in capsys.readouterr().err
+
+    def test_refinement_none_is_the_unrefined_winner(self, scene_dir, tmp_path):
+        # "none" and "unweighted" share PROSAC, so statuses and inlier counts;
+        # only "unweighted" runs LM, so every ok pose line differs.
+        dets = tmp_path / "noisy.csv"
+        assert main(["simulate", "--scene", str(scene_dir / "scene"),
+                     "--landmarks", str(scene_dir / "landmarks.txt"),
+                     "--visibility", str(scene_dir / "visibility.txt"),
+                     "--noise-sigma", "1", "--outlier-rate", "0.3",
+                     "--seed", "3", "--out", str(dets)]) == 0
+        rows = {}
+        for refinement in ("none", "unweighted"):
+            out = tmp_path / f"poses_{refinement}.txt"
+            assert main(["localize", "--scene", str(scene_dir / "scene"),
+                         "--landmarks", str(scene_dir / "landmarks.txt"),
+                         "--detections", str(dets), "--refinement", refinement,
+                         "--min-inliers", "6", "--seed", "0", "--out", str(out)]) == 0
+            rows[refinement] = [line.split() for line in out.read_text().splitlines()
+                                if not line.startswith("#")]
+        none, unweighted = rows["none"], rows["unweighted"]
+        assert [r[0] + r[8] + r[9] for r in none] == [r[0] + r[8] + r[9] for r in unweighted]
+        ok = [(a, b) for a, b in zip(none, unweighted) if a[8] == "ok"]
+        assert len(ok) >= 10
+        assert all(a[1:8] != b[1:8] and a[10] != b[10] for a, b in ok)
 
     def test_ensemble_detection_files_merge(self, scene_dir, pipeline, tmp_path):
         work, dets, poses = pipeline

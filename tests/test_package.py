@@ -79,11 +79,10 @@ def test_every_name_the_bench_looks_up_resolves(bench):
 
 def test_traced_layers_record_spans(bench, tmp_path, capsys):
     # The bench's tracer wraps each layer under the name its caller looks up.
-    # A traced two-CSV localize and an evaluate must reach these layers through
-    # those names; pose.p3p_solve reads 0 since PROSAC stopped calling it, and
-    # pose.prosac_estimate reads 0 unless refinement is "none", since localize
-    # otherwise calls PROSAC's consensus step, pose._consensus, which the
-    # tracer does not wrap.
+    # A traced two-CSV localize with the default "weighted" refinement and an
+    # evaluate must reach these layers through those names; localize runs
+    # PROSAC through pose.prosac_estimate, so its iterations are counted.
+    # pose.p3p_solve reads 0, since PROSAC solves whole blocks in _p3p_block.
     _, tracing = bench
     demo = demo_files(tmp_path)
     header, *rows = (demo / "dets.csv").read_text().splitlines()
@@ -103,8 +102,10 @@ def test_traced_layers_record_spans(bench, tmp_path, capsys):
         tracer.unwrap_all()
     capsys.readouterr()
     counts = tracing.call_counts(tracer)
-    layers = ("pose.refine_pose", "detection.merge_ensemble",
+    layers = ("pose.prosac_estimate", "pose.refine_pose", "detection.merge_ensemble",
               "detection.load_detections", "evaluation.build_report")
     assert [name for name in layers if not counts.get(name)] == []
     assert counts["detection.load_detections"] == 3
-    assert tracing.layer_metrics(tracer)["pose.refine_pose.iterations_per_call"][0] > 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["pose.prosac_estimate.iterations"][0] > 0
+    assert metrics["pose.refine_pose.iterations_per_call"][0] > 0
