@@ -210,14 +210,21 @@ def cmd_synth(args) -> int:
 
 def cmd_select(args) -> int:
     model = load_scene(args.scene)
+    xyz = model.points.xyz
+    with np.errstate(over="ignore"):
+        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
+        diameter = float(np.linalg.norm(extent))
+    # Selection squares distances between points; none overflows when the
+    # squared diameter does not.
+    if not np.isfinite(diameter):
+        raise DataError(f"{Path(args.scene) / 'points3D.txt'}: point coordinates overflow: "
+                        "the cloud is too wide for its squared distances to be finite")
     radius = args.radius
     if radius is None:
         # A quarter of the cloud's extent. Where that is 0 (no points, or all at
         # one place) any positive radius selects the same points, so 1; a cloud
         # without points has no candidates, and select_landmarks says so.
-        xyz = model.points.xyz
-        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
-        radius = float(np.linalg.norm(extent)) / 4.0 or 1.0
+        radius = diameter / 4.0 or 1.0
     ls = select_landmarks(model, args.count, radius, args.min_track)
     save_landmarks(ls, args.out)
     print(f"selected {len(ls)} landmarks -> {args.out}")
@@ -228,6 +235,8 @@ def cmd_partition(args) -> int:
     if args.groups < 1:
         raise UsageError("--groups must be >= 1")
     ls = load_landmarks(args.landmarks)
+    if len(ls) == 0:
+        raise DataError(f"{args.landmarks}: no landmarks to partition")
     pa = make_partition(ls, args.criterion, args.groups, seed=args.seed,
                         max_iter=args.max_iter)
     save_partition(pa, args.out)
@@ -333,7 +342,10 @@ def cmd_evaluate(args) -> int:
                 sec_per_image=meta.get("sec_per_image", float("nan")),
             )
         )
-    report = build_report(runs, args.rot_thresh, args.pos_thresh)
+    try:
+        report = build_report(runs, args.rot_thresh, args.pos_thresh)
+    except DanglingReferenceError as exc:
+        raise DanglingReferenceError(f"{args.detections}: {exc}") from None
     text = report_to_text(report)
     Path(args.out).write_text(text, encoding="utf-8")
     if args.csv:

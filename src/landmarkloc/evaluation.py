@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import _io
-from .errors import InvalidRotationError
+from .errors import DanglingReferenceError, InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK
 from .scene_model import Intrinsics, Pose, SceneModel, _camera_frame, bearing
@@ -162,7 +162,9 @@ def build_report(
     pos_thresh_m: float = DEFAULT_POS_THRESH_M,
 ) -> EvalReport:
     """One row per run: recall, error medians (over localized images), and
-    the median detection angular error when detections are supplied."""
+    the median detection angular error when detections and landmarks are
+    supplied. A detection of an image or landmark that they lack raises
+    DanglingReferenceError."""
     rows = []
     for run in runs:
         errs = per_image_errors(run.estimates, run.gt_model)
@@ -172,9 +174,16 @@ def build_report(
         if run.detections is not None and run.landmarks is not None:
             angles = []
             for iid, ds in run.detections.items():
-                img = run.gt_model.images[iid]
+                img = run.gt_model.images.get(iid)
+                if img is None:
+                    raise DanglingReferenceError(f"detections reference unknown image {iid}")
+                ids = ds.landmark_ids
+                unknown = ids[(ids < 0) | (ids >= len(run.landmarks))]
+                if len(unknown):
+                    raise DanglingReferenceError(
+                        f"detection references unknown landmark {unknown[0]}")
                 angles += _angular_errors(ds.uv, img.pose, run.gt_model.intrinsics[img.camera_id],
-                                          run.landmarks.xyz[ds.landmark_ids])
+                                          run.landmarks.xyz[ids])
             ang = _median_or_nan(angles)
         rows.append(
             ReportRow(

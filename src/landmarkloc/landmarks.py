@@ -1,5 +1,7 @@
 """Greedy selection of salient, well-separated 3D landmarks from an SfM cloud.
 
+A LandmarkSet holds the selected landmarks as columns in selection order:
+source point ids, positions and saliencies. A landmark's id is its row.
 Selection order is semantically meaningful: a run asking for fewer landmarks
 with the same parameters returns exactly the prefix of a longer run.
 """
@@ -7,7 +9,6 @@ with the same parameters returns exactly the prefix of a longer run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,45 +22,30 @@ DEFAULT_MIN_TRACK = 10
 _R_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Landmark:
-    id: int                # ordinal in selection order, 0..K-1
-    source_point_id: int
-    xyz: np.ndarray
-    saliency: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "xyz", np.asarray(self.xyz, dtype=np.float64).reshape(3))
-
-
-@dataclass
 class LandmarkSet:
-    landmarks: list
-    provenance: dict = field(default_factory=dict)
+    """Landmarks as read-only columns in selection order: source_point_ids
+    (L,) int64, xyz (L, 3) and saliency (L,). Landmark k has id k: row k of
+    each column. provenance maps setting names to the values that made the
+    set. The constructor checks that the columns pair up and that no source
+    point repeats."""
 
-    def __post_init__(self):
-        sources = [lm.source_point_id for lm in self.landmarks]
-        if len(set(sources)) != len(sources):
-            raise ValueError("duplicate source points in landmark set")
-        for i, lm in enumerate(self.landmarks):
-            if lm.id != i:
-                raise ValueError("landmark ids must be contiguous in selection order")
-        # (N, 3), built once and read-only: localize indexes it for every image.
-        self.xyz = np.array([lm.xyz for lm in self.landmarks]).reshape(-1, 3)
-        self.xyz.flags.writeable = False
+    def __init__(self, source_point_ids, xyz, saliency, provenance=None):
+        self.source_point_ids = np.array(source_point_ids, dtype=np.int64).reshape(-1)
+        self.xyz = np.array(xyz, dtype=np.float64).reshape(-1, 3)
+        self.saliency = np.array(saliency, dtype=np.float64).reshape(-1)
+        n = len(self.source_point_ids)
+        if len(self.xyz) != n or len(self.saliency) != n:
+            raise ValueError(f"landmark columns differ in length: {n} source points, "
+                             f"{len(self.xyz)} positions, {len(self.saliency)} saliencies")
+        sorted_ids, count = np.unique(self.source_point_ids, return_counts=True)
+        if (count > 1).any():
+            raise ValueError(f"source point {sorted_ids[np.argmax(count > 1)]} repeated")
+        for column in (self.source_point_ids, self.xyz, self.saliency):
+            column.flags.writeable = False
+        self.provenance = {} if provenance is None else provenance
 
     def __len__(self):
-        return len(self.landmarks)
-
-    def __iter__(self):
-        return iter(self.landmarks)
-
-    def __getitem__(self, i):
-        return self.landmarks[i]
-
-    @property
-    def saliencies(self) -> np.ndarray:
-        return np.array([lm.saliency for lm in self.landmarks])
+        return len(self.source_point_ids)
 
 
 def _distinct_images(points: PointSet):
@@ -135,10 +121,10 @@ def select_landmarks(
                                   track_len[eligible], model))
     # Saliency descending, point id ascending; greedy scans this order.
     order = np.lexsort((ids, -scores))
-    ids, xyz, scores = ids[order].tolist(), xyz[order], scores[order].tolist()
+    ids, xyz, scores = ids[order], xyz[order], scores[order]
     n = len(order)
 
-    selected: list[Landmark] = []
+    selected = []  # candidate indices in selection order
     available = np.ones(n, dtype=bool)
     min_dist = np.full(n, np.inf)  # distance to nearest selected landmark
     r = float(r_init)
@@ -150,8 +136,7 @@ def select_landmarks(
             r = r / 2.0 if r / 2.0 >= _R_FLOOR else 0.0
             continue
         candidate = int(candidates[0])
-        selected.append(Landmark(len(selected), ids[candidate], xyz[candidate],
-                                 scores[candidate]))
+        selected.append(candidate)
         available[candidate] = False
         d = np.linalg.norm(xyz - xyz[candidate], axis=1)
         np.minimum(min_dist, d, out=min_dist)
@@ -162,7 +147,7 @@ def select_landmarks(
         "min_track": int(min_track),
         "r_final": r,
     }
-    return LandmarkSet(selected, provenance)
+    return LandmarkSet(ids[selected], xyz[selected], scores[selected], provenance)
 
 
 def save_landmarks(ls: LandmarkSet, path) -> None:
@@ -172,16 +157,15 @@ def save_landmarks(ls: LandmarkSet, path) -> None:
             prov = " ".join(f"{k}={v}" for k, v in sorted(ls.provenance.items()))
             fh.write(f"# provenance {prov}\n")
         fh.write("# id source_point_id x y z saliency\n")
-        for lm in ls.landmarks:
-            fh.write(
-                f"{lm.id} {lm.source_point_id} {_io.fmt(lm.xyz[0])} {_io.fmt(lm.xyz[1])} "
-                f"{_io.fmt(lm.xyz[2])} {_io.fmt(lm.saliency)}\n"
-            )
+        rows = zip(ls.source_point_ids.tolist(), ls.xyz.tolist(), ls.saliency.tolist())
+        for lid, (source, (x, y, z), saliency) in enumerate(rows):
+            fh.write(f"{lid} {source} {_io.fmt(x)} {_io.fmt(y)} {_io.fmt(z)} "
+                     f"{_io.fmt(saliency)}\n")
 
 
 def load_landmarks(path) -> LandmarkSet:
-    landmarks = []
-    sources = set()
+    sources, xyz, saliency = [], [], []
+    seen = set()
     provenance = {}
     with _io.lines(path) as src:
         for tokens in src:
@@ -191,13 +175,15 @@ def load_landmarks(path) -> LandmarkSet:
                 continue
             if len(tokens) != 6:
                 raise ValueError("expected 6 fields per landmark")
-            lid, source = int(tokens[0]), int(tokens[1])
-            x, y, z, saliency = _io.finite("coordinate or saliency",
-                                           *map(float, tokens[2:]))
-            if lid != len(landmarks):
-                raise ValueError(f"landmark id {lid} where {len(landmarks)} was expected")
-            if source in sources:
+            lid = int(tokens[0])
+            (source,) = _io.int64("source point id", int(tokens[1]))
+            x, y, z, s = _io.finite("coordinate or saliency", *map(float, tokens[2:]))
+            if lid != len(sources):
+                raise ValueError(f"landmark id {lid} where {len(sources)} was expected")
+            if source in seen:
                 raise ValueError(f"source point {source} repeated")
-            sources.add(source)
-            landmarks.append(Landmark(lid, source, np.array([x, y, z]), saliency))
-    return LandmarkSet(landmarks, provenance)
+            seen.add(source)
+            sources.append(source)
+            xyz.append((x, y, z))
+            saliency.append(s)
+    return LandmarkSet(sources, xyz, saliency, provenance)

@@ -58,29 +58,23 @@ def _chunk_sizes(n: int, g: int) -> list:
 
 
 def _chunk(ordered_ids, g: int) -> dict:
-    group_of = {}
-    sizes = _chunk_sizes(len(ordered_ids), g)
-    pos = 0
-    for grp, size in enumerate(sizes):
-        for lid in ordered_ids[pos : pos + size]:
-            group_of[int(lid)] = grp
-        pos += size
-    return group_of
+    """Landmark id -> group: ordered_ids cut into g chunks of _chunk_sizes."""
+    groups = np.repeat(np.arange(g), _chunk_sizes(len(ordered_ids), g))
+    return dict(zip(ordered_ids.tolist(), groups.tolist()))
 
 
 def partition_default(ls: LandmarkSet, g: int) -> PartitionAssignment:
     """Sort by saliency descending (ties by id) and split into g chunks."""
     _check_group_count(ls, g)
-    order = sorted(ls.landmarks, key=lambda lm: (-lm.saliency, lm.id))
-    return PartitionAssignment(_chunk([lm.id for lm in order], g), g, "default")
+    order = np.lexsort((np.arange(len(ls)), -ls.saliency))
+    return PartitionAssignment(_chunk(order, g), g, "default")
 
 
 def partition_random(ls: LandmarkSet, g: int, seed: int) -> PartitionAssignment:
     """Seeded uniform shuffle of landmark ids, then contiguous chunking."""
     _check_group_count(ls, g)
     rng = np.random.default_rng(seed)
-    ids = rng.permutation([lm.id for lm in ls.landmarks])
-    return PartitionAssignment(_chunk(ids, g), g, "random", seed=seed)
+    return PartitionAssignment(_chunk(rng.permutation(len(ls)), g), g, "random", seed=seed)
 
 
 def kmeans_pp_init(xyz: np.ndarray, k: int, rng) -> np.ndarray:
@@ -165,8 +159,7 @@ def partition_kmeans(
     xyz = ls.xyz
     labels, centers = lloyd_kmeans(xyz, g, seed, max_iter)
     labels = rebalance_clusters(xyz, labels, centers, g)
-    group_of = {lm.id: int(labels[i]) for i, lm in enumerate(ls.landmarks)}
-    return PartitionAssignment(group_of, g, "kmeans", seed=seed)
+    return PartitionAssignment(dict(enumerate(labels.tolist())), g, "kmeans", seed=seed)
 
 
 def fps_traversal(xyz: np.ndarray, saliencies: np.ndarray, g: int, capacities):
@@ -215,10 +208,8 @@ def partition_fps(ls: LandmarkSet, g: int) -> PartitionAssignment:
     """Farthest-point traversal partitioning (deterministic; ties break
     toward the lower landmark id / group index)."""
     _check_group_count(ls, g)
-    n = len(ls)
-    labels, _ = fps_traversal(ls.xyz, ls.saliencies, g, _chunk_sizes(n, g))
-    group_of = {lm.id: int(labels[i]) for i, lm in enumerate(ls.landmarks)}
-    return PartitionAssignment(group_of, g, "fps")
+    labels, _ = fps_traversal(ls.xyz, ls.saliency, g, _chunk_sizes(len(ls), g))
+    return PartitionAssignment(dict(enumerate(labels.tolist())), g, "fps")
 
 
 def make_partition(

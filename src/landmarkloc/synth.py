@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 # score_saliency is not called here; perfbench's tracer wraps synth.score_saliency by name.
-from .landmarks import Landmark, LandmarkSet, _saliencies, save_landmarks, score_saliency  # noqa: F401
+from .landmarks import LandmarkSet, _saliencies, save_landmarks, score_saliency  # noqa: F401
 from .mesh import TriangleMesh, box_mesh, ray_cast, save_mesh_ply
 from .scene_model import (
     ImageRecord,
@@ -123,7 +123,10 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
 
     All sampling comes from a single generator seeded with cfg.seed, so equal
     configs produce bit-identical scenes. Tracks contain exact projections of
-    the landmark sites, filtered by exact ray-cast occlusion.
+    the landmark sites, filtered by exact ray-cast occlusion. The sites seen
+    at least once are the SfM points and, in site order, the ground-truth
+    landmarks: landmark k is the k-th seen site, its source point id is the
+    site index, and row k of the visibility table is its visibility.
     """
     rng = np.random.default_rng(cfg.seed)
     room = np.asarray(cfg.room_size, dtype=float)
@@ -206,25 +209,18 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
                       track_image, uv[observed[owner], column])
     model = SceneModel({1: K}, images, points)
 
-    saliency = _saliencies(points.xyz, track_image, track_len, model)
-    landmarks = [Landmark(lm_id, int(i), sites[i], s)
-                 for lm_id, (i, s) in enumerate(zip(observed, saliency))]
     gt_landmarks = LandmarkSet(
-        landmarks, {"generator": "synth", "seed": cfg.seed, "sites": n_sites}
-    )
-    gt_visibility = VisibilityTable(
-        [lm.id for lm in landmarks],
-        image_ids,
-        vis[observed],
-        {"method": "raycast"},
-    )
+        observed, sites[observed], _saliencies(points.xyz, track_image, track_len, model),
+        {"generator": "synth", "seed": cfg.seed, "sites": n_sites})
+    gt_visibility = VisibilityTable(list(range(len(observed))), image_ids, vis[observed],
+                                    {"method": "raycast"})
     return SynthScene(mesh, model, gt_landmarks, gt_visibility, cfg, occluders)
 
 
-def raycast_visibility_oracle(scene: SynthScene, landmark, image_id: int) -> bool:
-    """Exact visibility: in front, inside the extent, and the first mesh hit
-    along the camera-to-landmark ray lies within 1e-6 m of the landmark."""
-    xyz = landmark.xyz if hasattr(landmark, "xyz") else np.asarray(landmark, dtype=float)
+def raycast_visibility_oracle(scene: SynthScene, xyz, image_id: int) -> bool:
+    """Exact visibility of the point xyz: in front, inside the extent, and the
+    first mesh hit along the camera-to-point ray lies within 1e-6 m of it."""
+    xyz = np.asarray(xyz, dtype=float)
     img = scene.model.images[image_id]
     K = scene.model.intrinsics[img.camera_id]
     _, valid = project_many(K, img.pose, xyz[None, :])

@@ -332,10 +332,11 @@ def is_visible(
 def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: float):
     """World-frame mesh normal at each landmark's nearest surface point.
 
-    Returns (normals (L,3), excluded landmark ids) where excluded landmarks
-    sit farther than max_dist from the surface. The closest points are taken
-    over (landmark x triangle) rows, _NEAREST_ROWS at a time; each landmark
-    gets the distance and triangle nearest_surface_point gives it.
+    Returns (normals (L,3), excluded landmark ids): row k of normals is
+    landmark k's, and the excluded landmarks, ascending, are those farther
+    than max_dist from the surface, whose rows are 0. The closest points are
+    taken over (landmark x triangle) rows, _NEAREST_ROWS at a time; each
+    landmark gets the distance and triangle nearest_surface_point gives it.
     """
     v0, v1, v2 = mesh.corners
     n_tri = len(v0)
@@ -351,7 +352,7 @@ def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: fl
         dist[start:start + k] = d[np.arange(k), tri[start:start + k]]
     far = dist > max_dist
     normals = np.where(far[:, None], 0.0, mesh.face_normals()[tri])
-    return normals, [lm.id for lm, out in zip(ls, far.tolist()) if out]
+    return normals, np.flatnonzero(far).tolist()
 
 
 def compute_visibility(
@@ -364,18 +365,20 @@ def compute_visibility(
 
     Per image, one batched ray cast reads the mesh depth and normal at the
     pixels the landmarks in view fall on (see _first_hits), and the occlusion
-    test runs over all landmarks in one vectorized pass. Landmarks farther
-    than cfg.max_surface_dist from the mesh are excluded (all-false row) and
+    test runs over all landmarks in one vectorized pass. Row k of the table
+    is landmark k, the row of the set's columns. Landmarks farther than
+    cfg.max_surface_dist from the mesh are excluded (all-false row) and
     reported in the table's diagnostics.
     """
-    landmark_ids = [lm.id for lm in ls]
+    landmark_ids = list(range(len(ls)))
     image_ids = sorted(model.images)
     mask = np.zeros((len(ls), len(image_ids)), dtype=bool)
     if len(ls) == 0:
         return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), [])
 
     ref_normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
-    active = np.array([lm.id not in excluded for lm in ls])
+    active = np.ones(len(ls), dtype=bool)
+    active[excluded] = False
     xyz = ls.xyz
     face_normals = mesh.face_normals()
 

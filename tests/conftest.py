@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, PointSet, SceneModel
 
 
@@ -30,6 +31,15 @@ def points_from_pairs(points):
                     np.full((len(points), 3), 128), [len(obs) for obs in tracks],
                     [iid for obs in tracks for iid, _ in obs],
                     [uv for obs in tracks for _, uv in obs])
+
+
+def landmark_set(xyz, saliency=1.0, first_source=0):
+    """A LandmarkSet of the points xyz (L, 3) in order: landmark k comes from
+    source point first_source + k and has saliency (one value, or L)."""
+    xyz = np.reshape(xyz, (-1, 3))
+    n = len(xyz)
+    return LandmarkSet(np.arange(first_source, first_source + n), xyz,
+                       np.broadcast_to(saliency, n))
 
 
 def track(points, k):

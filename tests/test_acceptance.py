@@ -27,7 +27,7 @@ from landmarkloc.evaluation import (
     recall_at,
     rotation_error,
 )
-from landmarkloc.landmarks import Landmark, LandmarkSet
+from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.mesh import ray_cast
 from landmarkloc.partitioning import fps_traversal, make_partition, partition_default
 from landmarkloc.pose import SolverConfig, localize, pose_residuals_jacobian
@@ -285,24 +285,20 @@ def test_criterion_5_subpixel_extraction():
 def test_criterion_6_partition_invariants():
     rng = np.random.default_rng(66)
     n = 1000
-    ls = LandmarkSet(
-        [
-            Landmark(i, i, rng.uniform(-5, 5, size=3), float(rng.uniform(0.1, 10)))
-            for i in range(n)
-        ]
-    )
+    draws = [(rng.uniform(-5, 5, size=3), float(rng.uniform(0.1, 10))) for _ in range(n)]
+    ls = LandmarkSet(range(n), [p for p, _ in draws], [s for _, s in draws])
     shapes_ok = True
     for criterion in ("default", "random", "kmeans", "fps"):
         for g in (3, 4, 6, 8, 12):
             pa = make_partition(ls, criterion, g, seed=13)
             sizes = pa.group_sizes()
-            covered = set(pa.group_of) == {lm.id for lm in ls}
+            covered = set(pa.group_of) == set(range(len(ls)))
             shapes_ok &= covered and sum(sizes) == n and max(sizes) - min(sizes) <= 1
 
     # FPS replay: at every insertion step past the seeds, the inserted point
     # must be the globally farthest unassigned point.
     xyz = ls.xyz
-    sal = ls.saliencies
+    sal = ls.saliency
     g = 8
     caps = [n // g + (1 if i < n % g else 0) for i in range(g)]
     labels, order = fps_traversal(xyz, sal, g, caps)
@@ -429,8 +425,9 @@ def test_criterion_10_ensemble_composition(tmp_path):
         SynthConfig(num_landmark_sites=1100, num_cameras=30, seed=3,
                     camera_margin=1.4, min_target_dist=3.0)
     )
-    assert len(scene.gt_landmarks) >= 1000
-    ls = LandmarkSet(scene.gt_landmarks.landmarks[:1000])
+    gt = scene.gt_landmarks
+    assert len(gt) >= 1000
+    ls = LandmarkSet(gt.source_point_ids[:1000], gt.xyz[:1000], gt.saliency[:1000])
     dets = simulate_detections(
         scene.model, ls, scene.gt_visibility, noise_sigma_px=1.0,
         outlier_rate=0.0, seed=5,

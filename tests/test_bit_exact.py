@@ -22,13 +22,7 @@ from landmarkloc.detection import Detection, simulate_detections_labeled
 from landmarkloc.detection import DetectionSet
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import _angular_errors, detection_angular_error
-from landmarkloc.landmarks import (
-    Landmark,
-    LandmarkSet,
-    _distinct_images,
-    _saliencies,
-    score_saliency,
-)
+from landmarkloc.landmarks import _distinct_images, _saliencies, score_saliency
 from landmarkloc.mesh import nearest_surface_point
 from landmarkloc.pose import Correspondence, SolverConfig, localize, p3p_solve, prosac_estimate
 from landmarkloc.pose import _squares, compute_weights
@@ -36,7 +30,7 @@ from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, pr
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
-from conftest import p3p_in_blocks, random_rotation, track
+from conftest import landmark_set, p3p_in_blocks, random_rotation, track
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref
 from test_pose import pnp_scene
 
@@ -78,22 +72,22 @@ def simulate_ref(model, ls, vt, sigma, outlier_rate, seed):
         img = model.images[iid]
         K = model.intrinsics[img.camera_id]
         rng = np.random.default_rng(seed ^ iid)
-        for lm in ls:
-            if not vt.visible(lm.id, iid):
+        for lid, xyz in enumerate(ls.xyz):
+            if not vt.visible(lid, iid):
                 continue
-            truth = project_ref(K, img.pose, lm.xyz)
+            truth = project_ref(K, img.pose, xyz)
             if truth is None:
                 continue
             if rng.random() < outlier_rate:
                 uv = np.array([rng.uniform(0, K.width), rng.uniform(0, K.height)])
-                rows.append((iid, lm.id, *uv, float(rng.uniform(0.31, 0.7)), True))
+                rows.append((iid, lid, *uv, float(rng.uniform(0.31, 0.7)), True))
                 continue
             noise = rng.normal(0.0, sigma, size=2) if sigma > 0 else np.zeros(2)
             uv = np.array(truth) + noise
             uv[0] = np.clip(uv[0], 0.0, np.nextafter(float(K.width), 0.0))
             uv[1] = np.clip(uv[1], 0.0, np.nextafter(float(K.height), 0.0))
             v = float(np.clip(1.0 - np.linalg.norm(noise) / (4.0 * sigma), 0.31, 1.0)) if sigma > 0 else 1.0
-            rows.append((iid, lm.id, *uv, v, False))
+            rows.append((iid, lid, *uv, v, False))
     return rows
 
 
@@ -146,7 +140,7 @@ def test_saliencies_match_one_point(scene):
     ref = [saliency_ref(xyz, images, model) for xyz, images in zip(points.xyz, tracks)]
     assert _saliencies(points.xyz, *_distinct_images(points), model) == ref
     assert [score_saliency(xyz, images, model) for xyz, images in zip(points.xyz, tracks)] == ref
-    assert [lm.saliency for lm in scene.gt_landmarks] == ref
+    assert scene.gt_landmarks.saliency.tolist() == ref
 
 
 def test_synth_observations_match_project(scene):
@@ -159,10 +153,10 @@ def test_synth_observations_match_project(scene):
 
 def reference_normals_ref(mesh, ls, max_dist):
     normals, excluded = np.zeros((len(ls), 3)), []
-    for i, lm in enumerate(ls):
-        dist, _, tri = nearest_surface_point(mesh, lm.xyz)
+    for i, xyz in enumerate(ls.xyz):
+        dist, _, tri = nearest_surface_point(mesh, xyz)
         if dist > max_dist:
-            excluded.append(lm.id)
+            excluded.append(i)
         else:
             normals[i] = mesh.face_normals()[tri]
     return normals, excluded
@@ -174,7 +168,7 @@ def test_reference_normals_match_one_landmark():
     scene = generate_scene(SynthConfig(num_landmark_sites=200, num_occluders=6, seed=3))
     rng = np.random.default_rng(2)
     xyz = np.vstack([scene.gt_landmarks.xyz, rng.uniform([0, 0, 0], [6, 4, 3], size=(100, 3))])
-    ls = LandmarkSet([Landmark(i, i, p, 1.0) for i, p in enumerate(xyz)])
+    ls = landmark_set(xyz)
     for max_dist in (0.2, 0.05, 0.0):
         normals, excluded = landmark_reference_normals(scene.mesh, ls, max_dist)
         ref_normals, ref_excluded = reference_normals_ref(scene.mesh, ls, max_dist)
@@ -204,6 +198,11 @@ PINNED = {
     "synth/scene/images.txt": "0edbbb2b0118eda4d8f25ad8ee2ac489faaa7706ffe32e5d1d2f9777bc030860",
     "synth/scene/points3D.txt": "5e68baf41b273f8dd2757abf38f2db2b2502b322130990d68c2c51d491842838",
     "sel.txt": "0e08b70dd5feccf6b8630dffabf776b739e563f10b2ec53e147e0137e1f34816",
+    "vis.txt": "49f6dd4698f3836db258be8e4f6084543fa249bd7cf434c96ac1e0a4b0ca871a",
+    "part_default.txt": "bfc9678f4d60ba21d2e495d73b8bcd01f598e8d8ecd666faed1e92e33d82be93",
+    "part_random.txt": "44e6fd0258796b1a128bf3b1ab39c7344576c28483b09a8fe7ee870317676fd3",
+    "part_kmeans.txt": "797840c06233b0ce07b69cd30128ad6089431501a6e8b200685477624e886025",
+    "part_fps.txt": "f929d70df64ed3c0d4c09e3ec98f552e8cd82edfbe2fda4e3008c4d5b76b74da",
     "dets.csv": "c3943d3bca9ea8cc2082789c5e2551e1f944250d39042890f3f128908af0229a",
     "report.csv": "dd3e8413c34b9b070e22afe66f978214f27399e27c1f58b5033a258417bea20b",
 }
@@ -224,7 +223,10 @@ def test_cli_outputs_pinned(tmp_path):
          "--seed", "5", "--out", str(d / "dets.csv")],
         ["localize", "--scene", str(s / "scene"), "--landmarks", str(d / "sel.txt"),
          "--detections", str(d / "dets.csv"), "--seed", "9", "--out", str(d / "poses.txt")],
-    ]
+    ] + [["partition", "--landmarks", str(d / "sel.txt"), "--criterion", criterion,
+          "--groups", "8", *seed, "--out", str(d / f"part_{criterion}.txt")]
+         for criterion, seed in (("default", []), ("random", ["--seed", "4"]),
+                                 ("kmeans", ["--seed", "4"]), ("fps", []))]
     with redirect_stdout(io.StringIO()):
         for argv in stages:
             assert main(argv) == 0
@@ -385,7 +387,7 @@ def test_weights_match_python_pow(e):
     n = 20_000
     conf = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n - 2000),
                            rng.uniform(0.0, 1.0, 1999), [1.0]])
-    ls = LandmarkSet([Landmark(i, i, (0.0, 0.0, float(i)), 1.0) for i in range(n)])
+    ls = landmark_set([(0.0, 0.0, float(i)) for i in range(n)])
     dets = DetectionSet.from_columns(1, np.arange(n), np.zeros((n, 2)), conf)
     w = compute_weights(dets, ls, e).w
     assert w.tolist() == [v ** e for v in dets.confidence.tolist()]

@@ -52,7 +52,8 @@ class TestSelectCommand:
         assert rc == 0
         ls = load_landmarks(out)
         assert len(ls) == 15
-        assert [lm.id for lm in ls] == list(range(15))
+        ids = [line.split()[0] for line in out.read_text().splitlines() if line[0] != "#"]
+        assert ids == [str(i) for i in range(15)]
 
     def test_rerun_is_byte_identical(self, scene_dir, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -126,8 +127,39 @@ class TestSelectCommand:
         assert len(runs["default"]) == 1
         assert runs["default"] == runs["given"]
 
+    @pytest.mark.parametrize("radius", [[], ["--radius", "0.5"]], ids=["default", "given"])
+    def test_overflowing_cloud_is_data_error(self, scene_dir, tmp_path, capsys, radius):
+        # One coordinate of the longest-tracked point set to 1e308: squared
+        # distances to it overflow. No numpy warning may escape (pytest turns
+        # RuntimeWarning into an error).
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        for name in ("cameras.txt", "images.txt"):
+            (scene / name).write_bytes((scene_dir / "scene" / name).read_bytes())
+        lines = (scene_dir / "scene" / "points3D.txt").read_text().splitlines()
+        k = max((i for i, line in enumerate(lines) if line[0] != "#"),
+                key=lambda i: len(lines[i].split()))
+        tokens = lines[k].split()
+        lines[k] = " ".join([tokens[0], "1e308", *tokens[2:]])
+        (scene / "points3D.txt").write_text("\n".join(lines) + "\n")
+        rc = main(["select", "--scene", str(scene), "--count", "10", "--min-track", "2",
+                   *radius, "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {scene / 'points3D.txt'}: point coordinates overflow")
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestPartitionCommand:
+    def test_file_without_landmarks_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# provenance count=0\n# id source_point_id x y z saliency\n")
+        rc = main(["partition", "--landmarks", str(empty), "--groups", "3",
+                   "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {empty}: no landmarks to partition\n"
+        assert not (tmp_path / "x.txt").exists()
+
     def test_default_groups(self, scene_dir, tmp_path):
         out = tmp_path / "part.txt"
         rc = main(
@@ -383,6 +415,23 @@ class TestPipelineCommands:
         assert rc == 2
         assert f"{poses}: no pose lines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("9999,0,10.0,10.0,0.9", "detections reference unknown image 9999"),
+        ("0,100000,10.0,10.0,0.9", "detection references unknown landmark 100000"),
+        ("0,-1,10.0,10.0,0.9", "detection references unknown landmark -1"),
+    ], ids=["image", "landmark", "negative-landmark"])
+    def test_evaluate_dangling_detection_names_the_file(self, scene_dir, pipeline, tmp_path,
+                                                         capsys, row, message):
+        _, dets, poses = pipeline
+        bad = tmp_path / "bad.csv"
+        bad.write_text(dets.read_text() + row + "\n")
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses),
+                   "--detections", str(bad), "--landmarks", str(scene_dir / "landmarks.txt"),
+                   "--out", str(tmp_path / "report.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not (tmp_path / "report.txt").exists()
+
     def test_refinement_none_is_the_unrefined_winner(self, scene_dir, tmp_path):
         # "none" and "unweighted" share PROSAC, so statuses and inlier counts;
         # only "unweighted" runs LM, so every ok pose line differs.
@@ -491,14 +540,12 @@ class TestConfigFile:
 
 class TestFlagshipShapes:
     def test_partition_1000_landmarks_into_8_groups_of_125(self, tmp_path):
-        from landmarkloc.landmarks import Landmark, LandmarkSet, save_landmarks
+        from landmarkloc.landmarks import LandmarkSet, save_landmarks
         import numpy as np
 
         rng = np.random.default_rng(3)
-        ls = LandmarkSet(
-            [Landmark(i, i, rng.uniform(-3, 3, size=3), float(rng.uniform(1, 9)))
-             for i in range(1000)]
-        )
+        draws = [(rng.uniform(-3, 3, size=3), float(rng.uniform(1, 9))) for _ in range(1000)]
+        ls = LandmarkSet(range(1000), [p for p, _ in draws], [s for _, s in draws])
         lm_path = tmp_path / "big.txt"
         save_landmarks(ls, lm_path)
         out = tmp_path / "part.txt"

@@ -23,12 +23,11 @@ from landmarkloc.detection import (
     simulate_detections_labeled,
 )
 from landmarkloc.errors import DuplicateLandmarkError, MalformedFileError
-from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.pose import localize
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
-from conftest import points_from_pairs
+from conftest import landmark_set, points_from_pairs
 
 EXTENT = (640, 480)  # grid 80 x 60
 
@@ -112,8 +111,8 @@ def tiny_scene(n_landmarks=20, n_images=4, width=640, height=480):
     for i in range(n_landmarks):
         x = rng.uniform(-0.5, 0.5)
         y = rng.uniform(-0.35, 0.35)
-        pts.append(Landmark(i, i, np.array([x, y, 2.0]), 1.0))
-    ls = LandmarkSet(pts)
+        pts.append([x, y, 2.0])
+    ls = landmark_set(pts)
     mask = np.ones((n_landmarks, n_images), dtype=bool)
     vt = VisibilityTable(list(range(n_landmarks)), list(range(n_images)), mask)
     return model, ls, vt
@@ -127,7 +126,7 @@ class TestSimulate:
             img = model.images[iid]
             K = model.intrinsics[img.camera_id]
             for det in ds:
-                truth = project(K, img.pose, ls[det.landmark_id].xyz)
+                truth = project(K, img.pose, ls.xyz[det.landmark_id])
                 assert np.abs(det.uv - truth).max() < 1e-12
                 assert det.confidence == 1.0
 
@@ -165,7 +164,7 @@ class TestSimulate:
             K = model.intrinsics[img.camera_id]
             assert outliers[iid] == {d.landmark_id for d in ds}
             for det in ds:
-                truth = project(K, img.pose, ls[det.landmark_id].xyz)
+                truth = project(K, img.pose, ls.xyz[det.landmark_id])
                 n_total += 1
                 if np.linalg.norm(det.uv - truth) < 3.0:
                     n_close += 1

@@ -20,11 +20,10 @@ from landmarkloc.evaluation import (
     report_to_text,
     rotation_error,
 )
-from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.pose import PoseEstimate
 from landmarkloc.scene_model import ImageRecord, Pose, SceneModel, project
 
-from conftest import make_intrinsics, points_from_pairs, random_rotation
+from conftest import landmark_set, make_intrinsics, points_from_pairs, random_rotation
 
 
 def axis_rotation(axis, deg):
@@ -281,7 +280,7 @@ class TestReport:
         K = model.intrinsics[1]
         T = model.images[0].pose
         p_world = T.inverse().apply(np.array([0.0, 0.0, 2.0]))
-        ls = LandmarkSet([Landmark(0, 0, p_world, 1.0)])
+        ls = landmark_set(p_world)
         uv = project(K, T, p_world)
         dets = {0: DetectionSet(0, [Detection(0, uv, 1.0)])}
         estimates = {0: PoseEstimate(T, frozenset(), 1, 0.0, "ok")}

@@ -14,7 +14,7 @@ import pytest
 from conftest import make_minimal_model
 from landmarkloc.detection import Detection, DetectionSet, load_detections, save_detections
 from landmarkloc.errors import MalformedFileError
-from landmarkloc.landmarks import Landmark, LandmarkSet, load_landmarks, save_landmarks
+from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.mesh import TriangleMesh, load_mesh, save_mesh_ply
 from landmarkloc.partitioning import PartitionAssignment, load_partition, save_partition
 from landmarkloc.pose import PoseEstimate, load_poses, save_poses
@@ -28,8 +28,8 @@ def write_scene(d):
 
 
 def write_landmarks(d):
-    lms = [Landmark(0, 7, [0.0, 0.0, 2.0], 3.5), Landmark(1, 9, [1.0, 0.5, 2.0], 2.25)]
-    save_landmarks(LandmarkSet(lms, {"count": 2}), d / "sel.txt")
+    lms = LandmarkSet([7, 9], [[0.0, 0.0, 2.0], [1.0, 0.5, 2.0]], [3.5, 2.25], {"count": 2})
+    save_landmarks(lms, d / "sel.txt")
     return ["sel.txt"]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from landmarkloc.errors import InsufficientCandidatesError
 from landmarkloc.landmarks import (
-    Landmark,
     LandmarkSet,
     load_landmarks,
     save_landmarks,
@@ -101,13 +100,13 @@ class TestSelection:
         ls = select_landmarks(model, 1, r_init=1.0, min_track=3)
         scores = {pid: saliency(model, k) for k, pid in enumerate(model.points.ids.tolist())}
         best = min(scores, key=lambda pid: (-scores[pid], pid))
-        assert ls[0].source_point_id == best
+        assert ls.source_point_ids[0] == best
 
     def test_all_eligible_tiny_radius_is_saliency_order(self):
         rng = np.random.default_rng(12)
         model = make_cloud_model(rng, n_points=30)
         ls = select_landmarks(model, 30, r_init=1e-9, min_track=3)
-        sals = ls.saliencies
+        sals = ls.saliency
         assert (np.diff(sals) <= 1e-12).all()
         assert len(ls) == 30
 
@@ -142,7 +141,7 @@ class TestSelection:
                 continue
             best = min(cands, key=lambda pid: (-scores[pid], pid))
             chosen.append((best, r))
-        assert [lm.source_point_id for lm in ls] == [c for c, _ in chosen]
+        assert ls.source_point_ids.tolist() == [c for c, _ in chosen]
         # Pairwise separation under the radius in force at acceptance time.
         for k, (pid, r_k) in enumerate(chosen):
             for j in range(k):
@@ -155,16 +154,14 @@ class TestSelection:
         full = select_landmarks(model, 20, r_init=3.0, min_track=3)
         for k in (1, 5, 13, 20):
             part = select_landmarks(model, k, r_init=3.0, min_track=3)
-            assert [lm.source_point_id for lm in part] == [
-                lm.source_point_id for lm in full
-            ][:k]
+            assert part.source_point_ids.tolist() == full.source_point_ids.tolist()[:k]
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         model = make_cloud_model(rng)
         a = select_landmarks(model, 15, r_init=2.0, min_track=3)
         b = select_landmarks(model, 15, r_init=2.0, min_track=3)
-        assert [lm.source_point_id for lm in a] == [lm.source_point_id for lm in b]
+        assert a.source_point_ids.tolist() == b.source_point_ids.tolist()
         assert np.array_equal(a.xyz, b.xyz)
 
     def test_insufficient_candidates(self):
@@ -183,27 +180,36 @@ class TestSelection:
         with pytest.raises(InsufficientCandidatesError):
             select_landmarks(model, 1, r_init=1.0, min_track=3)
         ls = select_landmarks(model, 1, r_init=1.0, min_track=2)
-        assert ls[0].saliency == saliency(model, 0)
-        assert abs(ls[0].saliency - 2 * (1 + math.pi / 2)) < 1e-12
+        assert ls.saliency[0] == saliency(model, 0)
+        assert abs(ls.saliency[0] - 2 * (1 + math.pi / 2)) < 1e-12
 
     def test_min_track_filters(self):
         rng = np.random.default_rng(17)
         model = make_cloud_model(rng, n_points=50, track_range=(3, 12))
         ls = select_landmarks(model, 5, r_init=0.5, min_track=8)
-        for lm in ls:
-            assert track_length(model, lm.source_point_id) >= 8  # ids are indices here
+        for pid in ls.source_point_ids.tolist():
+            assert track_length(model, pid) >= 8  # ids are indices here
 
 
 class TestLandmarkSet:
     def test_duplicate_sources_rejected(self):
-        lms = [Landmark(0, 5, np.zeros(3), 1.0), Landmark(1, 5, np.ones(3), 1.0)]
         with pytest.raises(ValueError):
-            LandmarkSet(lms)
+            LandmarkSet([5, 5], [np.zeros(3), np.ones(3)], [1.0, 1.0])
 
-    def test_noncontiguous_ids_rejected(self):
-        lms = [Landmark(0, 5, np.zeros(3), 1.0), Landmark(2, 6, np.ones(3), 1.0)]
-        with pytest.raises(ValueError):
-            LandmarkSet(lms)
+    @pytest.mark.parametrize("xyz, saliency", [
+        ([np.zeros(3)], [1.0, 1.0]),                          # one position short
+        ([np.zeros(3), np.ones(3)], [1.0]),                   # one saliency short
+        ([np.zeros(3), np.ones(3), np.ones(3)], [1.0, 1.0]),  # one position too many
+    ])
+    def test_unequal_columns_rejected(self, xyz, saliency):
+        with pytest.raises(ValueError, match="landmark columns differ in length"):
+            LandmarkSet([5, 6], xyz, saliency)
+
+    def test_columns_are_read_only(self):
+        ls = LandmarkSet([5, 6], [np.zeros(3), np.ones(3)], [1.0, 2.0])
+        for column in (ls.source_point_ids, ls.xyz, ls.saliency):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -213,10 +219,9 @@ class TestLandmarkSet:
         save_landmarks(ls, path)
         loaded = load_landmarks(path)
         assert len(loaded) == len(ls)
-        for a, b in zip(ls, loaded):
-            assert a.id == b.id and a.source_point_id == b.source_point_id
-            assert np.array_equal(a.xyz, b.xyz)
-            assert a.saliency == b.saliency
+        assert np.array_equal(loaded.source_point_ids, ls.source_point_ids)
+        assert np.array_equal(loaded.xyz, ls.xyz)
+        assert np.array_equal(loaded.saliency, ls.saliency)
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -249,6 +254,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("second", [
         "2 101 1.0 2.0 3.0 2.5",   # id 2 after id 0
         "1 100 1.0 2.0 3.0 2.5",   # source point 100 again
+        "1 9223372036854775808 1.0 2.0 3.0 2.5",   # source point past int64
     ])
     def test_set_invariants_report_location(self, tmp_path, second):
         from landmarkloc.errors import MalformedFileError

@@ -1,6 +1,7 @@
 """What code outside the package relies on: the README's library example, and
 the names the benchmark in perfbench/ looks up and wraps."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -75,6 +76,33 @@ def test_every_name_the_bench_looks_up_resolves(bench):
     targets = [target for target, _, _ in tracer.LAYERS] + ["landmarkloc.cli.localize"]
     targets += [f"{module.__name__}.{name}" for module, name in worker.PER_IMAGE.values()]
     assert [t for t in targets if not resolves(t)] == []
+
+
+def test_unused_imports_are_bench_layers(bench):
+    # A `# noqa: F401` import in the package keeps a name the module never
+    # uses, so that the bench's tracer can wrap it there. Each such name must
+    # be a LAYERS target under that module, and each such import must keep
+    # at least one name.
+    _, tracer = bench
+    wrapped = {target for target, _, _ in tracer.LAYERS}
+    kept, stray, stale = [], [], []
+    for path in sorted((ROOT / "src" / "landmarkloc").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or not any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            unused = [a.asname or a.name for a in node.names if (a.asname or a.name) not in used]
+            targets = [f"landmarkloc.{path.stem}.{name}" for name in unused]
+            kept += targets
+            stray += [target for target in targets if target not in wrapped]
+            stale += [] if unused else [f"{path.name}:{node.lineno}"]
+    assert kept, "no `# noqa: F401` import found"
+    assert stray == []
+    assert stale == []
 
 
 def test_traced_layers_record_spans(bench, tmp_path, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from landmarkloc.errors import InvalidPartitionError
-from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.partitioning import (
     PartitionAssignment,
     load_partition,
@@ -16,13 +15,14 @@ from landmarkloc.partitioning import (
     save_partition,
 )
 
+from conftest import landmark_set
+
 
 def make_set(xyz, saliencies=None):
     xyz = np.asarray(xyz, dtype=float)
     if saliencies is None:
         saliencies = np.arange(len(xyz), 0, -1, dtype=float)
-    lms = [Landmark(i, 100 + i, xyz[i], float(saliencies[i])) for i in range(len(xyz))]
-    return LandmarkSet(lms)
+    return landmark_set(xyz, saliencies, first_source=100)
 
 
 def random_set(rng, n):
@@ -30,7 +30,7 @@ def random_set(rng, n):
 
 
 def check_invariants(pa, ls):
-    assert set(pa.group_of) == {lm.id for lm in ls}
+    assert set(pa.group_of) == set(range(len(ls)))
     sizes = pa.group_sizes()
     assert sum(sizes) == len(ls)
     assert max(sizes) - min(sizes) <= 1
@@ -101,8 +101,8 @@ class TestKMeans:
         # Brute-force nearest-centroid oracle on the natural clusters.
         ca, cb = a.mean(axis=0), b.mean(axis=0)
         expected = {}
-        for lm in ls:
-            expected[lm.id] = 0 if np.linalg.norm(lm.xyz - ca) < np.linalg.norm(lm.xyz - cb) else 1
+        for lid, xyz in enumerate(ls.xyz):
+            expected[lid] = 0 if np.linalg.norm(xyz - ca) < np.linalg.norm(xyz - cb) else 1
         groups = {frozenset(lid for lid in pa.group_of if pa.group_of[lid] == g) for g in range(2)}
         expected_groups = {frozenset(lid for lid in expected if expected[lid] == g) for g in range(2)}
         assert groups == expected_groups
@@ -174,7 +174,7 @@ class TestFPS:
 
         # Replay: after the 4 seeds, each accepted landmark must be the
         # globally farthest unassigned point at its insertion step.
-        start = int(np.argmax(ls.saliencies))
+        start = int(np.argmax(ls.saliency))
         seeds = [start]
         min_d = np.linalg.norm(xyz - xyz[start], axis=1)
         for _ in range(3):

@@ -8,7 +8,6 @@ import pytest
 from landmarkloc.detection import Detection, DetectionSet, simulate_detections_labeled
 import landmarkloc.pose as pose_module
 from landmarkloc.errors import DanglingReferenceError, DegeneracyError, MalformedFileError
-from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.pose import (
     Correspondence,
     PoseEstimate,
@@ -28,7 +27,7 @@ from landmarkloc.pose import (
 from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import p3p_in_blocks, random_rotation
+from conftest import landmark_set, p3p_in_blocks, random_rotation
 from lm_reference import localize_two_pass, pose_residuals_jacobian_ref, refine_pose_ref
 from quartic_p3p import quartic_p3p_solve
 from scalar_lambda_twist import _cubic_root as scalar_cubic_root, prosac_ref
@@ -110,8 +109,7 @@ class TestSolverConfig:
         # The smallest consensus min_inliers admits is one refine_weighted accepts.
         rng = np.random.default_rng(79)
         T, corrs, _ = pnp_scene(rng, n=4)
-        ls = LandmarkSet([Landmark(c.landmark_id, 100 + c.landmark_id, c.xyz, 1.0)
-                          for c in corrs])
+        ls = landmark_set([c.xyz for c in corrs], first_source=100)
         dets = DetectionSet(0, [Detection(c.landmark_id, c.uv, c.v) for c in corrs])
         est = localize(dets, ls, K, SolverConfig(min_inliers=4), seed=0)
         assert est.status == "ok" and len(est.inliers) == 4
@@ -120,7 +118,7 @@ class TestSolverConfig:
 
 class TestComputeWeights:
     def make(self, v):
-        ls = LandmarkSet([Landmark(0, 0, np.array([0.0, 0, 5]), 1.0)])
+        ls = landmark_set([0.0, 0, 5])
         dets = DetectionSet(0, [Detection(0, np.array([320.0, 240.0]), v)])
         return ls, dets
 
@@ -582,9 +580,7 @@ class TestRefine:
 class TestLocalize:
     def make_scene(self, rng, n=20, noise=0.0, outlier_frac=0.0):
         T, corrs, outliers = pnp_scene(rng, n=n, noise=noise, outlier_frac=outlier_frac)
-        ls = LandmarkSet(
-            [Landmark(c.landmark_id, 1000 + c.landmark_id, c.xyz, 1.0) for c in corrs]
-        )
+        ls = landmark_set([c.xyz for c in corrs], first_source=1000)
         dets = DetectionSet(0, [Detection(c.landmark_id, c.uv, c.v) for c in corrs])
         return T, ls, dets, outliers
 

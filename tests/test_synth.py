@@ -72,22 +72,22 @@ class TestGenerate:
 
     def test_gt_visibility_equals_oracle(self):
         scene = generate_scene(small_cfg(num_occluders=2, num_landmark_sites=40))
-        for lm in scene.gt_landmarks:
+        for lid, xyz in enumerate(scene.gt_landmarks.xyz):
             for iid in scene.model.images:
-                assert scene.gt_visibility.visible(lm.id, iid) == raycast_visibility_oracle(
-                    scene, lm, iid
+                assert scene.gt_visibility.visible(lid, iid) == raycast_visibility_oracle(
+                    scene, xyz, iid
                 )
 
     def test_occluder_blocks_line_of_sight(self):
         # Direct construction: camera, occluder, landmark on one line.
         scene = generate_scene(small_cfg(num_occluders=3, num_landmark_sites=60, seed=5))
         blocked = 0
-        for lm in scene.gt_landmarks:
+        for lid, xyz in enumerate(scene.gt_landmarks.xyz):
             for iid in scene.model.images:
                 img = scene.model.images[iid]
                 K = scene.model.intrinsics[img.camera_id]
-                if project(K, img.pose, lm.xyz) is not None and not scene.gt_visibility.visible(
-                    lm.id, iid
+                if project(K, img.pose, xyz) is not None and not scene.gt_visibility.visible(
+                    lid, iid
                 ):
                     blocked += 1
         assert blocked > 0  # occluders actually occlude something

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from landmarkloc.errors import DegeneracyError, MalformedFileError
-from landmarkloc.landmarks import Landmark, LandmarkSet
 from landmarkloc.mesh import TriangleMesh, box_mesh, ray_cast
 from landmarkloc.scene_model import (
     ImageRecord,
@@ -26,7 +25,7 @@ from landmarkloc.visibility import (
     save_visibility,
 )
 
-from conftest import make_intrinsics, points_from_pairs
+from conftest import landmark_set, make_intrinsics, points_from_pairs
 
 
 def facing_square(z=2.0, half=10.0):
@@ -216,8 +215,8 @@ class TestIsVisible:
             img = model.images[iid]
             K = model.intrinsics[img.camera_id]
             dm = rasterize_depth(mesh, K, img.pose)
-            for i, lm in enumerate(ls):
-                assert is_visible(lm.xyz, K, img.pose, dm, normals[i]) == vt.mask[i, j]
+            for i, xyz in enumerate(ls.xyz):
+                assert is_visible(xyz, K, img.pose, dm, normals[i]) == vt.mask[i, j]
 
 
 def room_scene(n_landmarks=40, n_images=8, occluders=(), seed=40):
@@ -249,9 +248,7 @@ def room_scene(n_landmarks=40, n_images=8, occluders=(), seed=40):
         else:
             p = [0.5 + 5 * u, 4.0, 0.5 + 2 * v]
         walls.append(p)
-    landmarks = LandmarkSet(
-        [Landmark(i, i, np.array(p), 1.0) for i, p in enumerate(walls)]
-    )
+    landmarks = landmark_set(walls)
 
     images = {}
     for iid in range(n_images):
@@ -277,7 +274,7 @@ def visibility_oracle(model, mesh, lm_xyz, image_id):
 class TestComputeVisibility:
     def test_empty_landmark_set(self):
         model, mesh, _ = room_scene(n_landmarks=1, n_images=2)
-        vt = compute_visibility(model, mesh, LandmarkSet([]))
+        vt = compute_visibility(model, mesh, landmark_set([]))
         assert vt.mask.shape == (0, 2)
 
     def test_matches_raycast_oracle(self):
@@ -285,11 +282,11 @@ class TestComputeVisibility:
         model, mesh, ls = room_scene(n_landmarks=40, n_images=8, occluders=occ)
         vt = compute_visibility(model, mesh, ls)
         agree = total = 0
-        for lm in ls:
+        for lid, xyz in enumerate(ls.xyz):
             for iid in model.images:
-                expected = visibility_oracle(model, mesh, lm.xyz, iid)
+                expected = visibility_oracle(model, mesh, xyz, iid)
                 total += 1
-                agree += vt.visible(lm.id, iid) == expected
+                agree += vt.visible(lid, iid) == expected
         assert agree / total >= 0.995
 
     def test_monotone_in_depth_tolerance(self):
@@ -300,7 +297,7 @@ class TestComputeVisibility:
 
     def test_far_landmark_excluded(self):
         model, mesh, _ = room_scene(n_landmarks=2, n_images=2)
-        floating = LandmarkSet([Landmark(0, 0, np.array([3.0, 2.0, 1.5]), 1.0)])
+        floating = landmark_set([3.0, 2.0, 1.5])
         vt = compute_visibility(model, mesh, floating)
         assert vt.excluded == [0]
         assert not vt.mask.any()
@@ -316,7 +313,7 @@ def with_edge_landmarks(model, mesh, ls):
     """ls plus, per image, landmarks on the mesh surface seen at pixels of the
     last column and row, where the snapped pixel of a decimated grid is
     clipped."""
-    landmarks = list(ls)
+    landmarks = list(ls.xyz)
     for iid in sorted(model.images):
         img = model.images[iid]
         K = model.intrinsics[img.camera_id]
@@ -324,9 +321,8 @@ def with_edge_landmarks(model, mesh, ls):
                      (K.width - 0.3, K.height - 0.3), (K.width - 1.2, K.height - 1.2)]:
             direction = img.pose.R.T @ np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
             t, _ = ray_cast(mesh, img.pose.center, direction)
-            n = len(landmarks)
-            landmarks.append(Landmark(n, 1000 + n, img.pose.center + t[0] * direction, 1.0))
-    return LandmarkSet(landmarks)
+            landmarks.append(img.pose.center + t[0] * direction)
+    return landmark_set(landmarks)
 
 
 class TestRayCastSampling:
@@ -344,7 +340,7 @@ class TestRayCastSampling:
         cfg = VisibilityConfig(decimation=decimation)
         vt = compute_visibility(model, mesh, ls, cfg)
         normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
-        active = np.array([lm.id not in excluded for lm in ls])
+        active = np.array([lid not in excluded for lid in range(len(ls))])
         clipped = 0
         for j, iid in enumerate(vt.image_ids):
             img = model.images[iid]
