@@ -208,17 +208,29 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _diameter(xyz: np.ndarray) -> float:
+    """The diagonal of the bounding box of the rows xyz (0 for none): inf or
+    NaN where its square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
+        return float(np.linalg.norm(extent))
+
+
 def cmd_select(args) -> int:
     model = load_scene(args.scene)
-    xyz = model.points.xyz
-    with np.errstate(over="ignore"):
-        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
-        diameter = float(np.linalg.norm(extent))
-    # Selection squares distances between points; none overflows when the
-    # squared diameter does not.
+    points = model.points
+    # Selection squares distances between points, and from the points to the
+    # centres of the images that see them; none overflows when the squared
+    # diameter of the points, and then of points and all camera centres, does not.
+    diameter = _diameter(points.xyz)
     if not np.isfinite(diameter):
         raise DataError(f"{Path(args.scene) / 'points3D.txt'}: point coordinates overflow: "
                         "the cloud is too wide for its squared distances to be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = [img.pose.center for img in model.images.values()]
+    if not np.isfinite(_diameter(np.vstack([points.xyz, *centers]))):
+        raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: a camera "
+                        "is too far from the points for their squared distances to be finite")
     radius = args.radius
     if radius is None:
         # A quarter of the cloud's extent. Where that is 0 (no points, or all at

@@ -136,8 +136,9 @@ def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
     return Correspondences(ids, dets.uv, ls.xyz[ids], dets.confidence, w)
 
 
-# PROSAC samples per Lambda Twist block: 8, doubling to 64. Most images stop within
-# a few dozen samples; the cap bounds memory on those that run the whole budget.
+# PROSAC samples per Lambda Twist block: 8, doubling to 64, and never more than the
+# stop can still use. Most images stop within a few dozen samples; the cap bounds
+# memory on those that run the whole budget.
 _BLOCK, _BLOCK_CAP = 8, 64
 
 
@@ -446,7 +447,10 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     Samples are drawn ahead in blocks (8, doubling to 64), each solved by one
     _p3p_block call and scored in one stacked product; the selection then
     replays them in order, so it stops at the same sample as a loop that
-    solves one sample at a time, and picks the same winner.
+    solves one sample at a time, and picks the same winner. A block holds no
+    more samples than the budget and the current stop, ceil(required - t),
+    leave: required only falls while a block replays, so every sample past
+    it would go unused.
 
     The winning P3P pose is refined on its inliers, in ranked order, per
     cfg.refinement: by refine_weighted for "weighted" and "unweighted", not at
@@ -468,7 +472,8 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     saw_degenerate = False
     t = 0
     while t < budget and t < required:
-        idx = np.array(list(itertools.islice(samples, min(size, budget - t))))
+        take = math.ceil(min(size, budget - t, required - t))  # min keeps an inf out of ceil
+        idx = np.array(list(itertools.islice(samples, take)))
         size = min(2 * size, _BLOCK_CAP)
         degenerate, R, T, owner = _p3p_block(xyz[idx], rays[idx], uv[idx], K)
         err = _stacked_errors(R, T, uv, xyz, K)
@@ -512,11 +517,12 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
                         STATUS_OK, rr)
 
 
-def _residuals(pose: Pose, uv: np.ndarray, xyz: np.ndarray, K: Intrinsics):
-    """The camera frame (N, 3) of the points xyz (N, 3) under pose, as the gemm
-    that project_many makes, and their reprojection residuals (N, 2),
-    projection - observation, NaN for points at or behind the camera."""
-    cam = xyz @ pose.R.T + pose.t
+def _residuals(R: np.ndarray, t: np.ndarray, uv: np.ndarray, xyz: np.ndarray,
+               K: Intrinsics):
+    """The camera frame (N, 3) of the points xyz (N, 3) under the pose (R, t),
+    as the gemm that project_many makes, and their reprojection residuals
+    (N, 2), projection - observation, NaN for points at or behind the camera."""
+    cam = xyz @ R.T + t
     proj = np.empty((len(cam), 2))
     proj[:, 0], proj[:, 1] = _uv(K, *cam.T)
     return cam, proj - uv
@@ -552,12 +558,13 @@ def pose_residuals_jacobian(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
     the current pose. Rows are scaled by sqrt(w).
     """
     scale = None if weights is None else np.sqrt(np.repeat(weights, 2))
-    return _stacked_system(*_residuals(pose, uv, xyz, K), K, scale)
+    return _stacked_system(*_residuals(pose.R, pose.t, uv, xyz, K), K, scale)
 
 
-def _apply_increment(pose: Pose, step: np.ndarray) -> Pose:
+def _apply_increment(R: np.ndarray, t: np.ndarray, step: np.ndarray) -> tuple:
+    """The pose (R, t) after the left increment step = [omega, dt], as arrays."""
     dR = axis_angle_to_matrix(step[:3])
-    return Pose(dR @ pose.R, dR @ pose.t + step[3:])
+    return dR @ R, dR @ t + step[3:]
 
 
 def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
@@ -568,15 +575,16 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
     are rejected (damping increases); the accepted-cost trace is therefore
     non-increasing. Converges on step norm < 1e-10 or cost decrease < 1e-12.
     Each pose is projected once: the accepted trial's camera frame and
-    residuals give the next Jacobian.
+    residuals give the next Jacobian. Trials are bare (R, t) arrays, so a
+    non-finite one is rejected by its cost; the returned pose is checked.
     """
     def weighted_cost(res: np.ndarray) -> float:
         du, dv = res.T
         cost = float((w * (du * du + dv * dv)).sum())
         return np.inf if math.isnan(cost) else cost  # NaN: a point behind the camera
 
-    pose = initial
-    cam, res = _residuals(pose, uv, xyz, K)
+    R, t = initial.R, initial.t
+    cam, res = _residuals(R, t, uv, xyz, K)
     cost = weighted_cost(res)
     trace = [cost]
     lam = 1e-6
@@ -584,7 +592,7 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
     converged = False
     iterations = 0
     if not np.isfinite(cost):
-        return RefineResult(pose, False, 0, trace)
+        return RefineResult(initial, False, 0, trace)
     for iterations in range(1, max_iter + 1):
         r, J = _stacked_system(cam, res, K, scale)
         g = J.T @ r
@@ -599,12 +607,12 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
             if np.linalg.norm(step) < 1e-10:
                 converged = True
                 break
-            trial = _apply_increment(pose, step)
-            trial_cam, trial_res = _residuals(trial, uv, xyz, K)
+            trial = _apply_increment(R, t, step)
+            trial_cam, trial_res = _residuals(*trial, uv, xyz, K)
             trial_cost = weighted_cost(trial_res)
             if trial_cost < cost:
                 decrease = cost - trial_cost
-                pose, cam, res, cost = trial, trial_cam, trial_res, trial_cost
+                (R, t), cam, res, cost = trial, trial_cam, trial_res, trial_cost
                 trace.append(cost)
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
@@ -616,7 +624,7 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
                 break
         if converged or not accepted:
             break
-    return RefineResult(pose, converged, iterations, trace)
+    return RefineResult(Pose(R, t), converged, iterations, trace)
 
 
 def refine_weighted(initial: Pose, corrs, K: Intrinsics,

@@ -55,8 +55,12 @@ def pose_residuals_jacobian_ref(pose: Pose, uv: np.ndarray, xyz: np.ndarray,
     return res, J
 
 
+def apply_increment(pose: Pose, step: np.ndarray) -> Pose:
+    return Pose(*_apply_increment(pose.R, pose.t, step))
+
+
 def refine_pose_ref(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
-                    K: Intrinsics, max_iter: int = 100, trial=_apply_increment) -> RefineResult:
+                    K: Intrinsics, max_iter: int = 100, trial=apply_increment) -> RefineResult:
     """trial(pose, step) builds each trial pose; a test may pass a wrapper
     that counts them."""
     def weighted_cost(p: Pose) -> float:

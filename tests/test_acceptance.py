@@ -399,8 +399,10 @@ def test_criterion_9_refinement_correctness(crit2):
         for k in range(6):
             step = np.zeros(6)
             step[k] = h
-            rp, _ = pose_residuals_jacobian(_apply_increment(T, step), uv, world, K)
-            rm, _ = pose_residuals_jacobian(_apply_increment(T, -step), uv, world, K)
+            rp, _ = pose_residuals_jacobian(
+                Pose(*_apply_increment(T.R, T.t, step)), uv, world, K)
+            rm, _ = pose_residuals_jacobian(
+                Pose(*_apply_increment(T.R, T.t, -step)), uv, world, K)
             J_fd[:, k] = (rp - rm) / (2 * h)
         jac_max = max(jac_max, np.abs(J - J_fd).max() / max(np.abs(J_fd).max(), 1.0))
 

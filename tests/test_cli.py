@@ -149,6 +149,27 @@ class TestSelectCommand:
         assert err.startswith(f"data error: {scene / 'points3D.txt'}: point coordinates overflow")
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("radius", [[], ["--radius", "0.5"]], ids=["default", "given"])
+    def test_far_camera_is_data_error(self, scene_dir, tmp_path, capsys, radius):
+        # The first image's TX set to 1e308: its centre is about 1e308 from
+        # the points it sees, and the squared distances the saliencies take
+        # overflow. The points alone are fine.
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        for name in ("cameras.txt", "points3D.txt"):
+            (scene / name).write_bytes((scene_dir / "scene" / name).read_bytes())
+        lines = (scene_dir / "scene" / "images.txt").read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line[0] != "#")
+        tokens = lines[k].split()
+        lines[k] = " ".join([*tokens[:5], "1e308", *tokens[6:]])
+        (scene / "images.txt").write_text("\n".join(lines) + "\n")
+        rc = main(["select", "--scene", str(scene), "--count", "10", "--min-track", "2",
+                   *radius, "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {scene / 'images.txt'}: camera centres overflow")
+        assert not (tmp_path / "x.txt").exists()
+
 
 class TestPartitionCommand:
     def test_file_without_landmarks_is_data_error(self, tmp_path, capsys):

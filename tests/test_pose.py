@@ -376,6 +376,29 @@ class TestProsac:
             iters_r.append(prosac_estimate(corrs, K, cfg_r, seed=trial).num_iterations)
         assert np.median(iters_p) <= np.median(iters_r)
 
+    def test_blocks_hold_only_samples_the_stop_uses(self, monkeypatch):
+        # A block is cut to the samples the current stop can still use, so
+        # every block but the last is replayed in full, and only samples that
+        # the stop moves past while a block replays are solved for nothing.
+        # Drawn whole, blocks solved 64% more samples than these scenes use.
+        p3p_block, blocks = pose_module._p3p_block, []
+
+        def counting(P, *args):
+            blocks.append(len(P))
+            return p3p_block(P, *args)
+
+        monkeypatch.setattr(pose_module, "_p3p_block", counting)
+        rng = np.random.default_rng(80)
+        lanes = used = 0
+        for trial in range(100):
+            _, corrs, _ = pnp_scene(rng, n=40, noise=1.0, outlier_frac=0.3)
+            blocks.clear()
+            cfg = SolverConfig(min_inliers=10, refinement="none")
+            est = prosac_estimate(corrs, K, cfg, seed=trial)
+            assert sum(blocks[:-1]) < est.num_iterations <= sum(blocks)
+            lanes, used = lanes + sum(blocks), used + est.num_iterations
+        assert used >= 1000 and lanes <= 1.05 * used
+
     def test_determinism(self):
         rng = np.random.default_rng(66)
         _, corrs, _ = pnp_scene(rng, n=30, noise=1.0, outlier_frac=0.2)
@@ -453,8 +476,10 @@ class TestRefine:
             for k in range(6):
                 step = np.zeros(6)
                 step[k] = h
-                rp, _ = pose_residuals_jacobian(_apply_increment(T, step), uv, xyz, K)
-                rm, _ = pose_residuals_jacobian(_apply_increment(T, -step), uv, xyz, K)
+                rp, _ = pose_residuals_jacobian(
+                    Pose(*_apply_increment(T.R, T.t, step)), uv, xyz, K)
+                rm, _ = pose_residuals_jacobian(
+                    Pose(*_apply_increment(T.R, T.t, -step)), uv, xyz, K)
                 J_fd[:, k] = (rp - rm) / (2 * h)
             rel = np.abs(J - J_fd).max() / max(np.abs(J_fd).max(), 1.0)
             assert rel < 1e-5
@@ -507,7 +532,8 @@ class TestRefine:
         w = np.append(np.ones(n), 1e-12)
 
         res, J = pose_residuals_jacobian(start, uv, xyz, K, weights=w)
-        gauss_newton = _apply_increment(start, np.linalg.solve(J.T @ J, -J.T @ res))
+        step = np.linalg.solve(J.T @ J, -J.T @ res)
+        gauss_newton = Pose(*_apply_increment(start.R, start.t, step))
         assert gauss_newton.apply(near[0])[2] < 0
 
         rr = refine_pose(start, uv, xyz, w, K)
@@ -555,7 +581,7 @@ class TestRefine:
 
             def counting(pose, step):
                 trials.append(step)
-                return _apply_increment(pose, step)
+                return Pose(*_apply_increment(pose.R, pose.t, step))
 
             got, ref = refine_pose(*args), refine_pose_ref(*args, trial=counting)
             assert (got.pose.R == ref.pose.R).all() and (got.pose.t == ref.pose.t).all()
@@ -675,6 +701,29 @@ class TestLocalize:
                     assert center_dist(est.pose, ref.pose) < 1e-8
                     assert rot_angle_deg(est.pose.R, ref.pose.R) < 1e-5
         assert ok >= 100
+
+    def test_lm_rejects_non_finite_trial(self, monkeypatch):
+        # The first LM trial's rotation comes out NaN: its cost is inf, so LM
+        # rejects it, raises the damping and goes on from the same pose.
+        axis_angle, steps = pose_module.axis_angle_to_matrix, []
+
+        def nan_first(omega):
+            steps.append(omega)
+            return np.full((3, 3), np.nan) if len(steps) == 1 else axis_angle(omega)
+
+        monkeypatch.setattr(pose_module, "axis_angle_to_matrix", nan_first)
+        rng = np.random.default_rng(78)
+        T, ls, dets, _ = self.make_scene(rng, n=30, noise=2.0)
+        est = localize(dets, ls, K, SolverConfig(), seed=0)
+        assert est.status == "ok" and len(steps) >= 2
+        trace = est.refine.cost_trace
+        assert (np.diff(trace) <= 0).all() and trace[-1] < trace[0]
+        assert center_dist(est.pose, T) < 0.05
+        # The returned pose is a checked, read-only Pose.
+        assert type(est.pose) is Pose and est.refine.pose is est.pose
+        assert not est.pose.R.flags.writeable and not est.pose.t.flags.writeable
+        with pytest.raises(AttributeError):
+            est.pose.R = np.eye(3)
 
     def test_refinement_none_returns_prosac_pose(self):
         rng = np.random.default_rng(76)
