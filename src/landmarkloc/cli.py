@@ -216,6 +216,13 @@ def _diameter(xyz: np.ndarray) -> float:
         return float(np.linalg.norm(extent))
 
 
+def _quartic_overflows(*clouds) -> bool:
+    """Whether 8 D**4 overflows, D being the diameter of the rows of clouds
+    taken together."""
+    d = _diameter(np.vstack(clouds))
+    return not np.isfinite(8.0 * d * d * d * d)
+
+
 def cmd_select(args) -> int:
     model = load_scene(args.scene)
     points = model.points
@@ -270,6 +277,21 @@ def cmd_visibility(args) -> int:
         max_surface_dist=args.max_surface_dist,
         decimation=args.decimation,
     )
+    # The test multiplies up to four distances among mesh vertices, landmarks
+    # and camera centres (closest points on triangles, face normal lengths,
+    # at most 6 D**4); none overflows while 8 D**4 does not, D being the
+    # diameter of them all.
+    if _quartic_overflows(mesh.vertices):
+        raise DataError(f"{mesh_path}: vertex coordinates overflow: the mesh is too wide "
+                        "for products of its distances to be finite")
+    if _quartic_overflows(mesh.vertices, ls.xyz):
+        raise DataError(f"{args.landmarks}: landmark coordinates overflow: a landmark is too "
+                        "far from the mesh for products of their distances to be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = [img.pose.center for img in model.images.values()]
+    if _quartic_overflows(mesh.vertices, ls.xyz, *centers):
+        raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: a camera "
+                        "is too far from the mesh for products of their distances to be finite")
     vt = compute_visibility(model, mesh, ls, cfg)
     save_visibility(vt, args.out)
     visible = int(vt.mask.sum())

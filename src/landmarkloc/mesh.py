@@ -48,7 +48,10 @@ class TriangleMesh:
 
     def drop_degenerate(self) -> "TriangleMesh":
         v0, v1, v2 = self.corners
-        areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+        # An area that overflows is inf and kept, or NaN and dropped; the
+        # visibility command rejects such coordinates.
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         return TriangleMesh(self.vertices, self.triangles[areas > _DEGENERATE_AREA])
 
 

@@ -6,10 +6,12 @@ A landmark is visible in an image when (a) it is in front of the camera and
 projects inside the extent, (b) its camera-frame depth matches the mesh depth
 at its pixel within tolerance, and (c) its reference surface normal agrees
 with the mesh normal seen at that pixel. Its pixel is the nearest pixel
-centre of the image grid at 1/decimation resolution. compute_visibility reads
-the mesh there with one first-hit ray per landmark; rasterize_depth renders
-the same depth and normal for every pixel of an image, and is_visible tests a
-landmark against such a map.
+centre of the image grid at 1/decimation resolution. compute_visibility
+works on the (landmark, image) pairs in view, a block of images at a time,
+and reads the mesh there with one first-hit ray per pair, many images' rays
+to a ray cast; rasterize_depth renders the same depth and normal for every
+pixel of an image, and is_visible tests a landmark against such a map. Both
+paths end in the one occlusion test, _visible.
 """
 
 from __future__ import annotations
@@ -25,11 +27,17 @@ from .landmarks import LandmarkSet
 # nearest_surface_point is not called here; perfbench's tracer wraps
 # visibility.nearest_surface_point by name.
 from .mesh import TriangleMesh, closest_point_on_triangles, nearest_surface_point, ray_cast  # noqa: F401
-from .scene_model import Intrinsics, Pose, SceneModel, project_many
+from .mesh import _RAY_BLOCK
+from .scene_model import Intrinsics, Pose, SceneModel, _pixel
 
 # (landmark x triangle) rows per step of landmark_reference_normals: its
 # temporaries are O(rows).
 _NEAREST_ROWS = 4096
+# (landmark, image) pairs per image block of compute_visibility, in view or
+# not, and (ray x triangle) rows per ray_cast call it makes: its temporaries
+# are O(pairs) and O(rows).
+_PAIR_BLOCK = 8192
+_RAY_ROWS = 4096
 
 
 @dataclass
@@ -81,26 +89,34 @@ def _snap(uv: np.ndarray, decimation: int, width: int, height: int):
     return px, py
 
 
-def _first_hits(mesh: TriangleMesh, face_normals: np.ndarray, K: Intrinsics,
-                T: Pose, decimation: int):
-    """DepthMap.lookup for the map rasterize_depth would render, without
-    rendering it: the returned sampler casts one ray per point through the
-    centre of the same pixel. It gives the camera-frame depth of the first hit
-    (inf on a miss) and the camera-frame unit normal of the triangle hit (0 on
-    a miss)."""
-    G = _decimated(K, decimation)
+def _by_row(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row k of v (N, 3) times the matrix M[k] (N, 3, 3), one row-by-matrix
+    product each. For C-contiguous M, a row has the bits that numpy's
+    product X @ M[k] gives it in any stack X of two or more rows; a single
+    row (1, 3) @ (3, 3) goes to another kernel and may differ in the last
+    bit."""
+    return np.matmul(v[:, None, :], M)[:, 0]
 
-    def sample(uv):
-        px, py = _snap(uv, decimation, G.width, G.height)
-        # Unit camera-frame z, so the hit distance along the ray is the depth.
-        rays = np.column_stack([(px - G.cx) / G.fx, (py - G.cy) / G.fy, np.ones(len(px))])
-        depth, tri = ray_cast(mesh, np.broadcast_to(T.center, rays.shape), rays @ T.R)
-        normal = np.zeros((len(tri), 3))
-        hit = tri >= 0
-        normal[hit] = face_normals[tri[hit]] @ T.R.T
-        return depth, normal
 
-    return sample
+def _first_hits(mesh: TriangleMesh, face_normals: np.ndarray, G: Intrinsics,
+                decimation: int, uv: np.ndarray, R: np.ndarray, RT: np.ndarray,
+                center: np.ndarray):
+    """DepthMap.lookup for the maps rasterize_depth would render, without
+    rendering them, over (landmark, image) pairs: pair k is the
+    full-resolution pixel uv[k] (2,) of an image whose pose has rotation R[k]
+    and camera centre center[k]; RT[k] is R[k].T, and both stacks are
+    C-contiguous (see _by_row). G is the image grid at 1/decimation
+    resolution (_decimated). One ray per pair through the centre of the same
+    pixel gives the camera-frame depth of the first hit (inf on a miss) and
+    the camera-frame unit normal of the triangle hit (0 on a miss)."""
+    px, py = _snap(uv, decimation, G.width, G.height)
+    # Unit camera-frame z, so the hit distance along the ray is the depth.
+    rays = np.column_stack([(px - G.cx) / G.fx, (py - G.cy) / G.fy, np.ones(len(px))])
+    depth, tri = ray_cast(mesh, center, _by_row(rays, R))
+    normal = np.zeros((len(tri), 3))
+    hit = tri >= 0
+    normal[hit] = _by_row(face_normals[tri[hit]], RT[hit])
+    return depth, normal
 
 
 @dataclass(frozen=True)
@@ -286,28 +302,23 @@ def _coplanar(pts: np.ndarray, tol: float = 1e-9) -> bool:
     return s[-1] / scale < tol
 
 
-def _visible(K: Intrinsics, T: Pose, sample, xyz: np.ndarray,
-             ref_normals: np.ndarray, cfg: VisibilityConfig, candidates=True) -> np.ndarray:
-    """The occlusion test of world points (N,3) in one image.
+def _visible(z: np.ndarray, depth: np.ndarray, normal: np.ndarray,
+             ref_normal: np.ndarray, cfg: VisibilityConfig) -> np.ndarray:
+    """The occlusion test of (landmark, image) pairs in view.
 
-    sample maps full-resolution pixels (M,2) to the mesh's camera-frame depth
-    (M,) and unit normal (M,3) there, as DepthMap.lookup does. A point passes
-    when it is a candidate, projects into view, its depth matches the sampled
-    depth within tolerance, and its unit reference normal (world frame) makes
-    an angle of at most cfg.tol_normal_deg with the sampled normal.
+    Pair k's landmark has camera-frame depth z[k] and unit reference normal
+    ref_normal[k] (3,), rotated into the camera frame; depth[k] and normal[k]
+    are the mesh's camera-frame depth (inf where none) and unit normal at its
+    pixel, as DepthMap.lookup gives them. A pair passes when the depths agree
+    within max(cfg.tol_depth, cfg.rel_frac * z) and the normals make an angle
+    of at most cfg.tol_normal_deg.
     """
-    uv, valid = project_many(K, T, xyz)
-    valid &= candidates
-    out = np.zeros(len(xyz), dtype=bool)
-    if not valid.any():
-        return out
-    z = (xyz @ T.R.T + T.t)[valid, 2]
-    d, n_pix = sample(uv[valid])
-    tol = np.maximum(cfg.tol_depth, cfg.rel_frac * z)
-    ok_depth = np.isfinite(d) & (np.abs(d - z) <= tol)
-    cosang = np.einsum("ij,ij->i", n_pix, ref_normals[valid] @ T.R.T)
-    out[valid] = ok_depth & (cosang >= math.cos(math.radians(cfg.tol_normal_deg)))
-    return out
+    # A tolerance past the largest float is inf: every finite depth agrees.
+    with np.errstate(over="ignore"):
+        tol = np.maximum(cfg.tol_depth, cfg.rel_frac * z)
+    ok_depth = np.isfinite(depth) & (np.abs(depth - z) <= tol)
+    cosang = np.einsum("ij,ij->i", normal, ref_normal)
+    return ok_depth & (cosang >= math.cos(math.radians(cfg.tol_normal_deg)))
 
 
 def is_visible(
@@ -325,8 +336,12 @@ def is_visible(
     """
     n = np.asarray(ref_normal, dtype=np.float64)
     n = n / max(np.linalg.norm(n), 1e-12)
-    p = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    return bool(_visible(K, T, dm.lookup, p, n[None], cfg)[0])
+    cam = T.apply(np.asarray(p, dtype=np.float64).reshape(1, 3))
+    u, v, inside = _pixel(K, *cam.T)
+    if not inside[0]:
+        return False
+    depth, normal = dm.lookup(np.column_stack([u, v]))
+    return bool(_visible(cam[:, 2], depth, normal, n[None] @ T.R.T, cfg)[0])
 
 
 def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: float):
@@ -355,6 +370,21 @@ def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: fl
     return normals, np.flatnonzero(far).tolist()
 
 
+def _pairs_in_view(K: Intrinsics, xyz: np.ndarray, RT: np.ndarray, t: np.ndarray,
+                   candidates: np.ndarray):
+    """The (landmark, image) pairs in view in a block of B images of one
+    camera, image by image: candidate landmarks of xyz (L, 3) that are in
+    front of image b's camera and project inside its extent. RT[b] and t[b]
+    are its pose's R.T and t. Returns the pairs' image rows (in the block)
+    and landmark rows, their full-resolution pixels (P, 2) and their
+    camera-frame depths (P,), with the bits of one image's project_many."""
+    cam = np.matmul(xyz, RT)  # (B, L, 3): each image's xyz @ T.R.T
+    cam += t[:, None]
+    u, v, inside = _pixel(K, cam[..., 0], cam[..., 1], cam[..., 2])
+    img, lm = np.nonzero(inside & candidates)
+    return img, lm, np.column_stack([u[img, lm], v[img, lm]]), cam[img, lm, 2]
+
+
 def compute_visibility(
     model: SceneModel,
     mesh: TriangleMesh,
@@ -363,11 +393,18 @@ def compute_visibility(
 ) -> VisibilityTable:
     """Visibility of every landmark in every image of the model.
 
-    Per image, one batched ray cast reads the mesh depth and normal at the
-    pixels the landmarks in view fall on (see _first_hits), and the occlusion
-    test runs over all landmarks in one vectorized pass. Row k of the table
-    is landmark k, the row of the set's columns. Landmarks farther than
-    cfg.max_surface_dist from the mesh are excluded (all-false row) and
+    Images are taken per camera, in blocks of at most _PAIR_BLOCK (landmark,
+    image) pairs. Per block, one stacked product gives every landmark's
+    camera frame in each image, and the pairs in view are listed image by
+    image. The mesh depth and normal at their pixels are read with one ray
+    per pair (see _first_hits), the pairs of many images to a ray_cast call
+    of at most _RAY_ROWS (ray x triangle) rows, and _visible tests them.
+    Every pair gets the bits of a per-image pass over the landmarks, except
+    where that pass took a one-row product: in an image with one pair in
+    view, or one ray hit, a depth or normal may differ in the last bit (see
+    _by_row; ray_cast of a single ray takes one-row products too). Row k of
+    the table is landmark k, the row of the set's columns. Landmarks farther
+    than cfg.max_surface_dist from the mesh are excluded (all-false row) and
     reported in the table's diagnostics.
     """
     landmark_ids = list(range(len(ls)))
@@ -381,28 +418,60 @@ def compute_visibility(
     active[excluded] = False
     xyz = ls.xyz
     face_normals = mesh.face_normals()
+    images_per_block = max(1, _PAIR_BLOCK // len(ls))
+    rays_per_cast = max(1, _RAY_ROWS // min(len(mesh), _RAY_BLOCK))
 
+    columns = {}  # camera id -> table columns of its images
     for j, iid in enumerate(image_ids):
-        img = model.images[iid]
-        K = model.intrinsics[img.camera_id]
-        sample = _first_hits(mesh, face_normals, K, img.pose, cfg.decimation)
-        mask[:, j] = _visible(K, img.pose, sample, xyz, ref_normals, cfg, active)
+        columns.setdefault(model.images[iid].camera_id, []).append(j)
+    for camera_id, cols in columns.items():
+        K = model.intrinsics[camera_id]
+        G = _decimated(K, cfg.decimation)
+        cols = np.array(cols)
+        R = np.array([model.images[image_ids[j]].pose.R for j in cols])
+        t = np.array([model.images[image_ids[j]].pose.t for j in cols])
+        # Transposed views of the C-contiguous stack R have the layout of
+        # Pose.R.T, so products with them have the bits of the per-image
+        # ones; _by_row takes the C-contiguous copy RTc.
+        RT = R.transpose(0, 2, 1)
+        RTc = np.ascontiguousarray(RT)
+        center = np.matmul(-RT, t[:, :, None])[:, :, 0]  # Pose.center's bits
+        for start in range(0, len(cols), images_per_block):
+            blk = slice(start, start + images_per_block)
+            img, lm, uv, z = _pairs_in_view(K, xyz, RT[blk], t[blk], active)
+            img += start
+            # Calls of equal size: none casts a single ray, which would round
+            # otherwise (see _by_row), unless the block has one pair.
+            n = len(img)
+            calls = -(-n // rays_per_cast)
+            for c in range(calls):
+                pairs = slice(c * n // calls, (c + 1) * n // calls)
+                k, i = img[pairs], lm[pairs]
+                depth, normal = _first_hits(mesh, face_normals, G, cfg.decimation,
+                                            uv[pairs], R[k], RTc[k], center[k])
+                ref = _by_row(ref_normals[i], RTc[k])
+                mask[i, cols[k]] = _visible(z[pairs], depth, normal, ref, cfg)
     return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), excluded)
 
 
 def save_visibility(vt: VisibilityTable, path) -> None:
     """Header (dimensions, tolerances) + one line per landmark with its
     visible image ids."""
+    names = [str(i) for i in vt.image_ids]
+    rows, cols = np.nonzero(vt.mask)  # row-major: each landmark's images in order
+    visible = [names[j] for j in cols.tolist()]
+    ends = np.searchsorted(rows, np.arange(1, len(vt.landmark_ids) + 1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# visibility landmarks={len(vt.landmark_ids)} images={len(vt.image_ids)}\n")
         tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
         fh.write(f"# tolerances {tol}\n")
-        fh.write("# image_ids " + " ".join(str(i) for i in vt.image_ids) + "\n")
+        fh.write("# image_ids " + " ".join(names) + "\n")
         if vt.excluded:
             fh.write("# excluded " + " ".join(str(i) for i in vt.excluded) + "\n")
-        for i, lid in enumerate(vt.landmark_ids):
-            vis = [str(vt.image_ids[j]) for j in np.flatnonzero(vt.mask[i])]
-            fh.write(" ".join([str(lid)] + vis) + "\n")
+        start = 0
+        for lid, end in zip(vt.landmark_ids, ends):
+            fh.write(" ".join([str(lid), *visible[start:end]]) + "\n")
+            start = end
 
 
 def load_visibility(path) -> VisibilityTable:

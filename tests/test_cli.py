@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import landmarkloc
@@ -282,6 +283,75 @@ class TestVisibilityCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def overflowing_copy(self, scene_dir, tmp_path, name, edit):
+        """The scene's inputs in tmp_path, with the first data row of name (a
+        row with at least 3 tokens) rewritten by edit(tokens)."""
+        inputs = {"images.txt": tmp_path / "scene" / "images.txt",
+                  "landmarks.txt": tmp_path / "sel.txt", "mesh.ply": tmp_path / "mesh.ply"}
+        (tmp_path / "scene").mkdir()
+        for src in ("scene/cameras.txt", "scene/images.txt", "scene/points3D.txt"):
+            (tmp_path / src).write_bytes((scene_dir / src).read_bytes())
+        for src, dst in (("landmarks.txt", "sel.txt"), ("mesh.ply", "mesh.ply")):
+            (tmp_path / dst).write_bytes((scene_dir / src).read_bytes())
+        path = inputs[name]
+        lines = path.read_text().splitlines()
+        start = lines.index("end_header") + 1 if name == "mesh.ply" else 0
+        k = next(i for i in range(start, len(lines))
+                 if not lines[i].startswith("#") and len(lines[i].split()) >= 3)
+        lines[k] = " ".join(edit(lines[k].split()))
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("landmarks.txt", lambda tok: [*tok[:2], "1e308", *tok[3:]],
+         "landmark coordinates overflow"),
+        ("mesh.ply", lambda tok: ["1e308", *tok[1:]], "vertex coordinates overflow"),
+        ("images.txt", lambda tok: [*tok[:5], "1e308", *tok[6:]], "camera centres overflow"),
+    ])
+    def test_overflowing_input_is_data_error(self, scene_dir, tmp_path, capsys,
+                                             name, edit, message):
+        # One coordinate set to 1e308: a landmark x, a mesh vertex x, or the
+        # first image's TX (its centre is then about 1e308 away). The distances
+        # the test multiplies overflow; no numpy warning may escape (pytest
+        # turns RuntimeWarning into an error).
+        bad = self.overflowing_copy(scene_dir, tmp_path, name, edit)
+        out = tmp_path / "v.txt"
+        rc = main(["visibility", "--scene", str(tmp_path / "scene"),
+                   "--mesh", str(tmp_path / "mesh.ply"), "--landmarks", str(tmp_path / "sel.txt"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: {message}")
+        assert not out.exists()
+
+    def test_landmark_far_but_within_bounds_runs(self, scene_dir, tmp_path, capsys):
+        # 1e76 from the mesh: fourth powers of the distances stay finite, so
+        # the landmark is only excluded (off the mesh), without a warning.
+        self.overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                              lambda tok: [*tok[:2], "1e76", *tok[3:]])
+        rc = main(["visibility", "--scene", str(tmp_path / "scene"),
+                   "--mesh", str(tmp_path / "mesh.ply"), "--landmarks", str(tmp_path / "sel.txt"),
+                   "--out", str(tmp_path / "v.txt")])
+        assert rc == 0
+        assert load_visibility(tmp_path / "v.txt").excluded == [0]
+
+    def test_huge_relative_tolerance_accepts_every_depth(self, scene_dir, tmp_path):
+        # rel_frac * z overflows to an infinite tolerance, without a warning:
+        # every pair with a finite mesh depth passes the depth test, as with
+        # a depth tolerance no depth difference reaches, and the table keeps
+        # every pair the default tolerances pass.
+        masks = {}
+        for name, flags in (("rel", ["--rel-frac", "1e308"]), ("abs", ["--tol-depth", "1e300"]),
+                            ("default", [])):
+            out = tmp_path / f"{name}.txt"
+            assert main(["visibility", "--scene", str(scene_dir / "scene"),
+                         "--mesh", str(scene_dir / "mesh.ply"),
+                         "--landmarks", str(scene_dir / "landmarks.txt"), *flags,
+                         "--out", str(out)]) == 0
+            masks[name] = load_visibility(out).mask
+        assert np.array_equal(masks["rel"], masks["abs"])
+        assert not (masks["default"] & ~masks["rel"]).any()
+        assert masks["rel"].sum() > masks["default"].sum()
 
     def test_tolerances_recorded_in_header(self, scene_dir, tmp_path):
         out = tmp_path / "vis2.txt"

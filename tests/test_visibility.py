@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import landmarkloc.visibility as visibility
 from landmarkloc.errors import DegeneracyError, MalformedFileError
-from landmarkloc.mesh import TriangleMesh, box_mesh, ray_cast
+from landmarkloc.mesh import _RAY_BLOCK, TriangleMesh, box_mesh, ray_cast
 from landmarkloc.scene_model import (
     ImageRecord,
     Intrinsics,
@@ -14,6 +17,7 @@ from landmarkloc.scene_model import (
 )
 from landmarkloc.visibility import (
     VisibilityConfig,
+    _decimated,
     _first_hits,
     _visible,
     compute_visibility,
@@ -25,7 +29,8 @@ from landmarkloc.visibility import (
     save_visibility,
 )
 
-from conftest import landmark_set, make_intrinsics, points_from_pairs
+import visibility_reference
+from conftest import landmark_set, make_intrinsics, points_from_pairs, random_rotation
 
 
 def facing_square(z=2.0, half=10.0):
@@ -325,6 +330,24 @@ def with_edge_landmarks(model, mesh, ls):
     return landmark_set(landmarks)
 
 
+def first_hits_in_image(mesh, face_normals, K, T, decimation, uv):
+    """_first_hits over pixels uv (M, 2) of one image with pose T."""
+    R = np.repeat(T.R[None], len(uv), axis=0)
+    return _first_hits(mesh, face_normals, _decimated(K, decimation), decimation, uv, R,
+                       np.ascontiguousarray(R.transpose(0, 2, 1)), np.tile(T.center, (len(uv), 1)))
+
+
+def lookup_visible(K, T, lookup, xyz, ref_normals, cfg, candidates):
+    """_visible over the candidate landmarks xyz (N, 3) in view of one image,
+    reading the mesh with lookup (DepthMap.lookup); False for the rest."""
+    uv, valid = project_many(K, T, xyz)
+    valid &= candidates
+    out = np.zeros(len(xyz), dtype=bool)
+    depth, normal = lookup(uv[valid])
+    out[valid] = _visible(T.apply(xyz)[valid, 2], depth, normal, ref_normals[valid] @ T.R.T, cfg)
+    return out
+
+
 class TestRayCastSampling:
     """compute_visibility reads the mesh with one ray per landmark; the
     rasterized depth map, read at the same pixels, must give the same table."""
@@ -346,7 +369,7 @@ class TestRayCastSampling:
             img = model.images[iid]
             K = model.intrinsics[img.camera_id]
             dm = rasterize_depth(mesh, K, img.pose, decimation)
-            expected = _visible(K, img.pose, dm.lookup, ls.xyz, normals, cfg, active)
+            expected = lookup_visible(K, img.pose, dm.lookup, ls.xyz, normals, cfg, active)
             assert np.array_equal(vt.mask[:, j], expected)
             uv, valid = project_many(K, img.pose, ls.xyz)
             snapped = np.rint(uv[valid & expected] / decimation)
@@ -361,7 +384,8 @@ class TestRayCastSampling:
         for img in model.images.values():
             K = model.intrinsics[img.camera_id]
             uv, valid = project_many(K, img.pose, ls.xyz)
-            depth, normal = _first_hits(mesh, face_normals, K, img.pose, decimation)(uv[valid])
+            depth, normal = first_hits_in_image(mesh, face_normals, K, img.pose, decimation,
+                                                uv[valid])
             d_ref, n_ref = rasterize_depth(mesh, K, img.pose, decimation).lookup(uv[valid])
             assert np.isfinite(depth).all() and np.isfinite(d_ref).all()
             assert np.abs(depth - d_ref).max() <= 1e-9 * depth.max()
@@ -371,8 +395,8 @@ class TestRayCastSampling:
         K = make_intrinsics()
         T = Pose(np.eye(3), np.zeros(3))
         wall = facing_square(z=2.0, half=0.5)
-        sample = _first_hits(wall, wall.face_normals(), K, T, 1)
-        depth, normal = sample(np.array([[K.cx, K.cy], [0.0, 0.0]]))
+        depth, normal = first_hits_in_image(wall, wall.face_normals(), K, T, 1,
+                                            np.array([[K.cx, K.cy], [0.0, 0.0]]))
         assert abs(depth[0] - 2.0) < 1e-12 and np.array_equal(normal[0], [0, 0, -1.0])
         assert np.isinf(depth[1]) and not normal[1].any()
 
@@ -426,3 +450,149 @@ class TestDecimation:
         dm = rasterize_depth(mesh, K, img.pose, decimation=2)
         assert dm.width == -(-K.width // 2)
         assert dm.height == -(-K.height // 2)
+
+
+def moved(model, mesh, ls, Q, s):
+    """The scene with every point p moved to Q @ p + s (Q a rotation)."""
+    images = {iid: ImageRecord(iid, Pose(img.pose.R @ Q.T, img.pose.t - img.pose.R @ Q.T @ s),
+                               img.camera_id, img.name) for iid, img in model.images.items()}
+    return (SceneModel(model.intrinsics, images, model.points),
+            TriangleMesh(mesh.vertices @ Q.T + s, mesh.triangles), landmark_set(ls.xyz @ Q.T + s))
+
+
+def two_camera_scene():
+    """An occluded room, turned off the axes so that no product in the test
+    is exact, whose images alternate between two cameras with different
+    intrinsics, with landmarks at the edges of every image, two landmarks off
+    the mesh, and two images above the room looking away from it, which see
+    no landmark."""
+    occ = [([2.5, 1.5, 0.5], [3.5, 2.5, 2.0])]
+    model, mesh, ls = room_scene(n_landmarks=40, n_images=10, occluders=occ, seed=41)
+    Q, s = random_rotation(np.random.default_rng(42)), np.array([0.3, -1.7, 2.2])
+    model, mesh, ls = moved(model, mesh, ls, Q, s)
+    intrinsics = {1: model.intrinsics[1], 2: Intrinsics(120.0, 110.0, 97.3, 51.1, 200, 100)}
+    images = {iid: ImageRecord(iid, img.pose, 1 + iid % 2, img.name)
+              for iid, img in model.images.items()}
+    ls = with_edge_landmarks(SceneModel(intrinsics, images, points_from_pairs({})), mesh, ls)
+    for iid in (10, 11):
+        eye, target = Q @ [3.0, 2.0, 10.0] + s, Q @ [3.1, 2.0, 20.0] + s
+        images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1 + iid % 2, f"up{iid}.png")
+    off_mesh = np.array([[3.0, 2.0, 1.5], [1.0, 1.0, 1.0]]) @ Q.T + s
+    return (SceneModel(intrinsics, images, points_from_pairs({})), mesh,
+            landmark_set(np.vstack([ls.xyz, off_mesh])))
+
+
+def record_ray_casts(monkeypatch, module):
+    """Wrap module.ray_cast; returns the list of (origins, dirs, depth, tri)
+    of its calls."""
+    calls = []
+
+    def recorded(mesh, origins, dirs):
+        depth, tri = ray_cast(mesh, origins, dirs)
+        calls.append((np.array(origins), np.array(dirs), depth, tri))
+        return depth, tri
+
+    monkeypatch.setattr(module, "ray_cast", recorded)
+    return calls
+
+
+def sorted_rows(calls):
+    """The rows of calls, each a tuple of arrays with one row per item
+    (1-D, or three columns), joined column by column and sorted."""
+    rows = np.column_stack([np.concatenate([c[k] for c in calls]).astype(float)
+                            for k in range(len(calls[0]))])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestPerImageReferee:
+    """compute_visibility against the per-image pass it replaced
+    (tests/visibility_reference.py), bit for bit."""
+
+    @pytest.mark.parametrize("decimation", [1, 2, 3])
+    @pytest.mark.parametrize("sizes", ["default", "small", "large"])
+    def test_equals_per_image_loop(self, monkeypatch, decimation, sizes):
+        model, mesh, ls = two_camera_scene()
+        cfg = VisibilityConfig(decimation=decimation)
+        n_tri = min(len(mesh), _RAY_BLOCK)
+        if sizes == "small":  # one image per block, three rays per call
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", len(ls))
+            monkeypatch.setattr(visibility, "_RAY_ROWS", 3 * n_tri)
+        elif sizes == "large":  # five images per block, all their rays in one call
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 5 * len(ls))
+            monkeypatch.setattr(visibility, "_RAY_ROWS", 10**6)
+        ref_calls = record_ray_casts(monkeypatch, visibility_reference)
+        calls = record_ray_casts(monkeypatch, visibility)
+        tested = []
+
+        def recorded(*args):
+            tested.append(args[:4])
+            return _visible(*args)
+
+        monkeypatch.setattr(visibility, "_visible", recorded)
+        expected = visibility_reference.compute_visibility_per_image(model, mesh, ls, cfg)
+        vt = compute_visibility(model, mesh, ls, cfg)
+
+        assert vt.image_ids == expected.image_ids == list(range(12))
+        assert vt.excluded == expected.excluded == [len(ls) - 2, len(ls) - 1]
+        assert np.array_equal(vt.mask, expected.mask)
+        assert 0 < vt.mask.sum() < vt.mask.size
+        # Every ray cast, its origin, direction, depth and triangle, and every
+        # pair's depths and normals tested have the bits of the per-image
+        # pass. (One pair in view would take one-row products there, which
+        # round otherwise; no image has one.)
+        per_image = [len(c[0]) for c in ref_calls]
+        assert 1 not in per_image and len(per_image) == 10  # the two above see none
+        assert np.array_equal(sorted_rows(calls), sorted_rows(ref_calls))
+        normals, _ = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
+        terms = []
+        for iid, img in model.images.items():
+            K = model.intrinsics[img.camera_id]
+            sample = visibility_reference.first_hits(mesh, mesh.face_normals(), K, img.pose,
+                                                     decimation)
+            valid, pair = visibility_reference.pair_terms(K, img.pose, sample, ls.xyz, normals,
+                                                          ~np.isin(np.arange(len(ls)), vt.excluded))
+            terms += [pair] if valid.any() else []
+        assert np.array_equal(sorted_rows(tested), sorted_rows(terms))
+        rays = [len(c[0]) for c in calls]
+        if sizes == "small":
+            assert max(rays) <= 3 < min(per_image)
+        elif sizes == "large":  # per camera, its five images that see landmarks
+            assert len(calls) == 2 and min(rays) > 2 * max(per_image)
+
+    def test_save_matches_per_landmark_writer(self, tmp_path):
+        model, mesh, ls = two_camera_scene()
+        vt = compute_visibility(model, mesh, ls)
+        save_visibility(vt, tmp_path / "a.txt")
+        visibility_reference.save_visibility_per_landmark(vt, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+class TestBounds:
+    def test_ray_casts_hold_the_row_budget(self, monkeypatch):
+        # 100 images: the pairs of many images go to one call, and no call
+        # holds more (ray x triangle) rows than the budget.
+        model, mesh, ls = room_scene(n_landmarks=200, n_images=100)
+        calls = record_ray_casts(monkeypatch, visibility)
+        vt = compute_visibility(model, mesh, ls)
+        rays = [len(c[0]) for c in calls]
+        assert max(rays) * min(len(mesh), _RAY_BLOCK) <= visibility._RAY_ROWS
+        assert len(calls) <= 20
+        assert sum(rays) >= vt.mask.sum() > 0
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # 400 images of 200 landmarks: the image blocks keep the peak near
+        # that of the reference normals (about 1.1 MB); all images in one
+        # block would stack 80,000 camera frames (about 4.4 MB).
+        model, mesh, ls = room_scene(n_landmarks=200, n_images=400)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                compute_visibility(model, mesh, ls)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 1.5e6
+        monkeypatch.setattr(visibility, "_PAIR_BLOCK", 10**9)
+        assert peak() > 1.5e6
