@@ -29,7 +29,7 @@ from .landmarks import load_landmarks, save_landmarks, select_landmarks
 from .mesh import load_mesh
 from .partitioning import CRITERIA, make_partition, save_partition
 from .pose import STATUS_OK, SolverConfig, load_poses, localize, save_poses
-from .scene_model import Intrinsics, load_scene
+from .scene_model import Intrinsics, _diameter, load_scene
 from .synth import SynthConfig, generate_scene, write_scene
 from .visibility import VisibilityConfig, compute_visibility, load_visibility, save_visibility
 
@@ -206,14 +206,6 @@ def cmd_synth(args) -> int:
         f"{len(scene.gt_landmarks)} landmarks, {len(scene.mesh)} triangles -> {args.out}"
     )
     return EXIT_OK
-
-
-def _diameter(xyz: np.ndarray) -> float:
-    """The diagonal of the bounding box of the rows xyz (0 for none): inf or
-    NaN where its square overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
-        return float(np.linalg.norm(extent))
 
 
 def _quartic_overflows(*clouds) -> bool:

@@ -182,7 +182,8 @@ def simulate_detections_labeled(
         K = model.intrinsics[img.camera_id]
         rng = np.random.default_rng(seed ^ iid)
         ids = np.flatnonzero(mask[:, vt._icol[iid]])
-        u, v, valid = _pixel(K, *_camera_frame(img.pose, ls.xyz[ids]).T)
+        with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
+            u, v, valid = _pixel(K, *_camera_frame(img.pose, ls.xyz[ids]).T)
         ids, truth = ids[valid], np.column_stack([u, v])[valid]
         # The rng draws, in landmark order: an outlier's pixel and confidence,
         # or an inlier's noise.

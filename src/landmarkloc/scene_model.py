@@ -1,10 +1,12 @@
 """Core geometric types, SfM-model text ingestion, and projection operators.
 
 _uv is the one place the pinhole model is written; _pixel adds the in-image
-mask. project_many is the pinhole projection of arrays of points, which the
-visibility test and the synthetic scene generator call. project is the
+mask. project_many is the pinhole projection of arrays of points; the
+visibility test and the synthetic scene generator make its product for a
+block of images at once (visibility._pairs_in_view). project is the
 one-point case of _pixel on _camera_frame rows, which the detection simulator
-and the synthetic scene generator project. The pose solver, which discards the
+projects; the synthetic scene generator makes the same row products with one
+rotation per row. The pose solver, which discards the
 mask, applies _uv: to the same camera-frame product as project_many in its
 residuals and Jacobian (pose._residuals), and to stacked poses when it scores
 P3P hypotheses (pose._stacked_errors).
@@ -28,6 +30,7 @@ import numpy as np
 from . import _io
 from .errors import (
     DanglingReferenceError,
+    DataError,
     UnsupportedCameraModelError,
 )
 
@@ -131,8 +134,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be finite and positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image extent")
 
@@ -329,7 +332,9 @@ def load_scene(path) -> SceneModel:
     PointSet in file order. A track entry that names an unknown image, an
     observation out of range or another point's observation raises a
     DanglingReferenceError at points3D.txt:line: the first such entry in the
-    file, unless a malformed line comes before it.
+    file, unless a malformed line comes before it. A focal length that, times
+    the diameter of the points and camera centres, overflows raises a
+    DataError naming cameras.txt.
 
     The first load of a given set of file bytes parses them with every check,
     then keeps the model's columns in <path>/.landmarkloc-scene.npz under a
@@ -587,13 +592,36 @@ def _parse_scene(path: Path) -> SceneModel:
             raise
 
     image, row = track_rows()
-    return SceneModel(intrinsics, images, PointSet(
-        list(point_line), point_xyz, point_rgb, track_len, image,
-        np.column_stack((obs_u, obs_v))[row]))
+    points = PointSet(list(point_line), point_xyz, point_rgb, track_len, image,
+                      np.column_stack((obs_u, obs_v))[row])
+    # The pinhole model multiplies camera-frame coordinates, at most the
+    # diameter of the points and camera centres, by a focal length. A
+    # diameter that overflows itself is left to the stage that reads the
+    # coordinates, which names their file.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = [img.pose.center for img in images.values()]
+    diameter = _diameter(np.vstack([points.xyz, *centers]))
+    for cam_id, K in intrinsics.items():
+        if math.isfinite(diameter) and not math.isfinite(max(K.fx, K.fy) * diameter):
+            raise DataError(f"{path / 'cameras.txt'}: camera {cam_id}: focal length too large: "
+                            "times the diameter of the points and camera centres it overflows")
+    return SceneModel(intrinsics, images, points)
+
+
+def _diameter(xyz: np.ndarray) -> float:
+    """The diagonal of the bounding box of the rows xyz (0 for none): inf or
+    NaN where its square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = xyz.max(axis=0) - xyz.min(axis=0) if len(xyz) else np.zeros(3)
+        return float(np.linalg.norm(extent))
 
 
 def save_scene(model: SceneModel, path) -> None:
-    """Write a SceneModel as COLMAP-style text files (load_scene inverse)."""
+    """Write a SceneModel as COLMAP-style text files (load_scene inverse).
+
+    Each image's observation line, and each point's track, is written with
+    one % format over a flat list of its values, floats as _io.fmt gives them.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
@@ -621,8 +649,10 @@ def save_scene(model: SceneModel, path) -> None:
     image_ids = sorted(model.images)
     lo = np.searchsorted(by_image, image_ids).tolist()
     hi = np.searchsorted(by_image, image_ids, side="right").tolist()
-    u, v = uv[order].T.tolist()
-    owner = np.repeat(point_ids, lens)[order].tolist()
+    # Each observation line and each track is one % format over a flat list.
+    obs = [None] * (3 * len(image))
+    obs[0::3], obs[1::3] = uv[order, 0].tolist(), uv[order, 1].tolist()
+    obs[2::3] = np.repeat(point_ids, lens)[order].tolist()
     with open(path / "images.txt", "w", encoding="utf-8") as fh:
         fh.write("# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n")
         fh.write("# POINTS2D[] as (X Y POINT3D_ID)\n")
@@ -634,15 +664,16 @@ def save_scene(model: SceneModel, path) -> None:
                 f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
                 f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
             )
-            rows = zip(u[first:last], v[first:last], owner[first:last])
-            fh.write(" ".join(f"{x:.17g} {y:.17g} {pid}" for x, y, pid in rows) + "\n")
+            fh.write(("%.17g %.17g %d " * (last - first))[:-1] % tuple(obs[3 * first:3 * last])
+                     + "\n")
 
-    entries = list(zip(image.tolist(), place.tolist()))
+    track = [None] * (2 * len(image))
+    track[0::2], track[1::2] = image.tolist(), place.tolist()
     bounds = [0, *np.cumsum(lens).tolist()]
     with open(path / "points3D.txt", "w", encoding="utf-8") as fh:
         fh.write("# POINT3D_ID X Y Z R G B ERROR TRACK[] as (IMAGE_ID POINT2D_IDX)\n")
         for pt_id, (x, y, z), (r, g, b), lo, hi in zip(
                 point_ids.tolist(), pts.xyz[by_id].tolist(), pts.rgb[by_id].tolist(),
                 bounds, bounds[1:]):
-            track = " ".join(f"{iid} {k}" for iid, k in entries[lo:hi])
-            fh.write(f"{pt_id} {x:.17g} {y:.17g} {z:.17g} {r} {g} {b} 0 {track}\n")
+            fh.write(f"{pt_id} {x:.17g} {y:.17g} {z:.17g} {r} {g} {b} 0"
+                     + " %d %d" * (hi - lo) % tuple(track[2 * lo:2 * hi]) + "\n")

@@ -7,6 +7,7 @@ substrate for every other module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,13 +21,18 @@ from .scene_model import (
     Intrinsics,
     PointSet,
     SceneModel,
-    _camera_frame,
     _pixel,
     look_at_pose,
     project_many,
     save_scene,
 )
-from .visibility import VisibilityTable, save_visibility
+from .visibility import (
+    VisibilityTable,
+    _pair_blocks,
+    _pairs_in_view,
+    _ray_calls,
+    save_visibility,
+)
 
 _WALL_INSET = 0.25
 _OCCLUDER_CLEARANCE = 0.25
@@ -51,17 +57,34 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        room = np.asarray(self.room_size, dtype=float)
-        if (room <= 0).any():
-            raise ValueError("room dimensions must be positive")
+        room = [float(x) for x in self.room_size]
+        # The scene squares distances within the room, and the pinhole model
+        # multiplies camera-frame coordinates, at most the room's diagonal,
+        # by the focal lengths: all of them must stay finite.
+        squared_diagonal = sum(x * x for x in room)
+        if not (len(room) == 3 and min(room) > 0 and math.isfinite(squared_diagonal)):
+            raise ValueError("room_size must be three positive sizes whose squared diagonal "
+                             "is finite")
+        for name in ("num_landmark_sites", "num_occluders", "num_cameras"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         lo, hi = self.occluder_size_range
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("occluder_size_range must be finite, positive and ascending")
         if self.num_occluders > 0 and hi >= min(room[0], room[1]) - 2 * _OCCLUDER_CLEARANCE:
             raise ValueError("occluders do not fit inside the room")
         h0, h1 = self.camera_height_range
         if not (0 < h0 <= h1 < room[2]):
             raise ValueError("camera heights must lie inside the room")
+        if not 0 <= self.camera_margin < math.inf:
+            raise ValueError("camera_margin must be finite and >= 0")
         if 2 * self.camera_margin >= min(room[0], room[1]):
             raise ValueError("camera margin leaves no interior space")
+        if not 0 <= self.min_target_dist < math.inf:
+            raise ValueError("min_target_dist must be finite and >= 0")
+        K = self.intrinsics
+        if not math.isfinite(max(K.fx, K.fy) * math.sqrt(squared_diagonal)):
+            raise ValueError("intrinsics: the focal length times the room's diagonal overflows")
 
 
 @dataclass
@@ -123,10 +146,13 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
 
     All sampling comes from a single generator seeded with cfg.seed, so equal
     configs produce bit-identical scenes. Tracks contain exact projections of
-    the landmark sites, filtered by exact ray-cast occlusion. The sites seen
-    at least once are the SfM points and, in site order, the ground-truth
-    landmarks: landmark k is the k-th seen site, its source point id is the
-    site index, and row k of the visibility table is its visibility.
+    the landmark sites, filtered by exact ray-cast occlusion (_observations):
+    the (site, image) pairs in view are listed a block of images at a time,
+    and only they are cast, one ray each, many images' rays to a ray_cast
+    call, and never a single ray to a call. The sites seen at least once are
+    the SfM points and, in site order, the ground-truth landmarks: landmark k
+    is the k-th seen site, its source point id is the site index, and row k
+    of the visibility table is its visibility.
     """
     rng = np.random.default_rng(cfg.seed)
     room = np.asarray(cfg.room_size, dtype=float)
@@ -184,37 +210,66 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
             raise ValueError("min_target_dist leaves no reachable wall points")
         images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1, f"synth{iid:05d}.png")
 
-    # Exact projections filtered by exact ray-cast occlusion. Observations
-    # come from _camera_frame rows, so each has the bits project() gives it.
-    n_sites = len(sites)
     image_ids = sorted(images)
-    vis = np.zeros((n_sites, len(image_ids)), dtype=bool)
-    uv = np.empty((n_sites, len(image_ids), 2))
-    for j, iid in enumerate(image_ids):
-        img = images[iid]
-        _, valid = project_many(K, img.pose, sites)
-        uv[:, j, 0], uv[:, j, 1], _ = _pixel(K, *_camera_frame(img.pose, sites).T)
-        origin = img.pose.center
-        dirs = sites - origin
-        dists = np.linalg.norm(dirs, axis=1)
-        t_hit, _ = ray_cast(mesh, np.tile(origin, (n_sites, 1)), dirs / dists[:, None])
-        unoccluded = np.abs(t_hit - dists) < 1e-6
-        vis[:, j] = valid & unoccluded
-
+    vis, uv = _observations(mesh, K, [images[iid].pose for iid in image_ids], sites)
     observed = np.flatnonzero(vis.any(axis=1))
     owner, column = np.nonzero(vis[observed])
     track_len = np.bincount(owner, minlength=len(observed))
     track_image = np.array(image_ids, dtype=np.int64)[column]
     points = PointSet(observed, sites[observed], np.full((len(observed), 3), 128), track_len,
-                      track_image, uv[observed[owner], column])
+                      track_image, uv)
     model = SceneModel({1: K}, images, points)
 
     gt_landmarks = LandmarkSet(
         observed, sites[observed], _saliencies(points.xyz, track_image, track_len, model),
-        {"generator": "synth", "seed": cfg.seed, "sites": n_sites})
+        {"generator": "synth", "seed": cfg.seed, "sites": len(sites)})
     gt_visibility = VisibilityTable(list(range(len(observed))), image_ids, vis[observed],
                                     {"method": "raycast"})
     return SynthScene(mesh, model, gt_landmarks, gt_visibility, cfg, occluders)
+
+
+def _observations(mesh: TriangleMesh, K: Intrinsics, poses: list, sites: np.ndarray):
+    """Exact visibility of sites (N, 3) in the images of poses, and the pixels
+    of the visible pairs: vis (N, len(poses)) bool, where a pair is visible
+    when the site is in view and the first mesh hit along the ray from the
+    camera centre lies within 1e-6 m of it, and uv (V, 2), the pixels of the
+    V visible pairs in (site, image) order.
+
+    Images are taken in blocks of at most visibility._PAIR_BLOCK (site, image)
+    pairs. Per block, one stacked product lists the pairs in view, with the
+    bits of each image's project_many. Only those pairs are cast, one ray
+    each, many images' rays to a ray_cast call of at most visibility._RAY_ROWS
+    (ray x triangle) rows, in calls of equal size. A call never casts a single
+    ray: a lone pair in view is cast twice, because ray_cast may round one ray
+    otherwise than a stack (see visibility._by_row). So every hit distance has
+    the bits of a per-image pass that casts all sites of an image at once,
+    except in a scene of one site, where that pass casts single rays. The
+    pixels are computed for the visible pairs only, _PAIR_BLOCK at a time,
+    from stacked R @ site rows, with the bits of _camera_frame and project.
+    """
+    R = np.array([T.R for T in poses]).reshape(-1, 3, 3)
+    t = np.array([T.t for T in poses]).reshape(-1, 3)
+    RT = R.transpose(0, 2, 1)  # has the layout of Pose.R.T
+    center = np.matmul(-RT, t[:, :, None])[:, :, 0]  # Pose.center's bits
+    vis = np.zeros((len(sites), len(poses)), dtype=bool)
+    for blk in _pair_blocks(len(poses), len(sites)):
+        img, site, _, _ = _pairs_in_view(K, sites, RT[blk], t[blk], True)
+        img += blk.start
+        for pairs in _ray_calls(len(img), mesh):
+            k, i = img[pairs], site[pairs]
+            origin = center[k]
+            dirs = sites[i] - origin
+            dist = np.linalg.norm(dirs, axis=1)
+            twice = np.arange(len(k)).repeat(1 + (len(k) == 1))  # a lone ray, cast twice
+            t_hit, _ = ray_cast(mesh, origin[twice], (dirs / dist[:, None])[twice])
+            vis[i, k] = np.abs(t_hit[:len(k)] - dist) < 1e-6
+    site, img = np.nonzero(vis)
+    uv = np.empty((len(site), 2))
+    for rows in _pair_blocks(len(site), 1):
+        k, i = img[rows], site[rows]
+        uv[rows, 0], uv[rows, 1], _ = _pixel(
+            K, *(np.matmul(R[k], sites[i][:, :, None])[:, :, 0] + t[k]).T)
+    return vis, uv
 
 
 def raycast_visibility_oracle(scene: SynthScene, xyz, image_id: int) -> bool:

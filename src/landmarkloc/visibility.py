@@ -33,9 +33,9 @@ from .scene_model import Intrinsics, Pose, SceneModel, _pixel
 # (landmark x triangle) rows per step of landmark_reference_normals: its
 # temporaries are O(rows).
 _NEAREST_ROWS = 4096
-# (landmark, image) pairs per image block of compute_visibility, in view or
-# not, and (ray x triangle) rows per ray_cast call it makes: its temporaries
-# are O(pairs) and O(rows).
+# (point, image) pairs per image block of compute_visibility and of the
+# synth's observations, in view or not, and (ray x triangle) rows per
+# ray_cast call they make: their temporaries are O(pairs) and O(rows).
 _PAIR_BLOCK = 8192
 _RAY_ROWS = 4096
 
@@ -87,6 +87,25 @@ def _snap(uv: np.ndarray, decimation: int, width: int, height: int):
     px = np.clip(np.rint(uv[:, 0] / decimation).astype(int), 0, width - 1)
     py = np.clip(np.rint(uv[:, 1] / decimation).astype(int), 0, height - 1)
     return px, py
+
+
+def _pair_blocks(n: int, pairs_each: int):
+    """Slices of range(n), in order, for n items of pairs_each pairs each
+    (an image and its points, or one pair): blocks of at most _PAIR_BLOCK
+    pairs, or of one item."""
+    step = max(1, _PAIR_BLOCK // max(pairs_each, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _ray_calls(n_rays: int, mesh: TriangleMesh):
+    """Slices of range(n_rays), in order, for ray_cast calls of equal size,
+    each of at most _RAY_ROWS (ray x triangle) rows and, unless n_rays is 1,
+    of at least two rays: ray_cast may round a single ray otherwise than a
+    stack (see _by_row). Where the budget holds fewer than three rays, the
+    two-ray floor wins."""
+    per_call = max(1, _RAY_ROWS // min(len(mesh), _RAY_BLOCK))
+    calls = min(-(-n_rays // per_call), max(1, n_rays // 2))
+    return [slice(c * n_rays // calls, (c + 1) * n_rays // calls) for c in range(calls)]
 
 
 def _by_row(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -380,7 +399,8 @@ def _pairs_in_view(K: Intrinsics, xyz: np.ndarray, RT: np.ndarray, t: np.ndarray
     camera-frame depths (P,), with the bits of one image's project_many."""
     cam = np.matmul(xyz, RT)  # (B, L, 3): each image's xyz @ T.R.T
     cam += t[:, None]
-    u, v, inside = _pixel(K, cam[..., 0], cam[..., 1], cam[..., 2])
+    with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
+        u, v, inside = _pixel(K, cam[..., 0], cam[..., 1], cam[..., 2])
     img, lm = np.nonzero(inside & candidates)
     return img, lm, np.column_stack([u[img, lm], v[img, lm]]), cam[img, lm, 2]
 
@@ -418,8 +438,6 @@ def compute_visibility(
     active[excluded] = False
     xyz = ls.xyz
     face_normals = mesh.face_normals()
-    images_per_block = max(1, _PAIR_BLOCK // len(ls))
-    rays_per_cast = max(1, _RAY_ROWS // min(len(mesh), _RAY_BLOCK))
 
     columns = {}  # camera id -> table columns of its images
     for j, iid in enumerate(image_ids):
@@ -436,16 +454,10 @@ def compute_visibility(
         RT = R.transpose(0, 2, 1)
         RTc = np.ascontiguousarray(RT)
         center = np.matmul(-RT, t[:, :, None])[:, :, 0]  # Pose.center's bits
-        for start in range(0, len(cols), images_per_block):
-            blk = slice(start, start + images_per_block)
+        for blk in _pair_blocks(len(cols), len(ls)):
             img, lm, uv, z = _pairs_in_view(K, xyz, RT[blk], t[blk], active)
-            img += start
-            # Calls of equal size: none casts a single ray, which would round
-            # otherwise (see _by_row), unless the block has one pair.
-            n = len(img)
-            calls = -(-n // rays_per_cast)
-            for c in range(calls):
-                pairs = slice(c * n // calls, (c + 1) * n // calls)
+            img += blk.start
+            for pairs in _ray_calls(len(img), mesh):
                 k, i = img[pairs], lm[pairs]
                 depth, normal = _first_hits(mesh, face_normals, G, cfg.decimation,
                                             uv[pairs], R[k], RTc[k], center[k])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from landmarkloc.landmarks import LandmarkSet
+from landmarkloc.mesh import ray_cast
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, PointSet, SceneModel
 
 
@@ -82,3 +83,25 @@ def p3p_in_blocks(samples, K, size=64):
         out += [None if degenerate[j] else [Pose(R[h], t[h]) for h in np.flatnonzero(owner == j)]
                 for j in range(len(block))]
     return out
+
+
+def record_ray_casts(monkeypatch, module):
+    """Wrap module.ray_cast; returns the list of (origins, dirs, depth, tri)
+    of its calls."""
+    calls = []
+
+    def recorded(mesh, origins, dirs):
+        depth, tri = ray_cast(mesh, origins, dirs)
+        calls.append((np.array(origins), np.array(dirs), depth, tri))
+        return depth, tri
+
+    monkeypatch.setattr(module, "ray_cast", recorded)
+    return calls
+
+
+def sorted_rows(calls):
+    """The rows of calls, each a tuple of arrays with one row per item
+    (1-D, or three columns), joined column by column and sorted."""
+    rows = np.column_stack([np.concatenate([c[k] for c in calls]).astype(float)
+                            for k in range(len(calls[0]))])
+    return rows[np.lexsort(rows.T[::-1])]

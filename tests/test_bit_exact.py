@@ -191,12 +191,22 @@ def test_simulate_matches_one_row(scene, sigma, outlier_rate):
 
 # sha256 of the outputs of a small fixed-seed CLI run, as written by the
 # point-by-point code (numpy 2.4, OpenBLAS, x86-64). report.csv is written
-# after the wall-time line of poses.txt is set to a constant.
+# after the wall-time line of poses.txt is set to a constant. The synth's
+# visibility.txt and mesh.ply, and the run with two occluders (synth_occ),
+# were pinned from the per-image observation loop (tests/synth_reference.py).
 PINNED = {
     "synth/landmarks.txt": "b99f1a00f8f836c5aa78283486553f490f74126671ff1d3ab96f8d64c07925ec",
+    "synth/visibility.txt": "0aa3721eb8c8ddc741e3806913fdc9ca6b66ec208e2a9501765b7d5feaa45350",
+    "synth/mesh.ply": "5492b22e2d5f90ee71285c268d2731c2ffdf83731e2048b834167c3f983ace98",
     "synth/scene/cameras.txt": "e01f204013c99352da1a37ece8efe77cda27a2a53697c5e756d8c7afa28338b7",
     "synth/scene/images.txt": "0edbbb2b0118eda4d8f25ad8ee2ac489faaa7706ffe32e5d1d2f9777bc030860",
     "synth/scene/points3D.txt": "5e68baf41b273f8dd2757abf38f2db2b2502b322130990d68c2c51d491842838",
+    "synth_occ/landmarks.txt": "0491ad8a44e23e2af187eaaae01fd3ef00cac654227f1cd55fa2064a792b61cc",
+    "synth_occ/visibility.txt": "f5b3abf70e5548e9b44171767793286a9729906a8897ab231a85c4b49c56b0ea",
+    "synth_occ/mesh.ply": "ec9f1235f5e1bf66f00139c935f1faaf4162a724d8d640586669ffb4ba170725",
+    "synth_occ/scene/cameras.txt": "e01f204013c99352da1a37ece8efe77cda27a2a53697c5e756d8c7afa28338b7",
+    "synth_occ/scene/images.txt": "b0af4f7628fa4785090903fcf7ff038625a97b54ab93ee6baef5c47ea5e2dd1d",
+    "synth_occ/scene/points3D.txt": "dae2119afc06613646291c4c88da6d5bfa07a45f490ab4b26996be19f0a470c2",
     "sel.txt": "0e08b70dd5feccf6b8630dffabf776b739e563f10b2ec53e147e0137e1f34816",
     "vis.txt": "49f6dd4698f3836db258be8e4f6084543fa249bd7cf434c96ac1e0a4b0ca871a",
     "part_default.txt": "bfc9678f4d60ba21d2e495d73b8bcd01f598e8d8ecd666faed1e92e33d82be93",
@@ -210,10 +220,11 @@ PINNED = {
 
 def test_cli_outputs_pinned(tmp_path):
     d, s = tmp_path, tmp_path / "synth"
+    synth = ["--seed", "3", "--sites", "250", "--cameras", "20", "--width", "320",
+             "--height", "240", "--focal", "200", "--margin", "1.4", "--min-target-dist", "3.0"]
     stages = [
-        ["synth", "--out", str(s), "--seed", "3", "--sites", "250", "--cameras", "20",
-         "--width", "320", "--height", "240", "--focal", "200", "--margin", "1.4",
-         "--min-target-dist", "3.0"],
+        ["synth", "--out", str(s), *synth],
+        ["synth", "--out", str(d / "synth_occ"), *synth, "--occluders", "2"],
         ["select", "--scene", str(s / "scene"), "--count", "80", "--min-track", "3",
          "--out", str(d / "sel.txt")],
         ["visibility", "--scene", str(s / "scene"), "--mesh", str(s / "mesh.ply"),

@@ -13,7 +13,7 @@ from landmarkloc.evaluation import report_from_csv
 from landmarkloc.landmarks import load_landmarks
 from landmarkloc.partitioning import load_partition
 from landmarkloc.scene_model import SceneModel, save_scene
-from landmarkloc.visibility import load_visibility
+from landmarkloc.visibility import load_visibility, save_visibility
 
 from conftest import make_minimal_model, points_from_pairs
 
@@ -41,6 +41,36 @@ class TestSynthCommand:
 
     def test_requires_seed(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--margin", "nan"], "camera_margin"),
+        (["--min-target-dist", "inf"], "min_target_dist"),
+        (["--room", "nan", "4", "3"], "room_size"),
+        (["--room", "1e200", "4", "3"], "room_size"),
+        (["--sites", "-3"], "num_landmark_sites"),
+        (["--occluders", "-1"], "num_occluders"),
+        (["--cameras", "-1"], "num_cameras"),
+        (["--focal", "inf"], "focal lengths must be finite"),
+        (["--focal", "1e308"], "focal length times the room's diagonal overflows"),
+    ])
+    def test_bad_flag_is_data_error(self, tmp_path, capsys, flags, field):
+        # Each value used to crash, warn, or write a scene without landmarks
+        # or with a flag silently ignored. No numpy warning may escape
+        # (pytest turns RuntimeWarning into an error).
+        out = tmp_path / "s"
+        rc = main(["synth", "--out", str(out), "--seed", "0", "--cameras", "5", "--sites", "30",
+                   *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and field in err
+        assert not out.exists()
+
+    def test_focal_length_below_the_bound_runs(self, tmp_path):
+        # 1e306 times the room's diagonal is finite, but some sites of this
+        # scene lie so near a camera plane that their pixels overflow: they
+        # are outside the image, without a numpy warning.
+        assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "1", "--cameras", "5",
+                     "--sites", "30", "--focal", "1e306"]) == 0
 
 
 class TestSelectCommand:
@@ -387,6 +417,59 @@ def pipeline(tmp_path_factory, scene_dir):
     )
     assert rc == 0
     return work, dets, poses
+
+
+class TestHugeFocalLength:
+    def copy_with_focal(self, scene_dir, tmp_path, focal):
+        """The scene's reconstruction in tmp_path, its camera's fx and fy set
+        to focal."""
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        for name in ("images.txt", "points3D.txt"):
+            (scene / name).write_bytes((scene_dir / "scene" / name).read_bytes())
+        lines = (scene_dir / "scene" / "cameras.txt").read_text().splitlines()
+        tokens = lines[1].split()
+        assert tokens[1] == "PINHOLE"
+        lines[1] = " ".join([*tokens[:4], focal, focal, *tokens[6:]])
+        (scene / "cameras.txt").write_text("\n".join(lines) + "\n")
+        return scene
+
+    @pytest.mark.parametrize("stage", ["visibility", "simulate"])
+    @pytest.mark.parametrize("focal", ["1e308", "1e306", "1e300"])
+    def test_overflowing_focal_length_is_data_error(self, scene_dir, tmp_path, capsys,
+                                                    stage, focal):
+        # fx = fy = 1e308 times the scene's diameter overflows, and the
+        # pinhole model with it. 1e306 and 1e300 do not, and the stage runs:
+        # a pixel past the float range (a point near the camera plane) is
+        # outside the image, like every other one. No numpy warning may
+        # escape (pytest turns RuntimeWarning into an error).
+        scene = self.copy_with_focal(scene_dir, tmp_path, focal)
+        out = tmp_path / "out.txt"
+        inputs = {"visibility": ["--mesh", str(scene_dir / "mesh.ply")],
+                  "simulate": ["--visibility", str(scene_dir / "visibility.txt"), "--seed", "1"]}
+        rc = main([stage, "--scene", str(scene), "--landmarks", str(scene_dir / "landmarks.txt"),
+                   *inputs[stage], "--out", str(out)])
+        err = capsys.readouterr().err
+        if focal != "1e308":
+            assert rc == 0 and err == ""
+            return
+        assert rc == 2
+        assert err.startswith(f"data error: {scene / 'cameras.txt'}: camera 1: focal length "
+                              "too large")
+        assert not out.exists()
+
+    def test_pixel_past_the_float_range_is_outside_the_image(self, scene_dir, tmp_path, capsys):
+        # A table that calls every pair visible sends simulate pairs near a
+        # camera plane too. With fx = fy = 1e306 their pixels overflow; they
+        # are outside the image like any other, without a numpy warning.
+        scene = self.copy_with_focal(scene_dir, tmp_path, "1e306")
+        vt = load_visibility(scene_dir / "visibility.txt")
+        vt.mask[:] = True
+        save_visibility(vt, tmp_path / "all.txt")
+        rc = main(["simulate", "--scene", str(scene), "--landmarks", str(scene_dir / "landmarks.txt"),
+                   "--visibility", str(tmp_path / "all.txt"), "--seed", "1",
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 0 and capsys.readouterr().err == ""
 
 
 class TestPipelineCommands:

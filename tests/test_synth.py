@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import landmarkloc.synth as synth
+import landmarkloc.visibility as visibility
 from landmarkloc.landmarks import load_landmarks
-from landmarkloc.mesh import load_mesh
-from landmarkloc.scene_model import Intrinsics, load_scene, project
+from landmarkloc.mesh import _RAY_BLOCK, load_mesh
+from landmarkloc.scene_model import Intrinsics, load_scene, project, project_many, save_scene
 from landmarkloc.synth import (
     SynthConfig,
     generate_scene,
@@ -11,6 +15,9 @@ from landmarkloc.synth import (
     write_scene,
 )
 from landmarkloc.visibility import load_visibility
+
+import synth_reference
+from conftest import record_ray_casts, sorted_rows
 
 
 def small_cfg(**kw):
@@ -174,3 +181,114 @@ class TestWriteScene:
         for name in ("scene/cameras.txt", "scene/images.txt", "scene/points3D.txt",
                      "mesh.ply", "landmarks.txt", "visibility.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def synth_run(monkeypatch, cfg, out, observations=synth._observations, writer=save_scene):
+    """generate_scene and write_scene of cfg into out, with the given
+    observation step and scene writer. Returns the observation step's
+    arguments (mesh, K, poses, sites) and its result (vis, uv)."""
+    seen = []
+
+    def recorded(*args):
+        seen.append((args, observations(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(synth, "_observations", recorded)
+    monkeypatch.setattr(synth, "save_scene", writer)
+    write_scene(generate_scene(cfg), out)
+    return seen[0]
+
+
+def in_view(K, poses, sites):
+    """Each image's in-view mask of the sites, as project_many gives it."""
+    return [project_many(K, T, sites)[1] for T in poses]
+
+
+class TestPerImageReferee:
+    """synth._observations and save_scene against the per-image loop and the
+    per-observation writer they replaced (tests/synth_reference.py), bit for
+    bit."""
+
+    SCENES = {
+        # Two occluder boxes (36 triangles).
+        "occluders": small_cfg(num_occluders=2, num_landmark_sites=40, num_cameras=7, seed=9),
+        # 3 sites, 9 cameras: images that see no site and images that see one.
+        "sparse": small_cfg(num_landmark_sites=3, num_cameras=9, seed=5),
+    }
+
+    @pytest.mark.parametrize("sizes", ["default", "small", "large"])
+    @pytest.mark.parametrize("name", ["occluders", "sparse"])
+    def test_equals_per_image_loop(self, monkeypatch, tmp_path, name, sizes):
+        cfg = self.SCENES[name]
+        n_tri = min(12 * (1 + cfg.num_occluders), _RAY_BLOCK)
+        if sizes == "small":  # one image per block, two rays per call
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", cfg.num_landmark_sites)
+            monkeypatch.setattr(visibility, "_RAY_ROWS", 2 * n_tri)
+        elif sizes == "large":  # every image in one block, all rays in one call
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 10**9)
+            monkeypatch.setattr(visibility, "_RAY_ROWS", 10**9)
+        calls = record_ray_casts(monkeypatch, synth)
+        ref_calls = record_ray_casts(monkeypatch, synth_reference)
+        (mesh, K, poses, sites), (vis, uv) = synth_run(monkeypatch, cfg, tmp_path / "new")
+        _, (ref_vis, ref_uv) = synth_run(
+            monkeypatch, cfg, tmp_path / "ref", synth_reference.observations_per_image,
+            synth_reference.save_scene_per_observation)
+
+        assert np.array_equal(vis, ref_vis) and 0 < vis.sum() < vis.size
+        assert uv.shape == (vis.sum(), 2) and uv.tobytes() == ref_uv.tobytes()
+        files = sorted(p.relative_to(tmp_path / "ref") for p in (tmp_path / "ref").rglob("*.*"))
+        assert len(files) == 6
+        for f in files:
+            assert (tmp_path / "new" / f).read_bytes() == (tmp_path / "ref" / f).read_bytes(), f
+        # Every ray cast, its origin, direction, hit distance and triangle,
+        # has the bits of the per-image pass's ray for the same pair; only
+        # pairs in view are cast, and a lone pair is cast twice.
+        valid = in_view(K, poses, sites)
+        counts = [int(v.sum()) for v in valid]
+        lone = [len(c[0]) == 2 and all(np.array_equal(a[0], a[1]) for a in c) for c in calls]
+        got = [tuple(a[:1] for a in c) if one else c for c, one in zip(calls, lone)]
+        want = [tuple(a[v] for a in c) for c, v in zip(ref_calls, valid)]
+        assert np.array_equal(sorted_rows(got), sorted_rows(want))
+        assert min(len(c[0]) for c in calls) >= 2
+        if name == "sparse":
+            assert 0 in counts and 1 in counts
+            assert any(lone) == (sizes == "small")  # a block with one pair in view
+        rays = [len(c[0]) for c in calls]
+        if sizes == "small":
+            assert max(rays) <= 3 and max(rays) < len(sites)
+        elif sizes == "large":
+            assert len(calls) == 1 and rays[0] == sum(counts) > max(counts)
+
+
+class TestBounds:
+    def test_rays_cast_are_the_pairs_in_view(self, monkeypatch, tmp_path):
+        # 72 triangles: 64 rays per call; 60 images of 200 sites.
+        cfg = small_cfg(num_occluders=5, num_landmark_sites=200, num_cameras=60)
+        calls = record_ray_casts(monkeypatch, synth)
+        (mesh, K, poses, sites), _ = synth_run(monkeypatch, cfg, tmp_path)
+        rays = [len(c[0]) for c in calls]
+        assert sum(rays) == sum(int(v.sum()) for v in in_view(K, poses, sites))
+        assert sum(rays) < 0.4 * len(sites) * len(poses)
+        assert min(rays) >= 2
+        assert max(rays) * min(len(mesh), _RAY_BLOCK) <= visibility._RAY_ROWS
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # 400 images of 300 sites among 4 occluders (60 triangles): about
+        # 3 MB, most of it the saliencies. The per-image pass alone, which
+        # holds a dense (site, image) pixel array and casts every site from
+        # every camera, peaks at about 4.7 MB.
+        cfg = small_cfg(num_occluders=4, num_landmark_sites=300, num_cameras=400)
+        generate_scene(small_cfg())  # modules that a first call imports stay out of the peak
+        args = []
+        observations = synth._observations
+        monkeypatch.setattr(synth, "_observations", lambda *a: args.append(a) or observations(*a))
+        tracemalloc.start()
+        try:
+            generate_scene(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            synth_reference.observations_per_image(*args[0])
+            ref_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.8e6 < ref_peak

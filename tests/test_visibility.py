@@ -30,7 +30,14 @@ from landmarkloc.visibility import (
 )
 
 import visibility_reference
-from conftest import landmark_set, make_intrinsics, points_from_pairs, random_rotation
+from conftest import (
+    landmark_set,
+    make_intrinsics,
+    points_from_pairs,
+    random_rotation,
+    record_ray_casts,
+    sorted_rows,
+)
 
 
 def facing_square(z=2.0, half=10.0):
@@ -480,28 +487,6 @@ def two_camera_scene():
     off_mesh = np.array([[3.0, 2.0, 1.5], [1.0, 1.0, 1.0]]) @ Q.T + s
     return (SceneModel(intrinsics, images, points_from_pairs({})), mesh,
             landmark_set(np.vstack([ls.xyz, off_mesh])))
-
-
-def record_ray_casts(monkeypatch, module):
-    """Wrap module.ray_cast; returns the list of (origins, dirs, depth, tri)
-    of its calls."""
-    calls = []
-
-    def recorded(mesh, origins, dirs):
-        depth, tri = ray_cast(mesh, origins, dirs)
-        calls.append((np.array(origins), np.array(dirs), depth, tri))
-        return depth, tri
-
-    monkeypatch.setattr(module, "ray_cast", recorded)
-    return calls
-
-
-def sorted_rows(calls):
-    """The rows of calls, each a tuple of arrays with one row per item
-    (1-D, or three columns), joined column by column and sorted."""
-    rows = np.column_stack([np.concatenate([c[k] for c in calls]).astype(float)
-                            for k in range(len(calls[0]))])
-    return rows[np.lexsort(rows.T[::-1])]
 
 
 class TestPerImageReferee:
