@@ -309,10 +309,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _detections_in_images(path, model) -> dict:
+    """load_detections, with every detection of an image of the model checked
+    to lie inside that image: u in [0, width) and v in [0, height). Each stage
+    reports an image that the model lacks itself."""
+    detections = load_detections(path)
+    for iid, ds in detections.items():
+        img = model.images.get(iid)
+        if img is None or not len(ds):
+            continue
+        K = model.intrinsics[img.camera_id]
+        (u_lo, v_lo), (u_hi, v_hi) = ds.uv.min(0).tolist(), ds.uv.max(0).tolist()
+        if not (0 <= u_lo and u_hi < K.width and 0 <= v_lo and v_hi < K.height):
+            raise DataError(f"{path}: image {iid} has a detection outside its "
+                            f"{K.width}x{K.height} pixels")
+    return detections
+
+
 def cmd_localize(args) -> int:
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
-    per_file = [load_detections(p) for p in args.detections]
+    per_file = [_detections_in_images(p, model) for p in args.detections]
     image_ids = sorted(set().union(*[set(d) for d in per_file]))
     cfg = SolverConfig(
         e=args.weight_exp,
@@ -351,7 +368,7 @@ def cmd_evaluate(args) -> int:
         labels = [Path(p).stem for p in args.estimates]
     if len(labels) != len(args.estimates):
         raise UsageError("--labels must match --estimates in length")
-    detections = load_detections(args.detections) if args.detections else None
+    detections = _detections_in_images(args.detections, model) if args.detections else None
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
     runs = []
     for label, path in zip(labels, args.estimates):

@@ -26,7 +26,6 @@ PATCH_HALF = 8         # 17x17 refinement patch
 
 @dataclass
 class Heatmap:
-    landmark_id: int
     grid: np.ndarray             # (H/8, W/8) values in [0, 1]
     downsample: int = DOWNSAMPLE
 
@@ -36,45 +35,13 @@ class Heatmap:
             raise ValueError("heatmap values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Detection:
-    landmark_id: int
-    uv: np.ndarray       # full-resolution pixel coordinates
-    confidence: float    # peak heatmap value v in (0, 1]
-
-    def __post_init__(self):
-        object.__setattr__(self, "uv", np.asarray(self.uv, dtype=np.float64).reshape(2))
-        if not (0 < self.confidence <= 1):
-            raise ValueError("confidence must be in (0, 1]")
-
-
 class DetectionSet:
     """One image's detections as three columns in landmark-id order:
-    landmark_ids (N,), uv (N, 2) in full-resolution pixels and confidence (N,).
-    DetectionSet(image_id, [Detection, ...]) builds them from rows, and
-    iterating yields the rows back; from_columns takes the columns, in any
-    order. A landmark may appear once."""
+    landmark_ids (N,), uv (N, 2) in full-resolution pixels and confidence (N,)
+    in (0, 1]. The constructor takes the columns in any order. A landmark may
+    appear once."""
 
-    def __init__(self, image_id: int, detections=()):
-        rows = list(detections)
-        self._set(image_id, [d.landmark_id for d in rows], [d.uv for d in rows],
-                  [d.confidence for d in rows])
-
-    @classmethod
-    def from_columns(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
-        ds = cls.__new__(cls)
-        ds._set(image_id, landmark_ids, uv, confidence)
-        return ds
-
-    @classmethod
-    def _in_order(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
-        """from_columns for int64 and float64 columns already in increasing
-        landmark-id order, taken as they are."""
-        ds = cls.__new__(cls)
-        ds.image_id, ds.landmark_ids, ds.uv, ds.confidence = image_id, landmark_ids, uv, confidence
-        return ds
-
-    def _set(self, image_id, landmark_ids, uv, confidence):
+    def __init__(self, image_id: int, landmark_ids, uv, confidence):
         ids = np.asarray(landmark_ids, dtype=np.int64)
         order = np.argsort(ids, kind="stable")
         self.image_id, self.landmark_ids = image_id, ids[order]
@@ -84,12 +51,19 @@ class DetectionSet:
         if len(repeated):
             raise DuplicateLandmarkError(
                 f"landmark {repeated[0]} appears more than once in image {image_id}")
+        if not ((self.confidence > 0) & (self.confidence <= 1)).all():
+            raise ValueError("confidence must be in (0, 1]")
+
+    @classmethod
+    def _in_order(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
+        """The set of int64 and float64 columns already checked and in
+        increasing landmark-id order, taken as they are."""
+        ds = cls.__new__(cls)
+        ds.image_id, ds.landmark_ids, ds.uv, ds.confidence = image_id, landmark_ids, uv, confidence
+        return ds
 
     def __len__(self):
         return len(self.landmark_ids)
-
-    def __iter__(self):
-        return map(Detection, self.landmark_ids.tolist(), self.uv, self.confidence.tolist())
 
 
 def grid_shape(extent) -> tuple:
@@ -101,7 +75,7 @@ def grid_shape(extent) -> tuple:
     return (-(-h // DOWNSAMPLE), -(-w // DOWNSAMPLE))
 
 
-def render_gt_heatmap(uv, extent, sigma: float = 1.5, landmark_id: int = 0) -> Heatmap:
+def render_gt_heatmap(uv, extent, sigma: float = 1.5) -> Heatmap:
     """Peak-normalized Gaussian heatmap around uv (full-res pixels).
 
     sigma is in low-resolution (grid) pixels. uv=None renders the all-zero
@@ -109,17 +83,18 @@ def render_gt_heatmap(uv, extent, sigma: float = 1.5, landmark_id: int = 0) -> H
     """
     h, w = grid_shape(extent)
     if uv is None:
-        return Heatmap(landmark_id, np.zeros((h, w)))
+        return Heatmap(np.zeros((h, w)))
     u, v = np.asarray(uv, dtype=np.float64)
     gu, gv = u / DOWNSAMPLE, v / DOWNSAMPLE
     cols = np.arange(w)
     rows = np.arange(h)
     d2 = (cols[None, :] - gu) ** 2 + (rows[:, None] - gv) ** 2
-    return Heatmap(landmark_id, np.exp(-d2 / (2.0 * sigma * sigma)))
+    return Heatmap(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
 def extract_detection(hm: Heatmap):
-    """Peak extraction with confidence pruning and subpixel refinement.
+    """Peak extraction with confidence pruning and subpixel refinement: the
+    detection's full-resolution pixel uv (2,) and its confidence, or None.
 
     The global argmax (ties resolved to the smallest row, then column) gives
     the peak value v; detections with v <= 0.3 are pruned. The subpixel
@@ -132,6 +107,8 @@ def extract_detection(hm: Heatmap):
     v = float(grid[r0, c0])
     if v <= PRUNE_THRESHOLD:
         return None
+    if v > 1:
+        raise ValueError("confidence must be in (0, 1]")
     r_lo, r_hi = max(0, r0 - PATCH_HALF), min(grid.shape[0], r0 + PATCH_HALF + 1)
     c_lo, c_hi = max(0, c0 - PATCH_HALF), min(grid.shape[1], c0 + PATCH_HALF + 1)
     patch = grid[r_lo:r_hi, c_lo:c_hi]
@@ -140,8 +117,7 @@ def extract_detection(hm: Heatmap):
     cols = np.arange(c_lo, c_hi, dtype=np.float64)
     r_mean = float((patch.sum(axis=1) @ rows) / total)
     c_mean = float((patch.sum(axis=0) @ cols) / total)
-    uv = np.array([c_mean, r_mean]) * hm.downsample
-    return Detection(hm.landmark_id, uv, v)
+    return np.array([c_mean, r_mean]) * hm.downsample, v
 
 
 def simulate_detections_labeled(
@@ -170,18 +146,20 @@ def simulate_detections_labeled(
     if not 0 <= noise_sigma_px < np.inf:
         raise ValueError("noise_sigma_px must be finite and >= 0")
 
-    # Landmark ids are positions in ls; mask holds their visibility rows.
-    lost = ([f"landmark {i}" for i in range(len(ls)) if i not in vt._lrow]
-            + [f"image {i}" for i in sorted(model.images) if i not in vt._icol])
+    # Landmark k is row k of ls and of the table.
+    column = {iid: j for j, iid in enumerate(vt.image_ids)}
+    lost = [f"image {i}" for i in sorted(model.images) if i not in column]
+    if len(vt.mask) < len(ls):
+        lost.insert(0, f"landmark {len(vt.mask)}")
     if lost:
         raise DanglingReferenceError(f"visibility table lacks {lost[0]}")
-    mask = vt.mask[[vt._lrow[i] for i in range(len(ls))]]
+    mask = vt.mask[:len(ls)]
     detections, outlier_ids = {}, {}
     for iid in sorted(model.images):
         img = model.images[iid]
         K = model.intrinsics[img.camera_id]
         rng = np.random.default_rng(seed ^ iid)
-        ids = np.flatnonzero(mask[:, vt._icol[iid]])
+        ids = np.flatnonzero(mask[:, column[iid]])
         with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
             u, v, valid = _pixel(K, *_camera_frame(img.pose, ls.xyz[ids]).T)
         ids, truth = ids[valid], np.column_stack([u, v])[valid]
@@ -200,7 +178,7 @@ def simulate_detections_labeled(
         conf = np.ones(len(ids)) if noise_sigma_px == 0 else np.clip(
             1.0 - np.sqrt(np.vecdot(noise, noise)) / (4.0 * noise_sigma_px), 0.31, 1.0)
         uv[outlier], conf[outlier] = draws[outlier, :2], draws[outlier, 2]
-        detections[iid] = DetectionSet.from_columns(iid, ids, uv, conf)
+        detections[iid] = DetectionSet(iid, ids, uv, conf)
         outlier_ids[iid] = set(ids[outlier].tolist())
     return detections, outlier_ids
 
@@ -233,7 +211,7 @@ def merge_ensemble(sets: list, image_id: int | None = None) -> DetectionSet:
     for ds in sets:
         if ds.image_id != image_id:
             raise ValueError(f"cannot merge image {ds.image_id} into image {image_id}")
-    return DetectionSet.from_columns(image_id, *(
+    return DetectionSet(image_id, *(
         np.concatenate([getattr(ds, col) for ds in sets])
         for col in ("landmark_ids", "uv", "confidence")))
 

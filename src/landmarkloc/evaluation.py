@@ -93,11 +93,11 @@ def _angular_errors(uv: np.ndarray, gt_pose: Pose, K: Intrinsics, xyz: np.ndarra
     return [math.degrees(math.atan2(s, co)) for s, co in zip(sines, cosines)]
 
 
-def detection_angular_error(det, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -> float:
-    """Angle (degrees) between the detection's bearing and the landmark's
-    true camera-frame direction under the ground-truth pose: the one-row
-    case of _angular_errors."""
-    angles = _angular_errors(np.reshape(det.uv, (1, 2)), gt_pose, K, np.reshape(xyz, (1, 3)))
+def detection_angular_error(uv, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -> float:
+    """Angle (degrees) between the bearing of a detection at pixel uv (2,)
+    and the landmark's true camera-frame direction under the ground-truth
+    pose: the one-row case of _angular_errors."""
+    angles = _angular_errors(np.reshape(uv, (1, 2)), gt_pose, K, np.reshape(xyz, (1, 3)))
     if not angles:
         raise ValueError("landmark behind the ground-truth camera")
     return angles[0]

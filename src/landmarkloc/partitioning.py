@@ -22,29 +22,26 @@ CRITERIA = ("default", "random", "kmeans", "fps")
 
 @dataclass
 class PartitionAssignment:
-    group_of: dict   # landmark id -> group index in [0, g)
+    group: np.ndarray   # (L,) int64: landmark k's group index in [0, g)
     g: int
     criterion: str
     seed: int | None = None
 
     def __post_init__(self):
+        self.group = np.asarray(self.group, dtype=np.int64).reshape(-1)
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        groups = self.group_of.values()
-        if groups and (min(groups) < 0 or max(groups) >= self.g):
+        if len(self.group) and (self.group.min() < 0 or self.group.max() >= self.g):
             raise ValueError(f"group index outside [0, {self.g})")
         sizes = self.group_sizes()
-        if len(self.group_of) and max(sizes) - min(sizes) > 1:
+        if len(self.group) and max(sizes) - min(sizes) > 1:
             raise ValueError("group sizes differ by more than 1")
 
     def group_sizes(self) -> list:
-        sizes = [0] * self.g
-        for grp in self.group_of.values():
-            sizes[grp] += 1
-        return sizes
+        return np.bincount(self.group, minlength=self.g).tolist()
 
     def members(self, group: int) -> list:
-        return sorted(lid for lid, grp in self.group_of.items() if grp == group)
+        return np.flatnonzero(self.group == group).tolist()
 
 
 def _check_group_count(ls: LandmarkSet, g: int) -> None:
@@ -57,10 +54,11 @@ def _chunk_sizes(n: int, g: int) -> list:
     return [base + 1 if i < extra else base for i in range(g)]
 
 
-def _chunk(ordered_ids, g: int) -> dict:
-    """Landmark id -> group: ordered_ids cut into g chunks of _chunk_sizes."""
-    groups = np.repeat(np.arange(g), _chunk_sizes(len(ordered_ids), g))
-    return dict(zip(ordered_ids.tolist(), groups.tolist()))
+def _chunk(ordered_ids, g: int) -> np.ndarray:
+    """Each landmark's group: ordered_ids cut into g chunks of _chunk_sizes."""
+    group = np.empty(len(ordered_ids), dtype=np.int64)
+    group[ordered_ids] = np.repeat(np.arange(g), _chunk_sizes(len(ordered_ids), g))
+    return group
 
 
 def partition_default(ls: LandmarkSet, g: int) -> PartitionAssignment:
@@ -159,7 +157,7 @@ def partition_kmeans(
     xyz = ls.xyz
     labels, centers = lloyd_kmeans(xyz, g, seed, max_iter)
     labels = rebalance_clusters(xyz, labels, centers, g)
-    return PartitionAssignment(dict(enumerate(labels.tolist())), g, "kmeans", seed=seed)
+    return PartitionAssignment(labels, g, "kmeans", seed=seed)
 
 
 def fps_traversal(xyz: np.ndarray, saliencies: np.ndarray, g: int, capacities):
@@ -209,7 +207,7 @@ def partition_fps(ls: LandmarkSet, g: int) -> PartitionAssignment:
     toward the lower landmark id / group index)."""
     _check_group_count(ls, g)
     labels, _ = fps_traversal(ls.xyz, ls.saliency, g, _chunk_sizes(len(ls), g))
-    return PartitionAssignment(dict(enumerate(labels.tolist())), g, "fps")
+    return PartitionAssignment(labels, g, "fps")
 
 
 def make_partition(
@@ -233,12 +231,13 @@ def save_partition(pa: PartitionAssignment, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         seed = "none" if pa.seed is None else pa.seed
         fh.write(f"# criterion={pa.criterion} groups={pa.g} seed={seed}\n")
-        for lid in sorted(pa.group_of):
-            fh.write(f"{lid} {pa.group_of[lid]}\n")
+        for lid, grp in enumerate(pa.group.tolist()):
+            fh.write(f"{lid} {grp}\n")
 
 
 def load_partition(path) -> PartitionAssignment:
-    group_of = {}
+    """Inverse of save_partition: the landmark lines run 0, 1, 2, ..."""
+    group = []
     criterion = g = seed = None
     with _io.lines(path) as src:
         for tokens in src:
@@ -259,9 +258,9 @@ def load_partition(path) -> PartitionAssignment:
                 raise ValueError("landmark line before the partition header")
             if not 0 <= grp < g:
                 raise ValueError(f"group {grp} outside [0, {g})")
-            if lid in group_of:
-                raise ValueError(f"landmark {lid} repeated")
-            group_of[lid] = grp
+            if lid != len(group):
+                raise ValueError(f"landmark id {lid} where {len(group)} was expected")
+            group.append(grp)
         if criterion is None or g is None:
             raise ValueError("missing partition header")
-        return PartitionAssignment(group_of, g, criterion, seed=seed)
+        return PartitionAssignment(group, g, criterion, seed=seed)

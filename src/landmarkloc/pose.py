@@ -35,42 +35,21 @@ STATUSES = (STATUS_OK, STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_NO_CONSENS
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    landmark_id: int
-    uv: np.ndarray
-    xyz: np.ndarray
-    v: float   # detection confidence
-    w: float   # sampling / refinement weight, v^e
-
-    def __post_init__(self):
-        object.__setattr__(self, "uv", np.asarray(self.uv, dtype=np.float64).reshape(2))
-        object.__setattr__(self, "xyz", np.asarray(self.xyz, dtype=np.float64).reshape(3))
-
-
-@dataclass(frozen=True)
 class Correspondences:
     """Correspondences as columns: landmark_ids (N,), uv (N, 2), xyz (N, 3),
-    confidences v (N,) and weights w (N,). Indexing with an int, or iterating,
-    gives Correspondence rows; indexing with an array, the subset's columns."""
+    confidences v (N,) and weights w (N,). Indexing with an index array or a
+    mask gives the subset's columns."""
     landmark_ids: np.ndarray
     uv: np.ndarray
     xyz: np.ndarray
     v: np.ndarray
     w: np.ndarray
 
-    @classmethod
-    def of(cls, corrs) -> Correspondences:
-        """corrs if it is columns already, else its (non-empty) rows stacked."""
-        if isinstance(corrs, cls):
-            return corrs
-        return cls(*map(np.array, zip(*(vars(c).values() for c in corrs))))
-
     def __len__(self):
         return len(self.landmark_ids)
 
     def __getitem__(self, k):
-        cols = [col[k] for col in vars(self).values()]
-        return Correspondences(*cols) if np.ndim(k) else Correspondence(*cols)
+        return Correspondences(*(col[k] for col in vars(self).values()))
 
 
 @dataclass
@@ -370,7 +349,7 @@ def _p3p_block(P, rays, uv, K: Intrinsics):
     return degenerate, R[good], t[good], owner[good]
 
 
-def p3p_solve(corrs, K: Intrinsics) -> list:
+def p3p_solve(corrs: Correspondences, K: Intrinsics) -> list:
     """All camera poses consistent with three 2D-3D correspondences: the
     one-sample call of _p3p_block.
 
@@ -383,8 +362,8 @@ def p3p_solve(corrs, K: Intrinsics) -> list:
     """
     if len(corrs) != 3:
         raise ValueError("p3p needs exactly 3 correspondences")
-    c = Correspondences.of(corrs)
-    degenerate, R, t, _ = _p3p_block(c.xyz[None], bearing(K, c.uv)[None], c.uv[None], K)
+    uv = corrs.uv[None]
+    degenerate, R, t, _ = _p3p_block(corrs.xyz[None], bearing(K, uv), uv, K)
     if degenerate[0]:
         raise DegeneracyError("3D points are collinear or coincident, or bearings are coincident")
     return [Pose(Ri, ti) for Ri, ti in zip(R, t)]
@@ -435,7 +414,7 @@ def _prosac_samples(n: int, cfg: SolverConfig, rng):
             yield rng.choice(n_cur - 1, size=m - 1, replace=False).tolist() + [n_cur - 1]
 
 
-def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
+def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
                     seed: int = 0) -> PoseEstimate:
     """PROSAC over 3-point P3P samples, then at most one LM from the winner.
 
@@ -460,7 +439,6 @@ def prosac_estimate(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
     if n < 4:
         return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
 
-    corrs = Correspondences.of(corrs)
     ranked = corrs[np.lexsort((corrs.landmark_ids, -corrs.w))]
     uv, xyz, weights = ranked.uv, ranked.xyz, ranked.w
     rays = bearing(K, uv)
@@ -627,12 +605,11 @@ def refine_pose(initial: Pose, uv: np.ndarray, xyz: np.ndarray, w: np.ndarray,
     return RefineResult(Pose(R, t), converged, iterations, trace)
 
 
-def refine_weighted(initial: Pose, corrs, K: Intrinsics,
+def refine_weighted(initial: Pose, corrs: Correspondences, K: Intrinsics,
                     cfg: SolverConfig = SolverConfig()) -> RefineResult:
     """Refine a pose on inlier correspondences per cfg.refinement."""
     if len(corrs) < 4:
         raise ValueError("refinement needs at least 4 correspondences")
-    corrs = Correspondences.of(corrs)
     w = corrs.w if cfg.refinement == "weighted" else np.ones(len(corrs))
     return refine_pose(initial, corrs.uv, corrs.xyz, w, K)
 

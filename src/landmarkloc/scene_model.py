@@ -39,9 +39,10 @@ _ORTHO_TOL = 1e-9
 
 def qvec2rotmat(qvec: np.ndarray) -> np.ndarray:
     """Quaternion (qw, qx, qy, qz) to 3x3 rotation matrix."""
-    norm = np.linalg.norm(qvec)
-    if not norm > 0:
-        raise ValueError("quaternion must be finite and non-zero")
+    with np.errstate(over="ignore"):  # a norm past the float range is checked below
+        norm = np.linalg.norm(qvec)
+    if not 0 < norm < math.inf:
+        raise ValueError("quaternion norm must be finite and non-zero")
     w, x, y, z = np.asarray(qvec, dtype=np.float64) / norm
     return np.array(
         [

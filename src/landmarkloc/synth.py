@@ -223,8 +223,7 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
     gt_landmarks = LandmarkSet(
         observed, sites[observed], _saliencies(points.xyz, track_image, track_len, model),
         {"generator": "synth", "seed": cfg.seed, "sites": len(sites)})
-    gt_visibility = VisibilityTable(list(range(len(observed))), image_ids, vis[observed],
-                                    {"method": "raycast"})
+    gt_visibility = VisibilityTable(image_ids, vis[observed], {"method": "raycast"})
     return SynthScene(mesh, model, gt_landmarks, gt_visibility, cfg, occluders)
 
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _io
-from .errors import DegeneracyError, RobustFitError
+from .errors import DegeneracyError, MalformedFileError, RobustFitError
 from .landmarks import LandmarkSet
 # nearest_surface_point is not called here; perfbench's tracer wraps
 # visibility.nearest_surface_point by name.
@@ -158,7 +158,8 @@ class AffineTransform:
 
 @dataclass
 class VisibilityTable:
-    landmark_ids: list
+    """Which landmarks each image sees: row k of mask is landmark k, and
+    column j the image image_ids[j]."""
     image_ids: list
     mask: np.ndarray            # (L, N) bool
     tolerances: dict = field(default_factory=dict)
@@ -166,13 +167,11 @@ class VisibilityTable:
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (len(self.landmark_ids), len(self.image_ids)):
-            raise ValueError("mask shape does not match id lists")
-        self._lrow = {lid: i for i, lid in enumerate(self.landmark_ids)}
-        self._icol = {iid: j for j, iid in enumerate(self.image_ids)}
+        if self.mask.ndim != 2 or self.mask.shape[1] != len(self.image_ids):
+            raise ValueError("mask shape does not match the image ids")
 
     def visible(self, landmark_id: int, image_id: int) -> bool:
-        return bool(self.mask[self._lrow[landmark_id], self._icol[image_id]])
+        return bool(self.mask[landmark_id, self.image_ids.index(image_id)])
 
 
 def _clip_near(poly: np.ndarray, znear: float) -> np.ndarray:
@@ -427,11 +426,10 @@ def compute_visibility(
     than cfg.max_surface_dist from the mesh are excluded (all-false row) and
     reported in the table's diagnostics.
     """
-    landmark_ids = list(range(len(ls)))
     image_ids = sorted(model.images)
     mask = np.zeros((len(ls), len(image_ids)), dtype=bool)
     if len(ls) == 0:
-        return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), [])
+        return VisibilityTable(image_ids, mask, asdict(cfg), [])
 
     ref_normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
     active = np.ones(len(ls), dtype=bool)
@@ -463,39 +461,47 @@ def compute_visibility(
                                             uv[pairs], R[k], RTc[k], center[k])
                 ref = _by_row(ref_normals[i], RTc[k])
                 mask[i, cols[k]] = _visible(z[pairs], depth, normal, ref, cfg)
-    return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), excluded)
+    return VisibilityTable(image_ids, mask, asdict(cfg), excluded)
 
 
 def save_visibility(vt: VisibilityTable, path) -> None:
-    """Header (dimensions, tolerances) + one line per landmark with its
-    visible image ids."""
+    """Header (dimensions, tolerances) + one line per landmark, 0, 1, 2, ...,
+    with its visible image ids."""
     names = [str(i) for i in vt.image_ids]
     rows, cols = np.nonzero(vt.mask)  # row-major: each landmark's images in order
     visible = [names[j] for j in cols.tolist()]
-    ends = np.searchsorted(rows, np.arange(1, len(vt.landmark_ids) + 1)).tolist()
+    ends = np.searchsorted(rows, np.arange(1, len(vt.mask) + 1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# visibility landmarks={len(vt.landmark_ids)} images={len(vt.image_ids)}\n")
+        fh.write(f"# visibility landmarks={len(vt.mask)} images={len(vt.image_ids)}\n")
         tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
         fh.write(f"# tolerances {tol}\n")
         fh.write("# image_ids " + " ".join(names) + "\n")
         if vt.excluded:
             fh.write("# excluded " + " ".join(str(i) for i in vt.excluded) + "\n")
         start = 0
-        for lid, end in zip(vt.landmark_ids, ends):
+        for lid, end in enumerate(ends):
             fh.write(" ".join([str(lid), *visible[start:end]]) + "\n")
             start = end
 
 
 def load_visibility(path) -> VisibilityTable:
-    image_ids = col = None
+    """Inverse of save_visibility. The `# visibility landmarks=L images=N`
+    header must give the counts of the landmark lines, which run 0, 1, 2, ...,
+    and of the image ids."""
+    dims = image_ids = col = None
     tolerances = {}
     excluded = []
-    rows = {}  # landmark id -> columns of its visible images, in file order
+    rows = []  # landmark k -> columns of its visible images, in file order
     with _io.lines(path) as src:
         for tokens in src:
             if tokens[0][0] == "#":
                 key = tokens[1:2]
-                if key == ["image_ids"]:
+                if key == ["visibility"]:
+                    counts = dict(tok.partition("=")[::2] for tok in tokens[2:])
+                    if sorted(counts) != ["images", "landmarks"]:
+                        raise ValueError("expected `# visibility landmarks=L images=N`")
+                    dims = src.no, int(counts["landmarks"]), int(counts["images"])
+                elif key == ["image_ids"]:
                     if image_ids is not None:
                         raise ValueError("second image_ids header")
                     image_ids = list(map(int, tokens[2:]))
@@ -516,15 +522,21 @@ def load_visibility(path) -> VisibilityTable:
             lid, *vis = map(int, tokens)
             if col is None:
                 raise ValueError("landmark line before the image_ids header")
-            if lid in rows:
-                raise ValueError(f"landmark {lid} listed twice")
+            if lid != len(rows):
+                raise ValueError(f"landmark id {lid} where {len(rows)} was expected")
             for iid in vis:
                 if iid not in col:
                     raise ValueError(f"unknown image id {iid}")
-            rows[lid] = [col[iid] for iid in vis]
+            rows.append([col[iid] for iid in vis])
+        if dims is None:
+            raise ValueError("missing `# visibility landmarks=L images=N` header")
         if image_ids is None:
             raise ValueError("missing image_ids header")
+    no, landmarks, images = dims
+    if (landmarks, images) != (len(rows), len(image_ids)):
+        raise MalformedFileError(path, no, f"header counts {landmarks} landmarks and {images} "
+                                 f"images, the file lists {len(rows)} and {len(image_ids)}")
     mask = np.zeros((len(rows), len(image_ids)), dtype=bool)
-    for i, cols in enumerate(rows.values()):
+    for i, cols in enumerate(rows):
         mask[i, cols] = True
-    return VisibilityTable(list(rows), image_ids, mask, tolerances, excluded)
+    return VisibilityTable(image_ids, mask, tolerances, excluded)

@@ -68,8 +68,22 @@ def minimal_model():
     return make_minimal_model()
 
 
+def correspondences(uv, xyz, v=1.0, w=1.0, ids=None):
+    """pose.Correspondences of the rows of uv (N, 2) and xyz (N, 3): landmark
+    ids 0, 1, ... unless given, and confidences v and weights w, each one
+    value or N."""
+    from landmarkloc.pose import Correspondences
+
+    uv = np.array(uv, dtype=np.float64).reshape(-1, 2)
+    n = len(uv)
+    return Correspondences(np.arange(n) if ids is None else np.array(ids, dtype=np.int64), uv,
+                           np.array(xyz, dtype=np.float64).reshape(n, 3),
+                           np.broadcast_to(np.array(v, dtype=np.float64), n).copy(),
+                           np.broadcast_to(np.array(w, dtype=np.float64), n).copy())
+
+
 def p3p_in_blocks(samples, K, size=64):
-    """pose._p3p_block's answer for each list of three correspondences, in
+    """pose._p3p_block's answer for each sample of three Correspondences, in
     blocks of `size`: None for a degenerate sample, else its poses in order."""
     from landmarkloc.pose import _p3p_block
     from landmarkloc.scene_model import bearing
@@ -77,8 +91,8 @@ def p3p_in_blocks(samples, K, size=64):
     out = []
     for s in range(0, len(samples), size):
         block = samples[s:s + size]
-        uv = np.array([[c.uv for c in sample] for sample in block])
-        P = np.array([[c.xyz for c in sample] for sample in block])
+        uv = np.array([sample.uv for sample in block])
+        P = np.array([sample.xyz for sample in block])
         degenerate, R, t, owner = _p3p_block(P, bearing(K, uv), uv, K)
         out += [None if degenerate[j] else [Pose(R[h], t[h]) for h in np.flatnonzero(owner == j)]
                 for j in range(len(block))]

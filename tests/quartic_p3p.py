@@ -78,8 +78,8 @@ def quartic_p3p_solve(corrs, K: Intrinsics) -> list:
     """
     if len(corrs) != 3:
         raise ValueError("p3p needs exactly 3 correspondences")
-    P = np.array([c.xyz for c in corrs])
-    rays = np.array([bearing(K, c.uv) for c in corrs])
+    P = corrs.xyz
+    rays = np.array([bearing(K, uv) for uv in corrs.uv])
 
     side = np.linalg.norm(P[1] - P[2]), np.linalg.norm(P[0] - P[2]), np.linalg.norm(P[0] - P[1])
     a2, b2, c2 = side[0] ** 2, side[1] ** 2, side[2] ** 2
@@ -148,7 +148,7 @@ def quartic_p3p_solve(corrs, K: Intrinsics) -> list:
         triples.append(s)
 
     poses = []
-    uv_all = np.array([c.uv for c in corrs])
+    uv_all = corrs.uv
     for s in triples:
         cam_pts = rays * s[:, None]
         R, t = _kabsch(P, cam_pts)

@@ -126,8 +126,8 @@ def p3p_solve_ref(corrs, K: Intrinsics) -> list:
     Candidates must reproject all three points within 1e-6 px."""
     if len(corrs) != 3:
         raise ValueError("p3p needs exactly 3 correspondences")
-    P = np.array([c.xyz for c in corrs])
-    rays = np.array([bearing(K, c.uv) for c in corrs])
+    P = corrs.xyz
+    rays = np.array([bearing(K, uv) for uv in corrs.uv])
 
     side = np.linalg.norm(P[1] - P[2]), np.linalg.norm(P[0] - P[2]), np.linalg.norm(P[0] - P[1])
     scale = max(side)
@@ -160,7 +160,7 @@ def p3p_solve_ref(corrs, K: Intrinsics) -> list:
             poses.append(Pose(R, t))
         except ValueError:
             pass
-    errors = stacked_errors(poses, np.array([c.uv for c in corrs]), P, K)
+    errors = stacked_errors(poses, corrs.uv, P, K)
     return [pose for pose, err in zip(poses, errors) if err.max() < 1e-6]
 
 
@@ -174,11 +174,8 @@ def prosac_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: i
     if n < 4:
         return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
 
-    ranked = sorted(corrs, key=lambda c: (-c.w, c.landmark_id))
-    uv = np.array([c.uv for c in ranked])
-    xyz = np.array([c.xyz for c in ranked])
-    weights = np.array([c.w for c in ranked])
-    ids = [c.landmark_id for c in ranked]
+    ranked = corrs[sorted(range(n), key=lambda k: (-corrs.w[k], corrs.landmark_ids[k]))]
+    uv, xyz, weights, ids = ranked.uv, ranked.xyz, ranked.w, ranked.landmark_ids.tolist()
 
     rng = np.random.default_rng(seed)
     m = 3
@@ -209,7 +206,7 @@ def prosac_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: i
         else:
             head = rng.choice(n_cur - 1, size=m - 1, replace=False)
             idx = np.append(head, n_cur - 1)
-        sample = [ranked[int(i)] for i in idx]
+        sample = ranked[idx]
         try:
             hypotheses = solve(sample, K)
         except DegeneracyError:

@@ -266,15 +266,15 @@ def test_criterion_5_subpixel_extraction():
             center = np.array(
                 [rng.uniform(8.0, 72.0), rng.uniform(8.0, 52.0)]
             ) * 8.0
-            det = extract_detection(render_gt_heatmap(center, extent, sigma=sigma))
-            worst = max(worst, float(np.abs(det.uv / 8.0 - center / 8.0).max()))
+            uv, _ = extract_detection(render_gt_heatmap(center, extent, sigma=sigma))
+            worst = max(worst, float(np.abs(uv / 8.0 - center / 8.0).max()))
     grid = np.zeros((60, 80))
     grid[30, 40] = 0.3
     from landmarkloc.detection import Heatmap
 
-    pruned_at_boundary = extract_detection(Heatmap(0, grid)) is None
+    pruned_at_boundary = extract_detection(Heatmap(grid)) is None
     grid[30, 40] = np.nextafter(0.3, 1.0)
-    kept_above = extract_detection(Heatmap(0, grid)) is not None
+    kept_above = extract_detection(Heatmap(grid)) is not None
     ok = worst <= 0.25 and pruned_at_boundary and kept_above
     report(
         "5 subpixel-extraction", ok,
@@ -292,7 +292,7 @@ def test_criterion_6_partition_invariants():
         for g in (3, 4, 6, 8, 12):
             pa = make_partition(ls, criterion, g, seed=13)
             sizes = pa.group_sizes()
-            covered = set(pa.group_of) == set(range(len(ls)))
+            covered = len(pa.group) == len(ls)
             shapes_ok &= covered and sum(sizes) == n and max(sizes) - min(sizes) <= 1
 
     # FPS replay: at every insertion step past the seeds, the inserted point
@@ -450,11 +450,12 @@ def test_criterion_10_ensemble_composition(tmp_path):
     save_detections(dets, merged_csv)
     part_files = []
     for grp in range(8):
-        members = set(pa.members(grp))
-        split = {
-            iid: DetectionSet(iid, [d for d in ds if d.landmark_id in members])
-            for iid, ds in dets.items()
-        }
+        members = pa.members(grp)
+        split = {}
+        for iid, ds in dets.items():
+            keep = np.isin(ds.landmark_ids, members)
+            split[iid] = DetectionSet(iid, ds.landmark_ids[keep], ds.uv[keep],
+                                      ds.confidence[keep])
         path = tmp_path / f"part{grp}.csv"
         save_detections(split, path)
         part_files.append(str(path))

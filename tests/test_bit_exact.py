@@ -18,19 +18,18 @@ import pytest
 
 import landmarkloc.pose as pose_module
 from landmarkloc.cli import main
-from landmarkloc.detection import Detection, simulate_detections_labeled
-from landmarkloc.detection import DetectionSet
+from landmarkloc.detection import DetectionSet, simulate_detections_labeled
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import _angular_errors, detection_angular_error
 from landmarkloc.landmarks import _distinct_images, _saliencies, score_saliency
 from landmarkloc.mesh import nearest_surface_point
-from landmarkloc.pose import Correspondence, SolverConfig, localize, p3p_solve, prosac_estimate
+from landmarkloc.pose import SolverConfig, localize, p3p_solve, prosac_estimate
 from landmarkloc.pose import _squares, compute_weights
 from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, project
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
-from conftest import landmark_set, p3p_in_blocks, random_rotation, track
+from conftest import correspondences, landmark_set, p3p_in_blocks, random_rotation, track
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref
 from test_pose import pnp_scene
 
@@ -128,8 +127,7 @@ def test_angular_errors_match_one_row(scene):
         behind += len(xyz) - len(front)
         ref = [angular_ref(uv[i], T, K, xyz[i]) for i in front]
         assert _angular_errors(uv, T, K, xyz) == ref
-        assert [detection_angular_error(Detection(0, uv[i], 1.0), T, K, xyz[i])
-                for i in front] == ref
+        assert [detection_angular_error(uv[i], T, K, xyz[i]) for i in front] == ref
     assert behind > 0
 
 
@@ -181,8 +179,9 @@ def test_reference_normals_match_one_landmark():
 def test_simulate_matches_one_row(scene, sigma, outlier_rate):
     dets, outliers = simulate_detections_labeled(
         scene.model, scene.gt_landmarks, scene.gt_visibility, sigma, outlier_rate, seed=6)
-    got = [(iid, d.landmark_id, *d.uv, d.confidence, d.landmark_id in outliers[iid])
-           for iid in sorted(dets) for d in dets[iid]]
+    got = [(iid, lid, u, v, conf, lid in outliers[iid]) for iid in sorted(dets)
+           for lid, (u, v), conf in zip(dets[iid].landmark_ids.tolist(), dets[iid].uv.tolist(),
+                                        dets[iid].confidence.tolist())]
     ref = simulate_ref(scene.model, scene.gt_landmarks, scene.gt_visibility, sigma,
                        outlier_rate, seed=6)
     assert got == ref
@@ -268,7 +267,7 @@ def p3p_samples(rng, K, n):
             world = (cam - t) @ R
             uv = np.column_stack([K.fx * x + K.cx, K.fy * y + K.cy])
             uv += rng.normal(0.0, 2.0, size=(3, 2)) if k % 3 else 0.0
-        samples.append([Correspondence(i, uv[i], world[i], 1.0, 1.0) for i in range(3)])
+        samples.append(correspondences(uv, world))
     return samples
 
 
@@ -284,7 +283,7 @@ def special_samples(K):
     line = np.array([[0.0, 0.0, 5.0], [0.5, 0.0, 5.0], [1.0, 0.0, 5.0]])
     ray = np.array([[0.2, 0.1, 4.0], [0.4, 0.2, 8.0], [-1.0, 0.5, 6.0]])
     orders = [list(itertools.permutations(range(3)))] * 2 + [[(0, 1, 2)]] * 2
-    return [[Correspondence(i, project(K, eye, pts[i]), pts[i], 1.0, 1.0) for i in order]
+    return [correspondences([project(K, eye, pts[i]) for i in order], pts[list(order)], ids=order)
             for pts, pts_orders in zip((tri, corner, line, ray), orders)
             for order in pts_orders]
 
@@ -399,6 +398,6 @@ def test_weights_match_python_pow(e):
     conf = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, n - 2000),
                            rng.uniform(0.0, 1.0, 1999), [1.0]])
     ls = landmark_set([(0.0, 0.0, float(i)) for i in range(n)])
-    dets = DetectionSet.from_columns(1, np.arange(n), np.zeros((n, 2)), conf)
+    dets = DetectionSet(1, np.arange(n), np.zeros((n, 2)), conf)
     w = compute_weights(dets, ls, e).w
     assert w.tolist() == [v ** e for v in dets.confidence.tolist()]

@@ -503,19 +503,17 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("lost", ["landmark 1", "image 19"])
     def test_simulate_visibility_gap_is_data_error(self, scene_dir, tmp_path, capsys, lost):
-        # Landmark 1's line deleted, or image 19 taken out of `# image_ids` and
-        # out of every landmark line.
+        # The table cut after landmark 0, or image 19 taken out of it: a file
+        # that loads, since its header counts what is left.
         what, wanted = lost.split()
-        lines = []
-        for line in (scene_dir / "visibility.txt").read_text().splitlines():
-            lid, *rest = line.split()
-            if what == "landmark" and lid == wanted:
-                continue
-            if what == "image" and (lid != "#" or rest[0] == "image_ids"):
-                line = " ".join([lid] + [tok for tok in rest if tok != wanted])
-            lines.append(line)
+        vt = load_visibility(scene_dir / "visibility.txt")
+        if what == "landmark":
+            vt.mask = vt.mask[:int(wanted)]
+        else:
+            keep = [j for j, iid in enumerate(vt.image_ids) if iid != int(wanted)]
+            vt.image_ids, vt.mask = [vt.image_ids[j] for j in keep], vt.mask[:, keep]
         vis = tmp_path / "vis.txt"
-        vis.write_text("\n".join(lines) + "\n")
+        save_visibility(vt, vis)
         assert load_visibility(vis)
         out = tmp_path / "x.csv"
         rc = main(["simulate", "--scene", str(scene_dir / "scene"),
@@ -606,6 +604,27 @@ class TestPipelineCommands:
         assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("stage", ["localize", "evaluate"])
+    @pytest.mark.parametrize("u, v", [("1e308", "10"), ("10", "-1e308"), ("320", "10"),
+                                      ("10", "240"), ("-0.5", "10")])
+    def test_detection_outside_its_image_names_the_file(self, scene_dir, pipeline, tmp_path,
+                                                         capsys, stage, u, v):
+        # The scene's images are 320 x 240 pixels, so u < 320 and v < 240. A
+        # pixel past the float range would overflow in bearing.
+        _, dets, poses = pipeline
+        header, first, *rest = dets.read_text().splitlines()
+        iid, lid, *_, conf = first.split(",")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, ",".join([iid, lid, u, v, conf]), *rest]) + "\n")
+        out = tmp_path / "out.txt"
+        argv = [stage, "--scene", str(scene_dir / "scene"), "--detections", str(bad),
+                "--landmarks", str(scene_dir / "landmarks.txt"), "--out", str(out)]
+        argv += ["--seed", "0"] if stage == "localize" else ["--estimates", str(poses)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: image {iid} has a detection outside its 320x240 pixels\n")
+        assert not out.exists()
+
     def test_refinement_none_is_the_unrefined_winner(self, scene_dir, tmp_path):
         # "none" and "unweighted" share PROSAC, so statuses and inlier counts;
         # only "unweighted" runs LM, so every ok pose line differs.
@@ -636,10 +655,14 @@ class TestPipelineCommands:
         # Split detections into two partition files by landmark parity.
         from landmarkloc.detection import DetectionSet, save_detections
 
-        even = {i: DetectionSet(i, [d for d in ds if d.landmark_id % 2 == 0])
-                for i, ds in full.items()}
-        odd = {i: DetectionSet(i, [d for d in ds if d.landmark_id % 2 == 1])
-               for i, ds in full.items()}
+        def parity(k):
+            sets = {}
+            for i, ds in full.items():
+                keep = ds.landmark_ids % 2 == k
+                sets[i] = DetectionSet(i, ds.landmark_ids[keep], ds.uv[keep], ds.confidence[keep])
+            return sets
+
+        even, odd = parity(0), parity(1)
         p_even, p_odd = tmp_path / "even.csv", tmp_path / "odd.csv"
         save_detections(even, p_even)
         save_detections(odd, p_odd)

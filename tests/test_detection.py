@@ -7,7 +7,6 @@ import pytest
 from landmarkloc import _io
 from landmarkloc.detection import (
     CSV_HEADER,
-    Detection,
     DetectionSet,
     Heatmap,
     _bulk_columns,
@@ -52,51 +51,56 @@ class TestRender:
 
 class TestExtract:
     def test_all_zero_empty(self):
-        assert extract_detection(Heatmap(0, np.zeros((60, 80)))) is None
+        assert extract_detection(Heatmap(np.zeros((60, 80)))) is None
 
     def test_pruned_at_quarter(self):
         grid = np.zeros((60, 80))
         grid[30, 40] = 0.25
-        assert extract_detection(Heatmap(0, grid)) is None
+        assert extract_detection(Heatmap(grid)) is None
 
     def test_pruning_boundary_exact(self):
         grid = np.zeros((60, 80))
         grid[30, 40] = 0.3
-        assert extract_detection(Heatmap(0, grid)) is None
+        assert extract_detection(Heatmap(grid)) is None
         grid[30, 40] = 0.3 + 1e-9
-        det = extract_detection(Heatmap(0, grid))
-        assert det is not None
-        assert np.allclose(det.uv, [40 * 8, 30 * 8])
+        uv, v = extract_detection(Heatmap(grid))
+        assert np.allclose(uv, [40 * 8, 30 * 8])
+        assert v == 0.3 + 1e-9
+
+    def test_peak_above_one_rejected(self):
+        # Heatmap admits values up to 1 + 1e-12; a detection's confidence is at most 1.
+        grid = np.zeros((60, 80))
+        grid[30, 40] = 1 + 1e-13
+        with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\]"):
+            extract_detection(Heatmap(grid))
 
     def test_render_extract_roundtrip(self):
         center = np.array([10.3, 20.7]) * 8
-        hm = render_gt_heatmap(center, EXTENT, sigma=1.5, landmark_id=3)
-        det = extract_detection(hm)
-        err = np.abs(det.uv / 8 - center / 8)
+        uv, v = extract_detection(render_gt_heatmap(center, EXTENT, sigma=1.5))
+        err = np.abs(uv / 8 - center / 8)
         assert err.max() < 0.25
-        assert det.landmark_id == 3
+        assert 0.3 < v <= 1
 
     def test_roundtrip_sweep(self):
         rng = np.random.default_rng(50)
         for sigma in (1.0, 1.5, 2.5):
             for _ in range(100):
                 c = rng.uniform(8, 52, size=2) * 8  # >= 8 grid cells from borders
-                det = extract_detection(render_gt_heatmap(c, EXTENT, sigma=sigma))
-                assert np.abs(det.uv / 8 - c / 8).max() < 0.25
+                uv, _ = extract_detection(render_gt_heatmap(c, EXTENT, sigma=sigma))
+                assert np.abs(uv / 8 - c / 8).max() < 0.25
 
     def test_argmax_tie_breaks_row_major(self):
         grid = np.zeros((60, 80))
         grid[10, 50] = 0.9
         grid[40, 5] = 0.9
-        det = extract_detection(Heatmap(0, grid))
-        assert np.allclose(det.uv, [50 * 8, 10 * 8])
+        uv, _ = extract_detection(Heatmap(grid))
+        assert np.allclose(uv, [50 * 8, 10 * 8])
 
     def test_translation_equivariance(self):
         base = render_gt_heatmap(np.array([160.0, 200.0]), EXTENT, sigma=1.5)
-        shifted = Heatmap(0, np.roll(base.grid, (3, 5), axis=(0, 1)))
-        a = extract_detection(base)
-        b = extract_detection(shifted)
-        assert np.allclose(b.uv - a.uv, [5 * 8, 3 * 8], atol=1e-9)
+        shifted = Heatmap(np.roll(base.grid, (3, 5), axis=(0, 1)))
+        (a, _), (b, _) = extract_detection(base), extract_detection(shifted)
+        assert np.allclose(b - a, [5 * 8, 3 * 8], atol=1e-9)
 
 
 def tiny_scene(n_landmarks=20, n_images=4, width=640, height=480):
@@ -114,7 +118,7 @@ def tiny_scene(n_landmarks=20, n_images=4, width=640, height=480):
         pts.append([x, y, 2.0])
     ls = landmark_set(pts)
     mask = np.ones((n_landmarks, n_images), dtype=bool)
-    vt = VisibilityTable(list(range(n_landmarks)), list(range(n_images)), mask)
+    vt = VisibilityTable(list(range(n_images)), mask)
     return model, ls, vt
 
 
@@ -125,21 +129,18 @@ class TestSimulate:
         for iid, ds in dets.items():
             img = model.images[iid]
             K = model.intrinsics[img.camera_id]
-            for det in ds:
-                truth = project(K, img.pose, ls.xyz[det.landmark_id])
-                assert np.abs(det.uv - truth).max() < 1e-12
-                assert det.confidence == 1.0
+            for lid, uv in zip(ds.landmark_ids, ds.uv):
+                truth = project(K, img.pose, ls.xyz[lid])
+                assert np.abs(uv - truth).max() < 1e-12
+            assert (ds.confidence == 1.0).all()
 
     def test_determinism(self):
         model, ls, vt = tiny_scene()
         a = simulate_detections(model, ls, vt, 1.0, 0.3, seed=9)
         b = simulate_detections(model, ls, vt, 1.0, 0.3, seed=9)
+        assert list(a) == list(b)
         for iid in a:
-            assert len(a[iid]) == len(b[iid])
-            for da, db in zip(a[iid], b[iid]):
-                assert da.landmark_id == db.landmark_id
-                assert np.array_equal(da.uv, db.uv)
-                assert da.confidence == db.confidence
+            same_columns(a[iid], b[iid])
 
     def test_outlier_rate_monte_carlo(self):
         model, ls, vt = tiny_scene(n_landmarks=100, n_images=100)
@@ -162,11 +163,11 @@ class TestSimulate:
         for iid, ds in dets.items():
             img = model.images[iid]
             K = model.intrinsics[img.camera_id]
-            assert outliers[iid] == {d.landmark_id for d in ds}
-            for det in ds:
-                truth = project(K, img.pose, ls.xyz[det.landmark_id])
+            assert outliers[iid] == set(ds.landmark_ids.tolist())
+            for lid, uv in zip(ds.landmark_ids, ds.uv):
+                truth = project(K, img.pose, ls.xyz[lid])
                 n_total += 1
-                if np.linalg.norm(det.uv - truth) < 3.0:
+                if np.linalg.norm(uv - truth) < 3.0:
                     n_close += 1
         assert n_close / n_total < 0.01  # uniform placement rarely lands near truth
 
@@ -176,37 +177,34 @@ class TestSimulate:
             model, ls, vt, noise_sigma_px=2.0, outlier_rate=0.4, seed=4
         )
         for iid, ds in dets.items():
-            for det in ds:
-                if det.landmark_id in outliers[iid]:
-                    assert 0.31 <= det.confidence <= 0.7
+            for lid, conf in zip(ds.landmark_ids.tolist(), ds.confidence):
+                if lid in outliers[iid]:
+                    assert 0.31 <= conf <= 0.7
                 else:
-                    assert 0.31 <= det.confidence <= 1.0
+                    assert 0.31 <= conf <= 1.0
 
 
 class TestMerge:
-    def d(self, lid, u=1.0):
-        return Detection(lid, np.array([u, u]), 0.9)
+    def d(self, image_id, *lids):
+        return DetectionSet(image_id, lids, np.ones((len(lids), 2)), np.full(len(lids), 0.9))
 
     def test_identity(self):
-        ds = DetectionSet(0, [self.d(1), self.d(2)])
-        merged = merge_ensemble([ds])
-        assert [x.landmark_id for x in merged] == [1, 2]
+        merged = merge_ensemble([self.d(0, 1, 2)])
+        assert merged.landmark_ids.tolist() == [1, 2]
 
     def test_disjoint_union_ordered(self):
-        a = DetectionSet(0, [self.d(5), self.d(1)])
-        b = DetectionSet(0, [self.d(3)])
-        merged = merge_ensemble([a, b])
-        assert [x.landmark_id for x in merged] == [1, 3, 5]
+        merged = merge_ensemble([self.d(0, 5, 1), self.d(0, 3)])
+        assert merged.landmark_ids.tolist() == [1, 3, 5]
 
     def test_collision_raises(self):
-        a = DetectionSet(0, [self.d(1)])
-        b = DetectionSet(0, [self.d(1)])
+        a = self.d(0, 1)
+        b = self.d(0, 1)
         with pytest.raises(DuplicateLandmarkError):
             merge_ensemble([a, b])
 
     def test_image_mismatch_raises(self):
-        a = DetectionSet(0, [self.d(1)])
-        b = DetectionSet(1, [self.d(2)])
+        a = self.d(0, 1)
+        b = self.d(1, 2)
         with pytest.raises(ValueError):
             merge_ensemble([a, b])
 
@@ -220,13 +218,7 @@ class TestDetectionIO:
         loaded = load_detections(path)
         assert set(loaded) == set(dets)
         for iid in dets:
-            assert len(loaded[iid]) == len(dets[iid])
-            for da, db in zip(
-                sorted(dets[iid], key=lambda d: d.landmark_id), loaded[iid]
-            ):
-                assert da.landmark_id == db.landmark_id
-                assert np.array_equal(da.uv, db.uv)
-                assert da.confidence == db.confidence
+            same_columns(loaded[iid], dets[iid])
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -271,14 +263,14 @@ class TestDetectionIO:
 
 
 def save_detections_ref(detections, path):
-    """The writer save_detections replaced: csv.writer over Detection rows."""
+    """The writer save_detections replaced: csv.writer, one detection a row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for iid in sorted(detections):
-            for det in sorted(detections[iid], key=lambda d: d.landmark_id):
-                writer.writerow([iid, det.landmark_id, _io.fmt(det.uv[0]), _io.fmt(det.uv[1]),
-                                 _io.fmt(det.confidence)])
+            ds = detections[iid]
+            for lid, (u, v), conf in zip(ds.landmark_ids.tolist(), ds.uv, ds.confidence):
+                writer.writerow([iid, lid, _io.fmt(u), _io.fmt(v), _io.fmt(conf)])
 
 
 def same_columns(a, b):
@@ -293,14 +285,17 @@ class TestWriterBytes:
 
     def test_edge_values_match_csv_writer(self, tmp_path):
         confs = [x for x in self.EDGES if 0 < x <= 1]
-        rows = [Detection(lid, [u, v], confs[lid % len(confs)])
-                for lid, (u, v) in enumerate(zip(self.EDGES, self.EDGES[::-1]))]
-        dets = {7: DetectionSet(7, rows[::-1]), 2: DetectionSet(2, rows[1::2])}
+        n = len(self.EDGES)
+        lids = np.arange(n)
+        uv = np.column_stack([self.EDGES, self.EDGES[::-1]])
+        conf = np.array([confs[lid % len(confs)] for lid in range(n)])
+        dets = {7: DetectionSet(7, lids[::-1], uv[::-1], conf[::-1]),
+                2: DetectionSet(2, lids[1::2], uv[1::2], conf[1::2])}
         save_detections(dets, tmp_path / "got.csv")
         save_detections_ref(dets, tmp_path / "ref.csv")
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
-        assert got.count(b"\r\n") == 1 + len(rows) + len(rows[1::2])
+        assert got.count(b"\r\n") == 1 + n + len(lids[1::2])
         loaded = load_detections(tmp_path / "got.csv")
         for iid, ds in dets.items():
             same_columns(loaded[iid], ds)
@@ -315,7 +310,7 @@ class TestWriterBytes:
 
 class TestRowOrder:
     """A DetectionSet is its columns in landmark-id order, whatever order its
-    rows come in: from a file, from the groups of an ensemble, or as rows."""
+    rows come in: from a file, from the groups of an ensemble, or as columns."""
 
     def scene(self):
         model, ls, vt = tiny_scene(n_landmarks=40)
@@ -350,7 +345,7 @@ class TestRowOrder:
             groups = []
             for g in rng.permutation(3):  # groups interleave in landmark id
                 keep = np.flatnonzero(ds.landmark_ids % 3 == g)[::-1]
-                groups.append(DetectionSet.from_columns(
+                groups.append(DetectionSet(
                     iid, ds.landmark_ids[keep], ds.uv[keep], ds.confidence[keep]))
             merged = merge_ensemble(groups, iid)
             same_columns(merged, ds)
@@ -361,16 +356,36 @@ class TestRowOrder:
         _, _, dets = self.scene()
         ds = dets[0]
         lid = int(ds.landmark_ids[5])
-        a = DetectionSet.from_columns(0, ds.landmark_ids[:8], ds.uv[:8], ds.confidence[:8])
-        b = DetectionSet.from_columns(0, ds.landmark_ids[5:], ds.uv[5:], ds.confidence[5:])
+        a = DetectionSet(0, ds.landmark_ids[:8], ds.uv[:8], ds.confidence[:8])
+        b = DetectionSet(0, ds.landmark_ids[5:], ds.uv[5:], ds.confidence[5:])
         with pytest.raises(DuplicateLandmarkError, match=rf"landmark {lid}\b"):
             merge_ensemble([b, a])
 
-    def test_rows_in_any_order(self):
-        _, _, dets = self.scene()
-        ds = dets[1]
-        same_columns(DetectionSet(1, list(ds)[::-1]), ds)
-        assert [d.landmark_id for d in ds] == ds.landmark_ids.tolist()
+    def test_columns_in_any_order(self):
+        # For a few seeds: any permutation of a set's columns builds the same
+        # set, bit for bit; a repeated landmark, named, or a confidence of 0 or
+        # above 1 raises.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 40))
+            ids = rng.choice(1000, size=n, replace=False)
+            uv = rng.uniform(0, 640, size=(n, 2))
+            conf = np.append(rng.uniform(0.31, 1.0, size=n - 1), 1.0)
+            ds = DetectionSet(3, ids, uv, conf)
+            assert (np.diff(ds.landmark_ids) > 0).all()
+            for _ in range(3):
+                perm = rng.permutation(n)
+                same_bits({3: DetectionSet(3, ids[perm], uv[perm], conf[perm])}, {3: ds})
+            k, j = rng.choice(n, size=2, replace=False)
+            repeated = ids.copy()
+            repeated[j] = ids[k]
+            with pytest.raises(DuplicateLandmarkError, match=rf"landmark {ids[k]} appears"):
+                DetectionSet(3, repeated, uv, conf)
+            for bad in (0.0, float(np.nextafter(1.0, 2.0)), 1.5):
+                wrong = conf.copy()
+                wrong[k] = bad
+                with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\]"):
+                    DetectionSet(3, ids, uv, wrong)
 
 
 def same_bits(a: dict, b: dict):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from landmarkloc.detection import Detection, DetectionSet
+from landmarkloc.detection import DetectionSet
 from landmarkloc.errors import InvalidRotationError
 from landmarkloc.evaluation import (
     PoseErrors,
@@ -156,23 +156,19 @@ class TestDetectionAngularError:
         K = make_intrinsics()
         T = Pose(np.eye(3), np.zeros(3))
         p = np.array([0.3, -0.2, 2.0])
-        uv = project(K, T, p)
-        det = Detection(0, uv, 1.0)
-        assert detection_angular_error(det, T, K, p) < 1e-9
+        assert detection_angular_error(project(K, T, p), T, K, p) < 1e-9
 
     def test_offset_by_focal_is_45_degrees(self):
         K = make_intrinsics(f=100.0, c=50.0)
         T = Pose(np.eye(3), np.zeros(3))
         p = np.array([0.0, 0.0, 3.0])  # projects to the principal point
-        det = Detection(0, np.array([150.0, 50.0]), 1.0)
-        assert abs(detection_angular_error(det, T, K, p) - 45.0) < 1e-9
+        assert abs(detection_angular_error(np.array([150.0, 50.0]), T, K, p) - 45.0) < 1e-9
 
     def test_behind_camera_raises(self):
         K = make_intrinsics()
         T = Pose(np.eye(3), np.zeros(3))
-        det = Detection(0, np.array([50.0, 50.0]), 1.0)
         with pytest.raises(ValueError):
-            detection_angular_error(det, T, K, np.array([0.0, 0.0, -2.0]))
+            detection_angular_error(np.array([50.0, 50.0]), T, K, np.array([0.0, 0.0, -2.0]))
 
     def test_median_matches_recomputation(self):
         rng = np.random.default_rng(90)
@@ -190,16 +186,16 @@ class TestDetectionAngularError:
             if uv is None:
                 continue
             uv_noisy = uv + rng.normal(0, 1.0, 2)
-            dets.append(Detection(n, uv_noisy, 0.9))
+            dets.append(uv_noisy)
             pts.append(p)
             n += 1
-        for det, p in zip(dets, pts):
-            angles_direct.append(detection_angular_error(det, T, K, p))
+        for uv, p in zip(dets, pts):
+            angles_direct.append(detection_angular_error(uv, T, K, p))
         # Independent recomputation via explicit ray trigonometry.
         recomputed = []
-        for det, p in zip(dets, pts):
+        for uv, p in zip(dets, pts):
             ray = np.array(
-                [(det.uv[0] - K.cx) / K.fx, (det.uv[1] - K.cy) / K.fy, 1.0]
+                [(uv[0] - K.cx) / K.fx, (uv[1] - K.cy) / K.fy, 1.0]
             )
             ray /= np.linalg.norm(ray)
             cam = T.apply(p)
@@ -282,7 +278,7 @@ class TestReport:
         p_world = T.inverse().apply(np.array([0.0, 0.0, 2.0]))
         ls = landmark_set(p_world)
         uv = project(K, T, p_world)
-        dets = {0: DetectionSet(0, [Detection(0, uv, 1.0)])}
+        dets = {0: DetectionSet(0, [0], [uv], [1.0])}
         estimates = {0: PoseEstimate(T, frozenset(), 1, 0.0, "ok")}
         report = build_report(
             [RunRecord("run", estimates, model, detections=dets, landmarks=ls)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_minimal_model
-from landmarkloc.detection import Detection, DetectionSet, load_detections, save_detections
+from landmarkloc.detection import DetectionSet, load_detections, save_detections
 from landmarkloc.errors import MalformedFileError
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.mesh import TriangleMesh, load_mesh, save_mesh_ply
@@ -34,21 +34,21 @@ def write_landmarks(d):
 
 
 def write_partition(d):
-    save_partition(PartitionAssignment({0: 0, 1: 1, 2: 0, 3: 1}, 2, "default"), d / "part.txt")
+    save_partition(PartitionAssignment([0, 1, 0, 1], 2, "default"), d / "part.txt")
     return ["part.txt"]
 
 
 def write_visibility(d):
     mask = [[True, False], [True, True]]
-    save_visibility(VisibilityTable([0, 1], [1, 2], mask, {"tol_depth": 0.05}, [5]),
+    save_visibility(VisibilityTable([1, 2], mask, {"tol_depth": 0.05}, [5]),
                     d / "vis.txt")
     return ["vis.txt"]
 
 
 def write_detections(d):
     save_detections({
-        1: DetectionSet(1, [Detection(0, [10.5, 20.25], 0.875), Detection(3, [1, 2], 1.0)]),
-        2: DetectionSet(2, [Detection(3, [30.0, 4.5], 0.5)]),
+        1: DetectionSet(1, [0, 3], [[10.5, 20.25], [1, 2]], [0.875, 1.0]),
+        2: DetectionSet(2, [3], [[30.0, 4.5]], [0.5]),
     }, d / "dets.csv")
     return ["dets.csv"]
 
@@ -120,12 +120,23 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     ("partition", "part.txt", 3, "1 5"),                                       # group >= g
     ("partition", "part.txt", 3, "1 -1"),                                      # group < 0
     ("partition", "part.txt", 3, "0 1"),                                       # id repeated
+    ("partition", "part.txt", 3, "2 1"),                                       # id skipped
     ("detections", "dets.csv", 3, "1,99999999999999999999,3,4,0.5"),          # id > int64
     ("detections", "dets.csv", 3, "-9223372036854775809,7,3,4,0.5"),          # id < int64
     ("visibility", "vis.txt", 6, "0 2"),                                       # id repeated
     ("visibility", "vis.txt", 3, "# image_ids 1 1"),                           # image repeated
     ("visibility", "vis.txt", 6, "# image_ids 2 1"),                           # second header
     ("visibility", "vis.txt", 6, "# image_ids 1"),                             # second header
+    ("visibility", "vis.txt", 6, "2 1 2"),                                     # id skipped
+    ("visibility", "vis.txt", 1, "# visibility landmarks=3 images=2"),         # too few lines
+    ("visibility", "vis.txt", 1, "# visibility landmarks=1 images=2"),         # too many lines
+    ("visibility", "vis.txt", 1, "# visibility landmarks=2 images=3"),         # image count
+    ("visibility", "vis.txt", 1, "# visibility landmarks=2"),                  # no image count
+    ("visibility", "vis.txt", 1, "# visibility landmarks=2 images=x"),         # image count
+    ("scene", "images.txt", 3, "1 0.5 -1e308 -0.49 0.52 0 0 0 1 img0.png"),    # norm overflows
+    ("scene", "images.txt", 5, "2 1e200 1e200 1e200 1e200 0 0 0 1 img1.png"),  # norm overflows
+    ("poses", "poses.txt", 3, "1 0.5 -1e308 -0.49 0.52 0 0 0 ok 2 0.5"),       # norm overflows
+    ("poses", "poses.txt", 4, "2 inf 0 0 0 0 0 0 ok 2 0.5"),                   # norm is inf
     ("ply", "tri.ply", 3, "element vertex"),                                   # no count
     ("ply", "tri.ply", 7, "element face 1.5"),                                 # count
     ("ply", "tri.ply", 13, "3 0 1"),                                           # short face

@@ -79,27 +79,36 @@ def test_every_name_the_bench_looks_up_resolves(bench):
 
 
 def test_unused_imports_are_bench_layers(bench):
-    # A `# noqa: F401` import in the package keeps a name the module never
-    # uses, so that the bench's tracer can wrap it there. Each such name must
-    # be a LAYERS target under that module, and each such import must keep
-    # at least one name.
+    # A module of the package imports no name that it never uses, unless the
+    # import says `# noqa: F401`. Such a name is kept so that the bench's
+    # tracer can wrap it there, so it must be a LAYERS target under that
+    # module, and each such import must keep at least one name. The package
+    # root's imports are its exports, and a `__future__` import is a compiler
+    # directive.
     _, tracer = bench
     wrapped = {target for target, _, _ in tracer.LAYERS}
-    kept, stray, stale = [], [], []
+    kept, stray, stale, unused_plain = [], [], [], []
     for path in sorted((ROOT / "src" / "landmarkloc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
         tree = ast.parse(source)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)) or not any(
-                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
                 continue
-            unused = [a.asname or a.name for a in node.names if (a.asname or a.name) not in used]
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+            unused = [name for name in names if name not in used]
+            if not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                unused_plain += [f"{path.name}:{node.lineno}: {name}" for name in unused]
+                continue
             targets = [f"landmarkloc.{path.stem}.{name}" for name in unused]
             kept += targets
             stray += [target for target in targets if target not in wrapped]
             stale += [] if unused else [f"{path.name}:{node.lineno}"]
+    assert unused_plain == []
     assert kept, "no `# noqa: F401` import found"
     assert stray == []
     assert stale == []

@@ -30,7 +30,9 @@ def random_set(rng, n):
 
 
 def check_invariants(pa, ls):
-    assert set(pa.group_of) == set(range(len(ls)))
+    assert pa.group.dtype == np.int64 and pa.group.shape == (len(ls),)
+    assert [pa.members(g) for g in range(pa.g)] == [
+        [lid for lid in range(len(ls)) if pa.group[lid] == g] for g in range(pa.g)]
     sizes = pa.group_sizes()
     assert sum(sizes) == len(ls)
     assert max(sizes) - min(sizes) <= 1
@@ -41,13 +43,12 @@ class TestDefault:
         ls = make_set(np.random.default_rng(0).normal(size=(10, 3)))
         pa = partition_default(ls, 2)
         # saliencies are 10..1 so ids 0-4 carry the top-5 scores
-        assert all(pa.group_of[i] == 0 for i in range(5))
-        assert all(pa.group_of[i] == 1 for i in range(5, 10))
+        assert pa.group.tolist() == [0] * 5 + [1] * 5
 
     def test_single_group(self):
         ls = random_set(np.random.default_rng(1), 7)
         pa = partition_default(ls, 1)
-        assert set(pa.group_of.values()) == {0}
+        assert pa.group.tolist() == [0] * 7
 
     def test_eight_groups_of_125(self):
         ls = random_set(np.random.default_rng(2), 1000)
@@ -57,7 +58,7 @@ class TestDefault:
     def test_ties_break_by_id(self):
         ls = make_set(np.arange(12).reshape(4, 3), saliencies=[2.0, 2.0, 2.0, 2.0])
         pa = partition_default(ls, 2)
-        assert pa.group_of == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert pa.group.tolist() == [0, 0, 1, 1]
 
     def test_g_too_large(self):
         ls = random_set(np.random.default_rng(3), 4)
@@ -70,7 +71,7 @@ class TestRandom:
         ls = random_set(np.random.default_rng(4), 50)
         a = partition_random(ls, 4, seed=7)
         b = partition_random(ls, 4, seed=7)
-        assert a.group_of == b.group_of
+        assert np.array_equal(a.group, b.group)
 
     def test_all_singletons(self):
         ls = random_set(np.random.default_rng(5), 6)
@@ -83,8 +84,7 @@ class TestRandom:
         for seed in range(100):
             pa = partition_random(ls, 8, seed=seed)
             assert pa.group_sizes() == [125] * 8
-            for lid, grp in pa.group_of.items():
-                counts[lid, grp] += 1
+            counts[np.arange(1000), pa.group] += 1
         # Per-cell binomial z-scores: ~0.27% should exceed 3 sigma by chance.
         p = 1 / 8
         z = (counts - 100 * p) / np.sqrt(100 * p * (1 - p))
@@ -103,14 +103,14 @@ class TestKMeans:
         expected = {}
         for lid, xyz in enumerate(ls.xyz):
             expected[lid] = 0 if np.linalg.norm(xyz - ca) < np.linalg.norm(xyz - cb) else 1
-        groups = {frozenset(lid for lid in pa.group_of if pa.group_of[lid] == g) for g in range(2)}
+        groups = {frozenset(pa.members(g)) for g in range(2)}
         expected_groups = {frozenset(lid for lid in expected if expected[lid] == g) for g in range(2)}
         assert groups == expected_groups
 
     def test_single_group(self):
         ls = random_set(np.random.default_rng(8), 9)
         pa = partition_kmeans(ls, 1, seed=0)
-        assert set(pa.group_of.values()) == {0}
+        assert pa.group.tolist() == [0] * 9
 
     def test_collinear_rebalance_replay(self):
         xyz = np.array([[float(i), 0.0, 0.0] for i in range(12)])
@@ -145,7 +145,7 @@ class TestKMeans:
         ls = random_set(np.random.default_rng(9), 40)
         a = partition_kmeans(ls, 5, seed=11)
         b = partition_kmeans(ls, 5, seed=11)
-        assert a.group_of == b.group_of
+        assert np.array_equal(a.group, b.group)
 
 
 class TestFPS:
@@ -155,8 +155,8 @@ class TestFPS:
         pa = partition_fps(ls, 2)
         # Highest-saliency corner 0 seeds group 0; farthest point is the
         # opposite corner 2, seeding group 1.
-        assert pa.group_of[0] == 0
-        assert pa.group_of[2] == 1
+        assert pa.group[0] == 0
+        assert pa.group[2] == 1
         check_invariants(pa, ls)
 
     def test_singletons_in_traversal_order(self):
@@ -189,7 +189,7 @@ class TestFPS:
         # The traversal order is not exposed directly; verify it by checking
         # group membership is reproduced when we rerun the assignment rule.
         pb = partition_fps(ls, 4)
-        assert pa.group_of == pb.group_of
+        assert np.array_equal(pa.group, pb.group)
 
 
 @pytest.mark.parametrize("criterion", ["default", "random", "kmeans", "fps"])
@@ -204,7 +204,7 @@ def test_invariants_all_criteria(criterion, g, n):
 @pytest.mark.parametrize("group", [-1, 2])
 def test_group_outside_range_rejected(group):
     with pytest.raises(ValueError, match="outside"):
-        PartitionAssignment({0: 0, 1: group}, 2, "default")
+        PartitionAssignment([0, group], 2, "default")
 
 
 def test_make_partition_requires_seed():
@@ -220,7 +220,7 @@ class TestPartitionIO:
         path = tmp_path / "part.txt"
         save_partition(pa, path)
         loaded = load_partition(path)
-        assert loaded.group_of == pa.group_of
+        assert loaded.group.tolist() == pa.group.tolist()
         assert loaded.g == pa.g
         assert loaded.criterion == "kmeans"
         assert loaded.seed == 5

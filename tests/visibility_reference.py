@@ -68,11 +68,10 @@ def visible_in_image(K, T, sample, xyz, ref_normals, cfg, candidates=True):
 
 def compute_visibility_per_image(model, mesh, ls, cfg=VisibilityConfig()):
     """compute_visibility as one pass per image."""
-    landmark_ids = list(range(len(ls)))
     image_ids = sorted(model.images)
     mask = np.zeros((len(ls), len(image_ids)), dtype=bool)
     if len(ls) == 0:
-        return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), [])
+        return VisibilityTable(image_ids, mask, asdict(cfg), [])
     ref_normals, excluded = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
     active = np.ones(len(ls), dtype=bool)
     active[excluded] = False
@@ -82,18 +81,18 @@ def compute_visibility_per_image(model, mesh, ls, cfg=VisibilityConfig()):
         K = model.intrinsics[img.camera_id]
         sample = first_hits(mesh, face_normals, K, img.pose, cfg.decimation)
         mask[:, j] = visible_in_image(K, img.pose, sample, ls.xyz, ref_normals, cfg, active)
-    return VisibilityTable(landmark_ids, image_ids, mask, asdict(cfg), excluded)
+    return VisibilityTable(image_ids, mask, asdict(cfg), excluded)
 
 
 def save_visibility_per_landmark(vt, path):
     """save_visibility with one flatnonzero per landmark line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# visibility landmarks={len(vt.landmark_ids)} images={len(vt.image_ids)}\n")
+        fh.write(f"# visibility landmarks={len(vt.mask)} images={len(vt.image_ids)}\n")
         tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
         fh.write(f"# tolerances {tol}\n")
         fh.write("# image_ids " + " ".join(str(i) for i in vt.image_ids) + "\n")
         if vt.excluded:
             fh.write("# excluded " + " ".join(str(i) for i in vt.excluded) + "\n")
-        for i, lid in enumerate(vt.landmark_ids):
+        for i in range(len(vt.mask)):
             vis = [str(vt.image_ids[j]) for j in np.flatnonzero(vt.mask[i])]
-            fh.write(" ".join([str(lid)] + vis) + "\n")
+            fh.write(" ".join([str(i)] + vis) + "\n")
