@@ -4,11 +4,17 @@ Each loader walks its file through lines(), which numbers the lines and
 turns a ValueError raised while one is handled (by int(), float(), finite(),
 int64() or a constructor's own check) into a MalformedFileError at path:line.
 Each writer writes its floats with fmt(), which reads back bit for bit.
+A Sidecar keeps the columns a loader parses from some files beside them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+from pathlib import Path
+
+import numpy as np
 
 from .errors import MalformedFileError
 
@@ -68,6 +74,137 @@ def int64(what, *vals):
     return vals
 
 
+def is_int64(x) -> bool:
+    """Whether x is an integer that fits in int64, and not a bool: one whose
+    text int() reads back to x."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and -(1 << 63) <= x < 1 << 63)
+
+
 def fmt(x) -> str:
     """x as text that float() reads back to the same double."""
     return format(float(x), ".17g")
+
+
+class Sidecar:
+    """A copy of the columns that a loader parses from some text files, kept
+    in one .npz file beside them, so that a load of the same bytes need not
+    parse them again.
+
+    A copy is keyed on content: SHA-256 over the numpy version, the loader's
+    source files and this module's (so that an edit to either leaves every
+    copy stale), then the text files, each followed by its length (so that
+    bytes moved from one file to the next change the key). columns gives
+    each column's dtype and the shape of one row. A copy that is missing,
+    stale, unreadable or malformed only means a parse. A copy is written to a
+    temp file and renamed into place, and an OSError while writing it leaves
+    no file and is not raised.
+    """
+
+    def __init__(self, path, files, sources, columns):
+        self.path = Path(path)
+        self.files = files
+        self.sources = [Path(__file__), *map(Path, sources)]
+        self.columns = columns
+
+    def _hash(self, files=()):
+        """SHA-256 over the numpy version, the source files and files; an
+        OSError when one cannot be read."""
+        h = hashlib.sha256(np.__version__.encode())
+        for p in (*self.sources, *files):
+            data = p.read_bytes()
+            h.update(data)
+            h.update(len(data).to_bytes(8, "little"))
+        return h
+
+    def key(self) -> bytes:
+        """The key of the files as they are; an OSError when one cannot be read."""
+        return self._hash(self.files).digest()
+
+    def write(self, texts, columns) -> None:
+        """Write each file from its iterable of byte chunks in texts, and keep
+        columns under the key of the bytes written; no copy when columns is
+        None."""
+        try:
+            h = None if columns is None else self._hash()
+        except OSError:
+            h = None
+        for path, chunks in zip(self.files, texts, strict=True):
+            size = 0
+            with open(path, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                    size += len(chunk)
+                    if h is not None:
+                        h.update(chunk)
+            if h is not None:
+                h.update(size.to_bytes(8, "little"))
+        if h is not None:
+            self._store(h.digest(), columns)
+
+    def _fits(self, columns) -> bool:
+        return columns.keys() == self.columns.keys() and all(
+            columns[name].dtype == dtype and columns[name].shape[1:] == row
+            and columns[name].ndim == 1 + len(row)
+            for name, (dtype, row) in self.columns.items())
+
+    def _load(self, key):
+        """The columns kept under key, or None."""
+        try:
+            with np.load(self.path, allow_pickle=False) as z:
+                if set(z.files) != {"key", *self.columns} or z["key"].tobytes() != key:
+                    return None
+                columns = {name: z[name] for name in self.columns}
+        except Exception:  # whatever a missing, truncated or foreign file raises
+            return None
+        return columns if self._fits(columns) else None
+
+    def _store(self, key, columns) -> None:
+        """Keep columns under key; nothing when they do not fit self.columns."""
+        if not self._fits(columns):
+            return
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+        try:
+            fh = open(tmp, "xb")
+        except OSError:
+            return  # a directory that cannot be written
+        try:
+            with fh:
+                np.savez(fh, key=np.frombuffer(key, np.uint8), **columns)
+            os.replace(tmp, self.path)
+        except BaseException as exc:
+            os.unlink(tmp)
+            if not isinstance(exc, OSError):
+                raise
+
+    def read(self, parse, build, keep=None):
+        """build(columns) of the copy kept for the files' bytes, or parse()
+        when there is none or build gives None or raises.
+
+        With keep, the result of a parse is kept too: keep(result) is stored
+        under the key of the bytes parsed, unless a file changed meanwhile.
+        Without keep, a load that finds no copy file parses at once, without
+        reading a byte for the key.
+        """
+        if keep is None and not self.path.exists():
+            return parse()
+        try:
+            key = self.key()
+        except OSError:
+            return parse()  # which reports what it cannot read
+        columns = self._load(key)
+        if columns is not None:
+            try:
+                value = build(columns)
+            except Exception:  # columns that make no value: the parse is the authority
+                value = None
+            if value is not None:
+                return value
+        value = parse()
+        if keep is not None:
+            try:
+                if self.key() == key:
+                    self._store(key, keep(value))
+            except OSError:
+                pass
+        return value

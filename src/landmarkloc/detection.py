@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -219,18 +220,54 @@ def merge_ensemble(sets: list, image_id: int | None = None) -> DetectionSet:
 CSV_HEADER = ["image_id", "landmark_id", "u", "v_coord", "confidence"]
 
 
+# The columns of a detections file, in file order: dtype, and the shape of one row.
+_COLUMNS = {"image": (np.int64, ()), "ids": (np.int64, ()), "uv": (np.float64, (2,)),
+            "conf": (np.float64, ())}
+
+
+def _sidecar(path: Path) -> _io.Sidecar:
+    return _io.Sidecar(path.with_name(f".{path.name}.landmarkloc.npz"), [path], [__file__],
+                       _COLUMNS)
+
+
 def save_detections(detections: dict, path) -> None:
     """CSV of all detections, ordered by image id then landmark id, as
     csv.writer writes it: CRLF line ends, and each float as _io.fmt gives it.
-    Each image's rows are one % format and one write."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
+    Each image's rows are one % format.
+
+    The columns a load of the file gives are kept beside it (see
+    load_detections), unless the text would not read back to them or would
+    fail a check of the load: an image id that is not an integer, a landmark
+    listed twice or out of order, a non-finite pixel or a confidence outside
+    (0, 1].
+    """
+    def lines():
+        yield (",".join(CSV_HEADER) + "\r\n").encode()
         for iid in sorted(detections):
             ds = detections[iid]
             fields = [None] * (4 * len(ds))
             fields[0::4], fields[1::4] = ds.landmark_ids.tolist(), ds.uv[:, 0].tolist()
             fields[2::4], fields[3::4] = ds.uv[:, 1].tolist(), ds.confidence.tolist()
-            fh.write(f"{iid},%d,%.17g,%.17g,%.17g\r\n" * len(ds) % tuple(fields))
+            yield (f"{iid},%d,%.17g,%.17g,%.17g\r\n" * len(ds) % tuple(fields)).encode()
+
+    _sidecar(Path(path)).write([lines()], _read_back(detections))
+
+
+def _read_back(detections: dict):
+    """The columns a load gives of the file save_detections writes of
+    detections, in file order; None when the text would not read back to
+    them or would fail a check of the load."""
+    image_ids = sorted(detections)
+    if not all(map(_io.is_int64, image_ids)):
+        return None
+    sets = [detections[iid] for iid in image_ids]
+    image = np.repeat(np.array(image_ids, np.int64), [len(ds) for ds in sets])
+    ids = np.concatenate([np.zeros(0, np.int64), *(ds.landmark_ids for ds in sets)])
+    uv = np.concatenate([np.zeros((0, 2)), *(ds.uv for ds in sets)])
+    conf = np.concatenate([np.zeros(0), *(ds.confidence for ds in sets)])
+    if not (_plausible(uv, conf) and ((image[1:] != image[:-1]) | (ids[1:] > ids[:-1])).all()):
+        return None
+    return {"image": image, "ids": ids, "uv": uv, "conf": conf}
 
 
 def load_detections(path) -> dict:
@@ -245,10 +282,26 @@ def load_detections(path) -> dict:
     numbers. Any other file, and any file that fails a check, is read again
     by the row loop, which accepts what Python's int() and float() accept and
     raises MalformedFileError at the first bad line. Both give the same sets.
+
+    When save_detections left the columns of these bytes beside the file, in
+    .<name>.landmarkloc.npz (an _io.Sidecar), the sets are made from that
+    copy, with the same checks, instead. A load never keeps a copy itself:
+    the one stat that finds none is all it costs.
     """
+    path = Path(path)
+    return _sidecar(path).read(lambda: _parse(path),
+                               lambda c: _by_image(**c) if _plausible(c["uv"], c["conf"]) else None)
+
+
+def _parse(path: Path) -> dict:
     cols = _bulk_columns(path)
     sets = None if cols is None else _by_image(*cols)
     return _by_image(*_row_columns(path)) if sets is None else sets
+
+
+def _plausible(uv, conf) -> bool:
+    """Whether every pixel is finite and every confidence in (0, 1]."""
+    return bool(np.isfinite(uv).all() and ((conf > 0) & (conf <= 1)).all())
 
 
 def _by_image(image, ids, uv, conf):
@@ -301,9 +354,7 @@ def _bulk_columns(path):
         return None
     image, ids, conf = rows["image_id"], rows["landmark_id"], rows["confidence"]
     uv = np.column_stack((rows["u"], rows["v_coord"]))
-    if not (np.isfinite(uv).all() and ((conf > 0) & (conf <= 1)).all()):
-        return None
-    return image, ids, uv, conf
+    return (image, ids, uv, conf) if _plausible(uv, conf) else None
 
 
 def _row_columns(path):

@@ -58,27 +58,38 @@ def _distinct_images(points: PointSet):
     return image[first], np.bincount(owner[first], minlength=len(points))
 
 
+# Most elements of the stacked (points, n, n) product that _saliencies makes at once.
+_SALIENCY_BLOCK = 1 << 14
+
+
 def _saliencies(xyz: np.ndarray, image_ids: np.ndarray, counts, model: SceneModel) -> list:
     """score_saliency of each point k at xyz[k] seen from the counts[k] distinct
-    images that follow in image_ids, with each centre and direction computed once."""
+    images that follow in image_ids, with each centre and direction computed once.
+
+    The points of one track length n are scored together, _SALIENCY_BLOCK
+    elements at a time: one stacked product of their directions, one clip and
+    one arccos of their pairs. Each point's mean is the 1-D mean of its own
+    row, so each score has the bits of the point scored alone.
+    """
     images, at = np.unique(image_ids, return_inverse=True)
     centers = np.array([model.images[iid].pose.center for iid in images.tolist()])
     d = np.repeat(xyz, counts, axis=0) - centers.reshape(-1, 3)[at]
     dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
-    pairs = {}  # track length -> its upper-triangle indices
-    scores = []
-    for end, n in zip(np.cumsum(counts).tolist(), np.asarray(counts).tolist()):
-        if n == 0:
-            raise ValueError("point has no observations")
-        if n == 1:
-            scores.append(1.0)
-            continue
-        cosines = np.clip(dirs[end - n:end] @ dirs[end - n:end].T, -1.0, 1.0)
-        if n not in pairs:
-            pairs[n] = np.triu_indices(n, k=1)
-        spread = min(float(np.mean(np.arccos(cosines[pairs[n]]))), math.pi / 2)
-        scores.append(n * (1.0 + spread))
-    return scores
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts == 0).any():
+        raise ValueError("point has no observations")
+    starts = np.cumsum(counts) - counts
+    scores = np.ones(len(counts))
+    for n in np.unique(counts[counts > 1]).tolist():
+        points = np.flatnonzero(counts == n)
+        rows, cols = np.triu_indices(n, k=1)
+        step = max(1, _SALIENCY_BLOCK // (n * n))
+        for block in (points[k:k + step] for k in range(0, len(points), step)):
+            D = dirs[starts[block, None] + np.arange(n)]
+            angles = np.arccos(np.clip(D @ D.transpose(0, 2, 1), -1.0, 1.0)[:, rows, cols])
+            spread = np.minimum([np.mean(row) for row in angles], math.pi / 2)
+            scores[block] = n * (1.0 + spread)
+    return scores.tolist()
 
 
 def score_saliency(xyz, image_ids, model: SceneModel) -> float:

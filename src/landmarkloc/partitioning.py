@@ -37,6 +37,12 @@ class PartitionAssignment:
         if len(self.group) and max(sizes) - min(sizes) > 1:
             raise ValueError("group sizes differ by more than 1")
 
+    def __eq__(self, other):
+        if not isinstance(other, PartitionAssignment):
+            return NotImplemented
+        return (np.array_equal(self.group, other.group)
+                and (self.g, self.criterion, self.seed) == (other.g, other.criterion, other.seed))
+
     def group_sizes(self) -> list:
         return np.bincount(self.group, minlength=self.g).tolist()
 

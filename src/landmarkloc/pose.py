@@ -21,6 +21,7 @@ from .scene_model import (
     _ORTHO_TOL,
     Intrinsics,
     Pose,
+    _cross,
     _uv,
     axis_angle_to_matrix,
     bearing,
@@ -195,11 +196,6 @@ def _quadratic_roots(b, c):
     disc = b * b - 4.0 * c
     r = -0.5 * (b + np.copysign(np.sqrt(disc), b))
     return ~(disc < 0.0), np.where(r != 0.0, [r, c / r], 0.0)
-
-
-def _cross(a, b) -> tuple:
-    """a x b for 3-sequences, or column by column for (3, N) arrays."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _ray_distances(a, c):

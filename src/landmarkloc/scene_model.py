@@ -19,9 +19,7 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,6 +98,12 @@ def skew(v: np.ndarray) -> np.ndarray:
     )
 
 
+def _cross(a, b) -> tuple:
+    """a x b for 3-sequences, or column by column for (3, N) arrays: the
+    products and differences np.cross makes, without its overhead."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> "Pose":
     """World-to-camera pose for a camera at eye looking toward target.
 
@@ -113,12 +117,12 @@ def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> "Pose":
         raise ValueError("eye and target coincide")
     fwd = fwd / norm
     up = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, up)
+    right = np.array(_cross(fwd, up))
     rnorm = np.linalg.norm(right)
     if rnorm < 1e-9:
         raise ValueError("viewing direction parallel to up vector")
     right /= rnorm
-    down = np.cross(fwd, right)
+    down = np.array(_cross(fwd, right))
     R = np.stack([right, down, fwd])
     return Pose(R, -R @ eye)
 
@@ -308,10 +312,8 @@ def bearing(K: Intrinsics, uv: np.ndarray) -> np.ndarray:
 
 
 _SCENE_FILES = ("cameras.txt", "images.txt", "points3D.txt")
-_CACHE_NAME = ".landmarkloc-scene.npz"
-# The kept columns: dtype, and the shape of one row.
+# A model's columns: dtype, and the shape of one row.
 _COLUMNS = {
-    "key": (np.uint8, ()),
     "camera_id": (np.int64, ()), "camera_fxfycxcy": (np.float64, (4,)),
     "camera_size": (np.int64, (2,)),
     "image_id": (np.int64, ()), "image_camera": (np.int64, ()),
@@ -321,6 +323,11 @@ _COLUMNS = {
     "point_rgb": (np.int64, (3,)),
     "track_len": (np.int64, ()), "track_image": (np.int64, ()), "track_uv": (np.float64, (2,)),
 }
+
+
+def _sidecar(path: Path) -> _io.Sidecar:
+    return _io.Sidecar(path / ".landmarkloc-scene.npz", [path / name for name in _SCENE_FILES],
+                       [__file__], _COLUMNS)
 
 
 def load_scene(path) -> SceneModel:
@@ -337,68 +344,34 @@ def load_scene(path) -> SceneModel:
     the diameter of the points and camera centres, overflows raises a
     DataError naming cameras.txt.
 
-    The first load of a given set of file bytes parses them with every check,
-    then keeps the model's columns in <path>/.landmarkloc-scene.npz under a
-    SHA-256 key over those bytes, the loader's source and the numpy version.
-    A later load of the same bytes rebuilds the model from that copy, through
-    the same constructors, to the same values, types and order. A failed load
-    writes nothing. A copy that is missing, stale, unreadable or malformed, or
-    a directory that cannot be written, only means the files are parsed.
+    The model's columns are kept in <path>/.landmarkloc-scene.npz (an
+    _io.Sidecar), by save_scene for the files it writes and by a load that
+    parsed the files and passed every check. A load of the same bytes
+    rebuilds the model from that copy, through the same constructors, to the
+    same values, types and order.
     """
     path = Path(path)
     for name in _SCENE_FILES:
         if not (path / name).exists():
             raise FileNotFoundError(f"missing reconstruction file: {path / name}")
-    try:
-        key = _scene_key(path)
-    except OSError:
-        return _parse_scene(path)  # which reports what it cannot read
-    cache = path / _CACHE_NAME
-    try:
-        return _model_from_cache(cache, key)
-    except Exception:
-        # No copy, or one that is stale, truncated or malformed, whatever the
-        # exception says: the parse below is the authority either way.
-        pass
-    model = _parse_scene(path)
-    try:
-        if _scene_key(path) == key:  # no file changed while it was parsed
-            _store_columns(model, cache, key)
-    except OSError:
-        pass  # a directory that cannot be written
-    return model
+    return _sidecar(path).read(lambda: _parse_scene(path), _model_from_columns, lambda m: _columns(
+        m.intrinsics, m.images, [img.pose.R for img in m.images.values()], m.points))
 
 
-def _scene_key(path: Path) -> bytes:
-    """SHA-256 over what the model is a function of: the numpy version, the
-    loader's source (so that an edit to it leaves every kept copy stale) and
-    the three files. Each file goes in after its length, so that bytes moved
-    from one file to the next change the key."""
-    h = hashlib.sha256(np.__version__.encode())
-    for file in (Path(__file__), Path(_io.__file__), *(path / name for name in _SCENE_FILES)):
-        data = file.read_bytes()
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    return h.digest()
-
-
-def _store_columns(model: SceneModel, cache: Path, key: bytes) -> None:
-    """Keep the model's columns in cache under key: a temp file, then an
-    atomic rename. An OSError leaves no file behind."""
-    cams, images = (list(d.values()) for d in (model.intrinsics, model.images))
-    points = model.points
-    names = [img.name for img in images]
-    columns = {
-        "key": np.frombuffer(key, np.uint8),
-        "camera_id": np.array(list(model.intrinsics), np.int64),
+def _columns(intrinsics: dict, images: dict, R: list, points: PointSet) -> dict:
+    """The columns of a model of intrinsics, images and points, in their
+    order, with R in place of the images' rotations."""
+    cams, imgs = list(intrinsics.values()), list(images.values())
+    names = [img.name for img in imgs]
+    return {
+        "camera_id": np.array(list(intrinsics), np.int64),
         "camera_fxfycxcy": np.array([(K.fx, K.fy, K.cx, K.cy) for K in cams],
                                     np.float64).reshape(-1, 4),
-        "camera_size": np.array([(K.width, K.height) for K in cams],
-                                np.int64).reshape(-1, 2),
-        "image_id": np.array([img.id for img in images], np.int64),
-        "image_camera": np.array([img.camera_id for img in images], np.int64),
-        "image_R": np.array([img.pose.R for img in images]).reshape(-1, 3, 3),
-        "image_t": np.array([img.pose.t for img in images]).reshape(-1, 3),
+        "camera_size": np.array([(K.width, K.height) for K in cams], np.int64).reshape(-1, 2),
+        "image_id": np.array(list(images), np.int64),
+        "image_camera": np.array([img.camera_id for img in imgs], np.int64),
+        "image_R": np.array(R, np.float64).reshape(-1, 3, 3),
+        "image_t": np.array([img.pose.t for img in imgs], np.float64).reshape(-1, 3),
         # One UTF-8 run and each name's length: a numpy str array would
         # drop a name's trailing NULs.
         "image_names": np.frombuffer("".join(names).encode(), np.uint8),
@@ -407,27 +380,11 @@ def _store_columns(model: SceneModel, cache: Path, key: bytes) -> None:
         "track_len": np.diff(points.offsets),
         "track_image": points.image_ids, "track_uv": points.uv,
     }
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            np.savez(fh, **columns)
-        os.replace(tmp, cache)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
-def _model_from_cache(cache: Path, key: bytes) -> SceneModel:
-    """The model kept in cache under key, through the constructors the parse
-    uses; an exception when the file is missing, stale or malformed."""
-    with np.load(cache, allow_pickle=False) as z:
-        if z["key"].tobytes() != key or set(z.files) != _COLUMNS.keys():
-            raise ValueError("stale or foreign scene cache")
-        c = {name: z[name] for name in _COLUMNS}
-    if any(c[name].dtype != dtype or c[name].shape[1:] != row or c[name].ndim != 1 + len(row)
-           for name, (dtype, row) in _COLUMNS.items()):
-        raise ValueError("malformed scene cache")
+def _model_from_columns(c: dict) -> SceneModel:
+    """The model of columns c, through the constructors the parse uses; an
+    exception when they do not make one."""
     intrinsics = {
         cam_id: Intrinsics(*k, *size) for cam_id, k, size in zip(
             c["camera_id"].tolist(), c["camera_fxfycxcy"].tolist(),
@@ -436,7 +393,7 @@ def _model_from_cache(cache: Path, key: bytes) -> SceneModel:
     text = c["image_names"].tobytes().decode()
     ends = [0, *np.cumsum(c["image_name_len"]).tolist()]
     if ends[-1] != len(text):
-        raise ValueError("malformed scene cache")
+        raise ValueError("image names do not add up to their text")
     images = {
         iid: ImageRecord(iid, Pose(R, t), cam_id, text[lo:hi])
         for iid, cam_id, R, t, lo, hi in zip(
@@ -444,7 +401,7 @@ def _model_from_cache(cache: Path, key: bytes) -> SceneModel:
             c["image_t"], ends[:-1], ends[1:], strict=True)
     }
     if (len(intrinsics), len(images)) != (len(c["camera_id"]), len(c["image_id"])):
-        raise ValueError("malformed scene cache")  # a repeated id
+        raise ValueError("repeated camera or image id")
     return SceneModel(intrinsics, images, PointSet(
         c["point_id"], c["point_xyz"], c["point_rgb"], c["track_len"], c["track_image"],
         c["track_uv"]))
@@ -595,18 +552,23 @@ def _parse_scene(path: Path) -> SceneModel:
     image, row = track_rows()
     points = PointSet(list(point_line), point_xyz, point_rgb, track_len, image,
                       np.column_stack((obs_u, obs_v))[row])
-    # The pinhole model multiplies camera-frame coordinates, at most the
-    # diameter of the points and camera centres, by a focal length. A
-    # diameter that overflows itself is left to the stage that reads the
-    # coordinates, which names their file.
+    _check_focal_lengths(path, intrinsics, points.xyz, [img.pose for img in images.values()])
+    return SceneModel(intrinsics, images, points)
+
+
+def _check_focal_lengths(path: Path, intrinsics: dict, xyz: np.ndarray, poses: list) -> None:
+    """A DataError naming cameras.txt when a focal length times the diameter
+    of the points xyz and the centres of poses overflows: the pinhole model
+    multiplies camera-frame coordinates, at most that diameter, by it. A
+    diameter that overflows itself is left to the stage that reads the
+    coordinates, which names their file."""
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = [img.pose.center for img in images.values()]
-    diameter = _diameter(np.vstack([points.xyz, *centers]))
+        centers = [T.center for T in poses]
+    diameter = _diameter(np.vstack([xyz, *centers]))
     for cam_id, K in intrinsics.items():
         if math.isfinite(diameter) and not math.isfinite(max(K.fx, K.fy) * diameter):
             raise DataError(f"{path / 'cameras.txt'}: camera {cam_id}: focal length too large: "
                             "times the diameter of the points and camera centres it overflows")
-    return SceneModel(intrinsics, images, points)
 
 
 def _diameter(xyz: np.ndarray) -> float:
@@ -622,18 +584,16 @@ def save_scene(model: SceneModel, path) -> None:
 
     Each image's observation line, and each point's track, is written with
     one % format over a flat list of its values, floats as _io.fmt gives them.
+    The columns a load of the files gives are kept beside them (see
+    load_scene), unless the text would not read back to the model's values or
+    would fail a check of the load: a name that is empty or not single-spaced,
+    an id, width or height that is not an integer, or a non-finite position.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-
-    with open(path / "cameras.txt", "w", encoding="utf-8") as fh:
-        fh.write("# CAMERA_ID MODEL WIDTH HEIGHT PARAMS[]\n")
-        for cam_id in sorted(model.intrinsics):
-            K = model.intrinsics[cam_id]
-            fh.write(
-                f"{cam_id} PINHOLE {K.width} {K.height} "
-                f"{_io.fmt(K.fx)} {_io.fmt(K.fy)} {_io.fmt(K.cx)} {_io.fmt(K.cy)}\n"
-            )
+    cameras = {cam_id: model.intrinsics[cam_id] for cam_id in sorted(model.intrinsics)}
+    images = {iid: model.images[iid] for iid in sorted(model.images)}
+    qvecs = [img.pose.qvec for img in images.values()]
 
     # Every observation is a row, in (point id, track slot) order. Each image
     # lists its rows in that order, and a track entry names the row's place there.
@@ -641,40 +601,65 @@ def save_scene(model: SceneModel, path) -> None:
     by_id = np.argsort(pts.ids)
     rows = np.argsort(pts.ids[pts.owner], kind="stable")
     point_ids, lens = pts.ids[by_id], np.diff(pts.offsets)[by_id]
+    xyz, rgb = pts.xyz[by_id], pts.rgb[by_id]
     image, uv = pts.image_ids[rows], pts.uv[rows]
     order = np.argsort(image, kind="stable")
     by_image = image[order]
     place = np.empty(len(image), dtype=np.int64)
     place[order] = np.arange(len(image)) - np.searchsorted(by_image, by_image)
 
-    image_ids = sorted(model.images)
-    lo = np.searchsorted(by_image, image_ids).tolist()
-    hi = np.searchsorted(by_image, image_ids, side="right").tolist()
-    # Each observation line and each track is one % format over a flat list.
-    obs = [None] * (3 * len(image))
-    obs[0::3], obs[1::3] = uv[order, 0].tolist(), uv[order, 1].tolist()
-    obs[2::3] = np.repeat(point_ids, lens)[order].tolist()
-    with open(path / "images.txt", "w", encoding="utf-8") as fh:
-        fh.write("# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n")
-        fh.write("# POINTS2D[] as (X Y POINT3D_ID)\n")
-        for iid, first, last in zip(image_ids, lo, hi):
-            img = model.images[iid]
-            q = img.pose.qvec
-            t = img.pose.t
-            fh.write(
-                f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
-                f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
-            )
-            fh.write(("%.17g %.17g %d " * (last - first))[:-1] % tuple(obs[3 * first:3 * last])
-                     + "\n")
+    def camera_lines():
+        yield b"# CAMERA_ID MODEL WIDTH HEIGHT PARAMS[]\n"
+        for cam_id, K in cameras.items():
+            yield (f"{cam_id} PINHOLE {K.width} {K.height} "
+                   f"{_io.fmt(K.fx)} {_io.fmt(K.fy)} {_io.fmt(K.cx)} {_io.fmt(K.cy)}\n").encode()
 
-    track = [None] * (2 * len(image))
-    track[0::2], track[1::2] = image.tolist(), place.tolist()
-    bounds = [0, *np.cumsum(lens).tolist()]
-    with open(path / "points3D.txt", "w", encoding="utf-8") as fh:
-        fh.write("# POINT3D_ID X Y Z R G B ERROR TRACK[] as (IMAGE_ID POINT2D_IDX)\n")
+    def image_lines():
+        # Each observation line is one % format over a flat list.
+        lo = np.searchsorted(by_image, list(images)).tolist()
+        hi = np.searchsorted(by_image, list(images), side="right").tolist()
+        obs = [None] * (3 * len(image))
+        obs[0::3], obs[1::3] = uv[order, 0].tolist(), uv[order, 1].tolist()
+        obs[2::3] = np.repeat(point_ids, lens)[order].tolist()
+        yield b"# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n# POINTS2D[] as (X Y POINT3D_ID)\n"
+        for (iid, img), q, first, last in zip(images.items(), qvecs, lo, hi):
+            t = img.pose.t
+            yield (f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
+                   f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
+                   + ("%.17g %.17g %d " * (last - first))[:-1] % tuple(obs[3 * first:3 * last])
+                   + "\n").encode()
+
+    def point_lines():
+        # Each track is one % format over a flat list.
+        track = [None] * (2 * len(image))
+        track[0::2], track[1::2] = image.tolist(), place.tolist()
+        bounds = [0, *np.cumsum(lens).tolist()]
+        yield b"# POINT3D_ID X Y Z R G B ERROR TRACK[] as (IMAGE_ID POINT2D_IDX)\n"
         for pt_id, (x, y, z), (r, g, b), lo, hi in zip(
-                point_ids.tolist(), pts.xyz[by_id].tolist(), pts.rgb[by_id].tolist(),
-                bounds, bounds[1:]):
-            fh.write(f"{pt_id} {x:.17g} {y:.17g} {z:.17g} {r} {g} {b} 0"
-                     + " %d %d" * (hi - lo) % tuple(track[2 * lo:2 * hi]) + "\n")
+                point_ids.tolist(), xyz.tolist(), rgb.tolist(), bounds, bounds[1:]):
+            yield (f"{pt_id} {x:.17g} {y:.17g} {z:.17g} {r} {g} {b} 0"
+                   + " %d %d" * (hi - lo) % tuple(track[2 * lo:2 * hi]) + "\n").encode()
+
+    _sidecar(path).write([camera_lines(), image_lines(), point_lines()], _read_back(
+        path, cameras, images, qvecs, PointSet(point_ids, xyz, rgb, lens, image, uv)))
+
+
+def _read_back(path: Path, cameras: dict, images: dict, qvecs: list, points: PointSet):
+    """The columns _parse_scene gives for the files save_scene wrote of
+    cameras and images, in id order, whose quaternions are qvecs, and of
+    points, in id order with tracks in file order; None when the text does
+    not read back to their values or fails a check of the parse."""
+    ints = [*cameras, *images, *(img.camera_id for img in images.values()),
+            *(n for K in cameras.values() for n in (K.width, K.height))]
+    if not (all(map(_io.is_int64, ints))
+            and all(isinstance(img.name, str) and img.name
+                    and " ".join(img.name.split()) == img.name for img in images.values())
+            and np.isfinite(points.xyz).all() and np.isfinite(points.uv).all()):
+        return None
+    try:
+        R = [qvec2rotmat(q) for q in qvecs]
+        poses = [Pose(r, img.pose.t) for r, img in zip(R, images.values())]
+        _check_focal_lengths(path, cameras, points.xyz, poses)
+    except (ValueError, DataError):
+        return None
+    return _columns(cameras, images, R, points)

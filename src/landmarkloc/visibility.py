@@ -169,9 +169,30 @@ class VisibilityTable:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 2 or self.mask.shape[1] != len(self.image_ids):
             raise ValueError("mask shape does not match the image ids")
+        _check_excluded(self.excluded, len(self.mask))
+
+    def __eq__(self, other):
+        if not isinstance(other, VisibilityTable):
+            return NotImplemented
+        return (list(self.image_ids) == list(other.image_ids)
+                and np.array_equal(self.mask, other.mask)
+                and self.tolerances == other.tolerances
+                and list(self.excluded) == list(other.excluded))
 
     def visible(self, landmark_id: int, image_id: int) -> bool:
         return bool(self.mask[landmark_id, self.image_ids.index(image_id)])
+
+
+def _check_excluded(excluded, landmarks: int) -> None:
+    """A ValueError when an excluded id is not a row of a table of landmarks
+    rows or is listed twice."""
+    seen = set()
+    for lid in excluded:
+        if not 0 <= lid < landmarks:
+            raise ValueError(f"excluded landmark id {lid} outside [0, {landmarks})")
+        if lid in seen:
+            raise ValueError(f"excluded landmark id {lid} repeated")
+        seen.add(lid)
 
 
 def _clip_near(poly: np.ndarray, znear: float) -> np.ndarray:
@@ -517,7 +538,7 @@ def load_visibility(path) -> VisibilityTable:
                         except ValueError:
                             tolerances[k] = v
                 elif key == ["excluded"]:
-                    excluded = list(map(int, tokens[2:]))
+                    excluded, excluded_no = list(map(int, tokens[2:])), src.no
                 continue
             lid, *vis = map(int, tokens)
             if col is None:
@@ -536,6 +557,10 @@ def load_visibility(path) -> VisibilityTable:
     if (landmarks, images) != (len(rows), len(image_ids)):
         raise MalformedFileError(path, no, f"header counts {landmarks} landmarks and {images} "
                                  f"images, the file lists {len(rows)} and {len(image_ids)}")
+    try:
+        _check_excluded(excluded, len(rows))
+    except ValueError as exc:
+        raise MalformedFileError(path, excluded_no, str(exc)) from None
     mask = np.zeros((len(rows), len(image_ids)), dtype=bool)
     for i, cols in enumerate(rows):
         mask[i, cols] = True

@@ -119,3 +119,18 @@ def sorted_rows(calls):
     rows = np.column_stack([np.concatenate([c[k] for c in calls]).astype(float)
                             for k in range(len(calls[0]))])
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def read_only_open(file, mode="r", *args, **kwargs):
+    """open, refusing to create a file as a read-only directory would."""
+    if "x" in mode or "w" in mode:
+        raise PermissionError(13, "Permission denied", str(file))
+    return open(file, mode, *args, **kwargs)
+
+
+def outcome(load, path):
+    """What load(path) gives: its result, or the type and text of its error."""
+    try:
+        return load(path)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)

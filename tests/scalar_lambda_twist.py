@@ -21,12 +21,11 @@ from landmarkloc.pose import (
     STATUS_OK,
     PoseEstimate,
     SolverConfig,
-    _cross,
     _stacked_errors,
     refine_pose,
     reprojection_errors,
 )
-from landmarkloc.scene_model import Intrinsics, Pose, bearing
+from landmarkloc.scene_model import Intrinsics, Pose, _cross, bearing
 
 
 def stacked_errors(poses, uv, xyz, K):

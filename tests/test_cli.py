@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import landmarkloc
+from landmarkloc import detection, scene_model
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
@@ -817,3 +818,48 @@ class TestLocalizeErrors:
              "--detections", str(dets), "--out", str(tmp_path / "x.txt")]
         )
         assert rc == 1
+
+
+class TestSidecars:
+    def test_stages_read_what_the_writers_left(self, tmp_path, monkeypatch, capsys):
+        # synth leaves the scene's columns and simulate the detections':
+        # select parses no scene text and evaluate no detections text.
+        parses = {"scene": 0, "detections": 0}
+
+        def counted(module, name, what):
+            original = getattr(module, name)
+
+            def call(*args):
+                parses[what] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted(scene_model, "_parse_scene", "scene")
+        counted(detection, "_bulk_columns", "detections")
+        s, w = tmp_path / "synth", tmp_path / "work"
+        w.mkdir()
+        scene = str(s / "scene")
+        assert main(["synth", "--out", str(s), "--seed", "3", "--sites", "120", "--cameras", "12",
+                     "--width", "320", "--height", "240", "--focal", "200", "--margin", "1.4",
+                     "--min-target-dist", "3.0"]) == 0
+        assert main(["select", "--scene", scene, "--count", "40", "--min-track", "3",
+                     "--out", str(w / "sel.txt")]) == 0
+        assert parses["scene"] == 0
+        lms = str(s / "landmarks.txt")
+        assert main(["simulate", "--scene", scene, "--landmarks", lms,
+                     "--visibility", str(s / "visibility.txt"), "--seed", "2",
+                     "--out", str(w / "dets.csv")]) == 0
+        assert main(["localize", "--scene", scene, "--landmarks", lms,
+                     "--detections", str(w / "dets.csv"), "--seed", "0",
+                     "--out", str(w / "poses.txt")]) == 0
+        assert main(["evaluate", "--scene", scene, "--estimates", str(w / "poses.txt"),
+                     "--detections", str(w / "dets.csv"), "--out", str(w / "report.txt")]) == 0
+        assert parses == {"scene": 0, "detections": 0}
+        # The same stages without the copies parse the text, to the same report.
+        report = (w / "report.txt").read_text()
+        (s / "scene" / ".landmarkloc-scene.npz").unlink()
+        (w / ".dets.csv.landmarkloc.npz").unlink()
+        assert main(["evaluate", "--scene", scene, "--estimates", str(w / "poses.txt"),
+                     "--detections", str(w / "dets.csv"), "--out", str(w / "report.txt")]) == 0
+        assert parses == {"scene": 1, "detections": 1}
+        assert (w / "report.txt").read_text() == report

@@ -1,16 +1,18 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
-from landmarkloc import _io
+from landmarkloc import _io, detection
 from landmarkloc.detection import (
     CSV_HEADER,
     DetectionSet,
     Heatmap,
     _bulk_columns,
     _by_image,
+    _parse,
     _row_columns,
     extract_detection,
     grid_shape,
@@ -26,7 +28,7 @@ from landmarkloc.pose import localize
 from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
-from conftest import landmark_set, points_from_pairs
+from conftest import landmark_set, outcome, points_from_pairs, read_only_open
 
 EXTENT = (640, 480)  # grid 80 x 60
 
@@ -209,13 +211,68 @@ class TestMerge:
             merge_ensemble([a, b])
 
 
+def count_parses(monkeypatch):
+    """A list that gets one entry per parse of a detections file's text."""
+    calls = []
+
+    def parse(path):
+        calls.append(path)
+        return _parse(path)
+
+    monkeypatch.setattr(detection, "_parse", parse)
+    return calls
+
+
+def copy_of(path):
+    """Where save_detections keeps the columns of the file at path."""
+    return detection._sidecar(path).path
+
+
+@pytest.fixture(autouse=True)
+def load_both_ways(monkeypatch, tmp_path_factory):
+    """Makes each load_detections of a test in this module load the file
+    twice: as text, with any copy beside it removed, and with a copy beside
+    it, either the one save_detections left, which is then read, or a stale
+    one (of another file's bytes). The two must give the same sets, bit for
+    bit, or raise the same error; the text's is returned or raised, and the
+    copy is left as it was found."""
+    other = tmp_path_factory.mktemp("other") / "dets.csv"
+    save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, other)
+    stale = copy_of(other).read_bytes()
+
+    def load(path):
+        copy = copy_of(path)
+        found = copy.read_bytes() if copy.exists() else None
+        results = []
+        for kept in (None, stale if found is None else found):
+            copy.unlink(missing_ok=True)
+            if kept is not None:
+                copy.write_bytes(kept)
+            try:
+                results.append(detection.load_detections(path))
+            except Exception as exc:  # compared, then raised below
+                results.append(exc)
+        if found is None:
+            copy.unlink()
+        text, copied = results
+        if isinstance(text, Exception):
+            assert (type(copied), str(copied)) == (type(text), str(text))
+            raise text
+        same_bits(copied, text)
+        return text
+
+    monkeypatch.setitem(globals(), "load_detections", load)
+
+
 class TestDetectionIO:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
         model, ls, vt = tiny_scene()
         dets = simulate_detections(model, ls, vt, 1.0, 0.2, seed=2)
         path = tmp_path / "dets.csv"
         save_detections(dets, path)
+        parses = count_parses(monkeypatch)
         loaded = load_detections(path)
+        assert len(parses) == 1  # of the two loads, the one of the text
         assert set(loaded) == set(dets)
         for iid in dets:
             same_columns(loaded[iid], dets[iid])
@@ -486,3 +543,174 @@ class TestLoaderPaths:
                 rows = ds.landmark_ids
                 assert (ds.uv.view(np.int64) == uv[rows].view(np.int64)).all()
                 assert (ds.confidence.view(np.int64) == conf[rows].view(np.int64)).all()
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        same_bits(a, b)
+    else:
+        assert a == b
+
+
+class TestDetectionsCopy:
+    """save_detections leaves the columns a load of its text gives, and
+    load_detections reads them in place of the text."""
+
+    def simulated(self, tmp_path):
+        model, ls, vt = tiny_scene(n_landmarks=50, n_images=10)
+        path = tmp_path / "dets.csv"
+        save_detections(simulate_detections(model, ls, vt, 1.0, 0.3, seed=12), path)
+        return path
+
+    def test_copy_equals_parse(self, tmp_path, monkeypatch):
+        path = self.simulated(tmp_path)
+        assert copy_of(path).exists()
+        parses = count_parses(monkeypatch)
+        copied = detection.load_detections(path)
+        assert parses == []
+        same_bits(copied, _parse(path))
+        assert all(ds.uv.flags.c_contiguous and ds.confidence.flags.c_contiguous
+                   for ds in copied.values())
+
+    @pytest.mark.parametrize("dets", [
+        {},
+        {7: DetectionSet(7, [], np.zeros((0, 2)), [])},
+        {np.int64(4): DetectionSet(4, [2, 1], [[1.5, -0.0], [5e-324, 639.5]], [1.0, 0.3125]),
+         -3: DetectionSet(-3, [9], [[1e-300, 2.0]], [5e-324])},
+    ], ids=["empty", "image-without-rows", "edge-values"])
+    def test_small_sets_copy_equals_parse(self, tmp_path, monkeypatch, dets):
+        path = tmp_path / "dets.csv"
+        save_detections(dets, path)
+        assert copy_of(path).exists()
+        parses = count_parses(monkeypatch)
+        copied = detection.load_detections(path)
+        assert parses == []
+        same_bits(copied, _parse(path))
+
+    @pytest.mark.parametrize("dets", [
+        {2 ** 63: DetectionSet(0, [1], [[1.0, 2.0]], [0.5])},
+        {True: DetectionSet(1, [1], [[1.0, 2.0]], [0.5])},
+        {1.0: DetectionSet(1, [1], [[1.0, 2.0]], [0.5])},
+        {1: DetectionSet._in_order(1, np.array([1]), np.array([[np.nan, 2.0]]), np.array([0.5]))},
+        {1: DetectionSet._in_order(1, np.array([1]), np.array([[1.0, np.inf]]), np.array([0.5]))},
+        {1: DetectionSet._in_order(1, np.array([1]), np.array([[1.0, 2.0]]), np.array([1.5]))},
+        {1: DetectionSet._in_order(1, np.array([3, 1]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                   np.array([0.5, 0.25]))},
+        {1: DetectionSet._in_order(1, np.array([3, 3]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                   np.array([0.5, 0.25]))},
+        {1: DetectionSet._in_order(1, np.array([1.0]), np.array([[1.0, 2.0]]), np.array([0.5]))},
+    ], ids=["id-past-int64", "bool-id", "float-id", "nan-pixel", "inf-pixel", "confidence",
+            "out-of-order", "repeated", "float-landmark"])
+    def test_no_copy_for_text_that_reads_back_otherwise(self, tmp_path, dets):
+        path = tmp_path / "dets.csv"
+        save_detections(dets, path)
+        assert not copy_of(path).exists()
+        assert_same_outcome(outcome(detection.load_detections, path), outcome(_parse, path))
+
+    @pytest.mark.parametrize("damage", [
+        lambda data, foreign: data[:len(data) // 2],                 # truncated
+        lambda data, foreign: data[:300] + bytes(200) + data[500:],  # corrupt
+        lambda data, foreign: b"",                                   # empty
+        lambda data, foreign: b"not a zip file\n",                   # foreign format
+        lambda data, foreign: foreign,                               # another file's key
+    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key"])
+    def test_bad_copy_gives_the_parse(self, tmp_path, monkeypatch, damage):
+        other = tmp_path / "other.csv"
+        save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, other)
+        path = self.simulated(tmp_path)
+        copy = copy_of(path)
+        copy.write_bytes(damage(copy.read_bytes(), copy_of(other).read_bytes()))
+        kept = copy.read_bytes()
+        parses = count_parses(monkeypatch)
+        same_bits(detection.load_detections(path), _parse(path))
+        assert len(parses) == 1 and copy.read_bytes() == kept  # a load never keeps a copy
+
+    @pytest.mark.parametrize("column, value", [
+        ("uv", np.zeros((3, 3))),                            # a row of the wrong shape
+        ("ids", np.array([7.0])),                            # the wrong dtype
+        ("ids", np.zeros(2, np.int64)),                      # columns of unequal length
+        ("uv", np.array([[np.nan, 0.0]])),                   # what the load rejects
+        ("conf", np.array([0.0])),
+        ("extra", np.zeros(1)),                              # a column the loader does not know
+    ])
+    def test_malformed_copy_gives_the_parse(self, tmp_path, monkeypatch, column, value):
+        # A copy under the right key whose columns do not make the sets.
+        path = tmp_path / "dets.csv"
+        save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, path)
+        with np.load(copy_of(path)) as z:
+            columns = dict(z)
+        columns[column] = value
+        np.savez(copy_of(path), **columns)
+        parses = count_parses(monkeypatch)
+        same_bits(detection.load_detections(path), _parse(path))
+        assert len(parses) == 1
+
+    def test_repeated_pair_in_copy_gives_the_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "dets.csv"
+        save_detections({1: DetectionSet(1, [0, 1], [[1.0, 2.0], [3.0, 4.0]], [0.5, 1.0])}, path)
+        with np.load(copy_of(path)) as z:
+            columns = dict(z)
+        columns["ids"] = np.array([1, 1])
+        np.savez(copy_of(path), **columns)
+        assert detection.load_detections(path)[1].landmark_ids.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("old, new", [(b"\r\n2,", b"\r\n3,"), (b"0.5", b"0.6")])
+    def test_one_byte_edit_forces_a_parse(self, tmp_path, monkeypatch, old, new):
+        path = tmp_path / "dets.csv"
+        save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5]),
+                         2: DetectionSet(2, [4], [[3.0, 4.0]], [1.0])}, path)
+        kept = copy_of(path).read_bytes()
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        parses = count_parses(monkeypatch)
+        edited = detection.load_detections(path)
+        assert len(parses) == 1 and copy_of(path).read_bytes() == kept
+        same_bits(edited, _parse(path))
+
+    def test_loader_edit_forces_a_parse(self, tmp_path, monkeypatch):
+        path = self.simulated(tmp_path)
+        edited = tmp_path / "detection.py"
+        edited.write_bytes(open(detection.__file__, "rb").read() + b"\n")
+        monkeypatch.setattr(detection, "__file__", str(edited))
+        parses = count_parses(monkeypatch)
+        detection.load_detections(path)
+        assert len(parses) == 1
+
+    def test_no_copy_file_costs_one_stat(self, tmp_path, monkeypatch):
+        path = self.simulated(tmp_path)
+        copy_of(path).unlink()
+        keys = []
+        monkeypatch.setattr(_io.Sidecar, "key", lambda self: keys.append(self))
+        parses = count_parses(monkeypatch)
+        detection.load_detections(path)
+        assert keys == [] and len(parses) == 1
+        assert sorted(os.listdir(tmp_path)) == ["dets.csv"]
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["copy", "text"])
+    def test_read_only_directory(self, tmp_path, monkeypatch, keep):
+        # A load writes nothing, whether it reads the copy or parses.
+        path = self.simulated(tmp_path)
+        if not keep:
+            copy_of(path).unlink()
+        files = sorted(os.listdir(tmp_path))
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):  # permission bits do not bind root
+                monkeypatch.setattr(_io, "open", read_only_open, raising=False)
+            parses = count_parses(monkeypatch)
+            for _ in range(2):
+                same_bits(detection.load_detections(path), _parse(path))
+            assert len(parses) == (0 if keep else 2)
+            assert sorted(os.listdir(tmp_path)) == files
+        finally:
+            tmp_path.chmod(0o755)
+
+    def test_unwritable_copy_leaves_the_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "dets.csv"
+        copy_of(path).mkdir()  # cannot be replaced
+        save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, path)
+        assert sorted(os.listdir(tmp_path)) == sorted([copy_of(path).name, "dets.csv"])
+        parses = count_parses(monkeypatch)
+        assert detection.load_detections(path)[1].landmark_ids.tolist() == [0]
+        assert len(parses) == 1

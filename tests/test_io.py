@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_minimal_model
+from landmarkloc import detection
 from landmarkloc.detection import DetectionSet, load_detections, save_detections
 from landmarkloc.errors import MalformedFileError
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
@@ -40,7 +41,7 @@ def write_partition(d):
 
 def write_visibility(d):
     mask = [[True, False], [True, True]]
-    save_visibility(VisibilityTable([1, 2], mask, {"tol_depth": 0.05}, [5]),
+    save_visibility(VisibilityTable([1, 2], mask, {"tol_depth": 0.05}, [1]),
                     d / "vis.txt")
     return ["vis.txt"]
 
@@ -51,6 +52,13 @@ def write_detections(d):
         2: DetectionSet(2, [3], [[30.0, 4.5]], [0.5]),
     }, d / "dets.csv")
     return ["dets.csv"]
+
+
+def write_detections_text(d):
+    """write_detections without the copy save_detections leaves beside the file."""
+    files = write_detections(d)
+    detection._sidecar(d / "dets.csv").path.unlink()
+    return files
 
 
 def write_poses(d):
@@ -73,6 +81,7 @@ FORMATS = {
     "partition": (write_partition, lambda d: load_partition(d / "part.txt")),
     "visibility": (write_visibility, lambda d: load_visibility(d / "vis.txt")),
     "detections": (write_detections, lambda d: load_detections(d / "dets.csv")),
+    "detections-text": (write_detections_text, lambda d: load_detections(d / "dets.csv")),
     "poses": (write_poses, lambda d: load_poses(d / "poses.txt")),
     "ply": (write_ply, lambda d: load_mesh(d / "tri.ply")),
 }
@@ -123,6 +132,11 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     ("partition", "part.txt", 3, "2 1"),                                       # id skipped
     ("detections", "dets.csv", 3, "1,99999999999999999999,3,4,0.5"),          # id > int64
     ("detections", "dets.csv", 3, "-9223372036854775809,7,3,4,0.5"),          # id < int64
+    ("detections-text", "dets.csv", 3, "1,99999999999999999999,3,4,0.5"),
+    ("detections-text", "dets.csv", 3, "-9223372036854775809,7,3,4,0.5"),
+    ("visibility", "vis.txt", 4, "# excluded 2"),                              # excluded >= L
+    ("visibility", "vis.txt", 4, "# excluded -1"),                             # excluded < 0
+    ("visibility", "vis.txt", 4, "# excluded 0 1 0"),                          # excluded twice
     ("visibility", "vis.txt", 6, "0 2"),                                       # id repeated
     ("visibility", "vis.txt", 3, "# image_ids 1 1"),                           # image repeated
     ("visibility", "vis.txt", 6, "# image_ids 2 1"),                           # second header

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from landmarkloc import landmarks
 from landmarkloc.errors import InsufficientCandidatesError
 from landmarkloc.landmarks import (
     LandmarkSet,
+    _distinct_images,
+    _saliencies,
     load_landmarks,
     save_landmarks,
     score_saliency,
     select_landmarks,
 )
-from landmarkloc.scene_model import ImageRecord, Pose, SceneModel
+from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel
+from landmarkloc.synth import SynthConfig, generate_scene
 
 from conftest import make_intrinsics, points_from_pairs, random_rotation, track
 
@@ -91,6 +95,51 @@ class TestSaliency:
         model = make_cloud_model(rng, n_points=40)
         for k in range(len(model.points)):
             assert abs(saliency(model, k) - saliency_oracle(model, k)) < 1e-12
+
+
+def saliencies_per_point(xyz, image_ids, counts, model):
+    """The per-point loop _saliencies replaced: one product, clip, arccos and
+    mean per point."""
+    images, at = np.unique(image_ids, return_inverse=True)
+    centers = np.array([model.images[iid].pose.center for iid in images.tolist()])
+    d = np.repeat(xyz, counts, axis=0) - centers.reshape(-1, 3)[at]
+    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
+    scores = []
+    for end, n in zip(np.cumsum(counts).tolist(), np.asarray(counts).tolist()):
+        if n == 0:
+            raise ValueError("point has no observations")
+        if n == 1:
+            scores.append(1.0)
+            continue
+        cosines = np.clip(dirs[end - n:end] @ dirs[end - n:end].T, -1.0, 1.0)
+        spread = min(float(np.mean(np.arccos(cosines[np.triu_indices(n, k=1)]))), math.pi / 2)
+        scores.append(n * (1.0 + spread))
+    return scores
+
+
+class TestSaliencyReferee:
+    """_saliencies, by track length, against the per-point loop, bit for bit."""
+
+    @pytest.mark.parametrize("sites", [250, 1400], ids=["demo", "ensemble1000"])
+    @pytest.mark.parametrize("block", [None, 1, 200])
+    def test_equals_per_point_loop(self, monkeypatch, sites, block):
+        model = generate_scene(SynthConfig(
+            num_landmark_sites=sites, num_cameras=100, camera_margin=1.4, min_target_dist=3.0,
+            intrinsics=Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480), seed=7)).model
+        if block is not None:  # one point per block, or a few
+            monkeypatch.setattr(landmarks, "_SALIENCY_BLOCK", block)
+        image_ids, counts = _distinct_images(model.points)
+        args = (model.points.xyz, image_ids, counts, model)
+        got = _saliencies(*args)
+        assert got == saliencies_per_point(*args)
+        assert all(type(x) is float for x in got) and len(set(counts.tolist())) > 5
+
+    def test_untracked_point_raises(self):
+        model = make_cloud_model(np.random.default_rng(2), n_points=5)
+        image_ids, counts = _distinct_images(model.points)
+        counts[2] = 0
+        with pytest.raises(ValueError, match="point has no observations"):
+            _saliencies(model.points.xyz, image_ids[:counts.sum()], counts, model)
 
 
 class TestSelection:

@@ -207,6 +207,17 @@ def test_group_outside_range_rejected(group):
         PartitionAssignment([0, group], 2, "default")
 
 
+def test_equal_assignments_compare_equal():
+    a = PartitionAssignment([0, 1, 1, 0, 2], 3, "random", seed=4)
+    assert a == PartitionAssignment(np.array([0, 1, 1, 0, 2]), 3, "random", seed=4)
+    assert a != PartitionAssignment([0, 1, 0, 1, 2], 3, "random", seed=4)
+    assert a != PartitionAssignment([0, 1, 1, 0, 2], 3, "random", seed=5)
+    assert a != PartitionAssignment([0, 1, 1, 0, 2], 3, "kmeans", seed=4)
+    assert PartitionAssignment([0, 1], 2, "default") != PartitionAssignment([0, 1], 3, "default")
+    assert a != PartitionAssignment([0, 1, 1, 0], 2, "random", seed=4)
+    assert a != [0, 1, 1, 0, 2]
+
+
 def test_make_partition_requires_seed():
     ls = random_set(np.random.default_rng(12), 10)
     with pytest.raises(ValueError):
@@ -220,6 +231,7 @@ class TestPartitionIO:
         path = tmp_path / "part.txt"
         save_partition(pa, path)
         loaded = load_partition(path)
+        assert loaded == pa
         assert loaded.group.tolist() == pa.group.tolist()
         assert loaded.g == pa.g
         assert loaded.criterion == "kmeans"

@@ -1,9 +1,12 @@
+import io
 import os
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from landmarkloc import scene_model
+from landmarkloc import _io, scene_model
+from landmarkloc.cli import main
 from landmarkloc.errors import (
     DanglingReferenceError,
     MalformedFileError,
@@ -18,6 +21,7 @@ from landmarkloc.scene_model import (
     _parse_scene,
     bearing,
     load_scene,
+    look_at_pose,
     project,
     project_many,
     qvec2rotmat,
@@ -26,7 +30,14 @@ from landmarkloc.scene_model import (
 )
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import make_intrinsics, make_minimal_model, points_from_pairs, random_rotation
+from conftest import (
+    make_intrinsics,
+    make_minimal_model,
+    outcome,
+    points_from_pairs,
+    random_rotation,
+    read_only_open,
+)
 
 CACHE = ".landmarkloc-scene.npz"
 
@@ -41,11 +52,14 @@ def cold_and_warm(rows, ids=None):
 
 
 def good_scene(path, warm):
-    """The minimal model saved to path; loaded once too when warm."""
+    """The minimal model saved to path, with the copy save_scene leaves when
+    warm (and loaded once from it), without any copy when cold."""
     save_scene(make_minimal_model(), path)
+    assert (path / CACHE).exists()
     if warm:
         load_scene(path)
-        assert (path / CACHE).exists()
+    else:
+        (path / CACHE).unlink()
 
 
 def assert_same_model(a, b):
@@ -296,10 +310,13 @@ class TestPointSet:
 
 
 class TestSceneIO:
-    def test_roundtrip_minimal(self, tmp_path):
+    def test_roundtrip_minimal(self, tmp_path, monkeypatch):
         model = make_minimal_model()
         save_scene(model, tmp_path)
+        (tmp_path / CACHE).unlink()  # the copy save_scene leaves: the text is parsed
+        parses = count_parses(monkeypatch)
         loaded = load_scene(tmp_path)
+        assert len(parses) == 1
         assert set(loaded.images) == set(model.images)
         for iid, img in model.images.items():
             got = loaded.images[iid]
@@ -502,13 +519,6 @@ def count_parses(monkeypatch):
     return calls
 
 
-def read_only_open(file, mode="r", *args, **kwargs):
-    """open, refusing to create a file as a read-only directory would."""
-    if "x" in mode or "w" in mode:
-        raise PermissionError(13, "Permission denied", str(file))
-    return open(file, mode, *args, **kwargs)
-
-
 def bench_sized_model():
     """The scene of the ensemble1000 bench workload: 100 cameras at 640 x 480
     and 1400 landmark sites in the README room, synth seed 7."""
@@ -526,6 +536,7 @@ class TestSceneCache:
         first.name = "a name with inner spaces.png"
         second.name = "ends in a NUL\x00"  # a numpy str array would drop it
         save_scene(model, tmp_path)
+        (tmp_path / CACHE).unlink()  # the copy save_scene leaves
         pts = tmp_path / "points3D.txt"
         comment, *lines = pts.read_text().splitlines(keepends=True)
         pts.write_text(comment + "".join(reversed(lines)))  # ids no longer in order
@@ -596,11 +607,12 @@ class TestSceneCache:
     def test_read_only_directory(self, tmp_path, monkeypatch):
         scene = tmp_path / "scene"
         save_scene(make_minimal_model(), scene)
+        (scene / CACHE).unlink()  # the copy save_scene leaves
         files = sorted(os.listdir(scene))
         scene.chmod(0o555)
         try:
             if os.access(scene, os.W_OK):  # permission bits do not bind root
-                monkeypatch.setattr(scene_model, "open", read_only_open, raising=False)
+                monkeypatch.setattr(_io, "open", read_only_open, raising=False)
             parses = count_parses(monkeypatch)
             for _ in range(2):
                 assert_same_model(load_scene(scene), _parse_scene(scene))
@@ -663,3 +675,104 @@ class TestSceneCache:
         parses = count_parses(monkeypatch)
         load_scene(tmp_path)
         assert parses == []
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, SceneModel) and isinstance(b, SceneModel):
+        assert_same_model(a, b)
+    else:
+        assert a == b
+
+
+# The synth flags of the three bench workloads (perfbench/worker.py), and a
+# scene of one site.
+BENCH_ROOM = ["--seed", "7", "--cameras", "100", "--width", "640", "--height", "480",
+              "--margin", "1.4", "--min-target-dist", "3.0"]
+
+
+class TestWriterCopy:
+    """save_scene leaves the columns a parse of its text gives."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--sites", "250"], ["--sites", "1000", "--occluders", "6"], ["--sites", "1400"],
+        ["--sites", "1", "--seed", "5", "--cameras", "9"],
+    ], ids=["demo", "occluders", "ensemble1000", "one-site"])
+    def test_synth_copy_equals_parse(self, tmp_path, monkeypatch, flags):
+        with redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(tmp_path), *BENCH_ROOM, *flags]) == 0
+        scene = tmp_path / "scene"
+        assert (scene / CACHE).exists()
+        parses = count_parses(monkeypatch)
+        copied = load_scene(scene)
+        assert parses == []
+        assert_same_model(copied, _parse_scene(scene))
+        if flags[1] == "1":
+            assert len(copied.points) == 1
+
+    def test_unsorted_model_copy_equals_parse(self, tmp_path, monkeypatch):
+        # Images, cameras and points out of id order, numpy integer ids, a
+        # track out of image order and names as load_scene reads them back.
+        rng = np.random.default_rng(3)
+        K = Intrinsics(400, 410.5, 320.25, 240.0, np.int64(640), 480)
+        cams = {np.int64(9): K, 2: make_intrinsics()}
+        images = {}
+        for iid, cam in ((np.int64(5), 2), (1, np.int64(9)), (3, 9)):
+            images[iid] = ImageRecord(int(iid), Pose(random_rotation(rng), rng.normal(size=3)),
+                                      cam, f"img {iid}.png" if iid != 3 else "a\x00b")
+        points = PointSet([40, 7, 12], rng.normal(size=(3, 3)), [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                          [3, 2, 1], [3, 5, 1, 1, 3, 5], rng.uniform(0, 100, size=(6, 2)))
+        save_scene(SceneModel(cams, images, points), tmp_path)
+        parses = count_parses(monkeypatch)
+        copied = load_scene(tmp_path)
+        assert parses == []
+        assert_same_model(copied, _parse_scene(tmp_path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: setattr(m.images[1], "name", "two  spaces.png"),
+        lambda m: setattr(m.images[1], "name", " leading.png"),
+        lambda m: setattr(m.images[1], "name", "tab\there.png"),
+        lambda m: setattr(m.images[1], "name", "line\rend.png"),
+        lambda m: setattr(m.images[1], "name", ""),
+        lambda m: setattr(m.images[1], "camera_id", 1.0),
+        lambda m: m.intrinsics.update({1: Intrinsics(100.0, 100.0, 50.0, 50.0, 100.0, 100)}),
+        lambda m: m.intrinsics.update({1: Intrinsics(1e308, 100.0, 50.0, 50.0, 100, 100)}),
+        lambda m: m.points.xyz.__setitem__((0, 1), np.inf),
+        lambda m: m.points.uv.__setitem__((1, 0), np.nan),
+        lambda m: setattr(m.images[1], "camera_id", True),
+    ], ids=["double-space", "leading-space", "tab", "carriage-return", "empty-name",
+            "float-camera", "float-width", "focal-overflows", "inf-position",
+            "nan-observation", "bool-camera"])
+    def test_no_copy_for_text_that_reads_back_otherwise(self, tmp_path, edit):
+        model = make_minimal_model()
+        edit(model)
+        save_scene(model, tmp_path)
+        assert not (tmp_path / CACHE).exists()
+        assert_same_outcome(outcome(load_scene, tmp_path), outcome(_parse_scene, tmp_path))
+
+    def test_writer_copy_of_other_bytes_is_stale(self, tmp_path, monkeypatch):
+        save_scene(make_minimal_model(), tmp_path)
+        kept = (tmp_path / CACHE).read_bytes()
+        images = tmp_path / "images.txt"
+        images.write_bytes(images.read_bytes().replace(b"img1.png", b"img9.png"))
+        parses = count_parses(monkeypatch)
+        assert load_scene(tmp_path).images[2].name == "img9.png"
+        assert len(parses) == 1 and (tmp_path / CACHE).read_bytes() != kept
+
+    def test_unwritable_copy_leaves_the_text(self, tmp_path):
+        (tmp_path / CACHE).mkdir(parents=True)  # cannot be replaced
+        save_scene(make_minimal_model(), tmp_path)
+        assert sorted(os.listdir(tmp_path)) == [CACHE, "cameras.txt", "images.txt",
+                                                "points3D.txt"]
+        assert_same_model(load_scene(tmp_path), _parse_scene(tmp_path))
+
+
+def test_look_at_pose_has_the_bits_of_np_cross():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        eye, target = rng.uniform(-5, 5, size=(2, 3))
+        fwd = (target - eye) / np.linalg.norm(target - eye)
+        right = np.cross(fwd, [0.0, 0.0, 1.0])
+        right /= np.linalg.norm(right)
+        R = np.stack([right, np.cross(fwd, right), fwd])
+        T = look_at_pose(eye, target)
+        assert T.R.tobytes() == R.tobytes() and T.t.tobytes() == (-R @ eye).tobytes()

@@ -17,6 +17,7 @@ from landmarkloc.scene_model import (
 )
 from landmarkloc.visibility import (
     VisibilityConfig,
+    VisibilityTable,
     _decimated,
     _first_hits,
     _visible,
@@ -408,6 +409,19 @@ class TestRayCastSampling:
         assert np.isinf(depth[1]) and not normal[1].any()
 
 
+class TestTableEquality:
+    def test_equal_tables_compare_equal(self):
+        mask = np.array([[True, False], [False, True], [True, True]])
+        a = VisibilityTable([4, 5], mask, {"tol": 0.5}, [1])
+        assert a == VisibilityTable([4, 5], mask.copy(), {"tol": 0.5}, [1])
+        assert a != VisibilityTable([4, 5], ~mask, {"tol": 0.5}, [1])
+        assert a != VisibilityTable([4, 6], mask, {"tol": 0.5}, [1])
+        assert a != VisibilityTable([4, 5], mask, {"tol": 0.25}, [1])
+        assert a != VisibilityTable([4, 5], mask, {"tol": 0.5}, [])
+        assert a != VisibilityTable([4, 5], mask[:2], {"tol": 0.5}, [1])
+        assert a != "a table"
+
+
 class TestVisibilityIO:
     def test_roundtrip(self, tmp_path):
         model, mesh, ls = room_scene(n_landmarks=12, n_images=5)
@@ -445,6 +459,28 @@ class TestVisibilityIO:
         path = tmp_path / "vis.txt"
         path.write_text("# visibility landmarks=2 images=2\n# image_ids 1 2\n0 1\n1 2.5\n")
         with pytest.raises(MalformedFileError, match=r"vis\.txt:4:"):
+            load_visibility(path)
+
+    def test_roundtrip_equals(self, tmp_path):
+        model, mesh, ls = room_scene(n_landmarks=12, n_images=5)
+        vt = compute_visibility(model, mesh, ls)
+        save_visibility(vt, tmp_path / "vis.txt")
+        assert load_visibility(tmp_path / "vis.txt") == vt
+
+    @pytest.mark.parametrize("excluded, message", [
+        ([3], r"excluded landmark id 3 outside \[0, 3\)"),
+        ([-1], r"excluded landmark id -1 outside \[0, 3\)"),
+        ([2, 0, 2], r"excluded landmark id 2 repeated"),
+    ])
+    def test_excluded_ids_name_rows(self, tmp_path, excluded, message):
+        mask = np.ones((3, 2), dtype=bool)
+        with pytest.raises(ValueError, match=message):
+            VisibilityTable([4, 5], mask, {}, excluded)
+        path = tmp_path / "vis.txt"
+        save_visibility(VisibilityTable([4, 5], mask, {}, [0]), path)
+        path.write_text(path.read_text().replace("# excluded 0",
+                                                 "# excluded " + " ".join(map(str, excluded))))
+        with pytest.raises(MalformedFileError, match=r"vis\.txt:4: " + message):
             load_visibility(path)
 
     def test_unknown_image_reports_line(self, tmp_path):
