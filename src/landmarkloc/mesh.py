@@ -12,8 +12,10 @@ from .errors import MalformedFileError
 
 _DEGENERATE_AREA = 1e-12
 _RAY_EPS = 1e-12
-# Triangles per ray_cast step: its temporaries are O(rays x block).
+# Triangles per block of a ray_cast step, and (ray x triangle) rows per step:
+# its temporaries are O(rows), whatever the number of rays.
 _RAY_BLOCK = 64
+_RAY_ROWS = 4096
 
 
 @dataclass
@@ -61,15 +63,34 @@ def ray_cast(mesh: TriangleMesh, origins: np.ndarray, dirs: np.ndarray):
     origins/dirs are (N, 3); dirs need not be unit length. Returns
     (t_hit, tri_index): parametric distances along dirs (inf for no hit) and
     the index of the winning triangle (-1 for no hit). On equal distances the
-    lowest triangle index wins.
+    lowest triangle index wins. The rays are cast in steps of at most
+    _RAY_ROWS (ray x triangle) rows, whatever N, and a ray gets the same bits
+    alone, in a step or in any stack.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    t_hit = np.full(len(origins), np.inf)
+    tri = np.full(len(origins), -1, dtype=np.int64)
+    corners = mesh.corners
+    step = max(1, _RAY_ROWS // max(1, min(len(mesh), _RAY_BLOCK)))
+    for start in range(0, len(origins), step):
+        rays = slice(start, start + step)
+        t_hit[rays], tri[rays] = _cast_step(corners, origins[rays], dirs[rays])
+    return t_hit, tri
+
+
+def _cast_step(corners, origins: np.ndarray, dirs: np.ndarray):
+    """ray_cast of one step of rays, origins/dirs (N, 3), against the mesh's
+    corners (v0, v1, v2), _RAY_BLOCK triangles at a time. A lone ray is cast
+    as a pair of copies: numpy hands a one-row (1, 3) @ (3, 1) product to
+    another BLAS kernel than a stack's, which may round it otherwise."""
     n = len(origins)
-    t_best = np.full(n, np.inf)
-    idx_best = np.full(n, -1, dtype=np.int64)
-    v0, v1, v2 = mesh.corners
-    for start in range(0, len(mesh), _RAY_BLOCK):
+    if n == 1:
+        origins, dirs = np.repeat(origins, 2, axis=0), np.repeat(dirs, 2, axis=0)
+    v0, v1, v2 = corners
+    t_best = np.full(len(origins), np.inf)
+    idx_best = np.full(len(origins), -1, dtype=np.int64)
+    for start in range(0, len(v0), _RAY_BLOCK):
         blk = slice(start, start + _RAY_BLOCK)
         # Every array below is (B, N) or (B, N, 3): one row per triangle of
         # the block. det and t are stacked (N, 3) @ (3, 1) products, which
@@ -94,7 +115,7 @@ def ray_cast(mesh: TriangleMesh, origins: np.ndarray, dirs: np.ndarray):
         win = t_k < t_best
         t_best[win] = t_k[win]
         idx_best[win] = start + k[win]
-    return t_best, idx_best
+    return t_best[:n], idx_best[:n]
 
 
 def closest_point_on_triangles(p: np.ndarray, v0, v1, v2) -> np.ndarray:

@@ -26,13 +26,7 @@ from .scene_model import (
     project_many,
     save_scene,
 )
-from .visibility import (
-    VisibilityTable,
-    _pair_blocks,
-    _pairs_in_view,
-    _ray_calls,
-    save_visibility,
-)
+from .visibility import VisibilityTable, _pair_blocks, _pairs_in_view, save_visibility
 
 _WALL_INSET = 0.25
 _OCCLUDER_CLEARANCE = 0.25
@@ -148,11 +142,11 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
     configs produce bit-identical scenes. Tracks contain exact projections of
     the landmark sites, filtered by exact ray-cast occlusion (_observations):
     the (site, image) pairs in view are listed a block of images at a time,
-    and only they are cast, one ray each, many images' rays to a ray_cast
-    call, and never a single ray to a call. The sites seen at least once are
-    the SfM points and, in site order, the ground-truth landmarks: landmark k
-    is the k-th seen site, its source point id is the site index, and row k
-    of the visibility table is its visibility.
+    and only they are cast, one ray each, a block's rays to one ray_cast
+    call. The sites seen at least once are the SfM points and, in site order,
+    the ground-truth landmarks: landmark k is the k-th seen site, its source
+    point id is the site index, and row k of the visibility table is its
+    visibility.
     """
     rng = np.random.default_rng(cfg.seed)
     room = np.asarray(cfg.room_size, dtype=float)
@@ -237,14 +231,11 @@ def _observations(mesh: TriangleMesh, K: Intrinsics, poses: list, sites: np.ndar
     Images are taken in blocks of at most visibility._PAIR_BLOCK (site, image)
     pairs. Per block, one stacked product lists the pairs in view, with the
     bits of each image's project_many. Only those pairs are cast, one ray
-    each, many images' rays to a ray_cast call of at most visibility._RAY_ROWS
-    (ray x triangle) rows, in calls of equal size. A call never casts a single
-    ray: a lone pair in view is cast twice, because ray_cast may round one ray
-    otherwise than a stack (see visibility._by_row). So every hit distance has
-    the bits of a per-image pass that casts all sites of an image at once,
-    except in a scene of one site, where that pass casts single rays. The
-    pixels are computed for the visible pairs only, _PAIR_BLOCK at a time,
-    from stacked R @ site rows, with the bits of _camera_frame and project.
+    each, the block's rays to one ray_cast call, which bounds its own steps;
+    every hit distance has the bits of a per-image pass that casts all sites
+    of an image at once. The pixels are computed for the visible pairs only,
+    _PAIR_BLOCK at a time, from stacked R @ site rows, with the bits of
+    _camera_frame and project.
     """
     R = np.array([T.R for T in poses]).reshape(-1, 3, 3)
     t = np.array([T.t for T in poses]).reshape(-1, 3)
@@ -254,14 +245,11 @@ def _observations(mesh: TriangleMesh, K: Intrinsics, poses: list, sites: np.ndar
     for blk in _pair_blocks(len(poses), len(sites)):
         img, site, _, _ = _pairs_in_view(K, sites, RT[blk], t[blk], True)
         img += blk.start
-        for pairs in _ray_calls(len(img), mesh):
-            k, i = img[pairs], site[pairs]
-            origin = center[k]
-            dirs = sites[i] - origin
-            dist = np.linalg.norm(dirs, axis=1)
-            twice = np.arange(len(k)).repeat(1 + (len(k) == 1))  # a lone ray, cast twice
-            t_hit, _ = ray_cast(mesh, origin[twice], (dirs / dist[:, None])[twice])
-            vis[i, k] = np.abs(t_hit[:len(k)] - dist) < 1e-6
+        origin = center[img]
+        dirs = sites[site] - origin
+        dist = np.linalg.norm(dirs, axis=1)
+        t_hit, _ = ray_cast(mesh, origin, dirs / dist[:, None])
+        vis[site, img] = np.abs(t_hit - dist) < 1e-6
     site, img = np.nonzero(vis)
     uv = np.empty((len(site), 2))
     for rows in _pair_blocks(len(site), 1):

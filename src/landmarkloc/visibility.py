@@ -8,8 +8,8 @@ at its pixel within tolerance, and (c) its reference surface normal agrees
 with the mesh normal seen at that pixel. Its pixel is the nearest pixel
 centre of the image grid at 1/decimation resolution. compute_visibility
 works on the (landmark, image) pairs in view, a block of images at a time,
-and reads the mesh there with one first-hit ray per pair, many images' rays
-to a ray cast; rasterize_depth renders the same depth and normal for every
+and reads the mesh there with one first-hit ray per pair, a block's rays to
+one ray cast; rasterize_depth renders the same depth and normal for every
 pixel of an image, and is_visible tests a landmark against such a map. Both
 paths end in the one occlusion test, _visible.
 """
@@ -27,17 +27,14 @@ from .landmarks import LandmarkSet
 # nearest_surface_point is not called here; perfbench's tracer wraps
 # visibility.nearest_surface_point by name.
 from .mesh import TriangleMesh, closest_point_on_triangles, nearest_surface_point, ray_cast  # noqa: F401
-from .mesh import _RAY_BLOCK
 from .scene_model import Intrinsics, Pose, SceneModel, _pixel
 
 # (landmark x triangle) rows per step of landmark_reference_normals: its
 # temporaries are O(rows).
 _NEAREST_ROWS = 4096
 # (point, image) pairs per image block of compute_visibility and of the
-# synth's observations, in view or not, and (ray x triangle) rows per
-# ray_cast call they make: their temporaries are O(pairs) and O(rows).
+# synth's observations, in view or not: their temporaries are O(pairs).
 _PAIR_BLOCK = 8192
-_RAY_ROWS = 4096
 
 
 @dataclass
@@ -97,44 +94,35 @@ def _pair_blocks(n: int, pairs_each: int):
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _ray_calls(n_rays: int, mesh: TriangleMesh):
-    """Slices of range(n_rays), in order, for ray_cast calls of equal size,
-    each of at most _RAY_ROWS (ray x triangle) rows and, unless n_rays is 1,
-    of at least two rays: ray_cast may round a single ray otherwise than a
-    stack (see _by_row). Where the budget holds fewer than three rays, the
-    two-ray floor wins."""
-    per_call = max(1, _RAY_ROWS // min(len(mesh), _RAY_BLOCK))
-    calls = min(-(-n_rays // per_call), max(1, n_rays // 2))
-    return [slice(c * n_rays // calls, (c + 1) * n_rays // calls) for c in range(calls)]
-
-
 def _by_row(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Row k of v (N, 3) times the matrix M[k] (N, 3, 3), one row-by-matrix
-    product each. For C-contiguous M, a row has the bits that numpy's
-    product X @ M[k] gives it in any stack X of two or more rows; a single
-    row (1, 3) @ (3, 3) goes to another kernel and may differ in the last
-    bit."""
+    """Row k of v (N, 3) times the matrix M[k] (N, 3, 3), one (1, 3) @ (3, 3)
+    product each. Whether such a row has the bits of the same row in a
+    stacked product X @ M[k] is decided by M's layout and the BLAS kernel,
+    not by the row count. Over 3,000 random rows, with OpenBLAS's SkylakeX
+    kernel none differs for a C-contiguous M but 1,611 do for a transposed
+    view; with Haswell 2,079 differ even for a C-contiguous M; with
+    Sandybridge none does. So M is passed C-contiguous."""
     return np.matmul(v[:, None, :], M)[:, 0]
 
 
 def _first_hits(mesh: TriangleMesh, face_normals: np.ndarray, G: Intrinsics,
-                decimation: int, uv: np.ndarray, R: np.ndarray, RT: np.ndarray,
-                center: np.ndarray):
+                decimation: int, uv: np.ndarray, image: np.ndarray, R: np.ndarray,
+                RT: np.ndarray, center: np.ndarray):
     """DepthMap.lookup for the maps rasterize_depth would render, without
     rendering them, over (landmark, image) pairs: pair k is the
-    full-resolution pixel uv[k] (2,) of an image whose pose has rotation R[k]
-    and camera centre center[k]; RT[k] is R[k].T, and both stacks are
-    C-contiguous (see _by_row). G is the image grid at 1/decimation
-    resolution (_decimated). One ray per pair through the centre of the same
-    pixel gives the camera-frame depth of the first hit (inf on a miss) and
-    the camera-frame unit normal of the triangle hit (0 on a miss)."""
+    full-resolution pixel uv[k] (2,) of image image[k], whose pose has
+    rotation R[image[k]] and camera centre center[image[k]]; RT[j] is R[j].T,
+    and both stacks are C-contiguous (see _by_row). G is the image grid at
+    1/decimation resolution (_decimated). One ray per pair through the centre
+    of the same pixel gives the camera-frame depth of the first hit (inf on a
+    miss) and the camera-frame unit normal of the triangle hit (0 on a miss)."""
     px, py = _snap(uv, decimation, G.width, G.height)
     # Unit camera-frame z, so the hit distance along the ray is the depth.
     rays = np.column_stack([(px - G.cx) / G.fx, (py - G.cy) / G.fy, np.ones(len(px))])
-    depth, tri = ray_cast(mesh, center, _by_row(rays, R))
+    depth, tri = ray_cast(mesh, center[image], _by_row(rays, R[image]))
     normal = np.zeros((len(tri), 3))
     hit = tri >= 0
-    normal[hit] = _by_row(face_normals[tri[hit]], RT[hit])
+    normal[hit] = _by_row(face_normals[tri[hit]], RT[image[hit]])
     return depth, normal
 
 
@@ -437,12 +425,11 @@ def compute_visibility(
     image) pairs. Per block, one stacked product gives every landmark's
     camera frame in each image, and the pairs in view are listed image by
     image. The mesh depth and normal at their pixels are read with one ray
-    per pair (see _first_hits), the pairs of many images to a ray_cast call
-    of at most _RAY_ROWS (ray x triangle) rows, and _visible tests them.
-    Every pair gets the bits of a per-image pass over the landmarks, except
-    where that pass took a one-row product: in an image with one pair in
-    view, or one ray hit, a depth or normal may differ in the last bit (see
-    _by_row; ray_cast of a single ray takes one-row products too). Row k of
+    per pair (see _first_hits), the block's pairs to one ray_cast call, and
+    _visible tests them. Every pair gets the bits of a per-image pass over
+    the landmarks, except where that pass took a one-row product on a
+    transposed view: in an image with one pair in view, or one ray hit, a
+    camera-frame normal may differ in the last bit (see _by_row). Row k of
     the table is landmark k, the row of the set's columns. Landmarks farther
     than cfg.max_surface_dist from the mesh are excluded (all-false row) and
     reported in the table's diagnostics.
@@ -476,12 +463,10 @@ def compute_visibility(
         for blk in _pair_blocks(len(cols), len(ls)):
             img, lm, uv, z = _pairs_in_view(K, xyz, RT[blk], t[blk], active)
             img += blk.start
-            for pairs in _ray_calls(len(img), mesh):
-                k, i = img[pairs], lm[pairs]
-                depth, normal = _first_hits(mesh, face_normals, G, cfg.decimation,
-                                            uv[pairs], R[k], RTc[k], center[k])
-                ref = _by_row(ref_normals[i], RTc[k])
-                mask[i, cols[k]] = _visible(z[pairs], depth, normal, ref, cfg)
+            depth, normal = _first_hits(mesh, face_normals, G, cfg.decimation,
+                                        uv, img, R, RTc, center)
+            ref = _by_row(ref_normals[lm], RTc[img])
+            mask[lm, cols[img]] = _visible(z, depth, normal, ref, cfg)
     return VisibilityTable(image_ids, mask, asdict(cfg), excluded)
 
 
@@ -508,23 +493,26 @@ def save_visibility(vt: VisibilityTable, path) -> None:
 def load_visibility(path) -> VisibilityTable:
     """Inverse of save_visibility. The `# visibility landmarks=L images=N`
     header must give the counts of the landmark lines, which run 0, 1, 2, ...,
-    and of the image ids."""
+    and of the image ids. Each of the four header lines may appear once."""
     dims = image_ids = col = None
     tolerances = {}
     excluded = []
+    seen = set()  # header lines read
     rows = []  # landmark k -> columns of its visible images, in file order
     with _io.lines(path) as src:
         for tokens in src:
             if tokens[0][0] == "#":
                 key = tokens[1:2]
+                if key in (["visibility"], ["image_ids"], ["tolerances"], ["excluded"]):
+                    if key[0] in seen:
+                        raise ValueError(f"second `# {key[0]}` line")
+                    seen.add(key[0])
                 if key == ["visibility"]:
                     counts = dict(tok.partition("=")[::2] for tok in tokens[2:])
                     if sorted(counts) != ["images", "landmarks"]:
                         raise ValueError("expected `# visibility landmarks=L images=N`")
                     dims = src.no, int(counts["landmarks"]), int(counts["images"])
                 elif key == ["image_ids"]:
-                    if image_ids is not None:
-                        raise ValueError("second image_ids header")
                     image_ids = list(map(int, tokens[2:]))
                     col = {}
                     for j, iid in enumerate(image_ids):

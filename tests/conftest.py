@@ -113,6 +113,22 @@ def record_ray_casts(monkeypatch, module):
     return calls
 
 
+def record_ray_steps(monkeypatch):
+    """Wrap mesh._cast_step; returns the number of rays of each step that
+    ray_cast takes."""
+    import landmarkloc.mesh as mesh
+
+    steps = []
+    cast_step = mesh._cast_step
+
+    def recorded(corners, origins, dirs):
+        steps.append(len(origins))
+        return cast_step(corners, origins, dirs)
+
+    monkeypatch.setattr(mesh, "_cast_step", recorded)
+    return steps
+
+
 def sorted_rows(calls):
     """The rows of calls, each a tuple of arrays with one row per item
     (1-D, or three columns), joined column by column and sorted."""

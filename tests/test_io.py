@@ -141,6 +141,9 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     ("visibility", "vis.txt", 3, "# image_ids 1 1"),                           # image repeated
     ("visibility", "vis.txt", 6, "# image_ids 2 1"),                           # second header
     ("visibility", "vis.txt", 6, "# image_ids 1"),                             # second header
+    ("visibility", "vis.txt", 6, "# visibility landmarks=2 images=2"),         # second header
+    ("visibility", "vis.txt", 6, "# tolerances tol_depth=0.5"),                # second header
+    ("visibility", "vis.txt", 6, "# excluded 0"),                              # second header
     ("visibility", "vis.txt", 6, "2 1 2"),                                     # id skipped
     ("visibility", "vis.txt", 1, "# visibility landmarks=3 images=2"),         # too few lines
     ("visibility", "vis.txt", 1, "# visibility landmarks=1 images=2"),         # too many lines

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import landmarkloc.mesh as mesh_module
+import landmarkloc.synth as synth
+import landmarkloc.visibility as visibility
 from landmarkloc.errors import MalformedFileError
 from landmarkloc.mesh import (
     _RAY_BLOCK,
@@ -12,6 +21,11 @@ from landmarkloc.mesh import (
     ray_cast,
     save_mesh_ply,
 )
+from landmarkloc.visibility import VisibilityConfig, compute_visibility
+
+from conftest import record_ray_casts
+from test_synth import small_cfg
+from test_visibility import two_camera_scene
 
 
 def ray_cast_oracle(mesh, origin, direction):
@@ -131,16 +145,57 @@ class TestRayCast:
             else:
                 assert abs(t[i] - expected) < 1e-9
 
+    def test_zero_rays(self):
+        for mesh in (box_mesh([0, 0, 0], [1, 1, 1]), TriangleMesh(np.zeros((0, 3)), [])):
+            t, idx = ray_cast(mesh, np.empty((0, 3)), np.empty((0, 3)))
+            assert t.shape == idx.shape == (0,) and idx.dtype == np.int64
+
+    def test_mesh_without_triangles(self):
+        mesh = TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3)))
+        t, idx = ray_cast(mesh, np.zeros((5, 3)), np.ones((5, 3)))
+        assert np.isinf(t).all() and (idx == -1).all()
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # 3,000 rays on the 12-triangle room: steps of 341 rays keep the
+        # peak near 0.6 MB; all of them in one step would hold about 4.7 MB.
+        rng = np.random.default_rng(23)
+        room = box_mesh([0, 0, 0], [6, 4, 3], inward=True)
+        origins = rng.uniform([1, 1, 1], [5, 3, 2], size=(3000, 3))
+        dirs = rng.normal(size=(3000, 3))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                ray_cast(room, origins, dirs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 1e6
+        monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**9)
+        assert peak() > 1e6
+
 
 class TestRayCastPerTriangle:
-    """ray_cast works on blocks of triangles at once; it must give the bits of
-    the one-triangle-at-a-time loop, including its tie-break."""
+    """ray_cast works on blocks of triangles and steps of rays at once; it
+    must give the bits of the one-triangle-at-a-time loop, including its
+    tie-break."""
 
     def assert_same(self, mesh, origins, dirs):
-        t, idx = ray_cast(mesh, origins, dirs)
-        t_ref, idx_ref = ray_cast_per_triangle(mesh, origins, dirs)
-        assert np.array_equal(t, t_ref)
-        assert np.array_equal(idx, idx_ref)
+        """ray_cast in steps of one ray, of two rays and of the default size
+        against the loop over the same stack. A lone ray is compared with the
+        loop over two copies of it, as ray_cast casts it."""
+        origins, dirs = np.atleast_2d(origins), np.atleast_2d(dirs)
+        copies = 2 if len(origins) == 1 else 1
+        t_ref, idx_ref = (a[::copies] for a in ray_cast_per_triangle(
+            mesh, origins.repeat(copies, axis=0), dirs.repeat(copies, axis=0)))
+        per_ray = min(len(mesh), _RAY_BLOCK)
+        for rows in (per_ray, 2 * per_ray, mesh_module._RAY_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mesh_module, "_RAY_ROWS", rows)
+                t, idx = ray_cast(mesh, origins, dirs)
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(idx, idx_ref)
         return t, idx
 
     @pytest.mark.parametrize("n_tri, n_rays", [(1, 1), (7, 1), (_RAY_BLOCK, 40),
@@ -155,8 +210,9 @@ class TestRayCastPerTriangle:
         t, idx = self.assert_same(mesh, origins, dirs)
         if n_tri > _RAY_BLOCK:
             assert (idx >= _RAY_BLOCK).any() and (idx < 0).any()
-        for i in range(min(n_rays, 20)):  # one ray at a time gives the same bits
-            self.assert_same(mesh, origins[i], dirs[i])
+        for i in range(min(n_rays, 20)):  # one ray at a time gives the stack's bits
+            t_i, idx_i = self.assert_same(mesh, origins[i], dirs[i])
+            assert np.array_equal(t_i, t[i:i + 1]) and np.array_equal(idx_i, idx[i:i + 1])
 
     def test_duplicated_triangle_lowest_index_wins(self):
         tri = np.array([[-1, -1, 2], [1, -1, 2], [0, 1, 2]], dtype=float)
@@ -182,6 +238,80 @@ class TestRayCastPerTriangle:
         t, idx = self.assert_same(square, origins, dirs)
         assert np.isinf(t[:3]).all() and (idx[:3] == -1).all()
         assert t[3] == 2.0 and idx[3] >= 0
+
+
+def recorded_casts(monkeypatch):
+    """The ray_cast calls, as [(mesh, origins, dirs, depth, tri)], that synth
+    makes for a small scene with two occluders and compute_visibility makes
+    at decimations 1 and 2 for a room turned off the axes (so that no
+    product is exact)."""
+    synth_calls = record_ray_casts(monkeypatch, synth)
+    visibility_calls = record_ray_casts(monkeypatch, visibility)
+    scene = synth.generate_scene(small_cfg(num_occluders=2, num_landmark_sites=40,
+                                           num_cameras=7, seed=9))
+    model, mesh, ls = two_camera_scene()
+    for decimation in (1, 2):
+        compute_visibility(model, mesh, ls, VisibilityConfig(decimation=decimation))
+    return ([(scene.mesh, *c) for c in synth_calls]
+            + [(mesh, *c) for c in visibility_calls])
+
+
+class TestRayCastBatches:
+    """A ray gets the same bits from ray_cast alone, in one stack and in any
+    split of a stack. test_batches_agree_under_the_haswell_kernel runs this
+    class under a second BLAS kernel."""
+
+    def test_alone_stacked_and_split(self, monkeypatch):
+        casts = recorded_casts(monkeypatch)
+        monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**9)  # each call in one step
+        rng = np.random.default_rng(24)
+        n_rays = 0
+        for mesh, origins, dirs, depth, tri in casts:
+            n = len(origins)
+            n_rays += n
+            stacked = ray_cast(mesh, origins, dirs)
+            alone = [ray_cast(mesh, o, d) for o, d in zip(origins, dirs)]
+            splits = []
+            for _ in range(5):
+                cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=False))
+                parts = [ray_cast(mesh, o, d)
+                         for o, d in zip(np.split(origins, cuts), np.split(dirs, cuts))]
+                splits.append(tuple(np.concatenate(a) for a in zip(*parts)))
+            for t, k in [stacked, *splits, tuple(np.concatenate(a) for a in zip(*alone))]:
+                assert np.array_equal(t, depth) and np.array_equal(k, tri)
+        assert n_rays > 400
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS library, or None."""
+    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
+    return found[0] if found else None
+
+
+def _cpu_has_avx2():
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
+                    reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+def test_batches_agree_under_the_haswell_kernel():
+    src = str(Path(mesh_module.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    core = subprocess.run(
+        [sys.executable, "-c",
+         "import ctypes; f = ctypes.CDLL(%r).scipy_openblas_get_corename64_; "
+         "f.argtypes = []; f.restype = ctypes.c_char_p; print(f().decode())" % str(_openblas())],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert core.stdout.strip() == "Haswell", core.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestRayCastBatches"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 class TestClosestPoint:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import landmarkloc.mesh as mesh_module
 import landmarkloc.synth as synth
 import landmarkloc.visibility as visibility
 from landmarkloc.landmarks import load_landmarks
@@ -17,7 +18,7 @@ from landmarkloc.synth import (
 from landmarkloc.visibility import load_visibility
 
 import synth_reference
-from conftest import record_ray_casts, sorted_rows
+from conftest import record_ray_casts, record_ray_steps, sorted_rows
 
 
 def small_cfg(**kw):
@@ -220,19 +221,21 @@ class TestPerImageReferee:
     @pytest.mark.parametrize("name", ["occluders", "sparse"])
     def test_equals_per_image_loop(self, monkeypatch, tmp_path, name, sizes):
         cfg = self.SCENES[name]
-        n_tri = min(12 * (1 + cfg.num_occluders), _RAY_BLOCK)
-        if sizes == "small":  # one image per block, two rays per call
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", cfg.num_landmark_sites)
-            monkeypatch.setattr(visibility, "_RAY_ROWS", 2 * n_tri)
-        elif sizes == "large":  # every image in one block, all rays in one call
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 10**9)
-            monkeypatch.setattr(visibility, "_RAY_ROWS", 10**9)
-        calls = record_ray_casts(monkeypatch, synth)
+        # The per-image pass first, with ray_cast's default steps.
         ref_calls = record_ray_casts(monkeypatch, synth_reference)
-        (mesh, K, poses, sites), (vis, uv) = synth_run(monkeypatch, cfg, tmp_path / "new")
         _, (ref_vis, ref_uv) = synth_run(
             monkeypatch, cfg, tmp_path / "ref", synth_reference.observations_per_image,
             synth_reference.save_scene_per_observation)
+        if sizes == "small":  # one image per block, one ray per ray_cast step
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", cfg.num_landmark_sites)
+            monkeypatch.setattr(mesh_module, "_RAY_ROWS", min(12 * (1 + cfg.num_occluders),
+                                                              _RAY_BLOCK))
+        elif sizes == "large":  # every image in one block, all rays in one step
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 10**9)
+            monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**9)
+        calls = record_ray_casts(monkeypatch, synth)
+        steps = record_ray_steps(monkeypatch)
+        (mesh, K, poses, sites), (vis, uv) = synth_run(monkeypatch, cfg, tmp_path / "new")
 
         assert np.array_equal(vis, ref_vis) and 0 < vis.sum() < vis.size
         assert uv.shape == (vis.sum(), 2) and uv.tobytes() == ref_uv.tobytes()
@@ -241,42 +244,42 @@ class TestPerImageReferee:
         for f in files:
             assert (tmp_path / "new" / f).read_bytes() == (tmp_path / "ref" / f).read_bytes(), f
         # Every ray cast, its origin, direction, hit distance and triangle,
-        # has the bits of the per-image pass's ray for the same pair; only
-        # pairs in view are cast, and a lone pair is cast twice.
+        # has the bits of the per-image pass's ray for the same pair, and only
+        # pairs in view are cast.
         valid = in_view(K, poses, sites)
         counts = [int(v.sum()) for v in valid]
-        lone = [len(c[0]) == 2 and all(np.array_equal(a[0], a[1]) for a in c) for c in calls]
-        got = [tuple(a[:1] for a in c) if one else c for c, one in zip(calls, lone)]
         want = [tuple(a[v] for a in c) for c, v in zip(ref_calls, valid)]
-        assert np.array_equal(sorted_rows(got), sorted_rows(want))
-        assert min(len(c[0]) for c in calls) >= 2
+        assert np.array_equal(sorted_rows(calls), sorted_rows(want))
+        rays = [len(c[0]) for c in calls]  # one call per block
         if name == "sparse":
             assert 0 in counts and 1 in counts
-            assert any(lone) == (sizes == "small")  # a block with one pair in view
-        rays = [len(c[0]) for c in calls]
+            assert (1 in rays) == (sizes == "small")  # a block with one pair in view
         if sizes == "small":
-            assert max(rays) <= 3 and max(rays) < len(sites)
+            assert rays == counts and max(steps) == 1
         elif sizes == "large":
-            assert len(calls) == 1 and rays[0] == sum(counts) > max(counts)
+            assert len(calls) == 1 and rays[0] == sum(counts) > max(counts) and steps == rays
 
 
 class TestBounds:
     def test_rays_cast_are_the_pairs_in_view(self, monkeypatch, tmp_path):
-        # 72 triangles: 64 rays per call; 60 images of 200 sites.
+        # 60 images of 200 sites in two image blocks, one ray_cast call
+        # each; 72 triangles: 64 rays per ray_cast step.
         cfg = small_cfg(num_occluders=5, num_landmark_sites=200, num_cameras=60)
         calls = record_ray_casts(monkeypatch, synth)
+        steps = record_ray_steps(monkeypatch)
         (mesh, K, poses, sites), _ = synth_run(monkeypatch, cfg, tmp_path)
         rays = [len(c[0]) for c in calls]
+        assert len(calls) == len(visibility._pair_blocks(60, 200)) == 2
         assert sum(rays) == sum(int(v.sum()) for v in in_view(K, poses, sites))
         assert sum(rays) < 0.4 * len(sites) * len(poses)
-        assert min(rays) >= 2
-        assert max(rays) * min(len(mesh), _RAY_BLOCK) <= visibility._RAY_ROWS
+        assert sum(steps) == sum(rays) and max(rays) > max(steps)
+        assert max(steps) * min(len(mesh), _RAY_BLOCK) <= mesh_module._RAY_ROWS
 
     def test_peak_memory_is_bounded(self, monkeypatch):
         # 400 images of 300 sites among 4 occluders (60 triangles): about
         # 3 MB, most of it the saliencies. The per-image pass alone, which
         # holds a dense (site, image) pixel array and casts every site from
-        # every camera, peaks at about 4.7 MB.
+        # every camera in one ray_cast step, peaks at about 4.7 MB.
         cfg = small_cfg(num_occluders=4, num_landmark_sites=300, num_cameras=400)
         generate_scene(small_cfg())  # modules that a first call imports stay out of the peak
         args = []
@@ -287,6 +290,7 @@ class TestBounds:
             generate_scene(cfg)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
+            monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**9)
             synth_reference.observations_per_image(*args[0])
             ref_peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import landmarkloc.mesh as mesh_module
 import landmarkloc.visibility as visibility
 from landmarkloc.errors import DegeneracyError, MalformedFileError
 from landmarkloc.mesh import _RAY_BLOCK, TriangleMesh, box_mesh, ray_cast
@@ -37,6 +38,7 @@ from conftest import (
     points_from_pairs,
     random_rotation,
     record_ray_casts,
+    record_ray_steps,
     sorted_rows,
 )
 
@@ -340,9 +342,10 @@ def with_edge_landmarks(model, mesh, ls):
 
 def first_hits_in_image(mesh, face_normals, K, T, decimation, uv):
     """_first_hits over pixels uv (M, 2) of one image with pose T."""
-    R = np.repeat(T.R[None], len(uv), axis=0)
-    return _first_hits(mesh, face_normals, _decimated(K, decimation), decimation, uv, R,
-                       np.ascontiguousarray(R.transpose(0, 2, 1)), np.tile(T.center, (len(uv), 1)))
+    R = T.R[None]
+    return _first_hits(mesh, face_normals, _decimated(K, decimation), decimation, uv,
+                       np.zeros(len(uv), dtype=np.int64), R,
+                       np.ascontiguousarray(R.transpose(0, 2, 1)), T.center[None])
 
 
 def lookup_visible(K, T, lookup, xyz, ref_normals, cfg, candidates):
@@ -547,15 +550,31 @@ class TestPerImageReferee:
     def test_equals_per_image_loop(self, monkeypatch, decimation, sizes):
         model, mesh, ls = two_camera_scene()
         cfg = VisibilityConfig(decimation=decimation)
-        n_tri = min(len(mesh), _RAY_BLOCK)
-        if sizes == "small":  # one image per block, three rays per call
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", len(ls))
-            monkeypatch.setattr(visibility, "_RAY_ROWS", 3 * n_tri)
-        elif sizes == "large":  # five images per block, all their rays in one call
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 5 * len(ls))
-            monkeypatch.setattr(visibility, "_RAY_ROWS", 10**6)
+        # The per-image pass first, with ray_cast's default steps.
         ref_calls = record_ray_casts(monkeypatch, visibility_reference)
+        expected = visibility_reference.compute_visibility_per_image(model, mesh, ls, cfg)
+        per_image = [len(c[0]) for c in ref_calls]
+        ref_rays = sorted_rows(ref_calls)
+        normals, _ = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
+        terms = []
+        for iid, img in model.images.items():
+            K = model.intrinsics[img.camera_id]
+            sample = visibility_reference.first_hits(mesh, mesh.face_normals(), K, img.pose,
+                                                     decimation)
+            valid, pair = visibility_reference.pair_terms(K, img.pose, sample, ls.xyz, normals,
+                                                          ~np.isin(np.arange(len(ls)),
+                                                                   expected.excluded))
+            terms += [pair] if valid.any() else []
+
+        n_tri = min(len(mesh), _RAY_BLOCK)
+        if sizes == "small":  # one image per block, one ray per ray_cast step
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", len(ls))
+            monkeypatch.setattr(mesh_module, "_RAY_ROWS", n_tri)
+        elif sizes == "large":  # five images per block, each block's rays in one step
+            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 5 * len(ls))
+            monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**6)
         calls = record_ray_casts(monkeypatch, visibility)
+        steps = record_ray_steps(monkeypatch)
         tested = []
 
         def recorded(*args):
@@ -563,7 +582,6 @@ class TestPerImageReferee:
             return _visible(*args)
 
         monkeypatch.setattr(visibility, "_visible", recorded)
-        expected = visibility_reference.compute_visibility_per_image(model, mesh, ls, cfg)
         vt = compute_visibility(model, mesh, ls, cfg)
 
         assert vt.image_ids == expected.image_ids == list(range(12))
@@ -572,26 +590,16 @@ class TestPerImageReferee:
         assert 0 < vt.mask.sum() < vt.mask.size
         # Every ray cast, its origin, direction, depth and triangle, and every
         # pair's depths and normals tested have the bits of the per-image
-        # pass. (One pair in view would take one-row products there, which
-        # round otherwise; no image has one.)
-        per_image = [len(c[0]) for c in ref_calls]
+        # pass. (One pair in view would take one-row products on a transposed
+        # view there, which round otherwise; no image has one.)
         assert 1 not in per_image and len(per_image) == 10  # the two above see none
-        assert np.array_equal(sorted_rows(calls), sorted_rows(ref_calls))
-        normals, _ = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
-        terms = []
-        for iid, img in model.images.items():
-            K = model.intrinsics[img.camera_id]
-            sample = visibility_reference.first_hits(mesh, mesh.face_normals(), K, img.pose,
-                                                     decimation)
-            valid, pair = visibility_reference.pair_terms(K, img.pose, sample, ls.xyz, normals,
-                                                          ~np.isin(np.arange(len(ls)), vt.excluded))
-            terms += [pair] if valid.any() else []
+        assert np.array_equal(sorted_rows(calls), ref_rays)
         assert np.array_equal(sorted_rows(tested), sorted_rows(terms))
-        rays = [len(c[0]) for c in calls]
-        if sizes == "small":
-            assert max(rays) <= 3 < min(per_image)
+        rays = [len(c[0]) for c in calls if len(c[0])]  # one call per block
+        if sizes == "small":  # per image, its pairs in view, cast one at a time
+            assert sorted(rays) == sorted(per_image) and max(steps) == 1
         elif sizes == "large":  # per camera, its five images that see landmarks
-            assert len(calls) == 2 and min(rays) > 2 * max(per_image)
+            assert len(rays) == 2 and min(rays) > 2 * max(per_image) and steps == rays
 
     def test_save_matches_per_landmark_writer(self, tmp_path):
         model, mesh, ls = two_camera_scene()
@@ -603,15 +611,18 @@ class TestPerImageReferee:
 
 class TestBounds:
     def test_ray_casts_hold_the_row_budget(self, monkeypatch):
-        # 100 images: the pairs of many images go to one call, and no call
-        # holds more (ray x triangle) rows than the budget.
+        # 100 images of 200 landmarks in three image blocks: one ray_cast
+        # call per block, whose steps hold no more (ray x triangle) rows than
+        # the budget.
         model, mesh, ls = room_scene(n_landmarks=200, n_images=100)
         calls = record_ray_casts(monkeypatch, visibility)
+        steps = record_ray_steps(monkeypatch)
         vt = compute_visibility(model, mesh, ls)
         rays = [len(c[0]) for c in calls]
-        assert max(rays) * min(len(mesh), _RAY_BLOCK) <= visibility._RAY_ROWS
-        assert len(calls) <= 20
-        assert sum(rays) >= vt.mask.sum() > 0
+        assert len(calls) == len(visibility._pair_blocks(100, len(ls))) == 3
+        assert max(steps) * min(len(mesh), _RAY_BLOCK) <= mesh_module._RAY_ROWS
+        assert max(rays) > max(steps)
+        assert sum(steps) == sum(rays) >= vt.mask.sum() > 0
 
     def test_peak_memory_is_bounded(self, monkeypatch):
         # 400 images of 200 landmarks: the image blocks keep the peak near
