@@ -1,7 +1,8 @@
 """Scene-landmark camera localization pipeline.
 
 Modules:
-  scene_model   geometric types, COLMAP-style text IO, projection operators
+  scene_model   geometric types, images and points as columns (ImageSet,
+                PointSet), COLMAP-style text IO, projection operators
   landmarks     greedy salient landmark selection
   partitioning  equal-sized landmark groups for detector ensembles
   mesh          triangle meshes, PLY/OBJ IO, ray casting

@@ -225,9 +225,7 @@ def cmd_select(args) -> int:
     if not np.isfinite(diameter):
         raise DataError(f"{Path(args.scene) / 'points3D.txt'}: point coordinates overflow: "
                         "the cloud is too wide for its squared distances to be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        centers = [img.pose.center for img in model.images.values()]
-    if not np.isfinite(_diameter(np.vstack([points.xyz, *centers]))):
+    if not np.isfinite(_diameter(np.vstack([points.xyz, model.images.center]))):
         raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: a camera "
                         "is too far from the points for their squared distances to be finite")
     radius = args.radius
@@ -279,9 +277,7 @@ def cmd_visibility(args) -> int:
     if _quartic_overflows(mesh.vertices, ls.xyz):
         raise DataError(f"{args.landmarks}: landmark coordinates overflow: a landmark is too "
                         "far from the mesh for products of their distances to be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        centers = [img.pose.center for img in model.images.values()]
-    if _quartic_overflows(mesh.vertices, ls.xyz, *centers):
+    if _quartic_overflows(mesh.vertices, ls.xyz, model.images.center):
         raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: a camera "
                         "is too far from the mesh for products of their distances to be finite")
     vt = compute_visibility(model, mesh, ls, cfg)
@@ -315,10 +311,9 @@ def _detections_in_images(path, model) -> dict:
     reports an image that the model lacks itself."""
     detections = load_detections(path)
     for iid, ds in detections.items():
-        img = model.images.get(iid)
-        if img is None or not len(ds):
+        if iid not in model.images or not len(ds):
             continue
-        K = model.intrinsics[img.camera_id]
+        K = model.camera(iid)
         (u_lo, v_lo), (u_hi, v_hi) = ds.uv.min(0).tolist(), ds.uv.max(0).tolist()
         if not (0 <= u_lo and u_hi < K.width and 0 <= v_lo and v_hi < K.height):
             raise DataError(f"{path}: image {iid} has a detection outside its "
@@ -346,8 +341,7 @@ def cmd_localize(args) -> int:
             raise DataError(f"detections reference unknown image {iid}")
         sets = [d[iid] for d in per_file if iid in d]
         ds = sets[0] if len(sets) == 1 else merge_ensemble(sets, iid)
-        K = model.intrinsics[model.images[iid].camera_id]
-        estimates[iid] = localize(ds, ls, K, cfg, seed=(args.seed ^ iid))
+        estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid))
     elapsed = time.perf_counter() - t0
     sec_per_image = elapsed / max(len(image_ids), 1)
     save_poses(estimates, args.out, sec_per_image=sec_per_image)
@@ -368,6 +362,9 @@ def cmd_evaluate(args) -> int:
         labels = [Path(p).stem for p in args.estimates]
     if len(labels) != len(args.estimates):
         raise UsageError("--labels must match --estimates in length")
+    repeated = next((label for k, label in enumerate(labels) if label in labels[:k]), None)
+    if repeated is not None:
+        raise UsageError(f"two runs are labelled {repeated!r}: give each its own with --labels")
     detections = _detections_in_images(args.detections, model) if args.detections else None
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
     runs = []

@@ -149,20 +149,19 @@ def simulate_detections_labeled(
 
     # Landmark k is row k of ls and of the table.
     column = {iid: j for j, iid in enumerate(vt.image_ids)}
-    lost = [f"image {i}" for i in sorted(model.images) if i not in column]
+    lost = [f"image {i}" for i in model.images.ids.tolist() if i not in column]
     if len(vt.mask) < len(ls):
         lost.insert(0, f"landmark {len(vt.mask)}")
     if lost:
         raise DanglingReferenceError(f"visibility table lacks {lost[0]}")
     mask = vt.mask[:len(ls)]
     detections, outlier_ids = {}, {}
-    for iid in sorted(model.images):
-        img = model.images[iid]
-        K = model.intrinsics[img.camera_id]
+    for iid in model.images.ids.tolist():
+        K = model.camera(iid)
         rng = np.random.default_rng(seed ^ iid)
         ids = np.flatnonzero(mask[:, column[iid]])
         with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
-            u, v, valid = _pixel(K, *_camera_frame(img.pose, ls.xyz[ids]).T)
+            u, v, valid = _pixel(K, *_camera_frame(model.images.pose(iid), ls.xyz[ids]).T)
         ids, truth = ids[valid], np.column_stack([u, v])[valid]
         # The rng draws, in landmark order: an outlier's pixel and confidence,
         # or an inlier's noise.

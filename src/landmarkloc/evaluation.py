@@ -139,7 +139,7 @@ def per_image_errors(estimates: dict, gt_model: SceneModel) -> dict:
 
     Raises on image sets that do not match the ground truth model.
     """
-    missing = set(estimates) - set(gt_model.images)
+    missing = set(estimates) - set(gt_model.images.ids.tolist())
     if missing:
         raise ValueError(f"estimates reference unknown images {sorted(missing)}")
     out = {}
@@ -147,7 +147,7 @@ def per_image_errors(estimates: dict, gt_model: SceneModel) -> dict:
         if est.status != STATUS_OK or est.pose is None:
             out[iid] = None
         else:
-            out[iid] = pose_errors(est.pose, gt_model.images[iid].pose)
+            out[iid] = pose_errors(est.pose, gt_model.images.pose(iid))
     return out
 
 
@@ -164,7 +164,10 @@ def build_report(
     """One row per run: recall, error medians (over localized images), and
     the median detection angular error when detections and landmarks are
     supplied. A detection of an image or landmark that they lack raises
-    DanglingReferenceError."""
+    DanglingReferenceError. Both thresholds must be finite and positive."""
+    for name, value in (("rotation", rot_thresh_deg), ("position", pos_thresh_m)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} threshold must be finite and > 0, not {value}")
     rows = []
     for run in runs:
         errs = per_image_errors(run.estimates, run.gt_model)
@@ -174,16 +177,15 @@ def build_report(
         if run.detections is not None and run.landmarks is not None:
             angles = []
             for iid, ds in run.detections.items():
-                img = run.gt_model.images.get(iid)
-                if img is None:
+                if iid not in run.gt_model.images:
                     raise DanglingReferenceError(f"detections reference unknown image {iid}")
                 ids = ds.landmark_ids
                 unknown = ids[(ids < 0) | (ids >= len(run.landmarks))]
                 if len(unknown):
                     raise DanglingReferenceError(
                         f"detection references unknown landmark {unknown[0]}")
-                angles += _angular_errors(ds.uv, img.pose, run.gt_model.intrinsics[img.camera_id],
-                                          run.landmarks.xyz[ids])
+                angles += _angular_errors(ds.uv, run.gt_model.images.pose(iid),
+                                          run.gt_model.camera(iid), run.landmarks.xyz[ids])
             ang = _median_or_nan(angles)
         rows.append(
             ReportRow(

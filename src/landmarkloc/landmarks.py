@@ -72,8 +72,8 @@ def _saliencies(xyz: np.ndarray, image_ids: np.ndarray, counts, model: SceneMode
     row, so each score has the bits of the point scored alone.
     """
     images, at = np.unique(image_ids, return_inverse=True)
-    centers = np.array([model.images[iid].pose.center for iid in images.tolist()])
-    d = np.repeat(xyz, counts, axis=0) - centers.reshape(-1, 3)[at]
+    rows = [model.images.row(iid) for iid in images.tolist()]
+    d = np.repeat(xyz, counts, axis=0) - model.images.center[rows][at]
     dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
     counts = np.asarray(counts, dtype=np.int64)
     if (counts == 0).any():

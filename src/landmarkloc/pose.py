@@ -18,11 +18,11 @@ from . import _io
 from .errors import DanglingReferenceError, DegeneracyError
 from .landmarks import LandmarkSet
 from .scene_model import (
-    _ORTHO_TOL,
     Intrinsics,
     Pose,
     _cross,
     _uv,
+    _valid_poses,
     axis_angle_to_matrix,
     bearing,
     qvec2rotmat,
@@ -271,14 +271,6 @@ def _polish_distances(lam, rays, a, c):
     det = 2.0 * (J[0][0] * C[0, 0] + J[0][1] * C[0, 1] + J[0][2] * C[0, 2])
     det = np.where(det == 0.0, np.inf, det)
     return (lam.T - (C[0] * r[0] + C[1] * r[1] + C[2] * r[2]) / det).T
-
-
-def _valid_poses(R, t):
-    """Which stacked (R, t) Pose accepts: finite, R orthogonal with det +1."""
-    ok = np.isfinite(R).all((1, 2)) & np.isfinite(t).all(1)
-    ortho = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max((1, 2))
-    # fmax, as `not a > tol and not b > tol`, lets a NaN of one side pass.
-    return ok & ~(np.fmax(ortho, np.abs(np.linalg.det(R) - 1.0)) > _ORTHO_TOL)
 
 
 # The point pairs 12, 13, 23 of a sample, and the pairs (later, earlier) of its

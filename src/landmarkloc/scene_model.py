@@ -1,5 +1,8 @@
 """Core geometric types, SfM-model text ingestion, and projection operators.
 
+A SceneModel holds its images and points as columns, an ImageSet and a
+PointSet; every stage reads the images' stacked poses and camera centres.
+
 _uv is the one place the pinhole model is written; _pixel adds the in-image
 mask. project_many is the pinhole projection of arrays of points; the
 visibility test and the synthetic scene generator make its product for a
@@ -231,12 +234,58 @@ class PointSet:
         return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
 
-@dataclass
-class ImageRecord:
-    id: int
-    pose: Pose
-    camera_id: int
-    name: str
+def _valid_poses(R, t):
+    """Which stacked (R, t) Pose accepts: finite, R orthogonal with det +1."""
+    ok = np.isfinite(R).all((1, 2)) & np.isfinite(t).all(1)
+    ortho = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max((1, 2))
+    # fmax, as `not a > tol and not b > tol`, lets a NaN of one side pass.
+    return ok & ~(np.fmax(ortho, np.abs(np.linalg.det(R) - 1.0)) > _ORTHO_TOL)
+
+
+class ImageSet:
+    """Posed images as read-only columns in ascending id order: ids (N,) and
+    camera_ids (N,) int64, world-to-camera poses R (N, 3, 3) and t (N, 3),
+    names (a tuple of N str) and center (N, 3), each camera centre -R^T t with
+    the bits of Pose.center. The constructor takes rows in any order and checks
+    that the columns pair up, that no id repeats and that Pose accepts each pose."""
+
+    def __init__(self, ids, camera_ids=(), R=(), t=(), names=()):
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        n, order = len(ids), np.argsort(ids, kind="stable")
+        self.ids = ids[order]
+        self.camera_ids = np.asarray(camera_ids, dtype=np.int64).reshape(n)[order]
+        self.R = np.asarray(R, dtype=np.float64).reshape(n, 3, 3)[order]
+        self.t = np.asarray(t, dtype=np.float64).reshape(n, 3)[order]
+        self.names = tuple(np.array(names, dtype=object).reshape(n)[order])
+        repeated = self.ids[1:][self.ids[1:] == self.ids[:-1]]
+        if len(repeated):
+            raise ValueError(f"repeated image id {repeated[0]}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a centre may overflow to inf
+            bad = ~_valid_poses(self.R, self.t)
+            self.center = np.matmul(-self.R.transpose(0, 2, 1), self.t[:, :, None])[:, :, 0]
+        if bad.any():
+            raise ValueError(f"image {self.ids[np.argmax(bad)]}: R and t are not a finite pose")
+        for column in (self.ids, self.camera_ids, self.R, self.t, self.center):
+            column.flags.writeable = False
+        self._rows = dict(zip(self.ids.tolist(), range(n)))  # image id -> row
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __contains__(self, image_id) -> bool:
+        return image_id in self._rows
+
+    def row(self, image_id) -> int:
+        """The row of image image_id; a KeyError when the set lacks it."""
+        return self._rows[image_id]
+
+    def pose(self, image_id) -> Pose:
+        """Image image_id's Pose, read-only views of its rows of R and t,
+        which the constructor checked as Pose would."""
+        T, k = object.__new__(Pose), self.row(image_id)
+        object.__setattr__(T, "R", self.R[k])
+        object.__setattr__(T, "t", self.t[k])
+        return T
 
 
 @dataclass
@@ -245,22 +294,24 @@ class SceneModel:
     Construction checks that every camera and image they name exists."""
 
     intrinsics: dict  # camera_id -> Intrinsics
-    images: dict      # image_id -> ImageRecord
+    images: ImageSet
     points: PointSet
 
     def __post_init__(self):
-        for img in self.images.values():
-            if img.camera_id not in self.intrinsics:
-                raise DanglingReferenceError(
-                    f"image {img.id} references unknown camera {img.camera_id}"
-                )
+        for iid, cam_id in zip(self.images.ids.tolist(), self.images.camera_ids.tolist()):
+            if cam_id not in self.intrinsics:
+                raise DanglingReferenceError(f"image {iid} references unknown camera {cam_id}")
         pts = self.points
-        unknown = ~np.isin(pts.image_ids, np.fromiter(self.images, np.int64, len(self.images)))
+        unknown = ~np.isin(pts.image_ids, self.images.ids)
         if unknown.any():
             k = int(np.argmax(unknown))
             raise DanglingReferenceError(
                 f"point {pts.ids[pts.owner[k]]} references unknown image {pts.image_ids[k]}"
             )
+
+    def camera(self, image_id) -> Intrinsics:
+        """The intrinsics of image image_id; a KeyError when the model lacks it."""
+        return self.intrinsics[self.images.camera_ids[self.images.row(image_id)]]
 
 
 def _uv(K: Intrinsics, x, y, z):
@@ -354,28 +405,23 @@ def load_scene(path) -> SceneModel:
     for name in _SCENE_FILES:
         if not (path / name).exists():
             raise FileNotFoundError(f"missing reconstruction file: {path / name}")
-    return _sidecar(path).read(lambda: _parse_scene(path), _model_from_columns, lambda m: _columns(
-        m.intrinsics, m.images, [img.pose.R for img in m.images.values()], m.points))
+    return _sidecar(path).read(lambda: _parse_scene(path), _model_from_columns, _columns)
 
 
-def _columns(intrinsics: dict, images: dict, R: list, points: PointSet) -> dict:
-    """The columns of a model of intrinsics, images and points, in their
-    order, with R in place of the images' rotations."""
-    cams, imgs = list(intrinsics.values()), list(images.values())
-    names = [img.name for img in imgs]
+def _columns(model: SceneModel) -> dict:
+    """The columns of a model, in its order."""
+    cams, images, points = list(model.intrinsics.values()), model.images, model.points
     return {
-        "camera_id": np.array(list(intrinsics), np.int64),
+        "camera_id": np.array(list(model.intrinsics), np.int64),
         "camera_fxfycxcy": np.array([(K.fx, K.fy, K.cx, K.cy) for K in cams],
                                     np.float64).reshape(-1, 4),
         "camera_size": np.array([(K.width, K.height) for K in cams], np.int64).reshape(-1, 2),
-        "image_id": np.array(list(images), np.int64),
-        "image_camera": np.array([img.camera_id for img in imgs], np.int64),
-        "image_R": np.array(R, np.float64).reshape(-1, 3, 3),
-        "image_t": np.array([img.pose.t for img in imgs], np.float64).reshape(-1, 3),
+        "image_id": images.ids, "image_camera": images.camera_ids,
+        "image_R": images.R, "image_t": images.t,
         # One UTF-8 run and each name's length: a numpy str array would
         # drop a name's trailing NULs.
-        "image_names": np.frombuffer("".join(names).encode(), np.uint8),
-        "image_name_len": np.array([len(n) for n in names], np.int64),
+        "image_names": np.frombuffer("".join(images.names).encode(), np.uint8),
+        "image_name_len": np.array([len(n) for n in images.names], np.int64),
         "point_id": points.ids, "point_xyz": points.xyz, "point_rgb": points.rgb,
         "track_len": np.diff(points.offsets),
         "track_image": points.image_ids, "track_uv": points.uv,
@@ -394,14 +440,10 @@ def _model_from_columns(c: dict) -> SceneModel:
     ends = [0, *np.cumsum(c["image_name_len"]).tolist()]
     if ends[-1] != len(text):
         raise ValueError("image names do not add up to their text")
-    images = {
-        iid: ImageRecord(iid, Pose(R, t), cam_id, text[lo:hi])
-        for iid, cam_id, R, t, lo, hi in zip(
-            c["image_id"].tolist(), c["image_camera"].tolist(), c["image_R"],
-            c["image_t"], ends[:-1], ends[1:], strict=True)
-    }
-    if (len(intrinsics), len(images)) != (len(c["camera_id"]), len(c["image_id"])):
-        raise ValueError("repeated camera or image id")
+    images = ImageSet(c["image_id"], c["image_camera"], c["image_R"], c["image_t"],
+                      [text[lo:hi] for lo, hi in zip(ends, ends[1:])])
+    if len(intrinsics) != len(c["camera_id"]):
+        raise ValueError("repeated camera id")
     return SceneModel(intrinsics, images, PointSet(
         c["point_id"], c["point_xyz"], c["point_rgb"], c["track_len"], c["track_image"],
         c["track_uv"]))
@@ -438,7 +480,7 @@ def _parse_scene(path: Path) -> SceneModel:
                 )
             intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
 
-    images = {}
+    image_rows = []  # (camera id, R, t, name) of each image, in file order
     # Every observation of images.txt, in file order; an image's rows run
     # from its first row to the next image's.
     obs_u, obs_v, obs_point, first_row = [], [], [], {}
@@ -460,7 +502,7 @@ def _parse_scene(path: Path) -> SceneModel:
                 if len(tokens) < 10:
                     raise ValueError("image header line too short")
                 image_id, camera_id = int(tokens[0]), int(tokens[8])
-                if image_id in images:
+                if image_id in first_row:
                     raise ValueError(f"repeated image id {image_id}")
                 _io.int64("image id", image_id)
                 _io.int64("camera id", camera_id)
@@ -471,8 +513,8 @@ def _parse_scene(path: Path) -> SceneModel:
                         f"{src.path}:{src.no}: image {image_id} references unknown "
                         f"camera {camera_id}"
                     )
-                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7])
-                images[image_id] = ImageRecord(image_id, pose, camera_id, " ".join(tokens[9:]))
+                image_rows.append((camera_id, qvec2rotmat(vals[:4]), vals[4:],
+                                   " ".join(tokens[9:])))
                 first_row[image_id] = len(obs_point)
                 hdr_no = src.no
         if hdr_no is not None and src.no == hdr_no:
@@ -552,20 +594,19 @@ def _parse_scene(path: Path) -> SceneModel:
     image, row = track_rows()
     points = PointSet(list(point_line), point_xyz, point_rgb, track_len, image,
                       np.column_stack((obs_u, obs_v))[row])
-    _check_focal_lengths(path, intrinsics, points.xyz, [img.pose for img in images.values()])
-    return SceneModel(intrinsics, images, points)
+    model = SceneModel(intrinsics, ImageSet(list(first_row), *zip(*image_rows)), points)
+    _check_focal_lengths(path, model)
+    return model
 
 
-def _check_focal_lengths(path: Path, intrinsics: dict, xyz: np.ndarray, poses: list) -> None:
+def _check_focal_lengths(path: Path, model: SceneModel) -> None:
     """A DataError naming cameras.txt when a focal length times the diameter
-    of the points xyz and the centres of poses overflows: the pinhole model
+    of the model's points and camera centres overflows: the pinhole model
     multiplies camera-frame coordinates, at most that diameter, by it. A
     diameter that overflows itself is left to the stage that reads the
     coordinates, which names their file."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        centers = [T.center for T in poses]
-    diameter = _diameter(np.vstack([xyz, *centers]))
-    for cam_id, K in intrinsics.items():
+    diameter = _diameter(np.vstack([model.points.xyz, model.images.center]))
+    for cam_id, K in model.intrinsics.items():
         if math.isfinite(diameter) and not math.isfinite(max(K.fx, K.fy) * diameter):
             raise DataError(f"{path / 'cameras.txt'}: camera {cam_id}: focal length too large: "
                             "times the diameter of the points and camera centres it overflows")
@@ -592,8 +633,8 @@ def save_scene(model: SceneModel, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     cameras = {cam_id: model.intrinsics[cam_id] for cam_id in sorted(model.intrinsics)}
-    images = {iid: model.images[iid] for iid in sorted(model.images)}
-    qvecs = [img.pose.qvec for img in images.values()]
+    images = model.images
+    qvecs = [rotmat2qvec(R) for R in images.R]
 
     # Every observation is a row, in (point id, track slot) order. Each image
     # lists its rows in that order, and a track entry names the row's place there.
@@ -616,16 +657,16 @@ def save_scene(model: SceneModel, path) -> None:
 
     def image_lines():
         # Each observation line is one % format over a flat list.
-        lo = np.searchsorted(by_image, list(images)).tolist()
-        hi = np.searchsorted(by_image, list(images), side="right").tolist()
+        lo = np.searchsorted(by_image, images.ids).tolist()
+        hi = np.searchsorted(by_image, images.ids, side="right").tolist()
         obs = [None] * (3 * len(image))
         obs[0::3], obs[1::3] = uv[order, 0].tolist(), uv[order, 1].tolist()
         obs[2::3] = np.repeat(point_ids, lens)[order].tolist()
         yield b"# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n# POINTS2D[] as (X Y POINT3D_ID)\n"
-        for (iid, img), q, first, last in zip(images.items(), qvecs, lo, hi):
-            t = img.pose.t
-            yield (f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
-                   f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
+        for k, (q, t, first, last) in enumerate(zip(qvecs, images.t.tolist(), lo, hi)):
+            yield (f"{images.ids[k]} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} "
+                   f"{_io.fmt(q[3])} {_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} "
+                   f"{images.camera_ids[k]} {images.names[k]}\n"
                    + ("%.17g %.17g %d " * (last - first))[:-1] % tuple(obs[3 * first:3 * last])
                    + "\n").encode()
 
@@ -644,22 +685,22 @@ def save_scene(model: SceneModel, path) -> None:
         path, cameras, images, qvecs, PointSet(point_ids, xyz, rgb, lens, image, uv)))
 
 
-def _read_back(path: Path, cameras: dict, images: dict, qvecs: list, points: PointSet):
+def _read_back(path: Path, cameras: dict, images: ImageSet, qvecs: list, points: PointSet):
     """The columns _parse_scene gives for the files save_scene wrote of
-    cameras and images, in id order, whose quaternions are qvecs, and of
-    points, in id order with tracks in file order; None when the text does
-    not read back to their values or fails a check of the parse."""
-    ints = [*cameras, *images, *(img.camera_id for img in images.values()),
-            *(n for K in cameras.values() for n in (K.width, K.height))]
+    cameras, in id order, images, whose quaternions are qvecs, and points,
+    in id order with tracks in file order; None when the text does not read
+    back to their values or fails a check of the parse."""
+    ints = [*cameras, *(n for K in cameras.values() for n in (K.width, K.height))]
     if not (all(map(_io.is_int64, ints))
-            and all(isinstance(img.name, str) and img.name
-                    and " ".join(img.name.split()) == img.name for img in images.values())
+            and all(isinstance(name, str) and name and " ".join(name.split()) == name
+                    for name in images.names)
             and np.isfinite(points.xyz).all() and np.isfinite(points.uv).all()):
         return None
     try:
-        R = [qvec2rotmat(q) for q in qvecs]
-        poses = [Pose(r, img.pose.t) for r, img in zip(R, images.values())]
-        _check_focal_lengths(path, cameras, points.xyz, poses)
+        images = ImageSet(images.ids, images.camera_ids, [qvec2rotmat(q) for q in qvecs],
+                          images.t, images.names)
+        model = SceneModel(cameras, images, points)
+        _check_focal_lengths(path, model)
     except (ValueError, DataError):
         return None
-    return _columns(cameras, images, R, points)
+    return _columns(model)

@@ -17,7 +17,7 @@ import numpy as np
 from .landmarks import LandmarkSet, _saliencies, save_landmarks, score_saliency  # noqa: F401
 from .mesh import TriangleMesh, box_mesh, ray_cast, save_mesh_ply
 from .scene_model import (
-    ImageRecord,
+    ImageSet,
     Intrinsics,
     PointSet,
     SceneModel,
@@ -180,8 +180,8 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
         else:
             sites[i] = _sample_wall_point(rng, room)
 
-    images = {}
-    for iid in range(cfg.num_cameras):
+    poses = []
+    for _ in range(cfg.num_cameras):
         for _ in range(1000):
             eye = np.array(
                 [
@@ -202,14 +202,15 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
                 break
         if target is None:
             raise ValueError("min_target_dist leaves no reachable wall points")
-        images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1, f"synth{iid:05d}.png")
+        poses.append(look_at_pose(eye, target))
 
-    image_ids = sorted(images)
-    vis, uv = _observations(mesh, K, [images[iid].pose for iid in image_ids], sites)
+    images = ImageSet(range(len(poses)), [1] * len(poses), [T.R for T in poses],
+                      [T.t for T in poses], [f"synth{iid:05d}.png" for iid in range(len(poses))])
+    vis, uv = _observations(mesh, K, images, sites)
     observed = np.flatnonzero(vis.any(axis=1))
     owner, column = np.nonzero(vis[observed])
     track_len = np.bincount(owner, minlength=len(observed))
-    track_image = np.array(image_ids, dtype=np.int64)[column]
+    track_image = images.ids[column]
     points = PointSet(observed, sites[observed], np.full((len(observed), 3), 128), track_len,
                       track_image, uv)
     model = SceneModel({1: K}, images, points)
@@ -217,13 +218,13 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
     gt_landmarks = LandmarkSet(
         observed, sites[observed], _saliencies(points.xyz, track_image, track_len, model),
         {"generator": "synth", "seed": cfg.seed, "sites": len(sites)})
-    gt_visibility = VisibilityTable(image_ids, vis[observed], {"method": "raycast"})
+    gt_visibility = VisibilityTable(images.ids.tolist(), vis[observed], {"method": "raycast"})
     return SynthScene(mesh, model, gt_landmarks, gt_visibility, cfg, occluders)
 
 
-def _observations(mesh: TriangleMesh, K: Intrinsics, poses: list, sites: np.ndarray):
-    """Exact visibility of sites (N, 3) in the images of poses, and the pixels
-    of the visible pairs: vis (N, len(poses)) bool, where a pair is visible
+def _observations(mesh: TriangleMesh, K: Intrinsics, images: ImageSet, sites: np.ndarray):
+    """Exact visibility of sites (N, 3) in images, and the pixels of the
+    visible pairs: vis (N, len(images)) bool, where a pair is visible
     when the site is in view and the first mesh hit along the ray from the
     camera centre lies within 1e-6 m of it, and uv (V, 2), the pixels of the
     V visible pairs in (site, image) order.
@@ -231,21 +232,21 @@ def _observations(mesh: TriangleMesh, K: Intrinsics, poses: list, sites: np.ndar
     Images are taken in blocks of at most visibility._PAIR_BLOCK (site, image)
     pairs. Per block, one stacked product lists the pairs in view, with the
     bits of each image's project_many. Only those pairs are cast, one ray
-    each, the block's rays to one ray_cast call, which bounds its own steps;
-    every hit distance has the bits of a per-image pass that casts all sites
-    of an image at once. The pixels are computed for the visible pairs only,
-    _PAIR_BLOCK at a time, from stacked R @ site rows, with the bits of
-    _camera_frame and project.
+    each, the block's rays to one ray_cast call (none for a block without a
+    pair in view), which bounds its own steps; every hit distance has the
+    bits of a per-image pass that casts all sites of an image at once. The
+    pixels are computed for the visible pairs only, _PAIR_BLOCK at a time,
+    from stacked R @ site rows, with the bits of _camera_frame and project.
     """
-    R = np.array([T.R for T in poses]).reshape(-1, 3, 3)
-    t = np.array([T.t for T in poses]).reshape(-1, 3)
+    R, t = images.R, images.t
     RT = R.transpose(0, 2, 1)  # has the layout of Pose.R.T
-    center = np.matmul(-RT, t[:, :, None])[:, :, 0]  # Pose.center's bits
-    vis = np.zeros((len(sites), len(poses)), dtype=bool)
-    for blk in _pair_blocks(len(poses), len(sites)):
+    vis = np.zeros((len(sites), len(images)), dtype=bool)
+    for blk in _pair_blocks(len(images), len(sites)):
         img, site, _, _ = _pairs_in_view(K, sites, RT[blk], t[blk], True)
+        if not len(img):
+            continue
         img += blk.start
-        origin = center[img]
+        origin = images.center[img]
         dirs = sites[site] - origin
         dist = np.linalg.norm(dirs, axis=1)
         t_hit, _ = ray_cast(mesh, origin, dirs / dist[:, None])
@@ -263,12 +264,11 @@ def raycast_visibility_oracle(scene: SynthScene, xyz, image_id: int) -> bool:
     """Exact visibility of the point xyz: in front, inside the extent, and the
     first mesh hit along the camera-to-point ray lies within 1e-6 m of it."""
     xyz = np.asarray(xyz, dtype=float)
-    img = scene.model.images[image_id]
-    K = scene.model.intrinsics[img.camera_id]
-    _, valid = project_many(K, img.pose, xyz[None, :])
+    T = scene.model.images.pose(image_id)
+    _, valid = project_many(scene.model.camera(image_id), T, xyz[None, :])
     if not valid[0]:
         return False
-    origin = img.pose.center
+    origin = T.center
     direction = xyz - origin
     dist = float(np.linalg.norm(direction))
     t_hit, _ = ray_cast(scene.mesh, origin, direction / dist)

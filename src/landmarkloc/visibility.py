@@ -425,16 +425,17 @@ def compute_visibility(
     image) pairs. Per block, one stacked product gives every landmark's
     camera frame in each image, and the pairs in view are listed image by
     image. The mesh depth and normal at their pixels are read with one ray
-    per pair (see _first_hits), the block's pairs to one ray_cast call, and
-    _visible tests them. Every pair gets the bits of a per-image pass over
-    the landmarks, except where that pass took a one-row product on a
-    transposed view: in an image with one pair in view, or one ray hit, a
-    camera-frame normal may differ in the last bit (see _by_row). Row k of
-    the table is landmark k, the row of the set's columns. Landmarks farther
-    than cfg.max_surface_dist from the mesh are excluded (all-false row) and
-    reported in the table's diagnostics.
+    per pair (see _first_hits), the block's pairs to one ray_cast call (none
+    for a block without a pair in view), and _visible tests them. Every pair
+    gets the bits of a per-image pass over the landmarks, except where that
+    pass took a one-row product on a transposed view: in an image with one
+    pair in view, or one ray hit, a camera-frame normal may differ in the
+    last bit (see _by_row). Row k of the table is landmark k, the row of the
+    set's columns. Landmarks farther than cfg.max_surface_dist from the mesh
+    are excluded (all-false row) and reported in the table's diagnostics.
     """
-    image_ids = sorted(model.images)
+    images = model.images
+    image_ids = images.ids.tolist()
     mask = np.zeros((len(ls), len(image_ids)), dtype=bool)
     if len(ls) == 0:
         return VisibilityTable(image_ids, mask, asdict(cfg), [])
@@ -445,23 +446,20 @@ def compute_visibility(
     xyz = ls.xyz
     face_normals = mesh.face_normals()
 
-    columns = {}  # camera id -> table columns of its images
-    for j, iid in enumerate(image_ids):
-        columns.setdefault(model.images[iid].camera_id, []).append(j)
-    for camera_id, cols in columns.items():
+    for camera_id in dict.fromkeys(images.camera_ids.tolist()):
         K = model.intrinsics[camera_id]
         G = _decimated(K, cfg.decimation)
-        cols = np.array(cols)
-        R = np.array([model.images[image_ids[j]].pose.R for j in cols])
-        t = np.array([model.images[image_ids[j]].pose.t for j in cols])
+        cols = np.flatnonzero(images.camera_ids == camera_id)  # the table columns of its images
+        R, t, center = images.R[cols], images.t[cols], images.center[cols]
         # Transposed views of the C-contiguous stack R have the layout of
         # Pose.R.T, so products with them have the bits of the per-image
         # ones; _by_row takes the C-contiguous copy RTc.
         RT = R.transpose(0, 2, 1)
         RTc = np.ascontiguousarray(RT)
-        center = np.matmul(-RT, t[:, :, None])[:, :, 0]  # Pose.center's bits
         for blk in _pair_blocks(len(cols), len(ls)):
             img, lm, uv, z = _pairs_in_view(K, xyz, RT[blk], t[blk], active)
+            if not len(img):
+                continue
             img += blk.start
             depth, normal = _first_hits(mesh, face_normals, G, cfg.decimation,
                                         uv, img, R, RTc, center)

@@ -3,7 +3,7 @@ import pytest
 
 from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.mesh import ray_cast
-from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, PointSet, SceneModel
+from landmarkloc.scene_model import ImageSet, Intrinsics, Pose, PointSet, SceneModel
 
 
 def random_rotation(rng):
@@ -22,6 +22,24 @@ def random_rotation(rng):
 
 def make_intrinsics(f=100.0, c=50.0, size=100):
     return Intrinsics(fx=f, fy=f, cx=c, cy=c, width=size, height=size)
+
+
+def image_set(poses, camera_ids=1, names=None):
+    """An ImageSet of {image id: Pose}: each image of camera camera_ids (one
+    id, or one per image) and named names[k], or im<id>.png."""
+    ids = list(poses)
+    return ImageSet(ids, np.broadcast_to(camera_ids, len(ids)), [T.R for T in poses.values()],
+                    [T.t for T in poses.values()],
+                    [f"im{iid}.png" for iid in ids] if names is None else names)
+
+
+def rename_image(model, image_id, name):
+    """model, its image image_id renamed to name."""
+    images = model.images
+    names = list(images.names)
+    names[images.row(image_id)] = name
+    model.images = ImageSet(images.ids, images.camera_ids, images.R, images.t, names)
+    return model
 
 
 def points_from_pairs(points):
@@ -54,10 +72,7 @@ def make_minimal_model():
     K = make_intrinsics()
     pose0 = Pose(np.eye(3), np.zeros(3))
     pose1 = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
-    images = {
-        1: ImageRecord(1, pose0, 1, "img0.png"),
-        2: ImageRecord(2, pose1, 1, "img1.png"),
-    }
+    images = image_set({1: pose0, 2: pose1}, names=["img0.png", "img1.png"])
     points = points_from_pairs({7: (np.array([0.0, 0.0, 2.0]), [
         (1, np.array([50.0, 50.0])), (2, np.array([45.0, 50.0]))])})
     return SceneModel({1: K}, images, points)

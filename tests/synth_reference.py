@@ -14,8 +14,9 @@ from landmarkloc.mesh import ray_cast
 from landmarkloc.scene_model import _camera_frame, _pixel, project_many
 
 
-def observations_per_image(mesh, K, poses, sites):
+def observations_per_image(mesh, K, images, sites):
     """synth._observations as one pass per image over all sites."""
+    poses = [images.pose(iid) for iid in images.ids.tolist()]
     n_sites = len(sites)
     vis = np.zeros((n_sites, len(poses)), dtype=bool)
     uv = np.empty((n_sites, len(poses), 2))
@@ -54,7 +55,8 @@ def save_scene_per_observation(model, path):
     place = np.empty(len(image), dtype=np.int64)
     place[order] = np.arange(len(image)) - np.searchsorted(by_image, by_image)
 
-    image_ids = sorted(model.images)
+    images = model.images
+    image_ids = sorted(images.ids.tolist())
     lo = np.searchsorted(by_image, image_ids).tolist()
     hi = np.searchsorted(by_image, image_ids, side="right").tolist()
     u, v = uv[order].T.tolist()
@@ -63,12 +65,14 @@ def save_scene_per_observation(model, path):
         fh.write("# IMAGE_ID QW QX QY QZ TX TY TZ CAMERA_ID NAME\n")
         fh.write("# POINTS2D[] as (X Y POINT3D_ID)\n")
         for iid, first, last in zip(image_ids, lo, hi):
-            img = model.images[iid]
-            q = img.pose.qvec
-            t = img.pose.t
+            k = images.row(iid)
+            T = images.pose(iid)
+            q = T.qvec
+            t = T.t
             fh.write(
                 f"{iid} {_io.fmt(q[0])} {_io.fmt(q[1])} {_io.fmt(q[2])} {_io.fmt(q[3])} "
-                f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {img.camera_id} {img.name}\n"
+                f"{_io.fmt(t[0])} {_io.fmt(t[1])} {_io.fmt(t[2])} {images.camera_ids[k]} "
+                f"{images.names[k]}\n"
             )
             rows = zip(u[first:last], v[first:last], owner[first:last])
             fh.write(" ".join(f"{x:.17g} {y:.17g} {pid}" for x, y, pid in rows) + "\n")

@@ -64,7 +64,7 @@ def stable_rot_deg(Ra, Rb):
 def localize_all(scene, dets, cfg, seed):
     out = {}
     for iid in sorted(dets):
-        K = scene.model.intrinsics[scene.model.images[iid].camera_id]
+        K = scene.model.camera(iid)
         out[iid] = localize(dets[iid], scene.gt_landmarks, K, cfg, seed=seed ^ iid)
     return out
 
@@ -114,7 +114,7 @@ def test_criterion_1_exact_recovery(scene100):
     max_dr = max_dt = 0.0
     all_ok = True
     for iid, est in estimates.items():
-        gt = scene100.model.images[iid].pose
+        gt = scene100.model.images.pose(iid)
         if est.status != "ok":
             all_ok = False
             continue
@@ -198,15 +198,14 @@ def test_criterion_4_visibility_oracle():
     elapsed = time.perf_counter() - t0
 
     xyz = ls.xyz
-    image_ids = sorted(scene.model.images)
+    image_ids = scene.model.images.ids.tolist()
     disagreements = []
     agree = 0
     n_occluded = 0
     for j, iid in enumerate(image_ids):
-        img = scene.model.images[iid]
-        K = scene.model.intrinsics[img.camera_id]
-        uv, valid = project_many(K, img.pose, xyz)
-        origin = img.pose.center
+        T, K = scene.model.images.pose(iid), scene.model.camera(iid)
+        uv, valid = project_many(K, T, xyz)
+        origin = T.center
         dirs = xyz - origin
         dists = np.linalg.norm(dirs, axis=1)
         t_hit, _ = ray_cast(scene.mesh, np.tile(origin, (len(xyz), 1)),
@@ -229,11 +228,10 @@ def test_criterion_4_visibility_oracle():
     for i, iid, uv in disagreements:
         by_image.setdefault(iid, []).append((i, uv))
     for iid, items in by_image.items():
-        img = scene.model.images[iid]
-        K = scene.model.intrinsics[img.camera_id]
-        dm = rasterize_depth(scene.mesh, K, img.pose)
+        T, K = scene.model.images.pose(iid), scene.model.camera(iid)
+        dm = rasterize_depth(scene.mesh, K, T)
         for i, uv in items:
-            z = float(img.pose.apply(xyz[i])[2])
+            z = float(T.apply(xyz[i])[2])
             tol = max(vcfg.tol_depth, vcfg.rel_frac * z)
             px = int(round(uv[0]))
             py = int(round(uv[1]))

@@ -57,7 +57,7 @@ def saliency_ref(xyz, track_images, model):
         return 1.0
     dirs = np.empty((n, 3))
     for i, iid in enumerate(image_ids):
-        d = xyz - model.images[iid].pose.center
+        d = xyz - model.images.pose(iid).center
         dirs[i] = d / np.linalg.norm(d)
     cosines = np.clip(dirs @ dirs.T, -1.0, 1.0)
     spread = min(float(np.mean(np.arccos(cosines[np.triu_indices(n, k=1)]))), math.pi / 2)
@@ -67,14 +67,13 @@ def saliency_ref(xyz, track_images, model):
 def simulate_ref(model, ls, vt, sigma, outlier_rate, seed):
     """(image id, landmark id, u, v, confidence, outlier) per detection."""
     rows = []
-    for iid in sorted(model.images):
-        img = model.images[iid]
-        K = model.intrinsics[img.camera_id]
+    for iid in model.images.ids.tolist():
+        T, K = model.images.pose(iid), model.camera(iid)
         rng = np.random.default_rng(seed ^ iid)
         for lid, xyz in enumerate(ls.xyz):
             if not vt.visible(lid, iid):
                 continue
-            truth = project_ref(K, img.pose, xyz)
+            truth = project_ref(K, T, xyz)
             if truth is None:
                 continue
             if rng.random() < outlier_rate:
@@ -121,7 +120,7 @@ def test_angular_errors_match_one_row(scene):
     xyz = scene.gt_landmarks.xyz
     behind = 0
     for iid in (0, 7, 13):
-        T = model.images[iid].pose
+        T = model.images.pose(iid)
         uv = rng.uniform([0.0, 0.0], [K.width, K.height], size=(len(xyz), 2))
         front = [i for i in range(len(xyz)) if T.apply(xyz[i])[2] > 0]
         behind += len(xyz) - len(front)
@@ -146,7 +145,7 @@ def test_synth_observations_match_project(scene):
     K = model.intrinsics[1]
     points = model.points
     for xyz, iid, uv in zip(points.xyz[points.owner], points.image_ids.tolist(), points.uv):
-        assert tuple(uv) == project_ref(K, model.images[iid].pose, xyz)
+        assert tuple(uv) == project_ref(K, model.images.pose(iid), xyz)
 
 
 def reference_normals_ref(mesh, ls, max_dist):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import landmarkloc
 from landmarkloc import detection, scene_model
@@ -588,6 +589,38 @@ class TestPipelineCommands:
         assert rc == 2
         assert f"{poses}: no pose lines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [[], ["--labels", "x", "x"]], ids=["default", "explicit"])
+    def test_evaluate_refuses_repeated_labels(self, scene_dir, pipeline, tmp_path, capsys,
+                                              labels):
+        # Two runs of one label would share a report row name and a per-image file.
+        _, _, poses = pipeline
+        copies = [tmp_path / run / "poses.txt" for run in ("a", "b")]
+        for copy in copies:
+            copy.parent.mkdir()
+            copy.write_bytes(poses.read_bytes())
+        report = tmp_path / "report.txt"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"),
+                   "--estimates", *map(str, copies), *labels, "--out", str(report),
+                   "--csv", str(tmp_path / "report.csv"),
+                   "--per-image", str(tmp_path / "err.csv")])
+        assert rc == 1
+        label = "x" if labels else "poses"
+        assert f"two runs are labelled {label!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    @pytest.mark.parametrize("flag", ["--rot-thresh", "--pos-thresh"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_evaluate_threshold_out_of_range(self, scene_dir, pipeline, tmp_path, capsys,
+                                             flag, value):
+        _, _, poses = pipeline
+        report = tmp_path / "report.txt"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses),
+                   flag, value, "--out", str(report)])
+        assert rc == 2
+        name = "rotation" if flag == "--rot-thresh" else "position"
+        assert f"{name} threshold must be finite and > 0" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("row, message", [
         ("9999,0,10.0,10.0,0.9", "detections reference unknown image 9999"),
         ("0,100000,10.0,10.0,0.9", "detection references unknown landmark 100000"),
@@ -726,6 +759,24 @@ class TestConfigFile:
              "--out", "o", "--refinement=weighted", "--config", str(cfg)]
         ))
         assert args.refinement == "weighted"
+
+    def test_default_config_matches_the_parser(self):
+        # Each section of default_config.yaml is a subcommand and each key
+        # one of its flags, whose parser default, where it has one, is the
+        # file's value.
+        config = yaml.safe_load((Path(__file__).parents[1] / "default_config.yaml").read_text())
+        commands = build_parser()._subparsers._group_actions[0].choices
+        checked = 0
+        for command, section in config.items():
+            assert command in commands
+            actions = {flag: action for action in commands[command]._actions
+                       for flag in action.option_strings}
+            for key, value in section.items():
+                flag = "--" + key.replace("_", "-")
+                assert flag in actions, (command, key)
+                assert actions[flag].default in (None, value), (command, key)
+                checked += 1
+        assert checked == 29
 
     def test_missing_config_is_data_error(self, scene_dir, tmp_path):
         rc = main(

@@ -25,10 +25,10 @@ from landmarkloc.detection import (
 )
 from landmarkloc.errors import DuplicateLandmarkError, MalformedFileError
 from landmarkloc.pose import localize
-from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel, project
+from landmarkloc.scene_model import Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
-from conftest import landmark_set, outcome, points_from_pairs, read_only_open
+from conftest import image_set, landmark_set, outcome, points_from_pairs, read_only_open
 
 EXTENT = (640, 480)  # grid 80 x 60
 
@@ -108,10 +108,8 @@ class TestExtract:
 def tiny_scene(n_landmarks=20, n_images=4, width=640, height=480):
     K = Intrinsics(500.0, 500.0, width / 2, height / 2, width, height)
     rng = np.random.default_rng(51)
-    images = {
-        iid: ImageRecord(iid, Pose(np.eye(3), np.zeros(3)), 1, f"i{iid}.png")
-        for iid in range(n_images)
-    }
+    images = image_set({iid: Pose(np.eye(3), np.zeros(3)) for iid in range(n_images)},
+                       names=[f"i{iid}.png" for iid in range(n_images)])
     model = SceneModel({1: K}, images, points_from_pairs({}))
     pts = []
     for i in range(n_landmarks):
@@ -129,10 +127,9 @@ class TestSimulate:
         model, ls, vt = tiny_scene()
         dets = simulate_detections(model, ls, vt, noise_sigma_px=0.0, seed=1)
         for iid, ds in dets.items():
-            img = model.images[iid]
-            K = model.intrinsics[img.camera_id]
+            T, K = model.images.pose(iid), model.camera(iid)
             for lid, uv in zip(ds.landmark_ids, ds.uv):
-                truth = project(K, img.pose, ls.xyz[lid])
+                truth = project(K, T, ls.xyz[lid])
                 assert np.abs(uv - truth).max() < 1e-12
             assert (ds.confidence == 1.0).all()
 
@@ -163,11 +160,10 @@ class TestSimulate:
         n_close = 0
         n_total = 0
         for iid, ds in dets.items():
-            img = model.images[iid]
-            K = model.intrinsics[img.camera_id]
+            T, K = model.images.pose(iid), model.camera(iid)
             assert outliers[iid] == set(ds.landmark_ids.tolist())
             for lid, uv in zip(ds.landmark_ids, ds.uv):
-                truth = project(K, img.pose, ls.xyz[lid])
+                truth = project(K, T, ls.xyz[lid])
                 n_total += 1
                 if np.linalg.norm(uv - truth) < 3.0:
                     n_close += 1
@@ -391,7 +387,7 @@ class TestRowOrder:
         for iid in dets:
             same_columns(shuffled[iid], ordered[iid])
             assert (np.diff(shuffled[iid].landmark_ids) > 0).all()
-            K = model.intrinsics[model.images[iid].camera_id]
+            K = model.camera(iid)
             self.same_estimate(localize(shuffled[iid], ls, K, seed=iid),
                                localize(ordered[iid], ls, K, seed=iid))
 
@@ -406,7 +402,7 @@ class TestRowOrder:
                     iid, ds.landmark_ids[keep], ds.uv[keep], ds.confidence[keep]))
             merged = merge_ensemble(groups, iid)
             same_columns(merged, ds)
-            K = model.intrinsics[model.images[iid].camera_id]
+            K = model.camera(iid)
             self.same_estimate(localize(merged, ls, K, seed=iid), localize(ds, ls, K, seed=iid))
 
     def test_landmark_in_two_groups_is_named(self):

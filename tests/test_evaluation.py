@@ -21,9 +21,9 @@ from landmarkloc.evaluation import (
     rotation_error,
 )
 from landmarkloc.pose import PoseEstimate
-from landmarkloc.scene_model import ImageRecord, Pose, SceneModel, project
+from landmarkloc.scene_model import Pose, SceneModel, project
 
-from conftest import landmark_set, make_intrinsics, points_from_pairs, random_rotation
+from conftest import image_set, landmark_set, make_intrinsics, points_from_pairs, random_rotation
 
 
 def axis_rotation(axis, deg):
@@ -209,10 +209,8 @@ class TestDetectionAngularError:
 def small_gt_model(n_images=4):
     K = make_intrinsics()
     rng = np.random.default_rng(91)
-    images = {
-        i: ImageRecord(i, Pose(random_rotation(rng), rng.normal(size=3)), 1, f"{i}.png")
-        for i in range(n_images)
-    }
+    poses = {i: Pose(random_rotation(rng), rng.normal(size=3)) for i in range(n_images)}
+    images = image_set(poses, names=[f"{i}.png" for i in poses])
     return SceneModel({1: K}, images, points_from_pairs({}))
 
 
@@ -220,8 +218,8 @@ class TestReport:
     def test_exact_run_has_full_recall(self):
         model = small_gt_model()
         estimates = {
-            iid: PoseEstimate(img.pose, frozenset({1}), 1, 0.0, "ok")
-            for iid, img in model.images.items()
+            iid: PoseEstimate(model.images.pose(iid), frozenset({1}), 1, 0.0, "ok")
+            for iid in model.images.ids.tolist()
         }
         report = build_report([RunRecord("exact", estimates, model)])
         assert report.rows[0].recall == 1.0
@@ -237,8 +235,8 @@ class TestReport:
     def test_csv_roundtrip_identical(self):
         model = small_gt_model()
         estimates = {
-            iid: PoseEstimate(img.pose, frozenset(), 1, 0.1, "ok")
-            for iid, img in model.images.items()
+            iid: PoseEstimate(model.images.pose(iid), frozenset(), 1, 0.1, "ok")
+            for iid in model.images.ids.tolist()
         }
         estimates[0] = PoseEstimate(None, frozenset(), 2, float("nan"), "no_consensus")
         report = build_report([RunRecord("run-a", estimates, model)])
@@ -249,8 +247,8 @@ class TestReport:
     def test_text_table_lists_rows(self):
         model = small_gt_model()
         estimates = {
-            iid: PoseEstimate(img.pose, frozenset(), 1, 0.1, "ok")
-            for iid, img in model.images.items()
+            iid: PoseEstimate(model.images.pose(iid), frozenset(), 1, 0.1, "ok")
+            for iid in model.images.ids.tolist()
         }
         report = build_report(
             [RunRecord("a", estimates, model), RunRecord("b", estimates, model)]
@@ -262,7 +260,7 @@ class TestReport:
     def test_per_image_csv(self):
         model = small_gt_model(2)
         estimates = {
-            0: PoseEstimate(model.images[0].pose, frozenset(), 1, 0.0, "ok"),
+            0: PoseEstimate(model.images.pose(0), frozenset(), 1, 0.0, "ok"),
             1: PoseEstimate(None, frozenset(), 1, float("nan"), "insufficient"),
         }
         text = per_image_csv(estimates, model)
@@ -274,7 +272,7 @@ class TestReport:
     def test_angular_error_column(self):
         model = small_gt_model(1)
         K = model.intrinsics[1]
-        T = model.images[0].pose
+        T = model.images.pose(0)
         p_world = T.inverse().apply(np.array([0.0, 0.0, 2.0]))
         ls = landmark_set(p_world)
         uv = project(K, T, p_world)

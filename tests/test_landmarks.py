@@ -14,37 +14,34 @@ from landmarkloc.landmarks import (
     score_saliency,
     select_landmarks,
 )
-from landmarkloc.scene_model import ImageRecord, Intrinsics, Pose, SceneModel
+from landmarkloc.scene_model import Intrinsics, Pose, SceneModel
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import make_intrinsics, points_from_pairs, random_rotation, track
+from conftest import image_set, make_intrinsics, points_from_pairs, random_rotation, track
 
 
 def make_cloud_model(rng, n_points=100, n_images=12, track_range=(3, 12)):
     """Random point cloud observed by cameras at random centers."""
     K = make_intrinsics()
-    images = {}
+    poses = {}
     for iid in range(n_images):
         R = random_rotation(rng)
         center = rng.uniform(-5, 5, size=3)
-        images[iid] = ImageRecord(iid, Pose(R, -R @ center), 1, f"im{iid}.png")
+        poses[iid] = Pose(R, -R @ center)
     points = {}
     for pid in range(n_points):
         n_obs = int(rng.integers(track_range[0], track_range[1] + 1))
         obs_ids = rng.choice(n_images, size=n_obs, replace=False)
         obs = [(int(i), rng.uniform(0, 100, size=2)) for i in sorted(obs_ids)]
         points[pid] = (rng.uniform(-10, 10, size=3), obs)
-    return SceneModel({1: K}, images, points_from_pairs(points))
+    return SceneModel({1: K}, image_set(poses), points_from_pairs(points))
 
 
 def make_two_camera_model(centers, point_xyz):
     K = make_intrinsics()
-    images = {}
-    for iid, c in enumerate(centers):
-        c = np.asarray(c, dtype=float)
-        images[iid] = ImageRecord(iid, Pose(np.eye(3), -c), 1, f"im{iid}.png")
-    obs = [(iid, np.array([50.0, 50.0])) for iid in images]
-    return SceneModel({1: K}, images, points_from_pairs({0: (point_xyz, obs)}))
+    poses = {iid: Pose(np.eye(3), -np.asarray(c, dtype=float)) for iid, c in enumerate(centers)}
+    obs = [(iid, np.array([50.0, 50.0])) for iid in poses]
+    return SceneModel({1: K}, image_set(poses), points_from_pairs({0: (point_xyz, obs)}))
 
 
 def saliency(model, k):
@@ -65,8 +62,8 @@ def saliency_oracle(model, k):
     angles = []
     for a in range(len(iids)):
         for b in range(a + 1, len(iids)):
-            da = xyz - model.images[iids[a]].pose.center
-            db = xyz - model.images[iids[b]].pose.center
+            da = xyz - model.images.pose(iids[a]).center
+            db = xyz - model.images.pose(iids[b]).center
             da, db = da / np.linalg.norm(da), db / np.linalg.norm(db)
             angles.append(math.acos(max(-1.0, min(1.0, float(np.dot(da, db))))))
     spread = min(sum(angles) / len(angles), math.pi / 2)
@@ -101,7 +98,7 @@ def saliencies_per_point(xyz, image_ids, counts, model):
     """The per-point loop _saliencies replaced: one product, clip, arccos and
     mean per point."""
     images, at = np.unique(image_ids, return_inverse=True)
-    centers = np.array([model.images[iid].pose.center for iid in images.tolist()])
+    centers = np.array([model.images.pose(iid).center for iid in images.tolist()])
     d = np.repeat(xyz, counts, axis=0) - centers.reshape(-1, 3)[at]
     dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
     scores = []

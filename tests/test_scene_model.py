@@ -13,7 +13,7 @@ from landmarkloc.errors import (
     UnsupportedCameraModelError,
 )
 from landmarkloc.scene_model import (
-    ImageRecord,
+    ImageSet,
     Intrinsics,
     PointSet,
     Pose,
@@ -31,12 +31,14 @@ from landmarkloc.scene_model import (
 from landmarkloc.synth import SynthConfig, generate_scene
 
 from conftest import (
+    image_set,
     make_intrinsics,
     make_minimal_model,
     outcome,
     points_from_pairs,
     random_rotation,
     read_only_open,
+    rename_image,
 )
 
 CACHE = ".landmarkloc-scene.npz"
@@ -69,15 +71,14 @@ def assert_same_model(a, b):
         assert type(cam_id) is int
         assert [(type(v), v) for v in vars(K).values()] == [
             (type(v), v) for v in vars(b.intrinsics[cam_id]).values()]
-    assert list(a.images) == list(b.images)
-    for iid, img in a.images.items():
-        other = b.images[iid]
-        assert type(iid) is type(img.id) is type(img.camera_id) is int
-        assert (img.id, img.camera_id, img.name) == (other.id, other.camera_id, other.name)
-        assert type(img.name) is str and type(img.pose) is Pose
-        for x, y in ((img.pose.R, other.pose.R), (img.pose.t, other.pose.t)):
-            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
-            assert not x.flags.writeable
+    assert type(a.images) is type(b.images) is ImageSet
+    for name in ("ids", "camera_ids", "R", "t", "center"):
+        x, y = getattr(a.images, name), getattr(b.images, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        assert not x.flags.writeable
+    assert a.images.ids.dtype == a.images.camera_ids.dtype == np.int64
+    assert a.images.names == b.images.names
+    assert type(a.images.names) is tuple and all(type(n) is str for n in a.images.names)
     assert type(a.points) is type(b.points) is PointSet
     for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
         x, y = getattr(a.points, name), getattr(b.points, name)
@@ -241,14 +242,14 @@ class TestSceneModel:
 
     def test_dangling_image_reference(self):
         K = make_intrinsics()
-        images = {1: ImageRecord(1, Pose(np.eye(3), np.zeros(3)), 1, "a.png")}
+        images = image_set({1: Pose(np.eye(3), np.zeros(3))}, names=["a.png"])
         points = points_from_pairs({0: ([0, 0, 2], [(99, np.array([1.0, 1.0]))])})
         with pytest.raises(DanglingReferenceError):
             SceneModel({1: K}, images, points)
 
     def test_dangling_image_reference_names_point_and_image(self):
         K = make_intrinsics()
-        images = {1: ImageRecord(1, Pose(np.eye(3), np.zeros(3)), 1, "a.png")}
+        images = image_set({1: Pose(np.eye(3), np.zeros(3))}, names=["a.png"])
         points = points_from_pairs({
             0: ([0, 0, 2], [(1, np.array([1.0, 1.0]))]),
             5: ([0, 0, 2], [(1, np.array([1.0, 1.0])), (98, np.array([2.0, 1.0])),
@@ -309,6 +310,64 @@ class TestPointSet:
             PointSet(**two_points(ids=[4, 4]))
 
 
+def three_images(**change):
+    """ImageSet columns for images 5, 2 and 9 (given out of id order), of
+    cameras 1, 2 and 1, as keyword arguments; change replaces some of them."""
+    rng = np.random.default_rng(4)
+    columns = dict(ids=[5, 2, 9], camera_ids=[1, 2, 1],
+                   R=[random_rotation(rng) for _ in range(3)], t=rng.normal(size=(3, 3)),
+                   names=["five.png", "two.png", "nine.png"])
+    return {**columns, **change}
+
+
+class TestImageSet:
+    def test_rows_in_id_order(self):
+        columns = three_images()
+        images = ImageSet(**columns)
+        assert len(images) == 3 and images.ids.tolist() == [2, 5, 9]
+        assert images.camera_ids.tolist() == [2, 1, 1]
+        assert images.names == ("two.png", "five.png", "nine.png")
+        assert [images.row(iid) for iid in (9, 5, 2)] == [2, 1, 0]
+        assert 5 in images and np.int64(9) in images and 7 not in images
+        for k, src in enumerate([1, 0, 2]):
+            T = Pose(columns["R"][src], columns["t"][src])
+            assert images.pose(images.ids[k]).R.tobytes() == T.R.tobytes()
+            assert images.center[k].tobytes() == T.center.tobytes()
+        for column in (images.ids, images.camera_ids, images.R, images.t, images.center):
+            assert not column.flags.writeable
+
+    def test_unknown_id_is_a_key_error(self):
+        images = ImageSet(**three_images())
+        for lookup in (images.row, images.pose):
+            with pytest.raises(KeyError, match="7"):
+                lookup(7)
+
+    @pytest.mark.parametrize("change", [
+        dict(camera_ids=[1, 2]),
+        dict(R=np.eye(3)),
+        dict(t=np.zeros((2, 3))),
+        dict(names=["a.png"]),
+    ], ids=["cameras", "rotations", "translations", "names"])
+    def test_columns_must_pair_up(self, change):
+        with pytest.raises(ValueError):
+            ImageSet(**three_images(**change))
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="repeated image id 5"):
+            ImageSet(**three_images(ids=[5, 2, 5]))
+
+    @pytest.mark.parametrize("k, R, t", [
+        (0, 2.0 * np.eye(3), np.zeros(3)),                # not orthogonal
+        (1, np.diag([1.0, 1.0, -1.0]), np.zeros(3)),      # a reflection
+        (2, np.eye(3), [0.0, np.inf, 0.0]),               # not finite
+    ])
+    def test_pose_must_be_valid(self, k, R, t):
+        columns = three_images()
+        columns["R"][k], columns["t"][k] = R, t
+        with pytest.raises(ValueError, match=f"image {columns['ids'][k]}: R and t are not"):
+            ImageSet(**columns)
+
+
 class TestSceneIO:
     def test_roundtrip_minimal(self, tmp_path, monkeypatch):
         model = make_minimal_model()
@@ -317,12 +376,11 @@ class TestSceneIO:
         parses = count_parses(monkeypatch)
         loaded = load_scene(tmp_path)
         assert len(parses) == 1
-        assert set(loaded.images) == set(model.images)
-        for iid, img in model.images.items():
-            got = loaded.images[iid]
-            assert got.name == img.name and got.camera_id == img.camera_id
-            assert np.abs(got.pose.R - img.pose.R).max() < 1e-12
-            assert np.abs(got.pose.t - img.pose.t).max() < 1e-15
+        got, img = loaded.images, model.images
+        assert set(got.ids.tolist()) == set(img.ids.tolist())
+        assert got.names == img.names and np.array_equal(got.camera_ids, img.camera_ids)
+        assert np.abs(got.R - img.R).max() < 1e-12
+        assert np.abs(got.t - img.t).max() < 1e-15
         for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
             assert np.array_equal(getattr(loaded.points, name), getattr(model.points, name))
 
@@ -345,9 +403,9 @@ class TestSceneIO:
         save_scene(make_minimal_model(), tmp_path)
         a = load_scene(tmp_path)
         b = load_scene(tmp_path)
-        assert np.array_equal(a.images[1].pose.R, b.images[1].pose.R)
+        assert np.array_equal(a.images.pose(1).R, b.images.pose(1).R)
         assert np.array_equal(a.points.xyz, b.points.xyz)
-        assert a.images[1].name == b.images[1].name
+        assert a.images.names[a.images.row(1)] == b.images.names[b.images.row(1)]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -532,9 +590,9 @@ class TestSceneCache:
                              ids=["minimal", "bench-sized"])
     def test_hit_equals_parse(self, tmp_path, monkeypatch, make):
         model = make()
-        first, second, *_ = model.images.values()
-        first.name = "a name with inner spaces.png"
-        second.name = "ends in a NUL\x00"  # a numpy str array would drop it
+        first, second, *_ = model.images.ids.tolist()
+        rename_image(model, first, "a name with inner spaces.png")
+        rename_image(model, second, "ends in a NUL\x00")  # a numpy str array would drop it
         save_scene(model, tmp_path)
         (tmp_path / CACHE).unlink()  # the copy save_scene leaves
         pts = tmp_path / "points3D.txt"
@@ -548,7 +606,7 @@ class TestSceneCache:
         fresh = _parse_scene(tmp_path)
         assert_same_model(hit, fresh)
         assert_same_model(miss, fresh)
-        assert hit.images[second.id].name == "ends in a NUL\x00"
+        assert hit.images.names[hit.images.row(second)] == "ends in a NUL\x00"
 
     @pytest.mark.parametrize("damage", [
         lambda data, foreign: data[:len(data) // 2],                 # truncated
@@ -715,10 +773,11 @@ class TestWriterCopy:
         rng = np.random.default_rng(3)
         K = Intrinsics(400, 410.5, 320.25, 240.0, np.int64(640), 480)
         cams = {np.int64(9): K, 2: make_intrinsics()}
-        images = {}
-        for iid, cam in ((np.int64(5), 2), (1, np.int64(9)), (3, 9)):
-            images[iid] = ImageRecord(int(iid), Pose(random_rotation(rng), rng.normal(size=3)),
-                                      cam, f"img {iid}.png" if iid != 3 else "a\x00b")
+        order = ((np.int64(5), 2), (1, np.int64(9)), (3, 9))
+        poses = [Pose(random_rotation(rng), rng.normal(size=3)) for _ in order]
+        images = ImageSet([iid for iid, _ in order], [cam for _, cam in order],
+                          [T.R for T in poses], [T.t for T in poses],
+                          [f"img {iid}.png" if iid != 3 else "a\x00b" for iid, _ in order])
         points = PointSet([40, 7, 12], rng.normal(size=(3, 3)), [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
                           [3, 2, 1], [3, 5, 1, 1, 3, 5], rng.uniform(0, 100, size=(6, 2)))
         save_scene(SceneModel(cams, images, points), tmp_path)
@@ -728,17 +787,17 @@ class TestWriterCopy:
         assert_same_model(copied, _parse_scene(tmp_path))
 
     @pytest.mark.parametrize("edit", [
-        lambda m: setattr(m.images[1], "name", "two  spaces.png"),
-        lambda m: setattr(m.images[1], "name", " leading.png"),
-        lambda m: setattr(m.images[1], "name", "tab\there.png"),
-        lambda m: setattr(m.images[1], "name", "line\rend.png"),
-        lambda m: setattr(m.images[1], "name", ""),
-        lambda m: setattr(m.images[1], "camera_id", 1.0),
+        lambda m: rename_image(m, 1, "two  spaces.png"),
+        lambda m: rename_image(m, 1, " leading.png"),
+        lambda m: rename_image(m, 1, "tab\there.png"),
+        lambda m: rename_image(m, 1, "line\rend.png"),
+        lambda m: rename_image(m, 1, ""),
+        lambda m: setattr(m, "intrinsics", {1.0: m.intrinsics[1]}),
         lambda m: m.intrinsics.update({1: Intrinsics(100.0, 100.0, 50.0, 50.0, 100.0, 100)}),
         lambda m: m.intrinsics.update({1: Intrinsics(1e308, 100.0, 50.0, 50.0, 100, 100)}),
         lambda m: m.points.xyz.__setitem__((0, 1), np.inf),
         lambda m: m.points.uv.__setitem__((1, 0), np.nan),
-        lambda m: setattr(m.images[1], "camera_id", True),
+        lambda m: setattr(m, "intrinsics", {True: m.intrinsics[1]}),
     ], ids=["double-space", "leading-space", "tab", "carriage-return", "empty-name",
             "float-camera", "float-width", "focal-overflows", "inf-position",
             "nan-observation", "bool-camera"])
@@ -755,7 +814,8 @@ class TestWriterCopy:
         images = tmp_path / "images.txt"
         images.write_bytes(images.read_bytes().replace(b"img1.png", b"img9.png"))
         parses = count_parses(monkeypatch)
-        assert load_scene(tmp_path).images[2].name == "img9.png"
+        images = load_scene(tmp_path).images
+        assert images.names[images.row(2)] == "img9.png"
         assert len(parses) == 1 and (tmp_path / CACHE).read_bytes() != kept
 
     def test_unwritable_copy_leaves_the_text(self, tmp_path):

@@ -8,7 +8,6 @@ import landmarkloc.visibility as visibility
 from landmarkloc.errors import DegeneracyError, MalformedFileError
 from landmarkloc.mesh import _RAY_BLOCK, TriangleMesh, box_mesh, ray_cast
 from landmarkloc.scene_model import (
-    ImageRecord,
     Intrinsics,
     Pose,
     SceneModel,
@@ -33,6 +32,7 @@ from landmarkloc.visibility import (
 
 import visibility_reference
 from conftest import (
+    image_set,
     landmark_set,
     make_intrinsics,
     points_from_pairs,
@@ -227,11 +227,10 @@ class TestIsVisible:
         vt = compute_visibility(model, mesh, ls)
         normals, _ = landmark_reference_normals(mesh, ls, 0.2)
         for j, iid in enumerate(vt.image_ids):
-            img = model.images[iid]
-            K = model.intrinsics[img.camera_id]
-            dm = rasterize_depth(mesh, K, img.pose)
+            T, K = model.images.pose(iid), model.camera(iid)
+            dm = rasterize_depth(mesh, K, T)
             for i, xyz in enumerate(ls.xyz):
-                assert is_visible(xyz, K, img.pose, dm, normals[i]) == vt.mask[i, j]
+                assert is_visible(xyz, K, T, dm, normals[i]) == vt.mask[i, j]
 
 
 def room_scene(n_landmarks=40, n_images=8, occluders=(), seed=40):
@@ -265,21 +264,21 @@ def room_scene(n_landmarks=40, n_images=8, occluders=(), seed=40):
         walls.append(p)
     landmarks = landmark_set(walls)
 
-    images = {}
+    poses = {}
     for iid in range(n_images):
         eye = np.array([rng.uniform(2, 4), rng.uniform(1.5, 2.5), rng.uniform(1, 2)])
         target = walls[int(rng.integers(0, len(walls)))]
-        images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1, f"r{iid}.png")
-    model = SceneModel({1: K}, images, points_from_pairs({}))
+        poses[iid] = look_at_pose(eye, target)
+    model = SceneModel({1: K}, image_set(poses, names=[f"r{iid}.png" for iid in poses]),
+                       points_from_pairs({}))
     return model, mesh, landmarks
 
 
 def visibility_oracle(model, mesh, lm_xyz, image_id):
-    img = model.images[image_id]
-    K = model.intrinsics[img.camera_id]
-    if project(K, img.pose, lm_xyz) is None:
+    T, K = model.images.pose(image_id), model.camera(image_id)
+    if project(K, T, lm_xyz) is None:
         return False
-    origin = img.pose.center
+    origin = T.center
     direction = lm_xyz - origin
     dist = np.linalg.norm(direction)
     t, _ = ray_cast(mesh, origin, direction / dist)
@@ -298,7 +297,7 @@ class TestComputeVisibility:
         vt = compute_visibility(model, mesh, ls)
         agree = total = 0
         for lid, xyz in enumerate(ls.xyz):
-            for iid in model.images:
+            for iid in model.images.ids.tolist():
                 expected = visibility_oracle(model, mesh, xyz, iid)
                 total += 1
                 agree += vt.visible(lid, iid) == expected
@@ -329,14 +328,13 @@ def with_edge_landmarks(model, mesh, ls):
     last column and row, where the snapped pixel of a decimated grid is
     clipped."""
     landmarks = list(ls.xyz)
-    for iid in sorted(model.images):
-        img = model.images[iid]
-        K = model.intrinsics[img.camera_id]
+    for iid in model.images.ids.tolist():
+        T, K = model.images.pose(iid), model.camera(iid)
         for u, v in [(K.width - 0.3, K.height / 2), (K.width / 2, K.height - 0.3),
                      (K.width - 0.3, K.height - 0.3), (K.width - 1.2, K.height - 1.2)]:
-            direction = img.pose.R.T @ np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
-            t, _ = ray_cast(mesh, img.pose.center, direction)
-            landmarks.append(img.pose.center + t[0] * direction)
+            direction = T.R.T @ np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
+            t, _ = ray_cast(mesh, T.center, direction)
+            landmarks.append(T.center + t[0] * direction)
     return landmark_set(landmarks)
 
 
@@ -377,12 +375,11 @@ class TestRayCastSampling:
         active = np.array([lid not in excluded for lid in range(len(ls))])
         clipped = 0
         for j, iid in enumerate(vt.image_ids):
-            img = model.images[iid]
-            K = model.intrinsics[img.camera_id]
-            dm = rasterize_depth(mesh, K, img.pose, decimation)
-            expected = lookup_visible(K, img.pose, dm.lookup, ls.xyz, normals, cfg, active)
+            T, K = model.images.pose(iid), model.camera(iid)
+            dm = rasterize_depth(mesh, K, T, decimation)
+            expected = lookup_visible(K, T, dm.lookup, ls.xyz, normals, cfg, active)
             assert np.array_equal(vt.mask[:, j], expected)
-            uv, valid = project_many(K, img.pose, ls.xyz)
+            uv, valid = project_many(K, T, ls.xyz)
             snapped = np.rint(uv[valid & expected] / decimation)
             clipped += ((snapped[:, 0] >= dm.width) | (snapped[:, 1] >= dm.height)).sum()
         assert clipped > 0
@@ -392,12 +389,12 @@ class TestRayCastSampling:
     def test_samples_equal_depth_map(self, decimation):
         model, mesh, ls = self.scene()
         face_normals = mesh.face_normals()
-        for img in model.images.values():
-            K = model.intrinsics[img.camera_id]
-            uv, valid = project_many(K, img.pose, ls.xyz)
-            depth, normal = first_hits_in_image(mesh, face_normals, K, img.pose, decimation,
+        for iid in model.images.ids.tolist():
+            T, K = model.images.pose(iid), model.camera(iid)
+            uv, valid = project_many(K, T, ls.xyz)
+            depth, normal = first_hits_in_image(mesh, face_normals, K, T, decimation,
                                                 uv[valid])
-            d_ref, n_ref = rasterize_depth(mesh, K, img.pose, decimation).lookup(uv[valid])
+            d_ref, n_ref = rasterize_depth(mesh, K, T, decimation).lookup(uv[valid])
             assert np.isfinite(depth).all() and np.isfinite(d_ref).all()
             assert np.abs(depth - d_ref).max() <= 1e-9 * depth.max()
             assert np.abs(normal - n_ref).max() <= 1e-12
@@ -504,17 +501,18 @@ class TestDecimation:
 
     def test_depth_map_dimensions(self):
         model, mesh, _ = room_scene(n_landmarks=2, n_images=1)
-        img = model.images[0]
-        K = model.intrinsics[img.camera_id]
-        dm = rasterize_depth(mesh, K, img.pose, decimation=2)
+        T, K = model.images.pose(0), model.camera(0)
+        dm = rasterize_depth(mesh, K, T, decimation=2)
         assert dm.width == -(-K.width // 2)
         assert dm.height == -(-K.height // 2)
 
 
 def moved(model, mesh, ls, Q, s):
     """The scene with every point p moved to Q @ p + s (Q a rotation)."""
-    images = {iid: ImageRecord(iid, Pose(img.pose.R @ Q.T, img.pose.t - img.pose.R @ Q.T @ s),
-                               img.camera_id, img.name) for iid, img in model.images.items()}
+    images = model.images
+    poses = {iid: images.pose(iid) for iid in images.ids.tolist()}
+    images = image_set({iid: Pose(T.R @ Q.T, T.t - T.R @ Q.T @ s) for iid, T in poses.items()},
+                       images.camera_ids, images.names)
     return (SceneModel(model.intrinsics, images, model.points),
             TriangleMesh(mesh.vertices @ Q.T + s, mesh.triangles), landmark_set(ls.xyz @ Q.T + s))
 
@@ -530,12 +528,15 @@ def two_camera_scene():
     Q, s = random_rotation(np.random.default_rng(42)), np.array([0.3, -1.7, 2.2])
     model, mesh, ls = moved(model, mesh, ls, Q, s)
     intrinsics = {1: model.intrinsics[1], 2: Intrinsics(120.0, 110.0, 97.3, 51.1, 200, 100)}
-    images = {iid: ImageRecord(iid, img.pose, 1 + iid % 2, img.name)
-              for iid, img in model.images.items()}
+    poses = {iid: model.images.pose(iid) for iid in model.images.ids.tolist()}
+    names = list(model.images.names)
+    images = image_set(poses, [1 + iid % 2 for iid in poses], names)
     ls = with_edge_landmarks(SceneModel(intrinsics, images, points_from_pairs({})), mesh, ls)
     for iid in (10, 11):
         eye, target = Q @ [3.0, 2.0, 10.0] + s, Q @ [3.1, 2.0, 20.0] + s
-        images[iid] = ImageRecord(iid, look_at_pose(eye, target), 1 + iid % 2, f"up{iid}.png")
+        poses[iid] = look_at_pose(eye, target)
+        names.append(f"up{iid}.png")
+    images = image_set(poses, [1 + iid % 2 for iid in poses], names)
     off_mesh = np.array([[3.0, 2.0, 1.5], [1.0, 1.0, 1.0]]) @ Q.T + s
     return (SceneModel(intrinsics, images, points_from_pairs({})), mesh,
             landmark_set(np.vstack([ls.xyz, off_mesh])))
@@ -557,11 +558,11 @@ class TestPerImageReferee:
         ref_rays = sorted_rows(ref_calls)
         normals, _ = landmark_reference_normals(mesh, ls, cfg.max_surface_dist)
         terms = []
-        for iid, img in model.images.items():
-            K = model.intrinsics[img.camera_id]
-            sample = visibility_reference.first_hits(mesh, mesh.face_normals(), K, img.pose,
+        for iid in model.images.ids.tolist():
+            T, K = model.images.pose(iid), model.camera(iid)
+            sample = visibility_reference.first_hits(mesh, mesh.face_normals(), K, T,
                                                      decimation)
-            valid, pair = visibility_reference.pair_terms(K, img.pose, sample, ls.xyz, normals,
+            valid, pair = visibility_reference.pair_terms(K, T, sample, ls.xyz, normals,
                                                           ~np.isin(np.arange(len(ls)),
                                                                    expected.excluded))
             terms += [pair] if valid.any() else []
@@ -595,7 +596,8 @@ class TestPerImageReferee:
         assert 1 not in per_image and len(per_image) == 10  # the two above see none
         assert np.array_equal(sorted_rows(calls), ref_rays)
         assert np.array_equal(sorted_rows(tested), sorted_rows(terms))
-        rays = [len(c[0]) for c in calls if len(c[0])]  # one call per block
+        rays = [len(c[0]) for c in calls]  # one call per block with a pair in view
+        assert 0 not in rays
         if sizes == "small":  # per image, its pairs in view, cast one at a time
             assert sorted(rays) == sorted(per_image) and max(steps) == 1
         elif sizes == "large":  # per camera, its five images that see landmarks

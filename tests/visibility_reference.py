@@ -68,7 +68,7 @@ def visible_in_image(K, T, sample, xyz, ref_normals, cfg, candidates=True):
 
 def compute_visibility_per_image(model, mesh, ls, cfg=VisibilityConfig()):
     """compute_visibility as one pass per image."""
-    image_ids = sorted(model.images)
+    image_ids = sorted(model.images.ids.tolist())
     mask = np.zeros((len(ls), len(image_ids)), dtype=bool)
     if len(ls) == 0:
         return VisibilityTable(image_ids, mask, asdict(cfg), [])
@@ -77,10 +77,9 @@ def compute_visibility_per_image(model, mesh, ls, cfg=VisibilityConfig()):
     active[excluded] = False
     face_normals = mesh.face_normals()
     for j, iid in enumerate(image_ids):
-        img = model.images[iid]
-        K = model.intrinsics[img.camera_id]
-        sample = first_hits(mesh, face_normals, K, img.pose, cfg.decimation)
-        mask[:, j] = visible_in_image(K, img.pose, sample, ls.xyz, ref_normals, cfg, active)
+        T, K = model.images.pose(iid), model.camera(iid)
+        sample = first_hits(mesh, face_normals, K, T, cfg.decimation)
+        mask[:, j] = visible_in_image(K, T, sample, ls.xyz, ref_normals, cfg, active)
     return VisibilityTable(image_ids, mask, asdict(cfg), excluded)
 
 
