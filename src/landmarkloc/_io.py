@@ -107,6 +107,13 @@ class Sidecar:
         self.sources = [Path(__file__), *map(Path, sources)]
         self.columns = columns
 
+    @classmethod
+    def beside(cls, path, source, columns):
+        """The Sidecar of the one text file at path, kept in
+        .<name>.landmarkloc.npz beside it, for the loader in the file source."""
+        path = Path(path)
+        return cls(path.with_name(f".{path.name}.landmarkloc.npz"), [path], [source], columns)
+
     def _hash(self, files=()):
         """SHA-256 over the numpy version, the source files and files; an
         OSError when one cannot be read."""

@@ -21,6 +21,7 @@ from .errors import DanglingReferenceError, DataError, DegeneracyError, RobustFi
 from .evaluation import (
     RunRecord,
     build_report,
+    check_csv_label,
     per_image_csv,
     report_to_csv,
     report_to_text,
@@ -365,6 +366,15 @@ def cmd_evaluate(args) -> int:
     repeated = next((label for k, label in enumerate(labels) if label in labels[:k]), None)
     if repeated is not None:
         raise UsageError(f"two runs are labelled {repeated!r}: give each its own with --labels")
+    for label in labels:  # before any file is written
+        if args.per_image and len(labels) > 1 and (not label or "/" in label or "\0" in label):
+            raise UsageError(f"--labels: run label {label!r} cannot be a file-name suffix "
+                             "of --per-image")
+        if args.csv:
+            try:
+                check_csv_label(label)
+            except ValueError as exc:
+                raise UsageError(f"--labels: {exc}, which --csv cannot carry") from None
     detections = _detections_in_images(args.detections, model) if args.detections else None
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
     runs = []
@@ -396,7 +406,7 @@ def cmd_evaluate(args) -> int:
             path = base if len(runs) == 1 else base.with_name(
                 f"{base.stem}_{run.label}{base.suffix}"
             )
-            path.write_text(per_image_csv(run.estimates, model), encoding="utf-8")
+            path.write_text(per_image_csv(run.estimates, model, run.errors), encoding="utf-8")
     sys.stdout.write(text)
     return EXIT_OK
 

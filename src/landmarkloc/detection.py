@@ -225,8 +225,7 @@ _COLUMNS = {"image": (np.int64, ()), "ids": (np.int64, ()), "uv": (np.float64, (
 
 
 def _sidecar(path: Path) -> _io.Sidecar:
-    return _io.Sidecar(path.with_name(f".{path.name}.landmarkloc.npz"), [path], [__file__],
-                       _COLUMNS)
+    return _io.Sidecar.beside(path, __file__, _COLUMNS)
 
 
 def save_detections(detections: dict, path) -> None:

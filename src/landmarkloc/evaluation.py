@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,11 @@ class RunRecord:
     landmarks: LandmarkSet | None = None
     sec_per_image: float = float("nan")
 
+    @cached_property
+    def errors(self) -> dict:
+        """per_image_errors of the estimates, computed once."""
+        return per_image_errors(self.estimates, self.gt_model)
+
 
 @dataclass
 class ReportRow:
@@ -170,7 +176,7 @@ def build_report(
             raise ValueError(f"{name} threshold must be finite and > 0, not {value}")
     rows = []
     for run in runs:
-        errs = per_image_errors(run.estimates, run.gt_model)
+        errs = run.errors
         err_list = [errs[iid] for iid in sorted(errs)]
         recall = recall_at(err_list, rot_thresh_deg, pos_thresh_m)
         ang = float("nan")
@@ -209,7 +215,23 @@ def build_report(
 _CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
+def check_csv_label(label: str) -> None:
+    """A ValueError when report_from_csv would not read label back from the
+    row report_to_csv writes of it: a label that holds a comma or a line
+    break, or starts a row that reads as a comment or as the column header
+    (starts with `#`, or is `label`)."""
+    if "," in label or len((label + ".").splitlines()) > 1:
+        raise ValueError(f"label {label!r} holds a comma or a line break")
+    if label.startswith("#") or label == "label":
+        raise ValueError(f"label {label!r} makes a row that reads as a comment or the header")
+
+
 def report_to_csv(report: EvalReport) -> str:
+    """The report as CSV: a `# thresholds` line, the column header, then one
+    row per run. A label that the rows cannot carry raises ValueError (see
+    check_csv_label)."""
+    for r in report.rows:
+        check_csv_label(r.label)
     rot, pos = _io.fmt(report.rot_thresh_deg), _io.fmt(report.pos_thresh_m)
     lines = [f"# thresholds rot_deg={rot} pos_m={pos}", ",".join(_CSV_COLUMNS)]
     for r in report.rows:
@@ -255,9 +277,11 @@ def report_to_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_image_csv(estimates: dict, gt_model: SceneModel) -> str:
-    """Machine-readable per-image `image_id,rot_err_deg,pos_err_m,status` rows."""
-    errs = per_image_errors(estimates, gt_model)
+def per_image_csv(estimates: dict, gt_model: SceneModel, errs: dict | None = None) -> str:
+    """Machine-readable per-image `image_id,rot_err_deg,pos_err_m,status`
+    rows. errs, when given, is per_image_errors(estimates, gt_model)."""
+    if errs is None:
+        errs = per_image_errors(estimates, gt_model)
     lines = ["image_id,rot_err_deg,pos_err_m,status"]
     for iid in sorted(errs):
         e = errs[iid]

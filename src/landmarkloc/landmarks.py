@@ -9,6 +9,7 @@ with the same parameters returns exactly the prefix of a longer run.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -133,24 +134,41 @@ def select_landmarks(
     # Saliency descending, point id ascending; greedy scans this order.
     order = np.lexsort((ids, -scores))
     ids, xyz, scores = ids[order], xyz[order], scores[order]
+    # Contiguous coordinate columns: each step's distances are whole-column ufuncs.
+    x, y, z = np.array(xyz.T)
     n = len(order)
 
     selected = []  # candidate indices in selection order
-    available = np.ones(n, dtype=bool)
-    min_dist = np.full(n, np.inf)  # distance to nearest selected landmark
+    # Distance to the nearest selected landmark, -inf once selected; the inf
+    # past the last candidate ends a scan that finds none.
+    min_dist = np.full(n + 1, np.inf)
+    dist = min_dist[:n]
+    d, sq = np.empty(n), np.empty(n)
     r = float(r_init)
+    # min_dist only falls, so under one radius no candidate before the last
+    # one accepted can be accepted later: the scan resumes after it.
+    start = 0
     while len(selected) < count:
-        candidates = np.flatnonzero(available & (min_dist > r))
-        if len(candidates) == 0:
+        c = start + int(np.argmax(min_dist[start:] > r))
+        if c == n:
             if r == 0.0:
                 raise InsufficientCandidatesError(count, len(selected))
             r = r / 2.0 if r / 2.0 >= _R_FLOOR else 0.0
+            start = 0
             continue
-        candidate = int(candidates[0])
-        selected.append(candidate)
-        available[candidate] = False
-        d = np.linalg.norm(xyz - xyz[candidate], axis=1)
-        np.minimum(min_dist, d, out=min_dist)
+        selected.append(c)
+        # (dx*dx + dy*dy) + dz*dz, the order in which np.linalg.norm sums a
+        # row of three, so each distance has its bits.
+        np.subtract(x, x[c], out=d)
+        np.multiply(d, d, out=d)
+        for col in (y, z):
+            np.subtract(col, col[c], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(d, sq, out=d)
+        np.sqrt(d, out=d)
+        np.minimum(dist, d, out=dist)
+        dist[c] = -np.inf
+        start = c + 1
 
     provenance = {
         "count": count,
@@ -161,20 +179,69 @@ def select_landmarks(
     return LandmarkSet(ids[selected], xyz[selected], scores[selected], provenance)
 
 
+# The columns of a landmarks file: dtype, and the shape of one row. provenance
+# is the UTF-8 of the tokens of the `# provenance` line, one per line.
+_COLUMNS = {"source": (np.int64, ()), "xyz": (np.float64, (3,)), "saliency": (np.float64, ()),
+            "provenance": (np.uint8, ())}
+
+
+def _sidecar(path: Path) -> _io.Sidecar:
+    return _io.Sidecar.beside(path, __file__, _COLUMNS)
+
+
+def _provenance(tokens) -> dict:
+    """The provenance that `k=v` tokens give: v as text."""
+    return dict(tok.partition("=")[::2] for tok in tokens)
+
+
 def save_landmarks(ls: LandmarkSet, path) -> None:
-    """Write one `id source_point_id x y z saliency` line per landmark."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if ls.provenance:
-            prov = " ".join(f"{k}={v}" for k, v in sorted(ls.provenance.items()))
-            fh.write(f"# provenance {prov}\n")
-        fh.write("# id source_point_id x y z saliency\n")
-        rows = zip(ls.source_point_ids.tolist(), ls.xyz.tolist(), ls.saliency.tolist())
-        for lid, (source, (x, y, z), saliency) in enumerate(rows):
-            fh.write(f"{lid} {source} {_io.fmt(x)} {_io.fmt(y)} {_io.fmt(z)} "
-                     f"{_io.fmt(saliency)}\n")
+    """Write one `id source_point_id x y z saliency` line per landmark, all
+    with one % format over a flat list, floats as _io.fmt gives them, after a
+    `# provenance k=v ...` line when the set has a provenance.
+
+    The columns a load of the file gives are kept beside it (see
+    load_landmarks), unless the text would fail a check of the load: a
+    non-finite position or saliency, or a provenance that holds a line break.
+    """
+    prov = " ".join(f"{k}={v}" for k, v in sorted(ls.provenance.items()))
+    head = f"# provenance {prov}\n" if ls.provenance else ""
+    head += "# id source_point_id x y z saliency\n"
+    n = len(ls)
+    flat = [None] * (6 * n)
+    flat[0::6], flat[1::6] = range(n), ls.source_point_ids.tolist()
+    flat[2::6], flat[3::6], flat[4::6] = ls.xyz.T.tolist()
+    flat[5::6] = ls.saliency.tolist()
+    body = "%d %d %.17g %.17g %.17g %.17g\n" * n % tuple(flat)
+    plausible = (np.isfinite(ls.xyz).all() and np.isfinite(ls.saliency).all()
+                 and "\n" not in prov and "\r" not in prov)
+    _sidecar(Path(path)).write([[head.encode(), body.encode()]], {
+        "source": ls.source_point_ids, "xyz": ls.xyz, "saliency": ls.saliency,
+        "provenance": np.frombuffer("\n".join(prov.split()).encode(), np.uint8),
+    } if plausible else None)
 
 
 def load_landmarks(path) -> LandmarkSet:
+    """Read the file save_landmarks writes: `# provenance` lines, whose
+    `k=v` tokens give the provenance, then one `id source_point_id x y z
+    saliency` line per landmark, ids 0, 1, 2, ..., with an int64 source point
+    that no other line names and a finite position and saliency.
+
+    When save_landmarks left the columns of these bytes beside the file, in
+    .<name>.landmarkloc.npz (an _io.Sidecar), the set is made from that copy,
+    with the same checks, instead.
+    """
+    path = Path(path)
+    return _sidecar(path).read(lambda: _parse(path), _from_columns)
+
+
+def _from_columns(c) -> LandmarkSet | None:
+    if not (np.isfinite(c["xyz"]).all() and np.isfinite(c["saliency"]).all()):
+        return None
+    return LandmarkSet(c["source"], c["xyz"], c["saliency"],
+                       _provenance(bytes(c["provenance"]).decode().split()))
+
+
+def _parse(path: Path) -> LandmarkSet:
     sources, xyz, saliency = [], [], []
     seen = set()
     provenance = {}
@@ -182,7 +249,7 @@ def load_landmarks(path) -> LandmarkSet:
         for tokens in src:
             if tokens[0][0] == "#":
                 if tokens[1:2] == ["provenance"]:
-                    provenance.update(tok.partition("=")[::2] for tok in tokens[2:])
+                    provenance.update(_provenance(tokens[2:]))
                 continue
             if len(tokens) != 6:
                 raise ValueError("expected 6 fields per landmark")

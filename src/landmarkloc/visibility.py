@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -468,30 +469,85 @@ def compute_visibility(
     return VisibilityTable(image_ids, mask, asdict(cfg), excluded)
 
 
+# The columns of a visibility file: dtype, and the shape of one row. shape is
+# (landmarks, images) and mask the table's rows back to back; tolerances is the
+# UTF-8 of the tokens of the `# tolerances` line, one per line.
+_COLUMNS = {"image_ids": (np.int64, ()), "shape": (np.int64, ()), "mask": (np.bool_, ()),
+            "tolerances": (np.uint8, ()), "excluded": (np.int64, ())}
+
+
+def _sidecar(path: Path) -> _io.Sidecar:
+    return _io.Sidecar.beside(path, __file__, _COLUMNS)
+
+
+def _tolerances(tokens) -> dict:
+    """The tolerances that `k=v` tokens give: v as a float where float()
+    reads it, as text elsewhere."""
+    tolerances = {}
+    for tok in tokens:
+        k, _, v = tok.partition("=")
+        try:
+            tolerances[k] = float(v)
+        except ValueError:
+            tolerances[k] = v
+    return tolerances
+
+
 def save_visibility(vt: VisibilityTable, path) -> None:
     """Header (dimensions, tolerances) + one line per landmark, 0, 1, 2, ...,
-    with its visible image ids."""
+    with its visible image ids.
+
+    The columns a load of the file gives are kept beside it (see
+    load_visibility), unless the text would fail a check of the load or read
+    back otherwise: an image or excluded id that is not an int64 integer, a
+    repeated image id, or tolerances that hold a line break.
+    """
     names = [str(i) for i in vt.image_ids]
     rows, cols = np.nonzero(vt.mask)  # row-major: each landmark's images in order
     visible = [names[j] for j in cols.tolist()]
     ends = np.searchsorted(rows, np.arange(1, len(vt.mask) + 1)).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# visibility landmarks={len(vt.mask)} images={len(vt.image_ids)}\n")
-        tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
-        fh.write(f"# tolerances {tol}\n")
-        fh.write("# image_ids " + " ".join(names) + "\n")
-        if vt.excluded:
-            fh.write("# excluded " + " ".join(str(i) for i in vt.excluded) + "\n")
-        start = 0
-        for lid, end in enumerate(ends):
-            fh.write(" ".join([str(lid), *visible[start:end]]) + "\n")
-            start = end
+    tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
+    head = (f"# visibility landmarks={len(vt.mask)} images={len(vt.image_ids)}\n"
+            f"# tolerances {tol}\n# image_ids {' '.join(names)}\n")
+    if vt.excluded:
+        head += "# excluded " + " ".join(str(i) for i in vt.excluded) + "\n"
+    bounds = [0, *ends]
+    body = "".join(" ".join([str(lid), *visible[lo:hi]]) + "\n"
+                   for lid, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+    plausible = (all(map(_io.is_int64, [*vt.image_ids, *vt.excluded]))
+                 and len(set(vt.image_ids)) == len(vt.image_ids)
+                 and "\n" not in tol and "\r" not in tol)
+    _sidecar(Path(path)).write([[head.encode(), body.encode()]], {
+        "image_ids": np.array(vt.image_ids, np.int64).reshape(-1),
+        "shape": np.array(vt.mask.shape, np.int64), "mask": vt.mask.reshape(-1),
+        "tolerances": np.frombuffer("\n".join(tol.split()).encode(), np.uint8),
+        "excluded": np.array(vt.excluded, np.int64).reshape(-1),
+    } if plausible else None)
 
 
 def load_visibility(path) -> VisibilityTable:
     """Inverse of save_visibility. The `# visibility landmarks=L images=N`
     header must give the counts of the landmark lines, which run 0, 1, 2, ...,
-    and of the image ids. Each of the four header lines may appear once."""
+    and of the image ids. Each of the four header lines may appear once.
+
+    When save_visibility left the columns of these bytes beside the file, in
+    .<name>.landmarkloc.npz (an _io.Sidecar), the table is made from that
+    copy, with the same checks, instead.
+    """
+    path = Path(path)
+    return _sidecar(path).read(lambda: _parse(path), _from_columns)
+
+
+def _from_columns(c) -> VisibilityTable | None:
+    image_ids = c["image_ids"].tolist()
+    if len(set(image_ids)) != len(image_ids):
+        return None
+    return VisibilityTable(image_ids, c["mask"].reshape(c["shape"].tolist()),
+                           _tolerances(bytes(c["tolerances"]).decode().split()),
+                           c["excluded"].tolist())
+
+
+def _parse(path: Path) -> VisibilityTable:
     dims = image_ids = col = None
     tolerances = {}
     excluded = []
@@ -517,12 +573,7 @@ def load_visibility(path) -> VisibilityTable:
                         if col.setdefault(iid, j) != j:
                             raise ValueError(f"repeated image id {iid}")
                 elif key == ["tolerances"]:
-                    for tok in tokens[2:]:
-                        k, _, v = tok.partition("=")
-                        try:
-                            tolerances[k] = float(v)
-                        except ValueError:
-                            tolerances[k] = v
+                    tolerances = _tolerances(tokens[2:])
                 elif key == ["excluded"]:
                     excluded, excluded_no = list(map(int, tokens[2:])), src.no
                 continue

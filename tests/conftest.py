@@ -165,3 +165,56 @@ def outcome(load, path):
         return load(path)
     except Exception as exc:  # the error itself is compared
         return type(exc), str(exc)
+
+
+def loads_both_ways(load, copy_of, stale, same):
+    """load, made to load each file twice: as text, with any copy beside it
+    (at copy_of(path)) removed, and with a copy beside it, either the one
+    found there, which is then read, or the bytes stale (another file's
+    copy). The two must give the same value, as same(copied, text) checks,
+    or raise the same error; the text's is returned or raised, and the copy
+    is left as it was found."""
+    def both(path):
+        copy = copy_of(path)
+        found = copy.read_bytes() if copy.exists() else None
+        results = []
+        for kept in (None, stale if found is None else found):
+            copy.unlink(missing_ok=True)
+            if kept is not None:
+                copy.write_bytes(kept)
+            try:
+                results.append(load(path))
+            except Exception as exc:  # compared, then raised below
+                results.append(exc)
+        if found is None:
+            copy.unlink()
+        text, copied = results
+        if isinstance(text, Exception):
+            assert (type(copied), str(copied)) == (type(text), str(text))
+            raise text
+        same(copied, text)
+        return text
+
+    return both
+
+
+def same_landmarks(a, b):
+    """Two landmark sets: columns of the same dtypes, shapes and bytes, and
+    the same provenance, in the same order, of the same types."""
+    for column in ("source_point_ids", "xyz", "saliency"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), column
+    assert [(k, type(v), repr(v)) for k, v in a.provenance.items()] == [
+        (k, type(v), repr(v)) for k, v in b.provenance.items()]
+
+
+def same_table(a, b):
+    """Two visibility tables: the same image ids, mask bytes, tolerances and
+    excluded ids, in the same order, of the same types."""
+    def typed(values):
+        return [(type(v), repr(v)) for v in values]
+    assert typed(a.image_ids) == typed(b.image_ids) and typed(a.excluded) == typed(b.excluded)
+    assert a.mask.dtype == b.mask.dtype and a.mask.shape == b.mask.shape
+    assert a.mask.tobytes() == b.mask.tobytes()
+    assert list(a.tolerances) == list(b.tolerances)
+    assert typed(a.tolerances.values()) == typed(b.tolerances.values())

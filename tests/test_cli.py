@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import landmarkloc
-from landmarkloc import detection, scene_model
+from landmarkloc import detection, landmarks, scene_model, visibility
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
@@ -608,6 +608,53 @@ class TestPipelineCommands:
         assert f"two runs are labelled {label!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
+    @pytest.mark.parametrize("labels, outputs, message", [
+        (["a/b", "c"], ["--per-image"], "run label 'a/b' cannot be a file-name suffix"),
+        (["a", ""], ["--per-image"], "run label '' cannot be a file-name suffix"),
+        (["a", "b\0"], ["--per-image"], "run label 'b\\x00' cannot be a file-name suffix"),
+        (["x,y", "z"], ["--csv"], "label 'x,y' holds a comma or a line break"),
+        (["x", "y\nz"], ["--csv"], "label 'y\\nz' holds a comma or a line break"),
+        (["#x", "y"], ["--csv"], "label '#x' makes a row that reads as a comment"),
+        (["label", "y"], ["--csv", "--per-image"], "label 'label' makes a row that reads as"),
+    ], ids=["slash", "empty", "nul", "comma", "line-break", "comment", "header"])
+    def test_evaluate_refuses_labels_before_writing(self, scene_dir, pipeline, tmp_path, capsys,
+                                                    labels, outputs, message):
+        # Such a label would fail mid-way, after report.txt was written, or
+        # make a CSV that report_from_csv cannot read back.
+        _, _, poses = pipeline
+        paths = {"--csv": str(tmp_path / "report.csv"), "--per-image": str(tmp_path / "err.csv")}
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"),
+                   "--estimates", str(poses), str(poses), "--labels", *labels,
+                   "--out", str(tmp_path / "report.txt"),
+                   *(arg for flag in outputs for arg in (flag, paths[flag]))])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --labels: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_evaluate_labels_that_suffix_and_read_back(self, scene_dir, pipeline, tmp_path):
+        # A label is checked only for what the outputs asked for do with it.
+        _, _, poses = pipeline
+        labels = ["a b", "#x;y=z", "label-2"]
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"),
+                   "--estimates", *[str(poses)] * 3, "--labels", *labels,
+                   "--out", str(tmp_path / "report.txt"), "--csv", str(tmp_path / "report.csv")])
+        assert rc == 1  # '#x;y=z' reads as a comment
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"),
+                   "--estimates", *[str(poses)] * 3, "--labels", *labels,
+                   "--out", str(tmp_path / "report.txt"),
+                   "--per-image", str(tmp_path / "err.csv")])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "err_#x;y=z.csv", "err_a b.csv", "err_label-2.csv", "report.txt"]
+        labels[1] = "x;y=z#"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"),
+                   "--estimates", *[str(poses)] * 3, "--labels", *labels,
+                   "--out", str(tmp_path / "report.txt"), "--csv", str(tmp_path / "report.csv")])
+        assert rc == 0
+        rows = report_from_csv((tmp_path / "report.csv").read_text()).rows
+        assert [r.label for r in rows] == labels
+
     @pytest.mark.parametrize("flag", ["--rot-thresh", "--pos-thresh"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_evaluate_threshold_out_of_range(self, scene_dir, pipeline, tmp_path, capsys,
@@ -873,9 +920,10 @@ class TestLocalizeErrors:
 
 class TestSidecars:
     def test_stages_read_what_the_writers_left(self, tmp_path, monkeypatch, capsys):
-        # synth leaves the scene's columns and simulate the detections':
-        # select parses no scene text and evaluate no detections text.
-        parses = {"scene": 0, "detections": 0}
+        # synth leaves the scene's, landmarks' and visibility's columns,
+        # select the landmarks' and simulate the detections': no stage parses
+        # the text of a file a writer left.
+        parses = {"scene": 0, "detections": 0, "landmarks": 0, "visibility": 0}
 
         def counted(module, name, what):
             original = getattr(module, name)
@@ -887,6 +935,8 @@ class TestSidecars:
 
         counted(scene_model, "_parse_scene", "scene")
         counted(detection, "_bulk_columns", "detections")
+        counted(landmarks, "_parse", "landmarks")
+        counted(visibility, "_parse", "visibility")
         s, w = tmp_path / "synth", tmp_path / "work"
         w.mkdir()
         scene = str(s / "scene")
@@ -896,6 +946,8 @@ class TestSidecars:
         assert main(["select", "--scene", scene, "--count", "40", "--min-track", "3",
                      "--out", str(w / "sel.txt")]) == 0
         assert parses["scene"] == 0
+        assert main(["partition", "--landmarks", str(w / "sel.txt"), "--groups", "4",
+                     "--out", str(w / "part.txt")]) == 0
         lms = str(s / "landmarks.txt")
         assert main(["simulate", "--scene", scene, "--landmarks", lms,
                      "--visibility", str(s / "visibility.txt"), "--seed", "2",
@@ -904,13 +956,16 @@ class TestSidecars:
                      "--detections", str(w / "dets.csv"), "--seed", "0",
                      "--out", str(w / "poses.txt")]) == 0
         assert main(["evaluate", "--scene", scene, "--estimates", str(w / "poses.txt"),
-                     "--detections", str(w / "dets.csv"), "--out", str(w / "report.txt")]) == 0
-        assert parses == {"scene": 0, "detections": 0}
+                     "--detections", str(w / "dets.csv"), "--landmarks", lms,
+                     "--out", str(w / "report.txt")]) == 0
+        assert parses == {"scene": 0, "detections": 0, "landmarks": 0, "visibility": 0}
         # The same stages without the copies parse the text, to the same report.
         report = (w / "report.txt").read_text()
         (s / "scene" / ".landmarkloc-scene.npz").unlink()
         (w / ".dets.csv.landmarkloc.npz").unlink()
+        (s / ".landmarks.txt.landmarkloc.npz").unlink()
         assert main(["evaluate", "--scene", scene, "--estimates", str(w / "poses.txt"),
-                     "--detections", str(w / "dets.csv"), "--out", str(w / "report.txt")]) == 0
-        assert parses == {"scene": 1, "detections": 1}
+                     "--detections", str(w / "dets.csv"), "--landmarks", lms,
+                     "--out", str(w / "report.txt")]) == 0
+        assert parses == {"scene": 1, "detections": 1, "landmarks": 1, "visibility": 0}
         assert (w / "report.txt").read_text() == report

@@ -28,7 +28,14 @@ from landmarkloc.pose import localize
 from landmarkloc.scene_model import Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
-from conftest import image_set, landmark_set, outcome, points_from_pairs, read_only_open
+from conftest import (
+    image_set,
+    landmark_set,
+    loads_both_ways,
+    outcome,
+    points_from_pairs,
+    read_only_open,
+)
 
 EXTENT = (640, 480)  # grid 80 x 60
 
@@ -227,36 +234,12 @@ def copy_of(path):
 @pytest.fixture(autouse=True)
 def load_both_ways(monkeypatch, tmp_path_factory):
     """Makes each load_detections of a test in this module load the file
-    twice: as text, with any copy beside it removed, and with a copy beside
-    it, either the one save_detections left, which is then read, or a stale
-    one (of another file's bytes). The two must give the same sets, bit for
-    bit, or raise the same error; the text's is returned or raised, and the
-    copy is left as it was found."""
+    as text and from a copy (conftest.loads_both_ways): the same sets, bit
+    for bit, or the same error."""
     other = tmp_path_factory.mktemp("other") / "dets.csv"
     save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, other)
     stale = copy_of(other).read_bytes()
-
-    def load(path):
-        copy = copy_of(path)
-        found = copy.read_bytes() if copy.exists() else None
-        results = []
-        for kept in (None, stale if found is None else found):
-            copy.unlink(missing_ok=True)
-            if kept is not None:
-                copy.write_bytes(kept)
-            try:
-                results.append(detection.load_detections(path))
-            except Exception as exc:  # compared, then raised below
-                results.append(exc)
-        if found is None:
-            copy.unlink()
-        text, copied = results
-        if isinstance(text, Exception):
-            assert (type(copied), str(copied)) == (type(text), str(text))
-            raise text
-        same_bits(copied, text)
-        return text
-
+    load = loads_both_ways(lambda path: detection.load_detections(path), copy_of, stale, same_bits)
     monkeypatch.setitem(globals(), "load_detections", load)
 
 

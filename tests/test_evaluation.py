@@ -7,7 +7,9 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from landmarkloc.detection import DetectionSet
 from landmarkloc.errors import InvalidRotationError
 from landmarkloc.evaluation import (
+    EvalReport,
     PoseErrors,
+    ReportRow,
     RunRecord,
     build_report,
     detection_angular_error,
@@ -243,6 +245,27 @@ class TestReport:
         text = report_to_csv(report)
         again = report_to_csv(report_from_csv(text))
         assert text == again
+
+    def test_csv_roundtrip_of_labels(self):
+        # Labels without a comma or a line break that do not start with `#`
+        # and are not `label` come back as they went in.
+        rng = np.random.default_rng(26)
+        alphabet = list("ab Z09_-.;=#/\\\"'\t\u00e9\u00a0") + ["label"]
+        labels = ["", " #", "labels", "label ", "a\x00b"] + [
+            "".join(rng.choice(alphabet, size=rng.integers(1, 12))) for _ in range(200)]
+        labels = [label for label in labels if not label.startswith("#") and label != "label"]
+        rows = [ReportRow(label, 10, k % 11, k / 200, 0.5 * k, 1e-3 * k, 0.25, 0.01)
+                for k, label in enumerate(labels)]
+        report = EvalReport(rows, 2.5, 0.125)
+        again = report_from_csv(report_to_csv(report))
+        assert again == report
+
+    @pytest.mark.parametrize("label", ["x,y", "a\nb", "a\rb", "a\r\n", "a\x0bb", "a\x1cb",
+                                       "a\u2028b", "#x", "#", "label"])
+    def test_csv_refuses_labels_it_cannot_read_back(self, label):
+        report = EvalReport([ReportRow(label, 1, 1, 1.0, 0.0, 0.0, 0.0, 0.1)])
+        with pytest.raises(ValueError, match="label"):
+            report_to_csv(report)
 
     def test_text_table_lists_rows(self):
         model = small_gt_model()

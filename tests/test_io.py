@@ -4,6 +4,11 @@ For each writer/loader pair a small valid file is written. Each numeric field
 of each content line is then replaced, in turn, by `abc` and by `nan`, and
 the loader must raise MalformedFileError naming that file and line.
 Hand-written lines cover what a field replacement cannot reach.
+
+The landmarks and visibility writers leave a copy of the columns a load of
+their text gives (an _io.Sidecar); TestWriterCopies checks that a load of the
+copy gives what the parse gives, and that any copy that does not fit means a
+parse.
 """
 
 import re
@@ -11,8 +16,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_minimal_model
-from landmarkloc import detection
+from conftest import make_minimal_model, outcome, same_landmarks, same_table
+from landmarkloc import detection, landmarks, visibility
 from landmarkloc.detection import DetectionSet, load_detections, save_detections
 from landmarkloc.errors import MalformedFileError
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
@@ -61,6 +66,20 @@ def write_detections_text(d):
     return files
 
 
+def write_landmarks_text(d):
+    """write_landmarks without the copy save_landmarks leaves beside the file."""
+    files = write_landmarks(d)
+    landmarks._sidecar(d / "sel.txt").path.unlink()
+    return files
+
+
+def write_visibility_text(d):
+    """write_visibility without the copy save_visibility leaves beside the file."""
+    files = write_visibility(d)
+    visibility._sidecar(d / "vis.txt").path.unlink()
+    return files
+
+
 def write_poses(d):
     # Only ok lines: save_poses writes nan for the pose of any other status.
     save_poses({iid: PoseEstimate(Pose(np.eye(3), [0.1 * iid, 0.0, 0.0]), frozenset({0, 1}),
@@ -78,8 +97,10 @@ def write_ply(d):
 FORMATS = {
     "scene": (write_scene, load_scene),
     "landmarks": (write_landmarks, lambda d: load_landmarks(d / "sel.txt")),
+    "landmarks-text": (write_landmarks_text, lambda d: load_landmarks(d / "sel.txt")),
     "partition": (write_partition, lambda d: load_partition(d / "part.txt")),
     "visibility": (write_visibility, lambda d: load_visibility(d / "vis.txt")),
+    "visibility-text": (write_visibility_text, lambda d: load_visibility(d / "vis.txt")),
     "detections": (write_detections, lambda d: load_detections(d / "dets.csv")),
     "detections-text": (write_detections_text, lambda d: load_detections(d / "dets.csv")),
     "poses": (write_poses, lambda d: load_poses(d / "poses.txt")),
@@ -123,6 +144,28 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     assert checked >= 8
 
 
+# Lines that load_visibility refuses, by line number in the file that
+# write_visibility writes.
+BAD_VISIBILITY_LINES = [
+    (4, "# excluded 2"),                       # excluded >= L
+    (4, "# excluded -1"),                      # excluded < 0
+    (4, "# excluded 0 1 0"),                   # excluded twice
+    (6, "0 2"),                                # id repeated
+    (3, "# image_ids 1 1"),                    # image repeated
+    (6, "# image_ids 2 1"),                    # second header
+    (6, "# image_ids 1"),                      # second header
+    (6, "# visibility landmarks=2 images=2"),  # second header
+    (6, "# tolerances tol_depth=0.5"),         # second header
+    (6, "# excluded 0"),                       # second header
+    (6, "2 1 2"),                              # id skipped
+    (1, "# visibility landmarks=3 images=2"),  # too few lines
+    (1, "# visibility landmarks=1 images=2"),  # too many lines
+    (1, "# visibility landmarks=2 images=3"),  # image count
+    (1, "# visibility landmarks=2"),           # no image count
+    (1, "# visibility landmarks=2 images=x"),  # image count
+]
+
+
 @pytest.mark.parametrize("name, file, line_no, line", [
     ("partition", "part.txt", 3, "x 1"),                                       # landmark id
     ("partition", "part.txt", 1, "# criterion=default groups=two seed=none"),  # group count
@@ -134,22 +177,8 @@ def test_every_numeric_field_is_checked(tmp_path, name):
     ("detections", "dets.csv", 3, "-9223372036854775809,7,3,4,0.5"),          # id < int64
     ("detections-text", "dets.csv", 3, "1,99999999999999999999,3,4,0.5"),
     ("detections-text", "dets.csv", 3, "-9223372036854775809,7,3,4,0.5"),
-    ("visibility", "vis.txt", 4, "# excluded 2"),                              # excluded >= L
-    ("visibility", "vis.txt", 4, "# excluded -1"),                             # excluded < 0
-    ("visibility", "vis.txt", 4, "# excluded 0 1 0"),                          # excluded twice
-    ("visibility", "vis.txt", 6, "0 2"),                                       # id repeated
-    ("visibility", "vis.txt", 3, "# image_ids 1 1"),                           # image repeated
-    ("visibility", "vis.txt", 6, "# image_ids 2 1"),                           # second header
-    ("visibility", "vis.txt", 6, "# image_ids 1"),                             # second header
-    ("visibility", "vis.txt", 6, "# visibility landmarks=2 images=2"),         # second header
-    ("visibility", "vis.txt", 6, "# tolerances tol_depth=0.5"),                # second header
-    ("visibility", "vis.txt", 6, "# excluded 0"),                              # second header
-    ("visibility", "vis.txt", 6, "2 1 2"),                                     # id skipped
-    ("visibility", "vis.txt", 1, "# visibility landmarks=3 images=2"),         # too few lines
-    ("visibility", "vis.txt", 1, "# visibility landmarks=1 images=2"),         # too many lines
-    ("visibility", "vis.txt", 1, "# visibility landmarks=2 images=3"),         # image count
-    ("visibility", "vis.txt", 1, "# visibility landmarks=2"),                  # no image count
-    ("visibility", "vis.txt", 1, "# visibility landmarks=2 images=x"),         # image count
+    *[(name, "vis.txt", line_no, line) for name in ("visibility", "visibility-text")
+      for line_no, line in BAD_VISIBILITY_LINES],
     ("scene", "images.txt", 3, "1 0.5 -1e308 -0.49 0.52 0 0 0 1 img0.png"),    # norm overflows
     ("scene", "images.txt", 5, "2 1e200 1e200 1e200 1e200 0 0 0 1 img1.png"),  # norm overflows
     ("poses", "poses.txt", 3, "1 0.5 -1e308 -0.49 0.52 0 0 0 ok 2 0.5"),       # norm overflows
@@ -170,3 +199,169 @@ def test_bad_line_reports_location(tmp_path, name, file, line_no, line):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MalformedFileError, match=rf"{re.escape(file)}:{line_no}: "):
         load(tmp_path)
+
+
+def count_parses(monkeypatch, module):
+    """A list that gets one entry per parse of a file's text by module's loader."""
+    calls, parse = [], module._parse
+    monkeypatch.setattr(module, "_parse", lambda path: calls.append(path) or parse(path))
+    return calls
+
+
+_rng = np.random.default_rng(25)
+# name -> the module whose writer leaves a copy, its file name, writer and
+# loader, how two loads compare, the values whose copies a load reads, the
+# values whose text would not read back to them or would fail a check of the
+# load (no copy), and columns that make no value from the copy of the file
+# FORMATS writes.
+COPIED = {
+    "landmarks": (landmarks, "sel.txt", save_landmarks, same_landmarks, {
+        "selected": LandmarkSet(_rng.permutation(10**6)[:300], _rng.normal(size=(300, 3)) * 10,
+                                _rng.uniform(1, 40, 300),
+                                {"count": 300, "r_init": 0.5, "min_track": 8, "r_final": 0.0625}),
+        "empty": LandmarkSet([], [], []),
+        "edge-values": LandmarkSet([-2**63, 2**63 - 1], [[-0.0, 5e-324, 1e308], [1e-300, -1e308, 0]],
+                                   [0.0, -0.0], {"two words": "a=b", "": "", "\t": "\x0c"}),
+    }, {
+        "nan-position": LandmarkSet([1], [[np.nan, 0, 0]], [1.0]),
+        "inf-saliency": LandmarkSet([1], [[0, 0, 0]], [np.inf]),
+        "line-break": LandmarkSet([1], [[0, 0, 0]], [1.0], {"note": "a\nb"}),
+        "carriage-return": LandmarkSet([1], [[0, 0, 0]], [1.0], {"a\r": "b"}),
+    }, [
+        ("xyz", np.zeros((2, 2))),                         # a row of the wrong shape
+        ("source", np.array([7.0, 9.0])),                  # the wrong dtype
+        ("saliency", np.array([1.0])),                     # columns of unequal length
+        ("source", np.array([7, 7])),                      # a repeated source point
+        ("xyz", np.array([[np.nan, 0, 0], [0, 0, 0]])),    # what the load rejects
+        ("provenance", np.frombuffer(b"\xff", np.uint8)),  # not UTF-8
+        ("extra", np.zeros(1)),                            # a column the loader does not know
+    ]),
+    "visibility": (visibility, "vis.txt", save_visibility, same_table, {
+        "computed": VisibilityTable(
+            _rng.permutation(5000)[:30].tolist(), _rng.random((200, 30)) < 0.3,
+            {"tol_depth": 0.05, "tol_normal_deg": 30.0, "decimation": 2, "mode": "fast",
+             "odd": "1=2"}, [3, 0, 17]),
+        "empty": VisibilityTable([], np.zeros((0, 0), bool)),
+        "no-images": VisibilityTable([], np.zeros((3, 0), bool), {}, [2]),
+        "edge-values": VisibilityTable([-2**63, 2**63 - 1, 0], np.eye(2, 3, dtype=bool),
+                                       {"": "", "x": "nan", "y": "-inf", "two words": "a b"}),
+    }, {
+        "id-past-int64": VisibilityTable([2**63], [[True]]),
+        "bool-id": VisibilityTable([True], [[True]]),
+        "float-id": VisibilityTable([1.0], [[True]]),
+        "repeated-id": VisibilityTable([1, 1], [[True, False]]),
+        "bool-excluded": VisibilityTable([1], [[True], [False]], {}, [True]),
+        "line-break": VisibilityTable([1], [[True]], {"a": "x\ny"}),
+    }, [
+        ("shape", np.array([2, 3])),                       # more cells than the mask
+        ("shape", np.array([4])),                          # a mask of one dimension
+        ("mask", np.zeros(4, np.int64)),                   # the wrong dtype
+        ("image_ids", np.array([1, 1])),                   # a repeated image
+        ("excluded", np.array([2])),                       # what the load rejects
+        ("tolerances", np.frombuffer(b"\xff", np.uint8)),  # not UTF-8
+        ("extra", np.zeros(1)),                            # a column the loader does not know
+    ]),
+}
+
+
+def copied_cases(k):
+    return [pytest.param(name, key, id=f"{name}-{key}")
+            for name, entry in COPIED.items() for key in entry[k]]
+
+
+class TestWriterCopies:
+    """save_landmarks and save_visibility leave the columns a parse of their
+    text gives; a load reads them through the same constructors and checks."""
+
+    def saved(self, tmp_path, name, value):
+        module, file, save = COPIED[name][:3]
+        save(value, tmp_path / file)
+        return module, tmp_path / file, module._sidecar(tmp_path / file).path
+
+    @pytest.mark.parametrize("name, key", copied_cases(4))
+    def test_copy_equals_parse(self, tmp_path, monkeypatch, name, key):
+        module, path, copy = self.saved(tmp_path, name, COPIED[name][4][key])
+        assert copy.exists()
+        parses = count_parses(monkeypatch, module)
+        copied = module._sidecar(path).read(lambda: None, module._from_columns)
+        COPIED[name][3](copied, module._parse(path))
+        load = getattr(module, f"load_{name}")
+        COPIED[name][3](load(path), copied)
+        assert len(parses) == 1  # the parse above
+
+    @pytest.mark.parametrize("name, key", copied_cases(5))
+    def test_no_copy_for_text_that_reads_back_otherwise(self, tmp_path, name, key):
+        module, path, copy = self.saved(tmp_path, name, COPIED[name][5][key])
+        assert not copy.exists()
+        load = getattr(module, f"load_{name}")
+        got, want = outcome(load, path), outcome(module._parse, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            COPIED[name][3](got, want)
+
+    @pytest.mark.parametrize("damage", [
+        lambda data, foreign: data[:len(data) // 2],                 # truncated
+        lambda data, foreign: data[:300] + bytes(200) + data[500:],  # corrupt
+        lambda data, foreign: b"",                                   # empty
+        lambda data, foreign: b"not a zip file\n",                   # foreign format
+        lambda data, foreign: foreign,                               # another file's key
+    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key"])
+    @pytest.mark.parametrize("name", sorted(COPIED))
+    def test_bad_copy_gives_the_parse(self, tmp_path, monkeypatch, name, damage):
+        module, file = COPIED[name][:2]
+        (tmp_path / "other").mkdir()
+        _, _, foreign = self.saved(tmp_path / "other", name, COPIED[name][4]["empty"])
+        write, load = FORMATS[name]
+        write(tmp_path)
+        copy = module._sidecar(tmp_path / file).path
+        copy.write_bytes(damage(copy.read_bytes(), foreign.read_bytes()))
+        kept = copy.read_bytes()
+        parses = count_parses(monkeypatch, module)
+        COPIED[name][3](load(tmp_path), module._parse(tmp_path / file))
+        assert len(parses) == 2 and copy.read_bytes() == kept  # a load never keeps a copy
+
+    @pytest.mark.parametrize("name, column, value", [
+        pytest.param(name, column, value, id=f"{name}-{k}")
+        for name, entry in COPIED.items() for k, (column, value) in enumerate(entry[6])])
+    def test_malformed_copy_gives_the_parse(self, tmp_path, monkeypatch, name, column, value):
+        # A copy under the right key whose columns make no value.
+        module, file = COPIED[name][:2]
+        write, load = FORMATS[name]
+        write(tmp_path)
+        copy = module._sidecar(tmp_path / file).path
+        with np.load(copy) as z:
+            columns = dict(z)
+        assert column == "extra" or column in columns
+        columns[column] = value
+        np.savez(copy, **columns)
+        parses = count_parses(monkeypatch, module)
+        COPIED[name][3](load(tmp_path), module._parse(tmp_path / file))
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("name", sorted(COPIED))
+    def test_one_byte_edit_forces_a_parse(self, tmp_path, monkeypatch, name):
+        module, file = COPIED[name][:2]
+        write, load = FORMATS[name]
+        write(tmp_path)
+        path = tmp_path / file
+        data = path.read_bytes()
+        edited = data.replace(b" 2.25\n", b" 2.26\n").replace(b"\n1 1 2\n", b"\n1 2\n")
+        assert len(edited) >= len(data) - 2 and edited != data
+        path.write_bytes(edited)
+        parses = count_parses(monkeypatch, module)
+        edited = load(tmp_path)
+        assert len(parses) == 1
+        COPIED[name][3](edited, module._parse(path))
+
+    @pytest.mark.parametrize("name", sorted(COPIED))
+    def test_loader_edit_forces_a_parse(self, tmp_path, monkeypatch, name):
+        module, file = COPIED[name][:2]
+        write, load = FORMATS[name]
+        write(tmp_path)
+        edited = tmp_path / "loader.py"
+        edited.write_bytes(open(module.__file__, "rb").read() + b"\n")
+        monkeypatch.setattr(module, "__file__", str(edited))
+        parses = count_parses(monkeypatch, module)
+        load(tmp_path)
+        assert len(parses) == 1

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +18,37 @@ from landmarkloc.landmarks import (
     score_saliency,
     select_landmarks,
 )
-from landmarkloc.scene_model import Intrinsics, Pose, SceneModel
+from landmarkloc.scene_model import Intrinsics, PointSet, Pose, SceneModel, _diameter
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import image_set, make_intrinsics, points_from_pairs, random_rotation, track
+import select_reference
+from conftest import (
+    image_set,
+    loads_both_ways,
+    make_intrinsics,
+    points_from_pairs,
+    random_rotation,
+    same_landmarks,
+    track,
+)
+from test_mesh import _cpu_has_avx2, _openblas
+
+
+def copy_of(path):
+    """Where save_landmarks keeps the columns of the file at path."""
+    return landmarks._sidecar(path).path
+
+
+@pytest.fixture(autouse=True)
+def load_both_ways(monkeypatch, tmp_path_factory):
+    """Makes each load_landmarks of a test in this module load the file as
+    text and from a copy (conftest.loads_both_ways): the same set, bit for
+    bit, or the same error."""
+    other = tmp_path_factory.mktemp("other") / "sel.txt"
+    save_landmarks(LandmarkSet([1], [[1.0, 2.0, 3.0]], [4.0], {"count": 1}), other)
+    load = loads_both_ways(lambda path: landmarks.load_landmarks(path), copy_of,
+                           copy_of(other).read_bytes(), same_landmarks)
+    monkeypatch.setitem(globals(), "load_landmarks", load)
 
 
 def make_cloud_model(rng, n_points=100, n_images=12, track_range=(3, 12)):
@@ -235,6 +266,108 @@ class TestSelection:
         ls = select_landmarks(model, 5, r_init=0.5, min_track=8)
         for pid in ls.source_point_ids.tolist():
             assert track_length(model, pid) >= 8  # ids are indices here
+
+
+def bench_model(sites, occluders=0):
+    """The scene synth writes with the bench flags (perfbench/worker.py)."""
+    return generate_scene(SynthConfig(
+        num_landmark_sites=sites, num_occluders=occluders, num_cameras=100, camera_margin=1.4,
+        min_target_dist=3.0, intrinsics=Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480),
+        seed=7)).model
+
+
+def model_at(xyz, seed=0):
+    """Points at the rows of xyz, each seen from 3 to 8 of 12 random cameras."""
+    rng = np.random.default_rng(seed)
+    model = make_cloud_model(rng, n_points=len(xyz), track_range=(3, 8))
+    points = model.points
+    return SceneModel(model.intrinsics, model.images, PointSet(
+        points.ids, xyz, points.rgb, np.diff(points.offsets), points.image_ids, points.uv))
+
+
+def select_both(model, count, r_init, min_track):
+    """select_landmarks and the referee's loop on the same arguments, as
+    (set, None) or (None, InsufficientCandidatesError) each."""
+    outcomes = []
+    for select in (select_landmarks, select_reference.select_landmarks):
+        try:
+            outcomes.append((select(model, count, r_init, min_track), None))
+        except InsufficientCandidatesError as exc:
+            outcomes.append((None, exc))
+    (got, err), (want, want_err) = outcomes
+    if want_err is not None:
+        assert err is not None and (err.requested, err.achievable) == (
+            want_err.requested, want_err.achievable)
+        return None
+    assert err is None
+    same_landmarks(got, want)
+    return got
+
+
+class TestSelectReferee:
+    """select_landmarks against the per-step norm loop it replaced
+    (tests/select_reference.py): the same ids, positions, saliencies and
+    provenance, bit for bit. test_agrees_without_avx512_and_under_haswell
+    runs this class under a second BLAS kernel and numpy's AVX2 loops."""
+
+    @pytest.mark.parametrize("sites, occluders, count, min_track", [
+        (250, 0, 200, 8), (1000, 6, 250, 5), (1400, 0, 1000, 8),
+    ], ids=["demo", "occluders", "ensemble1000"])
+    def test_bench_scenes(self, sites, occluders, count, min_track):
+        model = bench_model(sites, occluders)
+        r_init = _diameter(model.points.xyz) / 4.0  # select's default radius
+        ls = select_both(model, count, r_init, min_track)
+        assert ls.provenance["r_final"] < r_init / 2  # the radius halved, and the scan restarted
+        assert ls.provenance["r_final"] > 0
+
+    def test_duplicate_points(self):
+        # 6 places, each held by 3 points with their own saliencies.
+        rng = np.random.default_rng(30)
+        xyz = np.repeat(rng.uniform(-3, 3, size=(6, 3)), 3, axis=0)
+        model = model_at(xyz, seed=31)
+        for count in (1, 4, 6):
+            ls = select_both(model, count, 2.0, 3)
+            assert len(np.unique(ls.xyz, axis=0)) == count
+        # A seventh landmark needs radius 0, where duplicates stay excluded.
+        assert select_both(model, 7, 2.0, 3) is None
+
+    def test_radius_that_falls_to_zero(self):
+        # Points 1e-13 apart are told apart only once the radius is 0.
+        xyz = np.array([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [0.0, 2e-13, 0.0],
+                        [5.0, 5.0, 5.0], [5.0, 5.0, 5.0 + 1e-13]])
+        model = model_at(xyz, seed=32)
+        ls = select_both(model, 5, 1.0, 3)
+        assert ls.provenance["r_final"] == 0.0
+        assert select_both(model, 2, 1.0, 3).provenance["r_final"] > 0
+
+    @pytest.mark.parametrize("count, min_track", [(6, 3), (40, 3), (1, 20)],
+                             ids=["at-radius-zero", "too-few-eligible", "none-eligible"])
+    def test_insufficient_candidates(self, count, min_track):
+        xyz = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        assert select_both(model_at(xyz, seed=33), count, 0.5, min_track) is None
+
+
+@pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
+                    reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+def test_agrees_without_avx512_and_under_haswell():
+    src = str(Path(select_reference.__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "import ctypes; from numpy._core import _multiarray_umath as m; "
+         "f = ctypes.CDLL(%r).scipy_openblas_get_corename64_; "
+         "f.argtypes = []; f.restype = ctypes.c_char_p; "
+         "print(f().decode(), m.__cpu_features__.get('X86_V4'))" % str(_openblas())],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert check.stdout.split() == ["Haswell", "False"], check.stdout + check.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestSelectReferee"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 class TestLandmarkSet:

@@ -34,13 +34,32 @@ import visibility_reference
 from conftest import (
     image_set,
     landmark_set,
+    loads_both_ways,
     make_intrinsics,
     points_from_pairs,
     random_rotation,
     record_ray_casts,
     record_ray_steps,
+    same_table,
     sorted_rows,
 )
+
+
+def copy_of(path):
+    """Where save_visibility keeps the columns of the file at path."""
+    return visibility._sidecar(path).path
+
+
+@pytest.fixture(autouse=True)
+def load_both_ways(monkeypatch, tmp_path_factory):
+    """Makes each load_visibility of a test in this module load the file as
+    text and from a copy (conftest.loads_both_ways): the same table, bit for
+    bit, or the same error."""
+    other = tmp_path_factory.mktemp("other") / "vis.txt"
+    save_visibility(VisibilityTable([1], [[True]], {"tol_depth": 0.5}), other)
+    load = loads_both_ways(lambda path: visibility.load_visibility(path), copy_of,
+                           copy_of(other).read_bytes(), same_table)
+    monkeypatch.setitem(globals(), "load_visibility", load)
 
 
 def facing_square(z=2.0, half=10.0):
