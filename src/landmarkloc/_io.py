@@ -9,6 +9,7 @@ A Sidecar keeps the columns a loader parses from some files beside them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -67,23 +68,33 @@ def finite(what, *vals):
 
 
 def int64(what, *vals):
-    """vals, or a ValueError `<what> out of the int64 range` when one does not
-    fit in the int64 columns it is read into."""
+    """vals, or a ValueError when one is a bool or no integer (`<what> <v> is
+    not an integer`) or does not fit in int64 (`<what> out of the int64 range`)."""
+    for v in vals:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} {v!r} is not an integer")
     if vals and not (-(1 << 63) <= min(vals) and max(vals) < 1 << 63):
         raise ValueError(f"{what} out of the int64 range")
     return vals
 
 
-def is_int64(x) -> bool:
-    """Whether x is an integer that fits in int64, and not a bool: one whose
-    text int() reads back to x."""
-    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            and -(1 << 63) <= x < 1 << 63)
-
-
 def fmt(x) -> str:
     """x as text that float() reads back to the same double."""
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """`with _replacing(path) as fh:` writes a temp file beside path, renamed to
+    path at the end of the block; an exception leaves path as it was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Sidecar:
@@ -96,9 +107,9 @@ class Sidecar:
     copy stale), then the text files, each followed by its length (so that
     bytes moved from one file to the next change the key). columns gives
     each column's dtype and the shape of one row. A copy that is missing,
-    stale, unreadable or malformed only means a parse. A copy is written to a
-    temp file and renamed into place, and an OSError while writing it leaves
-    no file and is not raised.
+    stale, unreadable or malformed only means a parse. Each text file and the
+    copy is written to a temp file and renamed into place (_replacing), and an
+    OSError while writing the copy leaves no copy and is not raised.
     """
 
     def __init__(self, path, files, sources, columns):
@@ -138,7 +149,7 @@ class Sidecar:
             h = None
         for path, chunks in zip(self.files, texts, strict=True):
             size = 0
-            with open(path, "wb") as fh:
+            with _replacing(path) as fh:
                 for chunk in chunks:
                     fh.write(chunk)
                     size += len(chunk)
@@ -170,23 +181,12 @@ class Sidecar:
         """Keep columns under key; nothing when they do not fit self.columns."""
         if not self._fits(columns):
             return
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-        try:
-            fh = open(tmp, "xb")
-        except OSError:
-            return  # a directory that cannot be written
-        try:
-            with fh:
-                np.savez(fh, key=np.frombuffer(key, np.uint8), **columns)
-            os.replace(tmp, self.path)
-        except BaseException as exc:
-            os.unlink(tmp)
-            if not isinstance(exc, OSError):
-                raise
+        with contextlib.suppress(OSError), _replacing(self.path) as fh:  # a read-only directory
+            np.savez(fh, key=np.frombuffer(key, np.uint8), **columns)
 
     def read(self, parse, build, keep=None):
         """build(columns) of the copy kept for the files' bytes, or parse()
-        when there is none or build gives None or raises.
+        when there is none or build raises.
 
         With keep, the result of a parse is kept too: keep(result) is stored
         under the key of the bytes parsed, unless a file changed meanwhile.
@@ -201,12 +201,8 @@ class Sidecar:
             return parse()  # which reports what it cannot read
         columns = self._load(key)
         if columns is not None:
-            try:
-                value = build(columns)
-            except Exception:  # columns that make no value: the parse is the authority
-                value = None
-            if value is not None:
-                return value
+            with contextlib.suppress(Exception):  # columns that make no value: parse
+                return build(columns)
         value = parse()
         if keep is not None:
             try:

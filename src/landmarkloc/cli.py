@@ -295,6 +295,9 @@ def cmd_simulate(args) -> int:
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
     vt = load_visibility(args.visibility)
+    if len(vt.mask) > len(ls):  # a table of another landmark set
+        raise DataError(f"{args.visibility}: {len(vt.mask)} landmark rows, but "
+                        f"{args.landmarks} holds {len(ls)} landmarks")
     try:
         dets = simulate_detections(model, ls, vt, noise_sigma_px=args.noise_sigma,
                                    outlier_rate=args.outlier_rate, seed=args.seed)
@@ -325,6 +328,10 @@ def _detections_in_images(path, model) -> dict:
 def cmd_localize(args) -> int:
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
+    # P3P multiplies two squared distances among landmarks (at most 8 D**4).
+    if _quartic_overflows(ls.xyz):
+        raise DataError(f"{args.landmarks}: landmark coordinates overflow: the landmarks are "
+                        "too far apart for products of their distances to be finite")
     per_file = [_detections_in_images(p, model) for p in args.detections]
     image_ids = sorted(set().union(*[set(d) for d in per_file]))
     cfg = SolverConfig(
@@ -377,6 +384,13 @@ def cmd_evaluate(args) -> int:
                 raise UsageError(f"--labels: {exc}, which --csv cannot carry") from None
     detections = _detections_in_images(args.detections, model) if args.detections else None
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
+    # Pose and angular errors square distances among camera centres and landmarks.
+    if not np.isfinite(_diameter(model.images.center)):
+        raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: the "
+                        "cameras are too far apart for their squared distances to be finite")
+    if landmarks and not np.isfinite(_diameter(np.vstack([landmarks.xyz, model.images.center]))):
+        raise DataError(f"{args.landmarks}: landmark coordinates overflow: a landmark is too "
+                        "far from the cameras for their squared distances to be finite")
     runs = []
     for label, path in zip(labels, args.estimates):
         estimates, meta = load_poses(path)

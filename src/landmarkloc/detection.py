@@ -37,12 +37,13 @@ class Heatmap:
 
 
 class DetectionSet:
-    """One image's detections as three columns in landmark-id order:
-    landmark_ids (N,), uv (N, 2) in full-resolution pixels and confidence (N,)
-    in (0, 1]. The constructor takes the columns in any order. A landmark may
-    appear once."""
+    """One image's detections, for an int64 image id, as three columns in
+    landmark-id order: landmark_ids (N,), each landmark once, uv (N, 2) finite
+    full-resolution pixels and confidence (N,) in (0, 1]. The constructor
+    takes the columns in any order and checks these rules of load_detections."""
 
     def __init__(self, image_id: int, landmark_ids, uv, confidence):
+        _io.int64("image id", image_id)
         ids = np.asarray(landmark_ids, dtype=np.int64)
         order = np.argsort(ids, kind="stable")
         self.image_id, self.landmark_ids = image_id, ids[order]
@@ -52,19 +53,26 @@ class DetectionSet:
         if len(repeated):
             raise DuplicateLandmarkError(
                 f"landmark {repeated[0]} appears more than once in image {image_id}")
-        if not ((self.confidence > 0) & (self.confidence <= 1)).all():
-            raise ValueError("confidence must be in (0, 1]")
+        _check_values(self.uv, self.confidence)
 
     @classmethod
     def _in_order(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
-        """The set of int64 and float64 columns already checked and in
-        increasing landmark-id order, taken as they are."""
+        """The set of int64 and float64 columns in increasing landmark-id
+        order, taken as they are: _by_image has checked them."""
         ds = cls.__new__(cls)
         ds.image_id, ds.landmark_ids, ds.uv, ds.confidence = image_id, landmark_ids, uv, confidence
         return ds
 
     def __len__(self):
         return len(self.landmark_ids)
+
+
+def _check_values(uv, confidence) -> None:
+    """A ValueError for a non-finite pixel or a confidence outside (0, 1]."""
+    if not np.isfinite(uv).all():
+        raise ValueError("non-finite pixel coordinate")
+    if not ((confidence > 0) & (confidence <= 1)).all():
+        raise ValueError("confidence must be in (0, 1]")
 
 
 def grid_shape(extent) -> tuple:
@@ -139,6 +147,7 @@ def simulate_detections_labeled(
     v = clamp(1 - |noise| / (4 sigma), 0.31, 1), exactly 1 when the simulator
     runs noiseless; an outlier's is v ~ Uniform(0.31, 0.7).
 
+    Row k of the table is landmark k; rows past the set's are not read.
     Returns (detections, outlier_ids): a dict image id -> DetectionSet and a
     dict image id -> set of landmark ids planted as outliers.
     """
@@ -147,19 +156,17 @@ def simulate_detections_labeled(
     if not 0 <= noise_sigma_px < np.inf:
         raise ValueError("noise_sigma_px must be finite and >= 0")
 
-    # Landmark k is row k of ls and of the table.
-    column = {iid: j for j, iid in enumerate(vt.image_ids)}
-    lost = [f"image {i}" for i in model.images.ids.tolist() if i not in column]
     if len(vt.mask) < len(ls):
-        lost.insert(0, f"landmark {len(vt.mask)}")
-    if lost:
-        raise DanglingReferenceError(f"visibility table lacks {lost[0]}")
-    mask = vt.mask[:len(ls)]
+        raise DanglingReferenceError(f"visibility table lacks landmark {len(vt.mask)}")
+    try:  # column k is image k of the model
+        mask = vt.mask[:len(ls), [vt.column(iid) for iid in model.images.ids.tolist()]]
+    except KeyError as exc:
+        raise DanglingReferenceError(f"visibility table lacks image {exc.args[0]}") from None
     detections, outlier_ids = {}, {}
-    for iid in model.images.ids.tolist():
+    for k, iid in enumerate(model.images.ids.tolist()):
         K = model.camera(iid)
         rng = np.random.default_rng(seed ^ iid)
-        ids = np.flatnonzero(mask[:, column[iid]])
+        ids = np.flatnonzero(mask[:, k])
         with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
             u, v, valid = _pixel(K, *_camera_frame(model.images.pose(iid), ls.xyz[ids]).T)
         ids, truth = ids[valid], np.column_stack([u, v])[valid]
@@ -234,10 +241,8 @@ def save_detections(detections: dict, path) -> None:
     Each image's rows are one % format.
 
     The columns a load of the file gives are kept beside it (see
-    load_detections), unless the text would not read back to them or would
-    fail a check of the load: an image id that is not an integer, a landmark
-    listed twice or out of order, a non-finite pixel or a confidence outside
-    (0, 1].
+    load_detections), unless a key of detections, which the text gives as
+    each row's image id, is not an int64 integer.
     """
     def lines():
         yield (",".join(CSV_HEADER) + "\r\n").encode()
@@ -252,19 +257,17 @@ def save_detections(detections: dict, path) -> None:
 
 
 def _read_back(detections: dict):
-    """The columns a load gives of the file save_detections writes of
-    detections, in file order; None when the text would not read back to
-    them or would fail a check of the load."""
-    image_ids = sorted(detections)
-    if not all(map(_io.is_int64, image_ids)):
+    """The columns of the file save_detections writes of detections, in file
+    order; None when a key is not an int64 integer."""
+    try:
+        image_ids = _io.int64("image id", *sorted(detections))
+    except ValueError:
         return None
     sets = [detections[iid] for iid in image_ids]
     image = np.repeat(np.array(image_ids, np.int64), [len(ds) for ds in sets])
     ids = np.concatenate([np.zeros(0, np.int64), *(ds.landmark_ids for ds in sets)])
     uv = np.concatenate([np.zeros((0, 2)), *(ds.uv for ds in sets)])
     conf = np.concatenate([np.zeros(0), *(ds.confidence for ds in sets)])
-    if not (_plausible(uv, conf) and ((image[1:] != image[:-1]) | (ids[1:] > ids[:-1])).all()):
-        return None
     return {"image": image, "ids": ids, "uv": uv, "conf": conf}
 
 
@@ -283,33 +286,29 @@ def load_detections(path) -> dict:
 
     When save_detections left the columns of these bytes beside the file, in
     .<name>.landmarkloc.npz (an _io.Sidecar), the sets are made from that
-    copy, with the same checks, instead. A load never keeps a copy itself:
-    the one stat that finds none is all it costs.
+    copy instead, through _by_image's checks. A load never keeps a copy
+    itself: the one stat that finds none is all it costs.
     """
     path = Path(path)
-    return _sidecar(path).read(lambda: _parse(path),
-                               lambda c: _by_image(**c) if _plausible(c["uv"], c["conf"]) else None)
+    return _sidecar(path).read(lambda: _parse(path), lambda c: _by_image(**c))
 
 
 def _parse(path: Path) -> dict:
-    cols = _bulk_columns(path)
-    sets = None if cols is None else _by_image(*cols)
-    return _by_image(*_row_columns(path)) if sets is None else sets
-
-
-def _plausible(uv, conf) -> bool:
-    """Whether every pixel is finite and every confidence in (0, 1]."""
-    return bool(np.isfinite(uv).all() and ((conf > 0) & (conf <= 1)).all())
+    try:
+        return _by_image(*_bulk_columns(path))
+    except (ValueError, Warning):  # the row loop names the bad line
+        return _by_image(*_row_columns(path))
 
 
 def _by_image(image, ids, uv, conf):
     """Columns of rows in any order as image id -> DetectionSet, the images in
-    order of their first row; None when an image lists a landmark twice."""
+    order of their first row; a ValueError for values DetectionSet refuses."""
+    _check_values(uv, conf)
     # One sort by (image, landmark id); each image's rows are then one slice.
     order = np.lexsort((ids, image))
     image, ids, uv, conf = image[order], ids[order], uv[order], conf[order]
     if ((image[1:] == image[:-1]) & (ids[1:] == ids[:-1])).any():
-        return None
+        raise ValueError("an image lists a landmark twice")
     images, start = np.unique(image, return_index=True)
     bounds = start.tolist() + [len(image)]
     sets = [DetectionSet._in_order(iid, ids[lo:hi], uv[lo:hi], conf[lo:hi])
@@ -338,21 +337,17 @@ def _checked_lines(fh):
 
 def _bulk_columns(path):
     """The columns (image, landmark id, uv, confidence) of a detections CSV
-    from one np.loadtxt pass, or None when loadtxt does not take the file or
-    a row fails a check on its own. loadtxt takes no token that int() and
-    float() refuse, and reads each one it takes to the same value."""
-    try:
-        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body only warns
-            if fh.readline() != ",".join(CSV_HEADER) + "\n":
-                return None
-            rows = np.loadtxt(_checked_lines(fh), dtype=_CSV_DTYPE, delimiter=",",
-                              comments=None, quotechar=None, ndmin=1)
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-        return None
-    image, ids, conf = rows["image_id"], rows["landmark_id"], rows["confidence"]
-    uv = np.column_stack((rows["u"], rows["v_coord"]))
-    return (image, ids, uv, conf) if _plausible(uv, conf) else None
+    from one np.loadtxt pass; a ValueError or Warning when loadtxt does not
+    take the file. loadtxt takes no token that int() and float() refuse, and
+    reads each one it takes to the same value."""
+    with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body only warns
+        if fh.readline() != ",".join(CSV_HEADER) + "\n":
+            raise ValueError("not the header save_detections writes")
+        rows = np.loadtxt(_checked_lines(fh), dtype=_CSV_DTYPE, delimiter=",",
+                          comments=None, quotechar=None, ndmin=1)
+    return (rows["image_id"], rows["landmark_id"], np.column_stack((rows["u"], rows["v_coord"])),
+            rows["confidence"])
 
 
 def _row_columns(path):

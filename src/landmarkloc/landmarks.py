@@ -27,8 +27,8 @@ class LandmarkSet:
     """Landmarks as read-only columns in selection order: source_point_ids
     (L,) int64, xyz (L, 3) and saliency (L,). Landmark k has id k: row k of
     each column. provenance maps setting names to the values that made the
-    set. The constructor checks that the columns pair up and that no source
-    point repeats."""
+    set. The constructor checks the rules of load_landmarks: columns that pair
+    up, no source point twice, finite positions and saliencies."""
 
     def __init__(self, source_point_ids, xyz, saliency, provenance=None):
         self.source_point_ids = np.array(source_point_ids, dtype=np.int64).reshape(-1)
@@ -41,6 +41,8 @@ class LandmarkSet:
         sorted_ids, count = np.unique(self.source_point_ids, return_counts=True)
         if (count > 1).any():
             raise ValueError(f"source point {sorted_ids[np.argmax(count > 1)]} repeated")
+        if not (np.isfinite(self.xyz).all() and np.isfinite(self.saliency).all()):
+            raise ValueError("non-finite coordinate or saliency")
         for column in (self.source_point_ids, self.xyz, self.saliency):
             column.flags.writeable = False
         self.provenance = {} if provenance is None else provenance
@@ -200,8 +202,8 @@ def save_landmarks(ls: LandmarkSet, path) -> None:
     `# provenance k=v ...` line when the set has a provenance.
 
     The columns a load of the file gives are kept beside it (see
-    load_landmarks), unless the text would fail a check of the load: a
-    non-finite position or saliency, or a provenance that holds a line break.
+    load_landmarks), unless the provenance holds a line break, which the text
+    cannot carry.
     """
     prov = " ".join(f"{k}={v}" for k, v in sorted(ls.provenance.items()))
     head = f"# provenance {prov}\n" if ls.provenance else ""
@@ -212,12 +214,10 @@ def save_landmarks(ls: LandmarkSet, path) -> None:
     flat[2::6], flat[3::6], flat[4::6] = ls.xyz.T.tolist()
     flat[5::6] = ls.saliency.tolist()
     body = "%d %d %.17g %.17g %.17g %.17g\n" * n % tuple(flat)
-    plausible = (np.isfinite(ls.xyz).all() and np.isfinite(ls.saliency).all()
-                 and "\n" not in prov and "\r" not in prov)
     _sidecar(Path(path)).write([[head.encode(), body.encode()]], {
         "source": ls.source_point_ids, "xyz": ls.xyz, "saliency": ls.saliency,
         "provenance": np.frombuffer("\n".join(prov.split()).encode(), np.uint8),
-    } if plausible else None)
+    } if "\n" not in prov and "\r" not in prov else None)
 
 
 def load_landmarks(path) -> LandmarkSet:
@@ -227,16 +227,14 @@ def load_landmarks(path) -> LandmarkSet:
     that no other line names and a finite position and saliency.
 
     When save_landmarks left the columns of these bytes beside the file, in
-    .<name>.landmarkloc.npz (an _io.Sidecar), the set is made from that copy,
-    with the same checks, instead.
+    .<name>.landmarkloc.npz (an _io.Sidecar), the set is made from that copy
+    instead, through the constructor, which holds the same value rules.
     """
     path = Path(path)
     return _sidecar(path).read(lambda: _parse(path), _from_columns)
 
 
-def _from_columns(c) -> LandmarkSet | None:
-    if not (np.isfinite(c["xyz"]).all() and np.isfinite(c["saliency"]).all()):
-        return None
+def _from_columns(c) -> LandmarkSet:
     return LandmarkSet(c["source"], c["xyz"], c["saliency"],
                        _provenance(bytes(c["provenance"]).decode().split()))
 

@@ -132,7 +132,7 @@ def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> "Pose":
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole intrinsics; width/height define the image extent."""
+    """Pinhole intrinsics; width/height, int64 integers, define the image extent."""
 
     fx: float
     fy: float
@@ -142,6 +142,7 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
+        _io.int64("image width or height", self.width, self.height)
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ValueError("focal lengths must be finite and positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
@@ -205,7 +206,7 @@ class PointSet:
     (P, 3) int64, and the tracks back to back, image_ids (M,) int64 and uv
     (M, 2) pixels, point k's at offsets[k]:offsets[k + 1] in track order.
     The constructor takes track lengths and checks that the columns pair up,
-    that no track is empty and that no id repeats."""
+    that no track is empty or id repeated, and that every value is finite."""
 
     def __init__(self, ids, xyz, rgb, track_len, image_ids, uv):
         self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
@@ -224,6 +225,8 @@ class PointSet:
         sorted_ids, count = np.unique(self.ids, return_counts=True)
         if (count > 1).any():
             raise ValueError(f"repeated point id {sorted_ids[np.argmax(count > 1)]}")
+        if not (np.isfinite(self.xyz).all() and np.isfinite(self.uv).all()):
+            raise ValueError("non-finite point position or observation")
 
     def __len__(self):
         return len(self.ids)
@@ -291,13 +294,14 @@ class ImageSet:
 @dataclass
 class SceneModel:
     """SfM reconstruction: cameras, posed images, and points with tracks.
-    Construction checks that every camera and image they name exists."""
+    Construction checks int64 camera ids and every camera and image named."""
 
     intrinsics: dict  # camera_id -> Intrinsics
     images: ImageSet
     points: PointSet
 
     def __post_init__(self):
+        _io.int64("camera id", *self.intrinsics)
         for iid, cam_id in zip(self.images.ids.tolist(), self.images.camera_ids.tolist()):
             if cam_id not in self.intrinsics:
                 raise DanglingReferenceError(f"image {iid} references unknown camera {cam_id}")
@@ -398,8 +402,8 @@ def load_scene(path) -> SceneModel:
     The model's columns are kept in <path>/.landmarkloc-scene.npz (an
     _io.Sidecar), by save_scene for the files it writes and by a load that
     parsed the files and passed every check. A load of the same bytes
-    rebuilds the model from that copy, through the same constructors, to the
-    same values, types and order.
+    rebuilds the model from that copy, through the same constructors, which
+    hold the parse's value rules, to the same values, types and order.
     """
     path = Path(path)
     for name in _SCENE_FILES:
@@ -626,9 +630,9 @@ def save_scene(model: SceneModel, path) -> None:
     Each image's observation line, and each point's track, is written with
     one % format over a flat list of its values, floats as _io.fmt gives them.
     The columns a load of the files gives are kept beside them (see
-    load_scene), unless the text would not read back to the model's values or
-    would fail a check of the load: a name that is empty or not single-spaced,
-    an id, width or height that is not an integer, or a non-finite position.
+    load_scene), unless a name is not a single-spaced str, which the text
+    cannot carry, or _check_focal_lengths refuses the model. The
+    constructors hold every other rule of the load.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -682,24 +686,21 @@ def save_scene(model: SceneModel, path) -> None:
                    + " %d %d" * (hi - lo) % tuple(track[2 * lo:2 * hi]) + "\n").encode()
 
     _sidecar(path).write([camera_lines(), image_lines(), point_lines()], _read_back(
-        path, cameras, images, qvecs, PointSet(point_ids, xyz, rgb, lens, image, uv)))
+        path, cameras, images, qvecs, (point_ids, xyz, rgb, lens, image, uv)))
 
 
-def _read_back(path: Path, cameras: dict, images: ImageSet, qvecs: list, points: PointSet):
+def _read_back(path: Path, cameras: dict, images: ImageSet, qvecs: list, points: tuple):
     """The columns _parse_scene gives for the files save_scene wrote of
-    cameras, in id order, images, whose quaternions are qvecs, and points,
-    in id order with tracks in file order; None when the text does not read
-    back to their values or fails a check of the parse."""
-    ints = [*cameras, *(n for K in cameras.values() for n in (K.width, K.height))]
-    if not (all(map(_io.is_int64, ints))
-            and all(isinstance(name, str) and name and " ".join(name.split()) == name
-                    for name in images.names)
-            and np.isfinite(points.xyz).all() and np.isfinite(points.uv).all()):
+    cameras, in id order, images, whose quaternions are qvecs, and the
+    PointSet columns points, in id order with tracks in file order; None when
+    the text cannot carry them or the constructors or the parse refuse them."""
+    if not all(isinstance(name, str) and name and " ".join(name.split()) == name
+               for name in images.names):
         return None
     try:
         images = ImageSet(images.ids, images.camera_ids, [qvec2rotmat(q) for q in qvecs],
                           images.t, images.names)
-        model = SceneModel(cameras, images, points)
+        model = SceneModel(cameras, images, PointSet(*points))
         _check_focal_lengths(path, model)
     except (ValueError, DataError):
         return None

@@ -148,40 +148,44 @@ class AffineTransform:
 @dataclass
 class VisibilityTable:
     """Which landmarks each image sees: row k of mask is landmark k, and
-    column j the image image_ids[j]."""
+    column j the image image_ids[j]. Ids are lists of ints, checked as
+    load_visibility checks them: int64 (no bools), each image once, and each
+    excluded landmark a row of mask, once."""
     image_ids: list
     mask: np.ndarray            # (L, N) bool
     tolerances: dict = field(default_factory=dict)
     excluded: list = field(default_factory=list)  # landmark ids off the mesh
 
     def __post_init__(self):
+        self._columns = {}  # image id -> column
+        for j, iid in enumerate(self.image_ids):
+            if self._columns.setdefault(iid, j) != j:
+                raise ValueError(f"repeated image id {iid}")
+        self.image_ids = [int(i) for i in _io.int64("image id", *self.image_ids)]
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 2 or self.mask.shape[1] != len(self.image_ids):
             raise ValueError("mask shape does not match the image ids")
-        _check_excluded(self.excluded, len(self.mask))
+        seen = set()
+        for lid in self.excluded:
+            if not 0 <= lid < len(self.mask):
+                raise ValueError(f"excluded landmark id {lid} outside [0, {len(self.mask)})")
+            if lid in seen:
+                raise ValueError(f"excluded landmark id {lid} repeated")
+            seen.add(lid)
+        self.excluded = [int(i) for i in _io.int64("excluded landmark id", *self.excluded)]
 
     def __eq__(self, other):
         if not isinstance(other, VisibilityTable):
             return NotImplemented
-        return (list(self.image_ids) == list(other.image_ids)
-                and np.array_equal(self.mask, other.mask)
-                and self.tolerances == other.tolerances
-                and list(self.excluded) == list(other.excluded))
+        return (self.image_ids == other.image_ids and np.array_equal(self.mask, other.mask)
+                and self.tolerances == other.tolerances and self.excluded == other.excluded)
+
+    def column(self, image_id) -> int:
+        """The column of image image_id; a KeyError when the table lacks it."""
+        return self._columns[image_id]
 
     def visible(self, landmark_id: int, image_id: int) -> bool:
-        return bool(self.mask[landmark_id, self.image_ids.index(image_id)])
-
-
-def _check_excluded(excluded, landmarks: int) -> None:
-    """A ValueError when an excluded id is not a row of a table of landmarks
-    rows or is listed twice."""
-    seen = set()
-    for lid in excluded:
-        if not 0 <= lid < landmarks:
-            raise ValueError(f"excluded landmark id {lid} outside [0, {landmarks})")
-        if lid in seen:
-            raise ValueError(f"excluded landmark id {lid} repeated")
-        seen.add(lid)
+        return bool(self.mask[landmark_id, self.column(image_id)])
 
 
 def _clip_near(poly: np.ndarray, znear: float) -> np.ndarray:
@@ -498,9 +502,8 @@ def save_visibility(vt: VisibilityTable, path) -> None:
     with its visible image ids.
 
     The columns a load of the file gives are kept beside it (see
-    load_visibility), unless the text would fail a check of the load or read
-    back otherwise: an image or excluded id that is not an int64 integer, a
-    repeated image id, or tolerances that hold a line break.
+    load_visibility), unless the tolerances hold a line break, which the text
+    cannot carry.
     """
     names = [str(i) for i in vt.image_ids]
     rows, cols = np.nonzero(vt.mask)  # row-major: each landmark's images in order
@@ -514,15 +517,12 @@ def save_visibility(vt: VisibilityTable, path) -> None:
     bounds = [0, *ends]
     body = "".join(" ".join([str(lid), *visible[lo:hi]]) + "\n"
                    for lid, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
-    plausible = (all(map(_io.is_int64, [*vt.image_ids, *vt.excluded]))
-                 and len(set(vt.image_ids)) == len(vt.image_ids)
-                 and "\n" not in tol and "\r" not in tol)
     _sidecar(Path(path)).write([[head.encode(), body.encode()]], {
         "image_ids": np.array(vt.image_ids, np.int64).reshape(-1),
         "shape": np.array(vt.mask.shape, np.int64), "mask": vt.mask.reshape(-1),
         "tolerances": np.frombuffer("\n".join(tol.split()).encode(), np.uint8),
         "excluded": np.array(vt.excluded, np.int64).reshape(-1),
-    } if plausible else None)
+    } if "\n" not in tol and "\r" not in tol else None)
 
 
 def load_visibility(path) -> VisibilityTable:
@@ -532,17 +532,14 @@ def load_visibility(path) -> VisibilityTable:
 
     When save_visibility left the columns of these bytes beside the file, in
     .<name>.landmarkloc.npz (an _io.Sidecar), the table is made from that
-    copy, with the same checks, instead.
+    copy instead, through the constructor, which holds the same value rules.
     """
     path = Path(path)
     return _sidecar(path).read(lambda: _parse(path), _from_columns)
 
 
-def _from_columns(c) -> VisibilityTable | None:
-    image_ids = c["image_ids"].tolist()
-    if len(set(image_ids)) != len(image_ids):
-        return None
-    return VisibilityTable(image_ids, c["mask"].reshape(c["shape"].tolist()),
+def _from_columns(c) -> VisibilityTable:
+    return VisibilityTable(c["image_ids"].tolist(), c["mask"].reshape(c["shape"].tolist()),
                            _tolerances(bytes(c["tolerances"]).decode().split()),
                            c["excluded"].tolist())
 
@@ -567,11 +564,9 @@ def _parse(path: Path) -> VisibilityTable:
                         raise ValueError("expected `# visibility landmarks=L images=N`")
                     dims = src.no, int(counts["landmarks"]), int(counts["images"])
                 elif key == ["image_ids"]:
+                    # The table's own check of the ids, which names this line.
                     image_ids = list(map(int, tokens[2:]))
-                    col = {}
-                    for j, iid in enumerate(image_ids):
-                        if col.setdefault(iid, j) != j:
-                            raise ValueError(f"repeated image id {iid}")
+                    col = VisibilityTable(image_ids, np.zeros((0, len(image_ids))))._columns
                 elif key == ["tolerances"]:
                     tolerances = _tolerances(tokens[2:])
                 elif key == ["excluded"]:
@@ -594,11 +589,10 @@ def _parse(path: Path) -> VisibilityTable:
     if (landmarks, images) != (len(rows), len(image_ids)):
         raise MalformedFileError(path, no, f"header counts {landmarks} landmarks and {images} "
                                  f"images, the file lists {len(rows)} and {len(image_ids)}")
-    try:
-        _check_excluded(excluded, len(rows))
-    except ValueError as exc:
-        raise MalformedFileError(path, excluded_no, str(exc)) from None
     mask = np.zeros((len(rows), len(image_ids)), dtype=bool)
     for i, cols in enumerate(rows):
         mask[i, cols] = True
-    return VisibilityTable(image_ids, mask, tolerances, excluded)
+    try:
+        return VisibilityTable(image_ids, mask, tolerances, excluded)
+    except ValueError as exc:  # the one rule left, on the excluded ids
+        raise MalformedFileError(path, excluded_no, str(exc)) from None

@@ -12,7 +12,7 @@ from landmarkloc import detection, landmarks, scene_model, visibility
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
-from landmarkloc.landmarks import load_landmarks
+from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.partitioning import load_partition
 from landmarkloc.scene_model import SceneModel, save_scene
 from landmarkloc.visibility import load_visibility, save_visibility
@@ -256,6 +256,26 @@ class TestPartitionCommand:
         assert rc == 2
 
 
+def overflowing_copy(scene_dir, tmp_path, name, edit):
+    """The scene's inputs in tmp_path, with the first data row of name (a row
+    with at least 3 tokens) rewritten by edit(tokens)."""
+    inputs = {"images.txt": tmp_path / "scene" / "images.txt",
+              "landmarks.txt": tmp_path / "sel.txt", "mesh.ply": tmp_path / "mesh.ply"}
+    (tmp_path / "scene").mkdir()
+    for src in ("scene/cameras.txt", "scene/images.txt", "scene/points3D.txt"):
+        (tmp_path / src).write_bytes((scene_dir / src).read_bytes())
+    for src, dst in (("landmarks.txt", "sel.txt"), ("mesh.ply", "mesh.ply")):
+        (tmp_path / dst).write_bytes((scene_dir / src).read_bytes())
+    path = inputs[name]
+    lines = path.read_text().splitlines()
+    start = lines.index("end_header") + 1 if name == "mesh.ply" else 0
+    k = next(i for i in range(start, len(lines))
+             if not lines[i].startswith("#") and len(lines[i].split()) >= 3)
+    lines[k] = " ".join(edit(lines[k].split()))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestVisibilityCommand:
     def test_missing_mesh_is_data_error(self, scene_dir, tmp_path):
         rc = main(
@@ -316,25 +336,6 @@ class TestVisibilityCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def overflowing_copy(self, scene_dir, tmp_path, name, edit):
-        """The scene's inputs in tmp_path, with the first data row of name (a
-        row with at least 3 tokens) rewritten by edit(tokens)."""
-        inputs = {"images.txt": tmp_path / "scene" / "images.txt",
-                  "landmarks.txt": tmp_path / "sel.txt", "mesh.ply": tmp_path / "mesh.ply"}
-        (tmp_path / "scene").mkdir()
-        for src in ("scene/cameras.txt", "scene/images.txt", "scene/points3D.txt"):
-            (tmp_path / src).write_bytes((scene_dir / src).read_bytes())
-        for src, dst in (("landmarks.txt", "sel.txt"), ("mesh.ply", "mesh.ply")):
-            (tmp_path / dst).write_bytes((scene_dir / src).read_bytes())
-        path = inputs[name]
-        lines = path.read_text().splitlines()
-        start = lines.index("end_header") + 1 if name == "mesh.ply" else 0
-        k = next(i for i in range(start, len(lines))
-                 if not lines[i].startswith("#") and len(lines[i].split()) >= 3)
-        lines[k] = " ".join(edit(lines[k].split()))
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
     @pytest.mark.parametrize("name, edit, message", [
         ("landmarks.txt", lambda tok: [*tok[:2], "1e308", *tok[3:]],
          "landmark coordinates overflow"),
@@ -347,7 +348,7 @@ class TestVisibilityCommand:
         # first image's TX (its centre is then about 1e308 away). The distances
         # the test multiplies overflow; no numpy warning may escape (pytest
         # turns RuntimeWarning into an error).
-        bad = self.overflowing_copy(scene_dir, tmp_path, name, edit)
+        bad = overflowing_copy(scene_dir, tmp_path, name, edit)
         out = tmp_path / "v.txt"
         rc = main(["visibility", "--scene", str(tmp_path / "scene"),
                    "--mesh", str(tmp_path / "mesh.ply"), "--landmarks", str(tmp_path / "sel.txt"),
@@ -359,8 +360,8 @@ class TestVisibilityCommand:
     def test_landmark_far_but_within_bounds_runs(self, scene_dir, tmp_path, capsys):
         # 1e76 from the mesh: fourth powers of the distances stay finite, so
         # the landmark is only excluded (off the mesh), without a warning.
-        self.overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
-                              lambda tok: [*tok[:2], "1e76", *tok[3:]])
+        overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                         lambda tok: [*tok[:2], "1e76", *tok[3:]])
         rc = main(["visibility", "--scene", str(tmp_path / "scene"),
                    "--mesh", str(tmp_path / "mesh.ply"), "--landmarks", str(tmp_path / "sel.txt"),
                    "--out", str(tmp_path / "v.txt")])
@@ -523,6 +524,22 @@ class TestPipelineCommands:
                    "--visibility", str(vis), "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert f"{vis}: visibility table lacks {lost}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_refuses_a_longer_table(self, scene_dir, tmp_path, capsys):
+        # The table of all landmarks with a set of the first 40: its rows past
+        # the set's would be dropped unread.
+        ls = load_landmarks(scene_dir / "landmarks.txt")
+        rows = len(load_visibility(scene_dir / "visibility.txt").mask)
+        sel = tmp_path / "sel.txt"
+        save_landmarks(LandmarkSet(ls.source_point_ids[:40], ls.xyz[:40], ls.saliency[:40]), sel)
+        out = tmp_path / "x.csv"
+        vis = scene_dir / "visibility.txt"
+        rc = main(["simulate", "--scene", str(scene_dir / "scene"), "--landmarks", str(sel),
+                   "--visibility", str(vis), "--seed", "1", "--out", str(out)])
+        assert rc == 2 and rows > 40
+        assert capsys.readouterr().err == (f"data error: {vis}: {rows} landmark rows, but {sel} "
+                                           "holds 40 landmarks\n")
         assert not out.exists()
 
     def test_noiseless_end_to_end_full_recall(self, scene_dir, pipeline, tmp_path, capsys):
@@ -916,6 +933,58 @@ class TestLocalizeErrors:
              "--detections", str(dets), "--out", str(tmp_path / "x.txt")]
         )
         assert rc == 1
+
+
+class TestHugeCoordinates:
+    """localize and evaluate refuse coordinates whose products overflow, and
+    name their file, as select and visibility do. No numpy warning may escape
+    (pytest turns RuntimeWarning into an error)."""
+
+    def test_localize_refuses_a_far_landmark(self, scene_dir, pipeline, tmp_path, capsys):
+        # One landmark x of 1e308: the products of its distances to the
+        # others overflow, and so would its pixels under a pose.
+        _, dets, _ = pipeline
+        sel = overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                               lambda tok: [*tok[:2], "1e308", *tok[3:]])
+        out = tmp_path / "p.txt"
+        rc = main(["localize", "--scene", str(tmp_path / "scene"), "--landmarks", str(sel),
+                   "--detections", str(dets), "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {sel}: landmark coordinates overflow")
+        assert not out.exists()
+
+    def test_evaluate_refuses_landmarks_far_from_the_cameras(self, scene_dir, pipeline,
+                                                               tmp_path, capsys):
+        # Every landmark x set to 1e200: the landmarks stay close together,
+        # but their squared distances to the camera centres overflow.
+        _, dets, poses = pipeline
+        sel = tmp_path / "sel.txt"
+        sel.write_text("".join(
+            line if line.startswith("#") else " ".join([*line.split()[:2], "1e200",
+                                                        *line.split()[3:]]) + "\n"
+            for line in (scene_dir / "landmarks.txt").read_text().splitlines(keepends=True)))
+        out = tmp_path / "r.txt"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses),
+                   "--detections", str(dets), "--landmarks", str(sel), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {sel}: landmark coordinates overflow")
+        assert not out.exists()
+
+    def test_evaluate_refuses_a_far_camera(self, scene_dir, pipeline, tmp_path, capsys):
+        # The first image's TX set to 1e308: its centre is about 1e308 from
+        # the others.
+        _, _, poses = pipeline
+        images = overflowing_copy(scene_dir, tmp_path, "images.txt",
+                                  lambda tok: [*tok[:5], "1e308", *tok[6:]])
+        out = tmp_path / "r.txt"
+        rc = main(["evaluate", "--scene", str(tmp_path / "scene"), "--estimates", str(poses),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {images}: camera centres overflow")
+        assert not out.exists()
 
 
 class TestSidecars:

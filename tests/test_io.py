@@ -11,6 +11,7 @@ copy gives what the parse gives, and that any copy that does not fit means a
 parse.
 """
 
+import os
 import re
 
 import numpy as np
@@ -152,6 +153,7 @@ BAD_VISIBILITY_LINES = [
     (4, "# excluded 0 1 0"),                   # excluded twice
     (6, "0 2"),                                # id repeated
     (3, "# image_ids 1 1"),                    # image repeated
+    (3, "# image_ids 1 9223372036854775808"),  # image id > int64
     (6, "# image_ids 2 1"),                    # second header
     (6, "# image_ids 1"),                      # second header
     (6, "# visibility landmarks=2 images=2"),  # second header
@@ -211,9 +213,8 @@ def count_parses(monkeypatch, module):
 _rng = np.random.default_rng(25)
 # name -> the module whose writer leaves a copy, its file name, writer and
 # loader, how two loads compare, the values whose copies a load reads, the
-# values whose text would not read back to them or would fail a check of the
-# load (no copy), and columns that make no value from the copy of the file
-# FORMATS writes.
+# values whose text cannot carry them (no copy), and columns that make no
+# value from the copy of the file FORMATS writes.
 COPIED = {
     "landmarks": (landmarks, "sel.txt", save_landmarks, same_landmarks, {
         "selected": LandmarkSet(_rng.permutation(10**6)[:300], _rng.normal(size=(300, 3)) * 10,
@@ -223,8 +224,6 @@ COPIED = {
         "edge-values": LandmarkSet([-2**63, 2**63 - 1], [[-0.0, 5e-324, 1e308], [1e-300, -1e308, 0]],
                                    [0.0, -0.0], {"two words": "a=b", "": "", "\t": "\x0c"}),
     }, {
-        "nan-position": LandmarkSet([1], [[np.nan, 0, 0]], [1.0]),
-        "inf-saliency": LandmarkSet([1], [[0, 0, 0]], [np.inf]),
         "line-break": LandmarkSet([1], [[0, 0, 0]], [1.0], {"note": "a\nb"}),
         "carriage-return": LandmarkSet([1], [[0, 0, 0]], [1.0], {"a\r": "b"}),
     }, [
@@ -246,11 +245,6 @@ COPIED = {
         "edge-values": VisibilityTable([-2**63, 2**63 - 1, 0], np.eye(2, 3, dtype=bool),
                                        {"": "", "x": "nan", "y": "-inf", "two words": "a b"}),
     }, {
-        "id-past-int64": VisibilityTable([2**63], [[True]]),
-        "bool-id": VisibilityTable([True], [[True]]),
-        "float-id": VisibilityTable([1.0], [[True]]),
-        "repeated-id": VisibilityTable([1, 1], [[True, False]]),
-        "bool-excluded": VisibilityTable([1], [[True], [False]], {}, [True]),
         "line-break": VisibilityTable([1], [[True]], {"a": "x\ny"}),
     }, [
         ("shape", np.array([2, 3])),                       # more cells than the mask
@@ -262,6 +256,30 @@ COPIED = {
         ("extra", np.zeros(1)),                            # a column the loader does not know
     ]),
 }
+
+
+# Values whose text the loaders refuse, which the constructors refuse too,
+# with the start of their error.
+REFUSED = {
+    "nan-position": (lambda: LandmarkSet([1], [[np.nan, 0, 0]], [1.0]),
+                     "non-finite coordinate or saliency"),
+    "inf-saliency": (lambda: LandmarkSet([1], [[0, 0, 0]], [np.inf]),
+                     "non-finite coordinate or saliency"),
+    "id-past-int64": (lambda: VisibilityTable([2**63], [[True]]),
+                      "image id out of the int64 range"),
+    "bool-id": (lambda: VisibilityTable([True], [[True]]), "image id True is not an integer"),
+    "float-id": (lambda: VisibilityTable([1.0], [[True]]), "image id 1.0 is not an integer"),
+    "repeated-id": (lambda: VisibilityTable([1, 1], [[True, False]]), "repeated image id 1"),
+    "bool-excluded": (lambda: VisibilityTable([1], [[True], [False]], {}, [True]),
+                      "excluded landmark id True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_constructor_refuses_what_the_load_refuses(name):
+    make, message = REFUSED[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def copied_cases(k):
@@ -365,3 +383,25 @@ class TestWriterCopies:
         parses = count_parses(monkeypatch, module)
         load(tmp_path)
         assert len(parses) == 1
+
+
+@pytest.mark.parametrize("old", [b"0 1 2 3 4 5\n", None], ids=["replaced", "new"])
+def test_writer_that_dies_leaves_no_cut_file(tmp_path, old):
+    # Each text file is written to a temp file beside it and renamed into
+    # place: a writer whose chunks stop midway leaves the old file, or none,
+    # and no copy and no temp file.
+    path = tmp_path / "sel.txt"
+    if old is not None:
+        path.write_bytes(old)
+
+    def chunks():
+        yield b"# id source_point_id x y z saliency\n"
+        raise RuntimeError("writer died")
+
+    sidecar = landmarks._sidecar(path)
+    with pytest.raises(RuntimeError, match="writer died"):
+        sidecar.write([chunks()], {"source": np.zeros(0, np.int64), "xyz": np.zeros((0, 3)),
+                                   "saliency": np.zeros(0), "provenance": np.zeros(0, np.uint8)})
+    assert os.listdir(tmp_path) == ([] if old is None else ["sel.txt"])
+    if old is not None:
+        assert path.read_bytes() == old
