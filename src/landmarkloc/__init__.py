@@ -9,8 +9,9 @@ Modules:
   visibility    occlusion-based visibility tables by first-hit ray casting;
                 depth rasterization
   detection     heatmap rendering/extraction, detector simulation, merging
-  pose          PROSAC + P3P + weighted refinement pose estimation
-  evaluation    rotation/position errors, recall, report tables
+  pose          PROSAC + P3P + weighted refinement pose estimation; a run's
+                results as columns (PoseTable) and their text IO
+  evaluation    rotation/position errors on those columns, recall, report tables
   synth         deterministic synthetic scenes with exact ground truth
   cli           command-line pipeline driver
   _io           the line reader and float format of every text loader and writer

@@ -3,8 +3,9 @@
 Each loader walks its file through lines(), which numbers the lines and
 turns a ValueError raised while one is handled (by int(), float(), finite(),
 int64() or a constructor's own check) into a MalformedFileError at path:line.
-Each writer writes its floats with fmt(), which reads back bit for bit.
-A Sidecar keeps the columns a loader parses from some files beside them.
+Each writer writes its floats with fmt(), which reads back bit for bit, and
+its file through a temp file and a rename (write_text, or a Sidecar, which
+keeps the columns a loader parses from some files beside them).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import contextlib
 import hashlib
 import math
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +88,19 @@ def fmt(x) -> str:
 @contextlib.contextmanager
 def _replacing(path: Path):
     """`with _replacing(path) as fh:` writes a temp file beside path, renamed to
-    path at the end of the block; an exception leaves path as it was."""
+    path at the end of the block; an exception leaves path as it was.
+
+    A path that is a symlink or no regular file (/dev/null, /dev/stdout, a
+    FIFO) is written through, as a rename would replace the link or the device.
+    """
+    try:
+        through = not stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # a missing path; other errors surface when the temp file opens
+        through = False
+    if through:
+        with open(path, "wb") as fh:
+            yield fh
+        return
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -95,6 +109,14 @@ def _replacing(path: Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, chunks) -> None:
+    """Write the str chunks, in order, to path as UTF-8 through _replacing: an
+    exception while they are made or written leaves path as it was."""
+    with _replacing(Path(path)) as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8"))
 
 
 class Sidecar:

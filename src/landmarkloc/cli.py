@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import _io
 from .detection import load_detections, merge_ensemble, save_detections, simulate_detections
 from .errors import DanglingReferenceError, DataError, DegeneracyError, RobustFitError
 from .evaluation import (
@@ -29,7 +30,7 @@ from .evaluation import (
 from .landmarks import load_landmarks, save_landmarks, select_landmarks
 from .mesh import load_mesh
 from .partitioning import CRITERIA, make_partition, save_partition
-from .pose import STATUS_OK, SolverConfig, load_poses, localize, save_poses
+from .pose import STATUS_OK, PoseTable, SolverConfig, load_poses, localize, save_poses
 from .scene_model import Intrinsics, _diameter, load_scene
 from .synth import SynthConfig, generate_scene, write_scene
 from .visibility import VisibilityConfig, compute_visibility, load_visibility, save_visibility
@@ -352,13 +353,14 @@ def cmd_localize(args) -> int:
         estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid))
     elapsed = time.perf_counter() - t0
     sec_per_image = elapsed / max(len(image_ids), 1)
-    save_poses(estimates, args.out, sec_per_image=sec_per_image)
-    n_ok = sum(1 for e in estimates.values() if e.status == STATUS_OK)
+    poses = PoseTable.of(estimates)
+    save_poses(poses, args.out, sec_per_image=sec_per_image)
+    n_ok = poses.status.count(STATUS_OK)
     print(
-        f"localized {n_ok}/{len(estimates)} images "
+        f"localized {n_ok}/{len(poses)} images "
         f"({sec_per_image * 1000:.1f} ms/image) -> {args.out}"
     )
-    if estimates and n_ok == 0:
+    if len(poses) and n_ok == 0:
         raise RobustFitError("no image could be localized")
     return EXIT_OK
 
@@ -393,34 +395,37 @@ def cmd_evaluate(args) -> int:
                         "far from the cameras for their squared distances to be finite")
     runs = []
     for label, path in zip(labels, args.estimates):
-        estimates, meta = load_poses(path)
-        if not estimates:
+        poses, meta = load_poses(path)
+        if not len(poses):
             raise DataError(f"{path}: no pose lines to evaluate")
-        runs.append(
-            RunRecord(
-                label,
-                estimates,
-                model,
-                detections=detections,
-                landmarks=landmarks,
-                sec_per_image=meta.get("sec_per_image", float("nan")),
-            )
-        )
+        ok = np.array(poses.status) == STATUS_OK
+        if not np.isfinite(_diameter(np.vstack([poses.center[ok], model.images.center]))):
+            raise DataError(f"{path}: camera centres overflow: an estimated camera is too far "
+                            "from the cameras for their squared distances to be finite")
+        runs.append(RunRecord(label, poses, model, detections=detections, landmarks=landmarks,
+                              sec_per_image=meta.get("sec_per_image", float("nan"))))
     try:
         report = build_report(runs, args.rot_thresh, args.pos_thresh)
     except DanglingReferenceError as exc:
         raise DanglingReferenceError(f"{args.detections}: {exc}") from None
+    if detections is not None:
+        detected = np.fromiter(detections, np.int64, len(detections))
+        for path, run in zip(args.estimates, runs):
+            unposed = detected[~np.isin(detected, run.poses.ids)]
+            if len(unposed):
+                raise DataError(f"{path}: no pose line for image {unposed.min()}, which has "
+                                f"detections in {args.detections}")
     text = report_to_text(report)
-    Path(args.out).write_text(text, encoding="utf-8")
+    _io.write_text(args.out, [text])
     if args.csv:
-        Path(args.csv).write_text(report_to_csv(report), encoding="utf-8")
+        _io.write_text(args.csv, [report_to_csv(report)])
     if args.per_image:
         base = Path(args.per_image)
         for run in runs:
             path = base if len(runs) == 1 else base.with_name(
                 f"{base.stem}_{run.label}{base.suffix}"
             )
-            path.write_text(per_image_csv(run.estimates, model, run.errors), encoding="utf-8")
+            _io.write_text(path, [per_image_csv(run)])
     sys.stdout.write(text)
     return EXIT_OK
 

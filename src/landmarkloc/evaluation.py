@@ -14,23 +14,11 @@ import numpy as np
 from . import _io
 from .errors import DanglingReferenceError, InvalidRotationError
 from .landmarks import LandmarkSet
-from .pose import STATUS_OK
-from .scene_model import Intrinsics, Pose, SceneModel, _camera_frame, bearing
+from .pose import STATUS_OK, PoseTable
+from .scene_model import ImageSet, Intrinsics, Pose, SceneModel, _camera_frame, bearing
 
 DEFAULT_ROT_THRESH_DEG = 5.0
 DEFAULT_POS_THRESH_M = 0.05
-
-
-@dataclass(frozen=True)
-class PoseErrors:
-    rot_deg: float
-    pos_m: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.rot_deg <= 180.0 + 1e-9):
-            raise ValueError("rotation error outside [0, 180]")
-        if self.pos_m < 0:
-            raise ValueError("position error must be >= 0")
 
 
 def _check_rotation(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -43,7 +31,7 @@ def _check_rotation(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 
 def rotation_error(R: np.ndarray, R_hat: np.ndarray) -> float:
-    """Geodesic angle between rotations in degrees, arccos((Tr(R^T R_hat)-1)/2)."""
+    """Geodesic angle in degrees, arccos((Tr(R^T R_hat)-1)/2): _pose_errors of one pair."""
     R = _check_rotation(R)
     R_hat = _check_rotation(R_hat)
     arg = (np.trace(R.T @ R_hat) - 1.0) / 2.0
@@ -51,32 +39,40 @@ def rotation_error(R: np.ndarray, R_hat: np.ndarray) -> float:
 
 
 def position_error(pose: Pose, pose_hat: Pose) -> float:
-    """Distance between camera centers -R^T t in meters."""
+    """Distance between camera centers -R^T t in meters: _pose_errors of one pair."""
     return float(np.linalg.norm(pose.center - pose_hat.center))
 
 
-def pose_errors(pose: Pose, pose_hat: Pose) -> PoseErrors:
-    return PoseErrors(rotation_error(pose.R, pose_hat.R), position_error(pose, pose_hat))
+def _pose_errors(poses: PoseTable, images: ImageSet) -> tuple:
+    """Rotation errors (degrees) and position errors (meters) of the rows of
+    poses against the images' ground truth, as two columns, NaN where the row
+    is not ok; a ValueError names images that the set lacks. Each row has the
+    bits of rotation_error and position_error: math.acos row by row, since
+    np.arccos differs from it in the last bit on some rows."""
+    known = np.isin(poses.ids, images.ids)
+    if not known.all():
+        raise ValueError(f"estimates reference unknown images {poses.ids[~known].tolist()}")
+    rows = np.searchsorted(images.ids, poses.ids)
+    trace = np.trace(np.matmul(poses.R.transpose(0, 2, 1), images.R[rows]), axis1=1, axis2=2)
+    cosines = np.clip((trace - 1.0) / 2.0, -1.0, 1.0).tolist()
+    rot_deg = np.array([math.degrees(math.acos(c)) for c in cosines])
+    d = poses.center - images.center[rows]
+    return rot_deg, np.sqrt(np.vecdot(d, d))
 
 
 def recall_at(
-    errors,
+    rot_deg,
+    pos_m,
     rot_thresh_deg: float = DEFAULT_ROT_THRESH_DEG,
     pos_thresh_m: float = DEFAULT_POS_THRESH_M,
 ) -> float:
-    """Fraction of images whose errors pass both thresholds.
-
-    Entries of None stand for failed localizations and count as misses.
-    """
-    errors = list(errors)
-    if not errors:
+    """Fraction of images whose errors, the columns rot_deg and pos_m, pass
+    both thresholds. NaN stands for a failed localization and is a miss."""
+    rot_deg, pos_m = np.asarray(rot_deg, dtype=np.float64), np.asarray(pos_m, dtype=np.float64)
+    if not len(rot_deg):
         raise ValueError("recall over an empty error list")
-    hits = sum(
-        1
-        for e in errors
-        if e is not None and e.rot_deg <= rot_thresh_deg and e.pos_m <= pos_thresh_m
-    )
-    return hits / len(errors)
+    hits = np.count_nonzero((rot_deg <= rot_thresh_deg) & (pos_m <= pos_thresh_m))
+    return int(hits) / len(rot_deg)
 
 
 def _angular_errors(uv: np.ndarray, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -> list:
@@ -109,16 +105,16 @@ class RunRecord:
     """One evaluated configuration: estimates against ground truth."""
 
     label: str
-    estimates: dict            # image id -> PoseEstimate
+    poses: PoseTable
     gt_model: SceneModel
     detections: dict | None = None   # image id -> DetectionSet, for angular error
     landmarks: LandmarkSet | None = None
     sec_per_image: float = float("nan")
 
     @cached_property
-    def errors(self) -> dict:
-        """per_image_errors of the estimates, computed once."""
-        return per_image_errors(self.estimates, self.gt_model)
+    def errors(self) -> tuple:
+        """_pose_errors of the poses, (rot_deg, pos_m), computed once."""
+        return _pose_errors(self.poses, self.gt_model.images)
 
 
 @dataclass
@@ -140,26 +136,11 @@ class EvalReport:
     pos_thresh_m: float = DEFAULT_POS_THRESH_M
 
 
-def per_image_errors(estimates: dict, gt_model: SceneModel) -> dict:
-    """PoseErrors per image id; None where localization failed.
-
-    Raises on image sets that do not match the ground truth model.
-    """
-    missing = set(estimates) - set(gt_model.images.ids.tolist())
-    if missing:
-        raise ValueError(f"estimates reference unknown images {sorted(missing)}")
-    out = {}
-    for iid, est in estimates.items():
-        if est.status != STATUS_OK or est.pose is None:
-            out[iid] = None
-        else:
-            out[iid] = pose_errors(est.pose, gt_model.images.pose(iid))
-    return out
-
-
 def _median_or_nan(values) -> float:
-    values = [v for v in values if v is not None and math.isfinite(v)]
-    return float(np.median(values)) if values else float("nan")
+    """The median of the finite values, NaN when there are none."""
+    values = np.asarray(values, dtype=np.float64)
+    values = values[np.isfinite(values)]
+    return float(np.median(values)) if len(values) else float("nan")
 
 
 def build_report(
@@ -176,9 +157,7 @@ def build_report(
             raise ValueError(f"{name} threshold must be finite and > 0, not {value}")
     rows = []
     for run in runs:
-        errs = run.errors
-        err_list = [errs[iid] for iid in sorted(errs)]
-        recall = recall_at(err_list, rot_thresh_deg, pos_thresh_m)
+        rot_deg, pos_m = run.errors
         ang = float("nan")
         if run.detections is not None and run.landmarks is not None:
             angles = []
@@ -196,15 +175,11 @@ def build_report(
         rows.append(
             ReportRow(
                 label=run.label,
-                n_images=len(err_list),
-                n_ok=sum(1 for e in err_list if e is not None),
-                recall=recall,
-                median_rot_deg=_median_or_nan(
-                    [e.rot_deg for e in err_list if e is not None]
-                ),
-                median_pos_m=_median_or_nan(
-                    [e.pos_m for e in err_list if e is not None]
-                ),
+                n_images=len(run.poses),
+                n_ok=run.poses.status.count(STATUS_OK),
+                recall=recall_at(rot_deg, pos_m, rot_thresh_deg, pos_thresh_m),
+                median_rot_deg=_median_or_nan(rot_deg),
+                median_pos_m=_median_or_nan(pos_m),
                 median_angular_deg=ang,
                 sec_per_image=run.sec_per_image,
             )
@@ -277,14 +252,11 @@ def report_to_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_image_csv(estimates: dict, gt_model: SceneModel, errs: dict | None = None) -> str:
+def per_image_csv(run: RunRecord) -> str:
     """Machine-readable per-image `image_id,rot_err_deg,pos_err_m,status`
-    rows. errs, when given, is per_image_errors(estimates, gt_model)."""
-    if errs is None:
-        errs = per_image_errors(estimates, gt_model)
+    rows of the run, nan errors for an image that is not ok."""
     lines = ["image_id,rot_err_deg,pos_err_m,status"]
-    for iid in sorted(errs):
-        e = errs[iid]
-        rot, pos = (math.nan, math.nan) if e is None else (e.rot_deg, e.pos_m)
-        lines.append(f"{iid},{_io.fmt(rot)},{_io.fmt(pos)},{estimates[iid].status}")
+    rows = zip(run.poses.ids.tolist(), *(col.tolist() for col in run.errors), run.poses.status)
+    for iid, rot, pos, status in rows:
+        lines.append(f"{iid},{_io.fmt(rot)},{_io.fmt(pos)},{status}")
     return "\n".join(lines) + "\n"

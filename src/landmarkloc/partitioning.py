@@ -234,11 +234,11 @@ def make_partition(
 
 
 def save_partition(pa: PartitionAssignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        seed = "none" if pa.seed is None else pa.seed
-        fh.write(f"# criterion={pa.criterion} groups={pa.g} seed={seed}\n")
-        for lid, grp in enumerate(pa.group.tolist()):
-            fh.write(f"{lid} {grp}\n")
+    """The header, then one `landmark_id group` line per landmark; written
+    through a temp file and a rename."""
+    seed = "none" if pa.seed is None else pa.seed
+    _io.write_text(path, [f"# criterion={pa.criterion} groups={pa.g} seed={seed}\n",
+                          *(f"{lid} {grp}\n" for lid, grp in enumerate(pa.group.tolist()))])
 
 
 def load_partition(path) -> PartitionAssignment:

@@ -20,12 +20,15 @@ from .landmarks import LandmarkSet
 from .scene_model import (
     Intrinsics,
     Pose,
+    _check_pose,
     _cross,
+    _posed_rows,
     _uv,
     _valid_poses,
     axis_angle_to_matrix,
     bearing,
     qvec2rotmat,
+    rotmat2qvec,
 )
 
 STATUS_OK = "ok"
@@ -91,6 +94,8 @@ class RefineResult:
 
 @dataclass
 class PoseEstimate:
+    """One image's result. PoseTable, which every estimate passes through to
+    its file, checks that the status is known and that an ok one has a pose."""
     pose: Pose | None
     inliers: frozenset
     num_iterations: int
@@ -98,11 +103,41 @@ class PoseEstimate:
     status: str
     refine: RefineResult | None = None
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == STATUS_OK and self.pose is None:
-            raise ValueError("ok estimate requires a pose")
+
+class PoseTable:
+    """One run's results as read-only columns in ascending image-id order: ids
+    (N,) int64, status (a tuple of N str), poses R (N, 3, 3) and t (N, 3),
+    num_inliers (N,) int64, mean_reproj_px (N,) and the camera centres center
+    (N, 3), as ImageSet has them; R, t and center are NaN where the status is
+    not ok. The constructor takes rows in any order and checks that no id
+    repeats, that each status is known and that Pose accepts each ok pose."""
+
+    def __init__(self, ids, status, R, t, num_inliers, mean_reproj_px):
+        status = np.array(status, dtype=object).reshape(-1)
+        unknown = [s for s in status if s not in STATUSES]
+        if unknown:
+            raise ValueError(f"unknown status {unknown[0]!r}")
+        order, self.ids, self.R, self.t, self.center = _posed_rows(ids, R, t, status == STATUS_OK)
+        self.status, n = tuple(status[order]), len(order)
+        self.num_inliers = np.asarray(num_inliers, dtype=np.int64).reshape(n)[order]
+        self.mean_reproj_px = np.asarray(mean_reproj_px, dtype=np.float64).reshape(n)[order]
+        self.num_inliers.flags.writeable = self.mean_reproj_px.flags.writeable = False
+
+    def __len__(self):
+        return len(self.ids)
+
+    @classmethod
+    def of(cls, estimates: dict) -> PoseTable:
+        """The table of a dict image id -> PoseEstimate."""
+        ests = estimates.values()
+        return cls(list(estimates), [e.status for e in ests],
+                   [_NAN_R if e.pose is None else e.pose.R for e in ests],
+                   [_NAN_T if e.pose is None else e.pose.t for e in ests],
+                   [len(e.inliers) for e in ests], [e.mean_reproj_px for e in ests])
+
+
+# R and t of a row without a pose.
+_NAN_R, _NAN_T = np.full((3, 3), np.nan), np.full(3, np.nan)
 
 
 def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
@@ -608,28 +643,28 @@ def localize(dets, ls: LandmarkSet, K: Intrinsics,
     return prosac_estimate(compute_weights(dets, ls, cfg.e), K, cfg, seed)
 
 
-def save_poses(estimates: dict, path, sec_per_image: float | None = None) -> None:
+def save_poses(poses: PoseTable, path, sec_per_image: float | None = None) -> None:
     """One `image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px`
-    line per image, ordered by image id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px\n")
+    line per image, ordered by image id, with nan in place of the pose of an
+    image that is not ok; written through a temp file and a rename."""
+    def lines():
+        yield "# image_id qw qx qy qz tx ty tz status num_inliers mean_reproj_px\n"
         if sec_per_image is not None:
-            fh.write(f"# sec_per_image={_io.fmt(sec_per_image)}\n")
-        for iid in sorted(estimates):
-            est = estimates[iid]
-            qt = [math.nan] * 7 if est.pose is None else [*est.pose.qvec, *est.pose.t]
-            fh.write(f"{iid} {' '.join(map(_io.fmt, qt))} {est.status} {len(est.inliers)} "
-                     f"{_io.fmt(est.mean_reproj_px)}\n")
+            yield f"# sec_per_image={_io.fmt(sec_per_image)}\n"
+        rows = zip(poses.ids.tolist(), poses.status, poses.R, poses.t,
+                   poses.num_inliers.tolist(), poses.mean_reproj_px.tolist())
+        for iid, status, R, t, num_inliers, err in rows:
+            qt = [*rotmat2qvec(R), *t] if status == STATUS_OK else [math.nan] * 7
+            yield (f"{iid} {' '.join(map(_io.fmt, qt))} {status} {num_inliers} "
+                   f"{_io.fmt(err)}\n")
+
+    _io.write_text(path, lines())
 
 
 def load_poses(path):
-    """Inverse of save_poses. Returns (estimates dict, metadata dict).
-
-    Inlier identities are not serialized, so loaded estimates carry an empty
-    inlier set; per-image counts live in metadata["num_inliers"].
-    """
-    estimates = {}
-    meta = {"num_inliers": {}}
+    """Inverse of save_poses. Returns (PoseTable, metadata dict), the
+    metadata holding sec_per_image when the file states it."""
+    rows, seen, meta = [], set(), {}
     with _io.lines(path) as src:
         for tokens in src:
             if tokens[0][0] == "#":
@@ -641,16 +676,19 @@ def load_poses(path):
             if len(tokens) != 11:
                 raise ValueError("expected 11 fields")
             iid, status, num_inliers = int(tokens[0]), tokens[8], int(tokens[9])
-            if iid in estimates:
+            if iid in seen:
                 raise ValueError(f"duplicate image id {iid}")
+            seen.add(iid)
+            _io.int64("image id", iid)
+            _io.int64("inlier count", num_inliers)
             if status not in STATUSES:
                 raise ValueError(f"unknown status {status!r}")
             # save_poses writes nan in place of a missing pose.
             vals = [float(tok) for tok in tokens[1:8] + tokens[10:]]
-            pose = None
+            R, t = _NAN_R, _NAN_T
             if status == STATUS_OK:
-                pose = Pose(qvec2rotmat(vals[:4]), vals[4:7])
+                R, t = _check_pose(qvec2rotmat(vals[:4]), np.array(vals[4:7]))
                 _io.finite("reprojection error", vals[7])
-            meta["num_inliers"][iid] = num_inliers
-            estimates[iid] = PoseEstimate(pose, frozenset(), 0, vals[7], status)
-    return estimates, meta
+            rows.append((iid, status, R, t, num_inliers, vals[7]))
+    ids, status, R, t, num_inliers, mean_reproj_px = zip(*rows) if rows else [()] * 6
+    return PoseTable(ids, status, R, t, num_inliers, mean_reproj_px), meta

@@ -155,21 +155,26 @@ class Intrinsics:
         )
 
 
+def _check_pose(R: np.ndarray, t: np.ndarray) -> tuple:
+    """R (3, 3) and t as (3,), or the ValueError that Pose raises for them."""
+    t = t.reshape(3)
+    # The tolerance tests below are False for NaN, so check finiteness first.
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        raise ValueError("R and t must be finite")
+    if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_TOL:
+        raise ValueError("R is not orthogonal within 1e-9")
+    if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
+        raise ValueError("det(R) != +1 within 1e-9")
+    return R, t
+
+
 class Pose:
     """World-to-camera rigid transform (R, t)."""
 
     __slots__ = ("R", "t")
 
     def __init__(self, R: np.ndarray, t: np.ndarray):
-        R = np.array(R, dtype=np.float64)
-        t = np.array(t, dtype=np.float64).reshape(3)
-        # The tolerance tests below are False for NaN, so check finiteness first.
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise ValueError("R and t must be finite")
-        if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_TOL:
-            raise ValueError("R is not orthogonal within 1e-9")
-        if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
-            raise ValueError("det(R) != +1 within 1e-9")
+        R, t = _check_pose(np.array(R, dtype=np.float64), np.array(t, dtype=np.float64))
         R.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "R", R)
@@ -245,6 +250,31 @@ def _valid_poses(R, t):
     return ok & ~(np.fmax(ortho, np.abs(np.linalg.det(R) - 1.0)) > _ORTHO_TOL)
 
 
+def _posed_rows(ids, R, t, posed) -> tuple:
+    """The rows' order by id, then in that order the read-only columns ids
+    (N,) int64, R (N, 3, 3), t (N, 3) and center (N, 3) = -R^T t, with the bits
+    of Pose.center. Rows that the mask posed (N,) leaves out are NaN. A
+    ValueError when an id repeats or Pose would refuse a posed row's pose."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    n, order = len(ids), np.argsort(ids, kind="stable")
+    ids = ids[order]
+    R = np.asarray(R, dtype=np.float64).reshape(n, 3, 3)[order]
+    t = np.asarray(t, dtype=np.float64).reshape(n, 3)[order]
+    posed = np.asarray(posed, bool).reshape(n)[order]
+    R[~posed], t[~posed] = np.nan, np.nan
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if len(repeated):
+        raise ValueError(f"repeated image id {repeated[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a centre may overflow to inf
+        bad = posed & ~_valid_poses(R, t)
+        center = np.matmul(-R.transpose(0, 2, 1), t[:, :, None])[:, :, 0]
+    if bad.any():
+        raise ValueError(f"image {ids[np.argmax(bad)]}: R and t are not a finite pose")
+    for column in (ids, R, t, center):
+        column.flags.writeable = False
+    return order, ids, R, t, center
+
+
 class ImageSet:
     """Posed images as read-only columns in ascending id order: ids (N,) and
     camera_ids (N,) int64, world-to-camera poses R (N, 3, 3) and t (N, 3),
@@ -253,23 +283,12 @@ class ImageSet:
     that the columns pair up, that no id repeats and that Pose accepts each pose."""
 
     def __init__(self, ids, camera_ids=(), R=(), t=(), names=()):
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        n, order = len(ids), np.argsort(ids, kind="stable")
-        self.ids = ids[order]
+        order, self.ids, self.R, self.t, self.center = _posed_rows(
+            ids, R, t, np.ones(np.size(ids), bool))
+        n = len(order)
         self.camera_ids = np.asarray(camera_ids, dtype=np.int64).reshape(n)[order]
-        self.R = np.asarray(R, dtype=np.float64).reshape(n, 3, 3)[order]
-        self.t = np.asarray(t, dtype=np.float64).reshape(n, 3)[order]
+        self.camera_ids.flags.writeable = False
         self.names = tuple(np.array(names, dtype=object).reshape(n)[order])
-        repeated = self.ids[1:][self.ids[1:] == self.ids[:-1]]
-        if len(repeated):
-            raise ValueError(f"repeated image id {repeated[0]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # a centre may overflow to inf
-            bad = ~_valid_poses(self.R, self.t)
-            self.center = np.matmul(-self.R.transpose(0, 2, 1), self.t[:, :, None])[:, :, 0]
-        if bad.any():
-            raise ValueError(f"image {self.ids[np.argmax(bad)]}: R and t are not a finite pose")
-        for column in (self.ids, self.camera_ids, self.R, self.t, self.center):
-            column.flags.writeable = False
         self._rows = dict(zip(self.ids.tolist(), range(n)))  # image id -> row
 
     def __len__(self):

@@ -145,40 +145,47 @@ class AffineTransform:
         return pts @ self.A.T + self.b
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisibilityTable:
-    """Which landmarks each image sees: row k of mask is landmark k, and
-    column j the image image_ids[j]. Ids are lists of ints, checked as
-    load_visibility checks them: int64 (no bools), each image once, and each
-    excluded landmark a row of mask, once."""
-    image_ids: list
+    """Which landmarks each image sees: row k of mask (L, N) is landmark k,
+    and column j the image image_ids[j]. Frozen, with image_ids (N,) and the
+    excluded landmarks as read-only int64 columns and mask read-only, checked
+    as load_visibility checks them: int64 (no bools), each image once, and
+    each excluded landmark a row of mask, once."""
+    image_ids: np.ndarray
     mask: np.ndarray            # (L, N) bool
     tolerances: dict = field(default_factory=dict)
-    excluded: list = field(default_factory=list)  # landmark ids off the mesh
+    excluded: np.ndarray = ()   # landmark ids off the mesh
 
     def __post_init__(self):
-        self._columns = {}  # image id -> column
+        columns = {}  # image id -> column
         for j, iid in enumerate(self.image_ids):
-            if self._columns.setdefault(iid, j) != j:
+            if columns.setdefault(iid, j) != j:
                 raise ValueError(f"repeated image id {iid}")
-        self.image_ids = [int(i) for i in _io.int64("image id", *self.image_ids)]
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.ndim != 2 or self.mask.shape[1] != len(self.image_ids):
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 2 or mask.shape[1] != len(self.image_ids):
             raise ValueError("mask shape does not match the image ids")
         seen = set()
         for lid in self.excluded:
-            if not 0 <= lid < len(self.mask):
-                raise ValueError(f"excluded landmark id {lid} outside [0, {len(self.mask)})")
+            if not 0 <= lid < len(mask):
+                raise ValueError(f"excluded landmark id {lid} outside [0, {len(mask)})")
             if lid in seen:
                 raise ValueError(f"excluded landmark id {lid} repeated")
             seen.add(lid)
-        self.excluded = [int(i) for i in _io.int64("excluded landmark id", *self.excluded)]
+        image_ids = np.array(_io.int64("image id", *self.image_ids), dtype=np.int64)
+        excluded = np.array(_io.int64("excluded landmark id", *self.excluded), dtype=np.int64)
+        for name, column in (("image_ids", image_ids), ("mask", mask), ("excluded", excluded)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_columns", dict(zip(image_ids.tolist(), range(len(image_ids)))))
 
     def __eq__(self, other):
         if not isinstance(other, VisibilityTable):
             return NotImplemented
-        return (self.image_ids == other.image_ids and np.array_equal(self.mask, other.mask)
-                and self.tolerances == other.tolerances and self.excluded == other.excluded)
+        return (np.array_equal(self.image_ids, other.image_ids)
+                and np.array_equal(self.mask, other.mask)
+                and self.tolerances == other.tolerances
+                and np.array_equal(self.excluded, other.excluded))
 
     def column(self, image_id) -> int:
         """The column of image image_id; a KeyError when the table lacks it."""
@@ -505,23 +512,23 @@ def save_visibility(vt: VisibilityTable, path) -> None:
     load_visibility), unless the tolerances hold a line break, which the text
     cannot carry.
     """
-    names = [str(i) for i in vt.image_ids]
+    names = [str(i) for i in vt.image_ids.tolist()]
     rows, cols = np.nonzero(vt.mask)  # row-major: each landmark's images in order
     visible = [names[j] for j in cols.tolist()]
     ends = np.searchsorted(rows, np.arange(1, len(vt.mask) + 1)).tolist()
     tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
     head = (f"# visibility landmarks={len(vt.mask)} images={len(vt.image_ids)}\n"
             f"# tolerances {tol}\n# image_ids {' '.join(names)}\n")
-    if vt.excluded:
-        head += "# excluded " + " ".join(str(i) for i in vt.excluded) + "\n"
+    if len(vt.excluded):
+        head += "# excluded " + " ".join(map(str, vt.excluded.tolist())) + "\n"
     bounds = [0, *ends]
     body = "".join(" ".join([str(lid), *visible[lo:hi]]) + "\n"
                    for lid, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
     _sidecar(Path(path)).write([[head.encode(), body.encode()]], {
-        "image_ids": np.array(vt.image_ids, np.int64).reshape(-1),
+        "image_ids": vt.image_ids,
         "shape": np.array(vt.mask.shape, np.int64), "mask": vt.mask.reshape(-1),
         "tolerances": np.frombuffer("\n".join(tol.split()).encode(), np.uint8),
-        "excluded": np.array(vt.excluded, np.int64).reshape(-1),
+        "excluded": vt.excluded,
     } if "\n" not in tol and "\r" not in tol else None)
 
 

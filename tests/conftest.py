@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,35 @@ def read_only_open(file, mode="r", *args, **kwargs):
     if "x" in mode or "w" in mode:
         raise PermissionError(13, "Permission denied", str(file))
     return open(file, mode, *args, **kwargs)
+
+
+class _HalfWrite:
+    """A new file that takes half of the bytes of its first write, then fails
+    as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def disk_full_for(name):
+    """An open for landmarkloc._io under which a new file whose name starts
+    with `name.` (the temp file of the target name) fails halfway through its
+    first write."""
+    def full_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _HalfWrite(fh) if "x" in mode and Path(file).name.startswith(name + ".") else fh
+    return full_open
 
 
 def outcome(load, path):

@@ -22,7 +22,7 @@ from landmarkloc.detection import (
     simulate_detections_labeled,
 )
 from landmarkloc.evaluation import (
-    per_image_errors,
+    _pose_errors,
     position_error,
     recall_at,
     rotation_error,
@@ -30,7 +30,7 @@ from landmarkloc.evaluation import (
 from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.mesh import ray_cast
 from landmarkloc.partitioning import fps_traversal, make_partition, partition_default
-from landmarkloc.pose import SolverConfig, localize, pose_residuals_jacobian
+from landmarkloc.pose import PoseTable, SolverConfig, localize, pose_residuals_jacobian
 from landmarkloc.scene_model import Pose, project_many
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import (
@@ -120,8 +120,7 @@ def test_criterion_1_exact_recovery(scene100):
             continue
         max_dr = max(max_dr, stable_rot_deg(est.pose.R, gt.R))
         max_dt = max(max_dt, position_error(est.pose, gt))
-    errs = per_image_errors(estimates, scene100.model)
-    recall = recall_at([errs[i] for i in sorted(errs)], 5.0, 0.05)
+    recall = recall_at(*_pose_errors(PoseTable.of(estimates), scene100.model.images), 5.0, 0.05)
     ok = (
         all_ok and recall == 1.0 and max_dr < 1e-6 and max_dt < 1e-8
         and elapsed < 5.0
@@ -135,8 +134,8 @@ def test_criterion_1_exact_recovery(scene100):
 
 
 def test_criterion_2_outlier_robustness(crit2):
-    errs = per_image_errors(crit2.estimates, crit2.scene.model)
-    recall = recall_at([errs[i] for i in sorted(errs)], 5.0, 0.05)
+    recall = recall_at(*_pose_errors(PoseTable.of(crit2.estimates), crit2.scene.model.images),
+                       5.0, 0.05)
     clean = sum(
         1
         for iid, est in crit2.estimates.items()
@@ -164,12 +163,13 @@ def test_criterion_3_weighted_pose_trend(scene500):
         )
         est_w = localize_all(scene500, dets, cfg_w, seed=seed)
         est_u = localize_all(scene500, dets, cfg_u, seed=seed)
-        errs_w = per_image_errors(est_w, scene500.model)
-        errs_u = per_image_errors(est_u, scene500.model)
-        recall_w = recall_at([errs_w[i] for i in sorted(errs_w)], 5.0, 0.05)
-        recall_u = recall_at([errs_u[i] for i in sorted(errs_u)], 5.0, 0.05)
-        dt_w = np.median([e.pos_m for e in errs_w.values() if e is not None])
-        dt_u = np.median([e.pos_m for e in errs_u.values() if e is not None])
+        rot_w, pos_w = _pose_errors(PoseTable.of(est_w), scene500.model.images)
+        rot_u, pos_u = _pose_errors(PoseTable.of(est_u), scene500.model.images)
+        recall_w = recall_at(rot_w, pos_w, 5.0, 0.05)
+        recall_u = recall_at(rot_u, pos_u, 5.0, 0.05)
+        # The median over the localized images, whose errors are not NaN.
+        dt_w = np.median(pos_w[~np.isnan(pos_w)])
+        dt_u = np.median(pos_u[~np.isnan(pos_u)])
         win = recall_w >= recall_u and dt_w <= dt_u
         wins += win
         details.append(f"s{seed}:{'+' if win else '-'}")

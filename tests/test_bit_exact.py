@@ -20,12 +20,26 @@ import landmarkloc.pose as pose_module
 from landmarkloc.cli import main
 from landmarkloc.detection import DetectionSet, simulate_detections_labeled
 from landmarkloc.errors import DegeneracyError
-from landmarkloc.evaluation import _angular_errors, detection_angular_error
+from landmarkloc.evaluation import (
+    _angular_errors,
+    _pose_errors,
+    detection_angular_error,
+    position_error,
+    rotation_error,
+)
 from landmarkloc.landmarks import _distinct_images, _saliencies, score_saliency
 from landmarkloc.mesh import nearest_surface_point
-from landmarkloc.pose import SolverConfig, localize, p3p_solve, prosac_estimate
+from landmarkloc.pose import PoseTable, SolverConfig, localize, p3p_solve, prosac_estimate
 from landmarkloc.pose import _squares, compute_weights
-from landmarkloc.scene_model import Intrinsics, Pose, _camera_frame, bearing, project
+from landmarkloc.scene_model import (
+    ImageSet,
+    Intrinsics,
+    Pose,
+    _camera_frame,
+    axis_angle_to_matrix,
+    bearing,
+    project,
+)
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
@@ -128,6 +142,45 @@ def test_angular_errors_match_one_row(scene):
         assert _angular_errors(uv, T, K, xyz) == ref
         assert [detection_angular_error(uv[i], T, K, xyz[i]) for i in front] == ref
     assert behind > 0
+
+
+def test_pose_errors_match_one_pair(scene):
+    # 10^4 random pairs, half of them within about 1e-6 rad of each other
+    # (where the trace nears 3 and the clip acts), then the ok and failed
+    # rows of a localize run: each row of the columns has the bits of
+    # rotation_error and position_error of its pair, and a failed row NaN.
+    rng = np.random.default_rng(3)
+    n = 10_000
+    R_gt = np.array([random_rotation(rng) for _ in range(n)])
+    R_est = np.array([random_rotation(rng) if k % 2 else
+                      axis_angle_to_matrix(rng.normal(size=3) * 1e-6) @ R_gt[k]
+                      for k in range(n)])
+    t_gt, t_est = rng.normal(size=(n, 3)) * 3, rng.normal(size=(n, 3)) * 3
+    images = ImageSet(range(n), [1] * n, R_gt, t_gt, [f"{k}.png" for k in range(n)])
+    rot, pos = _pose_errors(PoseTable(range(n), ["ok"] * n, R_est, t_est, [0] * n, [0.0] * n),
+                            images)
+    for k in range(n):
+        est, gt = Pose(R_est[k], t_est[k]), images.pose(k)
+        assert rot[k] == rotation_error(est.R, gt.R) and pos[k] == position_error(est, gt)
+
+    model, K = scene.model, scene.model.intrinsics[1]
+    dets, _ = simulate_detections_labeled(
+        model, scene.gt_landmarks, scene.gt_visibility, 1.0, 0.3, seed=8)
+    estimates = {}
+    for iid, ds in sorted(dets.items()):
+        if iid % 3 == 0:  # three detections: an insufficient image
+            ds = DetectionSet(iid, ds.landmark_ids[:3], ds.uv[:3], ds.confidence[:3])
+        estimates[iid] = localize(ds, scene.gt_landmarks, K, SolverConfig(), seed=iid)
+    rot, pos = _pose_errors(PoseTable.of(estimates), model.images)
+    for k, (iid, est) in enumerate(sorted(estimates.items())):
+        if est.status != "ok":
+            assert math.isnan(rot[k]) and math.isnan(pos[k])
+            continue
+        gt = model.images.pose(iid)
+        assert rot[k] == rotation_error(est.pose.R, gt.R)
+        assert pos[k] == position_error(est.pose, gt)
+    statuses = {est.status for est in estimates.values()}
+    assert "ok" in statuses and len(statuses) > 1
 
 
 def test_saliencies_match_one_point(scene):

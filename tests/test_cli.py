@@ -8,16 +8,16 @@ import pytest
 import yaml
 
 import landmarkloc
-from landmarkloc import detection, landmarks, scene_model, visibility
+from landmarkloc import _io, detection, landmarks, scene_model, visibility
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.partitioning import load_partition
 from landmarkloc.scene_model import SceneModel, save_scene
-from landmarkloc.visibility import load_visibility, save_visibility
+from landmarkloc.visibility import VisibilityTable, load_visibility, save_visibility
 
-from conftest import make_minimal_model, points_from_pairs
+from conftest import disk_full_for, make_minimal_model, points_from_pairs
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +366,7 @@ class TestVisibilityCommand:
                    "--mesh", str(tmp_path / "mesh.ply"), "--landmarks", str(tmp_path / "sel.txt"),
                    "--out", str(tmp_path / "v.txt")])
         assert rc == 0
-        assert load_visibility(tmp_path / "v.txt").excluded == [0]
+        assert load_visibility(tmp_path / "v.txt").excluded.tolist() == [0]
 
     def test_huge_relative_tolerance_accepts_every_depth(self, scene_dir, tmp_path):
         # rel_frac * z overflows to an infinite tolerance, without a warning:
@@ -467,7 +467,7 @@ class TestHugeFocalLength:
         # are outside the image like any other, without a numpy warning.
         scene = self.copy_with_focal(scene_dir, tmp_path, "1e306")
         vt = load_visibility(scene_dir / "visibility.txt")
-        vt.mask[:] = True
+        vt = VisibilityTable(vt.image_ids, np.ones_like(vt.mask), vt.tolerances, vt.excluded)
         save_visibility(vt, tmp_path / "all.txt")
         rc = main(["simulate", "--scene", str(scene), "--landmarks", str(scene_dir / "landmarks.txt"),
                    "--visibility", str(tmp_path / "all.txt"), "--seed", "1",
@@ -511,10 +511,10 @@ class TestPipelineCommands:
         what, wanted = lost.split()
         vt = load_visibility(scene_dir / "visibility.txt")
         if what == "landmark":
-            vt.mask = vt.mask[:int(wanted)]
+            vt = VisibilityTable(vt.image_ids, vt.mask[:int(wanted)], vt.tolerances, vt.excluded)
         else:
-            keep = [j for j, iid in enumerate(vt.image_ids) if iid != int(wanted)]
-            vt.image_ids, vt.mask = [vt.image_ids[j] for j in keep], vt.mask[:, keep]
+            keep = vt.image_ids != int(wanted)
+            vt = VisibilityTable(vt.image_ids[keep], vt.mask[:, keep], vt.tolerances, vt.excluded)
         vis = tmp_path / "vis.txt"
         save_visibility(vt, vis)
         assert load_visibility(vis)
@@ -605,6 +605,65 @@ class TestPipelineCommands:
                    "--out", str(tmp_path / "report.txt")])
         assert rc == 2
         assert f"{poses}: no pose lines" in capsys.readouterr().err
+
+    def test_evaluate_detections_need_a_pose_line(self, scene_dir, pipeline, tmp_path, capsys):
+        # poses.txt cut to its first half: the images after the cut have
+        # detections, but no pose line.
+        _, dets, poses = pipeline
+        lines = poses.read_text().splitlines(keepends=True)
+        body = [line for line in lines if not line.startswith("#")]
+        half = len(body) // 2
+        cut = tmp_path / "cut.txt"
+        cut.write_text("".join([line for line in lines if line.startswith("#")] + body[:half]))
+        out = tmp_path / "report.txt"
+        argv = ["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(cut),
+                "--out", str(out)]
+        assert main(argv) == 0  # without detections, a run of the images it holds
+        out.unlink()
+        capsys.readouterr()
+        rc = main(argv + ["--detections", str(dets)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"data error: {cut}: no pose line for image "
+                                           f"{body[half].split()[0]}, which has detections in "
+                                           f"{dets}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["report.txt", "report.csv", "errors.csv"])
+    def test_evaluate_write_that_fails_leaves_the_old_files(self, scene_dir, pipeline, tmp_path,
+                                                           monkeypatch, target):
+        # Each output is written to a temp file and renamed into place: a
+        # write that fails halfway leaves every old file whole, and no temp file.
+        _, _, poses = pipeline
+        argv = ["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses),
+                "--out", str(tmp_path / "report.txt"), "--csv", str(tmp_path / "report.csv"),
+                "--per-image", str(tmp_path / "errors.csv")]
+        assert main(argv) == 0
+        old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(_io, "open", disk_full_for(target), raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            main(argv)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+    def test_evaluate_writes_through_a_link_and_a_fifo(self, scene_dir, pipeline, tmp_path):
+        # A target that is no regular file (--out /dev/null, a FIFO from a
+        # shell's process substitution) is written through, not replaced.
+        _, _, poses = pipeline
+        argv = ["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses)]
+        report, csv = tmp_path / "report.txt", tmp_path / "report.csv"
+        assert main(argv + ["--out", str(report), "--csv", str(csv)]) == 0
+        real, link, fifo = tmp_path / "real.txt", tmp_path / "link.txt", tmp_path / "fifo"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that the write end opens
+        try:
+            assert main(argv + ["--out", str(link), "--csv", str(fifo)]) == 0
+            piped = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert link.is_symlink() and fifo.is_fifo()
+        assert real.read_bytes() == report.read_bytes()
+        assert piped == csv.read_bytes()
 
     @pytest.mark.parametrize("labels", [[], ["--labels", "x", "x"]], ids=["default", "explicit"])
     def test_evaluate_refuses_repeated_labels(self, scene_dir, pipeline, tmp_path, capsys,
@@ -984,6 +1043,25 @@ class TestHugeCoordinates:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"data error: {images}: camera centres overflow")
+        assert not out.exists()
+
+
+    def test_evaluate_refuses_a_far_estimated_camera(self, scene_dir, pipeline, tmp_path,
+                                                     capsys):
+        # The first ok pose line's tx set to 1e308: that estimated centre is
+        # about 1e308 from the true ones.
+        _, _, poses = pipeline
+        lines = poses.read_text().splitlines(keepends=True)
+        k = next(i for i, line in enumerate(lines) if line.split()[8:9] == ["ok"])
+        tokens = lines[k].split()
+        lines[k] = " ".join([*tokens[:5], "1e308", *tokens[6:]]) + "\n"
+        far = tmp_path / "poses.txt"
+        far.write_text("".join(lines))
+        out = tmp_path / "r.txt"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(far),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {far}: camera centres overflow")
         assert not out.exists()
 
 

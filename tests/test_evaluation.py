@@ -8,13 +8,12 @@ from landmarkloc.detection import DetectionSet
 from landmarkloc.errors import InvalidRotationError
 from landmarkloc.evaluation import (
     EvalReport,
-    PoseErrors,
     ReportRow,
     RunRecord,
+    _pose_errors,
     build_report,
     detection_angular_error,
     per_image_csv,
-    per_image_errors,
     position_error,
     recall_at,
     report_from_csv,
@@ -22,7 +21,7 @@ from landmarkloc.evaluation import (
     report_to_text,
     rotation_error,
 )
-from landmarkloc.pose import PoseEstimate
+from landmarkloc.pose import PoseEstimate, PoseTable
 from landmarkloc.scene_model import Pose, SceneModel, project
 
 from conftest import image_set, landmark_set, make_intrinsics, points_from_pairs, random_rotation
@@ -119,35 +118,36 @@ class TestPositionError:
 
 
 class TestRecall:
+    # recall_at takes the rotation and the position error columns; NaN in
+    # both stands for a failed image.
     def test_all_exact(self):
-        errs = [PoseErrors(0.0, 0.0)] * 5
-        assert recall_at(errs) == 1.0
+        assert recall_at(np.zeros(5), np.zeros(5)) == 1.0
 
     def test_one_of_three_passes(self):
-        errs = [PoseErrors(1.0, 0.01), PoseErrors(10.0, 0.01), PoseErrors(1.0, 0.10)]
-        assert abs(recall_at(errs, 5.0, 0.05) - 1 / 3) < 1e-15
+        rot, pos = [1.0, 10.0, 1.0], [0.01, 0.01, 0.10]
+        assert abs(recall_at(rot, pos, 5.0, 0.05) - 1 / 3) < 1e-15
 
     def test_failures_count_as_misses(self):
-        errs = [PoseErrors(0.0, 0.0), None, None, None]
-        assert recall_at(errs) == 0.25
+        nan = float("nan")
+        assert recall_at([0.0, nan, nan, nan], [0.0, nan, nan, nan]) == 0.25
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            recall_at([])
+            recall_at([], [])
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(88)
-        errs = [PoseErrors(rng.uniform(0, 10), rng.uniform(0, 0.1)) for _ in range(200)]
+        rot, pos = np.array([(rng.uniform(0, 10), rng.uniform(0, 0.1)) for _ in range(200)]).T
         grid = [(2.0, 0.02), (5.0, 0.05), (10.0, 0.10)]
-        vals = [recall_at(errs, r, t) for r, t in grid]
+        vals = [recall_at(rot, pos, r, t) for r, t in grid]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_monte_carlo_closed_form(self):
         # dR ~ U(0, 10), dt ~ U(0, 0.10) independent: recall@5/0.05 = 0.25.
         rng = np.random.default_rng(89)
         n = 500
-        errs = [PoseErrors(rng.uniform(0, 10), rng.uniform(0, 0.10)) for _ in range(n)]
-        got = recall_at(errs, 5.0, 0.05)
+        rot, pos = np.array([(rng.uniform(0, 10), rng.uniform(0, 0.10)) for _ in range(n)]).T
+        got = recall_at(rot, pos, 5.0, 0.05)
         p = 0.25
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(got - p) < 3 * sigma
@@ -223,7 +223,7 @@ class TestReport:
             iid: PoseEstimate(model.images.pose(iid), frozenset({1}), 1, 0.0, "ok")
             for iid in model.images.ids.tolist()
         }
-        report = build_report([RunRecord("exact", estimates, model)])
+        report = build_report([RunRecord("exact", PoseTable.of(estimates), model)])
         assert report.rows[0].recall == 1.0
         assert report.rows[0].n_ok == 4
         assert report.rows[0].median_rot_deg < 1e-9
@@ -232,7 +232,7 @@ class TestReport:
         model = small_gt_model()
         estimates = {99: PoseEstimate(None, frozenset(), 0, float("nan"), "no_consensus")}
         with pytest.raises(ValueError):
-            per_image_errors(estimates, model)
+            _pose_errors(PoseTable.of(estimates), model.images)
 
     def test_csv_roundtrip_identical(self):
         model = small_gt_model()
@@ -241,7 +241,7 @@ class TestReport:
             for iid in model.images.ids.tolist()
         }
         estimates[0] = PoseEstimate(None, frozenset(), 2, float("nan"), "no_consensus")
-        report = build_report([RunRecord("run-a", estimates, model)])
+        report = build_report([RunRecord("run-a", PoseTable.of(estimates), model)])
         text = report_to_csv(report)
         again = report_to_csv(report_from_csv(text))
         assert text == again
@@ -273,9 +273,8 @@ class TestReport:
             iid: PoseEstimate(model.images.pose(iid), frozenset(), 1, 0.1, "ok")
             for iid in model.images.ids.tolist()
         }
-        report = build_report(
-            [RunRecord("a", estimates, model), RunRecord("b", estimates, model)]
-        )
+        poses = PoseTable.of(estimates)
+        report = build_report([RunRecord("a", poses, model), RunRecord("b", poses, model)])
         text = report_to_text(report)
         assert "a" in text and "b" in text
         assert len(text.splitlines()) == 4
@@ -286,7 +285,7 @@ class TestReport:
             0: PoseEstimate(model.images.pose(0), frozenset(), 1, 0.0, "ok"),
             1: PoseEstimate(None, frozenset(), 1, float("nan"), "insufficient"),
         }
-        text = per_image_csv(estimates, model)
+        text = per_image_csv(RunRecord("run", PoseTable.of(estimates), model))
         lines = text.splitlines()
         assert lines[0] == "image_id,rot_err_deg,pos_err_m,status"
         assert lines[1].startswith("0,") and lines[1].endswith(",ok")
@@ -302,6 +301,6 @@ class TestReport:
         dets = {0: DetectionSet(0, [0], [uv], [1.0])}
         estimates = {0: PoseEstimate(T, frozenset(), 1, 0.0, "ok")}
         report = build_report(
-            [RunRecord("run", estimates, model, detections=dets, landmarks=ls)]
+            [RunRecord("run", PoseTable.of(estimates), model, detections=dets, landmarks=ls)]
         )
         assert report.rows[0].median_angular_deg < 1e-9

@@ -17,14 +17,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_minimal_model, outcome, same_landmarks, same_table
-from landmarkloc import detection, landmarks, visibility
+from conftest import disk_full_for, make_minimal_model, outcome, same_landmarks, same_table
+from landmarkloc import _io, detection, landmarks, visibility
 from landmarkloc.detection import DetectionSet, load_detections, save_detections
 from landmarkloc.errors import MalformedFileError
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.mesh import TriangleMesh, load_mesh, save_mesh_ply
 from landmarkloc.partitioning import PartitionAssignment, load_partition, save_partition
-from landmarkloc.pose import PoseEstimate, load_poses, save_poses
+from landmarkloc.pose import PoseEstimate, PoseTable, load_poses, save_poses
 from landmarkloc.scene_model import Pose, load_scene, save_scene
 from landmarkloc.visibility import VisibilityTable, load_visibility, save_visibility
 
@@ -83,8 +83,9 @@ def write_visibility_text(d):
 
 def write_poses(d):
     # Only ok lines: save_poses writes nan for the pose of any other status.
-    save_poses({iid: PoseEstimate(Pose(np.eye(3), [0.1 * iid, 0.0, 0.0]), frozenset({0, 1}),
-                                  5, 0.5, "ok") for iid in (1, 2)},
+    save_poses(PoseTable.of({iid: PoseEstimate(Pose(np.eye(3), [0.1 * iid, 0.0, 0.0]),
+                                               frozenset({0, 1}), 5, 0.5, "ok")
+                             for iid in (1, 2)}),
                d / "poses.txt", sec_per_image=0.01)
     return ["poses.txt"]
 
@@ -107,6 +108,41 @@ FORMATS = {
     "poses": (write_poses, lambda d: load_poses(d / "poses.txt")),
     "ply": (write_ply, lambda d: load_mesh(d / "tri.ply")),
 }
+
+
+@pytest.mark.parametrize("name", ["scene", "landmarks", "partition", "visibility", "detections",
+                                  "poses"])
+def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch, name):
+    # Each writer writes a temp file beside its target and renames it into
+    # place: a write that fails halfway leaves the old bytes and no temp file.
+    write, _ = FORMATS[name]
+    files = write(tmp_path)
+    old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.setattr(_io, "open", disk_full_for(files[-1]), raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+
+@pytest.mark.parametrize("name", ["scene", "landmarks", "partition", "visibility", "detections",
+                                  "poses"])
+def test_a_symlinked_target_is_written_through(tmp_path, name):
+    # A rename would replace a link (or a device or a FIFO) with a regular
+    # file: such a target is written through, so the link keeps pointing at
+    # its file, which gets the new bytes.
+    write, _ = FORMATS[name]
+    real, links = tmp_path / "real", tmp_path / "links"
+    real.mkdir()
+    links.mkdir()
+    files = write(real)
+    new = {file: (real / file).read_bytes() for file in files}
+    for file in files:
+        (real / file).write_bytes(b"old\n")
+        (links / file).symlink_to(real / file)
+    write(links)
+    for file in files:
+        assert (links / file).is_symlink()
+        assert (real / file).read_bytes() == new[file]
 
 
 def _is_number(token):

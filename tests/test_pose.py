@@ -10,6 +10,7 @@ import landmarkloc.pose as pose_module
 from landmarkloc.errors import DanglingReferenceError, DegeneracyError, MalformedFileError
 from landmarkloc.pose import (
     PoseEstimate,
+    PoseTable,
     SolverConfig,
     _apply_increment,
     compute_weights,
@@ -721,6 +722,71 @@ class TestLocalize:
         assert est.refine is None
 
 
+def three_poses(**change):
+    """PoseTable columns for images 5, 2 and 9 (given out of id order), 5 and
+    9 ok and 2 failed, as keyword arguments; change replaces some of them."""
+    rng = np.random.default_rng(12)
+    columns = dict(ids=[5, 2, 9], status=["ok", "no_consensus", "ok"],
+                   R=[random_rotation(rng) for _ in range(3)], t=rng.normal(size=(3, 3)),
+                   num_inliers=[40, 3, 25], mean_reproj_px=[0.5, float("nan"), 0.25])
+    return {**columns, **change}
+
+
+class TestPoseTable:
+    def test_rows_in_id_order(self):
+        columns = three_poses()
+        table = PoseTable(**columns)
+        assert len(table) == 3 and table.ids.tolist() == [2, 5, 9]
+        assert table.status == ("no_consensus", "ok", "ok")
+        assert table.num_inliers.tolist() == [3, 40, 25]
+        assert table.mean_reproj_px.tolist()[1:] == [0.5, 0.25]
+        for k, src in ((1, 0), (2, 2)):
+            T = Pose(columns["R"][src], columns["t"][src])
+            assert table.R[k].tobytes() == T.R.tobytes() and table.t[k].tobytes() == T.t.tobytes()
+            assert table.center[k].tobytes() == T.center.tobytes()
+        # A row that is not ok has no pose, whatever R and t it was given.
+        for column in (table.R, table.t, table.center):
+            assert np.isnan(column[0]).all()
+        for column in (table.ids, table.R, table.t, table.num_inliers, table.mean_reproj_px,
+                       table.center):
+            assert not column.flags.writeable
+
+    def test_of_estimates(self):
+        rng = np.random.default_rng(13)
+        T = Pose(random_rotation(rng), rng.normal(size=3))
+        table = PoseTable.of({
+            7: PoseEstimate(T, frozenset({1, 4, 9}), 12, 0.75, "ok"),
+            3: PoseEstimate(None, frozenset(), 2, float("nan"), "insufficient"),
+        })
+        assert table.ids.tolist() == [3, 7] and table.status == ("insufficient", "ok")
+        assert table.num_inliers.tolist() == [0, 3] and table.mean_reproj_px[1] == 0.75
+        assert table.R[1].tobytes() == T.R.tobytes() and np.isnan(table.R[0]).all()
+        assert len(PoseTable.of({})) == 0
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="repeated image id 5"):
+            PoseTable(**three_poses(ids=[5, 2, 5]))
+
+    def test_unknown_status_rejected(self):
+        with pytest.raises(ValueError, match="unknown status 'lost'"):
+            PoseTable(**three_poses(status=["ok", "lost", "ok"]))
+
+    @pytest.mark.parametrize("k, R, t", [
+        (0, 2.0 * np.eye(3), np.zeros(3)),                # not orthogonal
+        (2, np.diag([1.0, 1.0, -1.0]), np.zeros(3)),      # a reflection
+        (0, np.eye(3), [0.0, np.inf, 0.0]),               # not finite
+    ])
+    def test_ok_row_needs_a_pose(self, k, R, t):
+        columns = three_poses()
+        columns["R"][k], columns["t"][k] = R, t
+        with pytest.raises(ValueError, match=f"image {columns['ids'][k]}: R and t are not"):
+            PoseTable(**columns)
+        # The same values in a row that is not ok are no pose, and no error.
+        columns["status"][k] = "degenerate"
+        row = sorted(columns["ids"]).index(columns["ids"][k])
+        assert np.isnan(PoseTable(**columns).R[row]).all()
+
+
 class TestPoseIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(77)
@@ -728,22 +794,22 @@ class TestPoseIO:
         est = prosac_estimate(corrs, K, SolverConfig(), seed=0)
         failed = PoseEstimate(None, frozenset(), 4, float("nan"), "no_consensus")
         path = tmp_path / "poses.txt"
-        save_poses({0: est, 1: failed}, path, sec_per_image=0.01)
+        save_poses(PoseTable.of({0: est, 1: failed}), path, sec_per_image=0.01)
         loaded, meta = load_poses(path)
         assert meta["sec_per_image"] == 0.01
-        assert meta["num_inliers"][0] == len(est.inliers)
-        assert loaded[1].status == "no_consensus"
-        assert loaded[1].pose is None
-        assert np.abs(loaded[0].pose.R - est.pose.R).max() < 1e-12
-        assert np.abs(loaded[0].pose.t - est.pose.t).max() < 1e-15
+        assert loaded.num_inliers[0] == len(est.inliers)
+        assert loaded.status[1] == "no_consensus"
+        assert np.isnan(loaded.R[1]).all() and np.isnan(loaded.t[1]).all()
+        assert np.abs(loaded.R[0] - est.pose.R).max() < 1e-12
+        assert np.abs(loaded.t[0] - est.pose.t).max() < 1e-15
 
     def test_save_deterministic(self, tmp_path):
         rng = np.random.default_rng(78)
         _, corrs, _ = pnp_scene(rng, n=15)
         est = prosac_estimate(corrs, K, SolverConfig(), seed=0)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_poses({0: est}, a)
-        save_poses({0: est}, b)
+        save_poses(PoseTable.of({0: est}), a)
+        save_poses(PoseTable.of({0: est}), b)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("line", [

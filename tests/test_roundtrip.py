@@ -1,4 +1,5 @@
-"""Round trips through the four writers that leave a copy of their columns.
+"""Round trips through the four writers that leave a copy of their columns,
+and through the poses writer.
 
 Values are built through the public constructors, which hold every value
 rule of the loaders. Each is saved, then loaded twice: from the copy the
@@ -6,7 +7,8 @@ writer left, and from a parse of the text with the copy removed. The two
 loads must agree with each other and with the value. A writer leaves a copy
 unless a rule of the text form refuses the value: a line break in a
 provenance or tolerance, an image name that does not read back to itself, or
-a focal length that times the scene's diameter overflows.
+a focal length that times the scene's diameter overflows. A pose table has
+no copy; its load must give the table back.
 """
 
 import tempfile
@@ -21,12 +23,15 @@ from landmarkloc import detection, landmarks, scene_model, visibility
 from landmarkloc.detection import DetectionSet, load_detections, save_detections
 from landmarkloc.errors import DataError
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
+from landmarkloc.pose import STATUSES, PoseTable, load_poses, save_poses
 from landmarkloc.scene_model import (
     ImageSet,
     Intrinsics,
     PointSet,
     SceneModel,
     load_scene,
+    qvec2rotmat,
+    rotmat2qvec,
     save_scene,
 )
 from landmarkloc.visibility import VisibilityTable, load_visibility, save_visibility
@@ -189,3 +194,36 @@ def test_scene(model):
     order = np.argsort(model.points.ids)
     assert points.ids.tolist() == model.points.ids[order].tolist()
     assert points.xyz.tobytes() == model.points.xyz[order].tobytes()
+
+
+@st.composite
+def pose_tables(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = draw(st.lists(INT64, max_size=5, unique=True))
+    status = [draw(st.sampled_from(STATUSES)) for _ in ids]
+    # The error of an image that is not ok may be NaN; an ok image's is finite.
+    errors = [draw(FINITE if s == "ok" else st.one_of(FINITE, st.just(float("nan"))))
+              for s in status]
+    return PoseTable(ids, status, [random_rotation(rng) for _ in ids],
+                     np.reshape(draw(st.lists(FINITE, min_size=3 * len(ids),
+                                              max_size=3 * len(ids))), (-1, 3)),
+                     draw(st.lists(INT64, min_size=len(ids), max_size=len(ids))), errors)
+
+
+@given(pose_tables(), st.one_of(st.none(), FINITE))
+@ROUND_TRIP
+def test_poses(poses, sec_per_image):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "poses.txt"
+        save_poses(poses, path, sec_per_image)
+        loaded, meta = load_poses(path)
+    assert meta == ({} if sec_per_image is None else {"sec_per_image": sec_per_image})
+    # The file holds each rotation as its quaternion.
+    ok = [s == "ok" for s in poses.status]
+    R = [qvec2rotmat(rotmat2qvec(R)) if k else R for k, R in zip(ok, poses.R)]
+    expected = PoseTable(poses.ids, poses.status, R, poses.t, poses.num_inliers,
+                         poses.mean_reproj_px)
+    assert loaded.status == expected.status
+    for column in ("ids", "R", "t", "center", "num_inliers", "mean_reproj_px"):
+        x, y = getattr(loaded, column), getattr(expected, column)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), column

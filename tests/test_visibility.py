@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -332,7 +333,7 @@ class TestComputeVisibility:
         model, mesh, _ = room_scene(n_landmarks=2, n_images=2)
         floating = landmark_set([3.0, 2.0, 1.5])
         vt = compute_visibility(model, mesh, floating)
-        assert vt.excluded == [0]
+        assert vt.excluded.tolist() == [0]
         assert not vt.mask.any()
 
     def test_reference_normals_on_walls(self):
@@ -448,7 +449,7 @@ class TestVisibilityIO:
         path = tmp_path / "vis.txt"
         save_visibility(vt, path)
         loaded = load_visibility(path)
-        assert loaded.image_ids == vt.image_ids
+        assert loaded.image_ids.tolist() == vt.image_ids.tolist()
         assert np.array_equal(loaded.mask, vt.mask)
         assert loaded.tolerances["tol_depth"] == 0.05
 
@@ -485,6 +486,23 @@ class TestVisibilityIO:
         vt = compute_visibility(model, mesh, ls)
         save_visibility(vt, tmp_path / "vis.txt")
         assert load_visibility(tmp_path / "vis.txt") == vt
+
+    def test_table_cannot_go_stale(self):
+        # No field can be reassigned and no column written, so the image id
+        # -> column lookup made by the constructor holds. The caller's mask
+        # stays writable: the table keeps a copy.
+        mask = np.array([[True, False], [False, True]])
+        vt = VisibilityTable([1, 2], mask, {}, [1])
+        for name, value in (("image_ids", [2]), ("mask", mask[:, [1]]), ("excluded", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vt, name, value)
+        for column in (vt.image_ids, vt.mask, vt.excluded):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert vt.image_ids.dtype == vt.excluded.dtype == np.int64 and vt.mask.dtype == bool
+        mask[0, 0] = False
+        assert vt.visible(0, 1) and not vt.visible(0, 2) and vt.visible(1, 2)
 
     @pytest.mark.parametrize("excluded, message", [
         ([3], r"excluded landmark id 3 outside \[0, 3\)"),
@@ -604,8 +622,8 @@ class TestPerImageReferee:
         monkeypatch.setattr(visibility, "_visible", recorded)
         vt = compute_visibility(model, mesh, ls, cfg)
 
-        assert vt.image_ids == expected.image_ids == list(range(12))
-        assert vt.excluded == expected.excluded == [len(ls) - 2, len(ls) - 1]
+        assert vt.image_ids.tolist() == expected.image_ids.tolist() == list(range(12))
+        assert vt.excluded.tolist() == expected.excluded.tolist() == [len(ls) - 2, len(ls) - 1]
         assert np.array_equal(vt.mask, expected.mask)
         assert 0 < vt.mask.sum() < vt.mask.size
         # Every ray cast, its origin, direction, depth and triangle, and every

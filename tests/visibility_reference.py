@@ -90,7 +90,7 @@ def save_visibility_per_landmark(vt, path):
         tol = " ".join(f"{k}={v}" for k, v in sorted(vt.tolerances.items()))
         fh.write(f"# tolerances {tol}\n")
         fh.write("# image_ids " + " ".join(str(i) for i in vt.image_ids) + "\n")
-        if vt.excluded:
+        if len(vt.excluded):
             fh.write("# excluded " + " ".join(str(i) for i in vt.excluded) + "\n")
         for i in range(len(vt.mask)):
             vis = [str(vt.image_ids[j]) for j in np.flatnonzero(vt.mask[i])]
