@@ -210,32 +210,34 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _quartic_overflows(*clouds) -> bool:
-    """Whether 8 D**4 overflows, D being the diameter of the rows of clouds
-    taken together."""
-    d = _diameter(np.vstack(clouds))
-    return not np.isfinite(8.0 * d * d * d * d)
+def _refuse_overflow(power: int, *clouds) -> None:
+    """A DataError naming the file of the first of clouds, (file, what, xyz),
+    whose rows with those before it span a diameter D at which the stage's
+    products of distances overflow. power 2 bounds D**2: select and evaluate
+    square distances among points, landmarks and true and estimated camera
+    centres. power 4 bounds 8 D**4: the visibility test multiplies up to four
+    distances among mesh vertices, landmarks and camera centres (at most
+    6 D**4), P3P two squared distances among landmarks (at most 8 D**4)."""
+    rows = []
+    for path, what, xyz in clouds:
+        rows.append(xyz)
+        d = _diameter(np.vstack(rows))  # inf or NaN where D**2 overflows
+        if not np.isfinite(d if power == 2 else 8.0 * d * d * d * d):
+            product = "squared distances" if power == 2 else "products of four distances"
+            raise DataError(f"{path}: {what} overflow: with them, {product} would not be finite")
 
 
 def cmd_select(args) -> int:
     model = load_scene(args.scene)
-    points = model.points
-    # Selection squares distances between points, and from the points to the
-    # centres of the images that see them; none overflows when the squared
-    # diameter of the points, and then of points and all camera centres, does not.
-    diameter = _diameter(points.xyz)
-    if not np.isfinite(diameter):
-        raise DataError(f"{Path(args.scene) / 'points3D.txt'}: point coordinates overflow: "
-                        "the cloud is too wide for its squared distances to be finite")
-    if not np.isfinite(_diameter(np.vstack([points.xyz, model.images.center]))):
-        raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: a camera "
-                        "is too far from the points for their squared distances to be finite")
+    scene = Path(args.scene)
+    _refuse_overflow(2, (scene / "points3D.txt", "point coordinates", model.points.xyz),
+                     (scene / "images.txt", "camera centres", model.images.center))
     radius = args.radius
     if radius is None:
         # A quarter of the cloud's extent. Where that is 0 (no points, or all at
         # one place) any positive radius selects the same points, so 1; a cloud
         # without points has no candidates, and select_landmarks says so.
-        radius = diameter / 4.0 or 1.0
+        radius = _diameter(model.points.xyz) / 4.0 or 1.0
     ls = select_landmarks(model, args.count, radius, args.min_track)
     save_landmarks(ls, args.out)
     print(f"selected {len(ls)} landmarks -> {args.out}")
@@ -269,19 +271,9 @@ def cmd_visibility(args) -> int:
         max_surface_dist=args.max_surface_dist,
         decimation=args.decimation,
     )
-    # The test multiplies up to four distances among mesh vertices, landmarks
-    # and camera centres (closest points on triangles, face normal lengths,
-    # at most 6 D**4); none overflows while 8 D**4 does not, D being the
-    # diameter of them all.
-    if _quartic_overflows(mesh.vertices):
-        raise DataError(f"{mesh_path}: vertex coordinates overflow: the mesh is too wide "
-                        "for products of its distances to be finite")
-    if _quartic_overflows(mesh.vertices, ls.xyz):
-        raise DataError(f"{args.landmarks}: landmark coordinates overflow: a landmark is too "
-                        "far from the mesh for products of their distances to be finite")
-    if _quartic_overflows(mesh.vertices, ls.xyz, model.images.center):
-        raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: a camera "
-                        "is too far from the mesh for products of their distances to be finite")
+    _refuse_overflow(4, (mesh_path, "vertex coordinates", mesh.vertices),
+                     (args.landmarks, "landmark coordinates", ls.xyz),
+                     (Path(args.scene) / "images.txt", "camera centres", model.images.center))
     vt = compute_visibility(model, mesh, ls, cfg)
     save_visibility(vt, args.out)
     visible = int(vt.mask.sum())
@@ -310,14 +302,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _detections_in_images(path, model) -> dict:
-    """load_detections, with every detection of an image of the model checked
-    to lie inside that image: u in [0, width) and v in [0, height). Each stage
-    reports an image that the model lacks itself."""
+def _detections_in_images(path, model, landmarks=None) -> dict:
+    """load_detections, with each image checked before any work: the model has
+    it, its detections lie inside it (u in [0, width) and v in [0, height)),
+    and, given landmarks, its landmark ids are rows of them. The error names
+    path."""
     detections = load_detections(path)
     for iid, ds in detections.items():
-        if iid not in model.images or not len(ds):
+        if iid not in model.images:
+            raise DanglingReferenceError(f"{path}: detections reference unknown image {iid}")
+        if not len(ds):
             continue
+        if landmarks is not None:
+            unknown = ds.landmark_ids[(ds.landmark_ids < 0) | (ds.landmark_ids >= len(landmarks))]
+            if len(unknown):
+                raise DanglingReferenceError(
+                    f"{path}: detection references unknown landmark {unknown[0]}")
         K = model.camera(iid)
         (u_lo, v_lo), (u_hi, v_hi) = ds.uv.min(0).tolist(), ds.uv.max(0).tolist()
         if not (0 <= u_lo and u_hi < K.width and 0 <= v_lo and v_hi < K.height):
@@ -329,11 +329,8 @@ def _detections_in_images(path, model) -> dict:
 def cmd_localize(args) -> int:
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
-    # P3P multiplies two squared distances among landmarks (at most 8 D**4).
-    if _quartic_overflows(ls.xyz):
-        raise DataError(f"{args.landmarks}: landmark coordinates overflow: the landmarks are "
-                        "too far apart for products of their distances to be finite")
-    per_file = [_detections_in_images(p, model) for p in args.detections]
+    _refuse_overflow(4, (args.landmarks, "landmark coordinates", ls.xyz))
+    per_file = [_detections_in_images(p, model, ls) for p in args.detections]
     image_ids = sorted(set().union(*[set(d) for d in per_file]))
     cfg = SolverConfig(
         e=args.weight_exp,
@@ -346,8 +343,6 @@ def cmd_localize(args) -> int:
     estimates = {}
     t0 = time.perf_counter()
     for iid in image_ids:
-        if iid not in model.images:
-            raise DataError(f"detections reference unknown image {iid}")
         sets = [d[iid] for d in per_file if iid in d]
         ds = sets[0] if len(sets) == 1 else merge_ensemble(sets, iid)
         estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid))
@@ -384,30 +379,27 @@ def cmd_evaluate(args) -> int:
                 check_csv_label(label)
             except ValueError as exc:
                 raise UsageError(f"--labels: {exc}, which --csv cannot carry") from None
-    detections = _detections_in_images(args.detections, model) if args.detections else None
     landmarks = load_landmarks(args.landmarks) if args.landmarks else None
-    # Pose and angular errors square distances among camera centres and landmarks.
-    if not np.isfinite(_diameter(model.images.center)):
-        raise DataError(f"{Path(args.scene) / 'images.txt'}: camera centres overflow: the "
-                        "cameras are too far apart for their squared distances to be finite")
-    if landmarks and not np.isfinite(_diameter(np.vstack([landmarks.xyz, model.images.center]))):
-        raise DataError(f"{args.landmarks}: landmark coordinates overflow: a landmark is too "
-                        "far from the cameras for their squared distances to be finite")
+    detections = (_detections_in_images(args.detections, model, landmarks)
+                  if args.detections else None)
+    clouds = [(Path(args.scene) / "images.txt", "camera centres", model.images.center)]
+    if landmarks is not None:
+        clouds.append((args.landmarks, "landmark coordinates", landmarks.xyz))
+    _refuse_overflow(2, *clouds)
     runs = []
     for label, path in zip(labels, args.estimates):
         poses, meta = load_poses(path)
         if not len(poses):
             raise DataError(f"{path}: no pose lines to evaluate")
+        unknown = poses.ids[~np.isin(poses.ids, model.images.ids)]
+        if len(unknown):
+            raise DanglingReferenceError(
+                f"{path}: estimates reference unknown images {unknown.tolist()}")
         ok = np.array(poses.status) == STATUS_OK
-        if not np.isfinite(_diameter(np.vstack([poses.center[ok], model.images.center]))):
-            raise DataError(f"{path}: camera centres overflow: an estimated camera is too far "
-                            "from the cameras for their squared distances to be finite")
+        _refuse_overflow(2, clouds[0], (path, "camera centres", poses.center[ok]))
         runs.append(RunRecord(label, poses, model, detections=detections, landmarks=landmarks,
                               sec_per_image=meta.get("sec_per_image", float("nan"))))
-    try:
-        report = build_report(runs, args.rot_thresh, args.pos_thresh)
-    except DanglingReferenceError as exc:
-        raise DanglingReferenceError(f"{args.detections}: {exc}") from None
+    report = build_report(runs, args.rot_thresh, args.pos_thresh)
     if detections is not None:
         detected = np.fromiter(detections, np.int64, len(detections))
         for path, run in zip(args.estimates, runs):
@@ -452,7 +444,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, DataError, ValueError) as exc:
+    except OSError as exc:
+        if exc.filename is None:  # no path at fault: a disk that fills during a write
+            raise
+        print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_DATA
+    except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DegeneracyError, RobustFitError, np.linalg.LinAlgError) as exc:

@@ -22,6 +22,7 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,6 +148,12 @@ class Intrinsics:
             raise ValueError("focal lengths must be finite and positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image extent")
+        # bearing squares (u - cx) / fx and (v - cy) / fy over the extent and sums them.
+        x = max(self.cx, self.width - self.cx) / self.fx
+        y = max(self.cy, self.height - self.cy) / self.fy
+        if not math.isfinite(x * x + y * y + 1.0):
+            raise ValueError("focal lengths too small for the image extent: "
+                             "a pixel's offset over them overflows when squared")
 
     @property
     def K(self) -> np.ndarray:
@@ -427,7 +434,7 @@ def load_scene(path) -> SceneModel:
     path = Path(path)
     for name in _SCENE_FILES:
         if not (path / name).exists():
-            raise FileNotFoundError(f"missing reconstruction file: {path / name}")
+            raise FileNotFoundError(errno.ENOENT, "missing reconstruction file", str(path / name))
     return _sidecar(path).read(lambda: _parse_scene(path), _model_from_columns, _columns)
 
 

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import landmarkloc
-from landmarkloc import _io, detection, landmarks, scene_model, visibility
+from landmarkloc import _io, cli, detection, landmarks, scene_model, visibility
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
@@ -17,7 +17,7 @@ from landmarkloc.partitioning import load_partition
 from landmarkloc.scene_model import SceneModel, save_scene
 from landmarkloc.visibility import VisibilityTable, load_visibility, save_visibility
 
-from conftest import disk_full_for, make_minimal_model, points_from_pairs
+from conftest import disk_full_for, make_minimal_model, points_from_pairs, read_only_open
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,28 @@ class TestSelectCommand:
         assert err.startswith(f"data error: {scene / 'images.txt'}: camera centres overflow")
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("points3D.txt", lambda tok: [tok[0], "1.3e154", *tok[2:]], None),
+        ("points3D.txt", lambda tok: [tok[0], "1.4e154", *tok[2:]], "point coordinates overflow"),
+        ("images.txt", lambda tok: [*tok[:5], "1.3e154", *tok[6:]], None),
+        ("images.txt", lambda tok: [*tok[:5], "1.4e154", *tok[6:]], "camera centres overflow"),
+    ], ids=["point-inside", "point-outside", "camera-inside", "camera-outside"])
+    def test_squared_diameter_bound(self, scene_dir, tmp_path, capsys, name, edit, message):
+        # A point x, or the first image's TX, at 1.3e154: the squared diameter
+        # (about 1.7e308) is finite, and select runs without a warning. At
+        # 1.4e154 it (about 2e308) overflows, and the file is refused.
+        bad = overflowing_copy(scene_dir, tmp_path, name, edit)
+        out = tmp_path / "x.txt"
+        rc = main(["select", "--scene", str(tmp_path / "scene"), "--count", "10",
+                   "--min-track", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert rc == 0 and err == ""
+            return
+        assert rc == 2
+        assert err.startswith(f"data error: {bad}: {message}")
+        assert not out.exists()
+
 
 class TestPartitionCommand:
     def test_file_without_landmarks_is_data_error(self, tmp_path, capsys):
@@ -260,6 +282,7 @@ def overflowing_copy(scene_dir, tmp_path, name, edit):
     """The scene's inputs in tmp_path, with the first data row of name (a row
     with at least 3 tokens) rewritten by edit(tokens)."""
     inputs = {"images.txt": tmp_path / "scene" / "images.txt",
+              "points3D.txt": tmp_path / "scene" / "points3D.txt",
               "landmarks.txt": tmp_path / "sel.txt", "mesh.ply": tmp_path / "mesh.ply"}
     (tmp_path / "scene").mkdir()
     for src in ("scene/cameras.txt", "scene/images.txt", "scene/points3D.txt"):
@@ -341,6 +364,13 @@ class TestVisibilityCommand:
          "landmark coordinates overflow"),
         ("mesh.ply", lambda tok: ["1e308", *tok[1:]], "vertex coordinates overflow"),
         ("images.txt", lambda tok: [*tok[:5], "1e308", *tok[6:]], "camera centres overflow"),
+        # Just past 8 D**4: (1.8e308 / 8) ** 0.25 is about 6.9e76.
+        pytest.param("landmarks.txt", lambda tok: [*tok[:2], "7e76", *tok[3:]],
+                     "landmark coordinates overflow", id="landmarks.txt-7e76"),
+        pytest.param("mesh.ply", lambda tok: ["7e76", *tok[1:]], "vertex coordinates overflow",
+                     id="mesh.ply-7e76"),
+        pytest.param("images.txt", lambda tok: [*tok[:5], "7e76", *tok[6:]],
+                     "camera centres overflow", id="images.txt-7e76"),
     ])
     def test_overflowing_input_is_data_error(self, scene_dir, tmp_path, capsys,
                                              name, edit, message):
@@ -367,6 +397,20 @@ class TestVisibilityCommand:
                    "--out", str(tmp_path / "v.txt")])
         assert rc == 0
         assert load_visibility(tmp_path / "v.txt").excluded.tolist() == [0]
+
+    @pytest.mark.parametrize("name, edit", [
+        ("landmarks.txt", lambda tok: [*tok[:2], "6.8e76", *tok[3:]]),
+        ("mesh.ply", lambda tok: ["6.8e76", *tok[1:]]),
+        ("images.txt", lambda tok: [*tok[:5], "6.8e76", *tok[6:]]),
+    ], ids=["landmark", "vertex", "camera"])
+    def test_input_just_within_the_bound_runs(self, scene_dir, tmp_path, capsys, name, edit):
+        # 8 D**4 at D = 6.8e76 is about 1.7e308, still finite: the test runs
+        # without a warning.
+        overflowing_copy(scene_dir, tmp_path, name, edit)
+        rc = main(["visibility", "--scene", str(tmp_path / "scene"),
+                   "--mesh", str(tmp_path / "mesh.ply"), "--landmarks", str(tmp_path / "sel.txt"),
+                   "--out", str(tmp_path / "v.txt")])
+        assert rc == 0 and capsys.readouterr().err == ""
 
     def test_huge_relative_tolerance_accepts_every_depth(self, scene_dir, tmp_path):
         # rel_frac * z overflows to an infinite tolerance, without a warning:
@@ -459,6 +503,27 @@ class TestHugeFocalLength:
         assert rc == 2
         assert err.startswith(f"data error: {scene / 'cameras.txt'}: camera 1: focal length "
                               "too large")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("focal", ["1e-300", "1e-320", "1e-3"])
+    def test_focal_length_too_small_for_the_image(self, scene_dir, pipeline, tmp_path, capsys,
+                                                  focal):
+        # bearing squares (u - cx) / fx: with fx = fy = 1e-300 (and the
+        # subnormal 1e-320) that overflows over a 320 x 240 image, and the
+        # camera line is refused at load, without a warning. 1e-3 loads.
+        _, dets, _ = pipeline
+        scene = self.copy_with_focal(scene_dir, tmp_path, focal)
+        if focal == "1e-3":
+            assert scene_model.load_scene(scene).intrinsics[1].fx == 1e-3
+            return
+        out = tmp_path / "p.txt"
+        rc = main(["localize", "--scene", str(scene), "--detections", str(dets),
+                   "--landmarks", str(scene_dir / "landmarks.txt"), "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {scene / 'cameras.txt'}:2: focal lengths too small for the image "
+            "extent: a pixel's offset over them overflows when squared\n")
         assert not out.exists()
 
     def test_pixel_past_the_float_range_is_outside_the_image(self, scene_dir, tmp_path, capsys):
@@ -761,6 +826,73 @@ class TestPipelineCommands:
         assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("9999,0,10.0,10.0,0.9", "detections reference unknown image 9999"),
+        ("0,100000,10.0,10.0,0.9", "detection references unknown landmark 100000"),
+        ("0,-1,10.0,10.0,0.9", "detection references unknown landmark -1"),
+    ], ids=["image", "landmark", "negative-landmark"])
+    def test_localize_dangling_detection_names_the_file(self, scene_dir, pipeline, tmp_path,
+                                                         monkeypatch, capsys, row, message):
+        # The file is refused before any image is localized.
+        _, dets, _ = pipeline
+        bad = tmp_path / "bad.csv"
+        bad.write_text(dets.read_text() + row + "\n")
+
+        def localize(*args, **kwargs):
+            raise AssertionError("an image was localized")
+
+        monkeypatch.setattr(cli, "localize", localize)
+        out = tmp_path / "poses.txt"
+        rc = main(["localize", "--scene", str(scene_dir / "scene"), "--detections", str(bad),
+                   "--landmarks", str(scene_dir / "landmarks.txt"), "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_evaluate_unknown_image_names_the_poses_file(self, scene_dir, pipeline, tmp_path,
+                                                          capsys):
+        # The first pose line's image id set to 9999, which the scene lacks.
+        _, _, poses = pipeline
+        lines = poses.read_text().splitlines(keepends=True)
+        k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[k] = " ".join(["9999", *lines[k].split()[1:]]) + "\n"
+        bad = tmp_path / "poses.txt"
+        bad.write_text("".join(lines))
+        out = tmp_path / "report.txt"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(bad),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: estimates reference unknown images [9999]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["localize", "evaluate"])
+    @pytest.mark.parametrize("target", ["directory", "read-only"])
+    def test_output_that_cannot_be_written_is_data_error(self, scene_dir, pipeline, tmp_path,
+                                                         monkeypatch, capsys, stage, target):
+        # --out a directory, or in a directory that refuses new files: exit 2,
+        # naming the path, without a traceback.
+        _, dets, poses = pipeline
+        out = tmp_path / "out"
+        argv = [stage, "--scene", str(scene_dir / "scene"), "--out", str(out)]
+        argv += (["--landmarks", str(scene_dir / "landmarks.txt"), "--detections", str(dets),
+                  "--min-inliers", "6", "--seed", "0"] if stage == "localize"
+                 else ["--estimates", str(poses)])
+        if target == "directory":
+            out.mkdir()
+        else:
+            monkeypatch.setattr(_io, "open", read_only_open, raising=False)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if target == "directory":
+            assert err == f"data error: {out}: Is a directory\n"
+            assert list(out.iterdir()) == []
+        else:
+            # The temp file beside out is what the directory refuses.
+            assert err.startswith(f"data error: {out}.") and err.endswith(": Permission denied\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["localize", "evaluate"])
     @pytest.mark.parametrize("u, v", [("1e308", "10"), ("10", "-1e308"), ("320", "10"),
                                       ("10", "240"), ("-0.5", "10")])
@@ -1062,6 +1194,57 @@ class TestHugeCoordinates:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"data error: {far}: camera centres overflow")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x, refused", [("6.8e76", False), ("7e76", True)])
+    def test_localize_quartic_bound(self, scene_dir, pipeline, tmp_path, capsys, x, refused):
+        # One landmark x at 6.8e76: 8 D**4 (about 1.7e308) is finite, and
+        # localize runs without a warning. At 7e76 it overflows.
+        _, dets, _ = pipeline
+        sel = overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                               lambda tok: [*tok[:2], x, *tok[3:]])
+        out = tmp_path / "p.txt"
+        rc = main(["localize", "--scene", str(tmp_path / "scene"), "--landmarks", str(sel),
+                   "--detections", str(dets), "--min-inliers", "6", "--seed", "0",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        if not refused:
+            assert rc == 0 and err == ""
+            return
+        assert rc == 2
+        assert err.startswith(f"data error: {sel}: landmark coordinates overflow")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, x, refused", [
+        ("landmarks", "1.3e154", False), ("landmarks", "1.4e154", True),
+        ("poses", "1.3e154", False), ("poses", "1.4e154", True),
+    ])
+    def test_evaluate_squared_diameter_bound(self, scene_dir, pipeline, tmp_path, capsys,
+                                             name, x, refused):
+        # One landmark x, or the first ok pose line's tx, at 1.3e154: the
+        # squared diameter with the camera centres (about 1.7e308) is finite,
+        # and evaluate runs without a warning. At 1.4e154 it overflows.
+        _, dets, poses = pipeline
+        sel = scene_dir / "landmarks.txt"
+        if name == "landmarks":
+            sel = bad = overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                                         lambda tok: [*tok[:2], x, *tok[3:]])
+        else:
+            lines = poses.read_text().splitlines(keepends=True)
+            k = next(i for i, line in enumerate(lines) if line.split()[8:9] == ["ok"])
+            lines[k] = " ".join([*lines[k].split()[:5], x, *lines[k].split()[6:]]) + "\n"
+            poses = bad = tmp_path / "poses.txt"
+            poses.write_text("".join(lines))
+        out = tmp_path / "r.txt"
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(poses),
+                   "--detections", str(dets), "--landmarks", str(sel), "--out", str(out)])
+        err = capsys.readouterr().err
+        if not refused:
+            assert rc == 0 and err == ""
+            return
+        what = "landmark coordinates" if name == "landmarks" else "camera centres"
+        assert rc == 2
+        assert err.startswith(f"data error: {bad}: {what} overflow")
         assert not out.exists()
 
 

@@ -144,8 +144,9 @@ def scenes(draw):
     cameras = {}
     for cam_id in draw(st.lists(INT64, min_size=1, max_size=2, unique=True)):
         width, height = draw(st.integers(1, 2**53)), draw(st.integers(1, 2**53))
+        # Focal lengths at which a pixel's offset over them, squared, is finite.
         cameras[cam_id] = Intrinsics(
-            draw(st.floats(1e-300, 1e10)), draw(st.floats(1e-300, 1e10)),
+            draw(st.floats(width * 1e-150, 1e10)), draw(st.floats(height * 1e-150, 1e10)),
             draw(st.floats(0, width, exclude_min=True, exclude_max=True)),
             draw(st.floats(0, height, exclude_min=True, exclude_max=True)), width, height)
     ids = draw(st.lists(INT64, min_size=1, max_size=3, unique=True))
