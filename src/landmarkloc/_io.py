@@ -5,16 +5,21 @@ turns a ValueError raised while one is handled (by int(), float(), finite(),
 int64() or a constructor's own check) into a MalformedFileError at path:line.
 Each writer writes its floats with fmt(), which reads back bit for bit, and
 its file through a temp file and a rename (write_text, or a Sidecar, which
-keeps the columns a loader parses from some files beside them).
+keeps the columns a loader parses from some files beside them). A Sidecar's
+copy is one file in pack's layout: a header with a CRC-32, then each column's
+bytes at a multiple of 64 bytes, which a load reads once into one buffer and
+unpack checks before it makes the columns views of it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import math
 import os
 import stat
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -92,22 +97,29 @@ def _replacing(path: Path):
 
     A path that is a symlink or no regular file (/dev/null, /dev/stdout, a
     FIFO) is written through, as a rename would replace the link or the device.
+    An OSError that names the temp file or no file (a full disk) is raised
+    again naming path, the file the caller gave.
     """
     try:
         through = not stat.S_ISREG(os.lstat(path).st_mode)
     except OSError:  # a missing path; other errors surface when the temp file opens
         through = False
-    if through:
-        with open(path, "wb") as fh:
-            yield fh
-        return
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        if through:
+            with open(path, "wb") as fh:
+                yield fh
+            return
+        try:
+            with open(tmp, "xb") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        if exc.filename in (None, str(tmp)):
+            exc.filename = str(path)
         raise
 
 
@@ -119,18 +131,94 @@ def write_text(path, chunks) -> None:
             fh.write(chunk.encode("utf-8"))
 
 
+_MAGIC = b"LMLCOLS1"  # the first bytes of a copy file
+_ALIGN = 64  # each column of a copy starts at a multiple of this many bytes
+
+
+def _padded(n: int) -> int:
+    """n rounded up to a multiple of _ALIGN."""
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def frame(header: dict, body) -> list:
+    """The chunks of a copy file that holds header and then the byte chunks of
+    body: _MAGIC, the CRC-32 of every byte after it (4 bytes, little-endian),
+    the length of the header (4 bytes), the header as JSON, and zeros up to a
+    multiple of _ALIGN bytes, where body starts."""
+    text = json.dumps(header).encode()
+    rest = [len(text).to_bytes(4, "little"), text,
+            bytes(_padded(16 + len(text)) - 16 - len(text)), *body]
+    crc = 0
+    for chunk in rest:
+        crc = zlib.crc32(chunk, crc)
+    return [_MAGIC, crc.to_bytes(4, "little"), *rest]
+
+
+def unframe(data) -> tuple:
+    """(header, the CRC-32 it was kept with, the offset of the body) of a
+    copy file's bytes data; an exception when data have no frame."""
+    if bytes(data[:8]) != _MAGIC:
+        raise ValueError("not a copy file")
+    n = int.from_bytes(data[12:16], "little")
+    return json.loads(bytes(data[16:16 + n])), int.from_bytes(data[8:12], "little"), _padded(16 + n)
+
+
+def pack(key: bytes, columns: dict) -> list:
+    """The chunks of a copy file of columns under key. The header gives the
+    key in hex and, for each column, its name, dtype, shape and offset from
+    the start of the body; each column starts at a multiple of _ALIGN bytes."""
+    table, body, end = [], [], 0
+    for name, col in columns.items():
+        col = np.ascontiguousarray(col)
+        offset = _padded(end)
+        table.append([name, col.dtype.str, list(col.shape), offset])
+        body += [bytes(offset - end), col]
+        end = offset + col.nbytes
+    return frame({"key": key.hex(), "columns": table}, body)
+
+
+def unpack(data, key: bytes, columns: dict):
+    """The columns ({name: (dtype, row shape)}) that the copy file's bytes
+    data keep under key, as views of data; None when data are no whole copy
+    of them (an exception when they hold no header). The key, the header's
+    columns, the layout (each column where the one before it ends, padded,
+    and the last at the end of data) and the CRC-32 are checked before any
+    view is made."""
+    header, crc, start = unframe(data)
+    table = header["columns"]
+    if header["key"] != key.hex() or sorted(c[0] for c in table) != sorted(columns):
+        return None
+    views, end = [], start
+    for name, dtype, shape, offset in table:
+        want, row = np.dtype(columns[name][0]), list(columns[name][1])
+        if (dtype != want.str or shape[1:] != row or type(shape[0]) is not int or shape[0] < 0
+                or start + offset != _padded(end)):
+            return None
+        end = start + offset + math.prod(shape) * want.itemsize
+        views.append((name, want, shape, start + offset, end))
+    if end != len(data) or zlib.crc32(data[12:]) != crc:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    return {name: buf[lo:hi].view(want).reshape(shape) for name, want, shape, lo, hi in views}
+
+
 class Sidecar:
     """A copy of the columns that a loader parses from some text files, kept
-    in one .npz file beside them, so that a load of the same bytes need not
-    parse them again.
+    in one file beside them, so that a load of the same bytes need not parse
+    them again.
 
     A copy is keyed on content: SHA-256 over the numpy version, the loader's
     source files and this module's (so that an edit to either leaves every
     copy stale), then the text files, each followed by its length (so that
     bytes moved from one file to the next change the key). columns gives
-    each column's dtype and the shape of one row. A copy that is missing,
-    stale, unreadable or malformed only means a parse. Each text file and the
-    copy is written to a temp file and renamed into place (_replacing), and an
+    each column's dtype and the shape of one row. The copy file is pack's
+    layout: a header that gives the key, a CRC-32 and each column's name,
+    dtype, shape and offset, then the columns' bytes, each at a multiple of
+    64 bytes from the start. A load reads it once and makes its columns
+    views of that one buffer, after checking the header against columns,
+    the key, the layout and the CRC-32. A copy that is missing, stale, cut,
+    corrupted or foreign only means a parse. Each text file and the copy is
+    written to a temp file and renamed into place (_replacing), and an
     OSError while writing the copy leaves no copy and is not raised.
     """
 
@@ -143,9 +231,9 @@ class Sidecar:
     @classmethod
     def beside(cls, path, source, columns):
         """The Sidecar of the one text file at path, kept in
-        .<name>.landmarkloc.npz beside it, for the loader in the file source."""
+        .<name>.landmarkloc beside it, for the loader in the file source."""
         path = Path(path)
-        return cls(path.with_name(f".{path.name}.landmarkloc.npz"), [path], [source], columns)
+        return cls(path.with_name(f".{path.name}.landmarkloc"), [path], [source], columns)
 
     def _hash(self, files=()):
         """SHA-256 over the numpy version, the source files and files; an
@@ -189,22 +277,26 @@ class Sidecar:
             for name, (dtype, row) in self.columns.items())
 
     def _load(self, key):
-        """The columns kept under key, or None."""
+        """The columns kept under key, as views of one read of the copy into
+        a buffer that starts at a multiple of _ALIGN bytes, or None."""
         try:
-            with np.load(self.path, allow_pickle=False) as z:
-                if set(z.files) != {"key", *self.columns} or z["key"].tobytes() != key:
+            with open(self.path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                raw = np.empty(size + _ALIGN, np.uint8)
+                data = raw[-raw.ctypes.data % _ALIGN:][:size]
+                if fh.readinto(data) != size:
                     return None
-                columns = {name: z[name] for name in self.columns}
-        except Exception:  # whatever a missing, truncated or foreign file raises
+            return unpack(data, key, self.columns)
+        except Exception:  # whatever a missing, cut or foreign file raises
             return None
-        return columns if self._fits(columns) else None
 
     def _store(self, key, columns) -> None:
         """Keep columns under key; nothing when they do not fit self.columns."""
         if not self._fits(columns):
             return
         with contextlib.suppress(OSError), _replacing(self.path) as fh:  # a read-only directory
-            np.savez(fh, key=np.frombuffer(key, np.uint8), **columns)
+            for chunk in pack(key, columns):
+                fh.write(chunk)
 
     def read(self, parse, build, keep=None):
         """build(columns) of the copy kept for the files' bytes, or parse()

@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        if exc.filename is None:  # no path at fault: a disk that fills during a write
+        if exc.filename is None:  # no path at fault (a write error names its output)
             raise
         print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA

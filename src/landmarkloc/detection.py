@@ -285,7 +285,7 @@ def load_detections(path) -> dict:
     raises MalformedFileError at the first bad line. Both give the same sets.
 
     When save_detections left the columns of these bytes beside the file, in
-    .<name>.landmarkloc.npz (an _io.Sidecar), the sets are made from that
+    .<name>.landmarkloc (an _io.Sidecar), the sets are made from that
     copy instead, through _by_image's checks. A load never keeps a copy
     itself: the one stat that finds none is all it costs.
     """

@@ -227,7 +227,7 @@ def load_landmarks(path) -> LandmarkSet:
     that no other line names and a finite position and saliency.
 
     When save_landmarks left the columns of these bytes beside the file, in
-    .<name>.landmarkloc.npz (an _io.Sidecar), the set is made from that copy
+    .<name>.landmarkloc (an _io.Sidecar), the set is made from that copy
     instead, through the constructor, which holds the same value rules.
     """
     path = Path(path)

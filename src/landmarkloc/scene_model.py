@@ -407,7 +407,7 @@ _COLUMNS = {
 
 
 def _sidecar(path: Path) -> _io.Sidecar:
-    return _io.Sidecar(path / ".landmarkloc-scene.npz", [path / name for name in _SCENE_FILES],
+    return _io.Sidecar(path / ".landmarkloc-scene", [path / name for name in _SCENE_FILES],
                        [__file__], _COLUMNS)
 
 
@@ -425,7 +425,7 @@ def load_scene(path) -> SceneModel:
     the diameter of the points and camera centres, overflows raises a
     DataError naming cameras.txt.
 
-    The model's columns are kept in <path>/.landmarkloc-scene.npz (an
+    The model's columns are kept in <path>/.landmarkloc-scene (an
     _io.Sidecar), by save_scene for the files it writes and by a load that
     parsed the files and passed every check. A load of the same bytes
     rebuilds the model from that copy, through the same constructors, which

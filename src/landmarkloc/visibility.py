@@ -538,7 +538,7 @@ def load_visibility(path) -> VisibilityTable:
     and of the image ids. Each of the four header lines may appear once.
 
     When save_visibility left the columns of these bytes beside the file, in
-    .<name>.landmarkloc.npz (an _io.Sidecar), the table is made from that
+    .<name>.landmarkloc (an _io.Sidecar), the table is made from that
     copy instead, through the constructor, which holds the same value rules.
     """
     path = Path(path)

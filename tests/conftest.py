@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from landmarkloc import _io
 from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.mesh import ray_cast
 from landmarkloc.scene_model import ImageSet, Intrinsics, Pose, PointSet, SceneModel
@@ -196,6 +197,38 @@ def outcome(load, path):
         return load(path)
     except Exception as exc:  # the error itself is compared
         return type(exc), str(exc)
+
+
+def edit_copy(sidecar, column, value):
+    """Set column (a new one, when the copy has none) of the copy that sidecar
+    keeps to value, under the same key and a CRC-32 that holds."""
+    key = sidecar.key()
+    columns = dict(_io.unpack(sidecar.path.read_bytes(), key, sidecar.columns))
+    columns[column] = value
+    sidecar.path.write_bytes(b"".join(_io.pack(key, columns)))
+
+
+def _flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def _offset_past_end(data, foreign):
+    """data, a copy file, with the last column's offset past its end, under a
+    CRC-32 that holds."""
+    header, _, start = _io.unframe(data)
+    header["columns"][-1][3] = len(data)
+    return b"".join(_io.frame(header, [data[start:]]))
+
+
+# Damage to the layout of a copy file, each of which must give the parse:
+# name -> damage(the copy's bytes, another file's copy).
+LAYOUT_DAMAGE = {
+    "header-byte": lambda data, foreign: _flipped(
+        data, 16 + int.from_bytes(data[12:16], "little") // 2),
+    "last-column-byte": lambda data, foreign: _flipped(data, len(data) - 1),
+    "one-byte-short": lambda data, foreign: data[:-1],
+    "offset-past-end": _offset_past_end,
+}
 
 
 def loads_both_ways(load, copy_of, stale, same):

@@ -29,6 +29,8 @@ from landmarkloc.scene_model import Intrinsics, Pose, SceneModel, project
 from landmarkloc.visibility import VisibilityTable
 
 from conftest import (
+    LAYOUT_DAMAGE,
+    edit_copy,
     image_set,
     landmark_set,
     loads_both_ways,
@@ -604,20 +606,25 @@ class TestDetectionsCopy:
         assert not copy_of(path).exists()
         assert_same_outcome(outcome(detection.load_detections, path), outcome(_parse, path))
 
+    @pytest.mark.filterwarnings("error")  # a damaged copy gives no warning either
     @pytest.mark.parametrize("damage", [
         lambda data, foreign: data[:len(data) // 2],                 # truncated
-        lambda data, foreign: data[:300] + bytes(200) + data[500:],  # corrupt
+        lambda data, foreign: (data[:len(data) // 2] + bytes(200)     # corrupt
+                               + data[len(data) // 2 + 200:]),
         lambda data, foreign: b"",                                   # empty
         lambda data, foreign: b"not a zip file\n",                   # foreign format
         lambda data, foreign: foreign,                               # another file's key
-    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key"])
+        *LAYOUT_DAMAGE.values(),
+    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key", *LAYOUT_DAMAGE])
     def test_bad_copy_gives_the_parse(self, tmp_path, monkeypatch, damage):
         other = tmp_path / "other.csv"
         save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, other)
         path = self.simulated(tmp_path)
         copy = copy_of(path)
-        copy.write_bytes(damage(copy.read_bytes(), copy_of(other).read_bytes()))
+        good = copy.read_bytes()
+        copy.write_bytes(damage(good, copy_of(other).read_bytes()))
         kept = copy.read_bytes()
+        assert kept != good
         parses = count_parses(monkeypatch)
         same_bits(detection.load_detections(path), _parse(path))
         assert len(parses) == 1 and copy.read_bytes() == kept  # a load never keeps a copy
@@ -634,10 +641,7 @@ class TestDetectionsCopy:
         # A copy under the right key whose columns do not make the sets.
         path = tmp_path / "dets.csv"
         save_detections({1: DetectionSet(1, [0], [[1.0, 2.0]], [0.5])}, path)
-        with np.load(copy_of(path)) as z:
-            columns = dict(z)
-        columns[column] = value
-        np.savez(copy_of(path), **columns)
+        edit_copy(detection._sidecar(path), column, value)
         parses = count_parses(monkeypatch)
         same_bits(detection.load_detections(path), _parse(path))
         assert len(parses) == 1
@@ -645,10 +649,7 @@ class TestDetectionsCopy:
     def test_repeated_pair_in_copy_gives_the_parse(self, tmp_path, monkeypatch):
         path = tmp_path / "dets.csv"
         save_detections({1: DetectionSet(1, [0, 1], [[1.0, 2.0], [3.0, 4.0]], [0.5, 1.0])}, path)
-        with np.load(copy_of(path)) as z:
-            columns = dict(z)
-        columns["ids"] = np.array([1, 1])
-        np.savez(copy_of(path), **columns)
+        edit_copy(detection._sidecar(path), "ids", np.array([1, 1]))
         assert detection.load_detections(path)[1].landmark_ids.tolist() == [0, 1]
 
     @pytest.mark.parametrize("old, new", [(b"\r\n2,", b"\r\n3,"), (b"0.5", b"0.6")])

@@ -17,7 +17,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import disk_full_for, make_minimal_model, outcome, same_landmarks, same_table
+from conftest import (LAYOUT_DAMAGE, disk_full_for, edit_copy, make_minimal_model, outcome,
+                      same_landmarks, same_table)
 from landmarkloc import _io, detection, landmarks, visibility
 from landmarkloc.detection import DetectionSet, load_detections, save_detections
 from landmarkloc.errors import MalformedFileError
@@ -354,13 +355,15 @@ class TestWriterCopies:
         else:
             COPIED[name][3](got, want)
 
+    @pytest.mark.filterwarnings("error")  # a damaged copy gives no warning either
     @pytest.mark.parametrize("damage", [
         lambda data, foreign: data[:len(data) // 2],                 # truncated
         lambda data, foreign: data[:300] + bytes(200) + data[500:],  # corrupt
         lambda data, foreign: b"",                                   # empty
         lambda data, foreign: b"not a zip file\n",                   # foreign format
         lambda data, foreign: foreign,                               # another file's key
-    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key"])
+        *LAYOUT_DAMAGE.values(),
+    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key", *LAYOUT_DAMAGE])
     @pytest.mark.parametrize("name", sorted(COPIED))
     def test_bad_copy_gives_the_parse(self, tmp_path, monkeypatch, name, damage):
         module, file = COPIED[name][:2]
@@ -369,8 +372,10 @@ class TestWriterCopies:
         write, load = FORMATS[name]
         write(tmp_path)
         copy = module._sidecar(tmp_path / file).path
-        copy.write_bytes(damage(copy.read_bytes(), foreign.read_bytes()))
+        good = copy.read_bytes()
+        copy.write_bytes(damage(good, foreign.read_bytes()))
         kept = copy.read_bytes()
+        assert kept != good
         parses = count_parses(monkeypatch, module)
         COPIED[name][3](load(tmp_path), module._parse(tmp_path / file))
         assert len(parses) == 2 and copy.read_bytes() == kept  # a load never keeps a copy
@@ -383,15 +388,23 @@ class TestWriterCopies:
         module, file = COPIED[name][:2]
         write, load = FORMATS[name]
         write(tmp_path)
-        copy = module._sidecar(tmp_path / file).path
-        with np.load(copy) as z:
-            columns = dict(z)
-        assert column == "extra" or column in columns
-        columns[column] = value
-        np.savez(copy, **columns)
+        sidecar = module._sidecar(tmp_path / file)
+        assert column == "extra" or column in sidecar.columns
+        edit_copy(sidecar, column, value)
         parses = count_parses(monkeypatch, module)
         COPIED[name][3](load(tmp_path), module._parse(tmp_path / file))
         assert len(parses) == 2
+
+    @pytest.mark.parametrize("name", sorted(COPIED))
+    def test_a_load_reads_the_copy_once_into_one_buffer(self, tmp_path, monkeypatch, name):
+        module, path, copy = self.saved(tmp_path, name, next(iter(COPIED[name][4].values())))
+        opened = []
+        monkeypatch.setattr(_io, "open", lambda file, *args, **kwargs: opened.append(file)
+                            or open(file, *args, **kwargs), raising=False)
+        columns = module._sidecar(path).read(lambda: None, lambda c: c)
+        assert opened == [copy]
+        whole = columns[next(iter(columns))].base
+        assert all(c.base is whole and np.shares_memory(c, whole) for c in columns.values())
 
     @pytest.mark.parametrize("name", sorted(COPIED))
     def test_one_byte_edit_forces_a_parse(self, tmp_path, monkeypatch, name):

@@ -31,6 +31,8 @@ from landmarkloc.scene_model import (
 from landmarkloc.synth import SynthConfig, generate_scene
 
 from conftest import (
+    LAYOUT_DAMAGE,
+    edit_copy,
     image_set,
     make_intrinsics,
     make_minimal_model,
@@ -41,7 +43,7 @@ from conftest import (
     rename_image,
 )
 
-CACHE = ".landmarkloc-scene.npz"
+CACHE = ".landmarkloc-scene"
 
 
 def cold_and_warm(rows, ids=None):
@@ -638,13 +640,15 @@ class TestSceneCache:
         assert_same_model(miss, fresh)
         assert hit.images.names[hit.images.row(second)] == "ends in a NUL\x00"
 
+    @pytest.mark.filterwarnings("error")  # a damaged copy gives no warning either
     @pytest.mark.parametrize("damage", [
         lambda data, foreign: data[:len(data) // 2],                 # truncated
         lambda data, foreign: data[:500] + bytes(200) + data[700:],  # corrupt
         lambda data, foreign: b"",                                   # empty
         lambda data, foreign: b"not a zip file\n",                   # foreign format
         lambda data, foreign: foreign,                               # another scene's key
-    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key"])
+        *LAYOUT_DAMAGE.values(),
+    ], ids=["truncated", "corrupt", "empty", "foreign-format", "foreign-key", *LAYOUT_DAMAGE])
     def test_bad_cache_gives_the_parse(self, tmp_path, monkeypatch, damage):
         other = tmp_path / "other"
         save_scene(make_minimal_model(), other)
@@ -653,7 +657,9 @@ class TestSceneCache:
         scene = tmp_path / "scene"
         good_scene(scene, warm=True)
         cache = scene / CACHE
-        cache.write_bytes(damage(cache.read_bytes(), (other / CACHE).read_bytes()))
+        good = cache.read_bytes()
+        cache.write_bytes(damage(good, (other / CACHE).read_bytes()))
+        assert cache.read_bytes() != good
         parses = count_parses(monkeypatch)
         assert_same_model(load_scene(scene), _parse_scene(scene))
         assert len(parses) == 1
@@ -683,11 +689,7 @@ class TestSceneCache:
     def test_malformed_cache_gives_the_parse(self, tmp_path, monkeypatch, column, value):
         # A copy under the right key whose columns do not make a model.
         good_scene(tmp_path, warm=True)
-        cache = tmp_path / CACHE
-        with np.load(cache) as z:
-            columns = dict(z)
-        columns[column] = value
-        np.savez(cache, **columns)
+        edit_copy(scene_model._sidecar(tmp_path), column, value)
         parses = count_parses(monkeypatch)
         assert_same_model(load_scene(tmp_path), _parse_scene(tmp_path))
         assert len(parses) == 1
