@@ -19,6 +19,7 @@ import json
 import math
 import os
 import stat
+import time
 import zlib
 from pathlib import Path
 
@@ -77,9 +78,10 @@ def finite(what, *vals):
 def int64(what, *vals):
     """vals, or a ValueError when one is a bool or no integer (`<what> <v> is
     not an integer`) or does not fit in int64 (`<what> out of the int64 range`)."""
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} {v!r} is not an integer")
+    if not set(map(type, vals)) <= {int}:  # one pass when all are plain ints
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{what} {v!r} is not an integer")
     if vals and not (-(1 << 63) <= min(vals) and max(vals) < 1 << 63):
         raise ValueError(f"{what} out of the int64 range")
     return vals
@@ -202,14 +204,31 @@ def unpack(data, key: bytes, columns: dict):
     return {name: buf[lo:hi].view(want).reshape(shape) for name, want, shape, lo, hi in views}
 
 
+_digests = {}  # (path, size, mtime in ns) -> the SHA-256 digest of that file
+
+
+def _digest(path: Path) -> bytes:
+    """The SHA-256 digest of the file at path, read once per process for each
+    (path, size, mtime). A file changed in the last 2 s is read every time: a
+    second change within its timestamp's resolution could keep size and mtime."""
+    st = os.stat(path)
+    key = (str(path), st.st_size, st.st_mtime_ns)
+    digest = _digests.get(key)
+    if digest is None:
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        if time.time_ns() - st.st_mtime_ns > 2_000_000_000:
+            _digests[key] = digest
+    return digest
+
+
 class Sidecar:
     """A copy of the columns that a loader parses from some text files, kept
     in one file beside them, so that a load of the same bytes need not parse
     them again.
 
     A copy is keyed on content: SHA-256 over the numpy version, the loader's
-    source files and this module's (so that an edit to either leaves every
-    copy stale), then the text files, each followed by its length (so that
+    source files and this module's (their _digest, so that an edit to either
+    leaves every copy stale), then the text files, each followed by its length (so that
     bytes moved from one file to the next change the key). columns gives
     each column's dtype and the shape of one row. The copy file is pack's
     layout: a header that gives the key, a CRC-32 and each column's name,
@@ -236,10 +255,12 @@ class Sidecar:
         return cls(path.with_name(f".{path.name}.landmarkloc"), [path], [source], columns)
 
     def _hash(self, files=()):
-        """SHA-256 over the numpy version, the source files and files; an
-        OSError when one cannot be read."""
+        """SHA-256 over the numpy version, the source files' digests and
+        files; an OSError when one cannot be read."""
         h = hashlib.sha256(np.__version__.encode())
-        for p in (*self.sources, *files):
+        for p in self.sources:
+            h.update(_digest(p))
+        for p in files:
             data = p.read_bytes()
             h.update(data)
             h.update(len(data).to_bytes(8, "little"))

@@ -187,6 +187,8 @@ def _require_seed(args) -> None:
     )
     if randomized and args.seed is None:
         raise UsageError(f"{args.command} is randomized: an explicit --seed is required")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def cmd_synth(args) -> int:

@@ -263,16 +263,15 @@ def _load_obj(path) -> TriangleMesh:
 
 
 def save_mesh_ply(mesh: TriangleMesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(mesh.vertices)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {len(mesh.triangles)}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        for v in mesh.vertices:
-            fh.write(f"{_io.fmt(v[0])} {_io.fmt(v[1])} {_io.fmt(v[2])}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+    """The mesh as ASCII PLY; written through a temp file and a rename."""
+    _io.write_text(path, [
+        "ply\nformat ascii 1.0\n"
+        f"element vertex {len(mesh.vertices)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"element face {len(mesh.triangles)}\n"
+        "property list uchar int vertex_indices\nend_header\n",
+        *(f"{_io.fmt(v[0])} {_io.fmt(v[1])} {_io.fmt(v[2])}\n" for v in mesh.vertices),
+        *(f"3 {t[0]} {t[1]} {t[2]}\n" for t in mesh.triangles)])
 
 
 def box_mesh(lo, hi, inward: bool = False) -> TriangleMesh:

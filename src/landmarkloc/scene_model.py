@@ -421,9 +421,10 @@ def load_scene(path) -> SceneModel:
     PointSet in file order. A track entry that names an unknown image, an
     observation out of range or another point's observation raises a
     DanglingReferenceError at points3D.txt:line: the first such entry in the
-    file, unless a malformed line comes before it. A focal length that, times
-    the diameter of the points and camera centres, overflows raises a
-    DataError naming cameras.txt.
+    file, unless its own line or one before it is malformed: each line is
+    checked in full as it is read. A focal length that, times the diameter
+    of the points and camera centres, overflows raises a DataError naming
+    cameras.txt.
 
     The model's columns are kept in <path>/.landmarkloc-scene (an
     _io.Sidecar), by save_scene for the files it writes and by a load that
@@ -550,80 +551,49 @@ def _parse_scene(path: Path) -> SceneModel:
         if hdr_no is not None and src.no == hdr_no:
             raise ValueError("image header without observations line")
 
-    # Each image's first row and row count, by image id. An unknown image gets
-    # the extra last entry, of count 0, and its entries read the -1 that ends
-    # obs_point.
-    keys = np.fromiter(first_row, np.int64, len(first_row))
-    bounds = np.append(np.fromiter(first_row.values(), np.int64, len(first_row)), len(obs_point))
-    by_id = np.argsort(keys)
-    keys, start = keys[by_id], np.append(bounds[:-1][by_id], 0)
-    count = np.append(np.diff(bounds)[by_id], 0)
-    obs_point = np.append(np.array(obs_point, dtype=np.int64), -1)
+    # Each image's first observation row and row count, by image id.
+    ends = [*list(first_row.values())[1:], len(obs_point)]
+    spans = {iid: (lo, hi - lo) for (iid, lo), hi in zip(first_row.items(), ends)}
 
-    points_path = path / "points3D.txt"
-    point_line = {}  # point id -> its line
-    point_xyz, point_rgb, track_len, track_image, track_index = [], [], [], [], []
+    xyz = {}  # point id -> its position, in file order
+    point_rgb, track_len, track_image, track_row = [], [], [], []
+    with _io.lines(path / "points3D.txt") as src:
+        for tokens in src:
+            if tokens[0][0] == "#":
+                continue
+            if len(tokens) < 8 or len(tokens) % 2 != 0:
+                raise ValueError("point line has wrong token count")
+            pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
+            if pt_id in xyz:
+                raise ValueError(f"repeated point id {pt_id}")
+            *pos, _error = _io.finite("position or error", *map(float, tokens[1:4] + tokens[7:8]))
+            track = list(map(int, tokens[8:]))
+            if not track:
+                raise ValueError(f"track point {pt_id} has no observations")
+            _io.int64("point id, colour or track entry", pt_id, *rgb, *track)
+            # Each entry names an image of images.txt and one of its
+            # observations, which images.txt gives to this point.
+            for image_id, index in zip(track[0::2], track[1::2]):
+                lo, count = spans.get(image_id, (None, None))
+                if lo is None:
+                    raise DanglingReferenceError(
+                        f"{src.path}:{src.no}: point {pt_id} references unknown image {image_id}")
+                if not 0 <= index < count:
+                    raise DanglingReferenceError(
+                        f"{src.path}:{src.no}: point {pt_id} references observation {index} "
+                        f"out of range for image {image_id}")
+                if obs_point[lo + index] != pt_id:
+                    raise DanglingReferenceError(
+                        f"{src.path}:{src.no}: observation {index} of image {image_id} belongs "
+                        f"to point {obs_point[lo + index]}, not {pt_id}")
+                track_row.append(lo + index)
+            xyz[pt_id] = pos
+            point_rgb.append(rgb)
+            track_len.append(len(track) // 2)
+            track_image += track[0::2]
 
-    def track_rows():
-        """The observation row of each track entry read so far, or a
-        DanglingReferenceError for the first entry in file order that names an
-        unknown image, an observation out of range or one of another point."""
-        image = np.array(track_image, dtype=np.int64)
-        index = np.array(track_index, dtype=np.int64)
-        owner = np.repeat(np.arange(len(track_len)), track_len)
-        owner_id = np.array(list(point_line), dtype=np.int64)[owner]
-        known = np.isin(image, keys)
-        at = np.where(known, np.searchsorted(keys, image), len(keys))
-        in_range = (index >= 0) & (index < count[at])
-        row = np.where(in_range, start[at] + index, -1)
-        back_ref = obs_point[row]
-        foreign = (back_ref != -1) & (back_ref != owner_id)
-        bad = ~in_range | foreign
-        if not bad.any():
-            return image, row
-        k = int(np.argmax(bad))
-        pt_id, image_id, p2d_idx = owner_id[k], image[k], index[k]
-        where = f"{points_path}:{list(point_line.values())[owner[k]]}"
-        if not known[k]:
-            raise DanglingReferenceError(
-                f"{where}: point {pt_id} references unknown image {image_id}")
-        if not in_range[k]:
-            raise DanglingReferenceError(
-                f"{where}: point {pt_id} references observation {p2d_idx} out of range "
-                f"for image {image_id}")
-        raise DanglingReferenceError(
-            f"{where}: observation {p2d_idx} of image {image_id} belongs to point "
-            f"{back_ref[k]}, not {pt_id}")
-
-    with _io.lines(points_path) as src:
-        try:
-            for tokens in src:
-                if tokens[0][0] == "#":
-                    continue
-                if len(tokens) < 8 or len(tokens) % 2 != 0:
-                    raise ValueError("point line has wrong token count")
-                pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
-                if pt_id in point_line:
-                    raise ValueError(f"repeated point id {pt_id}")
-                *xyz, _error = _io.finite("position or error",
-                                          *map(float, tokens[1:4] + tokens[7:8]))
-                track = list(map(int, tokens[8:]))
-                if not track:
-                    raise ValueError(f"track point {pt_id} has no observations")
-                _io.int64("point id, colour or track entry", pt_id, *rgb, *track)
-                point_line[pt_id] = src.no
-                point_xyz.append(xyz)
-                point_rgb.append(rgb)
-                track_len.append(len(track) // 2)
-                track_image += track[0::2]
-                track_index += track[1::2]
-        except ValueError:
-            track_rows()  # a dangling reference on an earlier line is reported first
-            raise
-
-    image, row = track_rows()
-    points = PointSet(list(point_line), point_xyz, point_rgb, track_len, image,
-                      np.column_stack((obs_u, obs_v))[row])
+    points = PointSet(list(xyz), list(xyz.values()), point_rgb, track_len, track_image,
+                      np.column_stack((obs_u, obs_v))[track_row])
     model = SceneModel(intrinsics, ImageSet(list(first_row), *zip(*image_rows)), points)
     _check_focal_lengths(path, model)
     return model

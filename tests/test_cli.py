@@ -44,6 +44,24 @@ class TestSynthCommand:
     def test_requires_seed(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("seed, args", [
+        ("-1", ["synth"]),
+        ("-2", ["partition", "--criterion", "random", "--groups", "2", "--landmarks", "{sel}"]),
+        ("-2", ["partition", "--criterion", "kmeans", "--groups", "2", "--landmarks", "{sel}"]),
+        ("-5", ["simulate", "--scene", "{scene}", "--landmarks", "{sel}", "--visibility", "{vis}"]),
+        ("-1", ["localize", "--scene", "{scene}", "--landmarks", "{sel}", "--detections", "{dets}"]),
+    ], ids=["synth", "partition-random", "partition-kmeans", "simulate", "localize"])
+    def test_negative_seed_is_usage_error(self, scene_dir, pipeline, tmp_path, capsys, seed, args):
+        # numpy's refusal of each was a data error (exit 2) that named no flag.
+        paths = {"scene": scene_dir / "scene", "sel": scene_dir / "landmarks.txt",
+                 "vis": scene_dir / "visibility.txt", "dets": pipeline[1]}
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in args] + ["--seed", seed, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --seed must be a non-negative integer, got {seed}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, field", [
         (["--margin", "nan"], "camera_margin"),
         (["--min-target-dist", "inf"], "min_target_dist"),

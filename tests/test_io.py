@@ -13,6 +13,8 @@ parse.
 
 import os
 import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +114,7 @@ FORMATS = {
 
 
 @pytest.mark.parametrize("name", ["scene", "landmarks", "partition", "visibility", "detections",
-                                  "poses"])
+                                  "poses", "ply"])
 def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch, name):
     # Each writer writes a temp file beside its target and renames it into
     # place: a write that fails halfway leaves the old bytes and no temp file.
@@ -126,7 +128,7 @@ def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch, na
 
 
 @pytest.mark.parametrize("name", ["scene", "landmarks", "partition", "visibility", "detections",
-                                  "poses"])
+                                  "poses", "ply"])
 def test_a_symlinked_target_is_written_through(tmp_path, name):
     # A rename would replace a link (or a device or a FIFO) with a regular
     # file: such a target is written through, so the link keeps pointing at
@@ -305,6 +307,8 @@ REFUSED = {
     "id-past-int64": (lambda: VisibilityTable([2**63], [[True]]),
                       "image id out of the int64 range"),
     "bool-id": (lambda: VisibilityTable([True], [[True]]), "image id True is not an integer"),
+    "bool-after-int-id": (lambda: VisibilityTable([2, True], [[True, True]]),
+                          "image id True is not an integer"),
     "float-id": (lambda: VisibilityTable([1.0], [[True]]), "image id 1.0 is not an integer"),
     "repeated-id": (lambda: VisibilityTable([1, 1], [[True, False]]), "repeated image id 1"),
     "bool-excluded": (lambda: VisibilityTable([1], [[True], [False]], {}, [True]),
@@ -432,6 +436,34 @@ class TestWriterCopies:
         parses = count_parses(monkeypatch, module)
         load(tmp_path)
         assert len(parses) == 1
+
+
+def loader_source(tmp_path):
+    """A Sidecar whose loader source is a file last changed an hour ago, and
+    that source."""
+    source = tmp_path / "loader.py"
+    source.write_bytes(b"# loader 1\n")
+    an_hour_ago = time.time_ns() - 3600 * 10**9
+    os.utime(source, ns=(an_hour_ago, an_hour_ago))
+    (tmp_path / "a.txt").write_bytes(b"1\n")
+    return _io.Sidecar(tmp_path / ".a.txt.landmarkloc", [tmp_path / "a.txt"], [source], {}), source
+
+
+def test_two_keys_read_a_source_once(tmp_path, monkeypatch):
+    sidecar, source = loader_source(tmp_path)
+    reads, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+    assert sidecar.key() == sidecar.key()
+    assert reads.count(source) == 1 and reads.count(tmp_path / "a.txt") == 2
+
+
+def test_rewriting_a_source_in_place_changes_the_key(tmp_path):
+    # The same path and size: the new modification time gives a new digest.
+    sidecar, source = loader_source(tmp_path)
+    key = sidecar.key()
+    with open(source, "r+b") as fh:
+        fh.write(b"# loader 2\n")
+    assert sidecar.key() != key
 
 
 @pytest.mark.parametrize("old", [b"0 1 2 3 4 5\n", None], ids=["replaced", "new"])

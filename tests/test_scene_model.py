@@ -556,9 +556,13 @@ class TestSceneIO:
          "3: track point 9 has no observations"),
         (["8 0 0 1 0 0 0 0 42 0", "9 0 0 1 0 0 0 0 1 x"], DanglingReferenceError,
          "3: point 8 references unknown image 42"),
+        # A line's own syntax is checked before its references.
+        (["8 0 0 1 0 0 0 0 42 0 1 x"], MalformedFileError,
+         "3: invalid literal for int() with base 10: 'x'"),
     ], ids=["unknown-image", "index-out-of-range", "negative-index", "back-reference",
             "first-entry-of-line", "first-line", "dangling-then-short", "short-then-dangling",
-            "dangling-then-empty", "empty-then-dangling", "dangling-then-bad-int"]))
+            "dangling-then-empty", "empty-then-dangling", "dangling-then-bad-int",
+            "dangling-entry-then-bad-int"]))
     def test_bad_track_reports_first_failing_line(self, tmp_path, lines, error, message, warm):
         good_scene(tmp_path, warm)
         path = tmp_path / "points3D.txt"
