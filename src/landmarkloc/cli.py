@@ -219,7 +219,10 @@ def _refuse_overflow(power: int, *clouds) -> None:
     square distances among points, landmarks and true and estimated camera
     centres. power 4 bounds 8 D**4: the visibility test multiplies up to four
     distances among mesh vertices, landmarks and camera centres (at most
-    6 D**4), P3P two squared distances among landmarks (at most 8 D**4)."""
+    6 D**4), P3P two squared distances among landmarks (at most 8 D**4).
+    partition's k-means++ sums n squared distances among landmarks, and fps
+    averages n distances: power 2 lets n D**2 overflow, but under power 4
+    D**2 < 5e153, so no n that fits in memory overflows the sum."""
     rows = []
     for path, what, xyz in clouds:
         rows.append(xyz)
@@ -252,6 +255,8 @@ def cmd_partition(args) -> int:
     ls = load_landmarks(args.landmarks)
     if len(ls) == 0:
         raise DataError(f"{args.landmarks}: no landmarks to partition")
+    if args.criterion in ("kmeans", "fps"):
+        _refuse_overflow(4, (args.landmarks, "landmark coordinates", ls.xyz))
     pa = make_partition(ls, args.criterion, args.groups, seed=args.seed,
                         max_iter=args.max_iter)
     save_partition(pa, args.out)

@@ -172,7 +172,8 @@ def fps_traversal(xyz: np.ndarray, saliencies: np.ndarray, g: int, capacities):
     The first g insertions seed the groups by a farthest-point sweep from the
     highest-saliency point; each later insertion takes the unassigned point
     farthest from all assigned ones and gives it to the non-full group with
-    the smallest mean distance to its current members.
+    the smallest mean distance to its current members. Raises ValueError if
+    no non-full group's mean is finite, as when the distances overflow.
     """
     n = len(xyz)
     start = min(range(n), key=lambda i: (-saliencies[i], i))
@@ -201,6 +202,8 @@ def fps_traversal(xyz: np.ndarray, saliencies: np.ndarray, g: int, capacities):
             mean_d = pairwise[nxt, labels == grp].mean()
             if mean_d < best_mean - 1e-15:
                 best_grp, best_mean = grp, mean_d
+        if best_grp < 0:
+            raise ValueError(f"no group has a finite mean distance to point {nxt}")
         labels[nxt] = best_grp
         sizes[best_grp] += 1
         order.append(int(nxt))

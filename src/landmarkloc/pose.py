@@ -151,9 +151,9 @@ def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
     return Correspondences(ids, dets.uv, ls.xyz[ids], dets.confidence, w)
 
 
-# PROSAC samples per Lambda Twist block: 8, doubling to 64, and never more than the
-# stop can still use. Most images stop within a few dozen samples; the cap bounds
-# memory on those that run the whole budget.
+# PROSAC samples per Lambda Twist block: 8, doubling to 64, until a hypothesis sets
+# the stop; then all the stop can still use, up to 64. Most images stop within a few
+# dozen samples; the cap bounds memory on those that run the whole budget.
 _BLOCK, _BLOCK_CAP = 8, 64
 
 
@@ -409,12 +409,56 @@ def _stacked_errors(R: np.ndarray, t: np.ndarray, uv: np.ndarray, xyz: np.ndarra
     return err
 
 
-def _prosac_samples(n: int, cfg: SolverConfig, rng):
+_U32 = 0xFFFFFFFF
+
+
+def _uint32s(bitgen):
+    """The 32-bit draws of numpy's PCG64 next_uint32 from the raw words of
+    bitgen, a fresh PCG64: each word's low half, then its high half."""
+    while True:
+        for word in bitgen.random_raw(64).tolist():
+            yield word & _U32
+            yield word >> 32
+
+
+def _choice(pop: int, k: int, u32) -> list:
+    """numpy 2.4.6's Generator.choice(pop, size=k, replace=False) for k <= 3, as a
+    list, drawn from u32 (see _uint32s). NEP 19 ("Random number generator
+    policy") fixes only a BitGenerator's raw stream, not Generator methods, so
+    the draws are rebuilt from that stream. The algorithm is numpy's: Floyd's,
+    which for each j in [pop - k, pop) draws v in [0, j] (j == 0 draws nothing)
+    and takes j where v is already taken, then a shuffle of positions k-1 .. 1.
+    A draw in [0, r] is 32-bit Lemire: m = x * (r + 1) for the next x of u32,
+    drawn again while its low word is below (2^32 - 1 - r) % (r + 1); the draw
+    is m's high word. numpy takes other paths for r >= 2^32 - 1, so pops
+    from 2^32 - 1 up are refused."""
+    if not (0 <= k <= 3 and k <= pop < _U32):
+        raise ValueError(f"choice of {k} from {pop} is not decoded")
+    out = []
+    for r in [*range(pop - k, pop), *range(k - 1, 0, -1)]:
+        v = 0
+        if r:
+            m = next(u32) * (r + 1)
+            if m & _U32 <= r:  # floor <= r, so most draws skip the modulo
+                floor = (_U32 - r) % (r + 1)
+                while m & _U32 < floor:
+                    m = next(u32) * (r + 1)
+            v = m >> 32
+        if len(out) < k:  # Floyd
+            out.append(r if v in out else v)
+        else:  # shuffle
+            out[r], out[v] = out[v], out[r]
+    return out
+
+
+def _prosac_samples(n: int, cfg: SolverConfig, bitgen):
     """PROSAC's index triples (Chum & Matas, "Matching with PROSAC", CVPR 2005)
     into the n ranked correspondences, for t = 1, 2, ...: drawn from a top-ranked
     subset that grows as T_n ~ budget * C(n, 3) / C(N, 3), each including the
     subset's newest member until t reaches T'_n. The ransac sampler draws from
-    all n. The sequence depends only on rng and t."""
+    all n. Each draw is that of Generator(bitgen).choice (see _choice), so the
+    sequence depends only on bitgen's raw stream and t."""
+    u32 = _uint32s(bitgen)
     m = 3
     T_n = float(cfg.max_iterations)
     for i in range(m):
@@ -430,11 +474,11 @@ def _prosac_samples(n: int, cfg: SolverConfig, rng):
             T_n = T_next
             n_cur += 1
         if cfg.sampler == "ransac":
-            yield rng.choice(n, size=m, replace=False).tolist()
+            yield _choice(n, m, u32)
         elif t >= T_prime:
-            yield rng.choice(n_cur, size=m, replace=False).tolist()
+            yield _choice(n_cur, m, u32)
         else:
-            yield rng.choice(n_cur - 1, size=m - 1, replace=False).tolist() + [n_cur - 1]
+            yield _choice(n_cur - 1, m - 1, u32) + [n_cur - 1]
 
 
 def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
@@ -446,13 +490,15 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
     PROSAC growth function. Hypotheses are scored by inlier count (ties by
     lower weighted mean error). Terminates adaptively at cfg.confidence.
 
-    Samples are drawn ahead in blocks (8, doubling to 64), each solved by one
-    _p3p_block call and scored in one stacked product; the selection then
-    replays them in order, so it stops at the same sample as a loop that
-    solves one sample at a time, and picks the same winner. A block holds no
-    more samples than the budget and the current stop, ceil(required - t),
-    leave: required only falls while a block replays, so every sample past
-    it would go unused.
+    Samples are drawn ahead in blocks, each solved by one _p3p_block call and
+    scored in one stacked product; the selection then replays them in order,
+    so it stops at the same sample as a loop that solves one sample at a time,
+    and picks the same winner. Until a hypothesis sets the stop, blocks hold 8
+    samples, doubling to 64; after that, a block holds all that the budget and
+    the stop, ceil(required - t), leave, up to 64. required only falls while a
+    block replays, so every sample past it would go unused. The draws are
+    numpy's Generator(PCG64(seed)).choice, decoded from PCG64's raw stream
+    (_choice); the generator feeds nothing else.
 
     The winning P3P pose is refined on its inliers, in ranked order, per
     cfg.refinement: by refine_weighted for "weighted" and "unweighted", not at
@@ -466,13 +512,15 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
     uv, xyz, weights = ranked.uv, ranked.xyz, ranked.w
     rays = bearing(K, uv)
 
-    samples = _prosac_samples(n, cfg, np.random.default_rng(seed))
+    samples = _prosac_samples(n, cfg, np.random.PCG64(seed))  # default_rng(seed)'s state
     budget, size = cfg.max_iterations, _BLOCK
     best_count, best_werr, best = 0, np.inf, None  # best: (R, t, inlier mask)
     required = np.inf
     saw_degenerate = False
     t = 0
     while t < budget and t < required:
+        if required < np.inf:  # a hypothesis set the stop: the rest of it in one block
+            size = _BLOCK_CAP
         take = math.ceil(min(size, budget - t, required - t))  # min keeps an inf out of ceil
         idx = np.array(list(itertools.islice(samples, take)))
         size = min(2 * size, _BLOCK_CAP)

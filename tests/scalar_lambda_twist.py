@@ -246,3 +246,29 @@ def prosac_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: i
         pose = refit.pose
     err = reprojection_errors(pose, uv, xyz, K)
     return PoseEstimate(pose, inliers, t, float(err.mean()), STATUS_OK, refit)
+
+
+def prosac_samples_ref(n: int, cfg: SolverConfig, rng):
+    """PROSAC's index samples for t = 1, 2, ..., each drawn by numpy's own
+    rng.choice(pop, size, replace=False): the referee of pose._prosac_samples,
+    which decodes the same draws from the raw stream of rng's PCG64."""
+    m = 3
+    T_n = float(cfg.max_iterations)
+    for i in range(m):
+        T_n *= (m - i) / (n - i)
+    T_prime = 1.0
+    n_cur = m
+    t = 0
+    while True:
+        t += 1
+        while n_cur < n and t >= T_prime:
+            T_next = T_n * (n_cur + 1) / (n_cur + 1 - m)
+            T_prime += math.ceil(T_next - T_n)
+            T_n = T_next
+            n_cur += 1
+        if cfg.sampler == "ransac":
+            yield rng.choice(n, size=m, replace=False).tolist()
+        elif t >= T_prime:
+            yield rng.choice(n_cur, size=m, replace=False).tolist()
+        else:
+            yield rng.choice(n_cur - 1, size=m - 1, replace=False).tolist() + [n_cur - 1]

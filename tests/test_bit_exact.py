@@ -11,6 +11,7 @@ import hashlib
 import io
 import itertools
 import math
+import random
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -44,7 +45,7 @@ from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
 from conftest import correspondences, landmark_set, p3p_in_blocks, random_rotation, track
-from scalar_lambda_twist import p3p_solve_ref, prosac_ref
+from scalar_lambda_twist import p3p_solve_ref, prosac_ref, prosac_samples_ref
 from test_pose import pnp_scene
 
 
@@ -401,6 +402,69 @@ def test_prosac_matches_one_sample_loop(sampler):
             same_estimate(est, prosac_ref(corrs, K, cfg, seed=i))
             stops.add((budget, est.num_iterations == budget, est.status))
     assert {(1, True, "ok"), (7, True, "ok"), (2000, False, "ok")} <= stops
+
+
+def test_choice_matches_generator_choice():
+    # 10^4 call sequences, each decoded from a PCG64 and drawn by numpy's
+    # Generator.choice on the same seed. Pops 3 and 4 make Floyd take j for a
+    # taken v often; pops near 2^31 + 1 make Lemire reject about half of all
+    # draws; 2^32 - 2 is the largest pop decoded.
+    pick = random.Random(31)
+    pops = [3, 4, 5, 40, 400, 2**31 - 1, 2**31, 2**31 + 1, 2**31 + 2, 2**32 - 2]
+    drawn = needed = 0
+
+    def counted(halves):
+        nonlocal drawn
+        for half in halves:
+            drawn += 1
+            yield half
+
+    for _ in range(10_000):
+        seed = pick.randrange(2**64)
+        rng = np.random.default_rng(seed)
+        u32 = counted(pose_module._uint32s(np.random.PCG64(seed)))
+        for _ in range(pick.randint(1, 6)):
+            pop = pick.choice(pops) if pick.random() < 0.7 else pick.randint(3, 10_000)
+            k = pick.randint(0, 3)
+            assert pose_module._choice(pop, k, u32) == rng.choice(pop, size=k,
+                                                                  replace=False).tolist()
+            needed += sum(1 for j in range(pop - k, pop) if j) + max(k - 1, 0)
+    assert drawn - needed > 4000  # rejected draws
+
+
+@pytest.mark.parametrize("pop, k", [(2**32 - 1, 3), (2**32, 1), (5, 4), (2, 3), (5, -1)])
+def test_choice_refuses_what_it_does_not_decode(pop, k):
+    with pytest.raises(ValueError):
+        pose_module._choice(pop, k, iter(range(10**6)))
+
+
+@pytest.mark.parametrize("sampler", ["prosac", "ransac"])
+def test_prosac_samples_match_choice_loop(sampler):
+    # The first 300 samples of 200 plans: n from 4 to 2000 correspondences,
+    # budgets from 1 to 10^5, so the subset grows from the first sample on
+    # or only late.
+    pick = random.Random(32)
+    for _ in range(200):
+        seed, n = pick.randrange(2**32), pick.randint(4, 2000)
+        cfg = SolverConfig(max_iterations=pick.choice([1, 10, 2000, 10**5]), sampler=sampler)
+        got = pose_module._prosac_samples(n, cfg, np.random.PCG64(seed))
+        ref = prosac_samples_ref(n, cfg, np.random.default_rng(seed))
+        assert list(itertools.islice(got, 300)) == list(itertools.islice(ref, 300))
+
+
+@pytest.mark.parametrize("seed, flat", [
+    (0, [1, 2, 3, 1, 0, 4, 3, 0, 4, 3, 4, 5, 2, 3, 5, 2, 3, 5, 5, 2, 6, 5, 4, 6, 1, 5, 6, 0, 4, 6,
+         1, 5, 7, 5, 0, 7, 2, 0, 7, 6, 2, 7, 6, 0, 7, 4, 7, 8, 1, 4, 8, 2, 3, 8, 7, 5, 8, 4, 7, 8]),
+    (1, [0, 1, 3, 0, 2, 4, 3, 2, 4, 4, 1, 5, 4, 1, 5, 1, 3, 5, 0, 5, 6, 3, 5, 6, 1, 4, 6, 0, 3, 6,
+         0, 3, 7, 2, 0, 7, 5, 1, 7, 1, 0, 7, 1, 0, 7, 3, 0, 8, 7, 5, 8, 5, 2, 8, 6, 2, 8, 1, 2, 8]),
+    (2, [0, 1, 3, 0, 1, 4, 0, 1, 4, 2, 4, 5, 3, 0, 5, 2, 0, 5, 3, 1, 6, 1, 2, 6, 3, 2, 6, 5, 3, 6,
+         1, 4, 7, 5, 6, 7, 6, 2, 7, 2, 1, 7, 3, 6, 7, 6, 7, 8, 6, 2, 8, 1, 6, 8, 3, 5, 8, 3, 0, 8]),
+])
+def test_prosac_samples_pinned(seed, flat):
+    # The first 20 samples over 40 correspondences, tied to PCG64's raw
+    # stream (NEP 19), not to a numpy release's Generator.choice.
+    samples = pose_module._prosac_samples(40, SolverConfig(), np.random.PCG64(seed))
+    assert list(itertools.islice(samples, 20)) == [flat[i:i + 3] for i in range(0, 60, 3)]
 
 
 @pytest.mark.parametrize("refinement", ["none", "unweighted", "weighted"])

@@ -254,6 +254,50 @@ class TestPartitionCommand:
         assert capsys.readouterr().err == f"data error: {empty}: no landmarks to partition\n"
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("criterion", ["kmeans", "fps"])
+    @pytest.mark.parametrize("x", ["1e200", "7e76"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coordinates_are_data_error(self, scene_dir, tmp_path, capsys,
+                                                    criterion, x):
+        # Both criteria are refused where 8 D**4 overflows (power 4), since
+        # k-means++ sums n squared distances, which power 2 would let
+        # overflow; 7e76 is just past (1.8e308 / 8) ** 0.25. At 1e200 kmeans
+        # printed numpy's warnings and "data error: Probabilities contain
+        # NaN", and fps never returned, so that case runs in a subprocess
+        # with a time limit.
+        bad = overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                               lambda tok: [*tok[:2], x, *tok[3:]])
+        out = tmp_path / "part.txt"
+        argv = ["partition", "--landmarks", str(bad), "--criterion", criterion, "--seed", "1",
+                "--groups", "4", "--out", str(out)]
+        message = (f"data error: {bad}: landmark coordinates overflow: with them, "
+                   "products of four distances would not be finite\n")
+        if criterion == "fps" and x == "1e200":
+            src = str(Path(landmarkloc.__file__).resolve().parents[1])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "landmarkloc.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (2, message)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("criterion", ["kmeans", "fps"])
+    @pytest.mark.filterwarnings("error")
+    def test_coordinates_just_within_the_bound_run(self, scene_dir, tmp_path, capsys,
+                                                   criterion):
+        # 8 D**4 at D = 6.8e76 is about 1.7e308: no warning, and full groups.
+        bad = overflowing_copy(scene_dir, tmp_path, "landmarks.txt",
+                               lambda tok: [*tok[:2], "6.8e76", *tok[3:]])
+        out = tmp_path / "part.txt"
+        assert main(["partition", "--landmarks", str(bad), "--criterion", criterion,
+                     "--seed", "1", "--groups", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        sizes = load_partition(out).group_sizes()
+        assert max(sizes) - min(sizes) <= 1
+
     def test_default_groups(self, scene_dir, tmp_path):
         out = tmp_path / "part.txt"
         rc = main(

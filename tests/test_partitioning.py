@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import landmarkloc
 from landmarkloc.errors import InvalidPartitionError
 from landmarkloc.partitioning import (
     PartitionAssignment,
@@ -190,6 +196,27 @@ class TestFPS:
         # group membership is reproduced when we rerun the assignment rule.
         pb = partition_fps(ls, 4)
         assert np.array_equal(pa.group, pb.group)
+
+    def test_overflowing_distances_raise(self):
+        # At x = 1e200 every distance to that point overflows, so the mean of
+        # the group holding it is inf: once the other groups are full, no
+        # group was picked, a point was left at -1 and the loop never ended.
+        # In a subprocess, so that a regression fails rather than hangs.
+        src = str(Path(landmarkloc.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import numpy as np\n"
+                "from landmarkloc.partitioning import fps_traversal\n"
+                "xyz = np.random.default_rng(12).uniform(-3, 3, size=(20, 3))\n"
+                "xyz[0, 0] = 1e200\n"
+                "try:\n"
+                "    fps_traversal(xyz, np.ones(20), 4, [5, 5, 5, 5])\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("no group has a finite mean distance to point ")
 
 
 @pytest.mark.parametrize("criterion", ["default", "random", "kmeans", "fps"])

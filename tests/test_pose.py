@@ -382,7 +382,7 @@ class TestProsac:
 
         monkeypatch.setattr(pose_module, "_p3p_block", counting)
         rng = np.random.default_rng(80)
-        lanes = used = 0
+        lanes = used = calls = 0
         for trial in range(100):
             _, corrs, _ = pnp_scene(rng, n=40, noise=1.0, outlier_frac=0.3)
             blocks.clear()
@@ -390,7 +390,56 @@ class TestProsac:
             est = prosac_estimate(corrs, K, cfg, seed=trial)
             assert sum(blocks[:-1]) < est.num_iterations <= sum(blocks)
             lanes, used = lanes + sum(blocks), used + est.num_iterations
+            calls += len(blocks)
         assert used >= 1000 and lanes <= 1.05 * used
+        # Once a hypothesis sets the stop, the rest of it is one block: 199
+        # calls, where doubling blocks made 220.
+        assert calls <= 205
+
+    def test_block_plan_does_not_move_results(self, monkeypatch):
+        # One sample per _p3p_block call, 64 per call, and the plan give the
+        # same estimates: lanes never depend on each other and the replay is
+        # the same. The images stop in different blocks; the last, all
+        # outliers, runs its whole budget without consensus.
+        rng = np.random.default_rng(81)
+        cases = [(pnp_scene(rng, n=40, noise=1.0, outlier_frac=frac)[1],
+                  SolverConfig(min_inliers=10)) for frac in (0.1, 0.3, 0.5) * 17]
+        cases.append((pnp_scene(rng, n=40, outlier_frac=1.0)[1],
+                      SolverConfig(min_inliers=10, max_iterations=300)))
+        p3p_block, calls = pose_module._p3p_block, []
+
+        def counting(P, *args):
+            calls.append(len(P))
+            return p3p_block(P, *args)
+
+        def run():
+            runs, stops = [], []
+            for i, (corrs, cfg) in enumerate(cases):
+                calls.clear()
+                runs.append(prosac_estimate(corrs, K, cfg, seed=i))
+                stops.append(len(calls))
+            return runs, stops
+
+        monkeypatch.setattr(pose_module, "_p3p_block", counting)
+        plan, stops = run()
+        assert {1, 2, 3} <= set(stops)
+        assert (plan[-1].status, plan[-1].num_iterations) == ("no_consensus", 300)
+        for block, cap in ((1, 1), (64, 64)):
+            monkeypatch.setattr(pose_module, "_BLOCK", block)
+            monkeypatch.setattr(pose_module, "_BLOCK_CAP", cap)
+            runs, _ = run()
+            assert max(calls) == block
+            for a, b in zip(runs, plan):
+                assert (a.inliers, a.num_iterations, a.status) == (b.inliers, b.num_iterations,
+                                                                   b.status)
+                assert a.mean_reproj_px == b.mean_reproj_px or (
+                    math.isnan(a.mean_reproj_px) and math.isnan(b.mean_reproj_px))
+                if b.pose is None:
+                    assert a.pose is None and a.refine is None and b.refine is None
+                    continue
+                assert np.array_equal(a.pose.R, b.pose.R) and np.array_equal(a.pose.t, b.pose.t)
+                assert (a.refine.converged, a.refine.iterations, a.refine.cost_trace) == (
+                    b.refine.converged, b.refine.iterations, b.refine.cost_trace)
 
     def test_determinism(self):
         rng = np.random.default_rng(66)
