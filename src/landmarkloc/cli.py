@@ -30,7 +30,15 @@ from .evaluation import (
 from .landmarks import load_landmarks, save_landmarks, select_landmarks
 from .mesh import load_mesh
 from .partitioning import CRITERIA, make_partition, save_partition
-from .pose import STATUS_OK, PoseTable, SolverConfig, load_poses, localize, save_poses
+from .pose import (
+    STATUS_OK,
+    PoseTable,
+    SolverConfig,
+    _first_block,
+    load_poses,
+    localize,
+    save_poses,
+)
 from .scene_model import Intrinsics, _diameter, load_scene
 from .synth import SynthConfig, generate_scene, write_scene
 from .visibility import VisibilityConfig, compute_visibility, load_visibility, save_visibility
@@ -52,11 +60,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="landmarkloc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic scene")
+def _synth_args(p) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--room", type=float, nargs=3, default=[6.0, 4.0, 3.0],
@@ -71,27 +75,27 @@ def build_parser() -> _Parser:
                    help="camera clearance from walls")
     p.add_argument("--min-target-dist", type=float, default=0.5,
                    help="cameras aim at wall points at least this far away")
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("select", help="greedy landmark selection")
+
+def _select_args(p) -> None:
     p.add_argument("--scene", required=True, help="reconstruction directory")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--radius", type=float, default=None,
                    help="initial separation radius (default: scene diameter / 4)")
     p.add_argument("--min-track", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("partition", help="split landmarks into ensemble groups")
+
+def _partition_args(p) -> None:
     p.add_argument("--landmarks", required=True)
     p.add_argument("--criterion", choices=CRITERIA, default="default")
     p.add_argument("--groups", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("visibility", help="mesh-based visibility table")
+
+def _visibility_args(p) -> None:
     p.add_argument("--scene", required=True)
     p.add_argument("--mesh", required=True)
     p.add_argument("--landmarks", required=True)
@@ -101,9 +105,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-surface-dist", type=float, default=0.2)
     p.add_argument("--decimation", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("simulate", help="simulate a landmark detector")
+
+def _simulate_args(p) -> None:
     p.add_argument("--scene", required=True)
     p.add_argument("--landmarks", required=True)
     p.add_argument("--visibility", required=True)
@@ -111,9 +115,9 @@ def build_parser() -> _Parser:
     p.add_argument("--outlier-rate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("localize", help="robust pose estimation per image")
+
+def _localize_args(p) -> None:
     p.add_argument("--scene", required=True)
     p.add_argument("--landmarks", required=True)
     p.add_argument("--detections", required=True, nargs="+",
@@ -127,9 +131,9 @@ def build_parser() -> _Parser:
                    default="weighted")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("evaluate", help="metrics report against ground truth")
+
+def _evaluate_args(p) -> None:
     p.add_argument("--scene", required=True, help="ground-truth reconstruction")
     p.add_argument("--estimates", required=True, nargs="+")
     p.add_argument("--labels", nargs="+", default=None)
@@ -142,8 +146,19 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", default=None, help="machine-readable report path")
     p.add_argument("--per-image", default=None,
                    help="per-image CSV path (suffixed per run when several)")
-    p.add_argument("--config", default=None)
 
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser. Every subcommand is registered with its help, but
+    only command's flags are added (all subcommands' where command is None):
+    main parses one subcommand, and the flags are most of a parser's cost."""
+    parser = _Parser(prog="landmarkloc", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if command in (None, name):
+            add_args(p)
+            p.add_argument("--config", default=None)
     return parser
 
 
@@ -257,6 +272,15 @@ def cmd_partition(args) -> int:
         raise DataError(f"{args.landmarks}: no landmarks to partition")
     if args.criterion in ("kmeans", "fps"):
         _refuse_overflow(4, (args.landmarks, "landmark coordinates", ls.xyz))
+    if args.criterion == "kmeans":
+        # Lloyd's centres are means of raw coordinates. Under the power-4 rule a
+        # cloud far from the origin lies on one side of it in each axis, so no
+        # subset's sum exceeds the whole set's; far out, that sum can overflow.
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(ls.xyz.sum(0)).all()
+        if not finite:
+            raise DataError(f"{args.landmarks}: landmark coordinates overflow: their sums "
+                            "over all landmarks would not be finite")
     pa = make_partition(ls, args.criterion, args.groups, seed=args.seed,
                         max_iter=args.max_iter)
     save_partition(pa, args.out)
@@ -334,6 +358,11 @@ def _detections_in_images(path, model, landmarks=None) -> dict:
 
 
 def cmd_localize(args) -> int:
+    """Localize every image with detections, one localize call per image in
+    ascending id order (the per-image clock of perfbench/worker.py times these
+    calls), each image's first PROSAC block sized by pose._first_block from the
+    images before it. The block plan moves no output byte; the poses file's
+    `# sec_per_image` is the mean wall time of those calls."""
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
     _refuse_overflow(4, (args.landmarks, "landmark coordinates", ls.xyz))
@@ -352,7 +381,8 @@ def cmd_localize(args) -> int:
     for iid in image_ids:
         sets = [d[iid] for d in per_file if iid in d]
         ds = sets[0] if len(sets) == 1 else merge_ensemble(sets, iid)
-        estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid))
+        estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid),
+                                  first_block=_first_block(estimates.values()))
     elapsed = time.perf_counter() - t0
     sec_per_image = elapsed / max(len(image_ids), 1)
     poses = PoseTable.of(estimates)
@@ -429,25 +459,27 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand: the function that runs it, its help, and the function that
+# adds its flags (each also takes --config).
 _COMMANDS = {
-    "synth": cmd_synth,
-    "select": cmd_select,
-    "partition": cmd_partition,
-    "visibility": cmd_visibility,
-    "simulate": cmd_simulate,
-    "localize": cmd_localize,
-    "evaluate": cmd_evaluate,
+    "synth": (cmd_synth, "generate a synthetic scene", _synth_args),
+    "select": (cmd_select, "greedy landmark selection", _select_args),
+    "partition": (cmd_partition, "split landmarks into ensemble groups", _partition_args),
+    "visibility": (cmd_visibility, "mesh-based visibility table", _visibility_args),
+    "simulate": (cmd_simulate, "simulate a landmark detector", _simulate_args),
+    "localize": (cmd_localize, "robust pose estimation per image", _localize_args),
+    "evaluate": (cmd_evaluate, "metrics report against ground truth", _evaluate_args),
 }
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
         _require_seed(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

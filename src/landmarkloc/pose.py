@@ -151,10 +151,12 @@ def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
     return Correspondences(ids, dets.uv, ls.xyz[ids], dets.confidence, w)
 
 
-# PROSAC samples per Lambda Twist block: 8, doubling to 64, until a hypothesis sets
-# the stop; then all the stop can still use, up to 64. Most images stop within a few
-# dozen samples; the cap bounds memory on those that run the whole budget.
-_BLOCK, _BLOCK_CAP = 8, 64
+# PROSAC samples per Lambda Twist block: 8 (or a run's first-block hint), doubling to
+# 64, until a hypothesis sets the stop; then all the stop can still use, up to 64.
+# Most images stop within a few dozen samples; the cap bounds memory on those that
+# run the whole budget. A run sizes each image's first block from the stops of its
+# last _RECENT ok images (_first_block).
+_BLOCK, _BLOCK_CAP, _RECENT = 8, 64, 8
 
 
 def _running(op, *cols):
@@ -482,7 +484,7 @@ def _prosac_samples(n: int, cfg: SolverConfig, bitgen):
 
 
 def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
-                    seed: int = 0) -> PoseEstimate:
+                    seed: int = 0, *, first_block: int | None = None) -> PoseEstimate:
     """PROSAC over 3-point P3P samples, then at most one LM from the winner.
 
     Correspondences are ranked by weight (descending, ties by landmark id);
@@ -493,10 +495,14 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
     Samples are drawn ahead in blocks, each solved by one _p3p_block call and
     scored in one stacked product; the selection then replays them in order,
     so it stops at the same sample as a loop that solves one sample at a time,
-    and picks the same winner. Until a hypothesis sets the stop, blocks hold 8
-    samples, doubling to 64; after that, a block holds all that the budget and
-    the stop, ceil(required - t), leave, up to 64. required only falls while a
-    block replays, so every sample past it would go unused. The draws are
+    and picks the same winner, whatever the blocks' sizes. The first block holds
+    first_block samples (None: _BLOCK, 8, read at call time); until a hypothesis
+    sets the stop, each later block doubles, up to 64; after that, a block holds
+    all that the budget and the stop, ceil(required - t), leave, up to 64.
+    required only falls while a block replays, so every sample past it would go
+    unused. A first block near the image's stop trades a few unused samples
+    (5-7 us each) for a call (about 0.5 ms, on a 2-vCPU Xeon); cli's localize
+    stage takes the hint from the run's recent stops (_first_block). The draws are
     numpy's Generator(PCG64(seed)).choice, decoded from PCG64's raw stream
     (_choice); the generator feeds nothing else.
 
@@ -504,6 +510,8 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
     cfg.refinement: by refine_weighted for "weighted" and "unweighted", not at
     all for "none". The mean reprojection error is over those inliers.
     """
+    if first_block is not None and first_block < 1:
+        raise ValueError(f"first block of {first_block} samples: it must hold at least 1")
     n = len(corrs)
     if n < 4:
         return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
@@ -513,7 +521,7 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
     rays = bearing(K, uv)
 
     samples = _prosac_samples(n, cfg, np.random.PCG64(seed))  # default_rng(seed)'s state
-    budget, size = cfg.max_iterations, _BLOCK
+    budget, size = cfg.max_iterations, _BLOCK if first_block is None else first_block
     best_count, best_werr, best = 0, np.inf, None  # best: (R, t, inlier mask)
     required = np.inf
     saw_degenerate = False
@@ -528,13 +536,13 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
         err = _stacked_errors(R, T, uv, xyz, K)
         inlier = err <= cfg.threshold_px
         counts = inlier.sum(1).tolist()
-        first = np.searchsorted(owner, np.arange(len(idx) + 1)).tolist()
+        starts = np.searchsorted(owner, np.arange(len(idx) + 1)).tolist()
         for j, degen in enumerate(degenerate.tolist()):
             if not t < required:
                 break
             t += 1
             saw_degenerate |= degen
-            for h in range(first[j], first[j + 1]):
+            for h in range(starts[j], starts[j + 1]):
                 count = counts[h]
                 if count == 0 or count < best_count:
                     continue
@@ -685,10 +693,24 @@ def refine_weighted(initial: Pose, corrs: Correspondences, K: Intrinsics,
     return refine_pose(initial, corrs.uv, corrs.xyz, w, K)
 
 
-def localize(dets, ls: LandmarkSet, K: Intrinsics,
-             cfg: SolverConfig = SolverConfig(), seed: int = 0) -> PoseEstimate:
-    """Weights v^e, then PROSAC and at most one LM: prosac_estimate."""
-    return prosac_estimate(compute_weights(dets, ls, cfg.e), K, cfg, seed)
+def localize(dets, ls: LandmarkSet, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
+             seed: int = 0, *, first_block: int | None = None) -> PoseEstimate:
+    """Weights v^e, then PROSAC and at most one LM: prosac_estimate, whose
+    first PROSAC block holds first_block samples (None: _BLOCK). The block
+    plan never changes the estimate, only the number of P3P calls."""
+    return prosac_estimate(compute_weights(dets, ls, cfg.e), K, cfg, seed,
+                           first_block=first_block)
+
+
+def _first_block(estimates) -> int:
+    """The first-block hint for a run's next image, from its estimates so far
+    (a reversible collection, oldest first): the largest num_iterations among
+    the last _RECENT ok ones, clamped to [_BLOCK, _BLOCK_CAP]; _BLOCK while none
+    is ok. Images that are not ok are left out, since a failed image may run
+    its whole budget. A run's images share a scene and a detector, so recent
+    stops bound the next one well, and most images need one P3P call."""
+    stops = (e.num_iterations for e in reversed(estimates) if e.status == STATUS_OK)
+    return min(max([_BLOCK, *itertools.islice(stops, _RECENT)]), _BLOCK_CAP)
 
 
 def save_poses(poses: PoseTable, path, sec_per_image: float | None = None) -> None:

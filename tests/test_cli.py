@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import landmarkloc
-from landmarkloc import _io, cli, detection, landmarks, scene_model, visibility
+from landmarkloc import _io, cli, detection, landmarks, pose, scene_model, visibility
 from landmarkloc.cli import _apply_config, build_parser, main
 from landmarkloc.detection import load_detections
 from landmarkloc.evaluation import report_from_csv
@@ -297,6 +297,30 @@ class TestPartitionCommand:
         assert capsys.readouterr().err == ""
         sizes = load_partition(out).group_sizes()
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("criterion, rc", [("kmeans", 2), ("fps", 0)])
+    @pytest.mark.filterwarnings("error")
+    def test_coordinate_sums_that_overflow_are_data_error(self, scene_dir, tmp_path, capsys,
+                                                          criterion, rc):
+        # Every x at 1.5e307: the cloud is small, so the power-4 rule lets it
+        # through, but k-means' centres are means of raw coordinates, and 132
+        # such x sum past the largest double. Without a check numpy warned
+        # "overflow encountered in reduce" and partition exited 0. fps only
+        # takes distances, so it runs.
+        ls = load_landmarks(scene_dir / "landmarks.txt")
+        xyz = ls.xyz.copy()
+        xyz[:, 0] = 1.5e307
+        sel, out = tmp_path / "sel.txt", tmp_path / "part.txt"
+        save_landmarks(LandmarkSet(ls.source_point_ids, xyz, ls.saliency), sel)
+        assert main(["partition", "--landmarks", str(sel), "--criterion", criterion,
+                     "--seed", "1", "--groups", "2", "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == (f"data error: {sel}: landmark coordinates overflow: their sums "
+                           "over all landmarks would not be finite\n")
+            assert not out.exists()
+        else:
+            assert err == "" and load_partition(out).group_sizes() == [66, 66]
 
     def test_default_groups(self, scene_dir, tmp_path):
         out = tmp_path / "part.txt"
@@ -1107,6 +1131,31 @@ class TestConfigFile:
         assert rc == 2
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_subcommand_help_is_that_of_the_full_parser(self, command, capsys):
+        # main adds only the invoked subcommand's flags; its --help is the
+        # text of that subparser of the parser with every flag.
+        full = build_parser()._subparsers._group_actions[0].choices[command]
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == full.format_help()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_parser_lists_every_subcommand(self, command):
+        assert build_parser(command).format_help() == build_parser().format_help()
+
+    def test_subcommand_parser_reads_what_the_full_parser_reads(self):
+        argv = ["localize", "--scene", "s", "--landmarks", "l", "--detections", "a", "b",
+                "--threshold", "2.5", "--seed", "3", "--out", "o"]
+        assert build_parser("localize").parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_unknown_subcommand_is_usage_error(self, capsys):
+        assert main(["localise", "--seed", "0"]) == 1
+        assert "invalid choice: 'localise'" in capsys.readouterr().err
+
+
 class TestFlagshipShapes:
     def test_partition_1000_landmarks_into_8_groups_of_125(self, tmp_path):
         from landmarkloc.landmarks import LandmarkSet, save_landmarks
@@ -1189,6 +1238,73 @@ class TestLocalizeErrors:
              "--detections", str(dets), "--out", str(tmp_path / "x.txt")]
         )
         assert rc == 1
+
+
+class TestLocalizeRun:
+    @pytest.fixture(scope="class")
+    def outlier_dets(self, tmp_path_factory, scene_dir):
+        """A 30%-outlier draw on the shared scene: most images stop past 8
+        PROSAC samples, and image 7 finds no consensus of 12 inliers."""
+        dets = tmp_path_factory.mktemp("outliers") / "dets.csv"
+        assert main(["simulate", "--scene", str(scene_dir / "scene"),
+                     "--landmarks", str(scene_dir / "landmarks.txt"),
+                     "--visibility", str(scene_dir / "visibility.txt"),
+                     "--outlier-rate", "0.3", "--seed", "4", "--out", str(dets)]) == 0
+        return dets
+
+    def localize(self, scene_dir, out, *detections):
+        return main(["localize", "--scene", str(scene_dir / "scene"),
+                     "--landmarks", str(scene_dir / "landmarks.txt"),
+                     "--detections", *map(str, detections), "--seed", "0", "--out", str(out)])
+
+    def test_one_localize_call_per_image_in_id_order(self, scene_dir, outlier_dets, tmp_path,
+                                                     monkeypatch):
+        # perfbench's per-image clock times each cli.localize call, so the
+        # stage makes exactly one per image with detections, in id order; the
+        # images of two CSVs are merged first.
+        lines = outlier_dets.read_text().splitlines()
+        rows = [line for line in lines if line[:1].isdigit()]
+        halves = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for k, path in enumerate(halves):
+            head = [line for line in lines if not line[:1].isdigit()]
+            path.write_text("\n".join(head + rows[k::2]) + "\n")
+        seen, localize = [], cli.localize
+
+        def clocked(ds, *args, **kwargs):
+            seen.append(ds.image_id)
+            return localize(ds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "localize", clocked)
+        assert self.localize(scene_dir, tmp_path / "poses.txt", *halves) == 0
+        assert seen == sorted(load_detections(outlier_dets)) and len(seen) == 20
+
+    def test_first_block_hint_moves_no_byte(self, scene_dir, outlier_dets, tmp_path,
+                                            monkeypatch):
+        # The hint sizes each image's first PROSAC block from the stops
+        # before it; a fixed 8-sample first block gives the same file (but
+        # for its timing line), with more P3P calls.
+        p3p_block, calls = pose._p3p_block, []
+
+        def counting(P, *args):
+            calls.append(len(P))
+            return p3p_block(P, *args)
+
+        monkeypatch.setattr(pose, "_p3p_block", counting)
+        files = []
+        for hint in (cli._first_block, lambda estimates: pose._BLOCK):
+            monkeypatch.setattr(cli, "_first_block", hint)
+            calls.clear()
+            out = tmp_path / f"poses{len(files)}.txt"
+            assert self.localize(scene_dir, out, outlier_dets) == 0
+            text = out.read_text()
+            files.append(("".join(line for line in text.splitlines(keepends=True)
+                                  if not line.startswith("# sec_per_image=")), len(calls)))
+        (hinted, hinted_calls), (fixed, fixed_calls) = files
+        assert hinted == fixed
+        assert "no_consensus" in hinted and hinted.count(" ok ") == 19
+        # With 8-sample first blocks most images make two calls; with the hint
+        # most make one.
+        assert fixed_calls > 1.5 * 20 and hinted_calls < 0.7 * fixed_calls
 
 
 class TestHugeCoordinates:
