@@ -8,7 +8,7 @@ Modules:
   mesh          triangle meshes, PLY/OBJ IO, ray casting
   visibility    occlusion-based visibility tables by first-hit ray casting;
                 depth rasterization
-  detection     heatmap rendering/extraction, detector simulation, merging
+  detection     detections as columns (DetectionTable), heatmaps, simulation, merging
   pose          PROSAC + P3P + weighted refinement pose estimation; a run's
                 results as columns (PoseTable) and their text IO
   evaluation    rotation/position errors on those columns, recall, report tables

@@ -9,6 +9,7 @@ command-line flags win over file values. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,13 @@ import numpy as np
 import yaml
 
 from . import _io
-from .detection import load_detections, merge_ensemble, save_detections, simulate_detections
+from .detection import (
+    DetectionTable,
+    load_detections,
+    merge_ensemble,
+    save_detections,
+    simulate_detections,
+)
 from .errors import DanglingReferenceError, DataError, DegeneracyError, RobustFitError
 from .evaluation import (
     RunRecord,
@@ -328,46 +335,59 @@ def cmd_simulate(args) -> int:
     except DanglingReferenceError as exc:
         raise DanglingReferenceError(f"{args.visibility}: {exc}") from None
     save_detections(dets, args.out)
-    total = sum(len(ds) for ds in dets.values())
-    print(f"simulated {total} detections over {len(dets)} images -> {args.out}")
+    print(f"simulated {len(dets.image_ids)} detections over {len(model.images)} images "
+          f"-> {args.out}")
     return EXIT_OK
 
 
-def _detections_in_images(path, model, landmarks=None) -> dict:
-    """load_detections, with each image checked before any work: the model has
-    it, its detections lie inside it (u in [0, width) and v in [0, height)),
-    and, given landmarks, its landmark ids are rows of them. The error names
-    path."""
+def _detections_in_images(path, model, landmarks=None) -> DetectionTable:
+    """load_detections, with every image checked at once, before any work: the
+    model has it, its detections lie inside it (u in [0, width) and v in [0,
+    height)), and, given landmarks, its landmark ids are rows of them. The
+    error names path, and the first fault of the image that comes first in it."""
     detections = load_detections(path)
-    for iid, ds in detections.items():
-        if iid not in model.images:
+    if not len(detections):
+        return detections
+    images, lids, starts = model.images, detections.landmark_ids, detections.offsets[:-1]
+    stray = ((lids < 0) | (lids >= len(landmarks)) if landmarks is not None
+             else np.zeros(len(lids), bool))
+    # The least floats >= each image's width and height (inf for an unknown
+    # image), so that u < extent as floats is u < width as numbers.
+    sizes = {c: [math.nextafter(float(n), math.inf) if float(n) < n else float(n)
+                 for n in (K.width, K.height)] for c, K in model.intrinsics.items()}
+    extent = np.array([*map(sizes.get, images.camera_ids.tolist()), [math.inf] * 2])
+    known = np.isin(detections.images, images.ids)
+    faulty = (~known | np.logical_or.reduceat(stray, starts)
+              | (np.minimum.reduceat(detections.uv, starts) < 0).any(1)
+              | (np.maximum.reduceat(detections.uv, starts)
+                 >= extent[np.searchsorted(images.ids, detections.images)]).any(1))
+    if faulty.any():
+        k = np.flatnonzero(faulty)[np.argmin(detections.first_rows[faulty])]
+        iid, rows = detections.images[k].item(), slice(*detections.offsets[k:k + 2])
+        if not known[k]:
             raise DanglingReferenceError(f"{path}: detections reference unknown image {iid}")
-        if not len(ds):
-            continue
-        if landmarks is not None:
-            unknown = ds.landmark_ids[(ds.landmark_ids < 0) | (ds.landmark_ids >= len(landmarks))]
-            if len(unknown):
-                raise DanglingReferenceError(
-                    f"{path}: detection references unknown landmark {unknown[0]}")
+        if stray[rows].any():
+            raise DanglingReferenceError(
+                f"{path}: detection references unknown landmark {lids[rows][stray[rows]][0]}")
         K = model.camera(iid)
-        (u_lo, v_lo), (u_hi, v_hi) = ds.uv.min(0).tolist(), ds.uv.max(0).tolist()
-        if not (0 <= u_lo and u_hi < K.width and 0 <= v_lo and v_hi < K.height):
-            raise DataError(f"{path}: image {iid} has a detection outside its "
-                            f"{K.width}x{K.height} pixels")
+        raise DataError(f"{path}: image {iid} has a detection outside its "
+                        f"{K.width}x{K.height} pixels")
     return detections
 
 
 def cmd_localize(args) -> int:
-    """Localize every image with detections, one localize call per image in
-    ascending id order (the per-image clock of perfbench/worker.py times these
+    """Localize every image with detections, once every file is checked and
+    several are merged in one merge_ensemble call: one localize call per image
+    in ascending id order (the per-image clock of perfbench/worker.py times these
     calls), each image's first PROSAC block sized by pose._first_block from the
     images before it. The block plan moves no output byte; the poses file's
     `# sec_per_image` is the mean wall time of those calls."""
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
     _refuse_overflow(4, (args.landmarks, "landmark coordinates", ls.xyz))
-    per_file = [_detections_in_images(p, model, ls) for p in args.detections]
-    image_ids = sorted(set().union(*[set(d) for d in per_file]))
+    detections = (merge_ensemble([_detections_in_images(p, model, ls) for p in args.detections],
+                                 args.detections) if len(args.detections) > 1
+                  else _detections_in_images(args.detections[0], model, ls))
     cfg = SolverConfig(
         e=args.weight_exp,
         threshold_px=args.threshold,
@@ -378,13 +398,11 @@ def cmd_localize(args) -> int:
     )
     estimates = {}
     t0 = time.perf_counter()
-    for iid in image_ids:
-        sets = [d[iid] for d in per_file if iid in d]
-        ds = sets[0] if len(sets) == 1 else merge_ensemble(sets, iid)
+    for iid, ds in detections.items():
         estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid),
                                   first_block=_first_block(estimates.values()))
     elapsed = time.perf_counter() - t0
-    sec_per_image = elapsed / max(len(image_ids), 1)
+    sec_per_image = elapsed / max(len(detections), 1)
     poses = PoseTable.of(estimates)
     save_poses(poses, args.out, sec_per_image=sec_per_image)
     n_ok = poses.status.count(STATUS_OK)
@@ -438,9 +456,8 @@ def cmd_evaluate(args) -> int:
                               sec_per_image=meta.get("sec_per_image", float("nan"))))
     report = build_report(runs, args.rot_thresh, args.pos_thresh)
     if detections is not None:
-        detected = np.fromiter(detections, np.int64, len(detections))
         for path, run in zip(args.estimates, runs):
-            unposed = detected[~np.isin(detected, run.poses.ids)]
+            unposed = detections.images[~np.isin(detections.images, run.poses.ids)]
             if len(unposed):
                 raise DataError(f"{path}: no pose line for image {unposed.min()}, which has "
                                 f"detections in {args.detections}")

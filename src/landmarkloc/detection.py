@@ -8,14 +8,16 @@ reported in full-resolution pixel coordinates with a confidence in (0, 1].
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _io
-from .errors import DanglingReferenceError, DuplicateLandmarkError
+from .errors import DanglingReferenceError, DataError, DuplicateLandmarkError
 from .landmarks import LandmarkSet
 from .scene_model import Intrinsics, SceneModel, _camera_frame, _pixel
 from .visibility import VisibilityTable
@@ -37,28 +39,23 @@ class Heatmap:
 
 
 class DetectionSet:
-    """One image's detections, for an int64 image id, as three columns in
-    landmark-id order: landmark_ids (N,), each landmark once, uv (N, 2) finite
-    full-resolution pixels and confidence (N,) in (0, 1]. The constructor
-    takes the columns in any order and checks these rules of load_detections."""
+    """One image's detections, for an int64 image id, as three read-only
+    columns in landmark-id order: landmark_ids (N,), each landmark once, uv
+    (N, 2) finite full-resolution pixels and confidence (N,) in (0, 1]. The
+    constructor takes the columns in any order and checks them as the
+    DetectionTable of their rows."""
 
     def __init__(self, image_id: int, landmark_ids, uv, confidence):
         _io.int64("image id", image_id)
-        ids = np.asarray(landmark_ids, dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        self.image_id, self.landmark_ids = image_id, ids[order]
-        self.uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)[order]
-        self.confidence = np.asarray(confidence, dtype=np.float64).reshape(-1)[order]
-        repeated = self.landmark_ids[1:][np.diff(self.landmark_ids) == 0]
-        if len(repeated):
-            raise DuplicateLandmarkError(
-                f"landmark {repeated[0]} appears more than once in image {image_id}")
-        _check_values(self.uv, self.confidence)
+        ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
+        table = DetectionTable(np.full(len(ids), image_id), ids, uv, confidence)
+        self.image_id, self.landmark_ids, self.uv, self.confidence = (
+            image_id, table.landmark_ids, table.uv, table.confidence)
 
     @classmethod
     def _in_order(cls, image_id: int, landmark_ids, uv, confidence) -> DetectionSet:
         """The set of int64 and float64 columns in increasing landmark-id
-        order, taken as they are: _by_image has checked them."""
+        order, taken as they are: a DetectionTable checks them."""
         ds = cls.__new__(cls)
         ds.image_id, ds.landmark_ids, ds.uv, ds.confidence = image_id, landmark_ids, uv, confidence
         return ds
@@ -67,12 +64,80 @@ class DetectionSet:
         return len(self.landmark_ids)
 
 
-def _check_values(uv, confidence) -> None:
-    """A ValueError for a non-finite pixel or a confidence outside (0, 1]."""
-    if not np.isfinite(uv).all():
-        raise ValueError("non-finite pixel coordinate")
-    if not ((confidence > 0) & (confidence <= 1)).all():
-        raise ValueError("confidence must be in (0, 1]")
+class DetectionTable(Mapping):
+    """Every detection as read-only columns sorted by image id, then landmark
+    id: image_ids and landmark_ids (N,) int64, uv (N, 2) finite pixels and
+    confidence (N,) in (0, 1]. Per image, in id order: images (I,) the ids,
+    offsets (I + 1,) the bounds of their rows, and first_rows (I,) where each
+    image's first row was among the rows given. The constructor takes rows in
+    any order (rows already in order stay views) and checks the rules of
+    load_detections, an (image, landmark) pair at most once. As a Mapping:
+    image id -> DetectionSet, views of its rows, in ascending id order."""
+
+    def __init__(self, image_ids, landmark_ids, uv, confidence):
+        image = _int64_column("image id", image_ids)
+        n = len(image)
+        ids = _int64_column("landmark id", landmark_ids).reshape(n)
+        uv = np.ascontiguousarray(uv, dtype=np.float64).reshape(n, 2)
+        conf = np.ascontiguousarray(confidence, dtype=np.float64).reshape(n)
+        if not np.isfinite(uv).all():
+            raise ValueError("non-finite pixel coordinate")
+        if not ((conf > 0) & (conf <= 1)).all():
+            raise ValueError("confidence must be in (0, 1]")
+        order, same = None, image[1:] == image[:-1]
+        if not ((image[1:] > image[:-1]) | (same & (ids[1:] > ids[:-1]))).all():
+            order = np.lexsort((ids, image))
+            image, ids, uv, conf = image[order], ids[order], uv[order], conf[order]
+            same = image[1:] == image[:-1]
+        twice = np.flatnonzero(same & (ids[1:] == ids[:-1]))
+        if len(twice):
+            iid, lid = image[twice[0]].item(), ids[twice[0]].item()
+            error = DuplicateLandmarkError(f"landmark {lid} appears more than once in image {iid}")
+            error.pair = (iid, lid)  # for merge_ensemble to name the tables that hold it
+            raise error
+        starts = np.flatnonzero(np.concatenate(([n > 0], ~same)))
+        for name, column in (("image_ids", image), ("landmark_ids", ids), ("uv", uv),
+                             ("confidence", conf), ("images", image[starts]),
+                             ("offsets", np.append(starts, n)),
+                             ("first_rows", starts if order is None
+                              else np.minimum.reduceat(order, starts))):
+            setattr(self, name, column.view())
+            getattr(self, name).flags.writeable = False
+        bounds = self.offsets.tolist()
+        self._rows = dict(zip(self.images.tolist(), zip(bounds, bounds[1:])))  # id -> (lo, hi)
+
+    @classmethod
+    def of(cls, detections) -> DetectionTable:
+        """detections as a table: a DetectionTable as it is, or a mapping of
+        int64 image id -> DetectionSet, each set's rows under its key."""
+        if isinstance(detections, DetectionTable):
+            return detections
+        sets = list(detections.values())
+        keys = np.array(_io.int64("image id", *detections), np.int64)
+        return cls(np.repeat(keys, [len(ds) for ds in sets]), *(
+            np.concatenate([empty, *(getattr(ds, col) for ds in sets)]) for col, empty in (
+                ("landmark_ids", np.zeros(0, np.int64)), ("uv", np.zeros((0, 2))),
+                ("confidence", np.zeros(0)))))
+
+    def __getitem__(self, image_id) -> DetectionSet:
+        lo, hi = self._rows[image_id]
+        return DetectionSet._in_order(image_id, self.landmark_ids[lo:hi], self.uv[lo:hi],
+                                      self.confidence[lo:hi])
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+
+def _int64_column(what: str, values) -> np.ndarray:
+    """values as a contiguous int64 column; _io.int64's error for a value
+    that is no int64 integer."""
+    values = np.asarray(values)
+    if values.dtype != np.int64:
+        _io.int64(what, *values.reshape(-1).tolist())
+    return np.ascontiguousarray(values, dtype=np.int64).reshape(-1)
 
 
 def grid_shape(extent) -> tuple:
@@ -148,8 +213,9 @@ def simulate_detections_labeled(
     runs noiseless; an outlier's is v ~ Uniform(0.31, 0.7).
 
     Row k of the table is landmark k; rows past the set's are not read.
-    Returns (detections, outlier_ids): a dict image id -> DetectionSet and a
-    dict image id -> set of landmark ids planted as outliers.
+    Returns (detections, outlier_ids): a DetectionTable, which holds the
+    images with detections, and a dict of every image id -> set of landmark
+    ids planted as outliers.
     """
     if not (0 <= outlier_rate <= 1):
         raise ValueError("outlier_rate must be in [0, 1]")
@@ -185,45 +251,39 @@ def simulate_detections_labeled(
         conf = np.ones(len(ids)) if noise_sigma_px == 0 else np.clip(
             1.0 - np.sqrt(np.vecdot(noise, noise)) / (4.0 * noise_sigma_px), 0.31, 1.0)
         uv[outlier], conf[outlier] = draws[outlier, :2], draws[outlier, 2]
-        detections[iid] = DetectionSet(iid, ids, uv, conf)
+        detections[iid] = DetectionSet._in_order(iid, ids, uv, conf)
         outlier_ids[iid] = set(ids[outlier].tolist())
-    return detections, outlier_ids
+    return DetectionTable.of(detections), outlier_ids
 
 
-def simulate_detections(
-    model: SceneModel,
-    ls: LandmarkSet,
-    vt: VisibilityTable,
-    noise_sigma_px: float = 1.0,
-    outlier_rate: float = 0.0,
-    seed: int = 0,
-) -> dict:
+def simulate_detections(model, ls, vt, noise_sigma_px=1.0, outlier_rate=0.0,
+                        seed=0) -> DetectionTable:
     """simulate_detections_labeled without the outlier bookkeeping."""
-    detections, _ = simulate_detections_labeled(
-        model, ls, vt, noise_sigma_px, outlier_rate, seed
-    )
-    return detections
+    return simulate_detections_labeled(model, ls, vt, noise_sigma_px, outlier_rate, seed)[0]
 
 
-def merge_ensemble(sets: list, image_id: int | None = None) -> DetectionSet:
-    """Union of per-partition detection sets for one image.
-
-    Partitions are disjoint so landmark ids never collide; a collision means
-    a broken partition and raises. Output is ordered by landmark id.
-    """
-    if not sets:
+def merge_ensemble(tables: list, names: list | None = None) -> DetectionTable:
+    """The union of the detection tables of an ensemble's members: one
+    concatenate and one sort. Partitions are disjoint, so an (image,
+    landmark) pair in two tables means a broken partition and raises
+    DuplicateLandmarkError; given names, one per table, it names the two."""
+    if not tables:
         raise ValueError("nothing to merge")
-    if image_id is None:
-        image_id = sets[0].image_id
-    for ds in sets:
-        if ds.image_id != image_id:
-            raise ValueError(f"cannot merge image {ds.image_id} into image {image_id}")
-    return DetectionSet(image_id, *(
-        np.concatenate([getattr(ds, col) for ds in sets])
-        for col in ("landmark_ids", "uv", "confidence")))
+    try:
+        return DetectionTable(*(np.concatenate([getattr(t, col) for t in tables]) for col in (
+            "image_ids", "landmark_ids", "uv", "confidence")))
+    except DuplicateLandmarkError as exc:
+        if names is None:
+            raise
+        iid, lid = exc.pair
+        a, b = [name for name, t in zip(names, tables)
+                if iid in t and lid in t[iid].landmark_ids][:2]
+        raise DuplicateLandmarkError(
+            f"landmark {lid} of image {iid} is in both {a} and {b}") from None
 
 
 CSV_HEADER = ["image_id", "landmark_id", "u", "v_coord", "confidence"]
+_BLOCK_ROWS = 1024  # rows per step of a pass that makes objects per row: bounds their memory
 
 
 # The columns of a detections file, in file order: dtype, and the shape of one row.
@@ -235,86 +295,57 @@ def _sidecar(path: Path) -> _io.Sidecar:
     return _io.Sidecar.beside(path, __file__, _COLUMNS)
 
 
-def save_detections(detections: dict, path) -> None:
-    """CSV of all detections, ordered by image id then landmark id, as
-    csv.writer writes it: CRLF line ends, and each float as _io.fmt gives it.
-    Each image's rows are one % format.
+def save_detections(detections, path) -> None:
+    """CSV of a DetectionTable, or of the mapping DetectionTable.of takes, in
+    the table's order (image id, then landmark id), as csv.writer writes it:
+    CRLF line ends, and each float as _io.fmt gives it, each block of
+    _BLOCK_ROWS rows in one % format. The table's columns, which a load of the
+    file gives, are kept beside it (see load_detections)."""
+    table = DetectionTable.of(detections)
 
-    The columns a load of the file gives are kept beside it (see
-    load_detections), unless a key of detections, which the text gives as
-    each row's image id, is not an int64 integer.
-    """
     def lines():
         yield (",".join(CSV_HEADER) + "\r\n").encode()
-        for iid in sorted(detections):
-            ds = detections[iid]
-            fields = [None] * (4 * len(ds))
-            fields[0::4], fields[1::4] = ds.landmark_ids.tolist(), ds.uv[:, 0].tolist()
-            fields[2::4], fields[3::4] = ds.uv[:, 1].tolist(), ds.confidence.tolist()
-            yield (f"{iid},%d,%.17g,%.17g,%.17g\r\n" * len(ds) % tuple(fields)).encode()
+        for lo in range(0, len(table.image_ids), _BLOCK_ROWS):
+            cols = [col[lo:lo + _BLOCK_ROWS].tolist() for col in (
+                table.image_ids, table.landmark_ids, *table.uv.T, table.confidence)]
+            yield ("%d,%d,%.17g,%.17g,%.17g\r\n" * len(cols[0]) % tuple(
+                itertools.chain.from_iterable(zip(*cols)))).encode()
 
-    _sidecar(Path(path)).write([lines()], _read_back(detections))
-
-
-def _read_back(detections: dict):
-    """The columns of the file save_detections writes of detections, in file
-    order; None when a key is not an int64 integer."""
-    try:
-        image_ids = _io.int64("image id", *sorted(detections))
-    except ValueError:
-        return None
-    sets = [detections[iid] for iid in image_ids]
-    image = np.repeat(np.array(image_ids, np.int64), [len(ds) for ds in sets])
-    ids = np.concatenate([np.zeros(0, np.int64), *(ds.landmark_ids for ds in sets)])
-    uv = np.concatenate([np.zeros((0, 2)), *(ds.uv for ds in sets)])
-    conf = np.concatenate([np.zeros(0), *(ds.confidence for ds in sets)])
-    return {"image": image, "ids": ids, "uv": uv, "conf": conf}
+    _sidecar(Path(path)).write([lines()], {
+        "image": table.image_ids, "ids": table.landmark_ids, "uv": table.uv,
+        "conf": table.confidence})
 
 
-def load_detections(path) -> dict:
+def load_detections(path) -> DetectionTable:
     """Read a detections CSV: a `image_id,landmark_id,u,v_coord,confidence`
     header line, then one line per detection with an int64 image id and
     landmark id, finite pixel coordinates u and v, and a confidence in (0, 1].
-    An image may list a landmark once. Returns image id -> DetectionSet, the
-    images in order of their first line.
+    An image may list a landmark once. Returns one DetectionTable, its rows
+    sorted by image id, then landmark id, with one lexsort; first_rows keeps
+    where each image's first line was.
 
     The file is parsed in one np.loadtxt pass when it is in the plain form
     save_detections writes: ASCII, the header as its first line, and plain
     numbers. Any other file, and any file that fails a check, is read again
     by the row loop, which accepts what Python's int() and float() accept and
-    raises MalformedFileError at the first bad line. Both give the same sets.
+    raises MalformedFileError at the first bad line. Both give the same table.
 
     When save_detections left the columns of these bytes beside the file, in
-    .<name>.landmarkloc (an _io.Sidecar), the sets are made from that
-    copy instead, through _by_image's checks. A load never keeps a copy
-    itself: the one stat that finds none is all it costs.
+    .<name>.landmarkloc (an _io.Sidecar), the table is made from that copy
+    instead, through the constructor's checks: its columns are then views of
+    the copy's buffer, already in order. A load never keeps a copy itself:
+    the one stat that finds none is all it costs.
     """
     path = Path(path)
-    return _sidecar(path).read(lambda: _parse(path), lambda c: _by_image(**c))
+    return _sidecar(path).read(lambda: _parse(path), lambda c: DetectionTable(
+        c["image"], c["ids"], c["uv"], c["conf"]))
 
 
-def _parse(path: Path) -> dict:
+def _parse(path: Path) -> DetectionTable:
     try:
-        return _by_image(*_bulk_columns(path))
-    except (ValueError, Warning):  # the row loop names the bad line
-        return _by_image(*_row_columns(path))
-
-
-def _by_image(image, ids, uv, conf):
-    """Columns of rows in any order as image id -> DetectionSet, the images in
-    order of their first row; a ValueError for values DetectionSet refuses."""
-    _check_values(uv, conf)
-    # One sort by (image, landmark id); each image's rows are then one slice.
-    order = np.lexsort((ids, image))
-    image, ids, uv, conf = image[order], ids[order], uv[order], conf[order]
-    if ((image[1:] == image[:-1]) & (ids[1:] == ids[:-1])).any():
-        raise ValueError("an image lists a landmark twice")
-    images, start = np.unique(image, return_index=True)
-    bounds = start.tolist() + [len(image)]
-    sets = [DetectionSet._in_order(iid, ids[lo:hi], uv[lo:hi], conf[lo:hi])
-            for iid, lo, hi in zip(images.tolist(), bounds, bounds[1:])]
-    first_rows = np.minimum.reduceat(order, start)
-    return {sets[k].image_id: sets[k] for k in np.argsort(first_rows).tolist()}
+        return DetectionTable(*_bulk_columns(path))
+    except (ValueError, DataError, Warning):  # the row loop names the bad line
+        return DetectionTable(*_row_columns(path))
 
 
 _CSV_DTYPE = np.dtype([(name, np.int64 if name.endswith("id") else np.float64)

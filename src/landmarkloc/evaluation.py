@@ -12,10 +12,11 @@ from functools import cached_property
 import numpy as np
 
 from . import _io
+from .detection import _BLOCK_ROWS, DetectionTable
 from .errors import DanglingReferenceError, InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK, PoseTable
-from .scene_model import ImageSet, Intrinsics, Pose, SceneModel, _camera_frame, bearing
+from .scene_model import ImageSet, Intrinsics, Pose, SceneModel, bearing
 
 DEFAULT_ROT_THRESH_DEG = 5.0
 DEFAULT_POS_THRESH_M = 0.05
@@ -75,16 +76,16 @@ def recall_at(
     return int(hits) / len(rot_deg)
 
 
-def _angular_errors(uv: np.ndarray, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -> list:
-    """detection_angular_error of each row of pixels uv (N,2) and landmarks
-    xyz (N,3) whose landmark lies in front of the camera; rows at or behind
-    it are left out. The angle comes from math.atan2, because np.arctan2
-    differs in the last bit on some rows."""
-    cam = _camera_frame(gt_pose, xyz)
+def _angular_errors(b: np.ndarray, R: np.ndarray, t: np.ndarray, xyz: np.ndarray) -> list:
+    """detection_angular_error of each row whose landmark xyz (N, 3) lies in
+    front of the camera of pose R (N, 3, 3), t (N, 3), with bearing b (N, 3);
+    rows at or behind it are left out. As in _camera_frame, each camera frame
+    is one 3x3 by 3-vector product; the angle comes from math.atan2, because
+    np.arctan2 differs in the last bit on some rows."""
+    cam = np.matmul(R, xyz[:, :, None])[:, :, 0] + t
     front = cam[:, 2] > 0
-    cam, uv = cam[front], uv[front]
+    cam, b = cam[front], b[front]
     cam = cam / np.sqrt(np.vecdot(cam, cam))[:, None]
-    b = bearing(K, uv)
     c = np.cross(b, cam)
     sines, cosines = np.sqrt(np.vecdot(c, c)).tolist(), np.vecdot(b, cam).tolist()
     return [math.degrees(math.atan2(s, co)) for s, co in zip(sines, cosines)]
@@ -94,10 +95,35 @@ def detection_angular_error(uv, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -
     """Angle (degrees) between the bearing of a detection at pixel uv (2,)
     and the landmark's true camera-frame direction under the ground-truth
     pose: the one-row case of _angular_errors."""
-    angles = _angular_errors(np.reshape(uv, (1, 2)), gt_pose, K, np.reshape(xyz, (1, 3)))
+    angles = _angular_errors(bearing(K, np.reshape(uv, (1, 2))), gt_pose.R[None],
+                             gt_pose.t[None], np.reshape(xyz, (1, 3)))
     if not angles:
         raise ValueError("landmark behind the ground-truth camera")
     return angles[0]
+
+
+def _detection_errors(detections: DetectionTable, model: SceneModel, landmarks: LandmarkSet):
+    """_angular_errors of every detection, in the table's order, under its
+    image's true pose, _BLOCK_ROWS rows at a time (one bearing call per camera
+    id in each), so that the rows' temporaries stay small. The first detection
+    of an image or landmark that they lack raises DanglingReferenceError."""
+    images, lids, counts = model.images, detections.landmark_ids, np.diff(detections.offsets)
+    known = np.repeat(np.isin(detections.images, images.ids), counts)
+    bad = np.flatnonzero(~known | (lids < 0) | (lids >= len(landmarks)))
+    if len(bad):
+        k = bad[0]
+        raise DanglingReferenceError(f"detection references unknown landmark {lids[k]}" if known[k]
+                                     else f"detections reference unknown image "
+                                     f"{detections.image_ids[k]}")
+    image_rows, angles = np.repeat(np.searchsorted(images.ids, detections.images), counts), []
+    for lo in range(0, len(lids), _BLOCK_ROWS):
+        rows, uv = image_rows[lo:lo + _BLOCK_ROWS], detections.uv[lo:lo + _BLOCK_ROWS]
+        cameras, b = images.camera_ids[rows], np.empty((len(rows), 3))
+        for cam in np.unique(cameras).tolist():
+            b[cameras == cam] = bearing(model.intrinsics[cam], uv[cameras == cam])
+        angles += _angular_errors(b, images.R[rows], images.t[rows],
+                                  landmarks.xyz[lids[lo:lo + _BLOCK_ROWS]])
+    return angles
 
 
 @dataclass
@@ -107,7 +133,7 @@ class RunRecord:
     label: str
     poses: PoseTable
     gt_model: SceneModel
-    detections: dict | None = None   # image id -> DetectionSet, for angular error
+    detections: DetectionTable | None = None   # for angular error
     landmarks: LandmarkSet | None = None
     sec_per_image: float = float("nan")
 
@@ -150,8 +176,10 @@ def build_report(
 ) -> EvalReport:
     """One row per run: recall, error medians (over localized images), and
     the median detection angular error when detections and landmarks are
-    supplied. A detection of an image or landmark that they lack raises
-    DanglingReferenceError. Both thresholds must be finite and positive."""
+    supplied (a DetectionTable, or a mapping DetectionTable.of takes), all
+    in one pass: _detection_errors, which raises DanglingReferenceError for
+    a detection of an image or landmark that they lack. Both thresholds must
+    be finite and positive."""
     for name, value in (("rotation", rot_thresh_deg), ("position", pos_thresh_m)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} threshold must be finite and > 0, not {value}")
@@ -160,18 +188,8 @@ def build_report(
         rot_deg, pos_m = run.errors
         ang = float("nan")
         if run.detections is not None and run.landmarks is not None:
-            angles = []
-            for iid, ds in run.detections.items():
-                if iid not in run.gt_model.images:
-                    raise DanglingReferenceError(f"detections reference unknown image {iid}")
-                ids = ds.landmark_ids
-                unknown = ids[(ids < 0) | (ids >= len(run.landmarks))]
-                if len(unknown):
-                    raise DanglingReferenceError(
-                        f"detection references unknown landmark {unknown[0]}")
-                angles += _angular_errors(ds.uv, run.gt_model.images.pose(iid),
-                                          run.gt_model.camera(iid), run.landmarks.xyz[ids])
-            ang = _median_or_nan(angles)
+            ang = _median_or_nan(_detection_errors(DetectionTable.of(run.detections),
+                                                   run.gt_model, run.landmarks))
         rows.append(
             ReportRow(
                 label=run.label,

@@ -422,7 +422,9 @@ def load_scene(path) -> SceneModel:
     observation out of range or another point's observation raises a
     DanglingReferenceError at points3D.txt:line: the first such entry in the
     file, unless its own line or one before it is malformed: each line is
-    checked in full as it is read. A focal length that, times the diameter
+    checked in full as it is read. Then an images.txt observation whose point
+    id is neither -1 nor a point raises a DanglingReferenceError at the
+    images.txt line of the first one. A focal length that, times the diameter
     of the points and camera centres, overflows raises a DataError naming
     cameras.txt.
 
@@ -514,7 +516,7 @@ def _parse_scene(path: Path) -> SceneModel:
     image_rows = []  # (camera id, R, t, name) of each image, in file order
     # Every observation of images.txt, in file order; an image's rows run
     # from its first row to the next image's.
-    obs_u, obs_v, obs_point, first_row = [], [], [], {}
+    obs_u, obs_v, obs_point, obs_no, first_row = [], [], [], [], {}
     with _io.lines(path / "images.txt") as src:
         # Each header line is followed by its observations line, which may be
         # blank; the reader skips a blank line, so it shows as a gap in src.no.
@@ -528,6 +530,7 @@ def _parse_scene(path: Path) -> SceneModel:
                 obs_point += _io.int64("observed point id", *map(int, tokens[2::3]))
                 obs_u += u
                 obs_v += v
+                obs_no += [src.no] * len(u)
                 hdr_no = None
             elif tokens[0][0] != "#":
                 if len(tokens) < 10:
@@ -592,6 +595,12 @@ def _parse_scene(path: Path) -> SceneModel:
             track_len.append(len(track) // 2)
             track_image += track[0::2]
 
+    # Each observation names no point (-1) or a point of points3D.txt.
+    dangling = np.flatnonzero(~np.isin(np.array(obs_point, np.int64), [-1, *xyz]))
+    if len(dangling):
+        k = dangling[0]
+        raise DanglingReferenceError(f"{path / 'images.txt'}:{obs_no[k]}: observation of "
+                                     f"unknown point {obs_point[k]}")
     points = PointSet(list(xyz), list(xyz.values()), point_rgb, track_len, track_image,
                       np.column_stack((obs_u, obs_v))[track_row])
     model = SceneModel(intrinsics, ImageSet(list(first_row), *zip(*image_rows)), points)

@@ -17,12 +17,14 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+import landmarkloc.evaluation as evaluation
 import landmarkloc.pose as pose_module
 from landmarkloc.cli import main
-from landmarkloc.detection import DetectionSet, simulate_detections_labeled
+from landmarkloc.detection import DetectionSet, DetectionTable, simulate_detections_labeled
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import (
     _angular_errors,
+    _detection_errors,
     _pose_errors,
     detection_angular_error,
     position_error,
@@ -36,6 +38,7 @@ from landmarkloc.scene_model import (
     ImageSet,
     Intrinsics,
     Pose,
+    SceneModel,
     _camera_frame,
     axis_angle_to_matrix,
     bearing,
@@ -45,6 +48,7 @@ from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
 from conftest import correspondences, landmark_set, p3p_in_blocks, random_rotation, track
+from detection_reference import detection_errors_ref
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref, prosac_samples_ref
 from test_pose import pnp_scene
 
@@ -140,9 +144,39 @@ def test_angular_errors_match_one_row(scene):
         front = [i for i in range(len(xyz)) if T.apply(xyz[i])[2] > 0]
         behind += len(xyz) - len(front)
         ref = [angular_ref(uv[i], T, K, xyz[i]) for i in front]
-        assert _angular_errors(uv, T, K, xyz) == ref
+        n = len(xyz)
+        assert _angular_errors(bearing(K, uv), np.repeat(T.R[None], n, 0),
+                               np.repeat(T.t[None], n, 0), xyz) == ref
         assert [detection_angular_error(uv[i], T, K, xyz[i]) for i in front] == ref
     assert behind > 0
+
+
+@pytest.mark.parametrize("block", [None, 37], ids=["one-block", "blocks-of-37"])
+def test_detection_errors_match_per_image_loop(scene, monkeypatch, block):
+    # Every detection's angular error in one pass, on a model whose images
+    # alternate between two cameras, with rows of landmarks behind each
+    # camera mixed in: the per-image loop's list, in order, bit for bit,
+    # whether the rows fit one block or blocks end inside an image.
+    if block is not None:
+        monkeypatch.setattr(evaluation, "_BLOCK_ROWS", block)
+    model, ls, images = scene.model, scene.gt_landmarks, scene.model.images
+    cameras = {1: model.intrinsics[1], 2: Intrinsics(410.0, 405.0, 300.5, 250.25, 600, 500)}
+    two = SceneModel(cameras, ImageSet(images.ids, 1 + images.ids % 2, images.R, images.t,
+                                       images.names), model.points)
+    dets, _ = simulate_detections_labeled(two, ls, scene.gt_visibility, 1.0, 0.3, seed=8)
+    rng = np.random.default_rng(2)
+    rows = [dets.image_ids, dets.landmark_ids, dets.uv, dets.confidence]
+    for iid in images.ids.tolist():
+        behind = np.flatnonzero(_camera_frame(images.pose(iid), ls.xyz)[:, 2] <= 0)[:5]
+        for k, col in enumerate([np.full(len(behind), iid), behind,
+                                 rng.uniform(0, 500, (len(behind), 2)), np.full(len(behind), 0.5)]):
+            rows[k] = np.concatenate([rows[k], col])
+    table = DetectionTable(*rows)
+    got = _detection_errors(table, two, ls)
+    assert got == detection_errors_ref(table, two, ls)
+    assert 0 < len(got) < len(table.image_ids)
+    assert (len(table.image_ids) <= evaluation._BLOCK_ROWS) == (block is None)
+    assert set(two.images.camera_ids.tolist()) == {1, 2}
 
 
 def test_pose_errors_match_one_pair(scene):

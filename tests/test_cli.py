@@ -17,7 +17,14 @@ from landmarkloc.partitioning import load_partition
 from landmarkloc.scene_model import SceneModel, save_scene
 from landmarkloc.visibility import VisibilityTable, load_visibility, save_visibility
 
-from conftest import disk_full_for, make_minimal_model, points_from_pairs, read_only_open
+from conftest import (
+    disk_full_for,
+    make_minimal_model,
+    outcome,
+    points_from_pairs,
+    read_only_open,
+)
+from detection_reference import check_images_ref
 
 
 @pytest.fixture(scope="module")
@@ -1055,6 +1062,94 @@ class TestPipelineCommands:
         ref_lines = [l for l in poses.read_text().splitlines() if not l.startswith("#")]
         got_lines = [l for l in merged_out.read_text().splitlines() if not l.startswith("#")]
         assert ref_lines == got_lines
+
+    def ensemble_files(self, dets, tmp_path):
+        """dets split by landmark parity into two CSVs, as plain text."""
+        header, *rows = dets.read_text().splitlines()
+        paths = [tmp_path / "even.csv", tmp_path / "odd.csv"]
+        for k, path in enumerate(paths):
+            path.write_text("\n".join([header] + [r for r in rows
+                                                  if int(r.split(",")[1]) % 2 == k]) + "\n")
+        return paths
+
+    def test_ensemble_is_merged_once_before_any_image(self, scene_dir, pipeline, tmp_path,
+                                                      monkeypatch):
+        # One merge_ensemble call for the run, ahead of the localize calls,
+        # which take the images in ascending id order.
+        _, dets, poses = pipeline
+        calls = []
+
+        def spy(name, original):
+            def call(*args, **kwargs):
+                calls.append((name, args[0].image_id if name == "localize" else None))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, call)
+
+        spy("merge_ensemble", cli.merge_ensemble)
+        spy("localize", cli.localize)
+        out = tmp_path / "poses.txt"
+        assert main(["localize", "--scene", str(scene_dir / "scene"),
+                     "--landmarks", str(scene_dir / "landmarks.txt"), "--detections",
+                     *map(str, self.ensemble_files(dets, tmp_path)), "--min-inliers", "6",
+                     "--seed", "0", "--out", str(out)]) == 0
+        images = [iid for name, iid in calls[1:]]
+        assert calls[0] == ("merge_ensemble", None) and len(calls) == 1 + len(images)
+        assert images == sorted(load_detections(dets)) and "merge_ensemble" not in images
+        assert out.read_text().splitlines()[2:] == poses.read_text().splitlines()[2:]
+
+    def test_pair_in_two_ensemble_files_names_both(self, scene_dir, pipeline, tmp_path,
+                                                   monkeypatch, capsys):
+        # The odd file repeats a row of the even one: refused before any
+        # image is localized, naming both files.
+        _, dets, _ = pipeline
+        even, odd = self.ensemble_files(dets, tmp_path)
+        row = even.read_text().splitlines()[-1]
+        odd.write_text(odd.read_text() + row + "\n")
+
+        def localize(*args, **kwargs):
+            raise AssertionError("an image was localized")
+
+        monkeypatch.setattr(cli, "localize", localize)
+        out = tmp_path / "poses.txt"
+        rc = main(["localize", "--scene", str(scene_dir / "scene"),
+                   "--landmarks", str(scene_dir / "landmarks.txt"), "--detections", str(even),
+                   str(odd), "--seed", "0", "--out", str(out)])
+        iid, lid = row.split(",")[:2]
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: landmark {lid} of image {iid} is in both {even} and {odd}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_landmarks", [True, False], ids=["landmarks", "no-landmarks"])
+    def test_faults_in_several_images_name_the_first_in_the_file(
+            self, scene_dir, pipeline, tmp_path, with_landmarks):
+        # Rows shuffled, with faults planted in three rows: the checks on
+        # whole columns give the message of the image-by-image referee, which
+        # takes the images in the order of their first line.
+        _, dets, _ = pipeline
+        model = scene_model.load_scene(scene_dir / "scene")
+        ls = load_landmarks(scene_dir / "landmarks.txt") if with_landmarks else None
+        header, *rows = dets.read_text().splitlines()
+        faults = [lambda r: ["9999", *r[1:]], lambda r: ["-3", *r[1:]],
+                  lambda r: [r[0], "100000", *r[2:]], lambda r: [r[0], "-1", *r[2:]],
+                  lambda r: [*r[:2], "320", *r[3:]], lambda r: [*r[:3], "-0.5", r[4]]]
+        rng = np.random.default_rng(7)
+        messages = set()
+        for _ in range(40):
+            bad = [row.split(",") for row in rows]
+            for k in rng.choice(len(bad), size=3, replace=False):
+                bad[k] = faults[rng.integers(len(faults))](bad[k])
+            bad = [bad[k] for k in rng.permutation(len(bad))]
+            path = tmp_path / "bad.csv"
+            path.write_text("\n".join([header, *map(",".join, bad)]) + "\n")
+            order = list(dict.fromkeys(int(r[0]) for r in bad))
+            ref = outcome(lambda p: check_images_ref(p, load_detections(p), order, model, ls),
+                          path)
+            got = outcome(lambda p: cli._detections_in_images(p, model, ls) and None, path)
+            assert got == ref
+            messages.add(ref and ref[1].split(": ", 1)[1].split(" ")[0])
+        assert messages >= ({"detection", "detections", "image"} if with_landmarks
+                            else {"detections", "image", None})
 
 
 class TestConfigFile:

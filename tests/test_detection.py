@@ -9,9 +9,9 @@ from landmarkloc import _io, detection
 from landmarkloc.detection import (
     CSV_HEADER,
     DetectionSet,
+    DetectionTable,
     Heatmap,
     _bulk_columns,
-    _by_image,
     _parse,
     _row_columns,
     extract_detection,
@@ -34,10 +34,10 @@ from conftest import (
     image_set,
     landmark_set,
     loads_both_ways,
-    outcome,
     points_from_pairs,
     read_only_open,
 )
+from detection_reference import merge_sets_ref
 
 EXTENT = (640, 480)  # grid 80 x 60
 
@@ -192,28 +192,136 @@ class TestSimulate:
 
 
 class TestMerge:
-    def d(self, image_id, *lids):
-        return DetectionSet(image_id, lids, np.ones((len(lids), 2)), np.full(len(lids), 0.9))
+    def table(self, image_id, *lids):
+        return DetectionTable([image_id] * len(lids), lids, np.ones((len(lids), 2)),
+                              np.full(len(lids), 0.9))
 
     def test_identity(self):
-        merged = merge_ensemble([self.d(0, 1, 2)])
-        assert merged.landmark_ids.tolist() == [1, 2]
+        merged = merge_ensemble([self.table(0, 1, 2)])
+        assert merged[0].landmark_ids.tolist() == [1, 2]
 
     def test_disjoint_union_ordered(self):
-        merged = merge_ensemble([self.d(0, 5, 1), self.d(0, 3)])
-        assert merged.landmark_ids.tolist() == [1, 3, 5]
+        merged = merge_ensemble([self.table(2, 4), self.table(0, 5, 1), self.table(0, 3)])
+        assert list(merged) == [0, 2]
+        assert merged[0].landmark_ids.tolist() == [1, 3, 5]
+        assert merged[2].landmark_ids.tolist() == [4]
 
     def test_collision_raises(self):
-        a = self.d(0, 1)
-        b = self.d(0, 1)
-        with pytest.raises(DuplicateLandmarkError):
+        a = self.table(0, 1)
+        b = self.table(0, 1)
+        with pytest.raises(DuplicateLandmarkError,
+                           match="landmark 1 appears more than once in image 0"):
             merge_ensemble([a, b])
 
-    def test_image_mismatch_raises(self):
-        a = self.d(0, 1)
-        b = self.d(1, 2)
-        with pytest.raises(ValueError):
-            merge_ensemble([a, b])
+    def test_collision_names_the_two_tables(self):
+        tables = [self.table(0, 2), self.table(3, 1), self.table(3, 1, 3)]
+        with pytest.raises(DuplicateLandmarkError,
+                           match=r"^landmark 1 of image 3 is in both b\.csv and c\.csv$"):
+            merge_ensemble(tables, ["a.csv", "b.csv", "c.csv"])
+
+    def test_equals_the_per_image_merge(self):
+        # 8 group tables, each with its rows in reverse order, merge to what
+        # the per-image merge of the groups' sets gives, image by image.
+        model, ls, vt = tiny_scene(n_landmarks=64, n_images=6)
+        dets = simulate_detections(model, ls, vt, 1.0, 0.2, seed=4)
+        groups = [np.flatnonzero(dets.landmark_ids % 8 == g)[::-1] for g in range(8)]
+        tables = [DetectionTable(dets.image_ids[k], dets.landmark_ids[k], dets.uv[k],
+                                 dets.confidence[k]) for k in groups]
+        merged = merge_ensemble(tables)
+        assert list(merged) == list(dets)
+        for iid in dets:
+            ref = merge_sets_ref([t[iid] for t in tables if iid in t], iid)
+            same_columns(merged[iid], ref)
+            same_columns(merged[iid], dets[iid])
+
+
+class TestDetectionTable:
+    """A DetectionTable holds every image's rows, sorted by (image, landmark),
+    and reads as a mapping of image id -> DetectionSet."""
+
+    ROWS = ([5, 2, 5, 2, 9], [9, 3, 1, 0, 4],
+            [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 1.0]],
+            [0.5, 0.25, 1.0, 0.75, 0.125])
+
+    def test_rows_sorted_and_indexed_per_image(self):
+        table = DetectionTable(*self.ROWS)
+        assert table.image_ids.tolist() == [2, 2, 5, 5, 9]
+        assert table.landmark_ids.tolist() == [0, 3, 1, 9, 4]
+        assert table.images.tolist() == [2, 5, 9] and table.offsets.tolist() == [0, 2, 4, 5]
+        assert table.first_rows.tolist() == [1, 0, 4]
+        assert list(table) == [2, 5, 9] and all(type(k) is int for k in table)
+        assert len(table) == 3 and 5 in table and 3 not in table
+        assert [len(ds) for ds in table.values()] == [2, 2, 1]
+        ds = table[5]
+        assert ds.image_id == 5 and ds.landmark_ids.tolist() == [1, 9]
+        assert ds.uv.tolist() == [[5.0, 6.0], [1.0, 2.0]] and ds.confidence.tolist() == [1.0, 0.5]
+        with pytest.raises(KeyError):
+            table[3]
+        for col in (table.image_ids, table.landmark_ids, table.uv, table.confidence,
+                    table.images, table.offsets, table.first_rows, ds.uv):
+            assert not col.flags.writeable
+
+    def test_sorted_rows_are_views(self):
+        table = DetectionTable(*self.ROWS)
+        again = DetectionTable(table.image_ids, table.landmark_ids, table.uv, table.confidence)
+        for col in ("image_ids", "landmark_ids", "uv", "confidence"):
+            assert np.shares_memory(getattr(again, col), getattr(table, col))
+        assert again.first_rows.tolist() == [0, 2, 4]
+
+    def test_of_a_mapping_equals_its_sets(self):
+        sets = {7: DetectionSet(7, [3, 1], [[1.0, 2.0], [3.0, 4.0]], [0.5, 1.0]),
+                -2: DetectionSet(-2, [], np.zeros((0, 2)), [])}
+        table = DetectionTable.of(sets)
+        assert list(table) == [7]
+        same_columns(table[7], sets[7])
+        assert DetectionTable.of(table) is table
+
+    @pytest.mark.parametrize("rows, error, message", [
+        (([1], [1], [[np.nan, 2.0]], [0.5]), ValueError, "non-finite pixel coordinate"),
+        (([1], [1], [[1.0, -np.inf]], [0.5]), ValueError, "non-finite pixel coordinate"),
+        (([1], [1], [[1.0, 2.0]], [0.0]), ValueError, r"confidence must be in \(0, 1\]"),
+        (([1, 2, 1], [3, 3, 3], np.ones((3, 2)), [0.5] * 3), DuplicateLandmarkError,
+         "landmark 3 appears more than once in image 1"),
+        (([2 ** 63], [1], [[1.0, 2.0]], [0.5]), ValueError, "image id out of the int64 range"),
+        (([True], [1], [[1.0, 2.0]], [0.5]), ValueError, "image id True is not an integer"),
+        (([1.0], [1], [[1.0, 2.0]], [0.5]), ValueError, "image id 1.0 is not an integer"),
+        (([1], [1.5], [[1.0, 2.0]], [0.5]), ValueError, "landmark id 1.5 is not an integer"),
+    ], ids=["nan-pixel", "inf-pixel", "confidence", "repeated", "id-past-int64", "bool-id",
+            "float-id", "float-landmark"])
+    def test_constructor_refuses_what_the_load_refuses(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            DetectionTable(*rows)
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["copy", "text"])
+    def test_values_are_the_files_rows_per_image(self, tmp_path, keep):
+        # What the bench's loader observer counts: the sets' lengths sum to
+        # the file's rows, and each set is its image's rows by landmark id.
+        model, ls, vt = tiny_scene(n_landmarks=50, n_images=10)
+        path = tmp_path / "dets.csv"
+        save_detections(simulate_detections(model, ls, vt, 1.0, 0.3, seed=12), path)
+        if not keep:
+            copy_of(path).unlink()
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        loaded = detection.load_detections(path)
+        assert sum(len(ds) for ds in loaded.values()) == len(rows)
+        by_image = {}
+        for row in rows:
+            by_image.setdefault(int(row[0]), []).append(row)
+        assert list(loaded) == sorted(by_image)
+        for iid, ds in loaded.items():
+            ref = DetectionSet(iid, [int(r[1]) for r in by_image[iid]],
+                               [[float(r[2]), float(r[3])] for r in by_image[iid]],
+                               [float(r[4]) for r in by_image[iid]])
+            same_columns(ds, ref)
+        if keep:  # views of the copy's one buffer
+            assert root(loaded.uv) is root(loaded.confidence) is root(loaded.image_ids)
+
+
+def root(column):
+    """The object that holds column's memory."""
+    while isinstance(getattr(column, "base", None), np.ndarray):
+        column = column.base
+    return column
 
 
 def count_parses(monkeypatch):
@@ -292,7 +400,8 @@ class TestDetectionIO:
                         "5,1,5,6,1\n"
                         "2,0,7,8,0.75\n")
         loaded = load_detections(path)
-        assert list(loaded) == [5, 2]  # images in order of first appearance
+        assert list(loaded) == [2, 5]  # images in ascending id order
+        assert loaded.first_rows.tolist() == [1, 0]  # where each image's first line is
         assert loaded[5].landmark_ids.tolist() == [1, 9]
         assert loaded[5].uv.tolist() == [[5.0, 6.0], [1.0, 2.0]]
         assert loaded[2].confidence.tolist() == [0.75, 0.25]
@@ -338,12 +447,15 @@ class TestWriterBytes:
         for iid, ds in dets.items():
             same_columns(loaded[iid], ds)
 
-    def test_simulated_detections_match_csv_writer(self, tmp_path):
+    def test_simulated_detections_match_csv_writer(self, tmp_path, monkeypatch):
         model, ls, vt = tiny_scene(n_landmarks=50, n_images=10)
         dets = simulate_detections(model, ls, vt, 1.0, 0.3, seed=12)
         save_detections(dets, tmp_path / "got.csv")
         save_detections_ref(dets, tmp_path / "ref.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        monkeypatch.setattr(detection, "_BLOCK_ROWS", 7)  # blocks that end inside an image
+        save_detections(dets, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestRowOrder:
@@ -379,23 +491,26 @@ class TestRowOrder:
     def test_merge_of_unsorted_groups_is_the_single_set(self):
         model, ls, dets = self.scene()
         rng = np.random.default_rng(5)
+        groups = []
+        for g in rng.permutation(3):  # groups interleave in landmark id
+            keep = np.flatnonzero(dets.landmark_ids % 3 == g)[::-1]
+            groups.append(DetectionTable(dets.image_ids[keep], dets.landmark_ids[keep],
+                                         dets.uv[keep], dets.confidence[keep]))
+        merged = merge_ensemble(groups)
         for iid, ds in dets.items():
-            groups = []
-            for g in rng.permutation(3):  # groups interleave in landmark id
-                keep = np.flatnonzero(ds.landmark_ids % 3 == g)[::-1]
-                groups.append(DetectionSet(
-                    iid, ds.landmark_ids[keep], ds.uv[keep], ds.confidence[keep]))
-            merged = merge_ensemble(groups, iid)
-            same_columns(merged, ds)
+            same_columns(merged[iid], ds)
             K = model.camera(iid)
-            self.same_estimate(localize(merged, ls, K, seed=iid), localize(ds, ls, K, seed=iid))
+            self.same_estimate(localize(merged[iid], ls, K, seed=iid),
+                               localize(ds, ls, K, seed=iid))
 
     def test_landmark_in_two_groups_is_named(self):
         _, _, dets = self.scene()
         ds = dets[0]
         lid = int(ds.landmark_ids[5])
-        a = DetectionSet(0, ds.landmark_ids[:8], ds.uv[:8], ds.confidence[:8])
-        b = DetectionSet(0, ds.landmark_ids[5:], ds.uv[5:], ds.confidence[5:])
+        a = DetectionTable.of({0: DetectionSet(0, ds.landmark_ids[:8], ds.uv[:8],
+                                               ds.confidence[:8])})
+        b = DetectionTable.of({0: DetectionSet(0, ds.landmark_ids[5:], ds.uv[5:],
+                                               ds.confidence[5:])})
         with pytest.raises(DuplicateLandmarkError, match=rf"landmark {lid}\b"):
             merge_ensemble([b, a])
 
@@ -465,13 +580,13 @@ class TestLoaderPaths:
         """The sets of the one-pass parse; None when np.loadtxt does not take
         the file or its columns break a rule of DetectionSet."""
         try:
-            return _by_image(*_bulk_columns(path))
+            return DetectionTable(*_bulk_columns(path))
         except (ValueError, Warning):
             return None
 
     def load_both(self, path):
         bulk = self.bulk_sets(path)
-        loop = _by_image(*_row_columns(path))
+        loop = DetectionTable(*_row_columns(path))
         loaded = load_detections(path)
         same_bits(loaded, loop)
         if bulk is not None:
@@ -497,13 +612,13 @@ class TestLoaderPaths:
         path.write_bytes((self.HEADER + "\n" + body).encode())
         took_bulk, loaded = self.load_both(path)
         assert took_bulk == bulk
-        # Images in order of first row; each set as from the plain file.
-        assert list(loaded) == list(dict.fromkeys(
-            int(line.split(",")[0]) for line in body.splitlines() if line.strip()))
+        # Images in ascending id order; each set as from the plain file.
+        assert list(loaded) == sorted({
+            int(line.split(",")[0]) for line in body.splitlines() if line.strip()})
         plain = tmp_path / "plain.csv"
         plain.write_text(self.HEADER + "\n" + "\n".join(self.ROWS) + "\n")
         if body and "1_0.5" not in body:
-            same_bits({iid: loaded[iid] for iid in (3, 1)}, load_detections(plain))
+            same_bits({iid: loaded[iid] for iid in (1, 3)}, load_detections(plain))
 
     TOKENS = ["1", "+1", "-1", " 1", "1 ", "\t1", "1\xa0", "\x0c1", "1\x1c", "1\x85", "1\u2028",
               "1.0", "1.", ".5", "5e-1", "5E-1", "1e+0", "-0", "-0.0", "0x10", "1_0", "\u0661",
@@ -550,13 +665,6 @@ class TestLoaderPaths:
                 assert (ds.confidence.view(np.int64) == conf[rows].view(np.int64)).all()
 
 
-def assert_same_outcome(a, b):
-    if isinstance(a, dict) and isinstance(b, dict):
-        same_bits(a, b)
-    else:
-        assert a == b
-
-
 class TestDetectionsCopy:
     """save_detections leaves the columns a load of its text gives, and
     load_detections reads them in place of the text."""
@@ -595,16 +703,16 @@ class TestDetectionsCopy:
         assert parses == []
         same_bits(copied, _parse(path))
 
-    @pytest.mark.parametrize("dets", [
-        {2 ** 63: DetectionSet(0, [1], [[1.0, 2.0]], [0.5])},
-        {True: DetectionSet(1, [1], [[1.0, 2.0]], [0.5])},
-        {1.0: DetectionSet(1, [1], [[1.0, 2.0]], [0.5])},
+    @pytest.mark.parametrize("dets, message", [
+        ({2 ** 63: DetectionSet(0, [1], [[1.0, 2.0]], [0.5])}, "image id out of the int64 range"),
+        ({True: DetectionSet(1, [1], [[1.0, 2.0]], [0.5])}, "image id True is not an integer"),
+        ({1.0: DetectionSet(1, [1], [[1.0, 2.0]], [0.5])}, "image id 1.0 is not an integer"),
     ], ids=["id-past-int64", "bool-id", "float-id"])
-    def test_no_copy_for_text_that_reads_back_otherwise(self, tmp_path, dets):
-        path = tmp_path / "dets.csv"
-        save_detections(dets, path)
-        assert not copy_of(path).exists()
-        assert_same_outcome(outcome(detection.load_detections, path), outcome(_parse, path))
+    def test_key_that_is_no_int64_is_refused(self, tmp_path, dets, message):
+        # A key is each row's image id: one that no table holds writes nothing.
+        with pytest.raises(ValueError, match=message):
+            save_detections(dets, tmp_path / "dets.csv")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")  # a damaged copy gives no warning either
     @pytest.mark.parametrize("damage", [

@@ -571,6 +571,30 @@ class TestSceneIO:
             load_scene(tmp_path)
         assert str(err.value) == f"{path}:{message}"
 
+    @pytest.mark.parametrize("edit, message, warm", cold_and_warm([
+        ({6: "45 50 7 10 10 8"}, "6: observation of unknown point 8"),
+        ({4: "50 50 7 1 2 -2", 6: "45 50 7 3 4 9"}, "4: observation of unknown point -2"),
+        ({8: None}, "4: observation of unknown point 7"),  # the point's line deleted
+        ({4: "50 50 7 10 10 -1"}, None),                     # -1: no point
+    ], ids=["unknown-point", "first-line", "deleted-point", "no-point"]))
+    def test_observation_of_unknown_point_reports_its_line(self, tmp_path, edit, message,
+                                                           warm):
+        # Each images.txt observation names -1 or a point of points3D.txt;
+        # lines 1-6 are images.txt's, 7-8 points3D.txt's.
+        good_scene(tmp_path, warm)
+        images, points = (tmp_path / "images.txt"), (tmp_path / "points3D.txt")
+        lines = images.read_text().splitlines() + points.read_text().splitlines()
+        for no, line in edit.items():
+            lines[no - 1] = line
+        images.write_text("".join(line + "\n" for line in lines[:6]))
+        points.write_text("".join(line + "\n" for line in lines[6:] if line is not None))
+        if message is None:
+            assert len(load_scene(tmp_path).points) == 1
+            return
+        with pytest.raises(DanglingReferenceError) as err:
+            load_scene(tmp_path)
+        assert str(err.value) == f"{images}:{message}"
+
     @pytest.mark.parametrize("name, line_no, line, warm", cold_and_warm([
         ("images.txt", 3, "9223372036854775808 1 0 0 0 0 0 0 1 img0.png"),
         ("images.txt", 4, "50 50 9223372036854775807 50 50 -9223372036854775809"),
