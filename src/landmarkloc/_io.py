@@ -236,9 +236,10 @@ class Sidecar:
     64 bytes from the start. A load reads it once and makes its columns
     views of that one buffer, after checking the header against columns,
     the key, the layout and the CRC-32. A copy that is missing, stale, cut,
-    corrupted or foreign only means a parse. Each text file and the copy is
-    written to a temp file and renamed into place (_replacing), and an
-    OSError while writing the copy leaves no copy and is not raised.
+    corrupted, foreign or of columns that do not fit (kept as the writer gave
+    them) only means a parse. Each text file and the copy is written to a
+    temp file and renamed into place (_replacing), and an OSError while
+    writing the copy leaves no copy and is not raised.
     """
 
     def __init__(self, path, files, sources, columns):
@@ -291,12 +292,6 @@ class Sidecar:
         if h is not None:
             self._store(h.digest(), columns)
 
-    def _fits(self, columns) -> bool:
-        return columns.keys() == self.columns.keys() and all(
-            columns[name].dtype == dtype and columns[name].shape[1:] == row
-            and columns[name].ndim == 1 + len(row)
-            for name, (dtype, row) in self.columns.items())
-
     def _load(self, key):
         """The columns kept under key, as views of one read of the copy into
         a buffer that starts at a multiple of _ALIGN bytes, or None."""
@@ -312,9 +307,7 @@ class Sidecar:
             return None
 
     def _store(self, key, columns) -> None:
-        """Keep columns under key; nothing when they do not fit self.columns."""
-        if not self._fits(columns):
-            return
+        """Keep columns under key (unpack refuses them if they do not fit)."""
         with contextlib.suppress(OSError), _replacing(self.path) as fh:  # a read-only directory
             for chunk in pack(key, columns):
                 fh.write(chunk)

@@ -454,13 +454,13 @@ def cmd_evaluate(args) -> int:
         _refuse_overflow(2, clouds[0], (path, "camera centres", poses.center[ok]))
         runs.append(RunRecord(label, poses, model, detections=detections, landmarks=landmarks,
                               sec_per_image=meta.get("sec_per_image", float("nan"))))
-    report = build_report(runs, args.rot_thresh, args.pos_thresh)
     if detections is not None:
         for path, run in zip(args.estimates, runs):
             unposed = detections.images[~np.isin(detections.images, run.poses.ids)]
             if len(unposed):
                 raise DataError(f"{path}: no pose line for image {unposed.min()}, which has "
                                 f"detections in {args.detections}")
+    report = build_report(runs, args.rot_thresh, args.pos_thresh)
     text = report_to_text(report)
     _io.write_text(args.out, [text])
     if args.csv:

@@ -20,7 +20,6 @@ from .landmarks import LandmarkSet
 from .scene_model import (
     Intrinsics,
     Pose,
-    _check_pose,
     _cross,
     _posed_rows,
     _uv,
@@ -110,7 +109,8 @@ class PoseTable:
     num_inliers (N,) int64, mean_reproj_px (N,) and the camera centres center
     (N, 3), as ImageSet has them; R, t and center are NaN where the status is
     not ok. The constructor takes rows in any order and checks that no id
-    repeats, that each status is known and that Pose accepts each ok pose."""
+    repeats, that each status is known, that each ok row holds a pose
+    (_valid_poses) and that none breaks _counts_rule."""
 
     def __init__(self, ids, status, R, t, num_inliers, mean_reproj_px):
         status = np.array(status, dtype=object).reshape(-1)
@@ -121,6 +121,9 @@ class PoseTable:
         self.status, n = tuple(status[order]), len(order)
         self.num_inliers = np.asarray(num_inliers, dtype=np.int64).reshape(n)[order]
         self.mean_reproj_px = np.asarray(mean_reproj_px, dtype=np.float64).reshape(n)[order]
+        bad = _counts_rule(self.num_inliers, self.mean_reproj_px, status[order] == STATUS_OK)
+        if bad.any():
+            raise ValueError(f"image {self.ids[np.argmax(bad)]}: {_COUNTS_ERROR}")
         self.num_inliers.flags.writeable = self.mean_reproj_px.flags.writeable = False
 
     def __len__(self):
@@ -138,6 +141,13 @@ class PoseTable:
 
 # R and t of a row without a pose.
 _NAN_R, _NAN_T = np.full((3, 3), np.nan), np.full(3, np.nan)
+_COUNTS_ERROR = "negative inlier count or mean reprojection error"
+
+
+def _counts_rule(num_inliers, mean_reproj_px, ok):
+    """Rows (arrays, or one row's scalars) with a negative inlier count, or ok
+    with a negative mean error."""
+    return (num_inliers < 0) | (ok & (mean_reproj_px < 0))
 
 
 def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
@@ -733,7 +743,8 @@ def save_poses(poses: PoseTable, path, sec_per_image: float | None = None) -> No
 
 def load_poses(path):
     """Inverse of save_poses. Returns (PoseTable, metadata dict), the
-    metadata holding sec_per_image when the file states it."""
+    metadata holding sec_per_image when the file states it. A line that
+    PoseTable would refuse raises MalformedFileError at path:line."""
     rows, seen, meta = [], set(), {}
     with _io.lines(path) as src:
         for tokens in src:
@@ -755,10 +766,13 @@ def load_poses(path):
                 raise ValueError(f"unknown status {status!r}")
             # save_poses writes nan in place of a missing pose.
             vals = [float(tok) for tok in tokens[1:8] + tokens[10:]]
-            R, t = _NAN_R, _NAN_T
-            if status == STATUS_OK:
-                R, t = _check_pose(qvec2rotmat(vals[:4]), np.array(vals[4:7]))
+            R, t, ok = _NAN_R, _NAN_T, status == STATUS_OK
+            if ok:
+                T = Pose(qvec2rotmat(vals[:4]), vals[4:7])
+                R, t = T.R, T.t
                 _io.finite("reprojection error", vals[7])
+            if _counts_rule(num_inliers, vals[7], ok):
+                raise ValueError(_COUNTS_ERROR)
             rows.append((iid, status, R, t, num_inliers, vals[7]))
     ids, status, R, t, num_inliers, mean_reproj_px = zip(*rows) if rows else [()] * 6
     return PoseTable(ids, status, R, t, num_inliers, mean_reproj_px), meta

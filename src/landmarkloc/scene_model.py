@@ -6,13 +6,13 @@ PointSet; every stage reads the images' stacked poses and camera centres.
 _uv is the one place the pinhole model is written; _pixel adds the in-image
 mask. project_many is the pinhole projection of arrays of points; the
 visibility test and the synthetic scene generator make its product for a
-block of images at once (visibility._pairs_in_view). project is the
-one-point case of _pixel on _camera_frame rows, which the detection simulator
-projects; the synthetic scene generator makes the same row products with one
-rotation per row. The pose solver, which discards the
-mask, applies _uv: to the same camera-frame product as project_many in its
+block of images at once (visibility._pairs_in_view). The detection simulator
+applies _pixel to _camera_frame rows; the synthetic scene generator makes the
+same row products with one rotation per row. The pose solver, which discards
+the mask, applies _uv: to the same camera-frame product as project_many in its
 residuals and Jacobian (pose._residuals), and to stacked poses when it scores
-P3P hypotheses (pose._stacked_errors).
+P3P hypotheses (pose._stacked_errors). _valid_poses is the one pose rule, of
+Pose, ImageSet, pose.PoseTable, pose.load_poses and P3P.
 
 Conventions used by every module in this package:
   - poses are world-to-camera: p_cam = R @ p_world + t, camera center = -R^T t
@@ -37,6 +37,7 @@ from .errors import (
 )
 
 _ORTHO_TOL = 1e-9
+_EYE = np.eye(3)
 
 
 def qvec2rotmat(qvec: np.ndarray) -> np.ndarray:
@@ -162,28 +163,25 @@ class Intrinsics:
         )
 
 
-def _check_pose(R: np.ndarray, t: np.ndarray) -> tuple:
-    """R (3, 3) and t as (3,), or the ValueError that Pose raises for them."""
-    t = t.reshape(3)
-    # The tolerance tests below are False for NaN, so check finiteness first.
-    if not (np.isfinite(R).all() and np.isfinite(t).all()):
-        raise ValueError("R and t must be finite")
-    if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_TOL:
-        raise ValueError("R is not orthogonal within 1e-9")
-    if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
-        raise ValueError("det(R) != +1 within 1e-9")
-    return R, t
+def _valid_poses(R, t):
+    """Which stacked R (N, 3, 3) and t (N, 3) are a pose: finite, R orthogonal
+    with det +1, each within 1e-9."""
+    with np.errstate(over="ignore", invalid="ignore"):  # in rows that are refused
+        err = np.concatenate([(np.matmul(R.transpose(0, 2, 1), R) - _EYE).reshape(-1, 9),
+                              np.linalg.det(R)[:, None] - 1.0, t * 0.0], axis=1)
+    return np.abs(err).max(1) <= _ORTHO_TOL  # a value that is not finite leaves inf or NaN
 
 
 class Pose:
-    """World-to-camera rigid transform (R, t)."""
+    """World-to-camera rigid transform (R, t), which _valid_poses accepts."""
 
     __slots__ = ("R", "t")
 
     def __init__(self, R: np.ndarray, t: np.ndarray):
-        R, t = _check_pose(np.array(R, dtype=np.float64), np.array(t, dtype=np.float64))
-        R.flags.writeable = False
-        t.flags.writeable = False
+        R, t = np.array(R, dtype=np.float64), np.array(t, dtype=np.float64).reshape(3)
+        if not _valid_poses(R[None], t[None])[0]:
+            raise ValueError("R and t are not a finite pose")
+        R.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
@@ -214,9 +212,9 @@ class Pose:
 
 
 class PointSet:
-    """3D points as columns in file order: ids (P,) int64, xyz (P, 3), rgb
-    (P, 3) int64, and the tracks back to back, image_ids (M,) int64 and uv
-    (M, 2) pixels, point k's at offsets[k]:offsets[k + 1] in track order.
+    """3D points as read-only columns in file order: ids (P,) int64, xyz (P,
+    3), rgb (P, 3) int64, and the tracks back to back, image_ids (M,) int64 and
+    uv (M, 2) pixels, point k's at offsets[k]:offsets[k + 1] in track order.
     The constructor takes track lengths and checks that the columns pair up,
     that no track is empty or id repeated, and that every value is finite."""
 
@@ -239,6 +237,8 @@ class PointSet:
             raise ValueError(f"repeated point id {sorted_ids[np.argmax(count > 1)]}")
         if not (np.isfinite(self.xyz).all() and np.isfinite(self.uv).all()):
             raise ValueError("non-finite point position or observation")
+        for column in (self.ids, self.xyz, self.rgb, self.image_ids, self.uv, self.offsets):
+            column.flags.writeable = False
 
     def __len__(self):
         return len(self.ids)
@@ -249,19 +249,11 @@ class PointSet:
         return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
 
-def _valid_poses(R, t):
-    """Which stacked (R, t) Pose accepts: finite, R orthogonal with det +1."""
-    ok = np.isfinite(R).all((1, 2)) & np.isfinite(t).all(1)
-    ortho = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max((1, 2))
-    # fmax, as `not a > tol and not b > tol`, lets a NaN of one side pass.
-    return ok & ~(np.fmax(ortho, np.abs(np.linalg.det(R) - 1.0)) > _ORTHO_TOL)
-
-
 def _posed_rows(ids, R, t, posed) -> tuple:
     """The rows' order by id, then in that order the read-only columns ids
     (N,) int64, R (N, 3, 3), t (N, 3) and center (N, 3) = -R^T t, with the bits
     of Pose.center. Rows that the mask posed (N,) leaves out are NaN. A
-    ValueError when an id repeats or Pose would refuse a posed row's pose."""
+    ValueError when an id repeats or _valid_poses refuses a posed row."""
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     n, order = len(ids), np.argsort(ids, kind="stable")
     ids = ids[order]
@@ -287,7 +279,8 @@ class ImageSet:
     camera_ids (N,) int64, world-to-camera poses R (N, 3, 3) and t (N, 3),
     names (a tuple of N str) and center (N, 3), each camera centre -R^T t with
     the bits of Pose.center. The constructor takes rows in any order and checks
-    that the columns pair up, that no id repeats and that Pose accepts each pose."""
+    that the columns pair up, that no id repeats and that each pose is one
+    (_valid_poses)."""
 
     def __init__(self, ids, camera_ids=(), R=(), t=(), names=()):
         order, self.ids, self.R, self.t, self.center = _posed_rows(
@@ -362,13 +355,6 @@ def _camera_frame(T: Pose, pts: np.ndarray) -> np.ndarray:
     on its row: one 3x3 by 3-vector product per row. The gemm of
     pts @ T.R.T sums in another order and differs in the last bit."""
     return np.matmul(T.R, pts[:, :, None])[:, :, 0] + T.t
-
-
-def project(K: Intrinsics, T: Pose, p: np.ndarray):
-    """Project one world point; the pixel (u, v), or None when not in view.
-    The one-point case of _pixel on _camera_frame rows."""
-    u, v, inside = _pixel(K, *_camera_frame(T, np.reshape(p, (1, 3))).T)
-    return np.array([u[0], v[0]]) if inside[0] else None
 
 
 def project_many(K: Intrinsics, T: Pose, pts: np.ndarray):

@@ -23,7 +23,6 @@ from .scene_model import (
     SceneModel,
     _pixel,
     look_at_pose,
-    project_many,
     save_scene,
 )
 from .visibility import VisibilityTable, _pair_blocks, _pairs_in_view, save_visibility
@@ -236,7 +235,7 @@ def _observations(mesh: TriangleMesh, K: Intrinsics, images: ImageSet, sites: np
     pair in view), which bounds its own steps; every hit distance has the
     bits of a per-image pass that casts all sites of an image at once. The
     pixels are computed for the visible pairs only, _PAIR_BLOCK at a time,
-    from stacked R @ site rows, with the bits of _camera_frame and project.
+    from stacked R @ site rows, with the bits of _pixel on _camera_frame rows.
     """
     R, t = images.R, images.t
     RT = R.transpose(0, 2, 1)  # has the layout of Pose.R.T
@@ -258,21 +257,6 @@ def _observations(mesh: TriangleMesh, K: Intrinsics, images: ImageSet, sites: np
         uv[rows, 0], uv[rows, 1], _ = _pixel(
             K, *(np.matmul(R[k], sites[i][:, :, None])[:, :, 0] + t[k]).T)
     return vis, uv
-
-
-def raycast_visibility_oracle(scene: SynthScene, xyz, image_id: int) -> bool:
-    """Exact visibility of the point xyz: in front, inside the extent, and the
-    first mesh hit along the camera-to-point ray lies within 1e-6 m of it."""
-    xyz = np.asarray(xyz, dtype=float)
-    T = scene.model.images.pose(image_id)
-    _, valid = project_many(scene.model.camera(image_id), T, xyz[None, :])
-    if not valid[0]:
-        return False
-    origin = T.center
-    direction = xyz - origin
-    dist = float(np.linalg.norm(direction))
-    t_hit, _ = ray_cast(scene.mesh, origin, direction / dist)
-    return abs(float(t_hit[0]) - dist) < 1e-6
 
 
 def write_scene(scene: SynthScene, out_dir) -> None:

@@ -9,9 +9,9 @@ with the mesh normal seen at that pixel. Its pixel is the nearest pixel
 centre of the image grid at 1/decimation resolution. compute_visibility
 works on the (landmark, image) pairs in view, a block of images at a time,
 and reads the mesh there with one first-hit ray per pair, a block's rays to
-one ray cast; rasterize_depth renders the same depth and normal for every
-pixel of an image, and is_visible tests a landmark against such a map. Both
-paths end in the one occlusion test, _visible.
+one ray cast, and _visible, the one occlusion test, compares them.
+rasterize_depth renders the same depth and normal for every pixel of an
+image; no stage calls it.
 """
 
 from __future__ import annotations
@@ -358,29 +358,6 @@ def _visible(z: np.ndarray, depth: np.ndarray, normal: np.ndarray,
     ok_depth = np.isfinite(depth) & (np.abs(depth - z) <= tol)
     cosang = np.einsum("ij,ij->i", normal, ref_normal)
     return ok_depth & (cosang >= math.cos(math.radians(cfg.tol_normal_deg)))
-
-
-def is_visible(
-    p: np.ndarray,
-    K: Intrinsics,
-    T: Pose,
-    dm: DepthMap,
-    ref_normal: np.ndarray,
-    cfg: VisibilityConfig = VisibilityConfig(),
-) -> bool:
-    """Occlusion test for a single landmark against a rasterized depth map.
-
-    ref_normal is the landmark's world-frame reference surface normal,
-    assigned at table-build time from the mesh; it need not be unit length.
-    """
-    n = np.asarray(ref_normal, dtype=np.float64)
-    n = n / max(np.linalg.norm(n), 1e-12)
-    cam = T.apply(np.asarray(p, dtype=np.float64).reshape(1, 3))
-    u, v, inside = _pixel(K, *cam.T)
-    if not inside[0]:
-        return False
-    depth, normal = dm.lookup(np.column_stack([u, v]))
-    return bool(_visible(cam[:, 2], depth, normal, n[None] @ T.R.T, cfg)[0])
 
 
 def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: float):

@@ -6,7 +6,15 @@ import pytest
 from landmarkloc import _io
 from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.mesh import ray_cast
-from landmarkloc.scene_model import ImageSet, Intrinsics, Pose, PointSet, SceneModel
+from landmarkloc.scene_model import (
+    ImageSet,
+    Intrinsics,
+    PointSet,
+    Pose,
+    SceneModel,
+    _camera_frame,
+    _pixel,
+)
 
 
 def random_rotation(rng):
@@ -21,6 +29,14 @@ def random_rotation(rng):
             [2 * x * z - 2 * w * y, 2 * y * z + 2 * w * x, 1 - 2 * x * x - 2 * y * y],
         ]
     )
+
+
+def project(K, T, p):
+    """Project one world point; the pixel (u, v), or None when not in view.
+    The one-point case of _pixel on _camera_frame rows, as the detection
+    simulator projects."""
+    u, v, inside = _pixel(K, *_camera_frame(T, np.reshape(p, (1, 3))).T)
+    return np.array([u[0], v[0]]) if inside[0] else None
 
 
 def make_intrinsics(f=100.0, c=50.0, size=100):

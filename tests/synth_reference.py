@@ -1,7 +1,8 @@
 """The per-image observation loop that synth._observations replaced, kept as
 its referee: every site projected twice and cast from every camera, one
-ray_cast per image, and a dense (site, image) pixel array. Also the scene
-writer with one f-string per observation and per track entry."""
+ray_cast per image, and a dense (site, image) pixel array. Also the ray-cast
+visibility oracle of one point in one image, and the scene writer with one
+f-string per observation and per track entry."""
 
 from __future__ import annotations
 
@@ -29,6 +30,21 @@ def observations_per_image(mesh, K, images, sites):
         t_hit, _ = ray_cast(mesh, np.tile(origin, (n_sites, 1)), dirs / dists[:, None])
         vis[:, j] = valid & (np.abs(t_hit - dists) < 1e-6)
     return vis, uv[vis]
+
+
+def raycast_visibility_oracle(scene, xyz, image_id: int) -> bool:
+    """Exact visibility of the point xyz: in front, inside the extent, and the
+    first mesh hit along the camera-to-point ray lies within 1e-6 m of it."""
+    xyz = np.asarray(xyz, dtype=float)
+    T = scene.model.images.pose(image_id)
+    _, valid = project_many(scene.model.camera(image_id), T, xyz[None, :])
+    if not valid[0]:
+        return False
+    origin = T.center
+    direction = xyz - origin
+    dist = float(np.linalg.norm(direction))
+    t_hit, _ = ray_cast(scene.mesh, origin, direction / dist)
+    return abs(float(t_hit[0]) - dist) < 1e-6
 
 
 def save_scene_per_observation(model, path):

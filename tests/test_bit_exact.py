@@ -40,14 +40,21 @@ from landmarkloc.scene_model import (
     Pose,
     SceneModel,
     _camera_frame,
+    _pixel,
     axis_angle_to_matrix,
     bearing,
-    project,
 )
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import landmark_reference_normals
 
-from conftest import correspondences, landmark_set, p3p_in_blocks, random_rotation, track
+from conftest import (
+    correspondences,
+    landmark_set,
+    p3p_in_blocks,
+    project,
+    random_rotation,
+    track,
+)
 from detection_reference import detection_errors_ref
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref, prosac_samples_ref
 from test_pose import pnp_scene
@@ -122,11 +129,13 @@ def test_camera_frame_rows_match_apply_and_project():
     for _ in range(4):
         T = Pose(random_rotation(rng), rng.normal(size=3))
         cam = _camera_frame(T, pts)
-        for p, row in zip(pts, cam):
+        # _pixel on the rows, as the detection simulator projects them.
+        u, v, inside = _pixel(K, *cam.T)
+        for p, row, uv, seen in zip(pts, cam, np.column_stack([u, v]), inside):
             assert (row == T.apply(p)).all()
-            uv, ref = project(K, T, p), project_ref(K, T, p)
-            assert (uv is None) == (ref is None)
-            if uv is not None:
+            ref = project_ref(K, T, p)
+            assert (not seen) == (ref is None)
+            if seen:
                 assert tuple(uv) == ref
                 in_view += 1
     assert in_view > 2000

@@ -786,6 +786,24 @@ class TestPipelineCommands:
                                            f"{dets}\n")
         assert not out.exists()
 
+    def test_evaluate_checks_pose_lines_before_the_report(self, scene_dir, pipeline, tmp_path,
+                                                          monkeypatch, capsys):
+        # The missing pose line is found before any report is built.
+        _, dets, poses = pipeline
+        cut = tmp_path / "cut.txt"
+        cut.write_text("".join(poses.read_text().splitlines(keepends=True)[:-1]))
+        missing = poses.read_text().splitlines()[-1].split()[0]
+
+        def no_report(*args):
+            raise AssertionError("build_report ran")
+
+        monkeypatch.setattr(cli, "build_report", no_report)
+        rc = main(["evaluate", "--scene", str(scene_dir / "scene"), "--estimates", str(cut),
+                   "--detections", str(dets), "--out", str(tmp_path / "report.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"data error: {cut}: no pose line for image "
+                                           f"{missing}, which has detections in {dets}\n")
+
     @pytest.mark.parametrize("target", ["report.txt", "report.csv", "errors.csv"])
     def test_evaluate_write_that_fails_leaves_the_old_files(self, scene_dir, pipeline, tmp_path,
                                                            monkeypatch, capsys, target):

@@ -25,7 +25,7 @@ from landmarkloc.detection import (
 )
 from landmarkloc.errors import DuplicateLandmarkError, MalformedFileError
 from landmarkloc.pose import localize
-from landmarkloc.scene_model import Intrinsics, Pose, SceneModel, project
+from landmarkloc.scene_model import Intrinsics, Pose, SceneModel
 from landmarkloc.visibility import VisibilityTable
 
 from conftest import (
@@ -35,6 +35,7 @@ from conftest import (
     landmark_set,
     loads_both_ways,
     points_from_pairs,
+    project,
     read_only_open,
 )
 from detection_reference import merge_sets_ref

@@ -22,9 +22,16 @@ from landmarkloc.evaluation import (
     rotation_error,
 )
 from landmarkloc.pose import PoseEstimate, PoseTable
-from landmarkloc.scene_model import Pose, SceneModel, project
+from landmarkloc.scene_model import Pose, SceneModel
 
-from conftest import image_set, landmark_set, make_intrinsics, points_from_pairs, random_rotation
+from conftest import (
+    image_set,
+    landmark_set,
+    make_intrinsics,
+    points_from_pairs,
+    project,
+    random_rotation,
+)
 
 
 def axis_rotation(axis, deg):

@@ -25,10 +25,10 @@ from landmarkloc.pose import (
     reprojection_errors,
     save_poses,
 )
-from landmarkloc.scene_model import Intrinsics, Pose, project, project_many
+from landmarkloc.scene_model import ImageSet, Intrinsics, Pose, project_many
 from landmarkloc.synth import SynthConfig, generate_scene
 
-from conftest import correspondences, landmark_set, p3p_in_blocks, random_rotation
+from conftest import correspondences, landmark_set, p3p_in_blocks, project, random_rotation
 from lm_reference import localize_two_pass, pose_residuals_jacobian_ref, refine_pose_ref
 from quartic_p3p import quartic_p3p_solve
 from scalar_lambda_twist import _cubic_root as scalar_cubic_root, prosac_ref
@@ -869,6 +869,60 @@ class TestPoseTable:
         row = sorted(columns["ids"]).index(columns["ids"][k])
         assert np.isnan(PoseTable(**columns).R[row]).all()
 
+    @pytest.mark.parametrize("change, image", [
+        (dict(num_inliers=[40, 3, -1]), 9),               # an ok row's inlier count
+        (dict(num_inliers=[40, -3, 25]), 2),              # a failed row's inlier count
+        (dict(mean_reproj_px=[-0.5, float("nan"), 0.25]), 5),  # an ok row's error
+    ], ids=["ok-inliers", "failed-inliers", "ok-error"])
+    def test_negative_counts_rejected(self, change, image):
+        with pytest.raises(ValueError, match=f"image {image}: negative inlier count or mean "
+                                             "reprojection error"):
+            PoseTable(**three_poses(**change))
+
+    def test_failed_row_may_have_a_negative_error(self):
+        table = PoseTable(**three_poses(mean_reproj_px=[0.5, -1.0, 0.25]))
+        assert table.mean_reproj_px[0] == -1.0
+
+
+def off_orthogonal(d):
+    """diag(1 + d, 1, 1), whose R^T R is off the identity by 2d + d^2."""
+    return np.diag([1.0 + d, 1.0, 1.0])
+
+
+def test_boundary_rows_straddle_the_tolerance():
+    for d, below in ((0.4999e-9, True), (0.5001e-9, False)):
+        R = off_orthogonal(d)
+        assert (np.abs(R.T @ R - np.eye(3)).max() < 1e-9) == below
+
+
+@pytest.mark.parametrize("R, t, accepted", [
+    (2.0 * np.eye(3), np.zeros(3), False),
+    (np.diag([1.0, 1.0, -1.0]), np.zeros(3), False),
+    (np.eye(3), np.array([0.0, np.nan, 0.0]), False),
+    (off_orthogonal(0.4999e-9), np.zeros(3), True),
+    (off_orthogonal(0.5001e-9), np.zeros(3), False),
+], ids=["not-orthogonal", "reflection", "non-finite", "just-under-1e-9", "just-over-1e-9"])
+def test_one_pose_rule(tmp_path, monkeypatch, R, t, accepted):
+    # Pose, ImageSet, PoseTable and a one-line poses.txt accept the same
+    # poses, and refuse the others with the same message. The file holds a
+    # quaternion, which names only rotations, so load_poses is handed R in
+    # place of the rotation of its quaternion.
+    def accepts(make):
+        try:
+            make()
+        except (ValueError, MalformedFileError) as exc:
+            assert "R and t are not a finite pose" in str(exc)
+            return False
+        return True
+
+    monkeypatch.setattr(pose_module, "qvec2rotmat", lambda qvec: R)
+    path = tmp_path / "poses.txt"
+    path.write_text(f"1 1 0 0 0 {' '.join(map(str, t.tolist()))} ok 10 0.5\n")
+    assert [accepts(lambda: Pose(R, t)),
+            accepts(lambda: ImageSet([1], [1], [R], [t], ["a.png"])),
+            accepts(lambda: PoseTable([1], ["ok"], [R], [t], [10], [0.5])),
+            accepts(lambda: load_poses(path))] == [accepted] * 4
+
 
 class TestPoseIO:
     def test_roundtrip(self, tmp_path):
@@ -902,6 +956,9 @@ class TestPoseIO:
         "1 1 0 0 0 0 0 inf ok 12 0.5",           # non-finite translation
         "1 0 0 0 0 0 0 1 ok 12 0.5",             # zero quaternion
         "1 1 0 0 0 0 0 1 ok 12 x",               # mean_reproj_px
+        "1 1 0 0 0 0 0 1 ok -22 1.12",           # negative num_inliers
+        "1 nan nan nan nan nan nan nan degenerate -1 nan",  # ... of a failed image
+        "1 1 0 0 0 0 0 1 ok 12 -0.5",            # negative mean_reproj_px of an ok pose
         "# sec_per_image=abc",                   # header
     ])
     def test_bad_line_reports_location(self, tmp_path, line):

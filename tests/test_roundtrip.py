@@ -202,13 +202,15 @@ def pose_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = draw(st.lists(INT64, max_size=5, unique=True))
     status = [draw(st.sampled_from(STATUSES)) for _ in ids]
-    # The error of an image that is not ok may be NaN; an ok image's is finite.
-    errors = [draw(FINITE if s == "ok" else st.one_of(FINITE, st.just(float("nan"))))
+    # The error of an image that is not ok may be NaN or negative; an ok
+    # image's is finite and >= 0, and no inlier count is negative.
+    errors = [draw(FINITE.map(abs) if s == "ok" else st.one_of(FINITE, st.just(float("nan"))))
               for s in status]
     return PoseTable(ids, status, [random_rotation(rng) for _ in ids],
                      np.reshape(draw(st.lists(FINITE, min_size=3 * len(ids),
                                               max_size=3 * len(ids))), (-1, 3)),
-                     draw(st.lists(INT64, min_size=len(ids), max_size=len(ids))), errors)
+                     draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(ids),
+                                   max_size=len(ids))), errors)
 
 
 @given(pose_tables(), st.one_of(st.none(), FINITE))

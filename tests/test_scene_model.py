@@ -22,7 +22,6 @@ from landmarkloc.scene_model import (
     bearing,
     load_scene,
     look_at_pose,
-    project,
     project_many,
     qvec2rotmat,
     rotmat2qvec,
@@ -38,6 +37,7 @@ from conftest import (
     make_minimal_model,
     outcome,
     points_from_pairs,
+    project,
     random_rotation,
     read_only_open,
     rename_image,
@@ -85,6 +85,14 @@ def assert_same_model(a, b):
     for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
         x, y = getattr(a.points, name), getattr(b.points, name)
         assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        assert not x.flags.writeable
+
+
+def with_value(column, index, value):
+    """A writable copy of a read-only column, value set at index."""
+    column = column.copy()
+    column[index] = value
+    return column
 
 
 def project_oracle(K, R, t, p):
@@ -304,6 +312,13 @@ class TestPointSet:
         assert points.offsets.tolist() == [0, 3, 4]
         assert points.image_ids.tolist() == [3, 1, 3, 2]  # track order is kept
         assert points.owner.tolist() == [0, 0, 0, 1]
+        for name in ("ids", "xyz", "rgb", "offsets", "image_ids", "uv"):
+            assert not getattr(points, name).flags.writeable
+
+    def test_given_arrays_stay_writable(self):
+        xyz, uv = np.zeros((2, 3)), np.zeros((4, 2))
+        PointSet(**two_points(xyz=xyz, uv=uv))
+        assert xyz.flags.writeable and uv.flags.writeable
 
     def test_empty_set(self):
         points = PointSet([], [], [], [], [], [])
@@ -854,8 +869,8 @@ class TestWriterCopy:
         lambda m: rename_image(m, 1, ""),
         lambda m: setattr(m, "intrinsics", {1.0: m.intrinsics[1]}),
         lambda m: m.intrinsics.update({1: Intrinsics(1e308, 100.0, 50.0, 50.0, 100, 100)}),
-        lambda m: m.points.xyz.__setitem__((0, 1), np.inf),
-        lambda m: m.points.uv.__setitem__((1, 0), np.nan),
+        lambda m: setattr(m.points, "xyz", with_value(m.points.xyz, (0, 1), np.inf)),
+        lambda m: setattr(m.points, "uv", with_value(m.points.uv, (1, 0), np.nan)),
         lambda m: setattr(m, "intrinsics", {True: m.intrinsics[1]}),
     ], ids=["double-space", "leading-space", "tab", "carriage-return", "empty-name",
             "float-camera", "focal-overflows", "inf-position", "nan-observation", "bool-camera"])

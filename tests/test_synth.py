@@ -8,17 +8,13 @@ import landmarkloc.synth as synth
 import landmarkloc.visibility as visibility
 from landmarkloc.landmarks import load_landmarks
 from landmarkloc.mesh import _RAY_BLOCK, load_mesh
-from landmarkloc.scene_model import Intrinsics, load_scene, project, project_many, save_scene
-from landmarkloc.synth import (
-    SynthConfig,
-    generate_scene,
-    raycast_visibility_oracle,
-    write_scene,
-)
+from landmarkloc.scene_model import Intrinsics, load_scene, project_many, save_scene
+from landmarkloc.synth import SynthConfig, generate_scene, write_scene
 from landmarkloc.visibility import load_visibility
 
 import synth_reference
-from conftest import record_ray_casts, record_ray_steps, sorted_rows
+from conftest import project, record_ray_casts, record_ray_steps, sorted_rows
+from synth_reference import raycast_visibility_oracle
 
 
 def small_cfg(**kw):

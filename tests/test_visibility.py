@@ -13,7 +13,6 @@ from landmarkloc.scene_model import (
     Pose,
     SceneModel,
     look_at_pose,
-    project,
     project_many,
 )
 from landmarkloc.visibility import (
@@ -24,7 +23,6 @@ from landmarkloc.visibility import (
     _visible,
     compute_visibility,
     estimate_affine_alignment,
-    is_visible,
     landmark_reference_normals,
     load_visibility,
     rasterize_depth,
@@ -38,12 +36,14 @@ from conftest import (
     loads_both_ways,
     make_intrinsics,
     points_from_pairs,
+    project,
     random_rotation,
     record_ray_casts,
     record_ray_steps,
     same_table,
     sorted_rows,
 )
+from visibility_reference import is_visible
 
 
 def copy_of(path):

@@ -1,5 +1,6 @@
 """The per-image visibility pass that compute_visibility replaced, kept as
-its referee: one projection, one sampler and one ray_cast per image, and the
+its referee: one projection, one sampler and one ray_cast per image. Also the
+occlusion test of one landmark against a rasterized depth map, and the
 visibility writer with one flatnonzero per landmark."""
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from dataclasses import asdict
 import numpy as np
 
 from landmarkloc.mesh import ray_cast
-from landmarkloc.scene_model import project_many
+from landmarkloc.scene_model import _pixel, project_many
 from landmarkloc.visibility import (
     VisibilityConfig,
     VisibilityTable,
     _decimated,
     _snap,
+    _visible,
     landmark_reference_normals,
 )
 
@@ -64,6 +66,23 @@ def visible_in_image(K, T, sample, xyz, ref_normals, cfg, candidates=True):
     cosang = np.einsum("ij,ij->i", n_pix, ref)
     out[valid] = ok_depth & (cosang >= math.cos(math.radians(cfg.tol_normal_deg)))
     return out
+
+
+def is_visible(p, K, T, dm, ref_normal, cfg=VisibilityConfig()) -> bool:
+    """Occlusion test for a single landmark against a rasterized depth map
+    dm (visibility.DepthMap).
+
+    ref_normal is the landmark's world-frame reference surface normal,
+    assigned at table-build time from the mesh; it need not be unit length.
+    """
+    n = np.asarray(ref_normal, dtype=np.float64)
+    n = n / max(np.linalg.norm(n), 1e-12)
+    cam = T.apply(np.asarray(p, dtype=np.float64).reshape(1, 3))
+    u, v, inside = _pixel(K, *cam.T)
+    if not inside[0]:
+        return False
+    depth, normal = dm.lookup(np.column_stack([u, v]))
+    return bool(_visible(cam[:, 2], depth, normal, n[None] @ T.R.T, cfg)[0])
 
 
 def compute_visibility_per_image(model, mesh, ls, cfg=VisibilityConfig()):
