@@ -33,7 +33,8 @@ class lines:
     lines of a text file, each split on sep (whitespace when None).
 
     src.no is the number of the line being handled; after the loop, of the
-    last line of the file. A ValueError raised inside the block leaves it as
+    last line of the file, and src.ended says whether that line ends with a
+    line end (refuse_cut). A ValueError raised inside the block leaves it as
     MalformedFileError(path, src.no, message).
     """
 
@@ -42,13 +43,14 @@ class lines:
         self.sep = sep
         self.errors = errors
         self.no = 0
+        self.ended = True
 
     def __enter__(self):
         self._fh = open(self.path, encoding="utf-8", errors=self.errors)
         return self
 
     def __iter__(self):
-        numbered = enumerate(self._fh, start=1)
+        numbered, raw = enumerate(self._fh, start=1), "\n"
         if self.sep is None:
             # split() drops the line end itself and gives [] for a blank line.
             for self.no, raw in numbered:
@@ -60,6 +62,13 @@ class lines:
                 line = raw.strip()
                 if line:
                     yield line.split(self.sep)
+        self.ended = raw.endswith("\n")
+
+    def refuse_cut(self):
+        """A ValueError, after the loop, when the last line has no line end:
+        every writer ends each line with one, so the file was cut."""
+        if not self.ended:
+            raise ValueError("no line end: the file is cut")
 
     def __exit__(self, kind, exc, tb):
         self._fh.close()
@@ -85,6 +94,26 @@ def int64(what, *vals):
     if vals and not (-(1 << 63) <= min(vals) and max(vals) < 1 << 63):
         raise ValueError(f"{what} out of the int64 range")
     return vals
+
+
+def int64_column(what, values) -> np.ndarray:
+    """values, an int64 array as it is or any array or (nested) sequence, as a
+    contiguous int64 column; int64's error for a value that is no int64
+    integer. Values are checked before numpy casts them, since it casts 1.5
+    to 1 and np.asarray([2, True]) is already an int64 array."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+        values = np.asarray(values, dtype=object).reshape(-1).tolist()
+        int64(what, *values)
+    return np.ascontiguousarray(values, dtype=np.int64).reshape(-1)
+
+
+def refuse_repeats(column, message):
+    """A ValueError, message with {} replaced by the least value that the
+    int64 array column holds more than once, when it holds one."""
+    ordered = np.sort(column)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(twice):
+        raise ValueError(message.format(twice[0]))
 
 
 def fmt(x) -> str:

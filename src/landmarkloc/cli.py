@@ -179,10 +179,7 @@ def _apply_config(argv: list) -> list:
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config requires a path")
-    path = Path(argv[idx + 1])
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(argv[idx + 1], encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise DataError("config file must be a mapping")
@@ -297,10 +294,7 @@ def cmd_partition(args) -> int:
 
 def cmd_visibility(args) -> int:
     model = load_scene(args.scene)
-    mesh_path = Path(args.mesh)
-    if not mesh_path.exists():
-        raise DataError(f"mesh file not found: {mesh_path}")
-    mesh = load_mesh(mesh_path)
+    mesh = load_mesh(args.mesh)
     ls = load_landmarks(args.landmarks)
     cfg = VisibilityConfig(
         tol_depth=args.tol_depth,
@@ -309,7 +303,7 @@ def cmd_visibility(args) -> int:
         max_surface_dist=args.max_surface_dist,
         decimation=args.decimation,
     )
-    _refuse_overflow(4, (mesh_path, "vertex coordinates", mesh.vertices),
+    _refuse_overflow(4, (args.mesh, "vertex coordinates", mesh.vertices),
                      (args.landmarks, "landmark coordinates", ls.xyz),
                      (Path(args.scene) / "images.txt", "camera centres", model.images.center))
     vt = compute_visibility(model, mesh, ls, cfg)

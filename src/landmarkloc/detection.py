@@ -47,7 +47,7 @@ class DetectionSet:
 
     def __init__(self, image_id: int, landmark_ids, uv, confidence):
         _io.int64("image id", image_id)
-        ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
+        ids = _io.int64_column("landmark id", landmark_ids)
         table = DetectionTable(np.full(len(ids), image_id), ids, uv, confidence)
         self.image_id, self.landmark_ids, self.uv, self.confidence = (
             image_id, table.landmark_ids, table.uv, table.confidence)
@@ -75,9 +75,9 @@ class DetectionTable(Mapping):
     image id -> DetectionSet, views of its rows, in ascending id order."""
 
     def __init__(self, image_ids, landmark_ids, uv, confidence):
-        image = _int64_column("image id", image_ids)
+        image = _io.int64_column("image id", image_ids)
         n = len(image)
-        ids = _int64_column("landmark id", landmark_ids).reshape(n)
+        ids = _io.int64_column("landmark id", landmark_ids).reshape(n)
         uv = np.ascontiguousarray(uv, dtype=np.float64).reshape(n, 2)
         conf = np.ascontiguousarray(confidence, dtype=np.float64).reshape(n)
         if not np.isfinite(uv).all():
@@ -113,7 +113,7 @@ class DetectionTable(Mapping):
         if isinstance(detections, DetectionTable):
             return detections
         sets = list(detections.values())
-        keys = np.array(_io.int64("image id", *detections), np.int64)
+        keys = _io.int64_column("image id", list(detections))
         return cls(np.repeat(keys, [len(ds) for ds in sets]), *(
             np.concatenate([empty, *(getattr(ds, col) for ds in sets)]) for col, empty in (
                 ("landmark_ids", np.zeros(0, np.int64)), ("uv", np.zeros((0, 2))),
@@ -129,15 +129,6 @@ class DetectionTable(Mapping):
 
     def __len__(self):
         return len(self._rows)
-
-
-def _int64_column(what: str, values) -> np.ndarray:
-    """values as a contiguous int64 column; _io.int64's error for a value
-    that is no int64 integer."""
-    values = np.asarray(values)
-    if values.dtype != np.int64:
-        _io.int64(what, *values.reshape(-1).tolist())
-    return np.ascontiguousarray(values, dtype=np.int64).reshape(-1)
 
 
 def grid_shape(extent) -> tuple:

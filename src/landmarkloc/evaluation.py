@@ -16,25 +16,19 @@ from .detection import _BLOCK_ROWS, DetectionTable
 from .errors import DanglingReferenceError, InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK, PoseTable
-from .scene_model import ImageSet, Intrinsics, Pose, SceneModel, bearing
+from .scene_model import ImageSet, Intrinsics, Pose, SceneModel, _valid_poses, bearing
 
 DEFAULT_ROT_THRESH_DEG = 5.0
 DEFAULT_POS_THRESH_M = 0.05
 
 
-def _check_rotation(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3) or np.abs(R.T @ R - np.eye(3)).max() > tol:
-        raise InvalidRotationError("matrix is not orthogonal within 1e-6")
-    if abs(np.linalg.det(R) - 1.0) > tol:
-        raise InvalidRotationError("matrix determinant is not +1 within 1e-6")
-    return R
-
-
 def rotation_error(R: np.ndarray, R_hat: np.ndarray) -> float:
-    """Geodesic angle in degrees, arccos((Tr(R^T R_hat)-1)/2): _pose_errors of one pair."""
-    R = _check_rotation(R)
-    R_hat = _check_rotation(R_hat)
+    """Geodesic angle in degrees, arccos((Tr(R^T R_hat)-1)/2): _pose_errors of one pair.
+    An InvalidRotationError when R or R_hat is no rotation that _valid_poses accepts."""
+    R, R_hat = np.asarray(R, dtype=np.float64), np.asarray(R_hat, dtype=np.float64)
+    if R.shape != (3, 3) or R_hat.shape != (3, 3) or not _valid_poses(
+            np.stack([R, R_hat]), np.zeros((2, 3))).all():
+        raise InvalidRotationError("matrix is not a rotation within 1e-9")
     arg = (np.trace(R.T @ R_hat) - 1.0) / 2.0
     return math.degrees(math.acos(np.clip(arg, -1.0, 1.0)))
 

@@ -31,16 +31,14 @@ class LandmarkSet:
     up, no source point twice, finite positions and saliencies."""
 
     def __init__(self, source_point_ids, xyz, saliency, provenance=None):
-        self.source_point_ids = np.array(source_point_ids, dtype=np.int64).reshape(-1)
+        self.source_point_ids = np.array(_io.int64_column("source point id", source_point_ids))
         self.xyz = np.array(xyz, dtype=np.float64).reshape(-1, 3)
         self.saliency = np.array(saliency, dtype=np.float64).reshape(-1)
         n = len(self.source_point_ids)
         if len(self.xyz) != n or len(self.saliency) != n:
             raise ValueError(f"landmark columns differ in length: {n} source points, "
                              f"{len(self.xyz)} positions, {len(self.saliency)} saliencies")
-        sorted_ids, count = np.unique(self.source_point_ids, return_counts=True)
-        if (count > 1).any():
-            raise ValueError(f"source point {sorted_ids[np.argmax(count > 1)]} repeated")
+        _io.refuse_repeats(self.source_point_ids, "source point {} repeated")
         if not (np.isfinite(self.xyz).all() and np.isfinite(self.saliency).all()):
             raise ValueError("non-finite coordinate or saliency")
         for column in (self.source_point_ids, self.xyz, self.saliency):
@@ -224,7 +222,8 @@ def load_landmarks(path) -> LandmarkSet:
     """Read the file save_landmarks writes: `# provenance` lines, whose
     `k=v` tokens give the provenance, then one `id source_point_id x y z
     saliency` line per landmark, ids 0, 1, 2, ..., with an int64 source point
-    that no other line names and a finite position and saliency.
+    that no other line names and a finite position and saliency. The last
+    line ends with a line end, as every line save_landmarks writes does.
 
     When save_landmarks left the columns of these bytes beside the file, in
     .<name>.landmarkloc (an _io.Sidecar), the set is made from that copy
@@ -262,4 +261,5 @@ def _parse(path: Path) -> LandmarkSet:
             sources.append(source)
             xyz.append((x, y, z))
             saliency.append(s)
+        src.refuse_cut()
     return LandmarkSet(sources, xyz, saliency, provenance)

@@ -25,7 +25,7 @@ class TriangleMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        self.triangles = _io.int64_column("triangle index", self.triangles).reshape(-1, 3)
         if len(self.triangles) and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):

@@ -28,7 +28,7 @@ class PartitionAssignment:
     seed: int | None = None
 
     def __post_init__(self):
-        self.group = np.asarray(self.group, dtype=np.int64).reshape(-1)
+        self.group = _io.int64_column("group index", self.group)
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if len(self.group) and (self.group.min() < 0 or self.group.max() >= self.g):
@@ -245,7 +245,8 @@ def save_partition(pa: PartitionAssignment, path) -> None:
 
 
 def load_partition(path) -> PartitionAssignment:
-    """Inverse of save_partition: the landmark lines run 0, 1, 2, ..."""
+    """Inverse of save_partition: the landmark lines run 0, 1, 2, ..., and
+    the last line ends with a line end."""
     group = []
     criterion = g = seed = None
     with _io.lines(path) as src:
@@ -270,6 +271,7 @@ def load_partition(path) -> PartitionAssignment:
             if lid != len(group):
                 raise ValueError(f"landmark id {lid} where {len(group)} was expected")
             group.append(grp)
+        src.refuse_cut()
         if criterion is None or g is None:
             raise ValueError("missing partition header")
         return PartitionAssignment(group, g, criterion, seed=seed)

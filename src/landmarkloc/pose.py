@@ -119,7 +119,7 @@ class PoseTable:
             raise ValueError(f"unknown status {unknown[0]!r}")
         order, self.ids, self.R, self.t, self.center = _posed_rows(ids, R, t, status == STATUS_OK)
         self.status, n = tuple(status[order]), len(order)
-        self.num_inliers = np.asarray(num_inliers, dtype=np.int64).reshape(n)[order]
+        self.num_inliers = _io.int64_column("inlier count", num_inliers).reshape(n)[order]
         self.mean_reproj_px = np.asarray(mean_reproj_px, dtype=np.float64).reshape(n)[order]
         bad = _counts_rule(self.num_inliers, self.mean_reproj_px, status[order] == STATUS_OK)
         if bad.any():
@@ -146,8 +146,8 @@ _COUNTS_ERROR = "negative inlier count or mean reprojection error"
 
 def _counts_rule(num_inliers, mean_reproj_px, ok):
     """Rows (arrays, or one row's scalars) with a negative inlier count, or ok
-    with a negative mean error."""
-    return (num_inliers < 0) | (ok & (mean_reproj_px < 0))
+    with a mean error that is negative or not finite."""
+    return (num_inliers < 0) | (ok & ~(np.isfinite(mean_reproj_px) & (mean_reproj_px >= 0)))
 
 
 def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
@@ -744,7 +744,8 @@ def save_poses(poses: PoseTable, path, sec_per_image: float | None = None) -> No
 def load_poses(path):
     """Inverse of save_poses. Returns (PoseTable, metadata dict), the
     metadata holding sec_per_image when the file states it. A line that
-    PoseTable would refuse raises MalformedFileError at path:line."""
+    PoseTable would refuse, or a last line without a line end, raises
+    MalformedFileError at path:line."""
     rows, seen, meta = [], set(), {}
     with _io.lines(path) as src:
         for tokens in src:
@@ -770,9 +771,9 @@ def load_poses(path):
             if ok:
                 T = Pose(qvec2rotmat(vals[:4]), vals[4:7])
                 R, t = T.R, T.t
-                _io.finite("reprojection error", vals[7])
             if _counts_rule(num_inliers, vals[7], ok):
                 raise ValueError(_COUNTS_ERROR)
             rows.append((iid, status, R, t, num_inliers, vals[7]))
+        src.refuse_cut()
     ids, status, R, t, num_inliers, mean_reproj_px = zip(*rows) if rows else [()] * 6
     return PoseTable(ids, status, R, t, num_inliers, mean_reproj_px), meta

@@ -12,7 +12,7 @@ same row products with one rotation per row. The pose solver, which discards
 the mask, applies _uv: to the same camera-frame product as project_many in its
 residuals and Jacobian (pose._residuals), and to stacked poses when it scores
 P3P hypotheses (pose._stacked_errors). _valid_poses is the one pose rule, of
-Pose, ImageSet, pose.PoseTable, pose.load_poses and P3P.
+Pose, ImageSet, pose.PoseTable, pose.load_poses, P3P and evaluation.rotation_error.
 
 Conventions used by every module in this package:
   - poses are world-to-camera: p_cam = R @ p_world + t, camera center = -R^T t
@@ -22,7 +22,6 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
-import errno
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,12 +218,12 @@ class PointSet:
     that no track is empty or id repeated, and that every value is finite."""
 
     def __init__(self, ids, xyz, rgb, track_len, image_ids, uv):
-        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        self.ids = _io.int64_column("point id", ids)
         n = len(self.ids)
         self.xyz = np.asarray(xyz, dtype=np.float64).reshape(n, 3)
-        self.rgb = np.asarray(rgb, dtype=np.int64).reshape(n, 3)
-        track_len = np.asarray(track_len, dtype=np.int64).reshape(n)
-        self.image_ids = np.asarray(image_ids, dtype=np.int64).reshape(-1)
+        self.rgb = _io.int64_column("colour", rgb).reshape(n, 3)
+        track_len = _io.int64_column("track length", track_len).reshape(n)
+        self.image_ids = _io.int64_column("track image id", image_ids)
         self.uv = np.asarray(uv, dtype=np.float64).reshape(len(self.image_ids), 2)
         self.offsets = np.concatenate(([0], np.cumsum(track_len)))
         if self.offsets[-1] != len(self.image_ids):
@@ -232,9 +231,7 @@ class PointSet:
         if (track_len <= 0).any():
             raise ValueError(
                 f"track point {self.ids[np.argmax(track_len <= 0)]} has no observations")
-        sorted_ids, count = np.unique(self.ids, return_counts=True)
-        if (count > 1).any():
-            raise ValueError(f"repeated point id {sorted_ids[np.argmax(count > 1)]}")
+        _io.refuse_repeats(self.ids, "repeated point id {}")
         if not (np.isfinite(self.xyz).all() and np.isfinite(self.uv).all()):
             raise ValueError("non-finite point position or observation")
         for column in (self.ids, self.xyz, self.rgb, self.image_ids, self.uv, self.offsets):
@@ -254,16 +251,14 @@ def _posed_rows(ids, R, t, posed) -> tuple:
     (N,) int64, R (N, 3, 3), t (N, 3) and center (N, 3) = -R^T t, with the bits
     of Pose.center. Rows that the mask posed (N,) leaves out are NaN. A
     ValueError when an id repeats or _valid_poses refuses a posed row."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    ids = _io.int64_column("image id", ids)
     n, order = len(ids), np.argsort(ids, kind="stable")
     ids = ids[order]
     R = np.asarray(R, dtype=np.float64).reshape(n, 3, 3)[order]
     t = np.asarray(t, dtype=np.float64).reshape(n, 3)[order]
     posed = np.asarray(posed, bool).reshape(n)[order]
     R[~posed], t[~posed] = np.nan, np.nan
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if len(repeated):
-        raise ValueError(f"repeated image id {repeated[0]}")
+    _io.refuse_repeats(ids, "repeated image id {}")
     with np.errstate(over="ignore", invalid="ignore"):  # a centre may overflow to inf
         bad = posed & ~_valid_poses(R, t)
         center = np.matmul(-R.transpose(0, 2, 1), t[:, :, None])[:, :, 0]
@@ -286,7 +281,7 @@ class ImageSet:
         order, self.ids, self.R, self.t, self.center = _posed_rows(
             ids, R, t, np.ones(np.size(ids), bool))
         n = len(order)
-        self.camera_ids = np.asarray(camera_ids, dtype=np.int64).reshape(n)[order]
+        self.camera_ids = _io.int64_column("camera id", camera_ids).reshape(n)[order]
         self.camera_ids.flags.writeable = False
         self.names = tuple(np.array(names, dtype=object).reshape(n)[order])
         self._rows = dict(zip(self.ids.tolist(), range(n)))  # image id -> row
@@ -421,9 +416,6 @@ def load_scene(path) -> SceneModel:
     hold the parse's value rules, to the same values, types and order.
     """
     path = Path(path)
-    for name in _SCENE_FILES:
-        if not (path / name).exists():
-            raise FileNotFoundError(errno.ENOENT, "missing reconstruction file", str(path / name))
     return _sidecar(path).read(lambda: _parse_scene(path), _model_from_columns, _columns)
 
 

@@ -158,22 +158,17 @@ class VisibilityTable:
     excluded: np.ndarray = ()   # landmark ids off the mesh
 
     def __post_init__(self):
-        columns = {}  # image id -> column
-        for j, iid in enumerate(self.image_ids):
-            if columns.setdefault(iid, j) != j:
-                raise ValueError(f"repeated image id {iid}")
+        image_ids = _io.int64_column("image id", self.image_ids)
+        _io.refuse_repeats(image_ids, "repeated image id {}")
         mask = np.array(self.mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[1] != len(self.image_ids):
+        if mask.ndim != 2 or mask.shape[1] != len(image_ids):
             raise ValueError("mask shape does not match the image ids")
-        seen = set()
-        for lid in self.excluded:
-            if not 0 <= lid < len(mask):
-                raise ValueError(f"excluded landmark id {lid} outside [0, {len(mask)})")
-            if lid in seen:
-                raise ValueError(f"excluded landmark id {lid} repeated")
-            seen.add(lid)
-        image_ids = np.array(_io.int64("image id", *self.image_ids), dtype=np.int64)
-        excluded = np.array(_io.int64("excluded landmark id", *self.excluded), dtype=np.int64)
+        excluded = _io.int64_column("excluded landmark id", self.excluded)
+        outside = (excluded < 0) | (excluded >= len(mask))
+        if outside.any():
+            raise ValueError(f"excluded landmark id {excluded[np.argmax(outside)]} outside "
+                             f"[0, {len(mask)})")
+        _io.refuse_repeats(excluded, "excluded landmark id {} repeated")
         for name, column in (("image_ids", image_ids), ("mask", mask), ("excluded", excluded)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -512,7 +507,8 @@ def save_visibility(vt: VisibilityTable, path) -> None:
 def load_visibility(path) -> VisibilityTable:
     """Inverse of save_visibility. The `# visibility landmarks=L images=N`
     header must give the counts of the landmark lines, which run 0, 1, 2, ...,
-    and of the image ids. Each of the four header lines may appear once.
+    and of the image ids. Each of the four header lines may appear once, and
+    the last line ends with a line end.
 
     When save_visibility left the columns of these bytes beside the file, in
     .<name>.landmarkloc (an _io.Sidecar), the table is made from that
@@ -523,9 +519,8 @@ def load_visibility(path) -> VisibilityTable:
 
 
 def _from_columns(c) -> VisibilityTable:
-    return VisibilityTable(c["image_ids"].tolist(), c["mask"].reshape(c["shape"].tolist()),
-                           _tolerances(bytes(c["tolerances"]).decode().split()),
-                           c["excluded"].tolist())
+    return VisibilityTable(c["image_ids"], c["mask"].reshape(c["shape"].tolist()),
+                           _tolerances(bytes(c["tolerances"]).decode().split()), c["excluded"])
 
 
 def _parse(path: Path) -> VisibilityTable:
@@ -565,6 +560,7 @@ def _parse(path: Path) -> VisibilityTable:
                 if iid not in col:
                     raise ValueError(f"unknown image id {iid}")
             rows.append([col[iid] for iid in vis])
+        src.refuse_cut()
         if dims is None:
             raise ValueError("missing `# visibility landmarks=L images=N` header")
         if image_ids is None:

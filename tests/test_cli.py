@@ -113,6 +113,13 @@ class TestSelectCommand:
         ids = [line.split()[0] for line in out.read_text().splitlines() if line[0] != "#"]
         assert ids == [str(i) for i in range(15)]
 
+    def test_missing_scene_file_is_data_error(self, tmp_path, capsys):
+        rc = main(["select", "--scene", str(tmp_path), "--count", "15", "--out",
+                   str(tmp_path / "sel.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'cameras.txt'}: No such file or directory\n")
+
     def test_rerun_is_byte_identical(self, scene_dir, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         args = ["select", "--scene", str(scene_dir / "scene"), "--count", "10",
@@ -393,7 +400,7 @@ def overflowing_copy(scene_dir, tmp_path, name, edit):
 
 
 class TestVisibilityCommand:
-    def test_missing_mesh_is_data_error(self, scene_dir, tmp_path):
+    def test_missing_mesh_is_data_error(self, scene_dir, tmp_path, capsys):
         rc = main(
             ["visibility", "--scene", str(scene_dir / "scene"),
              "--mesh", str(tmp_path / "nope.ply"),
@@ -401,6 +408,8 @@ class TestVisibilityCommand:
              "--out", str(tmp_path / "v.txt")]
         )
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'nope.ply'}: No such file or directory\n")
 
     def test_matches_ground_truth_table(self, scene_dir, tmp_path):
         out = tmp_path / "vis.txt"
@@ -1235,13 +1244,37 @@ class TestConfigFile:
                 checked += 1
         assert checked == 29
 
-    def test_missing_config_is_data_error(self, scene_dir, tmp_path):
+    def test_missing_config_is_data_error(self, scene_dir, tmp_path, capsys):
         rc = main(
             ["partition", "--landmarks", str(scene_dir / "landmarks.txt"),
              "--groups", "2", "--config", str(tmp_path / "nope.yaml"),
              "--out", str(tmp_path / "x.txt")]
         )
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'nope.yaml'}: No such file or directory\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("- partition\n- groups\n", "config file must be a mapping"),
+        ("partition: 2\n", "config section 'partition' must be a mapping"),
+    ], ids=["list", "section-not-a-mapping"])
+    def test_config_that_is_no_mapping_is_data_error(self, scene_dir, tmp_path, capsys, text,
+                                                     message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        rc = main(["partition", "--landmarks", str(scene_dir / "landmarks.txt"), "--groups", "2",
+                   "--config", str(cfg), "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_list_value_is_one_flag_with_its_values(self):
+        # default_config.yaml's `room: [6.0, 4.0, 3.0]` is `--room 6.0 4.0 3.0`.
+        argv = _apply_config(["synth", "--out", "o", "--seed", "1", "--config",
+                              str(Path(__file__).parents[1] / "default_config.yaml")])
+        room = argv.index("--room")
+        assert argv[room:room + 4] == ["--room", "6.0", "4.0", "3.0"]
+        assert build_parser().parse_args(argv).room == [6.0, 4.0, 3.0]
 
 
 class TestParser:
@@ -1351,6 +1384,22 @@ class TestLocalizeErrors:
              "--detections", str(dets), "--out", str(tmp_path / "x.txt")]
         )
         assert rc == 1
+
+    def test_no_image_localized_is_numerical_failure(self, scene_dir, pipeline, tmp_path,
+                                                     capsys):
+        # The only image has 3 detections: too few to localize it. The poses
+        # file is still written, with that image's status.
+        _, dets, _ = pipeline
+        few = tmp_path / "few.csv"
+        few.write_text("\n".join(dets.read_text().splitlines()[:4]) + "\n")
+        out = tmp_path / "poses.txt"
+        rc = main(["localize", "--scene", str(scene_dir / "scene"),
+                   "--landmarks", str(scene_dir / "landmarks.txt"),
+                   "--detections", str(few), "--seed", "0", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: no image could be localized\n"
+        poses, _ = pose.load_poses(out)
+        assert len(poses) == 1 and poses.status == ("insufficient",)
 
 
 class TestLocalizeRun:

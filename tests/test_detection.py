@@ -693,8 +693,7 @@ class TestDetectionsCopy:
          -3: DetectionSet(-3, [9], [[1e-300, 2.0]], [5e-324])},
         {1: DetectionSet(1, np.array([3, 1]), np.array([[1.0, 2.0], [3.0, 4.0]]),
                          np.array([0.5, 0.25]))},
-        {1: DetectionSet(1, np.array([1.0]), np.array([[1.0, 2.0]]), np.array([0.5]))},
-    ], ids=["empty", "image-without-rows", "edge-values", "out-of-order", "float-landmark"])
+    ], ids=["empty", "image-without-rows", "edge-values", "out-of-order"])
     def test_small_sets_copy_equals_parse(self, tmp_path, monkeypatch, dets):
         path = tmp_path / "dets.csv"
         save_detections(dets, path)

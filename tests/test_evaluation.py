@@ -22,7 +22,7 @@ from landmarkloc.evaluation import (
     rotation_error,
 )
 from landmarkloc.pose import PoseEstimate, PoseTable
-from landmarkloc.scene_model import Pose, SceneModel
+from landmarkloc.scene_model import Pose, SceneModel, _valid_poses
 
 from conftest import (
     image_set,
@@ -84,6 +84,16 @@ class TestRotationError:
             rotation_error(np.eye(3) * 1.01, np.eye(3))
         with pytest.raises(InvalidRotationError):
             rotation_error(np.diag([1.0, 1.0, -1.0]), np.eye(3))
+
+    @pytest.mark.parametrize("R", [
+        np.diag([1.0 + 1e-8, 1.0, 1.0]),  # off by 2e-8: within 1e-6, past the pose rule's 1e-9
+        np.full((3, 3), np.nan),
+    ], ids=["off-by-2e-8", "nan"])
+    def test_what_the_pose_rule_refuses_is_no_rotation(self, R):
+        assert not _valid_poses(R[None], np.zeros((1, 3)))[0]
+        for pair in ((R, np.eye(3)), (np.eye(3), R)):
+            with pytest.raises(InvalidRotationError, match="^matrix is not a rotation within 1e-9$"):
+                rotation_error(*pair)
 
     def test_clamping_at_zero(self):
         # A rotation pair whose trace argument drifts just above 1.

@@ -28,7 +28,7 @@ from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.mesh import TriangleMesh, load_mesh, save_mesh_ply
 from landmarkloc.partitioning import PartitionAssignment, load_partition, save_partition
 from landmarkloc.pose import PoseEstimate, PoseTable, load_poses, save_poses
-from landmarkloc.scene_model import Pose, load_scene, save_scene
+from landmarkloc.scene_model import ImageSet, PointSet, Pose, load_scene, save_scene
 from landmarkloc.visibility import VisibilityTable, load_visibility, save_visibility
 
 
@@ -321,6 +321,115 @@ def test_constructor_refuses_what_the_load_refuses(name):
     make, message = REFUSED[name]
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
+
+
+def _eyes(n):
+    return np.tile(np.eye(3), (n, 1, 1))
+
+
+# Each table's constructor with ids in place of one of its int64 columns, the
+# column's name in _io.int64's errors, and its attribute.
+ID_COLUMNS = {
+    "ImageSet": (lambda ids, n: ImageSet(ids, [1] * n, _eyes(n), np.zeros((n, 3)), ["a"] * n),
+                 "image id", "ids"),
+    "PoseTable": (lambda ids, n: PoseTable(range(n), ["ok"] * n, _eyes(n), np.zeros((n, 3)),
+                                           ids, [0.5] * n), "inlier count", "num_inliers"),
+    "PointSet": (lambda ids, n: PointSet(ids, np.zeros((n, 3)), np.zeros((n, 3), np.int64),
+                                         [1] * n, [1] * n, np.zeros((n, 2))),
+                 "point id", "ids"),
+    "LandmarkSet": (lambda ids, n: LandmarkSet(ids, np.zeros((n, 3)), np.ones(n)),
+                    "source point id", "source_point_ids"),
+    "DetectionSet": (lambda ids, n: DetectionSet(1, ids, np.ones((n, 2)), np.full(n, 0.5)),
+                     "landmark id", "landmark_ids"),
+    "DetectionTable": (lambda ids, n: detection.DetectionTable(ids, range(n), np.ones((n, 2)),
+                                                               np.full(n, 0.5)),
+                       "image id", "image_ids"),
+    "VisibilityTable": (lambda ids, n: VisibilityTable(ids, np.zeros((1, n), bool)),
+                        "image id", "image_ids"),
+    "TriangleMesh": (lambda ids, n: TriangleMesh(np.zeros((3, 3)), ids), "triangle index",
+                     "triangles"),
+    "PartitionAssignment": (lambda ids, n: PartitionAssignment(ids, 3, "default"),
+                            "group index", "group"),
+}
+
+
+@pytest.mark.parametrize("ids, error", [
+    (1.5, "1.5 is not an integer"),
+    (np.array([1.0]), "1.0 is not an integer"),   # whole numbers, but no int64 column
+    ([2, True], "True is not an integer"),        # which np.asarray makes an int64 array
+    (2**63, "out of the int64 range"),
+], ids=["float", "float-array", "bool-after-int", "past-int64"])
+@pytest.mark.parametrize("name", sorted(ID_COLUMNS))
+def test_every_table_refuses_ids_that_are_no_int64(name, ids, error):
+    make, what, _ = ID_COLUMNS[name]
+    with pytest.raises(ValueError, match=re.escape(f"{what} {error}")):
+        make(ids, np.size(ids))
+
+
+@pytest.mark.parametrize("name", sorted(ID_COLUMNS))
+def test_ints_and_int64_arrays_build_the_same_table(name):
+    make, _, column = ID_COLUMNS[name]
+    from_ints, from_array = (getattr(make(ids, 3), column) for ids in ([0, 1, 2],
+                                                                       np.arange(3)))
+    assert from_ints.dtype == from_array.dtype == np.int64
+    assert from_ints.tolist() == from_array.tolist()
+    assert from_ints.reshape(-1).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ids: ImageSet(ids, [1] * 4, _eyes(4), np.zeros((4, 3)), ["a"] * 4),
+     "repeated image id 3"),
+    (lambda ids: PoseTable(ids, ["ok"] * 4, _eyes(4), np.zeros((4, 3)), [1] * 4, [0.5] * 4),
+     "repeated image id 3"),
+    (lambda ids: PointSet(ids, np.zeros((4, 3)), np.zeros((4, 3), np.int64), [1] * 4, [1] * 4,
+                          np.zeros((4, 2))), "repeated point id 3"),
+    (lambda ids: LandmarkSet(ids, np.zeros((4, 3)), np.ones(4)), "source point 3 repeated"),
+    (lambda ids: VisibilityTable(ids, np.zeros((1, 4), bool)), "repeated image id 3"),
+    (lambda ids: VisibilityTable([1], np.zeros((8, 1), bool), {}, ids),
+     "excluded landmark id 3 repeated"),
+], ids=["ImageSet", "PoseTable", "PointSet", "LandmarkSet", "VisibilityTable",
+        "VisibilityTable-excluded"])
+def test_two_repeated_ids_name_the_least(make, message):
+    # 7 repeats first in the order given; 3 is the least value that repeats.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make([7, 3, 7, 3])
+
+
+@pytest.mark.parametrize("name, file", [("landmarks", "sel.txt"), ("partition", "part.txt"),
+                                        ("visibility", "vis.txt"), ("poses", "poses.txt")])
+def test_a_cut_last_line_is_refused(tmp_path, name, file):
+    # Each writer ends every line with a line end; a file whose last line
+    # lacks one was cut, even where what is left of that line still parses.
+    write, load = FORMATS[name]
+    write(tmp_path)
+    path = tmp_path / file
+    data = path.read_bytes()
+    last = data.count(b"\n")
+    for cut, message in ((1, "no line end: the file is cut"), (3, "")):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(MalformedFileError, match=rf"{re.escape(file)}:{last}: {message}"):
+            load(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["detections-text", "scene"])
+def test_files_of_other_tools_may_lack_the_last_line_end(tmp_path, name):
+    # dets.csv and the COLMAP files are written by external tools too.
+    write, load = FORMATS[name]
+    for file in write(tmp_path):
+        (tmp_path / file).write_bytes((tmp_path / file).read_bytes().rstrip(b"\r\n"))
+    load(tmp_path)
+
+
+@pytest.mark.parametrize("header, line_no, line, message", [
+    ("# criterion=default groups=2 seed=none", 3, "1 1 0", "expected `landmark_id group`"),
+    ("0 0", 1, "1 1", "landmark line before the partition header"),
+    ("# groups=2 seed=none", 5, "1 1", "missing partition header"),
+], ids=["field-count", "line-before-header", "no-header"])
+def test_partition_file_errors(tmp_path, header, line_no, line, message):
+    path = tmp_path / "part.txt"
+    path.write_text(f"{header}\n0 0\n{line}\n2 0\n3 1\n")
+    with pytest.raises(MalformedFileError, match=rf"part\.txt:{line_no}: {message}"):
+        load_partition(path)
 
 
 def copied_cases(k):

@@ -1,10 +1,12 @@
-"""What code outside the package relies on: the README's library example, and
-the names the benchmark in perfbench/ looks up and wraps."""
+"""What code outside the package relies on: the README's commands and library
+example, and the names the benchmark in perfbench/ looks up and wraps."""
 
 import ast
 import importlib
 import importlib.util
 import re
+import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -15,30 +17,37 @@ from landmarkloc.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def demo_files(tmp_path) -> Path:
-    """The README walkthrough on a small scene, synth to simulate."""
-    demo = tmp_path / "demo"
-    for argv in (
-        ["synth", "--out", str(demo), "--seed", "7", "--sites", "120", "--cameras", "8",
-         "--width", "320", "--height", "240", "--focal", "200", "--margin", "1.4",
-         "--min-target-dist", "3.0"],
-        ["select", "--scene", str(demo / "scene"), "--count", "40", "--min-track", "2",
-         "--out", str(demo / "sel.txt")],
-        ["visibility", "--scene", str(demo / "scene"), "--mesh", str(demo / "mesh.ply"),
-         "--landmarks", str(demo / "sel.txt"), "--out", str(demo / "vis.txt")],
-        ["simulate", "--scene", str(demo / "scene"), "--landmarks", str(demo / "sel.txt"),
-         "--visibility", str(demo / "vis.txt"), "--noise-sigma", "1", "--seed", "3",
-         "--out", str(demo / "dets.csv")],
-    ):
-        assert main(argv) == 0, argv[0]
-    return demo
+def readme_commands() -> list:
+    """The argv of each `landmarkloc` command in the README's bash blocks, in
+    order: the walkthrough, then the config example."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        commands += [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                     if line.startswith("landmarkloc ")]
+    return commands
 
 
-def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def demo_files(tmp_path_factory) -> Path:
+    """The README's commands run verbatim in a new directory, with
+    default_config.yaml copied in; each must exit 0. Returns the directory."""
+    work = tmp_path_factory.mktemp("readme")
+    shutil.copy(ROOT / "default_config.yaml", work)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["synth", "select", "partition", "visibility",
+                                              "simulate", "localize", "evaluate", "localize"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(work)
+        for argv in commands:
+            assert main(argv) == 0, argv
+    return work
+
+
+def test_readme_library_example_runs(demo_files, monkeypatch, capsys):
     block, = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    demo = demo_files(tmp_path)
+    demo = demo_files / "demo"
     capsys.readouterr()
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(demo_files)
     exec(compile(block, "README.md", "exec"), {})
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     detected = {line.split(",")[0] for line in (demo / "dets.csv").read_text().splitlines()[1:]}
@@ -114,14 +123,14 @@ def test_unused_imports_are_bench_layers(bench):
     assert stale == []
 
 
-def test_traced_layers_record_spans(bench, tmp_path, capsys):
+def test_traced_layers_record_spans(bench, demo_files, capsys):
     # The bench's tracer wraps each layer under the name its caller looks up.
     # A traced two-CSV localize with the default "weighted" refinement and an
     # evaluate must reach these layers through those names; localize runs
     # PROSAC through pose.prosac_estimate, so its iterations are counted.
     # pose.p3p_solve reads 0, since PROSAC solves whole blocks in _p3p_block.
     _, tracing = bench
-    demo = demo_files(tmp_path)
+    demo = demo_files / "demo"
     header, *rows = (demo / "dets.csv").read_text().splitlines()
     parts = [demo / "dets_even.csv", demo / "dets_odd.csv"]
     for k, part in enumerate(parts):

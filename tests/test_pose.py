@@ -873,7 +873,9 @@ class TestPoseTable:
         (dict(num_inliers=[40, 3, -1]), 9),               # an ok row's inlier count
         (dict(num_inliers=[40, -3, 25]), 2),              # a failed row's inlier count
         (dict(mean_reproj_px=[-0.5, float("nan"), 0.25]), 5),  # an ok row's error
-    ], ids=["ok-inliers", "failed-inliers", "ok-error"])
+        (dict(mean_reproj_px=[np.inf, float("nan"), 0.25]), 5),
+        (dict(mean_reproj_px=[0.5, float("nan"), np.nan]), 9),
+    ], ids=["ok-inliers", "failed-inliers", "ok-error", "ok-inf-error", "ok-nan-error"])
     def test_negative_counts_rejected(self, change, image):
         with pytest.raises(ValueError, match=f"image {image}: negative inlier count or mean "
                                              "reprojection error"):
@@ -959,6 +961,10 @@ class TestPoseIO:
         "1 1 0 0 0 0 0 1 ok -22 1.12",           # negative num_inliers
         "1 nan nan nan nan nan nan nan degenerate -1 nan",  # ... of a failed image
         "1 1 0 0 0 0 0 1 ok 12 -0.5",            # negative mean_reproj_px of an ok pose
+        "1 1 0 0 0 0 0 1 ok 12 inf",             # non-finite mean_reproj_px of an ok pose
+        "1 1 0 0 0 0 0 1 ok 12 nan",
+        "1 1 0 0 0 0 0 1 ok 12",                 # field count
+        "1 1 0 0 0 0 0 1 lost 12 0.5",           # unknown status
         "# sec_per_image=abc",                   # header
     ])
     def test_bad_line_reports_location(self, tmp_path, line):

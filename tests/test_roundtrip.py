@@ -202,10 +202,12 @@ def pose_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = draw(st.lists(INT64, max_size=5, unique=True))
     status = [draw(st.sampled_from(STATUSES)) for _ in ids]
-    # The error of an image that is not ok may be NaN or negative; an ok
-    # image's is finite and >= 0, and no inlier count is negative.
-    errors = [draw(FINITE.map(abs) if s == "ok" else st.one_of(FINITE, st.just(float("nan"))))
-              for s in status]
+    # Every table PoseTable accepts: the error of an image that is not ok may
+    # be any float, an ok image's is finite and >= 0, and no inlier count is
+    # negative. (NaN is the one NaN that float("nan") gives, as the file
+    # holds no NaN's sign or payload.)
+    errors = [draw(st.one_of(FINITE.map(abs), st.just(-0.0)) if s == "ok" else st.one_of(
+        FINITE, st.sampled_from([float("nan"), np.inf, -np.inf]))) for s in status]
     return PoseTable(ids, status, [random_rotation(rng) for _ in ids],
                      np.reshape(draw(st.lists(FINITE, min_size=3 * len(ids),
                                               max_size=3 * len(ids))), (-1, 3)),
