@@ -1,8 +1,9 @@
 """Line reading and number writing shared by every text file of the pipeline.
 
 Each loader walks its file through lines(), which numbers the lines and
-turns a ValueError raised while one is handled (by int(), float(), finite(),
-int64() or a constructor's own check) into a MalformedFileError at path:line.
+turns a ValueError raised while one is handled (by int(), float() or a format
+check) into a MalformedFileError at path:line. The rows a loader keeps there
+are judged by their table's constructor, at the first line the table refuses.
 Each writer writes its floats with fmt(), which reads back bit for bit, and
 its file through a temp file and a rename (write_text, or a Sidecar, which
 keeps the columns a loader parses from some files beside them). A Sidecar's
@@ -13,6 +14,7 @@ unpack checks before it makes the columns views of it.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import json
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFileError
+from .errors import DataError, MalformedFileError
 
 
 class lines:
@@ -36,14 +38,24 @@ class lines:
     last line of the file, and src.ended says whether that line ends with a
     line end (refuse_cut). A ValueError raised inside the block leaves it as
     MalformedFileError(path, src.no, message).
+
+    With make, which turns a list of rows into their table (a ValueError or
+    DataError when it refuses them), src.keep(*row) keeps a row of the line
+    being handled and src.table() is make(src.rows). When a ValueError or
+    DataError leaves the block and make refuses the kept rows, the error is
+    MalformedFileError(path, line, make's message) of the shortest run of
+    them that make refuses, at its last row's line. make must refuse each
+    longer run of rows than one it refuses, as per-row and repeat rules do.
     """
 
-    def __init__(self, path, sep=None, errors=None):
+    def __init__(self, path, sep=None, errors=None, make=None):
         self.path = path
         self.sep = sep
         self.errors = errors
+        self.make = make
         self.no = 0
         self.ended = True
+        self.rows, self._nos = [], []  # kept rows and their lines
 
     def __enter__(self):
         self._fh = open(self.path, encoding="utf-8", errors=self.errors)
@@ -64,17 +76,41 @@ class lines:
                     yield line.split(self.sep)
         self.ended = raw.endswith("\n")
 
+    def keep(self, *row):
+        self.rows.append(row)
+        self._nos.append(self.no)
+
+    def table(self):
+        return self.make(self.rows)
+
     def refuse_cut(self):
         """A ValueError, after the loop, when the last line has no line end:
         every writer ends each line with one, so the file was cut."""
         if not self.ended:
             raise ValueError("no line end: the file is cut")
 
+    def _refused(self, n):
+        """make's error for the first n kept rows, or None when it takes them."""
+        try:
+            self.make(self.rows[:n])
+        except (ValueError, DataError) as error:
+            return error
+        return None
+
     def __exit__(self, kind, exc, tb):
         self._fh.close()
+        if self.rows and isinstance(exc, (ValueError, DataError)) and self._refused(len(self.rows)):
+            n = bisect.bisect_left(range(len(self.rows)), True,
+                                   key=lambda k: self._refused(k + 1) is not None)
+            raise MalformedFileError(self.path, self._nos[n], str(self._refused(n + 1))) from None
         # Text is decoded a block at a time, so a UnicodeError has no line.
         if isinstance(exc, ValueError) and not isinstance(exc, UnicodeError):
             raise MalformedFileError(self.path, self.no, str(exc)) from None
+
+
+def columns(rows, n) -> list:
+    """The n columns of rows, n-tuples, as tuples: n empty ones for no rows."""
+    return list(zip(*rows)) if rows else [()] * n
 
 
 def finite(what, *vals):

@@ -82,8 +82,6 @@ class DetectionTable(Mapping):
         conf = np.ascontiguousarray(confidence, dtype=np.float64).reshape(n)
         if not np.isfinite(uv).all():
             raise ValueError("non-finite pixel coordinate")
-        if not ((conf > 0) & (conf <= 1)).all():
-            raise ValueError("confidence must be in (0, 1]")
         order, same = None, image[1:] == image[:-1]
         if not ((image[1:] > image[:-1]) | (same & (ids[1:] > ids[:-1]))).all():
             order = np.lexsort((ids, image))
@@ -95,6 +93,8 @@ class DetectionTable(Mapping):
             error = DuplicateLandmarkError(f"landmark {lid} appears more than once in image {iid}")
             error.pair = (iid, lid)  # for merge_ensemble to name the tables that hold it
             raise error
+        if not ((conf > 0) & (conf <= 1)).all():
+            raise ValueError("confidence must be in (0, 1]")
         starts = np.flatnonzero(np.concatenate(([n > 0], ~same)))
         for name, column in (("image_ids", image), ("landmark_ids", ids), ("uv", uv),
                              ("confidence", conf), ("images", image[starts]),
@@ -309,17 +309,18 @@ def save_detections(detections, path) -> None:
 
 def load_detections(path) -> DetectionTable:
     """Read a detections CSV: a `image_id,landmark_id,u,v_coord,confidence`
-    header line, then one line per detection with an int64 image id and
-    landmark id, finite pixel coordinates u and v, and a confidence in (0, 1].
-    An image may list a landmark once. Returns one DetectionTable, its rows
-    sorted by image id, then landmark id, with one lexsort; first_rows keeps
-    where each image's first line was.
+    header line, then one line per detection, whose values DetectionTable
+    judges: int64 image and landmark ids, finite pixel coordinates u and v,
+    each (image, landmark) pair once and a confidence in (0, 1]. Returns one
+    DetectionTable, its rows sorted by image id, then landmark id, with one
+    lexsort; first_rows keeps where each image's first line was.
 
     The file is parsed in one np.loadtxt pass when it is in the plain form
     save_detections writes: ASCII, the header as its first line, and plain
     numbers. Any other file, and any file that fails a check, is read again
     by the row loop, which accepts what Python's int() and float() accept and
-    raises MalformedFileError at the first bad line. Both give the same table.
+    raises MalformedFileError at the first line that is malformed or that
+    the table refuses. Both give the same table.
 
     When save_detections left the columns of these bytes beside the file, in
     .<name>.landmarkloc (an _io.Sidecar), the table is made from that copy
@@ -373,28 +374,16 @@ def _bulk_columns(path):
 
 
 def _row_columns(path):
-    """_bulk_columns by a loop over the rows, which names the first bad line."""
-    pairs = set()
-    image, landmark, us, vs, confs = [], [], [], [], []  # one entry per row
-    with _io.lines(path, ",") as src:
+    """_bulk_columns by a loop over the rows, as tuples in file order; the
+    DetectionTable of the rows judges their values and names the first line it
+    refuses."""
+    with _io.lines(path, ",", make=lambda rows: DetectionTable(*_io.columns(rows, 4))) as src:
         rows = iter(src)
         if next(rows, None) != CSV_HEADER:
             raise ValueError(f"expected header {','.join(CSV_HEADER)}")
         for row in rows:
             if len(row) != 5:
                 raise ValueError("expected 5 columns")
-            iid, lid = _io.int64("image or landmark id", int(row[0]), int(row[1]))
-            u, v = _io.finite("pixel coordinate", float(row[2]), float(row[3]))
-            if (iid, lid) in pairs:
-                raise ValueError(f"image {iid} lists landmark {lid} twice")
-            conf = float(row[4])
-            if not 0 < conf <= 1:
-                raise ValueError("confidence must be in (0, 1]")
-            pairs.add((iid, lid))
-            image.append(iid)
-            landmark.append(lid)
-            us.append(u)
-            vs.append(v)
-            confs.append(conf)
-    return (np.array(image, dtype=np.int64), np.array(landmark, dtype=np.int64),
-            np.column_stack((us, vs)), np.array(confs))
+            src.keep(int(row[0]), int(row[1]), (float(row[2]), float(row[3])), float(row[4]))
+        src.table()
+    return _io.columns(src.rows, 4)

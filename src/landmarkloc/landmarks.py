@@ -239,10 +239,8 @@ def _from_columns(c) -> LandmarkSet:
 
 
 def _parse(path: Path) -> LandmarkSet:
-    sources, xyz, saliency = [], [], []
-    seen = set()
     provenance = {}
-    with _io.lines(path) as src:
+    with _io.lines(path, make=lambda rows: LandmarkSet(*_io.columns(rows, 3), provenance)) as src:
         for tokens in src:
             if tokens[0][0] == "#":
                 if tokens[1:2] == ["provenance"]:
@@ -250,16 +248,9 @@ def _parse(path: Path) -> LandmarkSet:
                 continue
             if len(tokens) != 6:
                 raise ValueError("expected 6 fields per landmark")
-            lid = int(tokens[0])
-            (source,) = _io.int64("source point id", int(tokens[1]))
-            x, y, z, s = _io.finite("coordinate or saliency", *map(float, tokens[2:]))
-            if lid != len(sources):
-                raise ValueError(f"landmark id {lid} where {len(sources)} was expected")
-            if source in seen:
-                raise ValueError(f"source point {source} repeated")
-            seen.add(source)
-            sources.append(source)
-            xyz.append((x, y, z))
-            saliency.append(s)
+            lid, source, (*xyz, s) = int(tokens[0]), int(tokens[1]), map(float, tokens[2:])
+            if lid != len(src.rows):
+                raise ValueError(f"landmark id {lid} where {len(src.rows)} was expected")
+            src.keep(source, xyz, s)
         src.refuse_cut()
-    return LandmarkSet(sources, xyz, saliency, provenance)
+        return src.table()

@@ -26,6 +26,8 @@ class TriangleMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.triangles = _io.int64_column("triangle index", self.triangles).reshape(-1, 3)
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("non-finite vertex")
         if len(self.triangles) and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
@@ -198,8 +200,8 @@ def _load_ply(path) -> TriangleMesh:
     counts = {}  # element name -> count
     props = []   # vertex property names, in column order
     element = None
-    vertices, triangles = [], []
-    with _io.lines(path, errors="replace") as src:
+    triangles = []
+    with _io.lines(path, errors="replace", make=lambda rows: TriangleMesh(rows, ())) as src:
         rows = iter(src)
         if next(rows, None) != ["ply"]:
             raise ValueError("not a PLY file")
@@ -223,10 +225,9 @@ def _load_ply(path) -> TriangleMesh:
         ixyz = [props.index(k) for k in "xyz"]
         n_vertex, n_face = counts.get("vertex", 0), counts.get("face", 0)
         for tokens in rows:
-            if len(vertices) < n_vertex:
-                x, y, z = _io.finite("vertex",
-                                     *(float(tokens[k]) for k in ixyz if k < len(tokens)))
-                vertices.append((x, y, z))
+            if len(src.rows) < n_vertex:
+                x, y, z = (float(tokens[k]) for k in ixyz if k < len(tokens))
+                src.keep(x, y, z)
             elif len(triangles) < n_face:
                 cnt, idx = int(tokens[0]), [int(t) for t in tokens[1:4]]
                 if cnt != 3 or len(idx) != 3:
@@ -236,30 +237,30 @@ def _load_ply(path) -> TriangleMesh:
                 triangles.append(idx)
             else:
                 break
-        if len(vertices) < n_vertex or len(triangles) < n_face:
+        if len(src.rows) < n_vertex or len(triangles) < n_face:
             raise ValueError("truncated PLY body")
-    return TriangleMesh(vertices, triangles)
+        return TriangleMesh(src.table().vertices, triangles)
 
 
 def _load_obj(path) -> TriangleMesh:
-    vertices, triangles = [], []
-    with _io.lines(path, errors="replace") as src:
+    triangles = []
+    with _io.lines(path, errors="replace", make=lambda rows: TriangleMesh(rows, ())) as src:
         for tokens in src:
             if tokens[0] == "v":
-                x, y, z = _io.finite("vertex", *map(float, tokens[1:4]))
-                vertices.append((x, y, z))
+                x, y, z = map(float, tokens[1:4])
+                src.keep(x, y, z)
             elif tokens[0] == "f":
                 if len(tokens) != 4:
                     raise ValueError(f"non-triangular face ({len(tokens) - 1} vertices)")
                 # 1-based; a negative index counts back from the last vertex read.
                 idx = [int(ref.split("/")[0]) for ref in tokens[1:]]
-                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
-                if not all(0 <= i < len(vertices) for i in idx):
+                idx = [i - 1 if i > 0 else len(src.rows) + i for i in idx]
+                if not all(0 <= i < len(src.rows) for i in idx):
                     raise ValueError("face index out of range")
                 triangles.append(idx)
-    if not vertices:
-        raise MalformedFileError(path, 0, "OBJ file has no vertices")
-    return TriangleMesh(vertices, triangles)
+        if not src.rows:
+            raise MalformedFileError(path, 0, "OBJ file has no vertices")
+        return TriangleMesh(src.table().vertices, triangles)
 
 
 def save_mesh_ply(mesh: TriangleMesh, path) -> None:

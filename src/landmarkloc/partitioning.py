@@ -31,6 +31,8 @@ class PartitionAssignment:
         self.group = _io.int64_column("group index", self.group)
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
+        if self.g < 1:
+            raise ValueError(f"group count {self.g} is below 1")
         if len(self.group) and (self.group.min() < 0 or self.group.max() >= self.g):
             raise ValueError(f"group index outside [0, {self.g})")
         sizes = self.group_sizes()

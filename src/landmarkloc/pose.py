@@ -110,7 +110,8 @@ class PoseTable:
     (N, 3), as ImageSet has them; R, t and center are NaN where the status is
     not ok. The constructor takes rows in any order and checks that no id
     repeats, that each status is known, that each ok row holds a pose
-    (_valid_poses) and that none breaks _counts_rule."""
+    (_valid_poses), that no inlier count is negative and that each ok row's
+    mean error is finite and not negative."""
 
     def __init__(self, ids, status, R, t, num_inliers, mean_reproj_px):
         status = np.array(status, dtype=object).reshape(-1)
@@ -121,9 +122,11 @@ class PoseTable:
         self.status, n = tuple(status[order]), len(order)
         self.num_inliers = _io.int64_column("inlier count", num_inliers).reshape(n)[order]
         self.mean_reproj_px = np.asarray(mean_reproj_px, dtype=np.float64).reshape(n)[order]
-        bad = _counts_rule(self.num_inliers, self.mean_reproj_px, status[order] == STATUS_OK)
+        err, ok = self.mean_reproj_px, status[order] == STATUS_OK
+        bad = (self.num_inliers < 0) | (ok & ~(np.isfinite(err) & (err >= 0)))
         if bad.any():
-            raise ValueError(f"image {self.ids[np.argmax(bad)]}: {_COUNTS_ERROR}")
+            raise ValueError(f"image {self.ids[np.argmax(bad)]}: negative inlier count or "
+                             "mean reprojection error")
         self.num_inliers.flags.writeable = self.mean_reproj_px.flags.writeable = False
 
     def __len__(self):
@@ -141,13 +144,6 @@ class PoseTable:
 
 # R and t of a row without a pose.
 _NAN_R, _NAN_T = np.full((3, 3), np.nan), np.full(3, np.nan)
-_COUNTS_ERROR = "negative inlier count or mean reprojection error"
-
-
-def _counts_rule(num_inliers, mean_reproj_px, ok):
-    """Rows (arrays, or one row's scalars) with a negative inlier count, or ok
-    with a mean error that is negative or not finite."""
-    return (num_inliers < 0) | (ok & ~(np.isfinite(mean_reproj_px) & (mean_reproj_px >= 0)))
 
 
 def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
@@ -743,11 +739,11 @@ def save_poses(poses: PoseTable, path, sec_per_image: float | None = None) -> No
 
 def load_poses(path):
     """Inverse of save_poses. Returns (PoseTable, metadata dict), the
-    metadata holding sec_per_image when the file states it. A line that
-    PoseTable would refuse, or a last line without a line end, raises
-    MalformedFileError at path:line."""
-    rows, seen, meta = [], set(), {}
-    with _io.lines(path) as src:
+    metadata holding sec_per_image when the file states it. PoseTable judges
+    each line's values: the first line it refuses, or a last line without a
+    line end, raises MalformedFileError at path:line."""
+    meta = {}
+    with _io.lines(path, make=lambda rows: PoseTable(*_io.columns(rows, 6))) as src:
         for tokens in src:
             if tokens[0][0] == "#":
                 for tok in tokens:
@@ -758,22 +754,9 @@ def load_poses(path):
             if len(tokens) != 11:
                 raise ValueError("expected 11 fields")
             iid, status, num_inliers = int(tokens[0]), tokens[8], int(tokens[9])
-            if iid in seen:
-                raise ValueError(f"duplicate image id {iid}")
-            seen.add(iid)
-            _io.int64("image id", iid)
-            _io.int64("inlier count", num_inliers)
-            if status not in STATUSES:
-                raise ValueError(f"unknown status {status!r}")
             # save_poses writes nan in place of a missing pose.
             vals = [float(tok) for tok in tokens[1:8] + tokens[10:]]
-            R, t, ok = _NAN_R, _NAN_T, status == STATUS_OK
-            if ok:
-                T = Pose(qvec2rotmat(vals[:4]), vals[4:7])
-                R, t = T.R, T.t
-            if _counts_rule(num_inliers, vals[7], ok):
-                raise ValueError(_COUNTS_ERROR)
-            rows.append((iid, status, R, t, num_inliers, vals[7]))
+            R, t = (qvec2rotmat(vals[:4]), vals[4:7]) if status == STATUS_OK else (_NAN_R, _NAN_T)
+            src.keep(iid, status, R, t, num_inliers, vals[7])
         src.refuse_cut()
-    ids, status, R, t, num_inliers, mean_reproj_px = zip(*rows) if rows else [()] * 6
-    return PoseTable(ids, status, R, t, num_inliers, mean_reproj_px), meta
+        return src.table(), meta

@@ -12,7 +12,7 @@ same row products with one rotation per row. The pose solver, which discards
 the mask, applies _uv: to the same camera-frame product as project_many in its
 residuals and Jacobian (pose._residuals), and to stacked poses when it scores
 P3P hypotheses (pose._stacked_errors). _valid_poses is the one pose rule, of
-Pose, ImageSet, pose.PoseTable, pose.load_poses, P3P and evaluation.rotation_error.
+Pose, ImageSet, pose.PoseTable, P3P and evaluation.rotation_error.
 
 Conventions used by every module in this package:
   - poses are world-to-camera: p_cam = R @ p_world + t, camera center = -R^T t
@@ -22,6 +22,7 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -397,17 +398,18 @@ def load_scene(path) -> SceneModel:
 
     Expects cameras.txt, images.txt and points3D.txt. Only PINHOLE and
     SIMPLE_PINHOLE camera models are supported. Quaternions are stored as
-    (qw qx qy qz) and converted to rotation matrices. Ids, widths, heights,
-    colours and track entries must fit in int64; the points come as one
-    PointSet in file order. A track entry that names an unknown image, an
+    (qw qx qy qz) and converted to rotation matrices. The values of each
+    camera line are judged by Intrinsics, and those of the image and point
+    lines by ImageSet and by PointSet, which holds the points in file order:
+    a line that they refuse raises MalformedFileError at the first line
+    refused (_io.lines). A track entry that names an unknown image, an
     observation out of range or another point's observation raises a
     DanglingReferenceError at points3D.txt:line: the first such entry in the
-    file, unless its own line or one before it is malformed: each line is
-    checked in full as it is read. Then an images.txt observation whose point
-    id is neither -1 nor a point raises a DanglingReferenceError at the
-    images.txt line of the first one. A focal length that, times the diameter
-    of the points and camera centres, overflows raises a DataError naming
-    cameras.txt.
+    file, unless its own line is malformed or a line before it is malformed
+    or refused. Then an images.txt observation whose point id is neither -1
+    nor a point raises a DanglingReferenceError at the images.txt line of
+    the first one. A focal length that, times the diameter of the points and
+    camera centres, overflows raises a DataError naming cameras.txt.
 
     The model's columns are kept in <path>/.landmarkloc-scene (an
     _io.Sidecar), by save_scene for the files it writes and by a load that
@@ -473,7 +475,6 @@ def _parse_scene(path: Path) -> SceneModel:
             if cam_id in intrinsics:
                 raise ValueError(f"repeated camera id {cam_id}")
             _io.int64("camera id", cam_id)
-            _io.int64("image width or height", width, height)
             model = tokens[1]
             params = _io.finite("camera parameter", *map(float, tokens[4:]))
             if model == "PINHOLE":
@@ -491,11 +492,10 @@ def _parse_scene(path: Path) -> SceneModel:
                 )
             intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
 
-    image_rows = []  # (camera id, R, t, name) of each image, in file order
     # Every observation of images.txt, in file order; an image's rows run
     # from its first row to the next image's.
     obs_u, obs_v, obs_point, obs_no, first_row = [], [], [], [], {}
-    with _io.lines(path / "images.txt") as src:
+    with _io.lines(path / "images.txt", make=lambda rows: ImageSet(*_io.columns(rows, 5))) as src:
         # Each header line is followed by its observations line, which may be
         # blank; the reader skips a blank line, so it shows as a gap in src.no.
         hdr_no = None
@@ -514,46 +514,44 @@ def _parse_scene(path: Path) -> SceneModel:
                 if len(tokens) < 10:
                     raise ValueError("image header line too short")
                 image_id, camera_id = int(tokens[0]), int(tokens[8])
-                if image_id in first_row:
-                    raise ValueError(f"repeated image id {image_id}")
-                _io.int64("image id", image_id)
-                _io.int64("camera id", camera_id)
                 vals = [float(t) for t in tokens[1:8]]
-                _io.finite("pose", *vals)
+                src.keep(image_id, camera_id, qvec2rotmat(vals[:4]), vals[4:],
+                         " ".join(tokens[9:]))
                 if camera_id not in intrinsics:
                     raise DanglingReferenceError(
                         f"{src.path}:{src.no}: image {image_id} references unknown "
                         f"camera {camera_id}"
                     )
-                image_rows.append((camera_id, qvec2rotmat(vals[:4]), vals[4:],
-                                   " ".join(tokens[9:])))
                 first_row[image_id] = len(obs_point)
                 hdr_no = src.no
         if hdr_no is not None and src.no == hdr_no:
             raise ValueError("image header without observations line")
+        images = src.table()
 
     # Each image's first observation row and row count, by image id.
     ends = [*list(first_row.values())[1:], len(obs_point)]
     spans = {iid: (lo, hi - lo) for (iid, lo), hi in zip(first_row.items(), ends)}
+    obs_uv = np.column_stack((obs_u, obs_v))
 
-    xyz = {}  # point id -> its position, in file order
-    point_rgb, track_len, track_image, track_row = [], [], [], []
-    with _io.lines(path / "points3D.txt") as src:
+    def point_set(rows) -> PointSet:
+        pt_ids, xyz, rgb, track_image, track_row = _io.columns(rows, 5)
+        return PointSet(pt_ids, xyz, rgb, list(map(len, track_image)),
+                        list(itertools.chain.from_iterable(track_image)),
+                        obs_uv[list(itertools.chain.from_iterable(track_row))])
+
+    with _io.lines(path / "points3D.txt", make=point_set) as src:
         for tokens in src:
             if tokens[0][0] == "#":
                 continue
             if len(tokens) < 8 or len(tokens) % 2 != 0:
                 raise ValueError("point line has wrong token count")
             pt_id, *rgb = map(int, tokens[0:1] + tokens[4:7])
-            if pt_id in xyz:
-                raise ValueError(f"repeated point id {pt_id}")
-            *pos, _error = _io.finite("position or error", *map(float, tokens[1:4] + tokens[7:8]))
+            pos = [float(tok) for tok in tokens[1:4]]
+            _io.finite("point error", float(tokens[7]))
             track = list(map(int, tokens[8:]))
-            if not track:
-                raise ValueError(f"track point {pt_id} has no observations")
-            _io.int64("point id, colour or track entry", pt_id, *rgb, *track)
             # Each entry names an image of images.txt and one of its
             # observations, which images.txt gives to this point.
+            track_row = []
             for image_id, index in zip(track[0::2], track[1::2]):
                 lo, count = spans.get(image_id, (None, None))
                 if lo is None:
@@ -568,20 +566,16 @@ def _parse_scene(path: Path) -> SceneModel:
                         f"{src.path}:{src.no}: observation {index} of image {image_id} belongs "
                         f"to point {obs_point[lo + index]}, not {pt_id}")
                 track_row.append(lo + index)
-            xyz[pt_id] = pos
-            point_rgb.append(rgb)
-            track_len.append(len(track) // 2)
-            track_image += track[0::2]
+            src.keep(pt_id, pos, rgb, track[0::2], track_row)
+        points = src.table()
 
     # Each observation names no point (-1) or a point of points3D.txt.
-    dangling = np.flatnonzero(~np.isin(np.array(obs_point, np.int64), [-1, *xyz]))
+    dangling = np.flatnonzero(~np.isin(np.array(obs_point, np.int64), np.append(points.ids, -1)))
     if len(dangling):
         k = dangling[0]
         raise DanglingReferenceError(f"{path / 'images.txt'}:{obs_no[k]}: observation of "
                                      f"unknown point {obs_point[k]}")
-    points = PointSet(list(xyz), list(xyz.values()), point_rgb, track_len, track_image,
-                      np.column_stack((obs_u, obs_v))[track_row])
-    model = SceneModel(intrinsics, ImageSet(list(first_row), *zip(*image_rows)), points)
+    model = SceneModel(intrinsics, images, points)
     _check_focal_lengths(path, model)
     return model
 

@@ -90,6 +90,12 @@ class TestTriangleMesh:
         with pytest.raises(ValueError):
             TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # What both mesh loaders refuse, with their message.
+        with pytest.raises(ValueError, match="^non-finite vertex$"):
+            TriangleMesh([[bad, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+
     def test_degenerate_filtering(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]], dtype=float)
         tris = np.array([[0, 1, 2], [0, 1, 3]])  # second is collinear

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import landmarkloc
-from landmarkloc.errors import InvalidPartitionError
+from landmarkloc.errors import InvalidPartitionError, MalformedFileError
 from landmarkloc.partitioning import (
     PartitionAssignment,
     load_partition,
@@ -232,6 +232,21 @@ def test_invariants_all_criteria(criterion, g, n):
 def test_group_outside_range_rejected(group):
     with pytest.raises(ValueError, match="outside"):
         PartitionAssignment([0, group], 2, "default")
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_group_count_below_one_rejected(g):
+    with pytest.raises(ValueError, match=f"^group count {g} is below 1$"):
+        PartitionAssignment([], g, "default")
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_partition_file_with_group_count_below_one_rejected(tmp_path, g):
+    # The constructor judges the header's group count, at the header line.
+    path = tmp_path / "part.txt"
+    path.write_text(f"# criterion=default groups={g} seed=none\n")
+    with pytest.raises(MalformedFileError, match=rf"part\.txt:1: group count {g} is below 1$"):
+        load_partition(path)
 
 
 def test_equal_assignments_compare_equal():

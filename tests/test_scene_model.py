@@ -1,5 +1,6 @@
 import io
 import os
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -9,6 +10,7 @@ from landmarkloc import _io, scene_model
 from landmarkloc.cli import main
 from landmarkloc.errors import (
     DanglingReferenceError,
+    DataError,
     MalformedFileError,
     UnsupportedCameraModelError,
 )
@@ -610,26 +612,40 @@ class TestSceneIO:
             load_scene(tmp_path)
         assert str(err.value) == f"{images}:{message}"
 
-    @pytest.mark.parametrize("name, line_no, line, warm", cold_and_warm([
-        ("images.txt", 3, "9223372036854775808 1 0 0 0 0 0 0 1 img0.png"),
-        ("images.txt", 4, "50 50 9223372036854775807 50 50 -9223372036854775809"),
-        ("points3D.txt", 2, "9223372036854775808 0 0 2 128 128 128 0 1 0 2 0"),
-        ("points3D.txt", 2, "7 0 0 2 128 128 128 0 1 0 2 18446744073709551616"),
-        ("points3D.txt", 2, "7 0 0 2 128 18446744073709551616 128 0 1 0 2 0"),
-        ("cameras.txt", 2, "1180591620717411303424 PINHOLE 100 100 100 100 50 50"),
-        ("cameras.txt", 2, "1 PINHOLE 9223372036854775808 100 100 100 50 50"),
-        ("cameras.txt", 2, "1 PINHOLE 100 -9223372036854775809 100 100 50 50"),
-        ("images.txt", 3, "1 1 0 0 0 0 0 0 1180591620717411303424 img0.png"),
-    ]))
-    def test_id_outside_int64_reports_location(self, tmp_path, name, line_no, line, warm):
+    # (file, line number, line, the exact message when it is not the int64 rule's)
+    OUTSIDE_INT64 = [
+        ("images.txt", 3, "9223372036854775808 1 0 0 0 0 0 0 1 img0.png", None),
+        ("images.txt", 4, "50 50 9223372036854775807 50 50 -9223372036854775809", None),
+        # A point's references are checked before its values: no point of
+        # images.txt has an id past int64, and an index past it is out of range.
+        ("points3D.txt", 2, "9223372036854775808 0 0 2 128 128 128 0 1 0 2 0",
+         "observation 0 of image 1 belongs to point 7, not 9223372036854775808"),
+        ("points3D.txt", 2, "7 0 0 2 128 128 128 0 1 0 2 18446744073709551616",
+         "point 7 references observation 18446744073709551616 out of range for image 2"),
+        ("points3D.txt", 2, "7 0 0 2 128 18446744073709551616 128 0 1 0 2 0", None),
+        ("cameras.txt", 2, "1180591620717411303424 PINHOLE 100 100 100 100 50 50", None),
+        ("cameras.txt", 2, "1 PINHOLE 9223372036854775808 100 100 100 50 50", None),
+        ("cameras.txt", 2, "1 PINHOLE 100 -9223372036854775809 100 100 50 50", None),
+        ("images.txt", 3, "1 1 0 0 0 0 0 0 1180591620717411303424 img0.png", None),
+    ]
+
+    @pytest.mark.parametrize("name, line_no, line, message, warm", cold_and_warm(
+        OUTSIDE_INT64, ids=["-".join(map(str, row[:3])) for row in OUTSIDE_INT64]))
+    def test_id_outside_int64_reports_location(self, tmp_path, name, line_no, line, message,
+                                               warm):
         # Ids, image sizes, colours and track entries are read into int64 columns.
         good_scene(tmp_path, warm)
         path = tmp_path / name
         lines = path.read_text().splitlines()
         lines[line_no - 1] = line
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MalformedFileError, match=rf"{name}:{line_no}: .* out of the int64"):
+        with pytest.raises(DataError) as err:
             load_scene(tmp_path)
+        if message is None:
+            assert isinstance(err.value, MalformedFileError)
+            assert re.search(rf"{name}:{line_no}: .* out of the int64", str(err.value))
+        else:
+            assert str(err.value) == f"{path}:{line_no}: {message}"
 
     def test_simple_pinhole_supported(self, tmp_path):
         save_scene(make_minimal_model(), tmp_path)
