@@ -4,12 +4,17 @@ detector simulator for end-to-end testing, and ensemble merging.
 
 Heatmaps live on a grid downsampled 8x from image pixels; detections are
 reported in full-resolution pixel coordinates with a confidence in (0, 1].
+
+The simulator projects every visible pair of every image in one pass, makes
+one scalar Generator call per drawn value, scaled by numpy's own formulas
+for uniform and normal, and builds one DetectionTable from whole columns.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +24,8 @@ import numpy as np
 from . import _io
 from .errors import DanglingReferenceError, DataError, DuplicateLandmarkError
 from .landmarks import LandmarkSet
-from .scene_model import Intrinsics, SceneModel, _camera_frame, _pixel
-from .visibility import VisibilityTable
+from .scene_model import Intrinsics, SceneModel, _pixel
+from .visibility import VisibilityTable, _pair_blocks
 
 DOWNSAMPLE = 8
 PRUNE_THRESHOLD = 0.3  # detections with peak value <= this are dropped
@@ -185,6 +190,25 @@ def extract_detection(hm: Heatmap):
     return np.array([c_mean, r_mean]) * hm.downsample, v
 
 
+def _pixels(model: SceneModel, xyz: np.ndarray, img: np.ndarray, lm: np.ndarray):
+    """The pixels (N, 2) of N (image, landmark) pairs, image row img[k] of
+    model and landmark position xyz[lm[k]], and whether each lies inside its
+    image: _pixel per camera on stacked R @ xyz rows, _PAIR_BLOCK pairs at a
+    time, with the bits of each image's _camera_frame rows."""
+    images = model.images
+    uv, inside = np.empty((len(img), 2)), np.empty(len(img), dtype=bool)
+    with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
+        for rows in _pair_blocks(len(img), 1):
+            k = img[rows]
+            cam = np.matmul(images.R[k], xyz[lm[rows]][:, :, None])[:, :, 0] + images.t[k]
+            cams = images.camera_ids[k]
+            for cid in set(cams.tolist()):  # np.unique would import numpy.ma
+                sel = np.flatnonzero(cams == cid)
+                at = sel + rows.start
+                uv[at, 0], uv[at, 1], inside[at] = _pixel(model.intrinsics[cid], *cam[sel].T)
+    return uv, inside
+
+
 def simulate_detections_labeled(
     model: SceneModel,
     ls: LandmarkSet,
@@ -203,6 +227,16 @@ def simulate_detections_labeled(
     v = clamp(1 - |noise| / (4 sigma), 0.31, 1), exactly 1 when the simulator
     runs noiseless; an outlier's is v ~ Uniform(0.31, 0.7).
 
+    One pass over every image: the visible pairs, image-major and by landmark
+    id within an image, are projected at once (_pixels). Then each image's
+    stream, in id order, makes its draws in landmark order, one scalar
+    Generator call per value: random() for the outlier test, then an
+    outlier's three random() scaled as Generator.uniform(low, high) does
+    (low + (high - low) * u), or an inlier's two standard_normal(), scaled
+    after the loop as Generator.normal(0, sigma) does (0.0 + sigma * z). So
+    the values are those of uniform() and normal() calls per pair, bit for
+    bit.
+
     Row k of the table is landmark k; rows past the set's are not read.
     Returns (detections, outlier_ids): a DetectionTable, which holds the
     images with detections, and a dict of every image id -> set of landmark
@@ -215,36 +249,55 @@ def simulate_detections_labeled(
 
     if len(vt.mask) < len(ls):
         raise DanglingReferenceError(f"visibility table lacks landmark {len(vt.mask)}")
+    images = model.images
+    image_ids = images.ids.tolist()
     try:  # column k is image k of the model
-        mask = vt.mask[:len(ls), [vt.column(iid) for iid in model.images.ids.tolist()]]
+        mask = vt.mask[:len(ls), [vt.column(iid) for iid in image_ids]]
     except KeyError as exc:
         raise DanglingReferenceError(f"visibility table lacks image {exc.args[0]}") from None
-    detections, outlier_ids = {}, {}
-    for k, iid in enumerate(model.images.ids.tolist()):
-        K = model.camera(iid)
+    img, lm = np.nonzero(mask.T)  # image-major, landmarks ascending
+    truth, valid = _pixels(model, ls.xyz, img, lm)
+    img, lm, truth = img[valid], lm[valid], truth[valid]
+    size = np.array([[K.width, K.height] for K in map(model.camera, image_ids)], dtype=np.float64)
+    counts = np.bincount(img, minlength=len(image_ids)).tolist()
+
+    # The draws, image by image and in landmark order within an image: per
+    # pair the outlier test, then an outlier's pixel and confidence, or an
+    # inlier's noise. The values go to flat C arrays, so that no float
+    # object outlives its draw.
+    outlier, wild, z = bytearray(), array("d"), array("d")
+    sigma, low, span = noise_sigma_px, 0.31, 0.7 - 0.31
+    for iid, n, (w, h) in zip(image_ids, counts, size.tolist()):
         rng = np.random.default_rng(seed ^ iid)
-        ids = np.flatnonzero(mask[:, k])
-        with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
-            u, v, valid = _pixel(K, *_camera_frame(model.images.pose(iid), ls.xyz[ids]).T)
-        ids, truth = ids[valid], np.column_stack([u, v])[valid]
-        # The rng draws, in landmark order: an outlier's pixel and confidence,
-        # or an inlier's noise.
-        outlier = np.zeros(len(ids), dtype=bool)
-        draws = np.zeros((len(ids), 3))
-        for k in range(len(ids)):
-            if rng.random() < outlier_rate:
-                outlier[k] = True
-                draws[k] = rng.uniform(0, K.width), rng.uniform(0, K.height), rng.uniform(0.31, 0.7)
-            elif noise_sigma_px > 0:
-                draws[k, :2] = rng.normal(0.0, noise_sigma_px, size=2)
-        noise = draws[:, :2]
-        uv = np.clip(truth + noise, 0.0, np.nextafter([float(K.width), float(K.height)], 0.0))
-        conf = np.ones(len(ids)) if noise_sigma_px == 0 else np.clip(
-            1.0 - np.sqrt(np.vecdot(noise, noise)) / (4.0 * noise_sigma_px), 0.31, 1.0)
-        uv[outlier], conf[outlier] = draws[outlier, :2], draws[outlier, 2]
-        detections[iid] = DetectionSet._in_order(iid, ids, uv, conf)
-        outlier_ids[iid] = set(ids[outlier].tolist())
-    return DetectionTable.of(detections), outlier_ids
+        random, normal = rng.random, rng.standard_normal
+        for _ in range(n):
+            if random() < outlier_rate:
+                outlier.append(1)
+                wild.extend((0.0 + w * random(), 0.0 + h * random(), low + span * random()))
+            else:
+                outlier.append(0)
+                if sigma > 0:
+                    z.extend((normal(), normal()))
+    outlier = np.frombuffer(outlier, dtype=bool)
+    noise = np.zeros((len(img), 2))
+    if sigma > 0:
+        # 0.0 + sigma * z, as Generator.normal(0.0, sigma) makes it. In place,
+        # with z freed first, as are the pixels below: each whole-column
+        # temporary would add to the stage's peak memory.
+        noise[~outlier] = np.frombuffer(z).reshape(-1, 2)
+        del z
+        noise *= sigma
+        noise += 0.0
+    uv = np.clip(np.add(truth, noise, out=truth), 0.0, np.nextafter(size, 0.0)[img], out=truth)
+    conf = np.ones(len(img)) if sigma == 0 else np.clip(
+        1.0 - np.sqrt(np.vecdot(noise, noise)) / (4.0 * sigma), 0.31, 1.0)
+    wild = np.frombuffer(wild).reshape(-1, 3)
+    uv[outlier], conf[outlier] = wild[:, :2], wild[:, 2]
+
+    cuts = np.searchsorted(img[outlier], np.arange(len(image_ids) + 1)).tolist()
+    planted = lm[outlier].tolist()
+    outlier_ids = {iid: set(planted[lo:hi]) for iid, lo, hi in zip(image_ids, cuts, cuts[1:])}
+    return DetectionTable(images.ids[img], lm, uv, conf), outlier_ids
 
 
 def simulate_detections(model, ls, vt, noise_sigma_px=1.0, outlier_rate=0.0,

@@ -20,6 +20,13 @@ from .landmarks import LandmarkSet
 CRITERIA = ("default", "random", "kmeans", "fps")
 
 
+def _group_count(g: int) -> int:
+    """g, or a ValueError when it is below 1."""
+    if g < 1:
+        raise ValueError(f"group count {g} is below 1")
+    return g
+
+
 @dataclass
 class PartitionAssignment:
     group: np.ndarray   # (L,) int64: landmark k's group index in [0, g)
@@ -31,8 +38,7 @@ class PartitionAssignment:
         self.group = _io.int64_column("group index", self.group)
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.g < 1:
-            raise ValueError(f"group count {self.g} is below 1")
+        _group_count(self.g)
         if len(self.group) and (self.group.min() < 0 or self.group.max() >= self.g):
             raise ValueError(f"group index outside [0, {self.g})")
         sizes = self.group_sizes()
@@ -259,7 +265,7 @@ def load_partition(path) -> PartitionAssignment:
                     if k == "criterion":
                         criterion = v
                     elif k == "groups":
-                        g = int(v)
+                        g = _group_count(int(v))
                     elif k == "seed":
                         seed = None if v == "none" else int(v)
                 continue

@@ -7,8 +7,8 @@ _uv is the one place the pinhole model is written; _pixel adds the in-image
 mask. project_many is the pinhole projection of arrays of points; the
 visibility test and the synthetic scene generator make its product for a
 block of images at once (visibility._pairs_in_view). The detection simulator
-applies _pixel to _camera_frame rows; the synthetic scene generator makes the
-same row products with one rotation per row. The pose solver, which discards
+and the synthetic scene generator apply _pixel to _camera_frame's row
+products, made with one rotation per row. The pose solver, which discards
 the mask, applies _uv: to the same camera-frame product as project_many in its
 residuals and Jacobian (pose._residuals), and to stacked poses when it scores
 P3P hypotheses (pose._stacked_errors). _valid_poses is the one pose rule, of
@@ -161,6 +161,14 @@ class Intrinsics:
         return np.array(
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
+
+
+def _cameras(rows) -> dict:
+    """rows (camera id, fx, fy, cx, cy, width, height) as {camera id:
+    Intrinsics}: int64 ids, each once, and each row's Intrinsics."""
+    ids = _io.int64_column("camera id", [row[0] for row in rows])
+    _io.refuse_repeats(ids, "repeated camera id {}")
+    return {cam_id: Intrinsics(*row[1:]) for cam_id, row in zip(ids.tolist(), rows)}
 
 
 def _valid_poses(R, t):
@@ -444,19 +452,15 @@ def _columns(model: SceneModel) -> dict:
 def _model_from_columns(c: dict) -> SceneModel:
     """The model of columns c, through the constructors the parse uses; an
     exception when they do not make one."""
-    intrinsics = {
-        cam_id: Intrinsics(*k, *size) for cam_id, k, size in zip(
-            c["camera_id"].tolist(), c["camera_fxfycxcy"].tolist(),
-            c["camera_size"].tolist(), strict=True)
-    }
+    intrinsics = _cameras([(cam_id, *k, *size) for cam_id, k, size in zip(
+        c["camera_id"].tolist(), c["camera_fxfycxcy"].tolist(), c["camera_size"].tolist(),
+        strict=True)])
     text = c["image_names"].tobytes().decode()
     ends = [0, *np.cumsum(c["image_name_len"]).tolist()]
     if ends[-1] != len(text):
         raise ValueError("image names do not add up to their text")
     images = ImageSet(c["image_id"], c["image_camera"], c["image_R"], c["image_t"],
                       [text[lo:hi] for lo, hi in zip(ends, ends[1:])])
-    if len(intrinsics) != len(c["camera_id"]):
-        raise ValueError("repeated camera id")
     return SceneModel(intrinsics, images, PointSet(
         c["point_id"], c["point_xyz"], c["point_rgb"], c["track_len"], c["track_image"],
         c["track_uv"]))
@@ -464,19 +468,14 @@ def _model_from_columns(c: dict) -> SceneModel:
 
 def _parse_scene(path: Path) -> SceneModel:
     """load_scene's parse of the three text files, with every check."""
-    intrinsics = {}
-    with _io.lines(path / "cameras.txt") as src:
+    with _io.lines(path / "cameras.txt", make=_cameras) as src:
         for tokens in src:
             if tokens[0][0] == "#":
                 continue
             if len(tokens) < 4:
                 raise ValueError("camera line too short")
-            cam_id, width, height = int(tokens[0]), int(tokens[2]), int(tokens[3])
-            if cam_id in intrinsics:
-                raise ValueError(f"repeated camera id {cam_id}")
-            _io.int64("camera id", cam_id)
-            model = tokens[1]
-            params = _io.finite("camera parameter", *map(float, tokens[4:]))
+            cam_id, model, width, height = int(tokens[0]), tokens[1], int(tokens[2]), int(tokens[3])
+            params = [float(t) for t in tokens[4:]]
             if model == "PINHOLE":
                 if len(params) != 4:
                     raise ValueError("PINHOLE needs 4 params")
@@ -490,7 +489,8 @@ def _parse_scene(path: Path) -> SceneModel:
                 raise UnsupportedCameraModelError(
                     f"{src.path}:{src.no}: unsupported camera model {model!r}"
                 )
-            intrinsics[cam_id] = Intrinsics(fx, fy, cx, cy, width, height)
+            src.keep(cam_id, fx, fy, cx, cy, width, height)
+        intrinsics = src.table()
 
     # Every observation of images.txt, in file order; an image's rows run
     # from its first row to the next image's.

@@ -11,8 +11,12 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +49,7 @@ from landmarkloc.scene_model import (
     bearing,
 )
 from landmarkloc.synth import SynthConfig, generate_scene
-from landmarkloc.visibility import landmark_reference_normals
+from landmarkloc.visibility import VisibilityTable, landmark_reference_normals
 
 from conftest import (
     correspondences,
@@ -57,6 +61,7 @@ from conftest import (
 )
 from detection_reference import detection_errors_ref
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref, prosac_samples_ref
+from test_mesh import _cpu_has_avx2, _openblas
 from test_pose import pnp_scene
 
 
@@ -271,7 +276,38 @@ def test_reference_normals_match_one_landmark():
         assert 0 < len(excluded) < len(ls)
 
 
-@pytest.mark.parametrize("sigma, outlier_rate", [(1.0, 0.3), (0.0, 0.0)])
+def detection_rows(dets, outliers):
+    """simulate_ref's rows of a simulated table and its outlier_ids."""
+    return [(iid, lid, u, v, conf, lid in outliers[iid]) for iid in sorted(dets)
+            for lid, (u, v), conf in zip(dets[iid].landmark_ids.tolist(), dets[iid].uv.tolist(),
+                                         dets[iid].confidence.tolist())]
+
+
+def planted_ref(model, rows):
+    """outlier_ids of simulate_ref's rows: every image id of the model -> the
+    ids of the landmarks planted as outliers in it."""
+    planted = {iid: set() for iid in model.images.ids.tolist()}
+    for iid, lid, *_, outlier in rows:
+        if outlier:
+            planted[iid].add(lid)
+    return planted
+
+
+def two_camera_scene(scene, blind):
+    """scene's model with its images alternating between two cameras of
+    different width and height, and its visibility with image blind seeing
+    no landmark."""
+    model, images, vt = scene.model, scene.model.images, scene.gt_visibility
+    cameras = {1: model.intrinsics[1], 2: Intrinsics(620.0, 610.0, 300.5, 250.25, 600, 500)}
+    two = SceneModel(cameras, ImageSet(images.ids, 1 + images.ids % 2, images.R, images.t,
+                                       images.names), model.points)
+    mask = vt.mask.copy()
+    mask[:, vt.column(blind)] = False
+    return two, VisibilityTable(vt.image_ids, mask, vt.tolerances, vt.excluded)
+
+
+@pytest.mark.parametrize("sigma, outlier_rate", [(1.0, 0.3), (0.0, 0.0), (1.0, 0.0), (0.0, 0.3),
+                                                 (2.5, 1.0)])
 def test_simulate_matches_one_row(scene, sigma, outlier_rate):
     dets, outliers = simulate_detections_labeled(
         scene.model, scene.gt_landmarks, scene.gt_visibility, sigma, outlier_rate, seed=6)
@@ -282,6 +318,49 @@ def test_simulate_matches_one_row(scene, sigma, outlier_rate):
                        outlier_rate, seed=6)
     assert got == ref
     assert any(row[5] for row in ref) == (outlier_rate > 0)
+    assert outliers == planted_ref(scene.model, ref)
+    # Two cameras of different extent, some visible pairs outside the second
+    # one's narrower view, and an image that sees no landmark but still has
+    # its (empty) outlier set.
+    blind = scene.model.images.ids[2].item()
+    two, vt = two_camera_scene(scene, blind)
+    dets, outliers = simulate_detections_labeled(two, scene.gt_landmarks, vt, sigma, outlier_rate,
+                                                 seed=6)
+    ref = simulate_ref(two, scene.gt_landmarks, vt, sigma, outlier_rate, seed=6)
+    assert detection_rows(dets, outliers) == ref
+    assert outliers == planted_ref(two, ref)
+    assert blind not in dets and outliers[blind] == set()
+    assert {two.images.camera_ids[two.images.row(iid)].item() for iid in dets} == {1, 2}
+    assert len(ref) < vt.mask.sum()
+
+
+@pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
+                    reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("setting, shown", [
+    ({"OPENBLAS_CORETYPE": "Haswell"}, (0, "Haswell")),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, (1, "False")),
+], ids=["haswell", "without-avx512"])
+def test_simulate_agrees_under_haswell_and_without_avx512(setting, shown):
+    # The simulator's stacked projection and scalar draws keep the referee's
+    # bits under another BLAS kernel, and under numpy's AVX2 loops.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **setting,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "import ctypes; from numpy._core import _multiarray_umath as m; "
+         "f = ctypes.CDLL(%r).scipy_openblas_get_corename64_; "
+         "f.argtypes = []; f.restype = ctypes.c_char_p; "
+         "print(f().decode(), m.__cpu_features__.get('X86_V4'))" % str(_openblas())],
+        env=env, capture_output=True, text=True, timeout=60)
+    index, value = shown
+    assert check.stdout.split()[index] == value, check.stdout + check.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_simulate_matches_one_row"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1].startswith("5 passed"), (
+        proc.stdout[-3000:] + proc.stderr[-3000:])
 
 
 # sha256 of the outputs of a small fixed-seed CLI run, as written by the

@@ -26,7 +26,7 @@ from landmarkloc.errors import DataError, MalformedFileError
 from landmarkloc.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from landmarkloc.mesh import TriangleMesh, load_mesh, save_mesh_ply
 from landmarkloc.pose import PoseTable, load_poses, save_poses
-from landmarkloc.scene_model import load_scene, save_scene
+from landmarkloc.scene_model import Intrinsics, SceneModel, load_scene, save_scene
 from landmarkloc.synth import SynthConfig, generate_scene
 
 N = 16  # data lines of each seeded file
@@ -73,6 +73,16 @@ def write_scene(d, rng, warm=False):
         load_scene(d)
     else:
         scene_model._sidecar(d).path.unlink()
+    return d
+
+
+def write_cameras(d, rng):
+    """SCENE's files in d, with N - 1 seeded cameras beside its own, without
+    any copy."""
+    cameras = {int(cam_id): Intrinsics(*rng.uniform(300, 400, 2), *rng.uniform(200, 300, 2),
+                                       640, 480) for cam_id in rng.permutation(100)[:N - 1] + 2}
+    save_scene(SceneModel({**SCENE.intrinsics, **cameras}, SCENE.images, SCENE.points), d)
+    scene_model._sidecar(d).path.unlink()
     return d
 
 
@@ -143,13 +153,20 @@ MAKES = {
         "zero-confidence": lambda row, first: (*row[:3], 0.0),
         "id-past-int64": lambda row, first: (row[0], 2**63, *row[2:]),
     }),
-    "images": (write_scene, (scene_model._parse_scene, 0), {
+    "cameras": (write_cameras, (scene_model._parse_scene, 0), {
+        "repeat": lambda row, first: (first[0], *row[1:]),
+        "nan-focal-length": lambda row, first: (row[0], math.nan, *row[2:]),
+        "nan-principal-point": lambda row, first: (*row[:3], math.nan, *row[4:]),
+        "width-past-int64": lambda row, first: (*row[:5], 2**63, row[6]),
+        "id-past-int64": lambda row, first: (2**63, *row[1:]),
+    }),
+    "images": (write_scene, (scene_model._parse_scene, 1), {
         "repeat": lambda row, first: (first[0], *row[1:]),
         "inf-translation": lambda row, first: (*row[:3], [math.inf, 0.0, 0.0], row[4]),
         "reflection": lambda row, first: (*row[:2], np.diag([1.0, 1.0, -1.0]), *row[3:]),
         "camera-past-int64": lambda row, first: (row[0], 2**63, *row[2:]),
     }),
-    "points": (write_scene, (scene_model._parse_scene, 1), {
+    "points": (write_scene, (scene_model._parse_scene, 2), {
         "repeat": lambda row, first: (first[0], *row[1:]),
         "nan-position": lambda row, first: (row[0], [math.nan, 0.0, 0.0], *row[2:]),
         "colour-past-int64": lambda row, first: (*row[:2], [2**63, 0, 0], *row[3:]),

@@ -249,6 +249,15 @@ def test_partition_file_with_group_count_below_one_rejected(tmp_path, g):
         load_partition(path)
 
 
+@pytest.mark.parametrize("g", [0, -1])
+def test_partition_file_with_group_count_below_one_and_a_landmark_rejected(tmp_path, g):
+    # The header's count is judged at the header, before any landmark line.
+    path = tmp_path / "part.txt"
+    path.write_text(f"# criterion=default groups={g} seed=none\n0 0\n")
+    with pytest.raises(MalformedFileError, match=rf"part\.txt:1: group count {g} is below 1$"):
+        load_partition(path)
+
+
 def test_equal_assignments_compare_equal():
     a = PartitionAssignment([0, 1, 1, 0, 2], 3, "random", seed=4)
     assert a == PartitionAssignment(np.array([0, 1, 1, 0, 2]), 3, "random", seed=4)
