@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -62,18 +64,11 @@ class lines:
         return self
 
     def __iter__(self):
-        numbered, raw = enumerate(self._fh, start=1), "\n"
-        if self.sep is None:
-            # split() drops the line end itself and gives [] for a blank line.
-            for self.no, raw in numbered:
-                tokens = raw.split()
-                if tokens:
-                    yield tokens
-        else:
-            for self.no, raw in numbered:
-                line = raw.strip()
-                if line:
-                    yield line.split(self.sep)
+        raw = "\n"
+        for self.no, raw in enumerate(self._fh, start=1):
+            line = raw.strip()
+            if line:
+                yield line.split(self.sep)
         self.ended = raw.endswith("\n")
 
     def keep(self, *row):
@@ -269,6 +264,18 @@ def unpack(data, key: bytes, columns: dict):
     return {name: buf[lo:hi].view(want).reshape(shape) for name, want, shape, lo, hi in views}
 
 
+@functools.cache
+def _blas_kernel() -> bytes:
+    """The kernel that numpy's bundled OpenBLAS runs (the CPU's, or the one
+    OPENBLAS_CORETYPE names), read once per process; b"" without one."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        with contextlib.suppress(OSError, AttributeError):
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename() or b""
+    return b""
+
+
 _digests = {}  # (path, size, mtime in ns) -> the SHA-256 digest of that file
 
 
@@ -291,20 +298,21 @@ class Sidecar:
     in one file beside them, so that a load of the same bytes need not parse
     them again.
 
-    A copy is keyed on content: SHA-256 over the numpy version, the loader's
-    source files and this module's (their _digest, so that an edit to either
-    leaves every copy stale), then the text files, each followed by its length (so that
-    bytes moved from one file to the next change the key). columns gives
-    each column's dtype and the shape of one row. The copy file is pack's
-    layout: a header that gives the key, a CRC-32 and each column's name,
-    dtype, shape and offset, then the columns' bytes, each at a multiple of
-    64 bytes from the start. A load reads it once and makes its columns
-    views of that one buffer, after checking the header against columns,
-    the key, the layout and the CRC-32. A copy that is missing, stale, cut,
-    corrupted, foreign or of columns that do not fit (kept as the writer gave
-    them) only means a parse. Each text file and the copy is written to a
-    temp file and renamed into place (_replacing), and an OSError while
-    writing the copy leaves no copy and is not raised.
+    A copy is keyed on content: SHA-256 over the numpy version and BLAS
+    kernel (_blas_kernel: kernels round some products differently), the
+    loader's source files and this module's (their _digest, so that an edit
+    to either leaves every copy stale), then the text files, each followed by
+    its length (so that bytes moved from one file to the next change the
+    key). columns gives each column's dtype and the shape of one row. The
+    copy file is pack's layout: a header that gives the key, a CRC-32 and
+    each column's name, dtype, shape and offset, then the columns' bytes,
+    each at a multiple of 64 bytes from the start. A load reads it once and
+    makes its columns views of that one buffer, after checking the header
+    against columns, the key, the layout and the CRC-32. A copy that is
+    missing, stale, cut, corrupted, foreign or of columns that do not fit
+    (kept as the writer gave them) only means a parse. Each text file and the
+    copy is written to a temp file and renamed into place (_replacing), and
+    an OSError while writing the copy leaves no copy and is not raised.
     """
 
     def __init__(self, path, files, sources, columns):
@@ -321,9 +329,9 @@ class Sidecar:
         return cls(path.with_name(f".{path.name}.landmarkloc"), [path], [source], columns)
 
     def _hash(self, files=()):
-        """SHA-256 over the numpy version, the source files' digests and
-        files; an OSError when one cannot be read."""
-        h = hashlib.sha256(np.__version__.encode())
+        """SHA-256 over the numpy version, the BLAS kernel, the source files'
+        digests and files; an OSError when one cannot be read."""
+        h = hashlib.sha256(np.__version__.encode() + b"\0" + _blas_kernel())
         for p in self.sources:
             h.update(_digest(p))
         for p in files:

@@ -24,8 +24,8 @@ import numpy as np
 from . import _io
 from .errors import DanglingReferenceError, DataError, DuplicateLandmarkError
 from .landmarks import LandmarkSet
-from .scene_model import Intrinsics, SceneModel, _pixel
-from .visibility import VisibilityTable, _pair_blocks
+from .scene_model import Intrinsics, SceneModel, _pair_pixels
+from .visibility import VisibilityTable
 
 DOWNSAMPLE = 8
 PRUNE_THRESHOLD = 0.3  # detections with peak value <= this are dropped
@@ -190,25 +190,6 @@ def extract_detection(hm: Heatmap):
     return np.array([c_mean, r_mean]) * hm.downsample, v
 
 
-def _pixels(model: SceneModel, xyz: np.ndarray, img: np.ndarray, lm: np.ndarray):
-    """The pixels (N, 2) of N (image, landmark) pairs, image row img[k] of
-    model and landmark position xyz[lm[k]], and whether each lies inside its
-    image: _pixel per camera on stacked R @ xyz rows, _PAIR_BLOCK pairs at a
-    time, with the bits of each image's _camera_frame rows."""
-    images = model.images
-    uv, inside = np.empty((len(img), 2)), np.empty(len(img), dtype=bool)
-    with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
-        for rows in _pair_blocks(len(img), 1):
-            k = img[rows]
-            cam = np.matmul(images.R[k], xyz[lm[rows]][:, :, None])[:, :, 0] + images.t[k]
-            cams = images.camera_ids[k]
-            for cid in set(cams.tolist()):  # np.unique would import numpy.ma
-                sel = np.flatnonzero(cams == cid)
-                at = sel + rows.start
-                uv[at, 0], uv[at, 1], inside[at] = _pixel(model.intrinsics[cid], *cam[sel].T)
-    return uv, inside
-
-
 def simulate_detections_labeled(
     model: SceneModel,
     ls: LandmarkSet,
@@ -228,9 +209,9 @@ def simulate_detections_labeled(
     runs noiseless; an outlier's is v ~ Uniform(0.31, 0.7).
 
     One pass over every image: the visible pairs, image-major and by landmark
-    id within an image, are projected at once (_pixels). Then each image's
-    stream, in id order, makes its draws in landmark order, one scalar
-    Generator call per value: random() for the outlier test, then an
+    id within an image, are projected at once (scene_model._pair_pixels).
+    Then each image's stream, in id order, makes its draws in landmark order,
+    one scalar Generator call per value: random() for the outlier test, then an
     outlier's three random() scaled as Generator.uniform(low, high) does
     (low + (high - low) * u), or an inlier's two standard_normal(), scaled
     after the loop as Generator.normal(0, sigma) does (0.0 + sigma * z). So
@@ -256,7 +237,7 @@ def simulate_detections_labeled(
     except KeyError as exc:
         raise DanglingReferenceError(f"visibility table lacks image {exc.args[0]}") from None
     img, lm = np.nonzero(mask.T)  # image-major, landmarks ascending
-    truth, valid = _pixels(model, ls.xyz, img, lm)
+    truth, valid = _pair_pixels(images, model.intrinsics, ls.xyz, img, lm)
     img, lm, truth = img[valid], lm[valid], truth[valid]
     size = np.array([[K.width, K.height] for K in map(model.camera, image_ids)], dtype=np.float64)
     counts = np.bincount(img, minlength=len(image_ids)).tolist()

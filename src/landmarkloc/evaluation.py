@@ -17,6 +17,7 @@ from .errors import DanglingReferenceError, InvalidRotationError
 from .landmarks import LandmarkSet
 from .pose import STATUS_OK, PoseTable
 from .scene_model import ImageSet, Intrinsics, Pose, SceneModel, _valid_poses, bearing
+from .scene_model import _by_camera, _pair_frames
 
 DEFAULT_ROT_THRESH_DEG = 5.0
 DEFAULT_POS_THRESH_M = 0.05
@@ -70,13 +71,11 @@ def recall_at(
     return int(hits) / len(rot_deg)
 
 
-def _angular_errors(b: np.ndarray, R: np.ndarray, t: np.ndarray, xyz: np.ndarray) -> list:
-    """detection_angular_error of each row whose landmark xyz (N, 3) lies in
-    front of the camera of pose R (N, 3, 3), t (N, 3), with bearing b (N, 3);
-    rows at or behind it are left out. As in _camera_frame, each camera frame
-    is one 3x3 by 3-vector product; the angle comes from math.atan2, because
-    np.arctan2 differs in the last bit on some rows."""
-    cam = np.matmul(R, xyz[:, :, None])[:, :, 0] + t
+def _angular_errors(b: np.ndarray, cam: np.ndarray) -> list:
+    """detection_angular_error of each row whose landmark, at cam (N, 3) in
+    its camera's frame, lies in front of the camera, with bearing b (N, 3);
+    rows at or behind it are left out. The angle comes from math.atan2,
+    because np.arctan2 differs in the last bit on some rows."""
     front = cam[:, 2] > 0
     cam, b = cam[front], b[front]
     cam = cam / np.sqrt(np.vecdot(cam, cam))[:, None]
@@ -89,8 +88,8 @@ def detection_angular_error(uv, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -
     """Angle (degrees) between the bearing of a detection at pixel uv (2,)
     and the landmark's true camera-frame direction under the ground-truth
     pose: the one-row case of _angular_errors."""
-    angles = _angular_errors(bearing(K, np.reshape(uv, (1, 2))), gt_pose.R[None],
-                             gt_pose.t[None], np.reshape(xyz, (1, 3)))
+    angles = _angular_errors(bearing(K, np.reshape(uv, (1, 2))),
+                             gt_pose.apply(np.reshape(xyz, 3))[None])
     if not angles:
         raise ValueError("landmark behind the ground-truth camera")
     return angles[0]
@@ -98,9 +97,10 @@ def detection_angular_error(uv, gt_pose: Pose, K: Intrinsics, xyz: np.ndarray) -
 
 def _detection_errors(detections: DetectionTable, model: SceneModel, landmarks: LandmarkSet):
     """_angular_errors of every detection, in the table's order, under its
-    image's true pose, _BLOCK_ROWS rows at a time (one bearing call per camera
-    id in each), so that the rows' temporaries stay small. The first detection
-    of an image or landmark that they lack raises DanglingReferenceError."""
+    image's true pose (_pair_frames), _BLOCK_ROWS rows at a time (one bearing
+    call per camera id in each), so that the rows' temporaries stay small.
+    The first detection of an image or landmark that they lack raises
+    DanglingReferenceError."""
     images, lids, counts = model.images, detections.landmark_ids, np.diff(detections.offsets)
     known = np.repeat(np.isin(detections.images, images.ids), counts)
     bad = np.flatnonzero(~known | (lids < 0) | (lids >= len(landmarks)))
@@ -112,11 +112,11 @@ def _detection_errors(detections: DetectionTable, model: SceneModel, landmarks: 
     image_rows, angles = np.repeat(np.searchsorted(images.ids, detections.images), counts), []
     for lo in range(0, len(lids), _BLOCK_ROWS):
         rows, uv = image_rows[lo:lo + _BLOCK_ROWS], detections.uv[lo:lo + _BLOCK_ROWS]
-        cameras, b = images.camera_ids[rows], np.empty((len(rows), 3))
-        for cam in np.unique(cameras).tolist():
-            b[cameras == cam] = bearing(model.intrinsics[cam], uv[cameras == cam])
-        angles += _angular_errors(b, images.R[rows], images.t[rows],
-                                  landmarks.xyz[lids[lo:lo + _BLOCK_ROWS]])
+        b = np.empty((len(rows), 3))
+        for cid, at in _by_camera(images.camera_ids[rows]):
+            b[at] = bearing(model.intrinsics[cid], uv[at])
+        cam = _pair_frames(images, landmarks.xyz, rows, lids[lo:lo + _BLOCK_ROWS])
+        angles += _angular_errors(b, cam)
     return angles
 
 
@@ -157,10 +157,15 @@ class EvalReport:
 
 
 def _median_or_nan(values) -> float:
-    """The median of the finite values, NaN when there are none."""
+    """The median of the finite values, NaN when there are none, with the bits
+    of np.median, which imports numpy.ma: the middle values' sum, started
+    from +0.0, over their count (statistics.median can give -0.0 instead)."""
     values = np.asarray(values, dtype=np.float64)
-    values = values[np.isfinite(values)]
-    return float(np.median(values)) if len(values) else float("nan")
+    v = np.sort(values[np.isfinite(values)])
+    if not len(v):
+        return float("nan")
+    k = len(v) // 2
+    return 0.0 + float(v[k]) if len(v) % 2 else (0.0 + float(v[k - 1]) + float(v[k])) / 2
 
 
 def build_report(

@@ -81,7 +81,7 @@ def _saliencies(xyz: np.ndarray, image_ids: np.ndarray, counts, model: SceneMode
         raise ValueError("point has no observations")
     starts = np.cumsum(counts) - counts
     scores = np.ones(len(counts))
-    for n in np.unique(counts[counts > 1]).tolist():
+    for n in sorted(set(counts[counts > 1].tolist())):  # np.unique would import numpy.ma
         points = np.flatnonzero(counts == n)
         rows, cols = np.triu_indices(n, k=1)
         step = max(1, _SALIENCY_BLOCK // (n * n))
@@ -101,7 +101,7 @@ def score_saliency(xyz, image_ids, model: SceneModel) -> float:
     directions from the observing camera centers to the point, capped at
     pi/2. A single-view point has zero spread. The one-point case of _saliencies.
     """
-    images = np.unique(image_ids)
+    images = sorted(set(np.ravel(image_ids).tolist()))
     return _saliencies(np.reshape(xyz, (1, 3)), images, [len(images)], model)[0]
 
 

@@ -6,13 +6,15 @@ PointSet; every stage reads the images' stacked poses and camera centres.
 _uv is the one place the pinhole model is written; _pixel adds the in-image
 mask. project_many is the pinhole projection of arrays of points; the
 visibility test and the synthetic scene generator make its product for a
-block of images at once (visibility._pairs_in_view). The detection simulator
-and the synthetic scene generator apply _pixel to _camera_frame's row
-products, made with one rotation per row. The pose solver, which discards
-the mask, applies _uv: to the same camera-frame product as project_many in its
-residuals and Jacobian (pose._residuals), and to stacked poses when it scores
-P3P hypotheses (pose._stacked_errors). _valid_poses is the one pose rule, of
-Pose, ImageSet, pose.PoseTable, P3P and evaluation.rotation_error.
+block of images at once (_pairs_in_view). _pair_frames (one rotation per
+listed pair) gives evaluation its camera frames, and _pair_pixels applies
+_pixel to them for the detection simulator and the synthetic scene generator;
+_by_camera splits images by camera for them all. The pose solver,
+which discards the mask, applies _uv: to the same camera-frame product as
+project_many in its residuals and Jacobian (pose._residuals), and to stacked
+poses when it scores P3P hypotheses (pose._stacked_errors). _valid_poses is
+the one pose rule, of Pose, ImageSet, pose.PoseTable, P3P and
+evaluation.rotation_error.
 
 Conventions used by every module in this package:
   - poses are world-to-camera: p_cam = R @ p_world + t, camera center = -R^T t
@@ -354,11 +356,61 @@ def _pixel(K: Intrinsics, x, y, z):
     return u, v, (u >= 0.0) & (u < K.width) & (v >= 0.0) & (v < K.height)
 
 
-def _camera_frame(T: Pose, pts: np.ndarray) -> np.ndarray:
-    """Camera-frame rows of (N,3) world points, each with the bits of T.apply
-    on its row: one 3x3 by 3-vector product per row. The gemm of
-    pts @ T.R.T sums in another order and differs in the last bit."""
-    return np.matmul(T.R, pts[:, :, None])[:, :, 0] + T.t
+_PAIR_BLOCK = 8192  # (point, image) pairs per block of a pair pass: its temporaries are O(pairs)
+
+
+def _pair_blocks(n: int, pairs_each: int):
+    """Slices of range(n), in order, for n items of pairs_each pairs each
+    (an image and its points, or one pair): blocks of at most _PAIR_BLOCK
+    pairs, or of one item."""
+    step = max(1, _PAIR_BLOCK // max(pairs_each, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _by_camera(camera_ids: np.ndarray) -> list:
+    """(camera id, rows) for each id of camera_ids, in first-seen order, where
+    rows picks its positions: slice(None), not a gather, when there is one id."""
+    if len(camera_ids) and camera_ids.min() == camera_ids.max():  # no per-row Python pass
+        return [(camera_ids[0].item(), slice(None))]
+    return [(c, np.flatnonzero(camera_ids == c)) for c in dict.fromkeys(camera_ids.tolist())]
+
+
+def _pairs_in_view(K: Intrinsics, xyz: np.ndarray, RT: np.ndarray, t: np.ndarray,
+                   candidates: np.ndarray):
+    """The (point, image) pairs in view in a block of B images of one
+    camera, image by image: candidate points of xyz (L, 3) that are in
+    front of image b's camera and project inside its extent. RT[b] and t[b]
+    are its pose's R.T and t. Returns the pairs' image rows (in the block)
+    and point rows, their full-resolution pixels (P, 2) and their
+    camera-frame depths (P,), with the bits of one image's project_many."""
+    cam = np.matmul(xyz, RT)  # (B, L, 3): each image's xyz @ T.R.T
+    cam += t[:, None]
+    with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
+        u, v, inside = _pixel(K, cam[..., 0], cam[..., 1], cam[..., 2])
+    img, pt = np.nonzero(inside & candidates)
+    return img, pt, np.column_stack([u[img, pt], v[img, pt]]), cam[img, pt, 2]
+
+
+def _pair_frames(images: ImageSet, xyz: np.ndarray, img: np.ndarray, pt: np.ndarray):
+    """The camera frames (N, 3) of N (image, point) pairs, image row img[k]
+    of images and point xyz[pt[k]]: one 3x3 by 3-vector product per pair,
+    so each row has the bits of Pose.apply on its point. The gemm of
+    xyz @ R.T sums in another order and differs in the last bit."""
+    return np.matmul(images.R[img], xyz[pt][:, :, None])[:, :, 0] + images.t[img]
+
+
+def _pair_pixels(images: ImageSet, intrinsics: dict, xyz: np.ndarray, img: np.ndarray,
+                 pt: np.ndarray):
+    """The pixels (N, 2) of the pairs of _pair_frames and whether each lies
+    inside its image, intrinsics by camera id: _PAIR_BLOCK pairs at a time."""
+    uv, inside = np.empty((len(img), 2)), np.empty(len(img), dtype=bool)
+    with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
+        for rows in _pair_blocks(len(img), 1):
+            cam = _pair_frames(images, xyz, img[rows], pt[rows])
+            out = uv[rows]  # a view: written through
+            for cid, at in _by_camera(images.camera_ids[img[rows]]):
+                out[at, 0], out[at, 1], inside[rows][at] = _pixel(intrinsics[cid], *cam[at].T)
+    return uv, inside
 
 
 def project_many(K: Intrinsics, T: Pose, pts: np.ndarray):

@@ -21,11 +21,13 @@ from .scene_model import (
     Intrinsics,
     PointSet,
     SceneModel,
-    _pixel,
+    _pair_blocks,
+    _pair_pixels,
+    _pairs_in_view,
     look_at_pose,
     save_scene,
 )
-from .visibility import VisibilityTable, _pair_blocks, _pairs_in_view, save_visibility
+from .visibility import VisibilityTable, save_visibility
 
 _WALL_INSET = 0.25
 _OCCLUDER_CLEARANCE = 0.25
@@ -222,23 +224,21 @@ def generate_scene(cfg: SynthConfig) -> SynthScene:
 
 
 def _observations(mesh: TriangleMesh, K: Intrinsics, images: ImageSet, sites: np.ndarray):
-    """Exact visibility of sites (N, 3) in images, and the pixels of the
-    visible pairs: vis (N, len(images)) bool, where a pair is visible
-    when the site is in view and the first mesh hit along the ray from the
-    camera centre lies within 1e-6 m of it, and uv (V, 2), the pixels of the
-    V visible pairs in (site, image) order.
+    """Exact visibility of sites (N, 3) in images, all of camera 1 with
+    intrinsics K, and the pixels of the visible pairs: vis (N, len(images))
+    bool, where a pair is visible when the site is in view and the first mesh
+    hit along the ray from the camera centre lies within 1e-6 m of it, and
+    uv (V, 2), the pixels of the V visible pairs in (site, image) order.
 
-    Images are taken in blocks of at most visibility._PAIR_BLOCK (site, image)
-    pairs. Per block, one stacked product lists the pairs in view, with the
-    bits of each image's project_many. Only those pairs are cast, one ray
-    each, the block's rays to one ray_cast call (none for a block without a
-    pair in view), which bounds its own steps; every hit distance has the
-    bits of a per-image pass that casts all sites of an image at once. The
-    pixels are computed for the visible pairs only, _PAIR_BLOCK at a time,
-    from stacked R @ site rows, with the bits of _pixel on _camera_frame rows.
+    Images are taken in blocks of at most scene_model._PAIR_BLOCK (site,
+    image) pairs. Per block, one stacked product lists the pairs in view,
+    with the bits of each image's project_many. Only those pairs are cast,
+    one ray each, the block's rays to one ray_cast call (none for a block
+    without a pair in view), which bounds its own steps; every hit distance
+    has the bits of a per-image pass that casts all sites of an image at
+    once. The pixels are computed for the visible pairs only (_pair_pixels).
     """
-    R, t = images.R, images.t
-    RT = R.transpose(0, 2, 1)  # has the layout of Pose.R.T
+    t, RT = images.t, images.R.transpose(0, 2, 1)  # RT has the layout of Pose.R.T
     vis = np.zeros((len(sites), len(images)), dtype=bool)
     for blk in _pair_blocks(len(images), len(sites)):
         img, site, _, _ = _pairs_in_view(K, sites, RT[blk], t[blk], True)
@@ -251,12 +251,7 @@ def _observations(mesh: TriangleMesh, K: Intrinsics, images: ImageSet, sites: np
         t_hit, _ = ray_cast(mesh, origin, dirs / dist[:, None])
         vis[site, img] = np.abs(t_hit - dist) < 1e-6
     site, img = np.nonzero(vis)
-    uv = np.empty((len(site), 2))
-    for rows in _pair_blocks(len(site), 1):
-        k, i = img[rows], site[rows]
-        uv[rows, 0], uv[rows, 1], _ = _pixel(
-            K, *(np.matmul(R[k], sites[i][:, :, None])[:, :, 0] + t[k]).T)
-    return vis, uv
+    return vis, _pair_pixels(images, {1: K}, sites, img, site)[0]
 
 
 def write_scene(scene: SynthScene, out_dir) -> None:

@@ -28,14 +28,11 @@ from .landmarks import LandmarkSet
 # nearest_surface_point is not called here; perfbench's tracer wraps
 # visibility.nearest_surface_point by name.
 from .mesh import TriangleMesh, closest_point_on_triangles, nearest_surface_point, ray_cast  # noqa: F401
-from .scene_model import Intrinsics, Pose, SceneModel, _pixel
+from .scene_model import Intrinsics, Pose, SceneModel, _by_camera, _pair_blocks, _pairs_in_view
 
 # (landmark x triangle) rows per step of landmark_reference_normals: its
 # temporaries are O(rows).
 _NEAREST_ROWS = 4096
-# (point, image) pairs per image block of compute_visibility and of the
-# synth's observations, in view or not: their temporaries are O(pairs).
-_PAIR_BLOCK = 8192
 
 
 @dataclass
@@ -85,14 +82,6 @@ def _snap(uv: np.ndarray, decimation: int, width: int, height: int):
     px = np.clip(np.rint(uv[:, 0] / decimation).astype(int), 0, width - 1)
     py = np.clip(np.rint(uv[:, 1] / decimation).astype(int), 0, height - 1)
     return px, py
-
-
-def _pair_blocks(n: int, pairs_each: int):
-    """Slices of range(n), in order, for n items of pairs_each pairs each
-    (an image and its points, or one pair): blocks of at most _PAIR_BLOCK
-    pairs, or of one item."""
-    step = max(1, _PAIR_BLOCK // max(pairs_each, 1))
-    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _by_row(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -187,6 +176,8 @@ class VisibilityTable:
         return self._columns[image_id]
 
     def visible(self, landmark_id: int, image_id: int) -> bool:
+        if not 0 <= landmark_id < len(self.mask):
+            raise IndexError(f"landmark id {landmark_id} outside [0, {len(self.mask)})")
         return bool(self.mask[landmark_id, self.column(image_id)])
 
 
@@ -381,22 +372,6 @@ def landmark_reference_normals(mesh: TriangleMesh, ls: LandmarkSet, max_dist: fl
     return normals, np.flatnonzero(far).tolist()
 
 
-def _pairs_in_view(K: Intrinsics, xyz: np.ndarray, RT: np.ndarray, t: np.ndarray,
-                   candidates: np.ndarray):
-    """The (landmark, image) pairs in view in a block of B images of one
-    camera, image by image: candidate landmarks of xyz (L, 3) that are in
-    front of image b's camera and project inside its extent. RT[b] and t[b]
-    are its pose's R.T and t. Returns the pairs' image rows (in the block)
-    and landmark rows, their full-resolution pixels (P, 2) and their
-    camera-frame depths (P,), with the bits of one image's project_many."""
-    cam = np.matmul(xyz, RT)  # (B, L, 3): each image's xyz @ T.R.T
-    cam += t[:, None]
-    with np.errstate(over="ignore"):  # a pixel past the float range is outside the image
-        u, v, inside = _pixel(K, cam[..., 0], cam[..., 1], cam[..., 2])
-    img, lm = np.nonzero(inside & candidates)
-    return img, lm, np.column_stack([u[img, lm], v[img, lm]]), cam[img, lm, 2]
-
-
 def compute_visibility(
     model: SceneModel,
     mesh: TriangleMesh,
@@ -405,16 +380,17 @@ def compute_visibility(
 ) -> VisibilityTable:
     """Visibility of every landmark in every image of the model.
 
-    Images are taken per camera, in blocks of at most _PAIR_BLOCK (landmark,
-    image) pairs. Per block, one stacked product gives every landmark's
-    camera frame in each image, and the pairs in view are listed image by
-    image. The mesh depth and normal at their pixels are read with one ray
-    per pair (see _first_hits), the block's pairs to one ray_cast call (none
-    for a block without a pair in view), and _visible tests them. Every pair
-    gets the bits of a per-image pass over the landmarks, except where that
-    pass took a one-row product on a transposed view: in an image with one
-    pair in view, or one ray hit, a camera-frame normal may differ in the
-    last bit (see _by_row). Row k of the table is landmark k, the row of the
+    Images are taken per camera (scene_model._by_camera), in blocks of at
+    most scene_model._PAIR_BLOCK (landmark, image) pairs. Per block, one
+    stacked product gives every landmark's camera frame in each image, and
+    the pairs in view are listed image by image (_pairs_in_view). The mesh
+    depth and normal at their pixels are read with one ray per pair (see
+    _first_hits), the block's pairs to one ray_cast call (none for a block
+    without a pair in view), and _visible tests them. Every pair gets the
+    bits of a per-image pass over the landmarks, except where that pass took
+    a one-row product on a transposed view: in an image with one pair in
+    view, or one ray hit, a camera-frame normal may differ in the last bit
+    (see _by_row). Row k of the table is landmark k, the row of the
     set's columns. Landmarks farther than cfg.max_surface_dist from the mesh
     are excluded (all-false row) and reported in the table's diagnostics.
     """
@@ -430,10 +406,10 @@ def compute_visibility(
     xyz = ls.xyz
     face_normals = mesh.face_normals()
 
-    for camera_id in dict.fromkeys(images.camera_ids.tolist()):
+    for camera_id, rows in _by_camera(images.camera_ids):
         K = model.intrinsics[camera_id]
         G = _decimated(K, cfg.decimation)
-        cols = np.flatnonzero(images.camera_ids == camera_id)  # the table columns of its images
+        cols = np.arange(len(image_ids))[rows]  # the table columns of its images
         R, t, center = images.R[cols], images.t[cols], images.center[cols]
         # Transposed views of the C-contiguous stack R have the layout of
         # Pose.R.T, so products with them have the bits of the per-image

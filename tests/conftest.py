@@ -12,7 +12,6 @@ from landmarkloc.scene_model import (
     PointSet,
     Pose,
     SceneModel,
-    _camera_frame,
     _pixel,
 )
 
@@ -29,6 +28,13 @@ def random_rotation(rng):
             [2 * x * z - 2 * w * y, 2 * y * z + 2 * w * x, 1 - 2 * x * x - 2 * y * y],
         ]
     )
+
+
+def _camera_frame(T: Pose, pts: np.ndarray) -> np.ndarray:
+    """Camera-frame rows of (N,3) world points, each with the bits of T.apply
+    on its row: one 3x3 by 3-vector product per row. The gemm of
+    pts @ T.R.T sums in another order and differs in the last bit."""
+    return np.matmul(T.R, pts[:, :, None])[:, :, 0] + T.t
 
 
 def project(K, T, p):

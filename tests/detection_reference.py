@@ -9,7 +9,9 @@ import numpy as np
 
 from landmarkloc.detection import DetectionSet
 from landmarkloc.errors import DanglingReferenceError, DataError
-from landmarkloc.scene_model import _camera_frame, bearing
+from landmarkloc.scene_model import bearing
+
+from conftest import _camera_frame
 
 
 def angular_errors_ref(uv, gt_pose, K, xyz) -> list:

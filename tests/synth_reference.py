@@ -12,7 +12,9 @@ import numpy as np
 
 from landmarkloc import _io
 from landmarkloc.mesh import ray_cast
-from landmarkloc.scene_model import _camera_frame, _pixel, project_many
+from landmarkloc.scene_model import _pixel, project_many
+
+from conftest import _camera_frame
 
 
 def observations_per_image(mesh, K, images, sites):

@@ -23,12 +23,14 @@ import pytest
 
 import landmarkloc.evaluation as evaluation
 import landmarkloc.pose as pose_module
+import landmarkloc.scene_model as scene_model
 from landmarkloc.cli import main
 from landmarkloc.detection import DetectionSet, DetectionTable, simulate_detections_labeled
 from landmarkloc.errors import DegeneracyError
 from landmarkloc.evaluation import (
     _angular_errors,
     _detection_errors,
+    _median_or_nan,
     _pose_errors,
     detection_angular_error,
     position_error,
@@ -43,7 +45,7 @@ from landmarkloc.scene_model import (
     Intrinsics,
     Pose,
     SceneModel,
-    _camera_frame,
+    _pair_pixels,
     _pixel,
     axis_angle_to_matrix,
     bearing,
@@ -52,6 +54,7 @@ from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import VisibilityTable, landmark_reference_normals
 
 from conftest import (
+    _camera_frame,
     correspondences,
     landmark_set,
     p3p_in_blocks,
@@ -158,9 +161,7 @@ def test_angular_errors_match_one_row(scene):
         front = [i for i in range(len(xyz)) if T.apply(xyz[i])[2] > 0]
         behind += len(xyz) - len(front)
         ref = [angular_ref(uv[i], T, K, xyz[i]) for i in front]
-        n = len(xyz)
-        assert _angular_errors(bearing(K, uv), np.repeat(T.R[None], n, 0),
-                               np.repeat(T.t[None], n, 0), xyz) == ref
+        assert _angular_errors(bearing(K, uv), _camera_frame(T, xyz)) == ref
         assert [detection_angular_error(uv[i], T, K, xyz[i]) for i in front] == ref
     assert behind > 0
 
@@ -191,6 +192,24 @@ def test_detection_errors_match_per_image_loop(scene, monkeypatch, block):
     assert 0 < len(got) < len(table.image_ids)
     assert (len(table.image_ids) <= evaluation._BLOCK_ROWS) == (block is None)
     assert set(two.images.camera_ids.tolist()) == {1, 2}
+
+
+def test_median_matches_np_median():
+    # The report's medians keep np.median's bits, signed zeros, subnormals
+    # and overflow included, over the finite values.
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, math.nan]
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300)
+        a[rng.integers(0, n, size=n // 2)] = rng.choice(special)
+        finite = a[np.isfinite(a)]
+        if len(finite):
+            with np.errstate(over="ignore"):
+                want = np.median(finite).tobytes()
+            assert np.float64(_median_or_nan(a)).tobytes() == want
+        else:
+            assert math.isnan(_median_or_nan(a))
 
 
 def test_pose_errors_match_one_pair(scene):
@@ -304,6 +323,26 @@ def two_camera_scene(scene, blind):
     mask = vt.mask.copy()
     mask[:, vt.column(blind)] = False
     return two, VisibilityTable(vt.image_ids, mask, vt.tolerances, vt.excluded)
+
+
+@pytest.mark.parametrize("block", [None, 37], ids=["one-block", "blocks-of-37"])
+def test_pair_pixels_match_one_pair(scene, monkeypatch, block):
+    # Every (image, landmark) pair of a model whose images alternate between
+    # two cameras, in view, outside the image or behind the camera: the bits
+    # of _pixel on the pair's _camera_frame row, whether the pairs fit one
+    # block or each block mixes both cameras.
+    if block is not None:
+        monkeypatch.setattr(scene_model, "_PAIR_BLOCK", block)
+    two, _ = two_camera_scene(scene, scene.model.images.ids[2].item())
+    images, xyz = two.images, scene.gt_landmarks.xyz
+    img, pt = np.divmod(np.arange(len(images) * len(xyz)), len(xyz))
+    uv, inside = _pair_pixels(images, two.intrinsics, xyz, img, pt)
+    ref_uv, ref_inside = np.empty_like(uv), np.empty_like(inside)
+    for k, (iid, p) in enumerate(zip(images.ids[img].tolist(), pt.tolist())):
+        cam = _camera_frame(images.pose(iid), xyz[p:p + 1])
+        (ref_uv[k, 0],), (ref_uv[k, 1],), (ref_inside[k],) = _pixel(two.camera(iid), *cam.T)
+    assert uv.tobytes() == ref_uv.tobytes() and np.array_equal(inside, ref_inside)
+    assert inside.any() and not inside.all() and np.isnan(uv).any()
 
 
 @pytest.mark.parametrize("sigma, outlier_rate", [(1.0, 0.3), (0.0, 0.0), (1.0, 0.0), (0.0, 0.3),

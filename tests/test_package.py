@@ -4,9 +4,11 @@ example, and the names the benchmark in perfbench/ looks up and wraps."""
 import ast
 import importlib
 import importlib.util
+import os
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +55,56 @@ def test_readme_library_example_runs(demo_files, monkeypatch, capsys):
     detected = {line.split(",")[0] for line in (demo / "dets.csv").read_text().splitlines()[1:]}
     assert sorted(row[0] for row in rows) == sorted(detected)
     assert any(row[1] == "ok" for row in rows)
+
+
+def test_no_stage_imports_numpy_ma(demo_files, tmp_path):
+    # numpy.ma costs each fresh CLI process about 9 ms to import, and
+    # np.median and np.unique without a return_* argument import it. The
+    # README's synth, select and evaluate run in one process, on a copy of
+    # their files, each followed by whether numpy.ma is loaded by then.
+    work = tmp_path / "work"
+    shutil.copytree(demo_files, work)
+    stages = [argv for argv in readme_commands() if argv[0] in ("synth", "select", "evaluate")]
+    code = ("import sys\nfrom landmarkloc.cli import main\n"
+            f"for argv in {stages!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "    print(argv[0], 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["synth", "False", "select", "False", "evaluate", "False"]
+
+
+def test_private_src_names_are_used():
+    # Each module-level private function, class or assigned name of src/ is
+    # read, imported or taken as an attribute somewhere in src/ besides its
+    # own definition. A referee that only the tests call belongs in tests/.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "landmarkloc").glob("*.py")}
+    used = set()  # (module, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.update((other, node.attr) for other in trees)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                names = []
+            unused += [f"{module}.{name}" for name in names if name.startswith("_")
+                       and not name.startswith("__") and (module, name) not in used]
+    assert unused == []
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 import io
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from landmarkloc.scene_model import (
     save_scene,
 )
 from landmarkloc.synth import SynthConfig, generate_scene
+from test_mesh import _cpu_has_avx2, _openblas
 
 from conftest import (
     LAYOUT_DAMAGE,
@@ -910,6 +914,28 @@ class TestWriterCopy:
         images = load_scene(tmp_path).images
         assert images.names[images.row(2)] == "img9.png"
         assert len(parses) == 1 and (tmp_path / CACHE).read_bytes() != kept
+
+    @pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
+                        reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+    def test_copy_made_under_another_blas_kernel_is_stale(self, tmp_path):
+        # qvec2rotmat's norm rounds differently under OpenBLAS's Haswell
+        # kernel than under some others: the copy that save_scene leaves
+        # under Haswell holds Haswell's rotations, which a load under this
+        # process's kernel must not take for its own parse.
+        save = ("import sys; import numpy as np; from landmarkloc.scene_model import *; "
+                "q = np.random.default_rng(3).normal(size=(300, 4)); "
+                "images = ImageSet(range(300), [1] * 300, [qvec2rotmat(v) for v in q], "
+                "np.zeros((300, 3)), [f'{k}.png' for k in range(300)]); "
+                "points = PointSet([7], [[0.0, 0.0, 2.0]], [[1, 2, 3]], [1], [0], [[5.0, 5.0]]); "
+                "K = Intrinsics(100.0, 100.0, 50.0, 50.0, 100, 100); "
+                "save_scene(SceneModel({1: K}, images, points), sys.argv[1])")
+        src = str(Path(scene_model.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", save, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and (tmp_path / CACHE).exists(), proc.stderr
+        assert load_scene(tmp_path).images.R.tobytes() == _parse_scene(tmp_path).images.R.tobytes()
 
     def test_unwritable_copy_leaves_the_text(self, tmp_path):
         (tmp_path / CACHE).mkdir(parents=True)  # cannot be replaced

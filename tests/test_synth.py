@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import landmarkloc.mesh as mesh_module
+import landmarkloc.scene_model as scene_model
 import landmarkloc.synth as synth
-import landmarkloc.visibility as visibility
 from landmarkloc.landmarks import load_landmarks
 from landmarkloc.mesh import _RAY_BLOCK, load_mesh
 from landmarkloc.scene_model import Intrinsics, load_scene, project_many, save_scene
@@ -219,11 +219,11 @@ class TestPerImageReferee:
             monkeypatch, cfg, tmp_path / "ref", synth_reference.observations_per_image,
             synth_reference.save_scene_per_observation)
         if sizes == "small":  # one image per block, one ray per ray_cast step
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", cfg.num_landmark_sites)
+            monkeypatch.setattr(scene_model, "_PAIR_BLOCK", cfg.num_landmark_sites)
             monkeypatch.setattr(mesh_module, "_RAY_ROWS", min(12 * (1 + cfg.num_occluders),
                                                               _RAY_BLOCK))
         elif sizes == "large":  # every image in one block, all rays in one step
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 10**9)
+            monkeypatch.setattr(scene_model, "_PAIR_BLOCK", 10**9)
             monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**9)
         calls = record_ray_casts(monkeypatch, synth)
         steps = record_ray_steps(monkeypatch)
@@ -261,7 +261,7 @@ class TestBounds:
         steps = record_ray_steps(monkeypatch)
         (mesh, K, images, sites), _ = synth_run(monkeypatch, cfg, tmp_path)
         rays = [len(c[0]) for c in calls]
-        assert len(calls) == len(visibility._pair_blocks(60, 200)) == 2
+        assert len(calls) == len(scene_model._pair_blocks(60, 200)) == 2
         assert sum(rays) == sum(int(v.sum()) for v in in_view(K, images, sites))
         assert sum(rays) < 0.4 * len(sites) * len(images)
         assert sum(steps) == sum(rays) and max(rays) > max(steps)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import landmarkloc.mesh as mesh_module
+import landmarkloc.scene_model as scene_model
 import landmarkloc.visibility as visibility
 from landmarkloc.errors import DegeneracyError, MalformedFileError
 from landmarkloc.mesh import _RAY_BLOCK, TriangleMesh, box_mesh, ray_cast
@@ -441,6 +442,14 @@ class TestTableEquality:
         assert a != VisibilityTable([4, 5], mask[:2], {"tol": 0.5}, [1])
         assert a != "a table"
 
+    @pytest.mark.parametrize("landmark_id", [-4, -1, 3, 4])
+    def test_visible_refuses_a_landmark_outside_the_table(self, landmark_id):
+        # A negative id would wrap to a row from the end of the mask.
+        vt = VisibilityTable([4, 5], np.ones((3, 2), dtype=bool))
+        assert vt.visible(0, 4) and vt.visible(2, 5)
+        with pytest.raises(IndexError, match=rf"landmark id {landmark_id} outside \[0, 3\)"):
+            vt.visible(landmark_id, 4)
+
 
 class TestVisibilityIO:
     def test_roundtrip(self, tmp_path):
@@ -606,10 +615,10 @@ class TestPerImageReferee:
 
         n_tri = min(len(mesh), _RAY_BLOCK)
         if sizes == "small":  # one image per block, one ray per ray_cast step
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", len(ls))
+            monkeypatch.setattr(scene_model, "_PAIR_BLOCK", len(ls))
             monkeypatch.setattr(mesh_module, "_RAY_ROWS", n_tri)
         elif sizes == "large":  # five images per block, each block's rays in one step
-            monkeypatch.setattr(visibility, "_PAIR_BLOCK", 5 * len(ls))
+            monkeypatch.setattr(scene_model, "_PAIR_BLOCK", 5 * len(ls))
             monkeypatch.setattr(mesh_module, "_RAY_ROWS", 10**6)
         calls = record_ray_casts(monkeypatch, visibility)
         steps = record_ray_steps(monkeypatch)
@@ -658,7 +667,7 @@ class TestBounds:
         steps = record_ray_steps(monkeypatch)
         vt = compute_visibility(model, mesh, ls)
         rays = [len(c[0]) for c in calls]
-        assert len(calls) == len(visibility._pair_blocks(100, len(ls))) == 3
+        assert len(calls) == len(scene_model._pair_blocks(100, len(ls))) == 3
         assert max(steps) * min(len(mesh), _RAY_BLOCK) <= mesh_module._RAY_ROWS
         assert max(rays) > max(steps)
         assert sum(steps) == sum(rays) >= vt.mask.sum() > 0
@@ -678,5 +687,5 @@ class TestBounds:
                 tracemalloc.stop()
 
         assert peak() < 1.5e6
-        monkeypatch.setattr(visibility, "_PAIR_BLOCK", 10**9)
+        monkeypatch.setattr(scene_model, "_PAIR_BLOCK", 10**9)
         assert peak() > 1.5e6
