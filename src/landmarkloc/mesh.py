@@ -9,6 +9,7 @@ import numpy as np
 
 from . import _io
 from .errors import MalformedFileError
+from .scene_model import _cross
 
 _DEGENERATE_AREA = 1e-12
 _RAY_EPS = 1e-12
@@ -67,7 +68,8 @@ def ray_cast(mesh: TriangleMesh, origins: np.ndarray, dirs: np.ndarray):
     the index of the winning triangle (-1 for no hit). On equal distances the
     lowest triangle index wins. The rays are cast in steps of at most
     _RAY_ROWS (ray x triangle) rows, whatever N, and a ray gets the same bits
-    alone, in a step or in any stack.
+    alone, in a step or in any stack. A step works on (triangle, ray) planes,
+    one per vector component (_cast_step).
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -85,31 +87,37 @@ def _cast_step(corners, origins: np.ndarray, dirs: np.ndarray):
     """ray_cast of one step of rays, origins/dirs (N, 3), against the mesh's
     corners (v0, v1, v2), _RAY_BLOCK triangles at a time. A lone ray is cast
     as a pair of copies: numpy hands a one-row (1, 3) @ (3, 1) product to
-    another BLAS kernel than a stack's, which may round it otherwise."""
+    another BLAS kernel than a stack's, which may round it otherwise.
+
+    The rays are six contiguous (N,) columns, and each triangle of a block
+    gives (B, 1) columns of e1, e2 and v0, so pvec, tvec and qvec are three
+    (B, N) planes each, one row per triangle: _cross makes np.cross's
+    products and differences, and u and v add their three products as
+    einsum("bij,bij->bi") does, (x + z) + y. det and t stay stacked
+    (N, 3) @ (3, 1) products, which numpy hands to the BLAS matrix-vector
+    kernel once per triangle, so they round as a single triangle's
+    (N, 3) @ (3,) product does; a sum of planes would round differently
+    where BLAS fuses multiply and add."""
     n = len(origins)
     if n == 1:
         origins, dirs = np.repeat(origins, 2, axis=0), np.repeat(dirs, 2, axis=0)
+    o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)  # (3, N) each
     v0, v1, v2 = corners
     t_best = np.full(len(origins), np.inf)
     idx_best = np.full(len(origins), -1, dtype=np.int64)
     for start in range(0, len(v0), _RAY_BLOCK):
         blk = slice(start, start + _RAY_BLOCK)
-        # Every array below is (B, N) or (B, N, 3): one row per triangle of
-        # the block. det and t are stacked (N, 3) @ (3, 1) products, which
-        # numpy hands to the BLAS matrix-vector kernel once per triangle, so
-        # they round as a single triangle's (N, 3) @ (3,) product does; an
-        # einsum would round differently where BLAS fuses multiply and add.
-        e1 = (v1[blk] - v0[blk])[:, None]
-        e2 = (v2[blk] - v0[blk])[:, None]
-        pvec = np.cross(dirs, e2)
-        det = (pvec @ e1.transpose(0, 2, 1))[..., 0]
+        e1 = v1[blk] - v0[blk]  # (B, 3)
+        e2 = v2[blk] - v0[blk]
+        p = _cross(d, e2.T[:, :, None])
+        det = (np.stack(p, axis=-1) @ e1[:, :, None])[..., 0]
         ok = np.abs(det) > _RAY_EPS
         inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = origins - v0[blk][:, None]
-        u = np.einsum("bij,bij->bi", tvec, pvec) * inv_det
-        qvec = np.cross(tvec, e1)
-        v = np.einsum("bij,bij->bi", np.broadcast_to(dirs, qvec.shape), qvec) * inv_det
-        t = (qvec @ e2.transpose(0, 2, 1))[..., 0] * inv_det
+        tv = o[:, None] - v0[blk].T[:, :, None]  # (3, B, N)
+        u = (tv[0] * p[0] + tv[2] * p[2] + tv[1] * p[1]) * inv_det
+        q = _cross(tv, e1.T[:, :, None])
+        v = (d[0] * q[0] + d[2] * q[2] + d[1] * q[1]) * inv_det
+        t = (np.stack(q, axis=-1) @ e2[:, :, None])[..., 0] * inv_det
         hit = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > 1e-9)
         t = np.where(hit, t, np.inf)
         k = np.argmin(t, axis=0)  # first occurrence: the lowest index wins a tie

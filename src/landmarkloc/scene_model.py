@@ -369,10 +369,18 @@ def _pair_blocks(n: int, pairs_each: int):
 
 def _by_camera(camera_ids: np.ndarray) -> list:
     """(camera id, rows) for each id of camera_ids, in first-seen order, where
-    rows picks its positions: slice(None), not a gather, when there is one id."""
-    if len(camera_ids) and camera_ids.min() == camera_ids.max():  # no per-row Python pass
+    rows picks its positions in ascending order: slice(None), not a gather,
+    when there is one id. Several ids are split at the changes of a stable
+    sort, with no Python pass over the rows (and no np.unique, which imports
+    numpy.ma)."""
+    if not len(camera_ids):
+        return []
+    if camera_ids.min() == camera_ids.max():
         return [(camera_ids[0].item(), slice(None))]
-    return [(c, np.flatnonzero(camera_ids == c)) for c in dict.fromkeys(camera_ids.tolist())]
+    order = np.argsort(camera_ids, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(camera_ids[order])) + 1)
+    groups.sort(key=lambda rows: rows[0])
+    return [(camera_ids[rows[0]].item(), rows) for rows in groups]
 
 
 def _pairs_in_view(K: Intrinsics, xyz: np.ndarray, RT: np.ndarray, t: np.ndarray,

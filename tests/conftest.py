@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,49 @@ from landmarkloc.scene_model import (
     SceneModel,
     _pixel,
 )
+
+
+def _cpu_has_avx2():
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+# Marks a test that runs tests in a subprocess under OpenBLAS's Haswell
+# (AVX2) kernel or without numpy's AVX-512 loops.
+needs_haswell = pytest.mark.skipif(not _cpu_has_avx2() or not _io._blas_kernel(),
+                                   reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+
+# NPY_DISABLE_CPU_FEATURES value that turns numpy's AVX-512 loops off.
+WITHOUT_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+# (setting, shown) for each of those two: the environment variables, and the
+# index and value that runtime_under must read under them.
+OTHER_SETTINGS = [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, (0, "Haswell"), id="haswell"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512}, (1, "False"), id="without-avx512"),
+]
+
+
+def subprocess_env(**setting):
+    """os.environ with setting, and this tree's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **setting,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def runtime_under(env):
+    """[kernel, avx512] of a Python started under env: the OpenBLAS kernel
+    that landmarkloc._io._blas_kernel() reads there, and whether numpy's
+    X86_V4 (AVX-512) loops are on, as "True", "False" or "None"."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "from numpy._core import _multiarray_umath as m; from landmarkloc import _io; "
+         "print(_io._blas_kernel().decode(), m.__cpu_features__.get('X86_V4'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def random_rotation(rng):

@@ -11,12 +11,10 @@ import hashlib
 import io
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,17 +52,20 @@ from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import VisibilityTable, landmark_reference_normals
 
 from conftest import (
+    OTHER_SETTINGS,
     _camera_frame,
     correspondences,
     landmark_set,
+    needs_haswell,
     p3p_in_blocks,
     project,
     random_rotation,
+    runtime_under,
+    subprocess_env,
     track,
 )
 from detection_reference import detection_errors_ref
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref, prosac_samples_ref
-from test_mesh import _cpu_has_avx2, _openblas
 from test_pose import pnp_scene
 
 
@@ -373,27 +374,14 @@ def test_simulate_matches_one_row(scene, sigma, outlier_rate):
     assert len(ref) < vt.mask.sum()
 
 
-@pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
-                    reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
-@pytest.mark.parametrize("setting, shown", [
-    ({"OPENBLAS_CORETYPE": "Haswell"}, (0, "Haswell")),
-    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, (1, "False")),
-], ids=["haswell", "without-avx512"])
+@needs_haswell
+@pytest.mark.parametrize("setting, shown", OTHER_SETTINGS)
 def test_simulate_agrees_under_haswell_and_without_avx512(setting, shown):
     # The simulator's stacked projection and scalar draws keep the referee's
     # bits under another BLAS kernel, and under numpy's AVX2 loops.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, **setting,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    check = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c",
-         "import ctypes; from numpy._core import _multiarray_umath as m; "
-         "f = ctypes.CDLL(%r).scipy_openblas_get_corename64_; "
-         "f.argtypes = []; f.restype = ctypes.c_char_p; "
-         "print(f().decode(), m.__cpu_features__.get('X86_V4'))" % str(_openblas())],
-        env=env, capture_output=True, text=True, timeout=60)
+    env = subprocess_env(**setting)
     index, value = shown
-    assert check.stdout.split()[index] == value, check.stdout + check.stderr
+    assert runtime_under(env)[index] == value
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_simulate_matches_one_row"],

@@ -1,8 +1,6 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +21,18 @@ from landmarkloc.synth import SynthConfig, generate_scene
 
 import select_reference
 from conftest import (
+    WITHOUT_AVX512,
     image_set,
     loads_both_ways,
     make_intrinsics,
+    needs_haswell,
     points_from_pairs,
     random_rotation,
+    runtime_under,
     same_landmarks,
+    subprocess_env,
     track,
 )
-from test_mesh import _cpu_has_avx2, _openblas
 
 
 def copy_of(path):
@@ -348,21 +349,10 @@ class TestSelectReferee:
         assert select_both(model_at(xyz, seed=33), count, 0.5, min_track) is None
 
 
-@pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
-                    reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+@needs_haswell
 def test_agrees_without_avx512_and_under_haswell():
-    src = str(Path(select_reference.__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    check = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c",
-         "import ctypes; from numpy._core import _multiarray_umath as m; "
-         "f = ctypes.CDLL(%r).scipy_openblas_get_corename64_; "
-         "f.argtypes = []; f.restype = ctypes.c_char_p; "
-         "print(f().decode(), m.__cpu_features__.get('X86_V4'))" % str(_openblas())],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert check.stdout.split() == ["Haswell", "False"], check.stdout + check.stderr
+    env = subprocess_env(OPENBLAS_CORETYPE="Haswell", NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
+    assert runtime_under(env) == ["Haswell", "False"]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::TestSelectReferee"],

@@ -1,8 +1,6 @@
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +21,14 @@ from landmarkloc.mesh import (
 )
 from landmarkloc.visibility import VisibilityConfig, compute_visibility
 
-from conftest import record_ray_casts
+from conftest import (
+    OTHER_SETTINGS,
+    needs_haswell,
+    random_rotation,
+    record_ray_casts,
+    runtime_under,
+    subprocess_env,
+)
 from test_synth import small_cfg
 from test_visibility import two_camera_scene
 
@@ -234,6 +239,45 @@ class TestRayCastPerTriangle:
         t, idx = self.assert_same(mesh, origins, np.tile([0, 0, 1.0], (50, 1)))
         assert (t == 2.0).all() and (idx == 0).all()
 
+    @pytest.mark.parametrize("rotated", [False, True], ids=["axis-aligned", "rotated"])
+    def test_rays_at_vertices_and_edges(self, rotated):
+        # Rays aimed at the room's corners and at the midpoints of its
+        # triangles' edges (the box's edges and each face's shared diagonal),
+        # rays run along those edges and diagonals from one such point to
+        # another, and rays aimed just outside the middle of each triangle's
+        # edges, at u or v of about -1e-12 or u + v of about 1 + 1e-12, where
+        # the hit decisions hang on the last bit of u and v. Those last are
+        # also cast from outside the room, where a hit just past a box edge
+        # is not hidden behind the next wall.
+        room = box_mesh([0, 0, 0], [6, 4, 3], inward=True)
+        edges = {tuple(sorted(e)) for tri in room.triangles.tolist()
+                 for e in zip(tri, tri[1:] + tri[:1])}
+        assert len(edges) == 18
+        v = room.vertices
+        aims = np.vstack([v, [(v[a] + v[b]) / 2 for a, b in sorted(edges)]])
+        rng = np.random.default_rng(25)
+        inside = np.vstack([[[3, 2, 1.5]], rng.uniform([0.5, 0.5, 0.5], [5.5, 3.5, 2.5], (3, 3))])
+        outside = np.array([[-2, -1, 4], [9, 7, -1]])
+        starts = np.vstack([inside, outside, aims])
+        o, a = (x.reshape(-1, 3) for x in np.broadcast_arrays(starts[:, None], aims[None]))
+        keep = (o != a).any(axis=1)
+        origins, dirs = o[keep], a[keep] - o[keep]
+        near_from = np.vstack([inside[:1], outside])
+        if rotated:
+            R, shift = random_rotation(rng), np.array([0.3, -1.2, 0.7])
+            room = TriangleMesh(v @ R.T + shift, room.triangles)
+            origins, dirs, near_from = origins @ R.T + shift, dirs @ R.T, near_from @ R.T + shift
+        out = 1e-12 * (1 + 2e-5 * np.arange(-10, 11))
+        uv = np.vstack([np.column_stack([-out, np.full(21, 0.5)]),
+                        np.column_stack([np.full(21, 0.5), -out]),
+                        np.column_stack([0.5 + out / 2] * 2)])
+        v0, v1, v2 = room.corners
+        near = (v0[:, None] + uv[:, :1] * (v1 - v0)[:, None]
+                + uv[:, 1:] * (v2 - v0)[:, None]).reshape(-1, 3)
+        o, a = (x.reshape(-1, 3) for x in np.broadcast_arrays(near_from[:, None], near[None]))
+        t, idx = self.assert_same(room, np.vstack([origins, o]), np.vstack([dirs, a - o]))
+        assert len(t) == 806 + 3 * 12 * 63 and (idx >= 0).mean() > 0.9
+
     def test_rays_parallel_to_a_face(self):
         square = TriangleMesh(
             np.array([[-1, -1, 2], [1, -1, 2], [1, 1, 2], [-1, 1, 2]], dtype=float),
@@ -264,8 +308,8 @@ def recorded_casts(monkeypatch):
 
 class TestRayCastBatches:
     """A ray gets the same bits from ray_cast alone, in one stack and in any
-    split of a stack. test_batches_agree_under_the_haswell_kernel runs this
-    class under a second BLAS kernel."""
+    split of a stack. test_ray_cast_agrees_under_haswell_and_without_avx512
+    runs this class under a second BLAS kernel and without AVX-512."""
 
     def test_alone_stacked_and_split(self, monkeypatch):
         casts = recorded_casts(monkeypatch)
@@ -288,34 +332,17 @@ class TestRayCastBatches:
         assert n_rays > 400
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS library, or None."""
-    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
-    return found[0] if found else None
-
-
-def _cpu_has_avx2():
-    try:
-        return "avx2" in Path("/proc/cpuinfo").read_text().split()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
-                    reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
-def test_batches_agree_under_the_haswell_kernel():
-    src = str(Path(mesh_module.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    core = subprocess.run(
-        [sys.executable, "-c",
-         "import ctypes; f = ctypes.CDLL(%r).scipy_openblas_get_corename64_; "
-         "f.argtypes = []; f.restype = ctypes.c_char_p; print(f().decode())" % str(_openblas())],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert core.stdout.strip() == "Haswell", core.stderr
+@needs_haswell
+@pytest.mark.parametrize("setting, shown", OTHER_SETTINGS)
+def test_ray_cast_agrees_under_haswell_and_without_avx512(setting, shown):
+    # ray_cast keeps its own bits and the referee's under another BLAS
+    # kernel, and under numpy's AVX2 loops.
+    env = subprocess_env(**setting)
+    index, value = shown
+    assert runtime_under(env)[index] == value
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::TestRayCastBatches"],
+         f"{__file__}::TestRayCastBatches", f"{__file__}::TestRayCastPerTriangle"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 

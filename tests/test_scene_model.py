@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from landmarkloc.scene_model import (
     PointSet,
     Pose,
     SceneModel,
+    _by_camera,
     _parse_scene,
     bearing,
     load_scene,
@@ -33,7 +33,6 @@ from landmarkloc.scene_model import (
     save_scene,
 )
 from landmarkloc.synth import SynthConfig, generate_scene
-from test_mesh import _cpu_has_avx2, _openblas
 
 from conftest import (
     LAYOUT_DAMAGE,
@@ -41,12 +40,14 @@ from conftest import (
     image_set,
     make_intrinsics,
     make_minimal_model,
+    needs_haswell,
     outcome,
     points_from_pairs,
     project,
     random_rotation,
     read_only_open,
     rename_image,
+    subprocess_env,
 )
 
 CACHE = ".landmarkloc-scene"
@@ -915,8 +916,7 @@ class TestWriterCopy:
         assert images.names[images.row(2)] == "img9.png"
         assert len(parses) == 1 and (tmp_path / CACHE).read_bytes() != kept
 
-    @pytest.mark.skipif(not _cpu_has_avx2() or _openblas() is None,
-                        reason="needs an AVX2 CPU and numpy's bundled OpenBLAS")
+    @needs_haswell
     def test_copy_made_under_another_blas_kernel_is_stale(self, tmp_path):
         # qvec2rotmat's norm rounds differently under OpenBLAS's Haswell
         # kernel than under some others: the copy that save_scene leaves
@@ -929,10 +929,8 @@ class TestWriterCopy:
                 "points = PointSet([7], [[0.0, 0.0, 2.0]], [[1, 2, 3]], [1], [0], [[5.0, 5.0]]); "
                 "K = Intrinsics(100.0, 100.0, 50.0, 50.0, 100, 100); "
                 "save_scene(SceneModel({1: K}, images, points), sys.argv[1])")
-        src = str(Path(scene_model.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", save, str(tmp_path)], env=env,
+        proc = subprocess.run([sys.executable, "-c", save, str(tmp_path)],
+                              env=subprocess_env(OPENBLAS_CORETYPE="Haswell"),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and (tmp_path / CACHE).exists(), proc.stderr
         assert load_scene(tmp_path).images.R.tobytes() == _parse_scene(tmp_path).images.R.tobytes()
@@ -955,3 +953,26 @@ def test_look_at_pose_has_the_bits_of_np_cross():
         R = np.stack([right, np.cross(fwd, right), fwd])
         T = look_at_pose(eye, target)
         assert T.R.tobytes() == R.tobytes() and T.t.tobytes() == (-R @ eye).tobytes()
+
+
+@pytest.mark.parametrize("cameras", [2, 3, 7])
+def test_by_camera_matches_the_first_seen_split(cameras):
+    # The sorted split gives each id and its rows, in first-seen order, as
+    # one pass over the ids does; blocks of one id keep slice(None).
+    rng = np.random.default_rng(40 + cameras)
+    ids_of = rng.choice(np.arange(-5, 100), size=cameras, replace=False)
+    for size in (2, 3, 17, 500):
+        for runs in (False, True):
+            ids = ids_of[rng.integers(0, cameras, size)]
+            if runs:  # images of a camera in stretches, as scenes list them
+                ids = np.sort(ids)[::rng.choice([1, -1])].copy()
+            if ids.min() == ids.max():
+                assert _by_camera(ids) == [(ids[0].item(), slice(None))]
+                continue
+            got = _by_camera(ids)
+            want = [(c, np.flatnonzero(ids == c)) for c in dict.fromkeys(ids.tolist())]
+            assert [c for c, _ in got] == [c for c, _ in want]
+            assert all(type(c) is int for c, _ in got)
+            for (_, rows), (_, ref) in zip(got, want):
+                assert rows.dtype == ref.dtype and np.array_equal(rows, ref)
+    assert _by_camera(np.array([], dtype=np.int64)) == []
