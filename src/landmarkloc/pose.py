@@ -157,12 +157,12 @@ def compute_weights(dets, ls: LandmarkSet, e: float = 2.0) -> Correspondences:
     return Correspondences(ids, dets.uv, ls.xyz[ids], dets.confidence, w)
 
 
-# PROSAC samples per Lambda Twist block: 8 (or a run's first-block hint), doubling to
-# 64, until a hypothesis sets the stop; then all the stop can still use, up to 64.
-# Most images stop within a few dozen samples; the cap bounds memory on those that
-# run the whole budget. A run sizes each image's first block from the stops of its
-# last _RECENT ok images (_first_block).
-_BLOCK, _BLOCK_CAP, _RECENT = 8, 64, 8
+# PROSAC samples per Lambda Twist block: 8, doubling to 64, until a hypothesis sets
+# the stop; then all the stop can still use, up to 64. Most images stop within a few
+# dozen samples; the cap bounds memory on those that run the whole budget. The first
+# blocks of many images are solved together (_first_round), at most _LANES samples
+# per _p3p_block call: a call's temporaries grow with its samples.
+_BLOCK, _BLOCK_CAP, _LANES = 8, 64, 256
 
 
 def _running(op, *cols):
@@ -489,8 +489,58 @@ def _prosac_samples(n: int, cfg: SolverConfig, bitgen):
             yield _choice(n_cur - 1, m - 1, u32) + [n_cur - 1]
 
 
+def _ranking(corrs: Correspondences) -> np.ndarray:
+    """PROSAC's order of corrs: by weight, descending, ties by landmark id."""
+    return np.lexsort((corrs.landmark_ids, -corrs.w))
+
+
+def _first_round(images, K: Intrinsics, cfg: SolverConfig) -> list:
+    """PROSAC's first round over many images of one camera (K): for each
+    (corrs, seed) of images, in order, None where corrs has fewer than 4 rows,
+    else the image's run with its first block solved, (samples, idx, solved):
+    the image's own sampler, now past the block; the block, its first
+    min(_BLOCK, cfg.max_iterations) samples, idx (S, 3) into the ranked
+    correspondences; and _p3p_block's answer for them, (degenerate, R, t,
+    owner), owner in [0, S). An image's samples depend only on its number of
+    correspondences, cfg and seed, so no block waits for another's score.
+    The samples of all images are solved together, _LANES to a _p3p_block
+    call; its lanes never depend on each other, so each image's answer has
+    the bits of a call of its own. Only the samples' points and pixels are
+    kept, not the images' correspondences."""
+    blocks, P, uv = [], [], []
+    for corrs, seed in images:
+        if len(corrs) < 4:
+            blocks.append(None)
+            continue
+        # PCG64(seed) is the state default_rng(seed) has.
+        samples = _prosac_samples(len(corrs), cfg, np.random.PCG64(seed))
+        idx = np.array(list(itertools.islice(samples, min(_BLOCK, cfg.max_iterations))))
+        rows = _ranking(corrs)[idx]
+        blocks.append((samples, idx))
+        P.append(corrs.xyz[rows])
+        uv.append(corrs.uv[rows])
+    if not P:
+        return blocks
+    P, uv = np.concatenate(P), np.concatenate(uv)
+    rays, starts = bearing(K, uv), range(0, len(P), _LANES)
+    parts = [_p3p_block(P[lo:lo + _LANES], rays[lo:lo + _LANES], uv[lo:lo + _LANES], K)
+             for lo in starts]
+    degenerate, R, t = (np.concatenate([part[k] for part in parts]) for k in range(3))
+    owner = np.concatenate([part[3] + lo for part, lo in zip(parts, starts)])
+    out, lo = [], 0
+    for block in blocks:
+        if block is not None:
+            samples, idx = block
+            hi = lo + len(idx)
+            a, b = np.searchsorted(owner, [lo, hi]).tolist()
+            block = samples, idx, (degenerate[lo:hi], R[a:b], t[a:b], owner[a:b] - lo)
+            lo = hi
+        out.append(block)
+    return out
+
+
 def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
-                    seed: int = 0, *, first_block: int | None = None) -> PoseEstimate:
+                    seed: int = 0, *, first: tuple | None = None) -> PoseEstimate:
     """PROSAC over 3-point P3P samples, then at most one LM from the winner.
 
     Correspondences are ranked by weight (descending, ties by landmark id);
@@ -501,44 +551,47 @@ def prosac_estimate(corrs: Correspondences, K: Intrinsics, cfg: SolverConfig = S
     Samples are drawn ahead in blocks, each solved by one _p3p_block call and
     scored in one stacked product; the selection then replays them in order,
     so it stops at the same sample as a loop that solves one sample at a time,
-    and picks the same winner, whatever the blocks' sizes. The first block holds
-    first_block samples (None: _BLOCK, 8, read at call time); until a hypothesis
-    sets the stop, each later block doubles, up to 64; after that, a block holds
-    all that the budget and the stop, ceil(required - t), leave, up to 64.
-    required only falls while a block replays, so every sample past it would go
-    unused. A first block near the image's stop trades a few unused samples
-    (5-7 us each) for a call (about 0.5 ms, on a 2-vCPU Xeon); cli's localize
-    stage takes the hint from the run's recent stops (_first_block). The draws are
-    numpy's Generator(PCG64(seed)).choice, decoded from PCG64's raw stream
-    (_choice); the generator feeds nothing else.
+    and picks the same winner, whatever the blocks' sizes. The first block,
+    _BLOCK (8) samples or the budget if smaller, comes solved: first, the
+    image's run from _first_round, which solves many images' first blocks in
+    one call (cli's localize stage calls it per camera), or, where first is
+    None, a run built here by the same function from seed. first's sampler
+    carries its own seed and goes on past the block. Until a hypothesis sets
+    the stop, each later block doubles from 16, up to 64; after that, a block
+    holds all that the budget and the stop, ceil(required - t), leave, up to
+    64. required only falls while a block replays, so every sample past it
+    would go unused. The draws are numpy's Generator(PCG64(seed)).choice,
+    decoded from PCG64's raw stream (_choice); the generator feeds nothing else.
 
     The winning P3P pose is refined on its inliers, in ranked order, per
     cfg.refinement: by refine_weighted for "weighted" and "unweighted", not at
     all for "none". The mean reprojection error is over those inliers.
     """
-    if first_block is not None and first_block < 1:
-        raise ValueError(f"first block of {first_block} samples: it must hold at least 1")
     n = len(corrs)
     if n < 4:
         return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)
+    if first is None:
+        [first] = _first_round([(corrs, seed)], K, cfg)
 
-    ranked = corrs[np.lexsort((corrs.landmark_ids, -corrs.w))]
+    ranked = corrs[_ranking(corrs)]
     uv, xyz, weights = ranked.uv, ranked.xyz, ranked.w
     rays = bearing(K, uv)
 
-    samples = _prosac_samples(n, cfg, np.random.PCG64(seed))  # default_rng(seed)'s state
-    budget, size = cfg.max_iterations, _BLOCK if first_block is None else first_block
+    samples, idx, solved = first
+    budget, size = cfg.max_iterations, _BLOCK
     best_count, best_werr, best = 0, np.inf, None  # best: (R, t, inlier mask)
     required = np.inf
     saw_degenerate = False
     t = 0
     while t < budget and t < required:
-        if required < np.inf:  # a hypothesis set the stop: the rest of it in one block
-            size = _BLOCK_CAP
-        take = math.ceil(min(size, budget - t, required - t))  # min keeps an inf out of ceil
-        idx = np.array(list(itertools.islice(samples, take)))
+        if solved is None:  # every block after the first
+            if required < np.inf:  # a hypothesis set the stop: the rest of it in one block
+                size = _BLOCK_CAP
+            take = math.ceil(min(size, budget - t, required - t))  # min keeps an inf out of ceil
+            idx = np.array(list(itertools.islice(samples, take)))
+            solved = _p3p_block(xyz[idx], rays[idx], uv[idx], K)
         size = min(2 * size, _BLOCK_CAP)
-        degenerate, R, T, owner = _p3p_block(xyz[idx], rays[idx], uv[idx], K)
+        (degenerate, R, T, owner), solved = solved, None
         err = _stacked_errors(R, T, uv, xyz, K)
         inlier = err <= cfg.threshold_px
         counts = inlier.sum(1).tolist()
@@ -700,23 +753,12 @@ def refine_weighted(initial: Pose, corrs: Correspondences, K: Intrinsics,
 
 
 def localize(dets, ls: LandmarkSet, K: Intrinsics, cfg: SolverConfig = SolverConfig(),
-             seed: int = 0, *, first_block: int | None = None) -> PoseEstimate:
-    """Weights v^e, then PROSAC and at most one LM: prosac_estimate, whose
-    first PROSAC block holds first_block samples (None: _BLOCK). The block
-    plan never changes the estimate, only the number of P3P calls."""
-    return prosac_estimate(compute_weights(dets, ls, cfg.e), K, cfg, seed,
-                           first_block=first_block)
-
-
-def _first_block(estimates) -> int:
-    """The first-block hint for a run's next image, from its estimates so far
-    (a reversible collection, oldest first): the largest num_iterations among
-    the last _RECENT ok ones, clamped to [_BLOCK, _BLOCK_CAP]; _BLOCK while none
-    is ok. Images that are not ok are left out, since a failed image may run
-    its whole budget. A run's images share a scene and a detector, so recent
-    stops bound the next one well, and most images need one P3P call."""
-    stops = (e.num_iterations for e in reversed(estimates) if e.status == STATUS_OK)
-    return min(max([_BLOCK, *itertools.islice(stops, _RECENT)]), _BLOCK_CAP)
+             seed: int = 0, *, first: tuple | None = None) -> PoseEstimate:
+    """Weights v^e, then PROSAC and at most one LM: prosac_estimate, given the
+    image's first block solved (first, from _first_round) or building it from
+    seed. Where the first block is solved never changes the estimate, only the
+    number of P3P calls."""
+    return prosac_estimate(compute_weights(dets, ls, cfg.e), K, cfg, seed, first=first)
 
 
 def save_poses(poses: PoseTable, path, sec_per_image: float | None = None) -> None:

@@ -164,13 +164,16 @@ def p3p_solve_ref(corrs, K: Intrinsics) -> list:
 
 
 def prosac_ref(corrs, K: Intrinsics, cfg: SolverConfig = SolverConfig(), seed: int = 0,
-               solve=p3p_solve_ref, *, first_block=None) -> PoseEstimate:
+               solve=p3p_solve_ref, *, first_block=None, first=None) -> PoseEstimate:
     """PROSAC one sample at a time: draw a sample, solve it with `solve`,
     score each hypothesis, update the adaptive stopping bound, repeat. Then
     the winner's LM on its inliers in ranked order, with the weights w or
     ones per cfg.refinement, or none; the mean error is over the inliers.
     first_block, prosac_estimate's block-plan hint, is taken and ignored: one
-    sample at a time has no blocks."""
+    sample at a time has no blocks.
+    first, the solved first block that prosac_estimate now takes in place of
+    that hint, is taken and ignored too: the samples are drawn again from
+    seed, which first's were."""
     n = len(corrs)
     if n < 4:
         return PoseEstimate(None, frozenset(), 0, float("nan"), STATUS_INSUFFICIENT)

@@ -30,8 +30,15 @@ from landmarkloc.evaluation import (
 from landmarkloc.landmarks import LandmarkSet
 from landmarkloc.mesh import ray_cast
 from landmarkloc.partitioning import fps_traversal, make_partition, partition_default
-from landmarkloc.pose import PoseTable, SolverConfig, localize, pose_residuals_jacobian
-from landmarkloc.scene_model import Pose, project_many
+from landmarkloc.pose import (
+    PoseTable,
+    SolverConfig,
+    _first_round,
+    compute_weights,
+    localize,
+    pose_residuals_jacobian,
+)
+from landmarkloc.scene_model import Pose, _by_camera, project_many
 from landmarkloc.synth import SynthConfig, generate_scene
 from landmarkloc.visibility import (
     VisibilityConfig,
@@ -62,11 +69,17 @@ def stable_rot_deg(Ra, Rb):
 
 
 def localize_all(scene, dets, cfg, seed):
-    out = {}
-    for iid in sorted(dets):
-        K = scene.model.camera(iid)
-        out[iid] = localize(dets[iid], scene.gt_landmarks, K, cfg, seed=seed ^ iid)
-    return out
+    """localize on every image, in id order, as the localize stage runs it:
+    the first PROSAC blocks of a camera's images solved together first."""
+    model, ls, first = scene.model, scene.gt_landmarks, {}
+    ids = np.array(sorted(dets))
+    for cid, rows in _by_camera(model.images.camera_ids[np.searchsorted(model.images.ids, ids)]):
+        group = ids[rows].tolist()
+        first.update(zip(group, _first_round(
+            ((compute_weights(dets[iid], ls, cfg.e), seed ^ iid) for iid in group),
+            model.intrinsics[cid], cfg)))
+    return {iid: localize(dets[iid], ls, model.camera(iid), cfg, seed=seed ^ iid, first=first[iid])
+            for iid in ids.tolist()}
 
 
 @pytest.fixture(scope="module")

@@ -68,6 +68,12 @@ from detection_reference import detection_errors_ref
 from scalar_lambda_twist import p3p_solve_ref, prosac_ref, prosac_samples_ref
 from test_pose import pnp_scene
 
+import landmarkloc.cli as cli
+from landmarkloc.detection import load_detections, save_detections
+from landmarkloc.landmarks import load_landmarks, save_landmarks
+from landmarkloc.pose import save_poses
+from landmarkloc.scene_model import load_scene, save_scene
+
 
 def project_ref(K, T, p):
     x, y, z = T.apply(p)
@@ -633,6 +639,102 @@ def test_localize_matches_one_sample_loop(scene, monkeypatch, refinement):
         same_estimate(est, ref)
         assert (est.refine is None) == (ref.refine is None)
     assert sum(est.status == "ok" for est in runs) >= len(runs) - 2
+
+
+@pytest.fixture(scope="module")
+def two_camera_run(scene, tmp_path_factory):
+    """The files of a localize run on the scene's model with its images
+    alternating between two cameras (two_camera_scene): a 15%-outlier draw, in
+    which one image keeps only its first 3 detections and another sees no
+    landmark. Returns their directory."""
+    d = tmp_path_factory.mktemp("two_cameras")
+    two, vt = two_camera_scene(scene, scene.model.images.ids[2].item())
+    dets, _ = simulate_detections_labeled(two, scene.gt_landmarks, vt, 1.0, 0.15, seed=8)
+    cut = dets.images[3]
+    keep = (dets.image_ids != cut) | (np.arange(len(dets.image_ids)) < dets.offsets[3] + 3)
+    save_detections(DetectionTable(dets.image_ids[keep], dets.landmark_ids[keep], dets.uv[keep],
+                                   dets.confidence[keep]), d / "dets.csv")
+    save_scene(two, d / "scene")
+    save_landmarks(scene.gt_landmarks, d / "landmarks.txt")
+    return d
+
+
+@pytest.mark.parametrize("budget", [2000, 5])
+def test_localize_stage_matches_one_image_calls(two_camera_run, tmp_path, monkeypatch, budget):
+    # The localize stage solves the first PROSAC block of every image of a
+    # camera together, here 19 samples to a P3P call, so calls end inside an
+    # image's block and inside each camera's list of images. Each image's
+    # estimate, and the poses file but for its timing line, have the bits of
+    # one-image localize calls, which solve their own first block.
+    d, seen, calls = two_camera_run, {}, []
+    localize_image, p3p_block = cli.localize, pose_module._p3p_block
+
+    def spy(ds, *args, **kwargs):
+        calls.append(None)
+        seen[ds.image_id] = est = localize_image(ds, *args, **kwargs)
+        return est
+
+    def counting(P, *args):
+        calls.append(len(P))
+        return p3p_block(P, *args)
+
+    monkeypatch.setattr(pose_module, "_LANES", 19)
+    monkeypatch.setattr(pose_module, "_p3p_block", counting)
+    monkeypatch.setattr(cli, "localize", spy)
+    with redirect_stdout(io.StringIO()):
+        assert main(["localize", "--scene", str(d / "scene"),
+                     "--landmarks", str(d / "landmarks.txt"), "--detections", str(d / "dets.csv"),
+                     "--max-iters", str(budget), "--seed", "11",
+                     "--out", str(tmp_path / "poses.txt")]) == 0
+    monkeypatch.undo()
+    model, ls = load_scene(d / "scene"), load_landmarks(d / "landmarks.txt")
+    dets = load_detections(d / "dets.csv")
+    cfg = SolverConfig(max_iterations=budget)
+    refs = {iid: localize(dets[iid], ls, model.camera(iid), cfg, seed=11 ^ iid) for iid in dets}
+    assert list(seen) == list(refs) == sorted(refs)
+    for iid, ref in refs.items():
+        est = seen[iid]
+        same_estimate(est, ref)
+        assert (est.refine is None) == (ref.refine is None)
+        if ref.refine is not None:
+            assert (est.refine.converged, est.refine.iterations, est.refine.cost_trace) == (
+                ref.refine.converged, ref.refine.iterations, ref.refine.cost_trace)
+    save_poses(PoseTable.of(refs), tmp_path / "ref.txt")
+    got = "".join(line for line in (tmp_path / "poses.txt").read_text().splitlines(keepends=True)
+                  if not line.startswith("# sec_per_image="))
+    assert got == (tmp_path / "ref.txt").read_text()
+    # Both cameras, an image with 3 detections, and images that stop inside
+    # the first block and after it, or run the whole budget of 5.
+    images = model.images
+    assert {images.camera_ids[images.row(iid)].item() for iid in refs} == {1, 2}
+    stops = [(est.status, est.num_iterations) for est in refs.values()]
+    assert ("insufficient", 0) in stops and "no_consensus" in dict(stops)
+    ok = [n for status, n in stops if status == "ok"]
+    assert len(ok) >= 15
+    if budget == 5:
+        assert {n for status, n in stops if status != "insufficient"} == {5}
+    else:
+        assert min(ok) <= 8 < max(ok)
+    # The shared round came first, in calls of 19 samples but the last per camera.
+    round_lanes = calls[:calls.index(None)]
+    lanes = min(budget, 8) * (len(refs) - 1)
+    assert sum(round_lanes) == lanes and round_lanes.count(19) >= lanes // 19 - 1
+
+
+@needs_haswell
+@pytest.mark.parametrize("setting, shown", OTHER_SETTINGS)
+def test_localize_stage_agrees_under_haswell_and_without_avx512(setting, shown):
+    # The localize stage's shared first blocks keep the bits of one-image
+    # calls under another BLAS kernel, and under numpy's AVX2 loops.
+    env = subprocess_env(**setting)
+    index, value = shown
+    assert runtime_under(env)[index] == value
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_localize_stage_matches_one_image_calls"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1].startswith("2 passed"), (
+        proc.stdout[-3000:] + proc.stderr[-3000:])
 
 
 def test_squares_match_python_pow():

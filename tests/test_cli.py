@@ -1440,34 +1440,6 @@ class TestLocalizeRun:
         assert self.localize(scene_dir, tmp_path / "poses.txt", *halves) == 0
         assert seen == sorted(load_detections(outlier_dets)) and len(seen) == 20
 
-    def test_first_block_hint_moves_no_byte(self, scene_dir, outlier_dets, tmp_path,
-                                            monkeypatch):
-        # The hint sizes each image's first PROSAC block from the stops
-        # before it; a fixed 8-sample first block gives the same file (but
-        # for its timing line), with more P3P calls.
-        p3p_block, calls = pose._p3p_block, []
-
-        def counting(P, *args):
-            calls.append(len(P))
-            return p3p_block(P, *args)
-
-        monkeypatch.setattr(pose, "_p3p_block", counting)
-        files = []
-        for hint in (cli._first_block, lambda estimates: pose._BLOCK):
-            monkeypatch.setattr(cli, "_first_block", hint)
-            calls.clear()
-            out = tmp_path / f"poses{len(files)}.txt"
-            assert self.localize(scene_dir, out, outlier_dets) == 0
-            text = out.read_text()
-            files.append(("".join(line for line in text.splitlines(keepends=True)
-                                  if not line.startswith("# sec_per_image=")), len(calls)))
-        (hinted, hinted_calls), (fixed, fixed_calls) = files
-        assert hinted == fixed
-        assert "no_consensus" in hinted and hinted.count(" ok ") == 19
-        # With 8-sample first blocks most images make two calls; with the hint
-        # most make one.
-        assert fixed_calls > 1.5 * 20 and hinted_calls < 0.7 * fixed_calls
-
 
 class TestHugeCoordinates:
     """localize and evaluate refuse coordinates whose products overflow, and

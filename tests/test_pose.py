@@ -13,7 +13,6 @@ from landmarkloc.pose import (
     PoseTable,
     SolverConfig,
     _apply_increment,
-    _first_block,
     compute_weights,
     load_poses,
     localize,
@@ -413,31 +412,24 @@ class TestProsac:
             calls.append(len(P))
             return p3p_block(P, *args)
 
-        def run(**first):
-            runs, stops, firsts = [], [], []
+        def run():
+            runs, stops = [], []
             for i, (corrs, cfg) in enumerate(cases):
                 calls.clear()
-                runs.append(prosac_estimate(corrs, K, cfg, seed=i, **first))
+                runs.append(prosac_estimate(corrs, K, cfg, seed=i))
                 stops.append(len(calls))
-                firsts.append(calls[0])
-            return runs, stops, firsts
+            return runs, stops
 
         monkeypatch.setattr(pose_module, "_p3p_block", counting)
-        plan, stops, _ = run()
+        plan, stops = run()
         assert {1, 2, 3} <= set(stops)
         assert (plan[-1].status, plan[-1].num_iterations) == ("no_consensus", 300)
-        # First blocks of 1, 5, 23 and 64 samples, then the plan's doubling
-        # and cut; then one sample per call throughout, and 64.
-        variants = [({"first_block": size}, {}) for size in (1, 5, 23, 64)]
-        variants += [({}, {"_BLOCK": 1, "_BLOCK_CAP": 1}), ({}, {"_BLOCK": 64, "_BLOCK_CAP": 64})]
-        for first, sizes in variants:
+        # One sample per call throughout, then 64.
+        for sizes in ({"_BLOCK": 1, "_BLOCK_CAP": 1}, {"_BLOCK": 64, "_BLOCK_CAP": 64}):
             for name, value in sizes.items():
                 monkeypatch.setattr(pose_module, name, value)
-            runs, _, firsts = run(**first)
-            if first:
-                assert set(firsts) == {first["first_block"]}
-            else:
-                assert max(calls) == sizes["_BLOCK"]
+            runs, _ = run()
+            assert max(calls) == sizes["_BLOCK"]
             for a, b in zip(runs, plan):
                 assert (a.inliers, a.num_iterations, a.status) == (b.inliers, b.num_iterations,
                                                                    b.status)
@@ -449,31 +441,6 @@ class TestProsac:
                 assert np.array_equal(a.pose.R, b.pose.R) and np.array_equal(a.pose.t, b.pose.t)
                 assert (a.refine.converged, a.refine.iterations, a.refine.cost_trace) == (
                     b.refine.converged, b.refine.iterations, b.refine.cost_trace)
-
-    def test_first_block_rule(self, monkeypatch):
-        # The largest stop among the run's last 8 ok images, within [8, 64].
-        def est(status, stop):
-            return PoseEstimate(None, frozenset(), stop, float("nan"), status)
-
-        assert _first_block([]) == 8
-        assert _first_block([est("no_consensus", 2000), est("degenerate", 40)]) == 8
-        assert _first_block([est("ok", 3), est("ok", 5)]) == 8
-        assert _first_block([est("ok", 3), est("no_consensus", 2000), est("ok", 26)]) == 26
-        # 40 is 9 ok images back, behind a failed image that does not count.
-        run = [est("ok", 40)] + [est("ok", 11)] * 4 + [est("no_consensus", 2000)]
-        assert _first_block(run + [est("ok", 12)] * 4) == 12
-        assert _first_block(run + [est("ok", 12)] * 3) == 40
-        assert _first_block(run + [est("ok", 12)] * 3 + [est("ok", 300)]) == 64
-        assert _first_block({7: est("ok", 17), 9: est("ok", 9)}.values()) == 17
-        # The bounds are read when the rule runs.
-        monkeypatch.setattr(pose_module, "_BLOCK", 20)
-        assert _first_block([est("ok", 17)]) == 20
-
-    def test_first_block_must_hold_a_sample(self):
-        _, corrs, _ = pnp_scene(np.random.default_rng(82), n=20)
-        for size in (0, -3):
-            with pytest.raises(ValueError, match="must hold at least 1"):
-                prosac_estimate(corrs, K, SolverConfig(), seed=0, first_block=size)
 
     def test_determinism(self):
         rng = np.random.default_rng(66)
